@@ -23,9 +23,9 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import stgraph as sg
 from . import trainer as tr
-from .model import prepare_tensors, forward_values
-from .pipeline import (RunConfig, RunConfigError, effective_graph_config,
-                       load_dataset, prepare_data, run_experiment, run_matrix,
+from .model import ModelConfigError, prepare_tensors, forward_values
+from .pipeline import (RunConfig, RunConfigError, build_history_graph,
+                       evaluate_test, prepare_data, run_experiment, run_matrix,
                        reference_benchmark_config)
 
 
@@ -108,10 +108,7 @@ def cmd_build_graph(args) -> int:
     config = load_run_config(args.config, args.set, args.benchmark)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    data = prepare_data(config)
-    graph_cfg = effective_graph_config(config)
-    meta = sg.graph_nodes_from_processed(data.history_nodes, data.init_count)
-    graph = sg.build_graph(meta, data.init_count, graph_cfg)
+    graph, _ = build_history_graph(config, prepare_data(config))
     path = out / "graph.json"
     sg.save_graph_json(graph, path)
     write_timings(out, {"graph_build": time.perf_counter() - t0})
@@ -165,11 +162,15 @@ def _report_paths(out: Path, report: ev.EvalReport, split_name: str) -> list[Pat
     return paths
 
 
-def cmd_evaluate(args) -> int:
-    ckpt = tr.load_checkpoint(args.checkpoint)
+def _checkpoint_config(ckpt: tr.Checkpoint) -> RunConfig:
     if ckpt.run_config is None:
         raise UsageError("checkpoint carries no run config; cannot rebuild the graph")
-    config = RunConfig.from_dict(ckpt.run_config)
+    return RunConfig.from_dict(ckpt.run_config)
+
+
+def cmd_evaluate(args) -> int:
+    ckpt = tr.load_checkpoint(args.checkpoint)
+    config = _checkpoint_config(ckpt)
     if args.data:
         doc = config.to_dict()
         doc["dataset"] = {"csv": args.data, "time_format": args.time_format}
@@ -180,9 +181,7 @@ def cmd_evaluate(args) -> int:
 
     t0 = time.perf_counter()
     data = prepare_data(config)
-    graph_cfg = effective_graph_config(config)
-    meta = sg.graph_nodes_from_processed(data.history_nodes, data.init_count)
-    graph = sg.build_graph(meta, data.init_count, graph_cfg)
+    graph, graph_cfg = build_history_graph(config, data)
     t_graph = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -195,7 +194,6 @@ def cmd_evaluate(args) -> int:
                                  {"kind": "train", "n_train": len(ids)},
                                  train_mae=ckpt.final_train_mae)
     else:
-        from .pipeline import evaluate_test
         report = evaluate_test(config, data, graph, graph_cfg, ckpt.params,
                                strategy=args.strategy)
     artifacts.extend(_report_paths(out, report, args.split))
@@ -209,15 +207,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = tr.load_checkpoint(args.checkpoint)
-    if ckpt.run_config is None:
-        raise UsageError("checkpoint carries no run config; cannot rebuild the graph")
-    config = RunConfig.from_dict(ckpt.run_config)
-    if args.strategy not in ("true", "predicted", "ignore"):
-        raise UsageError(f"unknown strategy {args.strategy!r}")
+    config = _checkpoint_config(ckpt)
     data = prepare_data(config)
-    graph_cfg = effective_graph_config(config)
-    meta = sg.graph_nodes_from_processed(data.history_nodes, data.init_count)
-    graph = sg.build_graph(meta, data.init_count, graph_cfg)
+    graph, graph_cfg = build_history_graph(config, data)
     ctx = tr.InferenceContext(params=ckpt.params, model_config=ckpt.model_config,
                               graph_config=graph_cfg, stats=ckpt.stats,
                               schema=ckpt.schema)
@@ -292,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--location", type=int, required=True)
     p.add_argument("--time", type=float, required=True,
                    help="query timestamp in days since epoch")
-    p.add_argument("--strategy", default="ignore")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("matrix", help="run an experiment matrix")
@@ -308,9 +299,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, RunConfigError, ds.SchemaError, ds.ConfigError,
-            tr.CheckpointVersionError, tr.CheckpointIntegrityError,
-            tr.QueryError, tr.StrategyError) as exc:
+    except (FileNotFoundError, UsageError, RunConfigError, ds.SchemaError,
+            ds.ConfigError, ds.SplitError, ModelConfigError, sg.ConstructionError,
+            tr.TrainConfigError, tr.CheckpointVersionError,
+            tr.CheckpointIntegrityError, tr.QueryError, tr.StrategyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

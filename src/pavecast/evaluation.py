@@ -1,4 +1,4 @@
-"""Metrics, severity-level classification, ROC/AUC, and study harnesses.
+"""Metrics, severity-level classification, ROC/AUC, and generalization splits.
 
 Deterioration values are binned into four severity levels; a one-vs-rest
 ROC per level is built from a bin-affinity score (negative distance of the
@@ -8,11 +8,11 @@ the regression output sits inside the level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ENV_FEATURES
+from .dataset import SplitError
 
 
 class MetricError(ValueError):
@@ -151,10 +151,6 @@ def build_report(y, yhat, split_descriptor: dict, train_mae=None) -> EvalReport:
 # Generalization splits
 
 
-class SplitError(ValueError):
-    pass
-
-
 def generalization_split(nodes, axis: str, k: int, s: int):
     """Sorted-by-axis split: first k train, next s removed, rest test.
 
@@ -171,32 +167,6 @@ def generalization_split(nodes, axis: str, k: int, s: int):
     train_ids = [p.node_id for p in order[:k]]
     test_ids = [p.node_id for p in order[k + s:]]
     return train_ids, test_ids
-
-
-# ---------------------------------------------------------------------------
-# Environmental-feature masking study
-
-
-@dataclass
-class MaskingRow:
-    feature: str
-    test_mae: float
-    delta_mae: float  # masked-model MAE minus full-model MAE
-
-
-def env_masking_study(run_pipeline, base_mae: float,
-                      features=ENV_FEATURES) -> list[MaskingRow]:
-    """Retrain with each environmental feature removed; report the MAE shift.
-
-    run_pipeline(masked_feature) must retrain end-to-end with identical
-    seeds and return the test MAE.
-    """
-    rows = []
-    for name in features:
-        mae = run_pipeline(name)
-        rows.append(MaskingRow(feature=name, test_mae=mae,
-                               delta_mae=mae - base_mae))
-    return rows
 
 
 def reseed_noise_band(maes) -> float:

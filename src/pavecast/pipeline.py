@@ -162,11 +162,17 @@ class RunResult:
     attention_max_dev: float | None
 
 
-def _train_model(config: RunConfig, data: PreparedData, log=None):
+def build_history_graph(config: RunConfig,
+                        data: PreparedData) -> tuple[sg.STGraph, sg.GraphConfig]:
+    """The init + train graph under the effective graph config, and that config."""
     graph_cfg = effective_graph_config(config)
     meta = sg.graph_nodes_from_processed(data.history_nodes, data.init_count)
+    return sg.build_graph(meta, data.init_count, graph_cfg), graph_cfg
+
+
+def _train_model(config: RunConfig, data: PreparedData, log=None):
     t0 = time.perf_counter()
-    graph = sg.build_graph(meta, data.init_count, graph_cfg)
+    graph, graph_cfg = build_history_graph(config, data)
     t_graph = time.perf_counter() - t0
 
     train_cfg = replace(config.train, seed=config.seed)
@@ -193,8 +199,7 @@ def evaluate_test(config: RunConfig, data: PreparedData, graph, graph_cfg,
         yhat = tr.predict_batch_ignore(ctx, graph, data.history_nodes, queries)
     else:
         observed = data.test_records if strategy == "true" else None
-        yhat = np.array(tr.predict_sequence(ctx, graph.copy(),
-                                            list(data.history_nodes), queries,
+        yhat = np.array(tr.predict_sequence(ctx, graph, data.history_nodes, queries,
                                             strategy, observed=observed))
     return ev.build_report(y_true, yhat,
                            {"kind": "temporal", "strategy": strategy,
@@ -334,37 +339,21 @@ def run_generalization(config: RunConfig, axis: str, k: int, s: int,
     times = [r.collect_time for r in records]
     stats = ds.fit_standardizer(train_records, time_range=(min(times), max(times)))
     history_nodes = ds.preprocess_records(train_records, stats, config.features)
-    init_count = max(1, int(len(history_nodes) * config.split[0]))
-
-    graph_cfg = effective_graph_config(config)
-    meta = sg.graph_nodes_from_processed(history_nodes, init_count)
-    graph = sg.build_graph(meta, init_count, graph_cfg)
-    train_cfg = replace(config.train, seed=config.seed)
-    result = tr.train_on_graph(graph, history_nodes, config.model, train_cfg,
-                               graph_cfg, log=log)
+    data = PreparedData(records=records, stats=stats, history_nodes=history_nodes,
+                        test_records=test_records,
+                        init_count=max(1, int(len(history_nodes) * config.split[0])))
+    graph, graph_cfg, _, result, _ = _train_model(config, data, log=log)
 
     ctx = InferenceContext(params=result.params, model_config=config.model,
                            graph_config=graph_cfg, stats=stats,
                            schema=config.features)
-    base_n = graph.n
-    queries, query_nodes = [], []
-    for j, rec in enumerate(test_records):
-        # spatial splits put test locations outside the training set, so the
-        # query is built from the record's own coordinates
-        queries.append(Query(rec.location_id, rec.collect_time))
-        t_norm = stats.rescale_time(rec.collect_time)
-        x_full = np.zeros(config.features.dim_full)
-        x_st = np.array([stats.standardize("longitude_gcj", rec.longitude_gcj),
-                         stats.standardize("latitude_gcj", rec.latitude_gcj),
-                         t_norm])
-        x_full[-3:] = x_st
-        query_nodes.append(ds.ProcessedNode(
-            node_id=base_n + j, location_id=rec.location_id,
-            x_full=x_full, x_st=x_st, y=float("nan"), t_norm=t_norm,
-            t_raw=rec.collect_time,
-            coords=(rec.longitude_gcj, rec.latitude_gcj)))
+    # spatial splits put test locations outside the training set, so each
+    # query carries the record's own coordinates
+    queries = [Query(r.location_id, r.collect_time,
+                     coords=(r.longitude_gcj, r.latitude_gcj))
+               for r in test_records]
     yhat = tr.predict_batch_ignore(ctx, graph, history_nodes, queries,
-                                   allow_past=True, query_nodes=query_nodes)
+                                   allow_past=True)
     y_true = np.array([r.detect_info for r in test_records])
     return ev.build_report(y_true, yhat,
                            {"kind": "generalization", "axis": axis, "k": k, "s": s},

@@ -87,144 +87,125 @@ class STGraph:
     def edge_count(self) -> int:
         return sum(len(p) for p in self.parents)
 
-    def index_of(self, node_id: int) -> int:
-        # ids are list positions throughout the pipeline; fall back to scan
-        if node_id < len(self.nodes) and self.nodes[node_id].node_id == node_id:
-            return node_id
-        for i, nd in enumerate(self.nodes):
-            if nd.node_id == node_id:
-                return i
-        raise KeyError(node_id)
-
     def to_json_dict(self) -> dict:
         return {
             "nodes": [{"id": nd.node_id, "lon": nd.lon, "lat": nd.lat,
                        "t_raw": nd.t_raw, "t_norm": nd.t_norm, "is_init": nd.is_init}
                       for nd in self.nodes],
             "edges": [{"from": e.parent, "to": nd.node_id, "origin": e.origin,
-                       "dt_norm": abs(nd.t_norm - self.nodes[self.index_of(e.parent)].t_norm),
+                       "dt_norm": abs(nd.t_norm - self.nodes[e.parent].t_norm),
                        "dist_m": e.dist_m}
                       for nd, plist in zip(self.nodes, self.parents) for e in plist],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "STGraph":
+        """Rebuild a graph whose node ids are their positions 0..n-1."""
         nodes = [GraphNode(node_id=n["id"], lon=n["lon"], lat=n["lat"],
                            t_raw=n["t_raw"], t_norm=n["t_norm"], is_init=n["is_init"])
                  for n in d["nodes"]]
+        n = len(nodes)
+        if [nd.node_id for nd in nodes] != list(range(n)):
+            raise ConstructionError("node ids must equal their positions 0..n-1")
         graph = cls(nodes=nodes, parents=[[] for _ in nodes],
-                    init_count=sum(1 for n in nodes if n.is_init))
-        non_init = [n.t_raw for n in nodes if not n.is_init]
+                    init_count=sum(1 for nd in nodes if nd.is_init))
+        non_init = [nd.t_raw for nd in nodes if not nd.is_init]
         graph.max_non_init_t = max(non_init) if non_init else -math.inf
-        index = {n.node_id: i for i, n in enumerate(nodes)}
         for e in d["edges"]:
-            dst = index[e["to"]]
-            src = nodes[index[e["from"]]]
-            graph.parents[dst].append(ParentEdge(
-                parent=src.node_id, dt_days=abs(nodes[dst].t_raw - src.t_raw),
+            if not (0 <= e["from"] < n and 0 <= e["to"] < n):
+                raise ConstructionError(f"edge {e['from']}->{e['to']} names no node")
+            dst, src = nodes[e["to"]], nodes[e["from"]]
+            graph.parents[e["to"]].append(ParentEdge(
+                parent=e["from"], dt_days=abs(dst.t_raw - src.t_raw),
                 dist_m=e["dist_m"], origin=e["origin"]))
         return graph
 
 
-def location_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Equirectangular approximation, meters; a and b are (lon, lat) degrees."""
-    lon_a, lat_a = a
-    lon_b, lat_b = b
-    if not all(map(math.isfinite, (lon_a, lat_a, lon_b, lat_b))):
-        raise ArithmeticError("non-finite coordinates")
-    dphi = (lat_b - lat_a) * _DEG
-    dlam = (lon_b - lon_a) * _DEG
-    cos_mid = math.cos(0.5 * (lat_a + lat_b) * _DEG)
-    return EARTH_RADIUS_M * math.sqrt(dphi * dphi + (cos_mid * dlam) ** 2)
+def _columns(nodes: list[GraphNode]):
+    """(ids, lons, lats, t_raw) arrays of a node list."""
+    return (np.array([c.node_id for c in nodes]), np.array([c.lon for c in nodes]),
+            np.array([c.lat for c in nodes]), np.array([c.t_raw for c in nodes]))
 
 
 def _distances(node: GraphNode, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
+    """Equirectangular approximation, meters, from node to each (lon, lat) in degrees."""
     dphi = (lats - node.lat) * _DEG
     dlam = (lons - node.lon) * _DEG
     cos_mid = np.cos(0.5 * (lats + node.lat) * _DEG)
-    return EARTH_RADIUS_M * np.sqrt(dphi * dphi + (cos_mid * dlam) ** 2)
+    dist = EARTH_RADIUS_M * np.sqrt(dphi * dphi + (cos_mid * dlam) ** 2)
+    if not np.isfinite(dist).all():
+        raise ArithmeticError("non-finite coordinates")
+    return dist
 
 
-def hard_edges(node: GraphNode, candidates: list[GraphNode],
-               config: GraphConfig) -> list[ParentEdge]:
-    """Every candidate within both the distance and time thresholds."""
-    found = []
-    for cand in candidates:
-        dist = location_distance((node.lon, node.lat), (cand.lon, cand.lat))
-        dt = abs(node.t_raw - cand.t_raw)
-        if dist <= config.l_res_m and dt <= config.t_res_days:
-            found.append(ParentEdge(parent=cand.node_id, dt_days=dt,
-                                    dist_m=dist, origin="hard"))
-    return found
+def _proximity(node: GraphNode, lons, lats, ts, config: GraphConfig):
+    """(dist_m, dt_days, within both thresholds) from node to each candidate."""
+    dist = _distances(node, lons, lats)
+    dt = np.abs(node.t_raw - ts)
+    return dist, dt, (dist <= config.l_res_m) & (dt <= config.t_res_days)
 
 
-def top_edges(node: GraphNode, candidates: list[GraphNode],
-              config: GraphConfig) -> list[ParentEdge]:
-    """K best candidates by threshold-normalized space+time score, ties by id."""
-    scored = []
-    for cand in candidates:
-        dist = location_distance((node.lon, node.lat), (cand.lon, cand.lat))
-        dt = abs(node.t_raw - cand.t_raw)
-        score = dist / config.l_res_m + dt / config.t_res_days
-        scored.append((score, cand.node_id, dist, dt))
-    scored.sort(key=lambda s: (s[0], s[1]))
-    return [ParentEdge(parent=node_id, dt_days=dt, dist_m=dist, origin="top")
-            for _, node_id, dist, dt in scored[:config.top_k]]
+def _edges(picks, ids, dt, dist, origin: str) -> list[ParentEdge]:
+    return [ParentEdge(parent=int(ids[k]), dt_days=float(dt[k]),
+                       dist_m=float(dist[k]), origin=origin) for k in picks]
 
 
 def combined_parents(node: GraphNode, candidates: list[GraphNode],
                      config: GraphConfig) -> list[ParentEdge]:
     """Ranked edges first, then remaining proximity edges sorted by parent id.
 
-    A parent picked by both mechanisms appears once, labelled "top".
+    Ranked edges go to the top_k candidates with the lowest
+    dist/l_res + dt/t_res score, ties broken by lower id; proximity edges go
+    to every candidate within both thresholds (inclusive), so top_k=0 gives
+    the pure proximity set. A parent picked by both mechanisms appears once,
+    labelled "top".
     """
     if not candidates:
         return []
-    ids = np.array([c.node_id for c in candidates])
-    lons = np.array([c.lon for c in candidates])
-    lats = np.array([c.lat for c in candidates])
-    ts = np.array([c.t_raw for c in candidates])
-    dist = _distances(node, lons, lats)
-    dt = np.abs(node.t_raw - ts)
-    hard_mask = (dist <= config.l_res_m) & (dt <= config.t_res_days)
+    ids, lons, lats, ts = _columns(candidates)
+    dist, dt, hard_mask = _proximity(node, lons, lats, ts, config)
     score = dist / config.l_res_m + dt / config.t_res_days
     if config.top_mode == "additional":
         pool = np.flatnonzero(~hard_mask)
     else:
         pool = np.arange(len(candidates))
     order = pool[np.lexsort((ids[pool], score[pool]))][: config.top_k]
-    edges = [ParentEdge(parent=int(ids[k]), dt_days=float(dt[k]),
-                        dist_m=float(dist[k]), origin="top") for k in order]
-    chosen = set(order.tolist())
-    extra = [k for k in np.flatnonzero(hard_mask) if k not in chosen]
-    extra.sort(key=lambda k: ids[k])
-    edges.extend(ParentEdge(parent=int(ids[k]), dt_days=float(dt[k]),
-                            dist_m=float(dist[k]), origin="hard") for k in extra)
-    return edges
+    hard_mask[order] = False
+    extra = np.flatnonzero(hard_mask)
+    extra = extra[np.argsort(ids[extra])]
+    return (_edges(order, ids, dt, dist, "top")
+            + _edges(extra, ids, dt, dist, "hard"))
 
 
 def build_init_graph(init_nodes: list[GraphNode], config: GraphConfig) -> STGraph:
     """Mutually visible initialization block: proximity edges both directions."""
     if not init_nodes:
         raise ConstructionError("initialization block must be non-empty")
-    graph = STGraph(nodes=list(init_nodes), parents=[[] for _ in init_nodes],
-                    init_count=len(init_nodes))
+    ids, lons, lats, ts = _columns(init_nodes)
+    if not np.array_equal(ids, np.arange(len(init_nodes))):
+        raise ConstructionError("node ids must equal their positions 0..n-1")
+    graph = STGraph(nodes=list(init_nodes), init_count=len(init_nodes))
     for i, nd in enumerate(init_nodes):
-        others = [c for c in init_nodes if c.node_id != nd.node_id]
-        graph.parents[i] = [ParentEdge(parent=e.parent, dt_days=e.dt_days,
-                                       dist_m=e.dist_m, origin="init")
-                            for e in hard_edges(nd, others, config)]
+        dist, dt, near = _proximity(nd, lons, lats, ts, config)
+        near[i] = False
+        graph.parents.append(_edges(np.flatnonzero(near), ids, dt, dist, "init"))
     return graph
 
 
 def expand(graph: STGraph, new_node: GraphNode, config: GraphConfig) -> None:
-    """Append one node in temporal order, wiring ranked + proximity parents."""
-    if any(nd.node_id == new_node.node_id for nd in graph.nodes):
-        raise DuplicateIdError(f"node id {new_node.node_id} already present")
+    """Append one node in temporal order, wiring ranked + proximity parents.
+
+    The new node's id must be its position, graph.n.
+    """
     if new_node.t_raw < graph.max_non_init_t:
         raise TemporalOrderError(
             f"node at t={new_node.t_raw} arrives before the newest graph node "
             f"at t={graph.max_non_init_t}")
+    if new_node.node_id < graph.n:
+        raise DuplicateIdError(f"node id {new_node.node_id} already present")
+    if new_node.node_id != graph.n:
+        raise ConstructionError(
+            f"node id {new_node.node_id} is not the next position {graph.n}")
     parents = combined_parents(new_node, graph.nodes, config)
     graph.nodes.append(new_node)
     graph.parents.append(parents)
@@ -248,17 +229,6 @@ def graph_nodes_from_processed(nodes, init_count: int = 0) -> list[GraphNode]:
     return [GraphNode(node_id=p.node_id, lon=p.coords[0], lat=p.coords[1],
                       t_raw=p.t_raw, t_norm=p.t_norm, is_init=(i < init_count))
             for i, p in enumerate(nodes)]
-
-
-def edge_annotations(graph: STGraph) -> list[tuple[int, int, float, float]]:
-    """(parent, child, |dt_norm|, dist_m) per edge, aligned with parents lists."""
-    out = []
-    for nd, plist in zip(graph.nodes, graph.parents):
-        for e in plist:
-            out.append((e.parent, nd.node_id,
-                        abs(nd.t_norm - graph.nodes[graph.index_of(e.parent)].t_norm),
-                        e.dist_m))
-    return out
 
 
 def save_graph_json(graph: STGraph, path) -> None:

@@ -51,6 +51,10 @@ class CheckpointIntegrityError(ValueError):
     """Checkpoint bytes fail a structural or checksum test."""
 
 
+class TrainConfigError(ValueError):
+    """Training settings out of range."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
@@ -61,7 +65,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0 or self.lr <= 0:
-            raise ValueError("epochs must be >= 0 and lr > 0")
+            raise TrainConfigError("epochs must be >= 0 and lr > 0")
 
 
 @dataclass
@@ -251,9 +255,7 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
 
 def predict_batch_ignore(ctx: InferenceContext, graph: STGraph,
                          nodes: list[ProcessedNode], queries: list[Query],
-                         allow_past: bool = False,
-                         query_nodes: list[ProcessedNode] | None = None,
-                         probes: list | None = None) -> np.ndarray:
+                         allow_past: bool = False) -> np.ndarray:
     """All ignore-strategy queries in one forward pass.
 
     Each query's parents are wired against the pristine graph only, and
@@ -270,9 +272,8 @@ def predict_batch_ignore(ctx: InferenceContext, graph: STGraph,
         if not allow_past and q.t_raw < newest:
             raise QueryError(f"query {k} at t={q.t_raw} precedes history")
         node_id = base_n + k
-        qnode = (query_nodes[k] if query_nodes is not None
-                 else query_node(ctx, nodes, node_id, q.location_id, q.t_raw,
-                                 coords=q.coords))
+        qnode = query_node(ctx, nodes, node_id, q.location_id, q.t_raw,
+                           coords=q.coords)
         meta = GraphNode(node_id=node_id, lon=qnode.coords[0], lat=qnode.coords[1],
                          t_raw=q.t_raw, t_norm=qnode.t_norm, is_init=False)
         candidates = [nd for nd in graph.nodes if nd.t_raw <= q.t_raw] \
@@ -282,8 +283,7 @@ def predict_batch_ignore(ctx: InferenceContext, graph: STGraph,
         eval_graph.parents.append(parents)
         eval_nodes.append(qnode)
     gt = prepare_tensors(eval_graph, eval_nodes, l_res_m=ctx.graph_config.l_res_m)
-    yhat = forward_values(gt, ctx.params, ctx.model_config, probes=probes)
-    return yhat[base_n:]
+    return forward_values(gt, ctx.params, ctx.model_config)[base_n:]
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +358,8 @@ def load_checkpoint(path) -> Checkpoint:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise CheckpointIntegrityError("bad magic: not a checkpoint file")
+    if len(raw) < 20:
+        raise CheckpointIntegrityError("header truncated")
     version = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(

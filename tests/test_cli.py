@@ -200,6 +200,27 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
                    "--axes", "bogus", "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize("override", [
+    'dataset={"csv": "no-such-file.csv"}',  # FileNotFoundError
+    "split=[0.5,0.6,0.2]",                   # SplitError
+    "model.variant=bogus",                   # ModelConfigError
+    "graph.top_k=-1",                        # ConstructionError
+    "train.lr=-1",                           # TrainConfigError
+])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsys,
+                                               override):
+    assert run_cli("build-graph", "--config", tiny_config_file, "--set", override,
+                   "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_predict_has_no_strategy_flag(trained):
+    with pytest.raises(SystemExit):
+        run_cli("predict", "--checkpoint", str(trained), "--location", "0",
+                "--time", "1e9", "--strategy", "true")
+
+
 def test_set_flag_requires_key_value(tmp_path, tiny_config_file):
     assert run_cli("gen-data", "--config", tiny_config_file,
                    "--set", "oops", "--out", str(tmp_path / "x")) == 2

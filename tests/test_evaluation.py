@@ -220,19 +220,6 @@ def test_split_rejects_consuming_everything():
         ev.generalization_split(fake_nodes(5, rng), "altitude", 1, 1)
 
 
-# ---------------------------------------------------------------------------
-# masking study plumbing
-
-
-def test_masking_study_shape_and_deltas():
-    fake_maes = {name: 0.5 + i * 0.01 for i, name in enumerate(ev.ENV_FEATURES)}
-    rows = ev.env_masking_study(lambda name: fake_maes[name], base_mae=0.5)
-    assert len(rows) == 8
-    assert [r.feature for r in rows] == list(ev.ENV_FEATURES)
-    assert rows[0].delta_mae == pytest.approx(0.0)
-    assert rows[-1].delta_mae == pytest.approx(0.07)
-
-
 def test_noise_band():
     assert ev.reseed_noise_band([0.5, 0.52, 0.49]) == pytest.approx(0.03)
     with pytest.raises(ev.MetricError):

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,15 +20,25 @@ def rand_nodes(rng, n, extent=0.01, span=100.0, init_count=0):
             for i in range(n)]
 
 
+def equirect_m(a, b):
+    """Scalar equirectangular distance in meters between (lon, lat) degree pairs."""
+    (lon_a, lat_a), (lon_b, lat_b) = a, b
+    deg = math.pi / 180.0
+    dphi = (lat_b - lat_a) * deg
+    dlam = (lon_b - lon_a) * deg
+    cos_mid = math.cos(0.5 * (lat_a + lat_b) * deg)
+    return 6371000.0 * math.sqrt(dphi * dphi + (cos_mid * dlam) ** 2)
+
+
 def brute_force_parents(node, candidates, config):
     """O(n log n) reference: full sort for ranked edges, linear filter for proximity."""
     scored = sorted(
-        ((sg.location_distance((node.lon, node.lat), (c.lon, c.lat)) / config.l_res_m
+        ((equirect_m((node.lon, node.lat), (c.lon, c.lat)) / config.l_res_m
           + abs(node.t_raw - c.t_raw) / config.t_res_days, c.node_id)
          for c in candidates))
     top = [nid for _, nid in scored[:config.top_k]]
     hard = [c.node_id for c in candidates
-            if sg.location_distance((node.lon, node.lat), (c.lon, c.lat)) <= config.l_res_m
+            if equirect_m((node.lon, node.lat), (c.lon, c.lat)) <= config.l_res_m
             and abs(node.t_raw - c.t_raw) <= config.t_res_days]
     return set(top) | set(hard), top
 
@@ -40,7 +52,7 @@ def brute_force_graph_edges(nodes, init_count, config):
                 if j == i:
                     continue
                 other = nodes[j]
-                if (sg.location_distance((nd.lon, nd.lat), (other.lon, other.lat))
+                if (equirect_m((nd.lon, nd.lat), (other.lon, other.lat))
                         <= config.l_res_m
                         and abs(nd.t_raw - other.t_raw) <= config.t_res_days):
                     edges.add((other.node_id, nd.node_id))
@@ -55,40 +67,67 @@ def edge_set(graph):
             for nd, plist in zip(graph.nodes, graph.parents) for e in plist}
 
 
+def proximity(node, candidates, config=None):
+    """The pure proximity parent set: combined_parents with no ranked edges."""
+    return sg.combined_parents(node, candidates,
+                               replace(config or sg.GraphConfig(), top_k=0))
+
+
+def ranked(node, candidates, config):
+    """Parent ids of the ranked ("top") edges, in rank order."""
+    return [e.parent for e in sg.combined_parents(node, candidates, config)
+            if e.origin == "top"]
+
+
+def pair_distance(a, b):
+    """Distance in meters that combined_parents reports between two (lon, lat)."""
+    far = sg.GraphConfig(l_res_m=1e9, t_res_days=1e9, top_k=1)
+    node = sg.GraphNode(1, a[0], a[1], 0.0, 0.0, False)
+    (edge,) = sg.combined_parents(node, [sg.GraphNode(0, b[0], b[1], 0.0, 0.0, False)], far)
+    return edge.dist_m
+
+
 # ---------------------------------------------------------------------------
-# location_distance
+# distances
 
 
 def test_distance_identical_points():
-    assert sg.location_distance((121.0, 31.0), (121.0, 31.0)) == 0.0
+    assert pair_distance((121.0, 31.0), (121.0, 31.0)) == 0.0
 
 
 def test_distance_symmetric():
     a, b = (121.002, 31.01), (121.03, 30.98)
-    assert sg.location_distance(a, b) == sg.location_distance(b, a)
+    assert pair_distance(a, b) == pair_distance(b, a)
 
 
 def test_distance_hand_value():
     # one hundredth of a degree of longitude at 31 deg N
-    d = sg.location_distance((121.0, 31.0), (121.01, 31.0))
+    d = pair_distance((121.0, 31.0), (121.01, 31.0))
     assert d == pytest.approx(953.1, abs=0.2)
+    assert d == pytest.approx(equirect_m((121.0, 31.0), (121.01, 31.0)), rel=1e-15)
 
 
 def test_distance_nonfinite():
+    node = sg.GraphNode(1, float("nan"), 31.0, 1.0, 0.1, False)
+    cand = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)
     with pytest.raises(ArithmeticError):
-        sg.location_distance((float("nan"), 31.0), (121.0, 31.0))
+        sg.combined_parents(node, [cand], sg.GraphConfig())
+    with pytest.raises(ArithmeticError):
+        sg.combined_parents(cand, [node], sg.GraphConfig(top_k=0))
+    with pytest.raises(ArithmeticError):
+        sg.build_init_graph([replace(cand, lat=math.inf), replace(node, lon=121.0)],
+                            sg.GraphConfig())
 
 
 # ---------------------------------------------------------------------------
-# hard_edges
+# proximity edges (top_k=0)
 
 
 def test_hard_edge_trivial_inclusion():
-    cfg = sg.GraphConfig()
     node = sg.GraphNode(5, 121.0, 31.0, 10.0, 0.1, False)
     cand = sg.GraphNode(2, 121.0, 31.0, 10.0, 0.1, False)
-    edges = sg.hard_edges(node, [cand], cfg)
-    assert [e.parent for e in edges] == [2]
+    edges = proximity(node, [cand])
+    assert [(e.parent, e.origin) for e in edges] == [(2, "hard")]
     assert edges[0].dist_m == 0.0 and edges[0].dt_days == 0.0
 
 
@@ -97,10 +136,10 @@ def test_hard_edge_threshold_is_inclusive_and_strict_beyond():
     node = sg.GraphNode(1, 121.0, 31.0, 20.0, 0.2, False)
     # ~0.0021 deg of longitude is just over 200 m at 31 N
     beyond = sg.GraphNode(0, 121.0021, 31.0, 20.0, 0.2, False)
-    assert sg.location_distance((121.0, 31.0), (121.0021, 31.0)) > 200.0
-    assert sg.hard_edges(node, [beyond], cfg) == []
+    assert equirect_m((121.0, 31.0), (121.0021, 31.0)) > 200.0
+    assert proximity(node, [beyond], cfg) == []
     at_time_limit = sg.GraphNode(0, 121.0, 31.0, 6.0, 0.06, False)
-    assert len(sg.hard_edges(node, [at_time_limit], cfg)) == 1
+    assert len(proximity(node, [at_time_limit], cfg)) == 1
 
 
 def test_hard_edges_match_brute_force_filter():
@@ -108,23 +147,22 @@ def test_hard_edges_match_brute_force_filter():
     cfg = sg.GraphConfig(l_res_m=400.0, t_res_days=10.0)
     nodes = rand_nodes(rng, 31, extent=0.006, span=60.0)
     target, candidates = nodes[-1], nodes[:-1]
-    got = {e.parent for e in sg.hard_edges(target, candidates, cfg)}
-    want = {c.node_id for c in candidates
-            if sg.location_distance((target.lon, target.lat), (c.lon, c.lat)) <= cfg.l_res_m
-            and abs(target.t_raw - c.t_raw) <= cfg.t_res_days}
-    assert got == want and got  # non-degenerate instance
+    got = [e.parent for e in proximity(target, candidates, cfg)]
+    want = [c.node_id for c in candidates
+            if equirect_m((target.lon, target.lat), (c.lon, c.lat)) <= cfg.l_res_m
+            and abs(target.t_raw - c.t_raw) <= cfg.t_res_days]
+    assert got == want and got  # non-degenerate instance, in id order
 
 
 # ---------------------------------------------------------------------------
-# top_edges
+# ranked edges
 
 
 def test_top_returns_all_when_fewer_than_k():
     cfg = sg.GraphConfig(top_k=5)
     rng = np.random.default_rng(3)
     nodes = rand_nodes(rng, 4)
-    edges = sg.top_edges(nodes[-1], nodes[:-1], cfg)
-    assert len(edges) == 3
+    assert len(ranked(nodes[-1], nodes[:-1], cfg)) == 3
 
 
 def test_top_tie_broken_by_lower_id():
@@ -132,8 +170,7 @@ def test_top_tie_broken_by_lower_id():
     node = sg.GraphNode(9, 121.0, 31.0, 50.0, 0.5, False)
     twin_a = sg.GraphNode(4, 121.001, 31.0, 40.0, 0.4, False)
     twin_b = sg.GraphNode(2, 121.001, 31.0, 40.0, 0.4, False)
-    edges = sg.top_edges(node, [twin_a, twin_b], cfg)
-    assert [e.parent for e in edges] == [2]
+    assert ranked(node, [twin_a, twin_b], cfg) == [2]
 
 
 def test_top_matches_sorted_oracle_prefix():
@@ -141,9 +178,8 @@ def test_top_matches_sorted_oracle_prefix():
     cfg = sg.GraphConfig(top_k=5)
     nodes = rand_nodes(rng, 13)
     target, candidates = nodes[-1], nodes[:-1]
-    got = [e.parent for e in sg.top_edges(target, candidates, cfg)]
     _, oracle_top = brute_force_parents(target, candidates, cfg)
-    assert got == oracle_top
+    assert ranked(target, candidates, cfg) == oracle_top
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +206,23 @@ def test_init_matches_symmetric_oracle():
     nodes = rand_nodes(rng, 10, extent=0.004, span=40.0, init_count=10)
     g = sg.build_init_graph(nodes, cfg)
     assert edge_set(g) == brute_force_graph_edges(nodes, 10, cfg)
+
+
+def test_init_matches_symmetric_oracle_on_120_nodes():
+    rng = np.random.default_rng(120)
+    cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=15.0)
+    nodes = rand_nodes(rng, 120, extent=0.004, span=90.0, init_count=120)
+    g = sg.build_init_graph(nodes, cfg)
+    want = brute_force_graph_edges(nodes, 120, cfg)
+    assert edge_set(g) == want and len(want) > 200
+    for nd, plist in zip(g.nodes, g.parents):
+        assert [e.parent for e in plist] == sorted(e.parent for e in plist)
+
+
+def test_init_rejects_non_positional_ids():
+    nodes = rand_nodes(np.random.default_rng(1), 3, init_count=3)
+    with pytest.raises(sg.ConstructionError):
+        sg.build_init_graph(nodes[1:], sg.GraphConfig())
 
 
 def test_init_empty_rejected():
@@ -218,6 +271,18 @@ def test_expand_rejects_out_of_order_and_duplicate():
     dup = sg.GraphNode(3, 121.0, 31.0, 1e9, 1.0, False)
     with pytest.raises(sg.DuplicateIdError):
         sg.expand(g, dup, cfg)
+
+
+def test_expand_rejects_id_other_than_next_position():
+    cfg = sg.GraphConfig()
+    nodes = rand_nodes(np.random.default_rng(2), 5, init_count=1)
+    g = sg.build_graph(nodes, 1, cfg)
+    skip = sg.GraphNode(g.n + 1, 121.0, 31.0, 1e9, 1.0, False)
+    with pytest.raises(sg.ConstructionError):
+        sg.expand(g, skip, cfg)
+    assert g.n == 5
+    sg.expand(g, replace(skip, node_id=g.n), cfg)
+    assert g.n == 6
 
 
 def test_combined_parents_equals_top_union_hard():
@@ -291,11 +356,13 @@ def test_annotations_match_recomputation():
     cfg = sg.GraphConfig(top_k=3)
     nodes = rand_nodes(rng, 10, init_count=2)
     g = sg.build_graph(nodes, 2, cfg)
-    for parent, child, dt_norm, dist in sg.edge_annotations(g):
-        assert dt_norm == abs(nodes[child].t_norm - nodes[parent].t_norm)
-        assert dist == pytest.approx(sg.location_distance(
-            (nodes[child].lon, nodes[child].lat),
-            (nodes[parent].lon, nodes[parent].lat)), rel=1e-12)
+    edges = g.to_json_dict()["edges"]
+    assert len(edges) == g.edge_count()
+    for e in edges:
+        child, parent = nodes[e["to"]], nodes[e["from"]]
+        assert e["dt_norm"] == abs(child.t_norm - parent.t_norm)
+        assert e["dist_m"] == pytest.approx(
+            equirect_m((child.lon, child.lat), (parent.lon, parent.lat)), rel=1e-12)
 
 
 def test_parent_at_half_span_gives_half_dt_norm():
@@ -304,8 +371,8 @@ def test_parent_at_half_span_gives_half_dt_norm():
     b = sg.GraphNode(1, 121.0, 31.0, span / 2, 0.5, False)
     g = sg.build_init_graph([a], sg.GraphConfig(t_res_days=span))
     sg.expand(g, b, sg.GraphConfig(t_res_days=span))
-    annos = sg.edge_annotations(g)
-    assert annos and annos[0][2] == 0.5
+    edges = g.to_json_dict()["edges"]
+    assert edges and edges[0]["dt_norm"] == 0.5
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -322,3 +389,26 @@ def test_graph_json_roundtrip(tmp_path):
     origins_back = {(e.parent, nd.node_id): e.origin
                     for nd, pl in zip(back.nodes, back.parents) for e in pl}
     assert origins == origins_back
+
+
+@pytest.mark.parametrize("ids", [[1, 2, 3], [0, 2, 1], [0, 1, 1]])
+def test_load_graph_json_rejects_non_positional_ids(tmp_path, ids):
+    nodes = rand_nodes(np.random.default_rng(6), 3, init_count=1)
+    doc = sg.build_graph(nodes, 1, sg.GraphConfig()).to_json_dict()
+    for node, node_id in zip(doc["nodes"], ids):
+        node["id"] = node_id
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(sg.ConstructionError):
+        sg.load_graph_json(path)
+
+
+def test_load_graph_json_rejects_edge_to_missing_node(tmp_path):
+    nodes = rand_nodes(np.random.default_rng(6), 3, init_count=1)
+    doc = sg.build_graph(nodes, 1, sg.GraphConfig()).to_json_dict()
+    doc["edges"].append({"from": -1, "to": 2, "origin": "top",
+                         "dt_norm": 0.0, "dist_m": 0.0})
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(sg.ConstructionError):
+        sg.load_graph_json(path)

@@ -303,6 +303,16 @@ def test_checkpoint_corruption_detected(tmp_path):
         tr.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("keep", [10, 19, 40, -5])
+def test_checkpoint_truncation_detected(tmp_path, keep):
+    inst = small_instance(20)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, trained_checkpoint(inst))
+    path.write_bytes(path.read_bytes()[:keep])  # inside header, manifest, sections
+    with pytest.raises(tr.CheckpointIntegrityError):
+        tr.load_checkpoint(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPTxxxxxxx")
