@@ -113,7 +113,8 @@ def cmd_build_graph(args) -> int:
     sg.save_graph_json(graph, path)
     write_timings(out, {"graph_build": time.perf_counter() - t0})
     write_manifest(out, [path])
-    print(f"graph: {graph.n} nodes, {graph.edge_count()} edges -> {path}")
+    by_origin = ", ".join(f"{name} {count}" for name, count in graph.origin_counts().items())
+    print(f"graph: {graph.n} nodes, {graph.edge_count()} edges ({by_origin}) -> {path}")
     return 0
 
 

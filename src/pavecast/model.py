@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import ndgrad as ng
-from .stgraph import STGraph
+from .stgraph import TOP, STGraph
 
 VARIANTS = ("stgan", "stgan_no_top", "stgan_eam", "stgan_no_td",
             "top_mlp", "gcn", "gcn_mlp", "gat")
@@ -121,37 +121,34 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0) -> GraphTenso
     y = np.array([p.y for p in nodes])
     t_norm = np.array([p.t_norm for p in nodes])
 
-    src, dst, selfs, dts, dists = [], [], [], [], []
-    degree = np.array([len(p) for p in graph.parents]) + 1.0  # parents + self
-    gcn_w = []
-    d_plus = x_full.shape[1] + 1
-    top_pool = np.zeros((n, d_plus))
-    for i in range(n):
-        src.append(i)
-        dst.append(i)
-        selfs.append(True)
-        dts.append(0.0)
-        dists.append(0.0)
-        gcn_w.append(1.0 / degree[i])
-        top_rows = []
-        for e in graph.parents[i]:
-            b = e.parent
-            src.append(b)
-            dst.append(i)
-            selfs.append(False)
-            dts.append(abs(t_norm[i] - t_norm[b]))
-            dists.append(e.dist_m / l_res_m)
-            gcn_w.append(1.0 / np.sqrt(degree[b] * degree[i]))
-            if e.origin == "top":
-                top_rows.append(np.concatenate([x_full[b], [y[b]]]))
-        if top_rows:
-            top_pool[i] = np.mean(top_rows, axis=0)
+    # node i's self loop sits at offsets[i] + i, its parents right after it
+    parent, child = graph.parent, graph.child
+    degree = np.diff(graph.offsets) + 1.0  # parents + self
+    self_pos = graph.offsets[:n] + np.arange(n)
+    edge_pos = np.arange(len(parent)) + child + 1
+    m = n + len(parent)
+    src, dst = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    src[self_pos] = dst[self_pos] = np.arange(n)
+    src[edge_pos], dst[edge_pos] = parent, child
+    is_self = np.zeros(m, dtype=bool)
+    is_self[self_pos] = True
+    dt_norm = np.zeros(m)
+    dt_norm[edge_pos] = np.abs(t_norm[child] - t_norm[parent])
+    dist_norm = np.zeros(m)
+    dist_norm[edge_pos] = graph.dist_m / l_res_m
+    gcn_w = np.empty(m)
+    gcn_w[self_pos] = 1.0 / degree
+    gcn_w[edge_pos] = 1.0 / np.sqrt(degree[parent] * degree[child])
+
+    # mean of [x_full || y] over ranked parents, summed in edge order
+    top = graph.origin == TOP
+    top_pool = np.zeros((n, x_full.shape[1] + 1))
+    np.add.at(top_pool, child[top], np.column_stack([x_full, y])[parent[top]])
+    counts = np.bincount(child[top], minlength=n)
+    top_pool[counts > 0] /= counts[counts > 0, None]
     return GraphTensors(
-        x_full=x_full, x_st=x_st, y=y,
-        src=np.array(src, dtype=np.intp), dst=np.array(dst, dtype=np.intp),
-        is_self=np.array(selfs, dtype=bool),
-        dt_norm=np.array(dts), dist_norm=np.array(dists),
-        gcn_w=np.array(gcn_w), top_pool=top_pool)
+        x_full=x_full, x_st=x_st, y=y, src=src, dst=dst, is_self=is_self,
+        dt_norm=dt_norm, dist_norm=dist_norm, gcn_w=gcn_w, top_pool=top_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +333,9 @@ def forward_values(gt: GraphTensors, params: dict[str, np.ndarray],
     tape = ng.Tape()
     pnodes = make_param_nodes(tape, params)
     out = forward_nodes(tape, gt, pnodes, config, probes=probes)
+    # nodes point back at the tape, so without this the arrays wait for the
+    # cyclic GC; a prediction loop allocates too few objects to trigger it soon
+    tape.nodes.clear()
     return out.value[:, 0].copy()
 
 

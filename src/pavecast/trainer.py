@@ -187,12 +187,14 @@ def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode
                 coords: tuple[float, float] | None = None) -> float:
     """Predict one (location, future time) query.
 
-    With commit=False the caller's graph and node list are untouched. With
-    commit=True the query node joins the graph, carrying committed_node's
-    features when supplied (observed or predicted feedback) and the bare
+    With commit=False the caller's graph and node list end as they were: the
+    query node is wired into the graph for the forward pass and truncated
+    away afterwards, so the graph is never copied. With commit=True the
+    query node joins the graph, carrying committed_node's features when
+    supplied (observed or predicted feedback) and the bare
     spatial-temporal ones otherwise.
     """
-    if graph.nodes and t_raw < max(nd.t_raw for nd in graph.nodes):
+    if graph.n and t_raw < graph.t_raw[-1]:
         raise QueryError(
             f"query time {t_raw} precedes the latest historical observation")
     node_id = graph.n
@@ -202,11 +204,13 @@ def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode
 
     if committed_node is not None and committed_node.node_id != node_id:
         raise StrategyError("committed node id must match the query node id")
-    target = graph if commit else graph.copy()
-    expand(target, meta, ctx.graph_config)
-    eval_nodes = nodes + [qnode]
-    gt = prepare_tensors(target, eval_nodes, l_res_m=ctx.graph_config.l_res_m)
-    yhat = float(forward_values(gt, ctx.params, ctx.model_config)[node_id])
+    expand(graph, meta, ctx.graph_config)
+    try:
+        gt = prepare_tensors(graph, nodes + [qnode], l_res_m=ctx.graph_config.l_res_m)
+        yhat = float(forward_values(gt, ctx.params, ctx.model_config)[node_id])
+    finally:
+        if not commit:
+            graph.truncate(node_id)
     if commit:
         nodes.append(committed_node if committed_node is not None else qnode)
     return yhat
@@ -267,7 +271,7 @@ def predict_batch_ignore(ctx: InferenceContext, graph: STGraph,
     base_n = graph.n
     eval_graph = graph.copy()
     eval_nodes = list(nodes)
-    newest = max((nd.t_raw for nd in graph.nodes), default=-math.inf)
+    newest = graph.t_raw[-1] if base_n else -math.inf
     for k, q in enumerate(queries):
         if not allow_past and q.t_raw < newest:
             raise QueryError(f"query {k} at t={q.t_raw} precedes history")
@@ -276,11 +280,10 @@ def predict_batch_ignore(ctx: InferenceContext, graph: STGraph,
                            coords=q.coords)
         meta = GraphNode(node_id=node_id, lon=qnode.coords[0], lat=qnode.coords[1],
                          t_raw=q.t_raw, t_norm=qnode.t_norm, is_init=False)
-        candidates = [nd for nd in graph.nodes if nd.t_raw <= q.t_raw] \
-            if allow_past else graph.nodes
-        parents = combined_parents(meta, candidates, ctx.graph_config)
-        eval_graph.nodes.append(meta)
-        eval_graph.parents.append(parents)
+        visible = int(np.searchsorted(graph.t_raw, q.t_raw, side="right")) \
+            if allow_past else base_n
+        eval_graph.append(meta, combined_parents(meta, graph, ctx.graph_config,
+                                                 limit=visible))
         eval_nodes.append(qnode)
     gt = prepare_tensors(eval_graph, eval_nodes, l_res_m=ctx.graph_config.l_res_m)
     return forward_values(gt, ctx.params, ctx.model_config)[base_n:]

@@ -34,12 +34,11 @@ def dense_structures(graph, nodes, l_res_m=200.0):
     t_norm = np.array([p.t_norm for p in nodes])
     dt = np.abs(t_norm[None, :] - t_norm[:, None])
     dist = np.zeros((n, n))
-    for i, plist in enumerate(graph.parents):
-        for e in plist:
-            adj[e.parent, i] = True
-            dist[e.parent, i] = e.dist_m / l_res_m
-            if e.origin == "top":
-                top[e.parent, i] = True
+    for e in graph.to_json_dict()["edges"]:
+        adj[e["from"], e["to"]] = True
+        dist[e["from"], e["to"]] = e["dist_m"] / l_res_m
+        if e["origin"] == "top":
+            top[e["from"], e["to"]] = True
     return adj, dt, dist, top
 
 

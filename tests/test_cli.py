@@ -58,7 +58,7 @@ def test_gen_data_row_count_override(tmp_path, tiny_config_file):
 # build-graph
 
 
-def test_build_graph_emits_json(tmp_path, tiny_config_file):
+def test_build_graph_emits_json(tmp_path, tiny_config_file, capsys):
     out = tmp_path / "g"
     assert run_cli("build-graph", "--config", tiny_config_file, "--out", str(out)) == 0
     doc = json.loads((out / "graph.json").read_text())
@@ -66,6 +66,10 @@ def test_build_graph_emits_json(tmp_path, tiny_config_file):
     n_hist = 14 + 98  # 10% + 70% of 140
     assert len(doc["nodes"]) == n_hist
     assert all(e["from"] != e["to"] for e in doc["edges"])
+    counts = {o: sum(e["origin"] == o for e in doc["edges"]) for o in ("init", "top", "hard")}
+    assert all(counts.values())
+    assert (f"{n_hist} nodes, {len(doc['edges'])} edges (init {counts['init']}, "
+            f"top {counts['top']}, hard {counts['hard']})") in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -62,29 +62,68 @@ def brute_force_graph_edges(nodes, init_count, config):
     return edges
 
 
+def brute_force_additional(node, candidates, config):
+    """brute_force_parents for top_mode="additional": rank only non-proximity candidates."""
+    hard, _ = brute_force_parents(node, candidates, replace(config, top_k=0))
+    _, top = brute_force_parents(
+        node, [c for c in candidates if c.node_id not in hard], config)
+    return hard | set(top), top
+
+
+def oracle_parents(node, candidates, config):
+    if config.top_mode == "additional":
+        return brute_force_additional(node, candidates, config)
+    return brute_force_parents(node, candidates, config)
+
+
+def oracle_graph_edges(nodes, init_count, config):
+    if config.top_mode == "merged":
+        return brute_force_graph_edges(nodes, init_count, config)
+    edges = brute_force_graph_edges(nodes, init_count, replace(config, top_k=0))
+    for i in range(init_count, len(nodes)):
+        _, top = brute_force_additional(nodes[i], nodes[:i], config)
+        edges.update((p, i) for p in top)
+    return edges
+
+
 def edge_set(graph):
-    return {(e.parent, nd.node_id)
-            for nd, plist in zip(graph.nodes, graph.parents) for e in plist}
+    return set(zip(graph.parent.tolist(), graph.child.tolist()))
+
+
+def in_degree(graph):
+    return np.diff(graph.offsets)
+
+
+def history(nodes):
+    """A graph holding the given time-sorted nodes (ids = positions) and no edges."""
+    graph = sg.STGraph()
+    for nd in nodes:
+        graph.append(nd)
+    return graph
+
+
+def parents(node, candidates, config):
+    """combined_parents over the candidates, as (parent, origin, dist_m) tuples."""
+    parent, dist, origin = sg.combined_parents(node, history(candidates), config)
+    return [(int(p), sg.ORIGINS[o], float(d)) for p, o, d in zip(parent, origin, dist)]
 
 
 def proximity(node, candidates, config=None):
     """The pure proximity parent set: combined_parents with no ranked edges."""
-    return sg.combined_parents(node, candidates,
-                               replace(config or sg.GraphConfig(), top_k=0))
+    return parents(node, candidates, replace(config or sg.GraphConfig(), top_k=0))
 
 
 def ranked(node, candidates, config):
     """Parent ids of the ranked ("top") edges, in rank order."""
-    return [e.parent for e in sg.combined_parents(node, candidates, config)
-            if e.origin == "top"]
+    return [p for p, origin, _ in parents(node, candidates, config) if origin == "top"]
 
 
 def pair_distance(a, b):
     """Distance in meters that combined_parents reports between two (lon, lat)."""
     far = sg.GraphConfig(l_res_m=1e9, t_res_days=1e9, top_k=1)
     node = sg.GraphNode(1, a[0], a[1], 0.0, 0.0, False)
-    (edge,) = sg.combined_parents(node, [sg.GraphNode(0, b[0], b[1], 0.0, 0.0, False)], far)
-    return edge.dist_m
+    ((_, _, dist),) = parents(node, [sg.GraphNode(0, b[0], b[1], 0.0, 0.0, False)], far)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +150,10 @@ def test_distance_nonfinite():
     node = sg.GraphNode(1, float("nan"), 31.0, 1.0, 0.1, False)
     cand = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)
     with pytest.raises(ArithmeticError):
-        sg.combined_parents(node, [cand], sg.GraphConfig())
+        parents(node, [cand], sg.GraphConfig())
     with pytest.raises(ArithmeticError):
-        sg.combined_parents(cand, [node], sg.GraphConfig(top_k=0))
+        parents(replace(cand, node_id=1, t_raw=2.0), [replace(node, node_id=0)],
+                sg.GraphConfig(top_k=0))
     with pytest.raises(ArithmeticError):
         sg.build_init_graph([replace(cand, lat=math.inf), replace(node, lon=121.0)],
                             sg.GraphConfig())
@@ -124,11 +164,12 @@ def test_distance_nonfinite():
 
 
 def test_hard_edge_trivial_inclusion():
-    node = sg.GraphNode(5, 121.0, 31.0, 10.0, 0.1, False)
-    cand = sg.GraphNode(2, 121.0, 31.0, 10.0, 0.1, False)
-    edges = proximity(node, [cand])
-    assert [(e.parent, e.origin) for e in edges] == [(2, "hard")]
-    assert edges[0].dist_m == 0.0 and edges[0].dt_days == 0.0
+    cfg = sg.GraphConfig(top_k=0)
+    cand = sg.GraphNode(0, 121.0, 31.0, 10.0, 0.1, True)
+    g = sg.build_init_graph([cand], cfg)
+    sg.expand(g, sg.GraphNode(1, 121.0, 31.0, 10.0, 0.1, False), cfg)
+    assert g.to_json_dict()["edges"] == [
+        {"from": 0, "to": 1, "origin": "hard", "dt_norm": 0.0, "dist_m": 0.0}]
 
 
 def test_hard_edge_threshold_is_inclusive_and_strict_beyond():
@@ -147,7 +188,7 @@ def test_hard_edges_match_brute_force_filter():
     cfg = sg.GraphConfig(l_res_m=400.0, t_res_days=10.0)
     nodes = rand_nodes(rng, 31, extent=0.006, span=60.0)
     target, candidates = nodes[-1], nodes[:-1]
-    got = [e.parent for e in proximity(target, candidates, cfg)]
+    got = [p for p, _, _ in proximity(target, candidates, cfg)]
     want = [c.node_id for c in candidates
             if equirect_m((target.lon, target.lat), (c.lon, c.lat)) <= cfg.l_res_m
             and abs(target.t_raw - c.t_raw) <= cfg.t_res_days]
@@ -167,10 +208,12 @@ def test_top_returns_all_when_fewer_than_k():
 
 def test_top_tie_broken_by_lower_id():
     cfg = sg.GraphConfig(top_k=1)
-    node = sg.GraphNode(9, 121.0, 31.0, 50.0, 0.5, False)
-    twin_a = sg.GraphNode(4, 121.001, 31.0, 40.0, 0.4, False)
-    twin_b = sg.GraphNode(2, 121.001, 31.0, 40.0, 0.4, False)
-    assert ranked(node, [twin_a, twin_b], cfg) == [2]
+    node = sg.GraphNode(5, 121.0, 31.0, 50.0, 0.5, False)
+    twin = sg.GraphNode(2, 121.001, 31.0, 40.0, 0.4, False)
+    far = sg.GraphNode(0, 121.5, 31.0, 10.0, 0.1, False)
+    candidates = [far, replace(far, node_id=1, t_raw=20.0), twin,
+                  replace(far, node_id=3, t_raw=40.0), replace(twin, node_id=4)]
+    assert ranked(node, candidates, cfg) == [2]
 
 
 def test_top_matches_sorted_oracle_prefix():
@@ -180,6 +223,72 @@ def test_top_matches_sorted_oracle_prefix():
     target, candidates = nodes[-1], nodes[:-1]
     _, oracle_top = brute_force_parents(target, candidates, cfg)
     assert ranked(target, candidates, cfg) == oracle_top
+
+
+T_RES = 14.0
+SPOTS = [(121.0, 31.0), (121.001, 31.0), (121.0, 31.0015), (121.0023, 30.999)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(t=st.sampled_from([6.1, 0.0, 37.25, 1000.3]) | st.floats(-50.0, 500.0),
+       picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=30),
+       top_k=st.sampled_from([0, 1, 5]),
+       top_mode=st.sampled_from(["merged", "additional"]))
+def test_combined_parents_matches_brute_force_at_boundaries(t, picks, top_k, top_mode):
+    """Candidate times on and one ulp either side of t - t_res, repeated
+    locations and times (score ties), against the full-sort oracle."""
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=top_k, top_mode=top_mode)
+    edge = t - T_RES
+    times = [np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf),
+             t - 3 * T_RES, t - 0.5 * T_RES, t]
+    rows = sorted(((float(times[i]), SPOTS[j]) for i, j in picks), key=lambda r: r[0])
+    candidates = [sg.GraphNode(k, lon, lat, ts, 0.0, False)
+                  for k, (ts, (lon, lat)) in enumerate(rows)]
+    node = sg.GraphNode(len(candidates), *SPOTS[0], t, 0.0, False)
+    got = parents(node, candidates, cfg)
+    want, want_top = oracle_parents(node, candidates, cfg)
+    ids = [p for p, _, _ in got]
+    assert len(ids) == len(set(ids)) and set(ids) == want
+    assert [p for p, origin, _ in got if origin == "top"] == want_top
+    hard = [p for p, origin, _ in got if origin == "hard"]
+    assert hard == sorted(hard)
+
+
+def test_scan_goes_on_past_a_candidate_tied_with_the_kth_score():
+    # twins beyond the time window: the newer one alone fills top_k=1, the
+    # older one's dt/t_res equals that score, and the tie goes to the lower id
+    cfg = sg.GraphConfig(t_res_days=14.0, top_k=1)
+    twin = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, False)
+    node = sg.GraphNode(2, 121.0, 31.0, 42.0, 1.0, False)
+    assert ranked(node, [twin, replace(twin, node_id=1)], cfg) == [0]
+
+
+def test_window_keeps_parent_whose_time_gap_rounds_to_t_res():
+    # |6.1 - ts| rounds to exactly 14.0, while ts < 6.1 - 14 in floating point
+    cfg = sg.GraphConfig(t_res_days=14.0, top_k=0)
+    ts = -7.900000000000001
+    assert abs(6.1 - ts) <= 14.0 and not ts >= 6.1 - 14.0
+    cand = sg.GraphNode(0, 121.0, 31.0, ts, 0.0, False)
+    assert proximity(sg.GraphNode(1, 121.0, 31.0, 6.1, 1.0, False), [cand], cfg) \
+        == [(0, "hard", 0.0)]
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
+    rng = np.random.default_rng(450)
+    cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=10.0, top_k=5, top_mode=top_mode)
+    nodes = rand_nodes(rng, 450, extent=0.004, span=300.0, init_count=30)
+    widths = []
+    distances = sg._distances
+
+    def recording(node, lons, lats):
+        widths.append(len(lons))
+        return distances(node, lons, lats)
+
+    monkeypatch.setattr(sg, "_distances", recording)
+    g = sg.build_graph(nodes, 30, cfg)
+    assert edge_set(g) == oracle_graph_edges(nodes, 30, cfg)
+    assert max(widths) < 450 // 4  # the scan stopped well short of the full history
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +306,7 @@ def test_init_colocated_pair_mutually_visible():
     b = sg.GraphNode(1, 121.0, 31.0, 5.0, 0.0, True)
     g = sg.build_init_graph([a, b], sg.GraphConfig())
     assert edge_set(g) == {(0, 1), (1, 0)}
-    assert all(e.origin == "init" for plist in g.parents for e in plist)
+    assert g.origin_counts() == {"init": 2, "top": 0, "hard": 0}
 
 
 def test_init_matches_symmetric_oracle():
@@ -215,8 +324,9 @@ def test_init_matches_symmetric_oracle_on_120_nodes():
     g = sg.build_init_graph(nodes, cfg)
     want = brute_force_graph_edges(nodes, 120, cfg)
     assert edge_set(g) == want and len(want) > 200
-    for nd, plist in zip(g.nodes, g.parents):
-        assert [e.parent for e in plist] == sorted(e.parent for e in plist)
+    for i in range(g.n):
+        plist = g.parent[g.offsets[i]:g.offsets[i + 1]].tolist()
+        assert plist == sorted(plist)
 
 
 def test_init_rejects_non_positional_ids():
@@ -230,6 +340,13 @@ def test_init_empty_rejected():
         sg.build_init_graph([], sg.GraphConfig())
 
 
+def test_init_rejects_unsorted_times():
+    a, b = rand_nodes(np.random.default_rng(3), 2, init_count=2)
+    with pytest.raises(sg.ConstructionError):
+        sg.build_init_graph([replace(a, t_raw=b.t_raw), replace(b, t_raw=a.t_raw)],
+                            sg.GraphConfig())
+
+
 # ---------------------------------------------------------------------------
 # expand
 
@@ -240,7 +357,7 @@ def test_expand_no_parents_when_k_zero_and_far():
     g = sg.build_init_graph([base], cfg)
     far = sg.GraphNode(1, 122.0, 32.0, 90.0, 0.9, False)
     sg.expand(g, far, cfg)
-    assert g.parents[1] == []
+    assert in_degree(g)[1] == 0
 
 
 def test_expand_in_degree_min_k_prior():
@@ -250,7 +367,7 @@ def test_expand_in_degree_min_k_prior():
     g = sg.build_init_graph(nodes[:1], cfg)
     for nd in nodes[1:]:
         sg.expand(g, nd, cfg)
-    assert len(g.parents[3]) == 3  # min(K=5, 3 prior)
+    assert in_degree(g)[3] == 3  # min(K=5, 3 prior)
 
 
 def test_expand_sequence_matches_batch_oracle():
@@ -273,6 +390,24 @@ def test_expand_rejects_out_of_order_and_duplicate():
         sg.expand(g, dup, cfg)
 
 
+def test_expand_rejects_node_older_than_init_block():
+    cfg = sg.GraphConfig()
+    init = [sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True),
+            sg.GraphNode(1, 121.0, 31.0, 10.0, 0.1, True)]
+    g = sg.build_init_graph(init, cfg)
+    with pytest.raises(sg.TemporalOrderError):
+        sg.expand(g, sg.GraphNode(2, 121.0, 31.0, 5.0, 0.05, False), cfg)
+    assert g.n == 2
+
+
+def test_expand_rejects_init_node():
+    cfg = sg.GraphConfig()
+    g = sg.build_init_graph([sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)], cfg)
+    with pytest.raises(sg.ConstructionError):
+        sg.expand(g, sg.GraphNode(1, 121.0, 31.0, 5.0, 0.05, True), cfg)
+    assert g.n == 1
+
+
 def test_expand_rejects_id_other_than_next_position():
     cfg = sg.GraphConfig()
     nodes = rand_nodes(np.random.default_rng(2), 5, init_count=1)
@@ -291,8 +426,7 @@ def test_combined_parents_equals_top_union_hard():
     for _ in range(20):
         nodes = rand_nodes(rng, 25, extent=0.005, span=70.0)
         target, cands = nodes[-1], nodes[:-1]
-        got = sg.combined_parents(target, cands, cfg)
-        ids = [e.parent for e in got]
+        ids = [p for p, _, _ in parents(target, cands, cfg)]
         assert len(ids) == len(set(ids))  # deduplicated
         want, _ = brute_force_parents(target, cands, cfg)
         assert set(ids) == want
@@ -311,12 +445,10 @@ def test_temporal_soundness_and_top_guarantee(seed, k):
     init_count = max(1, n // 10)
     nodes = rand_nodes(rng, n, init_count=init_count)
     g = sg.build_graph(nodes, init_count, cfg)
-    for nd, plist in zip(g.nodes, g.parents):
-        if nd.is_init:
-            continue
-        for e in plist:
-            assert g.nodes[e.parent].t_raw <= nd.t_raw
-        assert len(plist) >= min(k, nd.node_id)
+    later = g.child >= init_count
+    assert (g.t_raw[g.parent[later]] <= g.t_raw[g.child[later]]).all()
+    ids = np.arange(init_count, g.n)
+    assert (in_degree(g)[ids] >= np.minimum(k, ids)).all()
 
 
 def test_k_zero_edges_subset_of_k_five():
@@ -341,9 +473,8 @@ def test_additional_mode_still_meets_top_guarantee():
     nodes = rand_nodes(rng, 40, extent=0.004, span=60.0, init_count=4)
     g = sg.build_graph(nodes, 4, cfg)
     merged = sg.build_graph(nodes, 4, sg.GraphConfig(top_k=3))
-    for nd, plist in zip(g.nodes, g.parents):
-        if not nd.is_init:
-            assert len(plist) >= min(cfg.top_k, nd.node_id)
+    ids = np.arange(4, g.n)
+    assert (in_degree(g)[ids] >= np.minimum(cfg.top_k, ids)).all()
     assert edge_set(merged) <= edge_set(g) | edge_set(merged)
 
 
@@ -384,11 +515,7 @@ def test_graph_json_roundtrip(tmp_path):
     back = sg.load_graph_json(path)
     assert back.n == g.n and back.init_count == g.init_count
     assert edge_set(back) == edge_set(g)
-    origins = {(e.parent, nd.node_id): e.origin
-               for nd, pl in zip(g.nodes, g.parents) for e in pl}
-    origins_back = {(e.parent, nd.node_id): e.origin
-                    for nd, pl in zip(back.nodes, back.parents) for e in pl}
-    assert origins == origins_back
+    assert back.to_json_dict() == g.to_json_dict()
 
 
 @pytest.mark.parametrize("ids", [[1, 2, 3], [0, 2, 1], [0, 1, 1]])
@@ -397,6 +524,35 @@ def test_load_graph_json_rejects_non_positional_ids(tmp_path, ids):
     doc = sg.build_graph(nodes, 1, sg.GraphConfig()).to_json_dict()
     for node, node_id in zip(doc["nodes"], ids):
         node["id"] = node_id
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(sg.ConstructionError):
+        sg.load_graph_json(path)
+
+
+def swap_times(doc):
+    doc["nodes"][1]["t_raw"], doc["nodes"][2]["t_raw"] = \
+        doc["nodes"][2]["t_raw"], doc["nodes"][1]["t_raw"]
+
+
+def init_after_non_init(doc):
+    doc["nodes"][2]["is_init"] = True
+
+
+def nan_longitude(doc):
+    doc["nodes"][1]["lon"] = math.nan
+
+
+def unknown_origin(doc):
+    doc["edges"][0]["origin"] = "ranked"
+
+
+@pytest.mark.parametrize("corrupt", [swap_times, init_after_non_init, nan_longitude,
+                                     unknown_origin])
+def test_load_graph_json_rejects_graph_the_kernel_cannot_trust(tmp_path, corrupt):
+    nodes = rand_nodes(np.random.default_rng(6), 3, init_count=1)
+    doc = sg.build_graph(nodes, 1, sg.GraphConfig()).to_json_dict()
+    corrupt(doc)
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(sg.ConstructionError):

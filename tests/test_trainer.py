@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -123,7 +121,7 @@ def test_isolated_query_ignores_other_nodes_features():
     inst = small_instance(8, n=6, init_count=1, top_k=0, variant="stgan_no_top")
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
-    far_t = max(nd.t_raw for nd in graph.nodes) + 1e5  # no proximity parents
+    far_t = graph.t_raw.max() + 1e5  # no proximity parents
     y1 = tr.predict_one(ctx, graph, nodes, nodes[0].location_id, far_t)
 
     poked = [ds.apply_preprocess(r, inst["stats"], inst["schema"], node_id=i)
@@ -138,10 +136,10 @@ def test_isolated_query_ignores_other_nodes_features():
 def test_query_contract_errors():
     inst = small_instance(9)
     ctx = make_context(inst)
-    early = min(nd.t_raw for nd in inst["graph"].nodes) - 5.0
+    early = inst["graph"].t_raw.min() - 5.0
     with pytest.raises(tr.QueryError):
         tr.predict_one(ctx, inst["graph"], inst["nodes"], inst["nodes"][0].location_id, early)
-    late = max(nd.t_raw for nd in inst["graph"].nodes) + 5.0
+    late = inst["graph"].t_raw.max() + 5.0
     with pytest.raises(tr.QueryError):
         tr.predict_one(ctx, inst["graph"], inst["nodes"], 424242, late)
 
@@ -150,18 +148,19 @@ def test_uncommitted_query_leaves_graph_untouched():
     inst = small_instance(10)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
-    before = copy.deepcopy(graph)
+    n_before, doc_before = graph.n, graph.to_json_dict()
     n_nodes = len(nodes)
     tr.predict_one(ctx, graph, nodes, nodes[0].location_id,
-                   max(nd.t_raw for nd in graph.nodes) + 1.0)
-    assert graph == before and len(nodes) == n_nodes
+                   graph.t_raw.max() + 1.0)
+    assert graph.n == n_before and graph.to_json_dict() == doc_before
+    assert len(nodes) == n_nodes
 
 
 def test_three_query_chain_matches_dense_hand_step():
     inst = small_instance(11, n=6, init_count=1)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
-    t0 = max(nd.t_raw for nd in graph.nodes)
+    t0 = graph.t_raw.max()
     queries = [tr.Query(nodes[0].location_id, t0 + 1.0),
                tr.Query(nodes[1].location_id, t0 + 2.0),
                tr.Query(nodes[2].location_id, t0 + 3.0)]
@@ -191,7 +190,7 @@ def test_three_query_chain_matches_dense_hand_step():
 
 def chain_queries(inst, k):
     graph, nodes = inst["graph"], inst["nodes"]
-    t0 = max(nd.t_raw for nd in graph.nodes)
+    t0 = graph.t_raw.max()
     return [tr.Query(nodes[i % len(nodes)].location_id, t0 + i + 1.0) for i in range(k)]
 
 
@@ -241,6 +240,20 @@ def test_batch_ignore_equals_sequential():
     singles = [tr.predict_one(ctx, inst["graph"], inst["nodes"], q.location_id, q.t_raw)
                for q in queries]
     assert np.allclose(batched, singles, atol=1e-12)
+
+
+def test_batch_ignore_allow_past_wires_against_no_later_history():
+    inst = small_instance(17, n=10, init_count=2)
+    ctx = make_context(inst)
+    graph, nodes = inst["graph"], inst["nodes"]
+    t = float(graph.t_raw[6])  # inside the history, after the init block
+    q = tr.Query(nodes[0].location_id, t, coords=nodes[0].coords)
+    got = tr.predict_batch_ignore(ctx, graph, nodes, [q], allow_past=True)
+    visible = int(np.sum(graph.t_raw <= t))
+    prefix = sg.build_graph(sg.graph_nodes_from_processed(nodes[:visible], 2), 2,
+                            inst["graph_cfg"])
+    want = tr.predict_one(ctx, prefix, nodes[:visible], q.location_id, t, coords=q.coords)
+    assert got[0] == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
