@@ -108,10 +108,14 @@ def cmd_build_graph(args) -> int:
     config = load_run_config(args.config, args.set, args.benchmark)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    graph, _ = build_history_graph(config, prepare_data(config))
+    data = prepare_data(config)
+    t1 = time.perf_counter()
+    graph, _ = build_history_graph(config, data)
+    t2 = time.perf_counter()
     path = out / "graph.json"
     sg.save_graph_json(graph, path)
-    write_timings(out, {"graph_build": time.perf_counter() - t0})
+    write_timings(out, {"prepare": t1 - t0, "graph_build": t2 - t1,
+                        "write": time.perf_counter() - t2})
     write_manifest(out, [path])
     by_origin = ", ".join(f"{name} {count}" for name, count in graph.origin_counts().items())
     print(f"graph: {graph.n} nodes, {graph.edge_count()} edges ({by_origin}) -> {path}")
@@ -182,11 +186,9 @@ def cmd_evaluate(args) -> int:
 
     t0 = time.perf_counter()
     data = prepare_data(config)
+    t1 = time.perf_counter()
     graph, graph_cfg = build_history_graph(config, data)
-    t_graph = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    artifacts: list[Path] = []
+    t2 = time.perf_counter()
     if args.split == "train":
         gt = prepare_tensors(graph, data.history_nodes, l_res_m=graph_cfg.l_res_m)
         yhat = forward_values(gt, ckpt.params, ckpt.model_config)
@@ -197,9 +199,9 @@ def cmd_evaluate(args) -> int:
     else:
         report = evaluate_test(config, data, graph, graph_cfg, ckpt.params,
                                strategy=args.strategy)
-    artifacts.extend(_report_paths(out, report, args.split))
-    write_timings(out, {"graph_build": t_graph,
-                        "evaluate": time.perf_counter() - t0})
+    artifacts = _report_paths(out, report, args.split)
+    write_timings(out, {"prepare": t1 - t0, "graph_build": t2 - t1,
+                        "evaluate": time.perf_counter() - t2})
     write_manifest(out, artifacts)
     print(f"{args.split} mae {report.mae:.6f} mse {report.mse:.6f} "
           f"rmse {report.rmse:.6f}")
@@ -214,7 +216,8 @@ def cmd_predict(args) -> int:
     ctx = tr.InferenceContext(params=ckpt.params, model_config=ckpt.model_config,
                               graph_config=graph_cfg, stats=ckpt.stats,
                               schema=ckpt.schema)
-    yhat = tr.predict_one(ctx, graph, data.history_nodes, args.location, args.time)
+    yhat = tr.predict_sequence(ctx, graph, data.history_nodes,
+                               [tr.Query(args.location, args.time)])[0]
     print(f"{yhat:.6f}")
     return 0
 

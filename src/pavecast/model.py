@@ -363,6 +363,16 @@ def loss_and_grads(gt: GraphTensors, params: dict[str, np.ndarray],
     return float(loss.value[0, 0]), grads, yhat.value[:, 0].copy()
 
 
+def first_nonfinite_primitive(gt: GraphTensors, params: dict[str, np.ndarray],
+                              config: ModelConfig, loss_ids: np.ndarray) -> str | None:
+    """Kind of the first primitive in the forward pass and loss whose value is
+    non-finite, found by rerunning both on a fresh tape."""
+    tape = ng.Tape()
+    yhat = forward_nodes(tape, gt, make_param_nodes(tape, params), config)
+    mae_loss_node(tape, yhat, gt.y, loss_ids)
+    return ng.first_nonfinite_kind(tape)
+
+
 def attention_sum_deviation(probes: list["CoefficientProbe"]) -> float:
     """Max |sum of coefficients - 1| over every (target, head, layer)."""
     worst = 0.0

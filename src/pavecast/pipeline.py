@@ -16,7 +16,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import stgraph as sg
 from . import trainer as tr
-from .model import ModelConfig, prepare_tensors
+from .model import ModelConfig
 from .trainer import InferenceContext, Query, TrainConfig
 
 
@@ -156,10 +156,8 @@ def prepare_data(config: RunConfig, records=None) -> PreparedData:
 class RunResult:
     config: RunConfig
     checkpoint: tr.Checkpoint
-    train_report: ev.EvalReport
     test_report: ev.EvalReport
     timings: dict[str, float]
-    attention_max_dev: float | None
 
 
 def build_history_graph(config: RunConfig,
@@ -195,31 +193,17 @@ def evaluate_test(config: RunConfig, data: PreparedData, graph, graph_cfg,
                      coords=(r.longitude_gcj, r.latitude_gcj))
                for r in data.test_records]
     y_true = np.array([r.detect_info for r in data.test_records])
-    if strategy == "ignore":
-        yhat = tr.predict_batch_ignore(ctx, graph, data.history_nodes, queries)
-    else:
-        observed = data.test_records if strategy == "true" else None
-        yhat = np.array(tr.predict_sequence(ctx, graph, data.history_nodes, queries,
-                                            strategy, observed=observed))
+    yhat = tr.predict_sequence(ctx, graph, data.history_nodes, queries, strategy,
+                               observed=data.test_records)
     return ev.build_report(y_true, yhat,
                            {"kind": "temporal", "strategy": strategy,
                             "n_test": len(queries)})
 
 
 def run_experiment(config: RunConfig, log=None, records=None) -> RunResult:
-    """Train one model per the config and evaluate train + test splits."""
+    """Train one model per the config and evaluate it on the test split."""
     data = prepare_data(config, records=records)
     graph, graph_cfg, train_cfg, result, timings = _train_model(config, data, log=log)
-
-    gt = prepare_tensors(graph, data.history_nodes, l_res_m=graph_cfg.l_res_m)
-    from .model import forward_values  # local import keeps module load light
-    yhat_hist = forward_values(gt, result.params, config.model)
-    train_ids = np.arange(data.init_count, len(data.history_nodes))
-    y_hist = gt.y[train_ids]
-    train_report = ev.build_report(
-        y_hist, yhat_hist[train_ids],
-        {"kind": "train", "n_train": len(train_ids)},
-        train_mae=result.final_train_mae)
 
     t0 = time.perf_counter()
     test_report = evaluate_test(config, data, graph, graph_cfg, result.params)
@@ -232,9 +216,8 @@ def run_experiment(config: RunConfig, log=None, records=None) -> RunResult:
                          final_train_mae=result.final_train_mae,
                          run_config=config.to_dict(),
                          attention_max_dev=result.attention_max_dev)
-    return RunResult(config=config, checkpoint=ckpt, train_report=train_report,
-                     test_report=test_report, timings=timings,
-                     attention_max_dev=result.attention_max_dev)
+    return RunResult(config=config, checkpoint=ckpt, test_report=test_report,
+                     timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +335,7 @@ def run_generalization(config: RunConfig, axis: str, k: int, s: int,
     queries = [Query(r.location_id, r.collect_time,
                      coords=(r.longitude_gcj, r.latitude_gcj))
                for r in test_records]
-    yhat = tr.predict_batch_ignore(ctx, graph, history_nodes, queries,
-                                   allow_past=True)
+    yhat = tr.predict_sequence(ctx, graph, history_nodes, queries, allow_past=True)
     y_true = np.array([r.detect_info for r in test_records])
     return ev.build_report(y_true, yhat,
                            {"kind": "generalization", "axis": axis, "k": k, "s": s},

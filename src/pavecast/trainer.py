@@ -2,14 +2,19 @@
 
 Training runs full-batch over the initialization + training graph with the
 mean-absolute-error loss taken over training nodes only (initialization
-nodes pass messages but are never scored). Prediction appends a query node
-carrying spatial-temporal features only, wires its parents, and evaluates
-the forward pass; a sequence of queries can feed observations back in, feed
-predictions back in, or leave the graph untouched between queries.
+nodes pass messages but are never scored). Prediction is graph
+autoregression: predict_one is one step, which appends a query node
+carrying spatial-temporal features only, wires its parents and runs the
+forward pass on the grown graph. predict_sequence answers a query list
+under a continuation strategy: "true" and "predicted" take one step per
+query and keep the node with its observed record or its prediction, while
+"ignore" wires every query against the history alone and answers them all
+in one forward pass. predict_sequence leaves the caller's graph as it was.
 
-Checkpoints are a JSON manifest followed by little-endian float64 sections
-with per-section checksums; identical (config, seed, data) produce
-byte-identical files.
+Checkpoints are a JSON manifest followed by little-endian float64 parameter
+sections with per-section checksums; identical (config, seed, data) produce
+byte-identical files. Adam's hyperparameters and step count are kept, its
+moments are not: nothing resumes training from a checkpoint.
 """
 
 from __future__ import annotations
@@ -24,15 +29,17 @@ import numpy as np
 from . import ndgrad as ng
 from .dataset import FeatureSchema, PreprocessStats, ProcessedNode, RawRecord, apply_preprocess
 from .model import (GraphTensors, ModelConfig, attention_sum_deviation,
-                    forward_values, init_params, loss_and_grads, prepare_tensors)
-from .stgraph import GraphConfig, GraphNode, STGraph, combined_parents, expand
+                    first_nonfinite_primitive, forward_values, init_params,
+                    loss_and_grads, prepare_tensors)
+from .stgraph import (GraphConfig, STGraph, combined_parents, expand,
+                      graph_nodes_from_processed)
 
 CHECKPOINT_MAGIC = b"PVCASTCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DivergenceError(ArithmeticError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite; names the first non-finite primitive."""
 
 
 class QueryError(ValueError):
@@ -90,7 +97,9 @@ def train(gt: GraphTensors, model_config: ModelConfig, train_config: TrainConfig
         loss, grads, _ = loss_and_grads(gt, params, model_config, loss_ids,
                                         probes=probes)
         if not math.isfinite(loss):
-            raise DivergenceError(f"loss became non-finite at epoch {epoch}")
+            kind = first_nonfinite_primitive(gt, params, model_config, loss_ids)
+            raise DivergenceError(f"loss became non-finite at epoch {epoch}, "
+                                  f"first in a {kind} primitive")
         if probes is not None:
             max_dev = max(max_dev, attention_sum_deviation(probes))
         trace.append(loss)
@@ -151,19 +160,18 @@ def _location_coords(nodes: list[ProcessedNode], location_id: int) -> tuple[floa
 
 
 def query_node(ctx: InferenceContext, nodes: list[ProcessedNode], node_id: int,
-               location_id: int, t_raw: float,
-               coords: tuple[float, float] | None = None) -> ProcessedNode:
+               query: Query) -> ProcessedNode:
     """A feature-bearing node for a future query: spatial-temporal slots only."""
-    lon, lat = coords if coords is not None else _location_coords(nodes, location_id)
-    t_norm = ctx.stats.rescale_time(t_raw)
+    lon, lat = query.coords or _location_coords(nodes, query.location_id)
+    t_norm = ctx.stats.rescale_time(query.t_raw)
     x_full = np.zeros(ctx.schema.dim_full)
     x_st = np.array([ctx.stats.standardize("longitude_gcj", lon),
                      ctx.stats.standardize("latitude_gcj", lat),
                      t_norm])
     x_full[-3:] = x_st
-    return ProcessedNode(node_id=node_id, location_id=location_id,
+    return ProcessedNode(node_id=node_id, location_id=query.location_id,
                          x_full=x_full, x_st=x_st, y=float("nan"),
-                         t_norm=t_norm, t_raw=t_raw, coords=(lon, lat))
+                         t_norm=t_norm, t_raw=query.t_raw, coords=(lon, lat))
 
 
 def predicted_node(ctx: InferenceContext, base: ProcessedNode,
@@ -182,116 +190,82 @@ def predicted_node(ctx: InferenceContext, base: ProcessedNode,
 
 
 def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode],
-                location_id: int, t_raw: float, commit: bool = False,
-                committed_node: ProcessedNode | None = None,
-                coords: tuple[float, float] | None = None) -> float:
-    """Predict one (location, future time) query.
+                query: Query) -> float:
+    """One autoregressive step: grow the graph by the query node and predict it.
 
-    With commit=False the caller's graph and node list end as they were: the
-    query node is wired into the graph for the forward pass and truncated
-    away afterwards, so the graph is never copied. With commit=True the
-    query node joins the graph, carrying committed_node's features when
-    supplied (observed or predicted feedback) and the bare
-    spatial-temporal ones otherwise.
+    The query node, carrying spatial-temporal features only, stays appended
+    to graph and nodes; the caller decides what to keep.
     """
-    if graph.n and t_raw < graph.t_raw[-1]:
+    if graph.n and query.t_raw < graph.t_raw[-1]:
         raise QueryError(
-            f"query time {t_raw} precedes the latest historical observation")
-    node_id = graph.n
-    qnode = query_node(ctx, nodes, node_id, location_id, t_raw, coords=coords)
-    meta = GraphNode(node_id=node_id, lon=qnode.coords[0], lat=qnode.coords[1],
-                     t_raw=t_raw, t_norm=qnode.t_norm, is_init=False)
-
-    if committed_node is not None and committed_node.node_id != node_id:
-        raise StrategyError("committed node id must match the query node id")
-    expand(graph, meta, ctx.graph_config)
-    try:
-        gt = prepare_tensors(graph, nodes + [qnode], l_res_m=ctx.graph_config.l_res_m)
-        yhat = float(forward_values(gt, ctx.params, ctx.model_config)[node_id])
-    finally:
-        if not commit:
-            graph.truncate(node_id)
-    if commit:
-        nodes.append(committed_node if committed_node is not None else qnode)
-    return yhat
+            f"query time {query.t_raw} precedes the latest historical observation")
+    qnode = query_node(ctx, nodes, graph.n, query)
+    expand(graph, graph_nodes_from_processed([qnode])[0], ctx.graph_config)
+    nodes.append(qnode)
+    gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m)
+    return float(forward_values(gt, ctx.params, ctx.model_config)[qnode.node_id])
 
 
 def predict_sequence(ctx: InferenceContext, graph: STGraph,
                      nodes: list[ProcessedNode], queries: list[Query],
                      strategy: str = "ignore",
-                     observed: list[RawRecord] | None = None) -> list[float]:
+                     observed: list[RawRecord] | None = None,
+                     allow_past: bool = False) -> np.ndarray:
     """Predict a time-sorted query list under one continuation strategy.
 
-    "ignore" evaluates every query against the pristine graph; "true"
-    commits each query with its observed record (caller-supplied);
-    "predicted" commits each query with its own prediction filled in.
+    "ignore" wires every query against the history alone and answers all of
+    them in one forward pass: edges only point from older to newer nodes, so
+    no query reaches another query or a historical node's representation.
+    allow_past admits ignore-strategy queries timestamped inside the
+    historical span (for generalization splits); their parents are then the
+    no-later history.
+    "true" and "predicted" take one predict_one step per query and keep the
+    query node, carrying its observed record (caller-supplied) or its own
+    prediction. The caller's graph and node list end as they were.
     """
     for earlier, later in zip(queries, queries[1:]):
         if later.t_raw < earlier.t_raw:
             raise QueryError("queries must be sorted by time")
-    if strategy == "ignore":
-        return [predict_one(ctx, graph, nodes, q.location_id, q.t_raw,
-                            coords=q.coords)
-                for q in queries]
-    if strategy not in ("true", "predicted"):
+    if strategy not in ("ignore", "true", "predicted"):
         raise StrategyError(f"unknown strategy {strategy!r}")
     if strategy == "true" and (observed is None or len(observed) != len(queries)):
         raise StrategyError("true-feedback needs one observed record per query")
 
-    work_graph = graph.copy()
-    work_nodes = list(nodes)
-    out = []
-    for k, q in enumerate(queries):
-        node_id = work_graph.n
-        if strategy == "true":
-            commit_node = apply_preprocess(observed[k], ctx.stats, ctx.schema,
-                                           node_id=node_id)
-            yhat = predict_one(ctx, work_graph, work_nodes, q.location_id, q.t_raw,
-                               commit=True, committed_node=commit_node,
-                               coords=q.coords)
-        else:
-            yhat = predict_one(ctx, work_graph, work_nodes, q.location_id, q.t_raw,
-                               commit=True, coords=q.coords)
-            work_nodes[node_id] = predicted_node(ctx, work_nodes[node_id], yhat)
-        out.append(yhat)
-    return out
+    base_n, base_nodes = graph.n, len(nodes)
+    try:
+        if strategy != "ignore":
+            out = []
+            for k, q in enumerate(queries):
+                yhat = predict_one(ctx, graph, nodes, q)
+                if strategy == "true":
+                    nodes[-1] = apply_preprocess(observed[k], ctx.stats, ctx.schema,
+                                                 node_id=nodes[-1].node_id)
+                else:
+                    nodes[-1] = predicted_node(ctx, nodes[-1], yhat)
+                out.append(yhat)
+            return np.array(out)
 
-
-def predict_batch_ignore(ctx: InferenceContext, graph: STGraph,
-                         nodes: list[ProcessedNode], queries: list[Query],
-                         allow_past: bool = False) -> np.ndarray:
-    """All ignore-strategy queries in one forward pass.
-
-    Each query's parents are wired against the pristine graph only, and
-    historical representations cannot depend on query nodes, so this equals
-    per-query evaluation exactly. allow_past admits queries timestamped
-    inside the historical span (for generalization splits); parents are then
-    restricted to strictly-no-later historical nodes.
-    """
-    base_n = graph.n
-    eval_graph = graph.copy()
-    eval_nodes = list(nodes)
-    newest = graph.t_raw[-1] if base_n else -math.inf
-    for k, q in enumerate(queries):
-        if not allow_past and q.t_raw < newest:
-            raise QueryError(f"query {k} at t={q.t_raw} precedes history")
-        node_id = base_n + k
-        qnode = query_node(ctx, nodes, node_id, q.location_id, q.t_raw,
-                           coords=q.coords)
-        meta = GraphNode(node_id=node_id, lon=qnode.coords[0], lat=qnode.coords[1],
-                         t_raw=q.t_raw, t_norm=qnode.t_norm, is_init=False)
-        visible = int(np.searchsorted(graph.t_raw, q.t_raw, side="right")) \
-            if allow_past else base_n
-        eval_graph.append(meta, combined_parents(meta, graph, ctx.graph_config,
-                                                 limit=visible))
-        eval_nodes.append(qnode)
-    gt = prepare_tensors(eval_graph, eval_nodes, l_res_m=ctx.graph_config.l_res_m)
-    return forward_values(gt, ctx.params, ctx.model_config)[base_n:]
+        history = graph.t_raw[:base_n]
+        qnodes = []
+        for k, q in enumerate(queries):
+            if not allow_past and base_n and q.t_raw < history[-1]:
+                raise QueryError(f"query {k} at t={q.t_raw} precedes history")
+            qnode = query_node(ctx, nodes, graph.n, q)
+            meta = graph_nodes_from_processed([qnode])[0]
+            limit = int(np.searchsorted(history, q.t_raw, side="right"))
+            graph.append(meta, combined_parents(meta, graph, ctx.graph_config, limit=limit))
+            qnodes.append(qnode)
+        nodes.extend(qnodes)
+        gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m)
+        return forward_values(gt, ctx.params, ctx.model_config)[base_n:]
+    finally:
+        graph.truncate(base_n)
+        del nodes[base_nodes:]
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: MAGIC | u32 version | u64 manifest bytes | manifest JSON
-# | packed little-endian float64 sections (params, Adam m, Adam v)
+# | packed little-endian float64 parameter sections
 
 
 def _canonical_json(obj) -> bytes:
@@ -306,7 +280,7 @@ class Checkpoint:
     stats: PreprocessStats
     schema: FeatureSchema
     params: dict[str, np.ndarray]
-    adam: ng.AdamState
+    adam: ng.AdamState  # saved without its moments
     loss_trace: list[float]
     final_train_mae: float
     run_config: dict | None = None
@@ -314,18 +288,11 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    sections: list[tuple[str, np.ndarray]] = []
-    for name in ckpt.params:
-        sections.append((f"param:{name}", ckpt.params[name]))
-    for name in ckpt.params:
-        sections.append((f"adam_m:{name}", ckpt.adam.m[name]))
-        sections.append((f"adam_v:{name}", ckpt.adam.v[name]))
-
     blobs, entries, offset = [], [], 0
-    for name, arr in sections:
+    for name, arr in ckpt.params.items():
         blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                        "nbytes": len(blob), "crc32": zlib.crc32(blob)})
+        entries.append({"name": f"param:{name}", "shape": list(arr.shape),
+                        "offset": offset, "nbytes": len(blob), "crc32": zlib.crc32(blob)})
         blobs.append(blob)
         offset += len(blob)
 
@@ -393,9 +360,6 @@ def load_checkpoint(path) -> Checkpoint:
     a = manifest["adam"]
     adam = ng.AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
                         eps=a["eps"], t=a["t"])
-    for name in params:
-        adam.m[name] = arrays[f"adam_m:{name}"]
-        adam.v[name] = arrays[f"adam_v:{name}"]
 
     fs = manifest["feature_schema"]
     return Checkpoint(

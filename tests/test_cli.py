@@ -146,6 +146,18 @@ def test_evaluate_strategies_flag(tmp_path, trained):
                    "--strategy", "nonsense", "--out", str(tmp_path / "x")) == 2
 
 
+def test_timings_name_each_phase(tmp_path, tiny_config_file, trained):
+    def phases(out):
+        with open(out / "timings.csv", newline="") as fh:
+            return [row["phase"] for row in csv.DictReader(fh)]
+
+    graph_out, eval_out = tmp_path / "g", tmp_path / "ev4"
+    assert run_cli("build-graph", "--config", tiny_config_file, "--out", str(graph_out)) == 0
+    assert phases(graph_out) == ["prepare", "graph_build", "write"]
+    assert run_cli("evaluate", "--checkpoint", str(trained), "--out", str(eval_out)) == 0
+    assert phases(eval_out) == ["prepare", "graph_build", "evaluate"]
+
+
 def test_evaluate_rerun_identical_reports(tmp_path, trained):
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
     run_cli("evaluate", "--checkpoint", str(trained), "--out", str(out1))
