@@ -253,19 +253,29 @@ def test_unknown_strategy_rejected():
                             chain_queries(inst, 1), "bogus")
 
 
-def test_batch_ignore_equals_sequential():
+def test_ignore_strategy_is_order_free_per_query():
     # a batched forward pass may differ from a single-query one by about an
     # ulp: BLAS sums an n x 1 product in an order that depends on the row
-    for inst, k in ((small_instance(16, n=9, init_count=1), 5), (small_instance(13), 4)):
-        ctx = make_context(inst)
-        graph, nodes = inst["graph"], inst["nodes"]
-        queries = chain_queries(inst, k)
-        batched = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-        singles = [tr.predict_one(ctx, graph.copy(), list(nodes), q) for q in queries]
-        assert np.allclose(batched, singles, atol=1e-12)
-        # order-free: no query's answer depends on the queries before it
-        tail = tr.predict_sequence(ctx, graph, nodes, queries[2:], "ignore")
-        assert np.allclose(tail, batched[2:], atol=1e-12)
+    inst = small_instance(13)
+    ctx = make_context(inst)
+    graph, nodes = inst["graph"], inst["nodes"]
+    queries = chain_queries(inst, 4)
+    out = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
+    singles = [tr.predict_one(ctx, graph.copy(), list(nodes), q) for q in queries]
+    assert np.allclose(out, singles, atol=1e-12)
+    # no query's answer depends on the queries before it
+    tail = tr.predict_sequence(ctx, graph, nodes, queries[2:], "ignore")
+    assert np.allclose(tail, out[2:], atol=1e-12)
+
+
+def test_batch_ignore_equals_sequential():
+    inst = small_instance(16, n=9, init_count=1)
+    ctx = make_context(inst)
+    graph, nodes = inst["graph"], inst["nodes"]
+    queries = chain_queries(inst, 5)
+    batched = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
+    singles = [tr.predict_one(ctx, graph.copy(), list(nodes), q) for q in queries]
+    assert np.allclose(batched, singles, atol=1e-12)
 
 
 def test_batch_ignore_allow_past_wires_against_no_later_history():
