@@ -180,7 +180,7 @@ def cmd_evaluate(args) -> int:
         doc = config.to_dict()
         doc["dataset"] = {"csv": args.data, "time_format": args.time_format}
         config = RunConfig.from_dict(doc)
-    if args.strategy not in ("true", "predicted", "ignore"):
+    if args.strategy not in tr.STRATEGIES:
         raise UsageError(f"unknown strategy {args.strategy!r}")
     out = _out_dir(args)
 

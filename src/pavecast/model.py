@@ -88,7 +88,8 @@ class CoefficientProbe:
 
 @dataclass
 class GraphTensors:
-    """Edge-list arrays for one graph + node list, ready for the forward pass.
+    """Edge-list arrays for one graph + node list (or for an ancestor cone of
+    it, see prepare_tensors), ready for the forward pass.
 
     Edges are ordered per target node: the self loop first, then parents in
     their stored order. dist_norm is meters over the proximity threshold, so
@@ -111,41 +112,89 @@ class GraphTensors:
         return len(self.y)
 
 
-def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0) -> GraphTensors:
-    """Flatten a graph plus processed nodes into forward-ready arrays."""
+def _edge_positions(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions of the parent edges of ids, node by node in stored order."""
+    counts = offsets[ids + 1] - offsets[ids]
+    ends = np.cumsum(counts)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(offsets[ids] - ends + counts, counts))
+
+
+def _ancestor_cone(graph: STGraph, targets, hops: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids within `hops` parent hops of targets, ascending, and a mask of
+    those within hops - 1: an L-layer forward pass reads the parent edges of
+    those and only the features of the rest."""
+    hop = np.full(graph.n, hops + 1)  # fewest parent hops to a target
+    hop[targets] = 0
+    for h in range(1, hops + 1):
+        frontier = np.flatnonzero(hop == h - 1)
+        reached = graph.parent[_edge_positions(graph.offsets, frontier)]
+        hop[reached] = np.minimum(hop[reached], h)
+    cone = np.flatnonzero(hop <= hops)
+    return cone, hop[cone] < hops
+
+
+def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
+                    targets=None, hops: int = 1) -> GraphTensors:
+    """Flatten a graph plus processed nodes into forward-ready arrays.
+
+    With targets (node ids), only the targets' ancestor cone is flattened:
+    edges point from older to newer nodes, so a hops-layer model's
+    predictions for the targets read nothing else. Nodes within hops - 1 of
+    a target keep all their parent edges, the ones exactly hops out only
+    their self loop (their own outputs are then wrong and never read).
+    Rows are the cone's ids in increasing order, so targets that are the
+    newest nodes are the last rows. Degrees, and so gcn_w, are the whole
+    graph's. Nothing is cached: a query answered from its ancestor cone
+    needs no state that a later append or overwrite could make stale.
+    """
     n = graph.n
     if len(nodes) != n:
         raise ModelConfigError(f"{len(nodes)} nodes for a graph of {n}")
-    x_full = np.stack([p.x_full for p in nodes])
-    x_st = np.stack([p.x_st for p in nodes])
-    y = np.array([p.y for p in nodes])
-    t_norm = np.array([p.t_norm for p in nodes])
+    if targets is None:
+        ids, expanded = np.arange(n), np.ones(n, dtype=bool)
+    else:
+        ids, expanded = _ancestor_cone(graph, targets, hops)
+    k = len(ids)
+    rows = [nodes[i] for i in ids.tolist()]
+    x_full = np.stack([p.x_full for p in rows])
+    x_st = np.stack([p.x_st for p in rows])
+    y = np.array([p.y for p in rows])
+    t_norm = np.array([p.t_norm for p in rows])
 
-    # node i's self loop sits at offsets[i] + i, its parents right after it
-    parent, child = graph.parent, graph.child
-    degree = np.diff(graph.offsets) + 1.0  # parents + self
-    self_pos = graph.offsets[:n] + np.arange(n)
+    # the kept parent edges, renumbered to rows; row r's self loop sits at
+    # offsets[r] + r, its parents right after it
+    pos = _edge_positions(graph.offsets, ids[expanded])
+    local = np.empty(n, dtype=np.intp)
+    local[ids] = np.arange(k)
+    parent = local[graph.parent[pos]]
+    n_parents = np.diff(graph.offsets)[ids]
+    counts = np.where(expanded, n_parents, 0)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    child = np.repeat(np.arange(k), counts)
+    degree = n_parents + 1.0  # all parents + self
+    self_pos = offsets[:k] + np.arange(k)
     edge_pos = np.arange(len(parent)) + child + 1
-    m = n + len(parent)
+    m = k + len(parent)
     src, dst = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
-    src[self_pos] = dst[self_pos] = np.arange(n)
+    src[self_pos] = dst[self_pos] = np.arange(k)
     src[edge_pos], dst[edge_pos] = parent, child
     is_self = np.zeros(m, dtype=bool)
     is_self[self_pos] = True
     dt_norm = np.zeros(m)
     dt_norm[edge_pos] = np.abs(t_norm[child] - t_norm[parent])
     dist_norm = np.zeros(m)
-    dist_norm[edge_pos] = graph.dist_m / l_res_m
+    dist_norm[edge_pos] = graph.dist_m[pos] / l_res_m
     gcn_w = np.empty(m)
     gcn_w[self_pos] = 1.0 / degree
     gcn_w[edge_pos] = 1.0 / np.sqrt(degree[parent] * degree[child])
 
     # mean of [x_full || y] over ranked parents, summed in edge order
-    top = graph.origin == TOP
-    top_pool = np.zeros((n, x_full.shape[1] + 1))
+    top = graph.origin[pos] == TOP
+    top_pool = np.zeros((k, x_full.shape[1] + 1))
     np.add.at(top_pool, child[top], np.column_stack([x_full, y])[parent[top]])
-    counts = np.bincount(child[top], minlength=n)
-    top_pool[counts > 0] /= counts[counts > 0, None]
+    n_top = np.bincount(child[top], minlength=k)
+    top_pool[n_top > 0] /= n_top[n_top > 0, None]
     return GraphTensors(
         x_full=x_full, x_st=x_st, y=y, src=src, dst=dst, is_self=is_self,
         dt_norm=dt_norm, dist_norm=dist_norm, gcn_w=gcn_w, top_pool=top_pool)

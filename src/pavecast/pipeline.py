@@ -66,6 +66,10 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     features: ds.FeatureSchema = field(default_factory=ds.FeatureSchema)
 
+    def __post_init__(self):
+        if self.strategy not in tr.STRATEGIES:
+            raise RunConfigError(f"unknown strategy {self.strategy!r}")
+
     def to_dict(self) -> dict:
         d = {
             "seed": self.seed,

@@ -356,8 +356,9 @@ def graph_nodes_from_processed(nodes, init_count: int = 0) -> list[GraphNode]:
 
 
 def save_graph_json(graph: STGraph, path) -> None:
+    text = json.dumps(graph.to_json_dict(), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph.to_json_dict(), fh, indent=1, sort_keys=True)
+        fh.write(text)
 
 
 def load_graph_json(path) -> STGraph:

@@ -11,6 +11,13 @@ query and keep the node with its observed record or its prediction, while
 "ignore" wires every query against the history alone and answers them all
 in one forward pass. predict_sequence leaves the caller's graph as it was.
 
+Both forward passes cover the queries' ancestor cone, no cache: edges point
+from older to newer nodes, so an L-layer model's prediction for a query
+reads only the nodes within L parent hops of it, and prepare_tensors
+flattens just those. Each step is O(cone) instead of O(graph), and with
+nothing cached there is nothing to invalidate when a strategy overwrites
+the query node it just appended.
+
 Checkpoints are a JSON manifest followed by little-endian float64 parameter
 sections with per-section checksums; identical (config, seed, data) produce
 byte-identical files. Adam's hyperparameters and step count are kept, its
@@ -33,6 +40,8 @@ from .model import (GraphTensors, ModelConfig, attention_sum_deviation,
                     loss_and_grads, prepare_tensors)
 from .stgraph import (GraphConfig, STGraph, combined_parents, expand,
                       graph_nodes_from_processed)
+
+STRATEGIES = ("ignore", "true", "predicted")
 
 CHECKPOINT_MAGIC = b"PVCASTCK"
 CHECKPOINT_VERSION = 2
@@ -202,8 +211,9 @@ def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode
     qnode = query_node(ctx, nodes, graph.n, query)
     expand(graph, graph_nodes_from_processed([qnode])[0], ctx.graph_config)
     nodes.append(qnode)
-    gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m)
-    return float(forward_values(gt, ctx.params, ctx.model_config)[qnode.node_id])
+    gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
+                         targets=[qnode.node_id], hops=ctx.model_config.layers)
+    return float(forward_values(gt, ctx.params, ctx.model_config)[-1])
 
 
 def predict_sequence(ctx: InferenceContext, graph: STGraph,
@@ -226,10 +236,12 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
     for earlier, later in zip(queries, queries[1:]):
         if later.t_raw < earlier.t_raw:
             raise QueryError("queries must be sorted by time")
-    if strategy not in ("ignore", "true", "predicted"):
+    if strategy not in STRATEGIES:
         raise StrategyError(f"unknown strategy {strategy!r}")
     if strategy == "true" and (observed is None or len(observed) != len(queries)):
         raise StrategyError("true-feedback needs one observed record per query")
+    if not queries:
+        return np.empty(0)
 
     base_n, base_nodes = graph.n, len(nodes)
     try:
@@ -256,8 +268,10 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
             graph.append(meta, combined_parents(meta, graph, ctx.graph_config, limit=limit))
             qnodes.append(qnode)
         nodes.extend(qnodes)
-        gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m)
-        return forward_values(gt, ctx.params, ctx.model_config)[base_n:]
+        gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
+                             targets=np.arange(base_n, graph.n),
+                             hops=ctx.model_config.layers)
+        return forward_values(gt, ctx.params, ctx.model_config)[gt.n - len(queries):]
     finally:
         graph.truncate(base_n)
         del nodes[base_nodes:]

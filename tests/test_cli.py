@@ -222,6 +222,7 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "model.variant=bogus",                   # ModelConfigError
     "graph.top_k=-1",                        # ConstructionError
     "train.lr=-1",                           # TrainConfigError
+    "strategy=bogus",                        # RunConfigError
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsys,
                                                override):

@@ -237,6 +237,15 @@ def test_single_query_strategies_agree():
     assert a == b == c
 
 
+def test_empty_query_list_answers_nothing():
+    inst = small_instance(24)
+    ctx = make_context(inst)
+    for strategy in tr.STRATEGIES:
+        out = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], [], strategy,
+                                  observed=[])
+        assert out.shape == (0,)
+
+
 def test_true_feedback_requires_observations():
     inst = small_instance(14)
     ctx = make_context(inst)
@@ -290,6 +299,81 @@ def test_batch_ignore_allow_past_wires_against_no_later_history():
                             inst["graph_cfg"])
     want = tr.predict_one(ctx, prefix, nodes[:visible], q)
     assert got[0] == pytest.approx(want, abs=1e-12)
+
+
+def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
+    """What predict_sequence answers, from a full-graph prepare_tensors and
+    forward pass over the grown graph per step."""
+    work_graph, work_nodes, out = graph.copy(), list(nodes), []
+    for k, q in enumerate(queries):
+        if strategy == "ignore":
+            work_graph, work_nodes = graph.copy(), list(nodes)
+        qnode = tr.query_node(ctx, work_nodes, work_graph.n, q)
+        sg.expand(work_graph, sg.graph_nodes_from_processed([qnode])[0], ctx.graph_config)
+        work_nodes.append(qnode)
+        gt = md.prepare_tensors(work_graph, work_nodes, l_res_m=ctx.graph_config.l_res_m)
+        out.append(md.forward_values(gt, ctx.params, ctx.model_config)[-1])
+        if strategy == "true":
+            work_nodes[-1] = ds.apply_preprocess(observed[k], ctx.stats, ctx.schema,
+                                                 node_id=qnode.node_id)
+        elif strategy == "predicted":
+            work_nodes[-1] = tr.predicted_node(ctx, qnode, out[-1])
+    return np.array(out)
+
+
+MODEL_GRID = [(variant, layers, reuse)
+              for variant in md.VARIANTS for layers in (1, 2)
+              for reuse in ((True, False) if variant in md.ATTENTION_VARIANTS else (True,))]
+
+
+@pytest.mark.parametrize("variant,layers,reuse_attention", MODEL_GRID)
+def test_cone_forecasts_match_full_recompute(variant, layers, reuse_attention):
+    inst = small_instance(22, n=40, init_count=3, variant=variant, layers=layers,
+                          reuse_attention=reuse_attention)
+    ctx = make_context(inst)
+    graph, nodes = inst["graph"], inst["nodes"]
+    queries = chain_queries(inst, 4)
+    observed = inst["records"][:4]
+    for strategy in tr.STRATEGIES:
+        got = tr.predict_sequence(ctx, graph, nodes, queries, strategy, observed=observed)
+        want = full_recompute(ctx, graph, nodes, queries, strategy, observed)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), strategy
+
+
+def brute_force_ancestors(graph, node_id, hops):
+    """node_id and every node within hops parent hops of it."""
+    parents = {}
+    for e in graph.to_json_dict()["edges"]:
+        parents.setdefault(e["to"], set()).add(e["from"])
+    reached = {node_id}
+    for _ in range(hops):
+        reached |= {p for v in reached for p in parents.get(v, ())}
+    return parents, reached
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
+    inst = small_instance(23, n=64, init_count=4, layers=layers)
+    ctx = make_context(inst)
+    graph, nodes = inst["graph"].copy(), list(inst["nodes"])
+    handed = []
+
+    def spy(gt, *args, **kwargs):
+        handed.append(gt)
+        return md.forward_values(gt, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_values", spy)
+    tr.predict_one(ctx, graph, nodes, chain_queries(inst, 1)[0])
+    (gt,) = handed
+    parents, cone = brute_force_ancestors(graph, graph.n - 1, layers)
+    if layers == 1:
+        assert gt.n == 1 + len(parents[graph.n - 1])
+    ids = sorted(cone)
+    assert gt.n == len(ids) < graph.n
+    assert np.array_equal(gt.x_full, np.stack([nodes[i].x_full for i in ids]))
+    # nodes exactly `layers` hops out bring their features, not their parents
+    _, inner = brute_force_ancestors(graph, graph.n - 1, layers - 1)
+    assert len(gt.src) == gt.n + sum(len(parents.get(v, ())) for v in inner)
 
 
 # ---------------------------------------------------------------------------
