@@ -147,15 +147,8 @@ def _report_paths(out: Path, report: ev.EvalReport, split_name: str) -> list[Pat
         json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
         fh.write("\n")
     paths = [report_path]
-    y = np.array([p[0] for p in report.pairs])
-    yhat = np.array([p[1] for p in report.pairs])
-    true_cls = np.array([ev.level_index(v) for v in y])
-    for c, name in enumerate(ev.LEVELS):
-        labels = true_cls == c
-        if labels.all() or not labels.any():
-            continue
-        scores = np.array([ev.level_affinity(v, c) for v in yhat])
-        fpr, tpr, thr = ev.roc_curve(labels, scores)
+    y, yhat = zip(*report.pairs)
+    for name, (fpr, tpr, thr) in ev.level_roc_curves(y, yhat).items():
         roc_path = out / f"roc_{name.lower()}_{split_name}.csv"
         with open(roc_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -185,7 +178,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
 
     t0 = time.perf_counter()
-    data = prepare_data(config)
+    data = prepare_data(config, stats=ckpt.stats)
     t1 = time.perf_counter()
     graph, graph_cfg = build_history_graph(config, data)
     t2 = time.perf_counter()
@@ -211,7 +204,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = tr.load_checkpoint(args.checkpoint)
     config = _checkpoint_config(ckpt)
-    data = prepare_data(config)
+    data = prepare_data(config, stats=ckpt.stats)
     graph, graph_cfg = build_history_graph(config, data)
     ctx = tr.InferenceContext(params=ckpt.params, model_config=ckpt.model_config,
                               graph_config=graph_cfg, stats=ckpt.stats,

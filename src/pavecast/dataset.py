@@ -49,7 +49,8 @@ NUMERIC_FEATURES = ENV_FEATURES + ("detect_info", "detect_conf",
 CSV_COLUMNS = ("location_id", "longitude_gcj", "latitude_gcj", "collect_time",
                "min_tem", "max_tem", "humidity", "wind", "pressure",
                "visibility", "precipitation", "cloud",
-               "detect_info", "detect_conf", "distress_type")
+               "detect_info", "detect_conf", "distress_type")  # RawRecord's fields, in order
+_INT_COLUMNS = ("location_id", "distress_type")  # the rest are floats
 
 
 @dataclass
@@ -142,10 +143,6 @@ class PreprocessStats:
     t_min: float
     t_max: float
 
-    @property
-    def degenerate_features(self) -> tuple[str, ...]:
-        return tuple(name for name, s in self.stds.items() if s == 0.0)
-
     def standardize(self, name: str, value: float) -> float:
         s = self.stds[name]
         if s == 0.0:
@@ -202,27 +199,14 @@ def load_records(path, schema: CsvSchema = CsvSchema()) -> LoadReport:
         missing = [c for c in schema.columns if c not in header]
         if missing:
             raise SchemaError(f"missing columns {missing} in {path}")
+        parsers = [(c, int if c in _INT_COLUMNS else
+                    schema.parse_time if c == "collect_time" else float)
+                   for c in CSV_COLUMNS]
         records: list[tuple[float, int, int, RawRecord]] = []
         skipped: list[tuple[int, str]] = []
         for rownum, row in enumerate(reader, start=1):
             try:
-                rec = RawRecord(
-                    location_id=int(row["location_id"]),
-                    longitude_gcj=float(row["longitude_gcj"]),
-                    latitude_gcj=float(row["latitude_gcj"]),
-                    collect_time=schema.parse_time(row["collect_time"]),
-                    min_tem=float(row["min_tem"]),
-                    max_tem=float(row["max_tem"]),
-                    humidity=float(row["humidity"]),
-                    wind=float(row["wind"]),
-                    pressure=float(row["pressure"]),
-                    visibility=float(row["visibility"]),
-                    precipitation=float(row["precipitation"]),
-                    cloud=float(row["cloud"]),
-                    detect_info=float(row["detect_info"]),
-                    detect_conf=float(row["detect_conf"]),
-                    distress_type=int(row["distress_type"]),
-                )
+                rec = RawRecord(*[parse(row[c]) for c, parse in parsers])
                 rec.validate()
             except (ValueError, TypeError) as exc:
                 skipped.append((rownum, str(exc)))
@@ -238,11 +222,8 @@ def write_records(path, records: list[RawRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([r.location_id, repr(r.longitude_gcj), repr(r.latitude_gcj),
-                             repr(r.collect_time), repr(r.min_tem), repr(r.max_tem),
-                             repr(r.humidity), repr(r.wind), repr(r.pressure),
-                             repr(r.visibility), repr(r.precipitation), repr(r.cloud),
-                             repr(r.detect_info), repr(r.detect_conf), r.distress_type])
+            writer.writerow([getattr(r, c) if c in _INT_COLUMNS else repr(getattr(r, c))
+                             for c in CSV_COLUMNS])
 
 
 def fit_standardizer(train_records: list[RawRecord],
@@ -305,14 +286,15 @@ def split_segment(items: list, fractions: tuple[float, float, float] = (0.1, 0.7
     """Contiguous (init, train, test) partition of a time-sorted sequence.
 
     Sizes: floor(n * f_init) and floor(n * f_train); the remainder is test.
+    Each of the three parts must be non-empty.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise SplitError(f"fractions {fractions} do not sum to 1")
+    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
+        raise SplitError(f"fractions {fractions} are not three parts summing to 1")
     n = len(items)
-    if n < 3:
-        raise SplitError(f"need at least 3 items to split, got {n}")
     n_init = int(n * fractions[0])
     n_train = int(n * fractions[1])
+    if min(n_init, n_train, n - n_init - n_train) < 1:
+        raise SplitError(f"fractions {fractions} leave a part of {n} items empty")
     return (items[:n_init], items[n_init:n_init + n_train], items[n_init + n_train:])
 
 

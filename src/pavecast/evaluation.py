@@ -89,6 +89,22 @@ def auc_from_curve(fpr, tpr) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
+def level_roc_curves(true_values, predicted_values) -> dict[str, tuple]:
+    """Per-level one-vs-rest (fpr, tpr, thresholds) from regression outputs.
+
+    Levels lacking a positive or a negative example have no curve.
+    """
+    true_classes = np.array([level_index(v) for v in true_values])
+    curves = {}
+    for c, name in enumerate(LEVELS):
+        labels = true_classes == c
+        if labels.all() or not labels.any():
+            continue
+        scores = np.array([level_affinity(v, c) for v in predicted_values])
+        curves[name] = roc_curve(labels, scores)
+    return curves
+
+
 def roc_auc_ovr(true_values, predicted_values):
     """Per-class one-vs-rest AUC from regression outputs.
 
@@ -96,20 +112,12 @@ def roc_auc_ovr(true_values, predicted_values):
     made-up 0.5, so degenerate splits stay visible.
     """
     true_values = np.asarray(true_values, dtype=np.float64)
-    predicted_values = np.asarray(predicted_values, dtype=np.float64)
     if true_values.size == 0:
         raise MetricError("empty metric input")
-    true_classes = np.array([level_index(v) for v in true_values])
-    out: dict[str, float | None] = {}
-    for c, name in enumerate(LEVELS):
-        labels = true_classes == c
-        if labels.all() or not labels.any():
-            out[name] = None
-            continue
-        scores = np.array([level_affinity(v, c) for v in predicted_values])
-        fpr, tpr, _ = roc_curve(labels, scores)
-        out[name] = auc_from_curve(fpr, tpr)
-    return out
+    curves = level_roc_curves(true_values,
+                              np.asarray(predicted_values, dtype=np.float64))
+    return {name: auc_from_curve(*curves[name][:2]) if name in curves else None
+            for name in LEVELS}
 
 
 def confusion_counts(true_values, predicted_values) -> np.ndarray:
@@ -151,27 +159,16 @@ def build_report(y, yhat, split_descriptor: dict, train_mae=None) -> EvalReport:
 # Generalization splits
 
 
-def generalization_split(nodes, axis: str, k: int, s: int):
-    """Sorted-by-axis split: first k train, next s removed, rest test.
+def generalization_split(records, axis: str, k: int, s: int):
+    """Sorted-by-axis split of records: first k train, next s removed, rest test.
 
-    Returns (train ids, test ids); ties on the axis break by node id.
+    Returns (train indices, test indices); ties on the axis go to the lower index.
     """
     if axis not in ("time", "longitude", "latitude"):
         raise SplitError(f"unknown axis {axis!r}")
-    if k + s >= len(nodes):
-        raise SplitError(f"k + s = {k + s} leaves no test data for n = {len(nodes)}")
-    keys = {"time": lambda p: p.t_raw,
-            "longitude": lambda p: p.coords[0],
-            "latitude": lambda p: p.coords[1]}[axis]
-    order = sorted(nodes, key=lambda p: (keys(p), p.node_id))
-    train_ids = [p.node_id for p in order[:k]]
-    test_ids = [p.node_id for p in order[k + s:]]
-    return train_ids, test_ids
-
-
-def reseed_noise_band(maes) -> float:
-    """Spread (max - min) of a metric across reseeded but otherwise equal runs."""
-    maes = list(maes)
-    if not maes:
-        raise MetricError("need at least one run")
-    return max(maes) - min(maes)
+    if k + s >= len(records):
+        raise SplitError(f"k + s = {k + s} leaves no test data for n = {len(records)}")
+    field = {"time": "collect_time", "longitude": "longitude_gcj",
+             "latitude": "latitude_gcj"}[axis]
+    order = sorted(range(len(records)), key=lambda i: (getattr(records[i], field), i))
+    return order[:k], order[k + s:]

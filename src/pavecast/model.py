@@ -254,10 +254,6 @@ def init_params(config: ModelConfig, dim_full: int, dim_st: int,
     return params
 
 
-def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
-
-
 # ---------------------------------------------------------------------------
 # Forward pass
 
@@ -273,17 +269,16 @@ def _mlp(tape, x, pnodes, prefix, n_layers, slope_final=True):
     return out
 
 
-def _attention_coefficients(tape, gt, pnodes, config, layer, rep_self,
-                            src_nodes, src_edges, probes):
+def _attention_coefficients(tape, gt, pnodes, config, layer, rep, src_edges, probes):
     """Per-head normalized coefficients for one layer's edge set.
 
     The head weight spans [self-slot || source-slot (|| time-slot)]; scoring
     projects each slot separately and sums, which equals the concatenated
-    dot product without materializing per-edge concatenations. The source
-    slot reads node-level representations (src_nodes) or the already
-    gathered per-edge matrix (src_edges), whichever the variant uses.
+    dot product without materializing per-edge concatenations. The self slot
+    reads the node-level representations rep, and so does the source slot
+    unless the variant scores the already gathered per-edge matrix src_edges.
     """
-    h = rep_self.value.shape[1]
+    h = rep.value.shape[1]
     use_time = config.variant in ("stgan", "stgan_no_top")
     t_col = tape.constant(gt.dt_norm.reshape(-1, 1)) if use_time else None
     decay = None
@@ -293,12 +288,12 @@ def _attention_coefficients(tape, gt, pnodes, config, layer, rep_self,
     coefs = []
     for k in range(config.heads):
         w = pnodes[f"attn_l{layer}_h{k}_w"]
-        s = ng.gather_rows(ng.matmul(rep_self, ng.slice_rows(w, 0, h)), gt.dst)
+        s = ng.gather_rows(ng.matmul(rep, ng.slice_rows(w, 0, h)), gt.dst)
         if src_edges is not None:
             s = ng.add(s, ng.matmul(src_edges, ng.slice_rows(w, h, 2 * h)))
         else:
             s = ng.add(s, ng.gather_rows(
-                ng.matmul(src_nodes, ng.slice_rows(w, h, 2 * h)), gt.src))
+                ng.matmul(rep, ng.slice_rows(w, h, 2 * h)), gt.src))
         if use_time:
             s = ng.add(s, ng.matmul(t_col, ng.slice_rows(w, 2 * h, 2 * h + 1)))
         s = ng.leaky_relu(s, alpha=config.leaky_slope)
@@ -313,8 +308,7 @@ def _attention_coefficients(tape, gt, pnodes, config, layer, rep_self,
 
 
 def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
-                  config: ModelConfig, probes: list | None = None,
-                  intermediates: dict | None = None) -> ng.Node:
+                  config: ModelConfig, probes: list | None = None) -> ng.Node:
     """Predictions for every node as an (n, 1) tape node."""
     if config.variant == "top_mlp":
         feats = tape.constant(np.concatenate([gt.x_st, gt.top_pool], axis=1))
@@ -326,45 +320,33 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
     depth = len(config.extractor_hidden)
     z = _mlp(tape, x, pnodes, "ext_full", depth)
     z_st = _mlp(tape, x_st, pnodes, "ext_st", depth)
-
-    # parent edges carry the full representation, the self loop only the
-    # spatial-temporal one: this is the leakage barrier
-    mixed = ng.gather_rows_mixed(z, z_st, gt.src, gt.is_self)
     attention = config.variant in ATTENTION_VARIANTS
+    gcn_w = None if attention else tape.constant(gt.gcn_w.reshape(-1, 1))
+    edge_scored = config.variant in ("gat", "stgan_eam")  # scores what a parent sends
 
-    if attention:
-        if config.variant in ("gat", "stgan_eam"):
-            coefs = _attention_coefficients(tape, gt, pnodes, config, 1,
-                                            z_st, None, mixed, probes)
+    for layer in range(1, config.layers + 1):
+        if layer == 1:
+            # parent edges carry the full representation, the self loop only
+            # the spatial-temporal one: this is the leakage barrier
+            rep = z_st
+            gathered = ng.gather_rows_mixed(z, z_st, gt.src, gt.is_self)
         else:
-            coefs = _attention_coefficients(tape, gt, pnodes, config, 1,
-                                            z_st, z_st, None, probes)
-        agg = ng.concat_cols([ng.weighted_segment_sum(mixed, c, gt.dst, gt.n)
-                              for c in coefs])
-    else:
-        gcn_w = tape.constant(gt.gcn_w.reshape(-1, 1))
-        coefs = None
-        agg = ng.weighted_segment_sum(mixed, gcn_w, gt.dst, gt.n)
-
-    for layer in range(2, config.layers + 1):
-        z_l = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes[f"conv_l{layer - 1}_w"]),
-                                   pnodes[f"conv_l{layer - 1}_b"]))
-        gathered = ng.gather_rows(z_l, gt.src)
-        if attention:
-            if not config.reuse_attention:
-                coefs = _attention_coefficients(tape, gt, pnodes, config, layer,
-                                                z_l, z_l, None, probes)
-            elif probes is not None:
-                probes.extend(CoefficientProbe(layer, p.head, p.values, p.seg_ids, p.n)
-                              for p in probes[:config.heads])
-            agg = ng.concat_cols([ng.weighted_segment_sum(gathered, c, gt.dst, gt.n)
-                                  for c in coefs])
-        else:
-            gcn_w = tape.constant(gt.gcn_w.reshape(-1, 1))
+            rep = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes[f"conv_l{layer - 1}_w"]),
+                                       pnodes[f"conv_l{layer - 1}_b"]))
+            gathered = ng.gather_rows(rep, gt.src)
+        if not attention:
             agg = ng.weighted_segment_sum(gathered, gcn_w, gt.dst, gt.n)
+            continue
+        if layer == 1 or not config.reuse_attention:
+            src_edges = gathered if layer == 1 and edge_scored else None
+            coefs = _attention_coefficients(tape, gt, pnodes, config, layer, rep,
+                                            src_edges, probes)
+        elif probes is not None:
+            probes.extend(CoefficientProbe(layer, p.head, p.values, p.seg_ids, p.n)
+                          for p in probes[:config.heads])
+        agg = ng.concat_cols([ng.weighted_segment_sum(gathered, c, gt.dst, gt.n)
+                              for c in coefs])
 
-    if intermediates is not None:
-        intermediates["pre_head"] = agg.value.copy()
     if config.variant == "gcn":
         return ng.add_rowvec(ng.matmul(agg, pnodes["head0_w"]), pnodes["head0_b"])
     hidden = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes["head0_w"]),

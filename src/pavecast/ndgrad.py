@@ -28,7 +28,7 @@ class GraphContractError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A primitive produced a non-finite value."""
+    """A gradient check met a non-finite loss."""
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -111,19 +111,6 @@ def sub(a: Node, b: Node) -> Node:
     return out
 
 
-def mul(a: Node, b: Node) -> Node:
-    """Elementwise (Hadamard) product."""
-    _binary_shape_check(a, b, "mul")
-    out = Node(a.tape, "mul", a.value * b.value, (a, b))
-
-    def backward(g):
-        a.accumulate(g * b.value)
-        b.accumulate(g * a.value)
-
-    out._backward = backward
-    return out
-
-
 def scale(a: Node, c: float) -> Node:
     out = Node(a.tape, "scale", a.value * float(c), (a,))
 
@@ -201,20 +188,6 @@ def leaky_relu(a: Node, alpha: float = 0.2) -> Node:
 
     def backward(g):
         a.accumulate(g * np.where(neg, alpha, 1.0))
-
-    out._backward = backward
-    return out
-
-
-def exp(a: Node) -> Node:
-    with np.errstate(over="ignore"):
-        val = np.exp(a.value)
-    if not np.all(np.isfinite(val)):
-        raise NumericError("exp overflowed to a non-finite value")
-    out = Node(a.tape, "exp", val, (a,))
-
-    def backward(g):
-        a.accumulate(g * val)
 
     out._backward = backward
     return out

@@ -3,12 +3,16 @@
 One RunConfig JSON document fully determines a run: dataset source, split
 fractions, graph thresholds, model variant and sizes, training settings,
 and the master seed. Reruns of the same config produce identical artifacts.
+Generalization runs (train one side of an axis, forecast the other) reuse
+the temporal run's preparation, training and forecast steps; only the
+split differs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -78,9 +82,7 @@ class RunConfig:
             "graph": asdict(self.graph),
             "model": self.model.to_dict(),
             "train": asdict(self.train),
-            "features": {"env_features": list(self.features.env_features),
-                         "include_type_onehot": self.features.include_type_onehot,
-                         "include_conf": self.features.include_conf},
+            "features": asdict(self.features),
         }
         if self.dataset.csv is not None:
             d["dataset"] = {"csv": self.dataset.csv,
@@ -91,28 +93,62 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        src = d.get("dataset", {})
+        """The config a JSON document describes; RunConfigError names the first
+        key no section has and the first value of a type its field rejects."""
+        d = _checked(cls, "config", d)
+        src = _checked(DatasetSource, "dataset", d.get("dataset", {}))
         if "csv" in src:
             dataset = DatasetSource(csv=src["csv"],
                                     time_format=src.get("time_format", "days"))
-        elif "synthetic" in src:
-            dataset = DatasetSource(synthetic=ds.SyntheticConfig(**src["synthetic"]))
         else:
-            dataset = DatasetSource(synthetic=ds.SyntheticConfig())
-        feats = d.get("features", {})
-        schema = ds.FeatureSchema(
-            env_features=tuple(feats.get("env_features", ds.ENV_FEATURES)),
-            include_type_onehot=feats.get("include_type_onehot", True),
-            include_conf=feats.get("include_conf", True))
+            dataset = DatasetSource(synthetic=ds.SyntheticConfig(**_checked(
+                ds.SyntheticConfig, "dataset.synthetic", src.get("synthetic", {}))))
+        feats = _checked(ds.FeatureSchema, "features", d.get("features", {}))
         return cls(
             seed=d.get("seed", 0),
             dataset=dataset,
             split=tuple(d.get("split", (0.1, 0.7, 0.2))),
             strategy=d.get("strategy", "ignore"),
-            graph=sg.GraphConfig(**d.get("graph", {})),
-            model=ModelConfig.from_dict({**ModelConfig().to_dict(), **d.get("model", {})}),
-            train=TrainConfig(**d.get("train", {})),
-            features=schema)
+            graph=sg.GraphConfig(**_checked(sg.GraphConfig, "graph", d.get("graph", {}))),
+            model=ModelConfig.from_dict({**ModelConfig().to_dict(),
+                                         **_checked(ModelConfig, "model", d.get("model", {}))}),
+            train=TrainConfig(**_checked(TrainConfig, "train", d.get("train", {}))),
+            features=ds.FeatureSchema(**{**feats, "env_features": tuple(
+                feats.get("env_features", ds.ENV_FEATURES))}))
+
+
+# JSON types a field annotation names; any other name is a config section
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "tuple": (list, tuple), "None": type(None)}
+
+
+def _admits(annotation: str, value) -> bool:
+    """Whether a JSON value fits a field annotation such as "int | None" or
+    "tuple[float, ...]" (element by element); a bool is no number."""
+    for option in annotation.split("|"):
+        name, _, inner = option.strip().partition("[")
+        if isinstance(value, bool) and name != "bool":
+            continue
+        if isinstance(value, _JSON_TYPES.get(name, dict)) and (
+                not inner or all(_admits(inner.split(",")[0].rstrip("]"), v)
+                                 for v in value)):
+            return True
+    return False
+
+
+def _checked(cls, section: str, values) -> dict:
+    """values, once every key is a field of cls and every value fits its
+    field's annotation."""
+    if not isinstance(values, dict):
+        raise RunConfigError(f"{section} must be an object, got {values!r}")
+    annotations = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        if key not in annotations:
+            raise RunConfigError(f"unknown {section} key {key!r}")
+        if not _admits(annotations[key], value):
+            raise RunConfigError(f"{section}.{key} must be {annotations[key]}, "
+                                 f"got {value!r}")
+    return values
 
 
 def effective_graph_config(config: RunConfig) -> sg.GraphConfig:
@@ -132,28 +168,38 @@ def load_dataset(config: RunConfig) -> list[ds.RawRecord]:
 
 @dataclass
 class PreparedData:
-    records: list[ds.RawRecord]
     stats: ds.PreprocessStats
     history_nodes: list[ds.ProcessedNode]   # init + train, ids 0..n_hist-1
     test_records: list[ds.RawRecord]
     init_count: int
 
 
-def prepare_data(config: RunConfig, records=None) -> PreparedData:
+def _prepare(config: RunConfig, records, history, test_records, init_count: int,
+             stats: ds.PreprocessStats | None = None) -> PreparedData:
+    """Preprocess the time-sorted history under stats, by default fitted on it
+    with a time range over every record so test timestamps stay in [0, 1]."""
+    if stats is None:
+        times = [r.collect_time for r in records]
+        stats = ds.fit_standardizer(history, time_range=(min(times), max(times)))
+    return PreparedData(stats=stats,
+                        history_nodes=ds.preprocess_records(history, stats,
+                                                            config.features),
+                        test_records=test_records, init_count=init_count)
+
+
+def prepare_data(config: RunConfig, records=None,
+                 stats: ds.PreprocessStats | None = None) -> PreparedData:
     """Split records in time order and preprocess the historical part.
 
-    Standardization statistics come from the historical (init + train) rows;
-    the time range spans the whole segment so test timestamps stay in [0, 1].
+    Standardization statistics come from the historical (init + train) rows
+    unless given (a checkpoint's, so new data is read as the model was
+    trained); the time range spans the whole segment.
     """
     if records is None:
         records = load_dataset(config)
     init_recs, train_recs, test_recs = ds.split_segment(records, config.split)
-    history = init_recs + train_recs
-    times = [r.collect_time for r in records]
-    stats = ds.fit_standardizer(history, time_range=(min(times), max(times)))
-    history_nodes = ds.preprocess_records(history, stats, config.features)
-    return PreparedData(records=records, stats=stats, history_nodes=history_nodes,
-                        test_records=test_recs, init_count=len(init_recs))
+    return _prepare(config, records, init_recs + train_recs, test_recs,
+                    len(init_recs), stats)
 
 
 @dataclass
@@ -186,22 +232,32 @@ def _train_model(config: RunConfig, data: PreparedData, log=None):
                                                  "train": t_train}
 
 
-def evaluate_test(config: RunConfig, data: PreparedData, graph, graph_cfg,
-                  params, strategy: str | None = None) -> ev.EvalReport:
-    """Predict the held-out records under the configured strategy and score."""
-    strategy = strategy or config.strategy
+def _forecast(config: RunConfig, data: PreparedData, graph, graph_cfg, params,
+              strategy: str, allow_past: bool = False):
+    """(observed, predicted) values of the test records, forecast in order.
+
+    Each query carries its record's own coordinates, so test locations need
+    no historical observation (spatial generalization splits have none).
+    """
     ctx = InferenceContext(params=params, model_config=config.model,
                            graph_config=graph_cfg, stats=data.stats,
                            schema=config.features)
     queries = [Query(r.location_id, r.collect_time,
                      coords=(r.longitude_gcj, r.latitude_gcj))
                for r in data.test_records]
-    y_true = np.array([r.detect_info for r in data.test_records])
     yhat = tr.predict_sequence(ctx, graph, data.history_nodes, queries, strategy,
-                               observed=data.test_records)
+                               observed=data.test_records, allow_past=allow_past)
+    return np.array([r.detect_info for r in data.test_records]), yhat
+
+
+def evaluate_test(config: RunConfig, data: PreparedData, graph, graph_cfg,
+                  params, strategy: str | None = None) -> ev.EvalReport:
+    """Predict the held-out records under the configured strategy and score."""
+    strategy = strategy or config.strategy
+    y_true, yhat = _forecast(config, data, graph, graph_cfg, params, strategy)
     return ev.build_report(y_true, yhat,
                            {"kind": "temporal", "strategy": strategy,
-                            "n_test": len(queries)})
+                            "n_test": len(y_true)})
 
 
 def run_experiment(config: RunConfig, log=None, records=None) -> RunResult:
@@ -244,17 +300,6 @@ class MatrixRow:
     wall_s: float
 
 
-def _matrix_cell(axis: str, cell: str, config: RunConfig, records) -> MatrixRow:
-    t0 = time.perf_counter()
-    result = run_experiment(config, records=records)
-    return MatrixRow(axis=axis, cell=cell,
-                     train_mae=result.checkpoint.final_train_mae,
-                     test_mae=result.test_report.mae,
-                     test_mse=result.test_report.mse,
-                     test_rmse=result.test_report.rmse,
-                     wall_s=time.perf_counter() - t0)
-
-
 def run_matrix(config: RunConfig, axes, log=None,
                gen_intervals=None) -> list[MatrixRow]:
     """One row per cell over the requested experiment axes, seeds held fixed."""
@@ -263,45 +308,39 @@ def run_matrix(config: RunConfig, axes, log=None,
     if unknown:
         raise RunConfigError(f"unknown matrix axes {unknown}; choose from {MATRIX_AXES}")
     records = load_dataset(config)
-    rows: list[MatrixRow] = []
-
-    def note(row):
-        rows.append(row)
-        if log:
-            log(f"{row.axis}/{row.cell}: test mae {row.test_mae:.4f}")
-
+    n = len(records)
+    intervals = gen_intervals if gen_intervals is not None else (0, n // 20, n // 10)
+    model_sweeps = {"variant": ("{}", VARIANTS), "heads": ("H={}", HEADS_SWEEP),
+                    "layers": ("L={}", LAYERS_SWEEP)}
+    cells = []  # (axis, cell, run config, (generalization axis, gap) or None)
     for axis in axes:
-        if axis == "variant":
-            for variant in VARIANTS:
-                cell_cfg = replace(config, model=replace(config.model, variant=variant))
-                note(_matrix_cell(axis, variant, cell_cfg, records))
-        elif axis == "heads":
-            for h in HEADS_SWEEP:
-                cell_cfg = replace(config, model=replace(config.model, heads=h))
-                note(_matrix_cell(axis, f"H={h}", cell_cfg, records))
-        elif axis == "layers":
-            for layers in LAYERS_SWEEP:
-                cell_cfg = replace(config, model=replace(config.model, layers=layers))
-                note(_matrix_cell(axis, f"L={layers}", cell_cfg, records))
+        if axis in model_sweeps:
+            label, values = model_sweeps[axis]
+            cells += [(axis, label.format(v),
+                       replace(config, model=replace(config.model, **{axis: v})), None)
+                      for v in values]
         elif axis == "env_mask":
-            for feature in config.features.env_features:
-                cell_cfg = replace(config,
-                                   features=config.features.without_env(feature))
-                note(_matrix_cell(axis, f"mask:{feature}", cell_cfg, records))
-        elif axis == "generalization":
-            n = len(records)
-            k = int(0.7 * n)
-            intervals = gen_intervals if gen_intervals is not None \
-                else (0, n // 20, n // 10)
-            for ax in ("time", "longitude", "latitude"):
-                for s in intervals:
-                    t0 = time.perf_counter()
-                    report = run_generalization(config, ax, k, s, records=records)
-                    note(MatrixRow(axis="generalization", cell=f"{ax}:s={s}",
-                                   train_mae=report.train_mae,
-                                   test_mae=report.mae, test_mse=report.mse,
-                                   test_rmse=report.rmse,
-                                   wall_s=time.perf_counter() - t0))
+            cells += [(axis, f"mask:{f}",
+                       replace(config, features=config.features.without_env(f)), None)
+                      for f in config.features.env_features]
+        else:
+            cells += [(axis, f"{ax}:s={s}", config, (ax, s))
+                      for ax in ("time", "longitude", "latitude") for s in intervals]
+
+    rows: list[MatrixRow] = []
+    for axis, cell, cell_cfg, split in cells:
+        t0 = time.perf_counter()
+        if split is None:
+            result = run_experiment(cell_cfg, records=records)
+            train_mae, report = result.checkpoint.final_train_mae, result.test_report
+        else:
+            report = run_generalization(cell_cfg, split[0], int(0.7 * n), split[1],
+                                        records=records)
+            train_mae = report.train_mae
+        rows.append(MatrixRow(axis, cell, train_mae, report.mae, report.mse,
+                              report.rmse, time.perf_counter() - t0))
+        if log:
+            log(f"{axis}/{cell}: test mae {report.mae:.4f}")
     return rows
 
 
@@ -315,32 +354,15 @@ def run_generalization(config: RunConfig, axis: str, k: int, s: int,
     historical time span, so parents are restricted to no-later train nodes."""
     if records is None:
         records = load_dataset(config)
-    all_stats = ds.fit_standardizer(records)  # axis split: fit range over all
-    probe_nodes = ds.preprocess_records(records, all_stats, config.features)
-    train_ids, test_ids = ev.generalization_split(probe_nodes, axis, k, s)
-
-    train_records = sorted((records[i] for i in train_ids),
-                           key=lambda r: (r.collect_time, r.location_id))
-    test_records = sorted((records[i] for i in test_ids),
-                          key=lambda r: (r.collect_time, r.location_id))
-    times = [r.collect_time for r in records]
-    stats = ds.fit_standardizer(train_records, time_range=(min(times), max(times)))
-    history_nodes = ds.preprocess_records(train_records, stats, config.features)
-    data = PreparedData(records=records, stats=stats, history_nodes=history_nodes,
-                        test_records=test_records,
-                        init_count=max(1, int(len(history_nodes) * config.split[0])))
+    train_ids, test_ids = ev.generalization_split(records, axis, k, s)
+    by_time = attrgetter("collect_time", "location_id")
+    history = sorted((records[i] for i in train_ids), key=by_time)
+    data = _prepare(config, records, history,
+                    sorted((records[i] for i in test_ids), key=by_time),
+                    init_count=max(1, int(len(history) * config.split[0])))
     graph, graph_cfg, _, result, _ = _train_model(config, data, log=log)
-
-    ctx = InferenceContext(params=result.params, model_config=config.model,
-                           graph_config=graph_cfg, stats=stats,
-                           schema=config.features)
-    # spatial splits put test locations outside the training set, so each
-    # query carries the record's own coordinates
-    queries = [Query(r.location_id, r.collect_time,
-                     coords=(r.longitude_gcj, r.latitude_gcj))
-               for r in test_records]
-    yhat = tr.predict_sequence(ctx, graph, history_nodes, queries, allow_past=True)
-    y_true = np.array([r.detect_info for r in test_records])
+    y_true, yhat = _forecast(config, data, graph, graph_cfg, result.params,
+                             "ignore", allow_past=True)
     return ev.build_report(y_true, yhat,
                            {"kind": "generalization", "axis": axis, "k": k, "s": s},
                            train_mae=result.final_train_mae)

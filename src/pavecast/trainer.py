@@ -35,9 +35,8 @@ import numpy as np
 
 from . import ndgrad as ng
 from .dataset import FeatureSchema, PreprocessStats, ProcessedNode, RawRecord, apply_preprocess
-from .model import (GraphTensors, ModelConfig, attention_sum_deviation,
-                    first_nonfinite_primitive, forward_values, init_params,
-                    loss_and_grads, prepare_tensors)
+from .model import (ModelConfig, attention_sum_deviation, first_nonfinite_primitive,
+                    forward_values, init_params, loss_and_grads, prepare_tensors)
 from .stgraph import (GraphConfig, STGraph, combined_parents, expand,
                       graph_nodes_from_processed)
 
@@ -93,11 +92,18 @@ class TrainResult:
     attention_max_dev: float | None
 
 
-def train(gt: GraphTensors, model_config: ModelConfig, train_config: TrainConfig,
-          loss_ids: np.ndarray, dim_full: int, dim_st: int,
-          log=None) -> TrainResult:
-    """Full-batch Adam on the MAE loss over the given node ids."""
-    params = init_params(model_config, dim_full, dim_st, train_config.seed)
+def train_on_graph(graph: STGraph, nodes: list[ProcessedNode],
+                   model_config: ModelConfig, train_config: TrainConfig,
+                   graph_config: GraphConfig, log=None) -> TrainResult:
+    """Full-batch Adam on the MAE loss over an init+train graph.
+
+    The loss covers exactly the non-initialization nodes; test nodes must
+    not be in the graph at all.
+    """
+    gt = prepare_tensors(graph, nodes, l_res_m=graph_config.l_res_m)
+    loss_ids = np.arange(graph.init_count, graph.n)
+    params = init_params(model_config, gt.x_full.shape[1], gt.x_st.shape[1],
+                         train_config.seed)
     adam = ng.adam_init(params, lr=train_config.lr)
     trace: list[float] = []
     max_dev = 0.0 if train_config.track_attention else None
@@ -122,21 +128,6 @@ def train(gt: GraphTensors, model_config: ModelConfig, train_config: TrainConfig
     final_mae = float(np.mean(np.abs(yhat[loss_ids] - gt.y[loss_ids])))
     return TrainResult(params=params, adam=adam, loss_trace=trace,
                        final_train_mae=final_mae, attention_max_dev=max_dev)
-
-
-def train_on_graph(graph: STGraph, nodes: list[ProcessedNode],
-                   model_config: ModelConfig, train_config: TrainConfig,
-                   graph_config: GraphConfig, log=None) -> TrainResult:
-    """Prepare tensors for an init+train graph and run the training loop.
-
-    The loss covers exactly the non-initialization nodes; test nodes must
-    not be in the graph at all.
-    """
-    gt = prepare_tensors(graph, nodes, l_res_m=graph_config.l_res_m)
-    loss_ids = np.arange(graph.init_count, graph.n)
-    dim_full = gt.x_full.shape[1]
-    dim_st = gt.x_st.shape[1]
-    return train(gt, model_config, train_config, loss_ids, dim_full, dim_st, log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +307,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "graph_config": asdict(ckpt.graph_config),
         "train_config": asdict(ckpt.train_config),
         "stats": ckpt.stats.to_dict(),
-        "feature_schema": {"env_features": list(ckpt.schema.env_features),
-                           "include_type_onehot": ckpt.schema.include_type_onehot,
-                           "include_conf": ckpt.schema.include_conf},
+        "feature_schema": asdict(ckpt.schema),
         "adam": {"lr": ckpt.adam.lr, "beta1": ckpt.adam.beta1,
                  "beta2": ckpt.adam.beta2, "eps": ckpt.adam.eps, "t": ckpt.adam.t},
         "loss_trace": ckpt.loss_trace,
@@ -381,9 +370,7 @@ def load_checkpoint(path) -> Checkpoint:
         graph_config=GraphConfig(**manifest["graph_config"]),
         train_config=TrainConfig(**manifest["train_config"]),
         stats=PreprocessStats.from_dict(manifest["stats"]),
-        schema=FeatureSchema(env_features=tuple(fs["env_features"]),
-                             include_type_onehot=fs["include_type_onehot"],
-                             include_conf=fs["include_conf"]),
+        schema=FeatureSchema(**{**fs, "env_features": tuple(fs["env_features"])}),
         params=params, adam=adam,
         loss_trace=list(manifest["loss_trace"]),
         final_train_mae=manifest["final_train_mae"],

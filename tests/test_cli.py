@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,6 +167,37 @@ def test_evaluate_rerun_identical_reports(tmp_path, trained):
         (out2 / "report_test.json").read_bytes()
 
 
+@pytest.fixture
+def training_csv(tmp_path, tiny_config_file):
+    out = tmp_path / "data"
+    assert run_cli("gen-data", "--config", tiny_config_file, "--out", str(out)) == 0
+    return out / "data.csv"
+
+
+def _test_report(tmp_path, trained, name, *extra):
+    out = tmp_path / name
+    assert run_cli("evaluate", "--checkpoint", str(trained), *extra,
+                   "--out", str(out)) == 0
+    return (out / "report_test.json").read_bytes()
+
+
+def test_evaluate_data_training_csv_equals_plain_evaluate(tmp_path, trained,
+                                                          training_csv):
+    assert _test_report(tmp_path, trained, "csv", "--data", str(training_csv)) == \
+        _test_report(tmp_path, trained, "plain")
+
+
+def test_evaluate_data_reads_features_with_checkpoint_stats(tmp_path, trained,
+                                                            training_csv):
+    # refitted stats would standardize the doubled readings back to the
+    # same features; the checkpoint's do not
+    doubled = tmp_path / "doubled.csv"
+    ds.write_records(doubled, [replace(r, pressure=2.0 * r.pressure)
+                               for r in ds.load_records(training_csv).records])
+    assert _test_report(tmp_path, trained, "doubled", "--data", str(doubled)) != \
+        _test_report(tmp_path, trained, "plain")
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -223,6 +255,11 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "graph.top_k=-1",                        # ConstructionError
     "train.lr=-1",                           # TrainConfigError
     "strategy=bogus",                        # RunConfigError
+    "graph.bogus=1",                         # RunConfigError
+    'model.heads="x"',                       # RunConfigError
+    "split=[0.5,0.5]",                       # SplitError
+    "split=[0.1,0.9,0.0]",                   # SplitError
+    'split=["a","b","c"]',                   # RunConfigError
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsys,
                                                override):

@@ -99,7 +99,7 @@ def test_fit_standardizer_constant_feature_flagged():
     recs = [make_record(t=float(i), wind=4.5) for i in range(5)]
     stats = ds.fit_standardizer(recs)
     assert stats.stds["wind"] == 0.0
-    assert "wind" in stats.degenerate_features
+    assert stats.standardize("wind", 4.5) == stats.standardize("wind", 9.0) == 0.0
 
 
 def test_fit_standardizer_single_record():
@@ -226,6 +226,10 @@ def test_split_too_small_or_bad_fractions():
         ds.split_segment([1, 2])
     with pytest.raises(ds.SplitError):
         ds.split_segment(list(range(10)), (0.5, 0.5, 0.5))
+    with pytest.raises(ds.SplitError, match="three parts"):
+        ds.split_segment(list(range(10)), (0.5, 0.5))
+    with pytest.raises(ds.SplitError, match="empty"):
+        ds.split_segment(list(range(10)), (0.1, 0.9, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -174,30 +174,30 @@ def test_report_rmse_consistency():
 # generalization split
 
 
-class FakeNode:
-    def __init__(self, node_id, t, lon, lat):
-        self.node_id = node_id
-        self.t_raw = t
-        self.coords = (lon, lat)
+class FakeRecord:
+    def __init__(self, t, lon, lat):
+        self.collect_time = t
+        self.longitude_gcj = lon
+        self.latitude_gcj = lat
 
 
-def fake_nodes(n, rng):
-    return [FakeNode(i, float(rng.uniform(0, 100)), float(rng.uniform(0, 1)),
-                     float(rng.uniform(0, 1))) for i in range(n)]
+def fake_records(n, rng):
+    return [FakeRecord(float(rng.uniform(0, 100)), float(rng.uniform(0, 1)),
+                       float(rng.uniform(0, 1))) for _ in range(n)]
 
 
 def test_split_no_gap():
     rng = np.random.default_rng(0)
-    nodes = fake_nodes(10, rng)
-    train, test = ev.generalization_split(nodes, "time", 4, 0)
+    records = fake_records(10, rng)
+    train, test = ev.generalization_split(records, "time", 4, 0)
     assert len(train) == 4 and len(test) == 6
     assert not set(train) & set(test)
 
 
 def test_split_sizes_with_gap():
     rng = np.random.default_rng(1)
-    nodes = fake_nodes(10, rng)
-    train, test = ev.generalization_split(nodes, "time", 4, 2)
+    records = fake_records(10, rng)
+    train, test = ev.generalization_split(records, "time", 4, 2)
     assert len(train) == 4 and len(test) == 4
     removed = set(range(10)) - set(train) - set(test)
     assert len(removed) == 2
@@ -205,22 +205,22 @@ def test_split_sizes_with_gap():
 
 def test_split_longitude_matches_sort_oracle():
     rng = np.random.default_rng(2)
-    nodes = fake_nodes(15, rng)
-    train, test = ev.generalization_split(nodes, "longitude", 6, 3)
-    order = sorted(nodes, key=lambda p: (p.coords[0], p.node_id))
-    assert train == [p.node_id for p in order[:6]]
-    assert test == [p.node_id for p in order[9:]]
+    records = fake_records(15, rng)
+    train, test = ev.generalization_split(records, "longitude", 6, 3)
+    order = sorted(range(15), key=lambda i: (records[i].longitude_gcj, i))
+    assert train == order[:6]
+    assert test == order[9:]
+
+
+def test_split_ties_go_to_the_lower_index():
+    records = [FakeRecord(t, 0.0, 0.0) for t in (5.0, 1.0, 5.0, 1.0, 3.0)]
+    train, test = ev.generalization_split(records, "time", 2, 1)
+    assert (train, test) == ([1, 3], [0, 2])
 
 
 def test_split_rejects_consuming_everything():
     rng = np.random.default_rng(3)
     with pytest.raises(ev.SplitError):
-        ev.generalization_split(fake_nodes(5, rng), "time", 3, 2)
+        ev.generalization_split(fake_records(5, rng), "time", 3, 2)
     with pytest.raises(ev.SplitError):
-        ev.generalization_split(fake_nodes(5, rng), "altitude", 1, 1)
-
-
-def test_noise_band():
-    assert ev.reseed_noise_band([0.5, 0.52, 0.49]) == pytest.approx(0.03)
-    with pytest.raises(ev.MetricError):
-        ev.reseed_noise_band([])
+        ev.generalization_split(fake_records(5, rng), "altitude", 1, 1)

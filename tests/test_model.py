@@ -204,13 +204,12 @@ def test_node_relabeling_equivariance():
 
 def test_heads_with_identical_weights_tile_the_aggregate():
     inst = small_instance(9)
-    params = md.copy_params(inst["params"])
-    params["attn_l1_h1_w"] = params["attn_l1_h0_w"].copy()
-    inter = {}
+    params = {**inst["params"], "attn_l1_h1_w": inst["params"]["attn_l1_h0_w"]}
     tape = ng.Tape()
     pn = md.make_param_nodes(tape, params)
-    out = md.forward_nodes(tape, inst["gt"], pn, inst["config"], intermediates=inter)
-    agg = inter["pre_head"]
+    md.forward_nodes(tape, inst["gt"], pn, inst["config"])
+    # the head reads the heads' aggregates, concatenated
+    (agg,) = [node.value for node in tape.nodes if node.kind == "concat_cols"]
     h = inst["config"].hidden
     assert np.array_equal(agg[:, :h], agg[:, h:])
 

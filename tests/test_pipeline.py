@@ -59,6 +59,12 @@ def test_generalization_axes():
         assert np.isfinite(report.mae)
 
 
+def test_generalization_rerun_is_deterministic():
+    cfg = tiny_run_config(epochs=6)
+    first = run_generalization(cfg, "longitude", k=90, s=10)
+    assert run_generalization(cfg, "longitude", k=90, s=10).to_dict() == first.to_dict()
+
+
 def test_matrix_variant_axis_has_eight_rows():
     rows = run_matrix(tiny_run_config(epochs=4), ["variant"])
     assert [r.cell for r in rows] == list(

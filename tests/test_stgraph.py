@@ -146,6 +146,9 @@ def test_distance_hand_value():
     assert d == pytest.approx(equirect_m((121.0, 31.0), (121.01, 31.0)), rel=1e-15)
 
 
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in subtract:RuntimeWarning",
+    "ignore:invalid value encountered in cos:RuntimeWarning")
 def test_distance_nonfinite():
     node = sg.GraphNode(1, float("nan"), 31.0, 1.0, 0.1, False)
     cand = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)
