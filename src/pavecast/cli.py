@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="CSV dataset path (defaults to the checkpoint's)")
-    p.add_argument("--time-format", default="days", choices=["days", "iso8601"])
+    p.add_argument("--time-format", default="days", choices=ds.TIME_FORMATS)
     p.add_argument("--split", default="test", choices=["train", "test"])
     p.add_argument("--strategy", default="ignore")
     p.add_argument("--out", required=True)

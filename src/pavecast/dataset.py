@@ -51,6 +51,7 @@ CSV_COLUMNS = ("location_id", "longitude_gcj", "latitude_gcj", "collect_time",
                "visibility", "precipitation", "cloud",
                "detect_info", "detect_conf", "distress_type")  # RawRecord's fields, in order
 _INT_COLUMNS = ("location_id", "distress_type")  # the rest are floats
+TIME_FORMATS = ("days", "iso8601")
 
 
 @dataclass
@@ -87,20 +88,22 @@ class RawRecord:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column names and timestamp convention for record files."""
+    """Timestamp convention for record files (columns are CSV_COLUMNS)."""
 
-    columns: tuple[str, ...] = CSV_COLUMNS
     time_format: str = "days"  # "days" (fractional days since epoch) or "iso8601"
+
+    def __post_init__(self):
+        if self.time_format not in TIME_FORMATS:
+            raise SchemaError(f"unknown time_format {self.time_format!r}, "
+                              f"expected one of {', '.join(TIME_FORMATS)}")
 
     def parse_time(self, text: str) -> float:
         if self.time_format == "days":
             return float(text)
-        if self.time_format == "iso8601":
-            stamp = _dt.datetime.fromisoformat(text)
-            if stamp.tzinfo is None:
-                stamp = stamp.replace(tzinfo=_dt.timezone.utc)
-            return stamp.timestamp() / 86400.0
-        raise SchemaError(f"unknown time_format {self.time_format!r}")
+        stamp = _dt.datetime.fromisoformat(text)
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=_dt.timezone.utc)
+        return stamp.timestamp() / 86400.0
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ def load_records(path, schema: CsvSchema = CsvSchema()) -> LoadReport:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        missing = [c for c in schema.columns if c not in header]
+        missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"missing columns {missing} in {path}")
         parsers = [(c, int if c in _INT_COLUMNS else

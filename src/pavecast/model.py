@@ -270,40 +270,34 @@ def _mlp(tape, x, pnodes, prefix, n_layers, slope_final=True):
 
 
 def _attention_coefficients(tape, gt, pnodes, config, layer, rep, src_edges, probes):
-    """Per-head normalized coefficients for one layer's edge set.
+    """Normalized coefficients for one layer's edge set, one column per head.
 
-    The head weight spans [self-slot || source-slot (|| time-slot)]; scoring
-    projects each slot separately and sums, which equals the concatenated
-    dot product without materializing per-edge concatenations. The self slot
-    reads the node-level representations rep, and so does the source slot
-    unless the variant scores the already gathered per-edge matrix src_edges.
+    The heads' weights, each spanning [self-slot || source-slot (|| time-slot)],
+    are the columns of one matrix; scoring projects each slot separately and
+    sums, which equals the concatenated dot product without materializing
+    per-edge concatenations. The self slot reads the node-level
+    representations rep, and so does the source slot unless the variant
+    scores the already gathered per-edge matrix src_edges.
     """
     h = rep.value.shape[1]
-    use_time = config.variant in ("stgan", "stgan_no_top")
-    t_col = tape.constant(gt.dt_norm.reshape(-1, 1)) if use_time else None
-    decay = None
+    w = ng.concat_cols([pnodes[f"attn_l{layer}_h{k}_w"] for k in range(config.heads)])
+    s = ng.gather_rows(ng.matmul(rep, ng.slice_rows(w, 0, h)), gt.dst)
+    if src_edges is not None:
+        s = ng.add(s, ng.matmul(src_edges, ng.slice_rows(w, h, 2 * h)))
+    else:
+        s = ng.add(s, ng.gather_rows(ng.matmul(rep, ng.slice_rows(w, h, 2 * h)), gt.src))
+    if config.variant in ("stgan", "stgan_no_top"):
+        t_col = tape.constant(gt.dt_norm.reshape(-1, 1))
+        s = ng.add(s, ng.matmul(t_col, ng.slice_rows(w, 2 * h, 2 * h + 1)))
+    s = ng.leaky_relu(s, alpha=config.leaky_slope)
     if config.variant == "stgan_eam":
         g = config.eam_gamma
-        decay = (np.exp(-g * gt.dist_norm) * np.exp(-g * gt.dt_norm)).reshape(-1, 1)
-    coefs = []
-    for k in range(config.heads):
-        w = pnodes[f"attn_l{layer}_h{k}_w"]
-        s = ng.gather_rows(ng.matmul(rep, ng.slice_rows(w, 0, h)), gt.dst)
-        if src_edges is not None:
-            s = ng.add(s, ng.matmul(src_edges, ng.slice_rows(w, h, 2 * h)))
-        else:
-            s = ng.add(s, ng.gather_rows(
-                ng.matmul(rep, ng.slice_rows(w, h, 2 * h)), gt.src))
-        if use_time:
-            s = ng.add(s, ng.matmul(t_col, ng.slice_rows(w, 2 * h, 2 * h + 1)))
-        s = ng.leaky_relu(s, alpha=config.leaky_slope)
-        if decay is not None:
-            s = ng.mul_array(s, decay)
-        coef = ng.segment_softmax(s, gt.dst, gt.n)
-        if probes is not None:
-            probes.append(CoefficientProbe(layer, k, coef.value[:, 0].copy(),
-                                           gt.dst, gt.n))
-        coefs.append(coef)
+        decay = np.exp(-g * gt.dist_norm) * np.exp(-g * gt.dt_norm)
+        s = ng.mul_array(s, np.repeat(decay[:, None], config.heads, axis=1))
+    coefs = ng.segment_softmax(s, gt.dst, gt.n)
+    if probes is not None:
+        probes.extend(CoefficientProbe(layer, k, coefs.value[:, k].copy(), gt.dst, gt.n)
+                      for k in range(config.heads))
     return coefs
 
 
@@ -321,7 +315,8 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
     z = _mlp(tape, x, pnodes, "ext_full", depth)
     z_st = _mlp(tape, x_st, pnodes, "ext_st", depth)
     attention = config.variant in ATTENTION_VARIANTS
-    gcn_w = None if attention else tape.constant(gt.gcn_w.reshape(-1, 1))
+    # (m, H) edge weights: the heads' coefficients, or the one fixed GCN column
+    coefs = None if attention else tape.constant(gt.gcn_w.reshape(-1, 1))
     edge_scored = config.variant in ("gat", "stgan_eam")  # scores what a parent sends
 
     for layer in range(1, config.layers + 1):
@@ -334,18 +329,14 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
             rep = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes[f"conv_l{layer - 1}_w"]),
                                        pnodes[f"conv_l{layer - 1}_b"]))
             gathered = ng.gather_rows(rep, gt.src)
-        if not attention:
-            agg = ng.weighted_segment_sum(gathered, gcn_w, gt.dst, gt.n)
-            continue
-        if layer == 1 or not config.reuse_attention:
+        if attention and (layer == 1 or not config.reuse_attention):
             src_edges = gathered if layer == 1 and edge_scored else None
             coefs = _attention_coefficients(tape, gt, pnodes, config, layer, rep,
                                             src_edges, probes)
-        elif probes is not None:
+        elif attention and probes is not None:
             probes.extend(CoefficientProbe(layer, p.head, p.values, p.seg_ids, p.n)
                           for p in probes[:config.heads])
-        agg = ng.concat_cols([ng.weighted_segment_sum(gathered, c, gt.dst, gt.n)
-                              for c in coefs])
+        agg = ng.weighted_segment_sum(gathered, coefs, gt.dst, gt.n)
 
     if config.variant == "gcn":
         return ng.add_rowvec(ng.matmul(agg, pnodes["head0_w"]), pnodes["head0_b"])

@@ -4,7 +4,8 @@ Values are computed eagerly; a tape records every primitive application in
 insertion order, so the reverse sweep is a single walk backwards over the
 tape. Only the primitives the forecasting models need are provided: matmul,
 a handful of elementwise ops, column concatenation, row gather/scatter, and
-a per-segment softmax for edge-attention normalization.
+per-segment softmax and weighted sums for edge attention, which take one
+column per attention head. Segments must be sorted, in range and non-empty.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class ShapeError(ValueError):
 
 
 class SegmentError(ValueError):
-    """A segment id in 0..num_segments-1 has no members."""
+    """Segment ids are unsorted or out of range, or a segment has no members."""
 
 
 class GraphContractError(ValueError):
@@ -290,74 +291,70 @@ def gather_rows_mixed(a: Node, b: Node, idx, use_b) -> Node:
     return out
 
 
-def _segment_offsets(seg_ids: np.ndarray, num_segments: int) -> np.ndarray | None:
-    """Start offsets for reduceat when seg_ids is sorted with no gaps, else None."""
-    if len(seg_ids) == 0 or seg_ids[0] != 0 or seg_ids[-1] != num_segments - 1:
-        return None
-    steps = np.diff(seg_ids)
-    if np.any(steps < 0) or np.any(steps > 1):
-        return None
-    return np.searchsorted(seg_ids, np.arange(num_segments))
+def _segment_starts(seg_ids, num_segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """seg_ids as an index array, and the offset where each segment starts.
+
+    Segments must be sorted, in range and non-empty (the graph edge layout),
+    so every per-segment reduction is one contiguous reduceat.
+    """
+    seg_ids = np.asarray(seg_ids, dtype=np.intp)
+    starts = np.flatnonzero(np.diff(seg_ids, prepend=seg_ids[:1] - 1))
+    if not np.array_equal(seg_ids[starts], np.arange(num_segments)):
+        raise SegmentError(f"segment ids are not 0..{num_segments - 1} in sorted "
+                           "order, each at least once")
+    return seg_ids, starts
 
 
 def weighted_segment_sum(values: Node, weights: Node, seg_ids, num_segments: int) -> Node:
-    """out[s] = sum over entries k with seg_ids[k] == s of weights[k] * values[k].
+    """Per segment s and weight column k, the sum over entries e of segment s
+    of weights[e, k] * values[e].
 
-    values is (m, h), weights is (m, 1); the fused form avoids materializing
-    the m x h weighted intermediate on the tape. Sorted gap-free segments
-    (the graph edge layout) take a contiguous-reduction fast path.
+    values is (m, h) and weights (m, H); the result is (n, H*h) with column
+    k's sums in columns k*h:(k+1)*h, so one call aggregates every attention
+    head. The weighted intermediate never reaches the tape.
     """
-    if weights.value.shape != (values.value.shape[0], 1):
+    m, h = values.value.shape
+    if weights.value.shape[0] != m:
         raise ShapeError(
-            f"weighted_segment_sum: weights shape {weights.value.shape} "
-            f"does not match ({values.value.shape[0]}, 1)")
-    seg_ids = np.asarray(seg_ids, dtype=np.intp)
-    weighted = weights.value * values.value
-    offsets = _segment_offsets(seg_ids, num_segments)
-    if offsets is not None:
-        acc = np.add.reduceat(weighted, offsets, axis=0)
-    else:
-        acc = np.zeros((num_segments, values.value.shape[1]))
-        np.add.at(acc, seg_ids, weighted)
-    out = Node(values.tape, "weighted_segment_sum", acc, (values, weights))
+            f"weighted_segment_sum: {weights.value.shape[0]} weight rows for {m} values")
+    seg_ids, starts = _segment_starts(seg_ids, num_segments)
+    w = weights.value
+    heads = w.shape[1]
+    # one head at a time keeps the temporary at h x m, and its (h, m) layout
+    # lets every segment sum run over contiguous memory
+    v_t = np.ascontiguousarray(values.value.T)
+    weighted = np.empty_like(v_t)
+    acc = np.empty((heads * h, num_segments))
+    for k in range(heads):
+        np.multiply(v_t, w[:, k], out=weighted)
+        np.add.reduceat(weighted, starts, axis=1, out=acc[k * h:(k + 1) * h])
+    out = Node(values.tape, "weighted_segment_sum", acc.T, (values, weights))
 
     def backward(g):
-        g_rows = g[seg_ids]
-        values.accumulate(g_rows * weights.value)
-        weights.accumulate((g_rows * values.value).sum(axis=1, keepdims=True))
+        g_rows = g[seg_ids].reshape(m, heads, h)
+        values.accumulate(np.einsum("mkh,mk->mh", g_rows, w))
+        weights.accumulate(np.einsum("mkh,mh->mk", g_rows, values.value))
 
     out._backward = backward
     return out
 
 
 def segment_softmax(scores: Node, seg_ids, num_segments: int) -> Node:
-    """Softmax within each segment of a (m, 1) score column.
+    """Softmax of each column of an (m, H) score matrix within each segment.
 
-    Max-subtraction inside each segment keeps exp in range; the result is
-    unchanged by adding any constant to a whole segment.
+    Segments must be sorted, in range and non-empty. Max-subtraction inside
+    each segment keeps exp in range; the result is unchanged by adding any
+    constant to a whole segment of a column.
     """
-    if scores.value.shape[1] != 1:
-        raise ShapeError(f"segment_softmax: scores must be (m, 1), got {scores.value.shape}")
-    seg_ids = np.asarray(seg_ids, dtype=np.intp)
-    counts = np.bincount(seg_ids, minlength=num_segments)
-    if np.any(counts == 0):
-        empty = int(np.flatnonzero(counts == 0)[0])
-        raise SegmentError(f"segment {empty} has no members")
-
-    s = scores.value[:, 0]
-    seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, seg_ids, s)
-    e = np.exp(s - seg_max[seg_ids])
-    seg_sum = np.zeros(num_segments)
-    np.add.at(seg_sum, seg_ids, e)
-    p = (e / seg_sum[seg_ids]).reshape(-1, 1)
+    seg_ids, starts = _segment_starts(seg_ids, num_segments)
+    s = scores.value
+    e = np.exp(s - np.maximum.reduceat(s, starts, axis=0)[seg_ids])
+    p = e / np.add.reduceat(e, starts, axis=0)[seg_ids]
     out = Node(scores.tape, "segment_softmax", p, (scores,))
 
     def backward(g):
-        gp = g[:, 0] * p[:, 0]
-        seg_dot = np.zeros(num_segments)
-        np.add.at(seg_dot, seg_ids, gp)
-        scores.accumulate((gp - p[:, 0] * seg_dot[seg_ids]).reshape(-1, 1))
+        gp = g * p
+        scores.accumulate(gp - p * np.add.reduceat(gp, starts, axis=0)[seg_ids])
 
     out._backward = backward
     return out

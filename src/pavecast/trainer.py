@@ -162,6 +162,8 @@ def _location_coords(nodes: list[ProcessedNode], location_id: int) -> tuple[floa
 def query_node(ctx: InferenceContext, nodes: list[ProcessedNode], node_id: int,
                query: Query) -> ProcessedNode:
     """A feature-bearing node for a future query: spatial-temporal slots only."""
+    if not math.isfinite(query.t_raw):
+        raise QueryError(f"query time {query.t_raw} is not finite")
     lon, lat = query.coords or _location_coords(nodes, query.location_id)
     t_norm = ctx.stats.rescale_time(query.t_raw)
     x_full = np.zeros(ctx.schema.dim_full)

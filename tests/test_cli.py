@@ -181,6 +181,18 @@ def _test_report(tmp_path, trained, name, *extra):
     return (out / "report_test.json").read_bytes()
 
 
+def test_unknown_time_format_exits_2_before_reading(tmp_path, training_csv, capsys):
+    config = tmp_path / "unix.json"
+    doc = tiny_run_config().to_dict()
+    doc["dataset"] = {"csv": str(training_csv), "time_format": "unix"}
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("build-graph", "--config", str(config),
+                   "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "time_format" in err[0]
+
+
 def test_evaluate_data_training_csv_equals_plain_evaluate(tmp_path, trained,
                                                           training_csv):
     assert _test_report(tmp_path, trained, "csv", "--data", str(training_csv)) == \
@@ -216,6 +228,17 @@ def test_predict_single_query(tmp_path, trained, capsys):
 def test_predict_rejects_past_time(tmp_path, trained):
     assert run_cli("predict", "--checkpoint", str(trained),
                    "--location", "0", "--time", "1.0") == 2
+
+
+@pytest.mark.parametrize("when", ["nan", "inf"])
+def test_predict_non_finite_time_exits_2(trained, capsys, when):
+    config = tr.load_checkpoint(trained).run_config
+    records = ds.generate_synthetic(ds.SyntheticConfig(**config["dataset"]["synthetic"]))
+    capsys.readouterr()
+    assert run_cli("predict", "--checkpoint", str(trained),
+                   "--location", str(records[0].location_id), "--time", when) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

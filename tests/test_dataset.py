@@ -84,6 +84,11 @@ def test_load_iso8601_timestamps(tmp_path):
     assert report.records[0].collect_time == pytest.approx(2.0)
 
 
+def test_unknown_time_format_rejected_at_construction():
+    with pytest.raises(ds.SchemaError, match="unix"):
+        ds.CsvSchema(time_format="unix")
+
+
 # ---------------------------------------------------------------------------
 # standardizer
 

@@ -193,11 +193,14 @@ def test_node_relabeling_equivariance():
 
     perm = np.array([3, 0, 5, 1, 4, 2])  # new id of each old node
     inv = np.argsort(perm)
+    # segment ops need edges sorted by target; a stable sort keeps each
+    # target's self loop first
+    order = np.argsort(perm[gt.dst], kind="stable")
     permuted = md.GraphTensors(
         x_full=gt.x_full[inv], x_st=gt.x_st[inv], y=gt.y[inv],
-        src=perm[gt.src], dst=perm[gt.dst], is_self=gt.is_self,
-        dt_norm=gt.dt_norm, dist_norm=gt.dist_norm, gcn_w=gt.gcn_w,
-        top_pool=gt.top_pool[inv])
+        src=perm[gt.src][order], dst=perm[gt.dst][order], is_self=gt.is_self[order],
+        dt_norm=gt.dt_norm[order], dist_norm=gt.dist_norm[order],
+        gcn_w=gt.gcn_w[order], top_pool=gt.top_pool[inv])
     out = md.forward_values(permuted, params, cfg)
     assert np.allclose(out[perm], base, rtol=1e-12, atol=1e-12)
 
@@ -208,10 +211,22 @@ def test_heads_with_identical_weights_tile_the_aggregate():
     tape = ng.Tape()
     pn = md.make_param_nodes(tape, params)
     md.forward_nodes(tape, inst["gt"], pn, inst["config"])
-    # the head reads the heads' aggregates, concatenated
-    (agg,) = [node.value for node in tape.nodes if node.kind == "concat_cols"]
+    # the head reads the heads' aggregates, side by side
+    (agg,) = [node.value for node in tape.nodes if node.kind == "weighted_segment_sum"]
     h = inst["config"].hidden
     assert np.array_equal(agg[:, :h], agg[:, h:])
+
+
+def test_one_softmax_and_one_segment_sum_per_layer():
+    inst = small_instance(9)
+    cfg = md.ModelConfig(variant="stgan", layers=2, reuse_attention=False,
+                         **{**SMALL_DIMS, "heads": 5})
+    params = md.init_params(cfg, inst["schema"].dim_full, inst["schema"].dim_st, 9)
+    tape = ng.Tape()
+    md.forward_nodes(tape, inst["gt"], md.make_param_nodes(tape, params), cfg)
+    kinds = [node.kind for node in tape.nodes]
+    assert kinds.count("segment_softmax") == 2
+    assert kinds.count("weighted_segment_sum") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,9 @@ def test_weighted_segment_sum_matches_manual():
     rng = np.random.default_rng(11)
     v_val = rng.uniform(-2, 2, (5, 3))
     w_val = rng.uniform(-2, 2, (5, 1))
-    seg = np.array([0, 1, 1, 0, 2])
+    with pytest.raises(ng.SegmentError):
+        _wss_loss(v_val, w_val, np.array([0, 1, 1, 0, 2]))
+    seg = np.array([0, 0, 1, 1, 2])
 
     t = ng.Tape()
     v = t.leaf(v_val)
@@ -292,6 +294,74 @@ def _wss_loss(v_val, w_val, seg):
     t = ng.Tape()
     out = ng.weighted_segment_sum(t.leaf(v_val), t.leaf(w_val), seg, 3)
     return ng.sum_all(out).value[0, 0]
+
+
+# ---------------------------------------------------------------------------
+# one column per head: H = 3 against H = 1 calls
+
+SEG3 = np.array([0, 1, 1, 1, 2, 2])
+
+
+def test_segment_ops_columns_equal_single_column_calls():
+    rng = np.random.default_rng(5)
+    s_val = rng.uniform(-2, 2, (6, 3))
+    v_val = rng.uniform(-2, 2, (6, 4))
+    t = ng.Tape()
+    p = ng.segment_softmax(t.leaf(s_val), SEG3, 3)
+    agg = ng.weighted_segment_sum(t.leaf(v_val), p, SEG3, 3)
+    assert p.shape == (6, 3) and agg.shape == (3, 12)
+    for k in range(3):
+        pk = ng.segment_softmax(t.leaf(s_val[:, k:k + 1]), SEG3, 3)
+        assert np.array_equal(p.value[:, k:k + 1], pk.value)
+        aggk = ng.weighted_segment_sum(t.leaf(v_val), pk, SEG3, 3)
+        assert np.array_equal(agg.value[:, 4 * k:4 * (k + 1)], aggk.value)
+
+
+def test_segment_ops_gradients_match_finite_differences_three_heads():
+    rng = np.random.default_rng(6)
+    s_val = rng.uniform(-2, 2, (6, 3))
+    v_val = rng.uniform(-2, 2, (6, 4))
+    mix = rng.uniform(-1, 1, (3, 12))  # every output entry weighs differently
+
+    def run():
+        t = ng.Tape()
+        s, v = t.leaf(s_val), t.leaf(v_val)
+        w = ng.segment_softmax(s, SEG3, 3)
+        out = ng.weighted_segment_sum(v, w, SEG3, 3)
+        return t, s, v, w, ng.sum_all(ng.mul_array(out, mix))
+
+    def loss_value():
+        return run()[4].value[0, 0]
+
+    t, s, v, w, loss = run()
+    ng.backward(t, loss)
+    assert rel_err(s.grad, finite_diff(loss_value, s_val)) < 1e-6
+    assert rel_err(v.grad, finite_diff(loss_value, v_val)) < 1e-6
+
+    # the weights' gradient, with the weights as a free leaf
+    w_val = w.value.copy()
+
+    def run_w():
+        t = ng.Tape()
+        wl = t.leaf(w_val)
+        out = ng.weighted_segment_sum(t.leaf(v_val), wl, SEG3, 3)
+        return t, wl, ng.sum_all(ng.mul_array(out, mix))
+
+    t, wl, loss = run_w()
+    ng.backward(t, loss)
+    assert rel_err(wl.grad, finite_diff(lambda: run_w()[2].value[0, 0], w_val)) < 1e-6
+
+
+@pytest.mark.parametrize("seg", [[0, 1, 1, 0, 2, 2],     # unsorted
+                                 [0, 1, 1, 1, 2, 3],     # past the last segment
+                                 [-1, 0, 1, 1, 2, 2],    # negative
+                                 [0, 0, 2, 2, 2, 2]])    # segment 1 empty
+def test_segment_ops_reject_bad_ids(seg):
+    t = ng.Tape()
+    with pytest.raises(ng.SegmentError):
+        ng.segment_softmax(t.leaf(np.zeros((6, 3))), seg, 3)
+    with pytest.raises(ng.SegmentError):
+        ng.weighted_segment_sum(t.leaf(np.zeros((6, 4))), t.leaf(np.ones((6, 3))), seg, 3)
 
 
 # ---------------------------------------------------------------------------
