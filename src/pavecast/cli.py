@@ -299,7 +299,8 @@ def main(argv=None) -> int:
     except (FileNotFoundError, UsageError, RunConfigError, ds.SchemaError,
             ds.ConfigError, ds.SplitError, ModelConfigError, sg.ConstructionError,
             tr.TrainConfigError, tr.CheckpointVersionError,
-            tr.CheckpointIntegrityError, tr.QueryError, tr.StrategyError) as exc:
+            tr.CheckpointIntegrityError, tr.QueryError, tr.StrategyError,
+            tr.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

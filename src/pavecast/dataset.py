@@ -354,6 +354,8 @@ class SyntheticConfig:
             raise ConfigError("span_days, mean_visits and extent_deg must be positive")
         if self.driver_feature not in ENV_FEATURES or self.noise_feature not in ENV_FEATURES:
             raise ConfigError("driver/noise features must be environmental features")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def sample_latent_field(coords: np.ndarray, length_scale_deg: float,

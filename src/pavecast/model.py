@@ -51,6 +51,9 @@ class ModelConfig:
             raise ModelConfigError(f"unknown variant {self.variant!r}")
         if self.heads < 1 or self.layers < 1 or self.hidden < 1:
             raise ModelConfigError("heads, layers and hidden must be >= 1")
+        if not self.extractor_hidden or min(*self.extractor_hidden, self.head_hidden) < 1:
+            raise ModelConfigError("extractor_hidden needs at least one width, "
+                                   "and every width must be >= 1")
         if self.extractor_hidden[-1] != self.hidden:
             raise ModelConfigError(
                 f"extractor output width {self.extractor_hidden[-1]} "

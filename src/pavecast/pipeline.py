@@ -73,6 +73,8 @@ class RunConfig:
     def __post_init__(self):
         if self.strategy not in tr.STRATEGIES:
             raise RunConfigError(f"unknown strategy {self.strategy!r}")
+        if self.seed < 0:
+            raise RunConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = {

@@ -12,12 +12,18 @@ Layout: an STGraph is columnar. Node i is row i of the float64 columns
 lon, lat, t_raw and t_norm (a node's id is its position), and the first
 init_count rows are the initialization block. Parent edges are kept in CSR
 form: the parents of node i are entries offsets[i]:offsets[i + 1] of the
-per-edge columns parent, dist_m and origin (a code into ORIGINS). Rows grow
-with amortised doubling, so appending a node never copies the history.
+per-edge columns parent, dist_m and origin (a code into ORIGINS). Rows are
+added in bulk with amortised doubling, so growing a graph seldom copies it.
+
+Wiring: a node's parents depend only on the coordinates and times of the
+rows before it, never on their features or edges. So combined_parents, the
+one wiring kernel, wires a batch of rows per call, each against its own
+prefix: build_graph calls it twice, a forecast once for all its queries.
 
 Sorted-time contract: t_raw is nondecreasing over the rows of every graph
-that build_init_graph, expand and from_json_dict produce, and
-combined_parents relies on it to read only a time window of the history.
+that build_graph and from_json_dict produce. combined_parents relies on it:
+each row's candidate prefix must be sorted by time and no later than the
+row, so that the row is scored against a time window of it only.
 """
 
 from __future__ import annotations
@@ -36,18 +42,15 @@ ORIGINS = ("init", "top", "hard")
 INIT, TOP, HARD = range(len(ORIGINS))
 _ORIGIN_DTYPE = np.int8
 _NODE_COLUMNS = ("lon", "lat", "t_raw", "t_norm")
-
-
-class TemporalOrderError(ValueError):
-    """A node was inserted or queried out of temporal order."""
-
-
-class DuplicateIdError(ValueError):
-    """A node id was inserted twice."""
+_BLOCK_CELLS = 1 << 17  # B x W scores per kernel block: bounds its scratch memory
 
 
 class ConstructionError(ValueError):
     """The graph cannot be built from the given inputs."""
+
+
+class TemporalOrderError(ConstructionError):
+    """A node was inserted or queried out of temporal order."""
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ class GraphConfig:
     top_mode: str = "merged"  # "merged": rank all predecessors; "additional": only non-proximity ones
 
     def __post_init__(self):
-        if self.l_res_m <= 0 or self.t_res_days <= 0:
-            raise ConstructionError("l_res_m and t_res_days must be positive")
+        if not (0 < self.l_res_m < math.inf and 0 < self.t_res_days < math.inf):
+            raise ConstructionError("l_res_m and t_res_days must be finite and positive")
         if self.top_k < 0:
             raise ConstructionError("top_k must be >= 0")
         if self.top_mode not in ("merged", "additional"):
@@ -76,44 +79,58 @@ class GraphNode:
     is_init: bool
 
 
-Parents = tuple[np.ndarray, np.ndarray, np.ndarray]  # (parent, dist_m, origin)
+Wiring = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # CSR (offsets, parent, dist_m, origin)
+_NO_EDGES = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))  # (row, parent, dist_m)
 
 
-def _no_parents() -> Parents:
-    return (np.empty(0, np.int64), np.empty(0), np.empty(0, _ORIGIN_DTYPE))
+def _put(arr: np.ndarray, at: int, values) -> np.ndarray:
+    """arr with values written from row at on, in a copy of doubled capacity if full."""
+    need = at + len(values)
+    if need > len(arr):
+        arr, old = np.empty(max(need, 2 * len(arr)), arr.dtype), arr
+        arr[:at] = old[:at]
+    arr[at:need] = values
+    return arr
 
 
-def _grown(arr: np.ndarray, need: int) -> np.ndarray:
-    """arr itself if it holds need rows, else a copy with doubled capacity."""
-    if need <= len(arr):
-        return arr
-    out = np.empty(max(need, 2 * len(arr)), arr.dtype)
-    out[:len(arr)] = arr
-    return out
+def _checked_rows(ids, is_init, cols) -> int:
+    """The number of init rows, once the rows pass every check the kernel relies on.
+
+    Raises ConstructionError for non-positional ids, non-finite coordinates
+    or times and init rows that are not a prefix, and TemporalOrderError for
+    t_raw out of order. cols are the _NODE_COLUMNS arrays.
+    """
+    if list(ids) != list(range(len(ids))):
+        raise ConstructionError("node ids must equal their positions 0..n-1")
+    if not all(np.isfinite(col).all() for col in cols):
+        raise ConstructionError("node coordinates and times must be finite")
+    if np.any(np.diff(cols[_NODE_COLUMNS.index("t_raw")]) < 0):
+        raise TemporalOrderError("node t_raw must be nondecreasing")
+    init_count = sum(is_init)
+    if list(is_init) != [True] * init_count + [False] * (len(ids) - init_count):
+        raise ConstructionError("init nodes must come first")
+    return init_count
 
 
 class STGraph:
     """Node columns plus CSR parent lists; see the module docstring."""
 
     def __init__(self):
-        self.n = 0
-        self.init_count = 0
-        self._m = 0
+        self.n = self.init_count = self._m = 0
         self._cols = {name: np.empty(16) for name in _NODE_COLUMNS}
         self._offsets = np.zeros(17, np.int64)
-        self._parent = np.empty(64, np.int64)
-        self._dist = np.empty(64)
-        self._origin = np.empty(64, _ORIGIN_DTYPE)
+        self._edges = {"parent": np.empty(64, np.int64), "dist_m": np.empty(64),
+                       "origin": np.empty(64, _ORIGIN_DTYPE)}
 
-    # views of the stored rows, valid until the next append or truncate
+    # views of the stored rows, valid until the next extend or truncate
     lon = property(lambda self: self._cols["lon"][:self.n])
     lat = property(lambda self: self._cols["lat"][:self.n])
     t_raw = property(lambda self: self._cols["t_raw"][:self.n])
     t_norm = property(lambda self: self._cols["t_norm"][:self.n])
     offsets = property(lambda self: self._offsets[:self.n + 1])
-    parent = property(lambda self: self._parent[:self._m])
-    dist_m = property(lambda self: self._dist[:self._m])
-    origin = property(lambda self: self._origin[:self._m])
+    parent = property(lambda self: self._edges["parent"][:self._m])
+    dist_m = property(lambda self: self._edges["dist_m"][:self._m])
+    origin = property(lambda self: self._edges["origin"][:self._m])
 
     @property
     def child(self) -> np.ndarray:
@@ -127,25 +144,23 @@ class STGraph:
         counts = np.bincount(self.origin, minlength=len(ORIGINS))
         return {name: int(c) for name, c in zip(ORIGINS, counts)}
 
-    def append(self, node: GraphNode, parents: Parents | None = None) -> None:
-        """Add node as row n with the given parent edges, unchecked.
+    def extend(self, cols, wiring: Wiring) -> None:
+        """Add rows n, n + 1, ... holding cols (the _NODE_COLUMNS arrays) and
+        the parent lists wiring, unchecked: grow wires the rows it adds."""
+        offsets, *edges = wiring
+        i, m = self.n, self._m
+        self._offsets = _put(self._offsets, i + 1, m + offsets[1:])
+        for store, values, at in ((self._cols, cols, i), (self._edges, edges, m)):
+            for name, col in zip(store, values):
+                store[name] = _put(store[name], at, col)
+        self.n, self._m = i + len(offsets) - 1, m + len(edges[0])
 
-        expand and build_init_graph are the checked ways to grow a graph.
-        """
-        parent, dist, origin = parents if parents is not None else _no_parents()
-        i, m, k = self.n, self._m, len(parent)
-        for name in _NODE_COLUMNS:
-            col = self._cols[name] = _grown(self._cols[name], i + 1)
-            col[i] = getattr(node, name)
-        self._offsets = _grown(self._offsets, i + 2)
-        self._parent = _grown(self._parent, m + k)
-        self._dist = _grown(self._dist, m + k)
-        self._origin = _grown(self._origin, m + k)
-        self._parent[m:m + k] = parent
-        self._dist[m:m + k] = dist
-        self._origin[m:m + k] = origin
-        self._offsets[i + 1] = m + k
-        self.n, self._m = i + 1, m + k
+    def grow(self, cols, limits, config: GraphConfig, mutual: bool = False) -> None:
+        """Add rows holding cols (the _NODE_COLUMNS arrays), new row r wired by
+        combined_parents against the rows [0, limits[r]) of the grown graph."""
+        lon, lat, t_raw = (np.concatenate((self._cols[name][:self.n], col))
+                           for name, col in zip(_NODE_COLUMNS[:3], cols))
+        self.extend(cols, combined_parents(lon, lat, t_raw, limits, config, mutual))
 
     def truncate(self, n: int) -> None:
         """Drop the nodes from position n on, with their parent edges."""
@@ -175,27 +190,15 @@ class STGraph:
     def from_json_dict(cls, d: dict) -> "STGraph":
         """Rebuild a graph whose node ids are their positions 0..n-1.
 
-        Raises ConstructionError for anything the kernel cannot trust:
-        non-positional ids, non-finite coordinates or times, t_raw out of
-        order, init nodes that are not a prefix, and edges naming no node
-        or an unknown origin.
+        Raises ConstructionError for anything the kernel cannot trust: rows
+        that fail build_graph's checks, and edges naming no node or an
+        unknown origin.
         """
-        nodes = d["nodes"]
+        nodes, edges = d["nodes"], d["edges"]
         n = len(nodes)
-        if [nd["id"] for nd in nodes] != list(range(n)):
-            raise ConstructionError("node ids must equal their positions 0..n-1")
-        graph = cls()
-        for name in _NODE_COLUMNS:
-            graph._cols[name] = np.array([nd[name] for nd in nodes], dtype=float)
-        if not all(np.isfinite(col).all() for col in graph._cols.values()):
-            raise ConstructionError("node coordinates and times must be finite")
-        if np.any(np.diff(graph._cols["t_raw"]) < 0):
-            raise ConstructionError("node t_raw must be nondecreasing")
-        is_init = [bool(nd["is_init"]) for nd in nodes]
-        init_count = sum(is_init)
-        if is_init != [True] * init_count + [False] * (n - init_count):
-            raise ConstructionError("init nodes must come first")
-        edges = d["edges"]
+        cols = [np.array([nd[name] for nd in nodes], dtype=float) for name in _NODE_COLUMNS]
+        init_count = _checked_rows([nd["id"] for nd in nodes],
+                                   [bool(nd["is_init"]) for nd in nodes], cols)
         src = np.array([e["from"] for e in edges], dtype=np.int64)
         dst = np.array([e["to"] for e in edges], dtype=np.int64)
         bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
@@ -207,144 +210,154 @@ class STGraph:
         except ValueError as exc:
             raise ConstructionError(f"unknown edge origin: {exc}") from exc
         order = np.argsort(dst, kind="stable")  # group by child, file order within
-        graph.n, graph.init_count, graph._m = n, init_count, len(edges)
-        graph._offsets = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
-        graph._parent = src[order]
-        graph._dist = np.array([e["dist_m"] for e in edges], dtype=float)[order]
-        graph._origin = origin[order]
+        dist = np.array([e["dist_m"] for e in edges], dtype=float)
+        graph = cls()
+        graph.extend(cols, (np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n)))),
+                            src[order], dist[order], origin[order]))
+        graph.init_count = init_count
         return graph
 
 
-def _distances(node: GraphNode, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-    """Equirectangular approximation, meters, from node to each (lon, lat) in degrees."""
-    dphi = (lats - node.lat) * _DEG
-    dlam = (lons - node.lon) * _DEG
-    cos_mid = np.cos(0.5 * (lats + node.lat) * _DEG)
-    dist = EARTH_RADIUS_M * np.sqrt(dphi * dphi + (cos_mid * dlam) ** 2)
-    if not np.isfinite(dist).all():
-        raise ArithmeticError("non-finite coordinates")
-    return dist
+def _distances(lon, lat, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
+    """Equirectangular approximation, meters, from each row's (lon, lat) to the
+    (lons, lats) on that row, all in degrees."""
+    dphi = (lats - lat) * _DEG
+    dlam = (lons - lon) * _DEG
+    cos_mid = np.cos(0.5 * (lats + lat) * _DEG)
+    return EARTH_RADIUS_M * np.sqrt(dphi * dphi + (cos_mid * dlam) ** 2)
 
 
-def _proximity(node: GraphNode, graph: STGraph, lo: int, hi: int, config: GraphConfig):
-    """(dist_m, dt_days, within both thresholds) from node to rows lo:hi."""
-    dist = _distances(node, graph.lon[lo:hi], graph.lat[lo:hi])
-    dt = np.abs(node.t_raw - graph.t_raw[lo:hi])
-    return dist, dt, (dist <= config.l_res_m) & (dt <= config.t_res_days)
+def _time_window(ts: np.ndarray, t: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
+    """Rows lo:hi of the sorted ts that hold every row with |t - ts| <= span, per t.
 
-
-def _time_window(ts: np.ndarray, t: float, t_res: float) -> tuple[int, int]:
-    """Rows lo:hi of the sorted ts that hold every row with |t - ts| <= t_res.
-
-    The bounds carry a slack far above the rounding error of t -+ t_res, so
+    The bounds carry a slack far above the rounding error of t -+ span, so
     the window is only a candidate filter: callers apply the exact mask.
     """
-    slack = 16 * np.finfo(float).eps * (abs(t) + t_res)
-    return (int(np.searchsorted(ts, t - t_res - slack, side="left")),
-            int(np.searchsorted(ts, t + t_res + slack, side="right")))
+    slack = 16 * np.finfo(float).eps * (np.abs(t) + span)
+    return (np.searchsorted(ts, t - span - slack, side="left"),
+            np.searchsorted(ts, t + span + slack, side="right"))
 
 
-def combined_parents(node: GraphNode, graph: STGraph, config: GraphConfig,
-                     limit: int | None = None) -> Parents:
-    """Parents of node among the first `limit` rows of graph (default: all).
+def _wire_block(lon, lat, t_raw, rows, start, end, config: GraphConfig, mutual: bool):
+    """Score rows against their own candidate windows [start, end) as one matrix.
 
-    Returns (parent, dist_m, origin) arrays: ranked edges first, then the
-    remaining proximity edges in id order. Ranked edges go to the top_k
-    candidates with the lowest dist/l_res + dt/t_res score, ties broken by
-    lower id; proximity edges go to every candidate within both thresholds
-    (inclusive), so top_k=0 gives the pure proximity set. A parent picked by
-    both mechanisms appears once, as a ranked edge.
-
-    The candidates must be sorted by time and no later than node. Proximity
-    candidates come from a time window; ranked ones from a scan back in time
-    that stops once the next older candidate's dt/t_res, a lower bound on
-    its score and on every older one's, is strictly above the K-th best.
+    Returns (passed, kth, top, hard): the rows whose window passes the
+    stopping rule, each row's K-th best score, and the passed rows' ranked
+    (in rank order) and other (in id order) edges as (row, parent, dist_m).
     """
-    if not math.isfinite(node.t_raw):
-        raise ArithmeticError("non-finite time")
-    n = graph.n if limit is None else limit
-    if n == 0:
-        return _no_parents()
-    ts = graph.t_raw[:n]
-    if ts[-1] > node.t_raw:
-        raise TemporalOrderError(
-            f"node at t={node.t_raw} is older than a candidate at t={ts[-1]}")
-    k = config.top_k
-    lo, _ = _time_window(ts, node.t_raw, config.t_res_days)
-    start = max(0, min(lo, n - k))
-    while True:
-        dist, dt, hard = _proximity(node, graph, start, n, config)
+    idx = start[:, None] + np.arange(int((end - start).max(initial=0)))
+    valid = idx < end[:, None]
+    if mutual:
+        valid &= idx != rows[:, None]
+    idx = np.minimum(idx, len(t_raw) - 1)
+    dist = _distances(lon[rows, None], lat[rows, None], lon[idx], lat[idx])
+    if not (np.isfinite(dist) | ~valid).all():
+        raise ArithmeticError("non-finite coordinates")
+    t = t_raw[rows]
+    dt = np.abs(t[:, None] - t_raw[idx])
+    hard = valid & (dist <= config.l_res_m) & (dt <= config.t_res_days)
+    k = 0 if mutual else config.top_k
+    passed, kth, top = np.ones(len(rows), bool), np.full(len(rows), -math.inf), _NO_EDGES
+    if k:
         score = dist / config.l_res_m + dt / config.t_res_days
-        pool = np.flatnonzero(~hard) if config.top_mode == "additional" else np.arange(n - start)
-        if k == 0:
-            kth = -math.inf
-        elif len(pool) < k:
-            kth = math.inf
-        else:
-            kth = np.partition(score[pool], k - 1)[k - 1]
-        if start == 0 or abs(node.t_raw - ts[start - 1]) / config.t_res_days > kth:
-            break
-        start = max(0, n - 2 * (n - start))
-    pool = pool[score[pool] <= kth]  # the top_k and every tie with the K-th
-    top = pool[np.argsort(score[pool], kind="stable")[:k]]  # stable: ties to lower id
-    hard[top] = False
-    extra = np.flatnonzero(hard)
-    picks = np.concatenate((top, extra))
-    origin = np.full(len(picks), HARD, _ORIGIN_DTYPE)
-    origin[:len(top)] = TOP
-    return picks + start, dist[picks], origin
+        pool = valid & ~hard if config.top_mode == "additional" else valid
+        masked = np.where(pool, score, math.inf)  # inf: fewer than K in the pool
+        kth[:] = np.partition(masked, k - 1, axis=1)[:, k - 1] if idx.shape[1] >= k else math.inf
+        # every candidate older than the window scores at least its dt/t_res
+        passed = (start == 0) | (np.abs(t - t_raw[np.maximum(start - 1, 0)])
+                                 / config.t_res_days > kth)
+        r, c = np.nonzero(pool & (masked <= kth[:, None]) & passed[:, None])
+        order = np.lexsort((c, score[r, c], r))  # ties to the lower id
+        r, c = r[order], c[order]
+        ranked = np.arange(len(r)) - np.searchsorted(r, r) < k
+        r, c = r[ranked], c[ranked]
+        hard[r, c] = False
+        top = (r, idx[r, c], dist[r, c])
+    hr, hc = np.nonzero(hard & passed[:, None])
+    return passed, kth, top, (hr, idx[hr, hc], dist[hr, hc])
 
 
-def build_init_graph(init_nodes: list[GraphNode], config: GraphConfig) -> STGraph:
-    """Mutually visible initialization block: proximity edges both directions."""
-    if not init_nodes:
-        raise ConstructionError("initialization block must be non-empty")
-    if [nd.node_id for nd in init_nodes] != list(range(len(init_nodes))):
-        raise ConstructionError("node ids must equal their positions 0..n-1")
-    block = STGraph()
-    for nd in init_nodes:
-        block.append(nd)
-    if not np.isfinite(block.t_raw).all() or np.any(np.diff(block.t_raw) < 0):
-        raise ConstructionError("init node times must be finite and nondecreasing")
-    graph = STGraph()
-    for i, nd in enumerate(init_nodes):
-        lo, hi = _time_window(block.t_raw, nd.t_raw, config.t_res_days)
-        dist, _, near = _proximity(nd, block, lo, hi, config)
-        near[i - lo] = False
-        picks = np.flatnonzero(near)
-        graph.append(nd, (picks + lo, dist[picks], np.full(len(picks), INIT, _ORIGIN_DTYPE)))
-    graph.init_count = graph.n
-    return graph
+def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits,
+                     config: GraphConfig, mutual: bool = False) -> Wiring:
+    """CSR parent lists of the last len(limits) rows of the columns lon, lat, t_raw.
 
+    New row r is wired against the rows [0, limits[r]): first ranked edges
+    to the top_k candidates with the lowest dist/l_res + dt/t_res score,
+    ties to the lower id, then proximity edges to every other candidate
+    within both thresholds (inclusive), in id order; top_k=0 gives the pure
+    proximity set. mutual wires an initialization block instead: parents are
+    every other row of [0, limit), older or newer, within both thresholds.
 
-def expand(graph: STGraph, new_node: GraphNode, config: GraphConfig) -> None:
-    """Append one non-init node in temporal order, wiring ranked + proximity parents.
-
-    The new node's id must be its position, graph.n, and its time no
-    earlier than the newest node's, init nodes included.
+    The rows [0, max(limits)) must be sorted by time and, unless mutual, no
+    later than the rows they are candidates of. Each row is scored against
+    its own time window, a block of rows at once. Ranked candidates lie in
+    the window too once the next older candidate's dt/t_res, a lower bound
+    on its score and every older one's, is strictly above the K-th best;
+    only the rows that fail that rule are rescored over a wider window.
     """
-    if new_node.is_init:
-        raise ConstructionError("only build_init_graph adds init nodes")
-    if graph.n and new_node.t_raw < graph.t_raw[-1]:
-        raise TemporalOrderError(
-            f"node at t={new_node.t_raw} arrives before the newest graph node "
-            f"at t={graph.t_raw[-1]}")
-    if new_node.node_id < graph.n:
-        raise DuplicateIdError(f"node id {new_node.node_id} already present")
-    if new_node.node_id != graph.n:
-        raise ConstructionError(
-            f"node id {new_node.node_id} is not the next position {graph.n}")
-    graph.append(new_node, combined_parents(new_node, graph, config))
+    limits = np.asarray(limits, np.int64)
+    rows = np.arange(len(t_raw) - len(limits), len(t_raw))
+    t = t_raw[rows]
+    if not np.isfinite(t).all():
+        raise ArithmeticError("non-finite time")
+    ts = t_raw[:limits.max(initial=0)]
+    lo, hi = _time_window(ts, t, config.t_res_days)
+    if mutual:
+        start, end = np.minimum(lo, limits), np.minimum(hi, limits)
+    else:
+        late = (limits > 0) & (t_raw[np.maximum(limits - 1, 0)] > t)
+        if late.any():
+            r = int(np.argmax(late))
+            raise TemporalOrderError(f"node at t={t[r]} is older than a candidate "
+                                     f"at t={t_raw[limits[r] - 1]}")
+        start, end = np.maximum(0, np.minimum(lo, limits - config.top_k)), limits
+    tops, hards, pending = [], [], np.arange(len(limits))
+    while len(pending):
+        step = max(_BLOCK_CELLS // max(int((end - start)[pending].max()), 1), 1)
+        failed = []
+        for block in np.split(pending, range(step, len(pending), step)):
+            passed, kth, top, hard = _wire_block(lon, lat, t_raw, rows[block], start[block],
+                                                 end[block], config, mutual)
+            tops.append((block[top[0]], *top[1:]))
+            hards.append((block[hard[0]], *hard[1:]))
+            # widen by at most a doubling, less where the K-th score bounds
+            # the time gap of any better candidate
+            redo, kth = block[~passed], kth[~passed]
+            bound, _ = _time_window(ts, t[redo], kth * config.t_res_days)
+            doubled = 2 * start[redo] - end[redo]
+            start[redo] = np.maximum(0, np.minimum(np.maximum(bound, doubled), start[redo] - 1))
+            failed.append(redo)
+        pending = np.concatenate(failed)
+    pos, parent, dist = (np.concatenate(col) for col in zip(_NO_EDGES, *tops, *hards))
+    origin = np.full(len(pos), INIT if mutual else HARD, _ORIGIN_DTYPE)
+    origin[:sum(len(r) for r, _, _ in tops)] = TOP
+    order = np.argsort(pos, kind="stable")  # per row: ranked edges, then the rest
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(limits)))))
+    return offsets, parent[order], dist[order], origin[order]
 
 
 def build_graph(nodes_meta: list[GraphNode], init_count: int,
                 config: GraphConfig) -> STGraph:
-    """Initialization block plus one-by-one temporal expansion of the rest."""
-    if init_count <= 0 or init_count > len(nodes_meta):
-        raise ConstructionError(f"bad init_count {init_count} for {len(nodes_meta)} nodes")
-    graph = build_init_graph(nodes_meta[:init_count], config)
-    for nd in nodes_meta[init_count:]:
-        expand(graph, nd, config)
+    """The initialization block, then every later row wired against the rows before it.
+
+    Raises ConstructionError for rows that fail the checks load_graph_json
+    applies (TemporalOrderError for rows out of time order) and for an
+    init_count other than the number of rows flagged is_init.
+    """
+    n = len(nodes_meta)
+    if init_count <= 0 or init_count > n:
+        raise ConstructionError(f"bad init_count {init_count} for {n} nodes")
+    cols = [np.array([getattr(nd, name) for nd in nodes_meta], dtype=float)
+            for name in _NODE_COLUMNS]
+    flagged = _checked_rows([nd.node_id for nd in nodes_meta],
+                            [nd.is_init for nd in nodes_meta], cols)
+    if flagged != init_count:
+        raise ConstructionError(f"init_count {init_count}, but {flagged} init nodes")
+    graph = STGraph()
+    graph.grow([col[:init_count] for col in cols], np.full(init_count, init_count),
+               config, mutual=True)
+    graph.init_count = init_count
+    graph.grow([col[init_count:] for col in cols], np.arange(init_count, n), config)
     return graph
 
 

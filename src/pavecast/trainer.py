@@ -3,20 +3,22 @@
 Training runs full-batch over the initialization + training graph with the
 mean-absolute-error loss taken over training nodes only (initialization
 nodes pass messages but are never scored). Prediction is graph
-autoregression: predict_one is one step, which appends a query node
-carrying spatial-temporal features only, wires its parents and runs the
-forward pass on the grown graph. predict_sequence answers a query list
-under a continuation strategy: "true" and "predicted" take one step per
-query and keep the node with its observed record or its prediction, while
-"ignore" wires every query against the history alone and answers them all
-in one forward pass. predict_sequence leaves the caller's graph as it was.
+autoregression. predict_sequence answers a query list under a continuation
+strategy: it appends every query as a node carrying spatial-temporal
+features only and wires them all in one call, since a node's parents depend
+on the coordinates and times before it alone. "ignore" wires every query
+against the history and answers them all in one forward pass. "true" and
+"predicted" wire each query against everything before it and take one step
+per query: predict_one, the forward pass for that query's node, after which
+the node takes its observed record or its prediction. predict_sequence
+leaves the caller's graph as it was.
 
 Both forward passes cover the queries' ancestor cone, no cache: edges point
 from older to newer nodes, so an L-layer model's prediction for a query
 reads only the nodes within L parent hops of it, and prepare_tensors
-flattens just those. Each step is O(cone) instead of O(graph), and with
-nothing cached there is nothing to invalidate when a strategy overwrites
-the query node it just appended.
+flattens just those. Each step is O(cone) instead of O(graph); a later
+query is never in an earlier one's cone, and with nothing cached there is
+nothing to invalidate when a strategy overwrites a query's node.
 
 Checkpoints are a JSON manifest followed by little-endian float64 parameter
 sections with per-section checksums; identical (config, seed, data) produce
@@ -37,8 +39,7 @@ from . import ndgrad as ng
 from .dataset import FeatureSchema, PreprocessStats, ProcessedNode, RawRecord, apply_preprocess
 from .model import (ModelConfig, attention_sum_deviation, first_nonfinite_primitive,
                     forward_values, init_params, loss_and_grads, prepare_tensors)
-from .stgraph import (GraphConfig, STGraph, combined_parents, expand,
-                      graph_nodes_from_processed)
+from .stgraph import GraphConfig, STGraph
 
 STRATEGIES = ("ignore", "true", "predicted")
 
@@ -79,8 +80,8 @@ class TrainConfig:
     track_attention: bool = False
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr <= 0:
-            raise TrainConfigError("epochs must be >= 0 and lr > 0")
+        if self.epochs < 0 or not 0 < self.lr < math.inf:
+            raise TrainConfigError("epochs must be >= 0 and lr finite and > 0")
 
 
 @dataclass
@@ -192,20 +193,14 @@ def predicted_node(ctx: InferenceContext, base: ProcessedNode,
 
 
 def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode],
-                query: Query) -> float:
-    """One autoregressive step: grow the graph by the query node and predict it.
+                row: int) -> float:
+    """One autoregressive step: the forecast for graph row `row`, a wired query node.
 
-    The query node, carrying spatial-temporal features only, stays appended
-    to graph and nodes; the caller decides what to keep.
+    Runs the forward pass over the row's ancestor cone only. Edges point
+    from older rows to newer ones, so rows after it never enter that cone.
     """
-    if graph.n and query.t_raw < graph.t_raw[-1]:
-        raise QueryError(
-            f"query time {query.t_raw} precedes the latest historical observation")
-    qnode = query_node(ctx, nodes, graph.n, query)
-    expand(graph, graph_nodes_from_processed([qnode])[0], ctx.graph_config)
-    nodes.append(qnode)
     gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
-                         targets=[qnode.node_id], hops=ctx.model_config.layers)
+                         targets=[row], hops=ctx.model_config.layers)
     return float(forward_values(gt, ctx.params, ctx.model_config)[-1])
 
 
@@ -216,15 +211,18 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
                      allow_past: bool = False) -> np.ndarray:
     """Predict a time-sorted query list under one continuation strategy.
 
-    "ignore" wires every query against the history alone and answers all of
-    them in one forward pass: edges only point from older to newer nodes, so
-    no query reaches another query or a historical node's representation.
-    allow_past admits ignore-strategy queries timestamped inside the
-    historical span (for generalization splits); their parents are then the
-    no-later history.
-    "true" and "predicted" take one predict_one step per query and keep the
-    query node, carrying its observed record (caller-supplied) or its own
-    prediction. The caller's graph and node list end as they were.
+    Every query becomes a node carrying spatial-temporal features only, and
+    one combined_parents call wires them all. "ignore" wires each query
+    against the history alone and answers all of them in one forward pass:
+    edges only point from older to newer nodes, so no query reaches another
+    query or a historical node's representation. allow_past admits
+    ignore-strategy queries timestamped inside the historical span (for
+    generalization splits); their parents are then the no-later history.
+    "true" and "predicted" wire each query against every row before it,
+    earlier queries included, and take one predict_one step per query in
+    time order, overwriting the query's node with its observed record
+    (caller-supplied) or its own prediction before the next step reads it.
+    The caller's graph and node list end as they were.
     """
     for earlier, later in zip(queries, queries[1:]):
         if later.t_raw < earlier.t_raw:
@@ -237,34 +235,34 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
         return np.empty(0)
 
     base_n, base_nodes = graph.n, len(nodes)
+    history = graph.t_raw
+    if base_n and not (allow_past and strategy == "ignore") \
+            and queries[0].t_raw < history[-1]:
+        raise QueryError(f"query time {queries[0].t_raw} precedes the latest "
+                         "historical observation")
+    qnodes = [query_node(ctx, nodes, base_n + k, q) for k, q in enumerate(queries)]
+    cols = [np.array(col) for col in zip(*((*q.coords, q.t_raw, q.t_norm) for q in qnodes))]
+    if strategy == "ignore":
+        limits = np.searchsorted(history, cols[2], side="right")
+    else:
+        limits = np.arange(base_n, base_n + len(queries))
     try:
-        if strategy != "ignore":
-            out = []
-            for k, q in enumerate(queries):
-                yhat = predict_one(ctx, graph, nodes, q)
-                if strategy == "true":
-                    nodes[-1] = apply_preprocess(observed[k], ctx.stats, ctx.schema,
-                                                 node_id=nodes[-1].node_id)
-                else:
-                    nodes[-1] = predicted_node(ctx, nodes[-1], yhat)
-                out.append(yhat)
-            return np.array(out)
-
-        history = graph.t_raw[:base_n]
-        qnodes = []
-        for k, q in enumerate(queries):
-            if not allow_past and base_n and q.t_raw < history[-1]:
-                raise QueryError(f"query {k} at t={q.t_raw} precedes history")
-            qnode = query_node(ctx, nodes, graph.n, q)
-            meta = graph_nodes_from_processed([qnode])[0]
-            limit = int(np.searchsorted(history, q.t_raw, side="right"))
-            graph.append(meta, combined_parents(meta, graph, ctx.graph_config, limit=limit))
-            qnodes.append(qnode)
+        graph.grow(cols, limits, ctx.graph_config)
         nodes.extend(qnodes)
-        gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
-                             targets=np.arange(base_n, graph.n),
-                             hops=ctx.model_config.layers)
-        return forward_values(gt, ctx.params, ctx.model_config)[gt.n - len(queries):]
+        if strategy == "ignore":
+            gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
+                                 targets=np.arange(base_n, graph.n),
+                                 hops=ctx.model_config.layers)
+            return forward_values(gt, ctx.params, ctx.model_config)[gt.n - len(queries):]
+        out = np.empty(len(queries))
+        for k, row in enumerate(range(base_n, graph.n)):
+            out[k] = predict_one(ctx, graph, nodes, row)
+            if strategy == "true":
+                nodes[row] = apply_preprocess(observed[k], ctx.stats, ctx.schema,
+                                              node_id=row)
+            else:
+                nodes[row] = predicted_node(ctx, nodes[row], out[k])
+        return out
     finally:
         graph.truncate(base_n)
         del nodes[base_nodes:]

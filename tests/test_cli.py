@@ -283,6 +283,14 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "split=[0.5,0.5]",                       # SplitError
     "split=[0.1,0.9,0.0]",                   # SplitError
     'split=["a","b","c"]',                   # RunConfigError
+    "graph.l_res_m=NaN",                     # ConstructionError
+    "graph.t_res_days=NaN",                  # ConstructionError
+    "model.extractor_hidden=[]",             # ModelConfigError
+    "model.head_hidden=0",                   # ModelConfigError
+    "model.extractor_hidden=[0,8]",          # ModelConfigError
+    "train.lr=NaN",                          # TrainConfigError
+    "seed=-1",                               # RunConfigError
+    "dataset.synthetic.seed=-1",             # ConfigError
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsys,
                                                override):
@@ -290,6 +298,16 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsy
                    "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_diverging_training_exits_2_with_one_error_line(tmp_path, tiny_config_file,
+                                                        capsys):
+    # a finite lr this large overflows the weights after one step
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("train", "--config", tiny_config_file, "--set", "train.lr=1e200",
+                       "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: loss became non-finite")
 
 
 def test_predict_has_no_strategy_flag(trained):

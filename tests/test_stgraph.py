@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,18 +95,26 @@ def in_degree(graph):
     return np.diff(graph.offsets)
 
 
-def history(nodes):
-    """A graph holding the given time-sorted nodes (ids = positions) and no edges."""
-    graph = sg.STGraph()
-    for nd in nodes:
-        graph.append(nd)
-    return graph
+def columns(nodes):
+    """The lon, lat, t_raw and t_norm columns of the given nodes."""
+    return [np.array([getattr(nd, name) for nd in nodes], dtype=float)
+            for name in ("lon", "lat", "t_raw", "t_norm")]
+
+
+def wire(nodes, limits, config, mutual=False):
+    """One combined_parents call for the last len(limits) nodes: per row, its
+    parents as (parent, origin, dist_m) tuples."""
+    offsets, parent, dist, origin = sg.combined_parents(*columns(nodes)[:3], limits,
+                                                        config, mutual)
+    assert offsets[0] == 0 and offsets[-1] == len(parent) == len(dist) == len(origin)
+    edges = [(int(p), sg.ORIGINS[o], float(d)) for p, o, d in zip(parent, origin, dist)]
+    return [edges[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def parents(node, candidates, config):
     """combined_parents over the candidates, as (parent, origin, dist_m) tuples."""
-    parent, dist, origin = sg.combined_parents(node, history(candidates), config)
-    return [(int(p), sg.ORIGINS[o], float(d)) for p, o, d in zip(parent, origin, dist)]
+    (row,) = wire(candidates + [node], [len(candidates)], config)
+    return row
 
 
 def proximity(node, candidates, config=None):
@@ -158,8 +167,8 @@ def test_distance_nonfinite():
         parents(replace(cand, node_id=1, t_raw=2.0), [replace(node, node_id=0)],
                 sg.GraphConfig(top_k=0))
     with pytest.raises(ArithmeticError):
-        sg.build_init_graph([replace(cand, lat=math.inf), replace(node, lon=121.0)],
-                            sg.GraphConfig())
+        wire([replace(cand, lat=math.inf), replace(node, lon=121.0)], [2, 2],
+             sg.GraphConfig(), mutual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +178,7 @@ def test_distance_nonfinite():
 def test_hard_edge_trivial_inclusion():
     cfg = sg.GraphConfig(top_k=0)
     cand = sg.GraphNode(0, 121.0, 31.0, 10.0, 0.1, True)
-    g = sg.build_init_graph([cand], cfg)
-    sg.expand(g, sg.GraphNode(1, 121.0, 31.0, 10.0, 0.1, False), cfg)
+    g = sg.build_graph([cand, sg.GraphNode(1, 121.0, 31.0, 10.0, 0.1, False)], 1, cfg)
     assert g.to_json_dict()["edges"] == [
         {"from": 0, "to": 1, "origin": "hard", "dt_norm": 0.0, "dist_m": 0.0}]
 
@@ -257,6 +265,39 @@ def test_combined_parents_matches_brute_force_at_boundaries(t, picks, top_k, top
     assert hard == sorted(hard)
 
 
+@settings(deadline=None, max_examples=150)
+@given(rows=st.lists(st.tuples(st.sampled_from([0.0, 6.1, 20.1, 37.25]) | st.floats(0.0, 400.0),
+                               st.integers(0, 3)), min_size=1, max_size=40),
+       data=st.data(),
+       top_k=st.sampled_from([0, 1, 3, 5]),
+       top_mode=st.sampled_from(["merged", "additional"]),
+       block_cells=st.sampled_from([1, 8, 64, 1 << 17]))
+def test_batched_kernel_equals_row_by_row_calls_and_brute_force(rows, data, top_k,
+                                                                 top_mode, block_cells):
+    """One combined_parents call for a batch of rows, each with its own prefix
+    limit (0 included), split into blocks of every size, against one call per
+    row and the full-sort oracle. Sparse times make rows widen their window;
+    repeated spots and times make score ties."""
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=top_k, top_mode=top_mode)
+    nodes = [sg.GraphNode(i, *SPOTS[j], t, 0.0, False)
+             for i, (t, j) in enumerate(sorted(rows, key=lambda r: r[0]))]
+    first = len(nodes) - data.draw(st.integers(1, len(nodes)))
+    limits = [data.draw(st.integers(0, row)) for row in range(first, len(nodes))]
+    with mock.patch.object(sg, "_BLOCK_CELLS", block_cells):
+        batched = wire(nodes, limits, cfg)
+    for row, limit, got in zip(range(first, len(nodes)), limits, batched):
+        node, candidates = nodes[row], nodes[:limit]
+        assert got == parents(node, candidates, cfg)
+        want, want_top = oracle_parents(node, candidates, cfg)
+        ids = [p for p, _, _ in got]
+        assert len(ids) == len(set(ids)) and set(ids) == want
+        origins = [origin for _, origin, _ in got]
+        n_top = origins.count("top")
+        assert ids[:n_top] == want_top  # ranked edges first, in rank order
+        assert origins[n_top:] == ["hard"] * (len(ids) - n_top)
+        assert ids[n_top:] == sorted(ids[n_top:])  # then proximity edges in id order
+
+
 def test_scan_goes_on_past_a_candidate_tied_with_the_kth_score():
     # twins beyond the time window: the newer one alone fills top_k=1, the
     # older one's dt/t_res equals that score, and the tie goes to the lower id
@@ -284,9 +325,9 @@ def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
     widths = []
     distances = sg._distances
 
-    def recording(node, lons, lats):
-        widths.append(len(lons))
-        return distances(node, lons, lats)
+    def recording(lon, lat, lons, lats):
+        widths.append(lons.shape[-1])
+        return distances(lon, lat, lons, lats)
 
     monkeypatch.setattr(sg, "_distances", recording)
     g = sg.build_graph(nodes, 30, cfg)
@@ -299,15 +340,15 @@ def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
 
 
 def test_init_single_node():
-    g = sg.build_init_graph(rand_nodes(np.random.default_rng(0), 1, init_count=1),
-                            sg.GraphConfig())
+    g = sg.build_graph(rand_nodes(np.random.default_rng(0), 1, init_count=1), 1,
+                       sg.GraphConfig())
     assert g.n == 1 and g.edge_count() == 0
 
 
 def test_init_colocated_pair_mutually_visible():
     a = sg.GraphNode(0, 121.0, 31.0, 5.0, 0.0, True)
     b = sg.GraphNode(1, 121.0, 31.0, 5.0, 0.0, True)
-    g = sg.build_init_graph([a, b], sg.GraphConfig())
+    g = sg.build_graph([a, b], 2, sg.GraphConfig())
     assert edge_set(g) == {(0, 1), (1, 0)}
     assert g.origin_counts() == {"init": 2, "top": 0, "hard": 0}
 
@@ -316,7 +357,7 @@ def test_init_matches_symmetric_oracle():
     rng = np.random.default_rng(21)
     cfg = sg.GraphConfig(l_res_m=500.0, t_res_days=30.0)
     nodes = rand_nodes(rng, 10, extent=0.004, span=40.0, init_count=10)
-    g = sg.build_init_graph(nodes, cfg)
+    g = sg.build_graph(nodes, 10, cfg)
     assert edge_set(g) == brute_force_graph_edges(nodes, 10, cfg)
 
 
@@ -324,7 +365,7 @@ def test_init_matches_symmetric_oracle_on_120_nodes():
     rng = np.random.default_rng(120)
     cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=15.0)
     nodes = rand_nodes(rng, 120, extent=0.004, span=90.0, init_count=120)
-    g = sg.build_init_graph(nodes, cfg)
+    g = sg.build_graph(nodes, 120, cfg)
     want = brute_force_graph_edges(nodes, 120, cfg)
     assert edge_set(g) == want and len(want) > 200
     for i in range(g.n):
@@ -335,31 +376,35 @@ def test_init_matches_symmetric_oracle_on_120_nodes():
 def test_init_rejects_non_positional_ids():
     nodes = rand_nodes(np.random.default_rng(1), 3, init_count=3)
     with pytest.raises(sg.ConstructionError):
-        sg.build_init_graph(nodes[1:], sg.GraphConfig())
+        sg.build_graph(nodes[1:], 2, sg.GraphConfig())
 
 
 def test_init_empty_rejected():
     with pytest.raises(sg.ConstructionError):
-        sg.build_init_graph([], sg.GraphConfig())
+        sg.build_graph([], 0, sg.GraphConfig())
 
 
 def test_init_rejects_unsorted_times():
     a, b = rand_nodes(np.random.default_rng(3), 2, init_count=2)
-    with pytest.raises(sg.ConstructionError):
-        sg.build_init_graph([replace(a, t_raw=b.t_raw), replace(b, t_raw=a.t_raw)],
-                            sg.GraphConfig())
+    with pytest.raises(sg.TemporalOrderError):
+        sg.build_graph([replace(a, t_raw=b.t_raw), replace(b, t_raw=a.t_raw)], 2,
+                       sg.GraphConfig())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(sg.ConstructionError):
+            sg.build_graph([a, replace(b, t_raw=bad)], 2, sg.GraphConfig())
+        with pytest.raises(sg.ConstructionError):
+            sg.build_graph([a, replace(b, lat=bad)], 2, sg.GraphConfig())
 
 
 # ---------------------------------------------------------------------------
-# expand
+# growth past the initialization block
 
 
 def test_expand_no_parents_when_k_zero_and_far():
     cfg = sg.GraphConfig(top_k=0)
     base = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)
-    g = sg.build_init_graph([base], cfg)
     far = sg.GraphNode(1, 122.0, 32.0, 90.0, 0.9, False)
-    sg.expand(g, far, cfg)
+    g = sg.build_graph([base, far], 1, cfg)
     assert in_degree(g)[1] == 0
 
 
@@ -367,9 +412,7 @@ def test_expand_in_degree_min_k_prior():
     cfg = sg.GraphConfig(top_k=5)
     rng = np.random.default_rng(8)
     nodes = rand_nodes(rng, 4, extent=0.5, span=400.0, init_count=1)
-    g = sg.build_init_graph(nodes[:1], cfg)
-    for nd in nodes[1:]:
-        sg.expand(g, nd, cfg)
+    g = sg.build_graph(nodes, 1, cfg)
     assert in_degree(g)[3] == 3  # min(K=5, 3 prior)
 
 
@@ -384,43 +427,46 @@ def test_expand_sequence_matches_batch_oracle():
 def test_expand_rejects_out_of_order_and_duplicate():
     cfg = sg.GraphConfig()
     nodes = rand_nodes(np.random.default_rng(2), 5, init_count=1)
-    g = sg.build_graph(nodes, 1, cfg)
-    stale = sg.GraphNode(99, 121.0, 31.0, nodes[2].t_raw - 1.0, 0.0, False)
+    stale = sg.GraphNode(5, 121.0, 31.0, nodes[2].t_raw - 1.0, 0.0, False)
     with pytest.raises(sg.TemporalOrderError):
-        sg.expand(g, stale, cfg)
+        sg.build_graph(nodes + [stale], 1, cfg)
     dup = sg.GraphNode(3, 121.0, 31.0, 1e9, 1.0, False)
-    with pytest.raises(sg.DuplicateIdError):
-        sg.expand(g, dup, cfg)
+    with pytest.raises(sg.ConstructionError):
+        sg.build_graph(nodes + [dup], 1, cfg)
+    # the kernel refuses a row older than one of its candidates, and a
+    # refused growth leaves the graph as it was
+    with pytest.raises(sg.TemporalOrderError):
+        wire(nodes + [stale], [5], cfg)
+    g = sg.build_graph(nodes, 1, cfg)
+    with pytest.raises(sg.TemporalOrderError):
+        g.grow(columns([stale]), [g.n], cfg)
+    assert g.n == 5
 
 
 def test_expand_rejects_node_older_than_init_block():
     cfg = sg.GraphConfig()
     init = [sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True),
             sg.GraphNode(1, 121.0, 31.0, 10.0, 0.1, True)]
-    g = sg.build_init_graph(init, cfg)
     with pytest.raises(sg.TemporalOrderError):
-        sg.expand(g, sg.GraphNode(2, 121.0, 31.0, 5.0, 0.05, False), cfg)
-    assert g.n == 2
+        sg.build_graph(init + [sg.GraphNode(2, 121.0, 31.0, 5.0, 0.05, False)], 2, cfg)
 
 
 def test_expand_rejects_init_node():
     cfg = sg.GraphConfig()
-    g = sg.build_init_graph([sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)], cfg)
+    nodes = [sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True),
+             sg.GraphNode(1, 121.0, 31.0, 5.0, 0.05, True)]
     with pytest.raises(sg.ConstructionError):
-        sg.expand(g, sg.GraphNode(1, 121.0, 31.0, 5.0, 0.05, True), cfg)
-    assert g.n == 1
+        sg.build_graph(nodes, 1, cfg)
+    assert sg.build_graph(nodes, 2, cfg).init_count == 2
 
 
 def test_expand_rejects_id_other_than_next_position():
     cfg = sg.GraphConfig()
     nodes = rand_nodes(np.random.default_rng(2), 5, init_count=1)
-    g = sg.build_graph(nodes, 1, cfg)
-    skip = sg.GraphNode(g.n + 1, 121.0, 31.0, 1e9, 1.0, False)
+    skip = sg.GraphNode(6, 121.0, 31.0, 1e9, 1.0, False)
     with pytest.raises(sg.ConstructionError):
-        sg.expand(g, skip, cfg)
-    assert g.n == 5
-    sg.expand(g, replace(skip, node_id=g.n), cfg)
-    assert g.n == 6
+        sg.build_graph(nodes + [skip], 1, cfg)
+    assert sg.build_graph(nodes + [replace(skip, node_id=5)], 1, cfg).n == 6
 
 
 def test_combined_parents_equals_top_union_hard():
@@ -503,8 +549,7 @@ def test_parent_at_half_span_gives_half_dt_norm():
     span = 80.0
     a = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)
     b = sg.GraphNode(1, 121.0, 31.0, span / 2, 0.5, False)
-    g = sg.build_init_graph([a], sg.GraphConfig(t_res_days=span))
-    sg.expand(g, b, sg.GraphConfig(t_res_days=span))
+    g = sg.build_graph([a, b], 1, sg.GraphConfig(t_res_days=span))
     edges = g.to_json_dict()["edges"]
     assert edges and edges[0]["dt_norm"] == 0.5
 

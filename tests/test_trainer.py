@@ -19,6 +19,22 @@ def make_context(inst, params=None):
                                stats=inst["stats"], schema=inst["schema"])
 
 
+def append_query(ctx, graph, nodes, query):
+    """Append the query's node to graph and nodes, wired against every row
+    before it as the "true" and "predicted" strategies wire it."""
+    qnode = tr.query_node(ctx, nodes, graph.n, query)
+    graph.grow([[qnode.coords[0]], [qnode.coords[1]], [qnode.t_raw], [qnode.t_norm]],
+               [graph.n], ctx.graph_config)
+    nodes.append(qnode)
+    return qnode
+
+
+def step(ctx, graph, nodes, query):
+    """One autoregressive step by hand: append the query's node and forecast it."""
+    append_query(ctx, graph, nodes, query)
+    return tr.predict_one(ctx, graph, nodes, graph.n - 1)
+
+
 def run_training(inst, epochs, seed=0, track=False):
     cfg = tr.TrainConfig(epochs=epochs, seed=seed, track_attention=track)
     return tr.train_on_graph(inst["graph"], inst["nodes"], inst["config"],
@@ -109,7 +125,7 @@ def test_duplicate_query_matches_training_forward():
     last = nodes[-1]
     query = tr.Query(last.location_id, last.t_raw)
     grown_nodes = list(history_nodes)
-    yhat = tr.predict_one(ctx, history, grown_nodes, query)
+    yhat = step(ctx, history, grown_nodes, query)
     # the step grows the history exactly as the build does
     assert history.to_json_dict() == graph.to_json_dict()
     assert len(grown_nodes) == len(nodes)
@@ -128,14 +144,14 @@ def test_isolated_query_ignores_other_nodes_features():
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
     query = tr.Query(nodes[0].location_id, graph.t_raw.max() + 1e5)  # no proximity parents
-    y1 = tr.predict_one(ctx, graph.copy(), list(nodes), query)
+    y1 = step(ctx, graph.copy(), list(nodes), query)
 
     poked = [ds.apply_preprocess(r, inst["stats"], inst["schema"], node_id=i)
              for i, r in enumerate(inst["records"])]
     for node in poked:
         node.x_full = node.x_full.copy()
         node.x_full[:-3] += 3.3
-    y2 = tr.predict_one(ctx, graph.copy(), poked, query)
+    y2 = step(ctx, graph.copy(), poked, query)
     assert y1 == y2
 
 
@@ -147,7 +163,7 @@ def test_query_contract_errors():
     unknown = tr.Query(424242, graph.t_raw.max() + 5.0)
     for query in (early, unknown):
         with pytest.raises(tr.QueryError):
-            tr.predict_one(ctx, graph.copy(), list(nodes), query)
+            tr.predict_sequence(ctx, graph, nodes, [query], "predicted")
         with pytest.raises(tr.QueryError):
             tr.predict_sequence(ctx, graph, nodes, [query])
 
@@ -202,16 +218,12 @@ def test_three_query_chain_matches_dense_hand_step():
     work_nodes = list(nodes)
     want = []
     for q in queries:
-        node_id = work_graph.n
-        qnode = tr.query_node(ctx, work_nodes, node_id, q)
-        meta = sg.GraphNode(node_id, qnode.coords[0], qnode.coords[1],
-                            q.t_raw, qnode.t_norm, False)
-        sg.expand(work_graph, meta, inst["graph_cfg"])
-        dense = dense_forward(work_graph, work_nodes + [qnode], inst["params"],
+        qnode = append_query(ctx, work_graph, work_nodes, q)
+        dense = dense_forward(work_graph, work_nodes, inst["params"],
                               inst["config"], l_res_m=inst["graph_cfg"].l_res_m)
-        yhat = float(dense[node_id])
+        yhat = float(dense[qnode.node_id])
         want.append(yhat)
-        work_nodes.append(tr.predicted_node(ctx, qnode, yhat))
+        work_nodes[-1] = tr.predicted_node(ctx, qnode, yhat)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -270,7 +282,7 @@ def test_ignore_strategy_is_order_free_per_query():
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 4)
     out = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    singles = [tr.predict_one(ctx, graph.copy(), list(nodes), q) for q in queries]
+    singles = [step(ctx, graph.copy(), list(nodes), q) for q in queries]
     assert np.allclose(out, singles, atol=1e-12)
     # no query's answer depends on the queries before it
     tail = tr.predict_sequence(ctx, graph, nodes, queries[2:], "ignore")
@@ -283,7 +295,7 @@ def test_batch_ignore_equals_sequential():
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 5)
     batched = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    singles = [tr.predict_one(ctx, graph.copy(), list(nodes), q) for q in queries]
+    singles = [step(ctx, graph.copy(), list(nodes), q) for q in queries]
     assert np.allclose(batched, singles, atol=1e-12)
 
 
@@ -297,7 +309,7 @@ def test_batch_ignore_allow_past_wires_against_no_later_history():
     visible = int(np.sum(graph.t_raw <= t))
     prefix = sg.build_graph(sg.graph_nodes_from_processed(nodes[:visible], 2), 2,
                             inst["graph_cfg"])
-    want = tr.predict_one(ctx, prefix, nodes[:visible], q)
+    want = step(ctx, prefix, nodes[:visible], q)
     assert got[0] == pytest.approx(want, abs=1e-12)
 
 
@@ -308,9 +320,7 @@ def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
     for k, q in enumerate(queries):
         if strategy == "ignore":
             work_graph, work_nodes = graph.copy(), list(nodes)
-        qnode = tr.query_node(ctx, work_nodes, work_graph.n, q)
-        sg.expand(work_graph, sg.graph_nodes_from_processed([qnode])[0], ctx.graph_config)
-        work_nodes.append(qnode)
+        qnode = append_query(ctx, work_graph, work_nodes, q)
         gt = md.prepare_tensors(work_graph, work_nodes, l_res_m=ctx.graph_config.l_res_m)
         out.append(md.forward_values(gt, ctx.params, ctx.model_config)[-1])
         if strategy == "true":
@@ -363,7 +373,7 @@ def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
         return md.forward_values(gt, *args, **kwargs)
 
     monkeypatch.setattr(tr, "forward_values", spy)
-    tr.predict_one(ctx, graph, nodes, chain_queries(inst, 1)[0])
+    step(ctx, graph, nodes, chain_queries(inst, 1)[0])
     (gt,) = handed
     parents, cone = brute_force_ancestors(graph, graph.n - 1, layers)
     if layers == 1:
