@@ -75,15 +75,16 @@ class RawRecord:
     distress_type: int
 
     def validate(self) -> None:
+        bad = [c for c in CSV_COLUMNS
+               if c not in _INT_COLUMNS and not math.isfinite(getattr(self, c))]
+        if bad:
+            raise ValueError(f"non-finite {', '.join(bad)}")
         if self.detect_info < 0:
             raise ValueError(f"detect_info must be >= 0, got {self.detect_info}")
         if not 0.0 <= self.detect_conf <= 1.0:
             raise ValueError(f"detect_conf must be in [0,1], got {self.detect_conf}")
         if self.distress_type not in DISTRESS_TYPES:
             raise EncodingError(f"unknown distress_type code {self.distress_type}")
-        if not (math.isfinite(self.collect_time) and math.isfinite(self.longitude_gcj)
-                and math.isfinite(self.latitude_gcj)):
-            raise ValueError("non-finite coordinate or timestamp")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ Layout: an STGraph is columnar. Node i is row i of the float64 columns
 lon, lat, t_raw and t_norm (a node's id is its position), and the first
 init_count rows are the initialization block. Parent edges are kept in CSR
 form: the parents of node i are entries offsets[i]:offsets[i + 1] of the
-per-edge columns parent, dist_m and origin (a code into ORIGINS). Rows are
-added in bulk with amortised doubling, so growing a graph seldom copies it.
+per-edge columns parent, dist_m and origin (a code into ORIGINS). A graph
+is a value: grow returns a new graph holding the old rows followed by the
+new ones, and leaves the graph it was called on as it was.
 
 Wiring: a node's parents depend only on the coordinates and times of the
 rows before it, never on their features or edges. So combined_parents, the
@@ -21,17 +22,16 @@ one wiring kernel, wires a batch of rows per call, each against its own
 prefix: build_graph calls it twice, a forecast once for all its queries.
 
 Sorted-time contract: t_raw is nondecreasing over the rows of every graph
-that build_graph and from_json_dict produce. combined_parents relies on it:
-each row's candidate prefix must be sorted by time and no later than the
-row, so that the row is scored against a time window of it only.
+that build_graph produces. combined_parents relies on it: each row's
+candidate prefix must be sorted by time and no later than the row, so that
+the row is scored against a time window of it only.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,16 +83,6 @@ Wiring = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # CSR (offsets, 
 _NO_EDGES = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))  # (row, parent, dist_m)
 
 
-def _put(arr: np.ndarray, at: int, values) -> np.ndarray:
-    """arr with values written from row at on, in a copy of doubled capacity if full."""
-    need = at + len(values)
-    if need > len(arr):
-        arr, old = np.empty(max(need, 2 * len(arr)), arr.dtype), arr
-        arr[:at] = old[:at]
-    arr[at:need] = values
-    return arr
-
-
 def _checked_rows(ids, is_init, cols) -> int:
     """The number of init rows, once the rows pass every check the kernel relies on.
 
@@ -112,25 +102,32 @@ def _checked_rows(ids, is_init, cols) -> int:
     return init_count
 
 
+def _column(dtype=float):
+    """A field defaulting to an empty column, as in a graph with no rows."""
+    return field(default_factory=lambda: np.empty(0, dtype))
+
+
+@dataclass(frozen=True, eq=False)
 class STGraph:
-    """Node columns plus CSR parent lists; see the module docstring."""
+    """Node columns plus CSR parent lists; see the module docstring.
 
-    def __init__(self):
-        self.n = self.init_count = self._m = 0
-        self._cols = {name: np.empty(16) for name in _NODE_COLUMNS}
-        self._offsets = np.zeros(17, np.int64)
-        self._edges = {"parent": np.empty(64, np.int64), "dist_m": np.empty(64),
-                       "origin": np.empty(64, _ORIGIN_DTYPE)}
+    A value: grow returns a new graph, and no method writes the arrays.
+    STGraph() is the graph with no rows.
+    """
 
-    # views of the stored rows, valid until the next extend or truncate
-    lon = property(lambda self: self._cols["lon"][:self.n])
-    lat = property(lambda self: self._cols["lat"][:self.n])
-    t_raw = property(lambda self: self._cols["t_raw"][:self.n])
-    t_norm = property(lambda self: self._cols["t_norm"][:self.n])
-    offsets = property(lambda self: self._offsets[:self.n + 1])
-    parent = property(lambda self: self._edges["parent"][:self._m])
-    dist_m = property(lambda self: self._edges["dist_m"][:self._m])
-    origin = property(lambda self: self._edges["origin"][:self._m])
+    lon: np.ndarray = _column()
+    lat: np.ndarray = _column()
+    t_raw: np.ndarray = _column()
+    t_norm: np.ndarray = _column()
+    offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
+    parent: np.ndarray = _column(np.int64)
+    dist_m: np.ndarray = _column()
+    origin: np.ndarray = _column(_ORIGIN_DTYPE)
+    init_count: int = 0
+
+    @property
+    def n(self) -> int:
+        return len(self.t_raw)
 
     @property
     def child(self) -> np.ndarray:
@@ -138,42 +135,27 @@ class STGraph:
         return np.repeat(np.arange(self.n), np.diff(self.offsets))
 
     def edge_count(self) -> int:
-        return self._m
+        return len(self.parent)
 
     def origin_counts(self) -> dict[str, int]:
         counts = np.bincount(self.origin, minlength=len(ORIGINS))
         return {name: int(c) for name, c in zip(ORIGINS, counts)}
 
-    def extend(self, cols, wiring: Wiring) -> None:
-        """Add rows n, n + 1, ... holding cols (the _NODE_COLUMNS arrays) and
-        the parent lists wiring, unchecked: grow wires the rows it adds."""
-        offsets, *edges = wiring
-        i, m = self.n, self._m
-        self._offsets = _put(self._offsets, i + 1, m + offsets[1:])
-        for store, values, at in ((self._cols, cols, i), (self._edges, edges, m)):
-            for name, col in zip(store, values):
-                store[name] = _put(store[name], at, col)
-        self.n, self._m = i + len(offsets) - 1, m + len(edges[0])
-
-    def grow(self, cols, limits, config: GraphConfig, mutual: bool = False) -> None:
-        """Add rows holding cols (the _NODE_COLUMNS arrays), new row r wired by
-        combined_parents against the rows [0, limits[r]) of the grown graph."""
-        lon, lat, t_raw = (np.concatenate((self._cols[name][:self.n], col))
-                           for name, col in zip(_NODE_COLUMNS[:3], cols))
-        self.extend(cols, combined_parents(lon, lat, t_raw, limits, config, mutual))
-
-    def truncate(self, n: int) -> None:
-        """Drop the nodes from position n on, with their parent edges."""
-        self.n = n
-        self._m = int(self._offsets[n])
-        self.init_count = min(self.init_count, n)
-
-    def copy(self) -> "STGraph":
-        return copy.deepcopy(self)
+    def grow(self, cols, limits, config: GraphConfig, mutual: bool = False) -> "STGraph":
+        """This graph plus rows holding cols (the _NODE_COLUMNS arrays), new row r
+        wired by combined_parents against the rows [0, limits[r]) of the result."""
+        lon, lat, t_raw, t_norm = (np.concatenate((getattr(self, name), col))
+                                   for name, col in zip(_NODE_COLUMNS, cols))
+        offsets, parent, dist_m, origin = combined_parents(lon, lat, t_raw, limits,
+                                                           config, mutual)
+        return STGraph(lon, lat, t_raw, t_norm,
+                       np.concatenate((self.offsets, self.edge_count() + offsets[1:])),
+                       np.concatenate((self.parent, parent)),
+                       np.concatenate((self.dist_m, dist_m)),
+                       np.concatenate((self.origin, origin)), self.init_count)
 
     def to_json_dict(self) -> dict:
-        lon, lat, t_raw, t_norm = (self._cols[name][:self.n].tolist()
-                                   for name in _NODE_COLUMNS)
+        lon, lat, t_raw, t_norm = (getattr(self, name).tolist() for name in _NODE_COLUMNS)
         child, tn = self.child, self.t_norm
         dt_norm = np.abs(tn[child] - tn[self.parent]).tolist()
         return {
@@ -185,37 +167,6 @@ class STGraph:
                                                 self.origin.tolist(), dt_norm,
                                                 self.dist_m.tolist())],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "STGraph":
-        """Rebuild a graph whose node ids are their positions 0..n-1.
-
-        Raises ConstructionError for anything the kernel cannot trust: rows
-        that fail build_graph's checks, and edges naming no node or an
-        unknown origin.
-        """
-        nodes, edges = d["nodes"], d["edges"]
-        n = len(nodes)
-        cols = [np.array([nd[name] for nd in nodes], dtype=float) for name in _NODE_COLUMNS]
-        init_count = _checked_rows([nd["id"] for nd in nodes],
-                                   [bool(nd["is_init"]) for nd in nodes], cols)
-        src = np.array([e["from"] for e in edges], dtype=np.int64)
-        dst = np.array([e["to"] for e in edges], dtype=np.int64)
-        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ConstructionError(f"edge {src[k]}->{dst[k]} names no node")
-        try:
-            origin = np.array([ORIGINS.index(e["origin"]) for e in edges], _ORIGIN_DTYPE)
-        except ValueError as exc:
-            raise ConstructionError(f"unknown edge origin: {exc}") from exc
-        order = np.argsort(dst, kind="stable")  # group by child, file order within
-        dist = np.array([e["dist_m"] for e in edges], dtype=float)
-        graph = cls()
-        graph.extend(cols, (np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n)))),
-                            src[order], dist[order], origin[order]))
-        graph.init_count = init_count
-        return graph
 
 
 def _distances(lon, lat, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
@@ -340,9 +291,9 @@ def build_graph(nodes_meta: list[GraphNode], init_count: int,
                 config: GraphConfig) -> STGraph:
     """The initialization block, then every later row wired against the rows before it.
 
-    Raises ConstructionError for rows that fail the checks load_graph_json
-    applies (TemporalOrderError for rows out of time order) and for an
-    init_count other than the number of rows flagged is_init.
+    Raises ConstructionError for rows that fail _checked_rows
+    (TemporalOrderError for rows out of time order) and for an init_count
+    other than the number of rows flagged is_init.
     """
     n = len(nodes_meta)
     if init_count <= 0 or init_count > n:
@@ -353,12 +304,10 @@ def build_graph(nodes_meta: list[GraphNode], init_count: int,
                             [nd.is_init for nd in nodes_meta], cols)
     if flagged != init_count:
         raise ConstructionError(f"init_count {init_count}, but {flagged} init nodes")
-    graph = STGraph()
-    graph.grow([col[:init_count] for col in cols], np.full(init_count, init_count),
-               config, mutual=True)
-    graph.init_count = init_count
-    graph.grow([col[init_count:] for col in cols], np.arange(init_count, n), config)
-    return graph
+    init = STGraph().grow([col[:init_count] for col in cols], np.full(init_count, init_count),
+                          config, mutual=True)
+    return replace(init, init_count=init_count).grow(
+        [col[init_count:] for col in cols], np.arange(init_count, n), config)
 
 
 def graph_nodes_from_processed(nodes, init_count: int = 0) -> list[GraphNode]:
@@ -373,7 +322,3 @@ def save_graph_json(graph: STGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
-
-def load_graph_json(path) -> STGraph:
-    with open(path, encoding="utf-8") as fh:
-        return STGraph.from_json_dict(json.load(fh))

@@ -11,7 +11,8 @@ against the history and answers them all in one forward pass. "true" and
 "predicted" wire each query against everything before it and take one step
 per query: predict_one, the forward pass for that query's node, after which
 the node takes its observed record or its prediction. predict_sequence
-leaves the caller's graph as it was.
+reads the caller's graph and node list and writes neither: it forecasts on
+the graph that STGraph.grow returns and on a node list of its own.
 
 Both forward passes cover the queries' ancestor cone, no cache: edges point
 from older to newer nodes, so an L-layer model's prediction for a query
@@ -93,6 +94,9 @@ class TrainResult:
     attention_max_dev: float | None
 
 
+# numpy's overflow warnings would repeat what DivergenceError reports: the
+# non-finite loss and the primitive that first produced a non-finite value
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_on_graph(graph: STGraph, nodes: list[ProcessedNode],
                    model_config: ModelConfig, train_config: TrainConfig,
                    graph_config: GraphConfig, log=None) -> TrainResult:
@@ -222,7 +226,8 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
     earlier queries included, and take one predict_one step per query in
     time order, overwriting the query's node with its observed record
     (caller-supplied) or its own prediction before the next step reads it.
-    The caller's graph and node list end as they were.
+    The forecast runs on a grown copy of the graph and node list: it reads
+    the caller's and writes neither.
     """
     for earlier, later in zip(queries, queries[1:]):
         if later.t_raw < earlier.t_raw:
@@ -234,8 +239,7 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
     if not queries:
         return np.empty(0)
 
-    base_n, base_nodes = graph.n, len(nodes)
-    history = graph.t_raw
+    base_n, history = graph.n, graph.t_raw
     if base_n and not (allow_past and strategy == "ignore") \
             and queries[0].t_raw < history[-1]:
         raise QueryError(f"query time {queries[0].t_raw} precedes the latest "
@@ -246,26 +250,20 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
         limits = np.searchsorted(history, cols[2], side="right")
     else:
         limits = np.arange(base_n, base_n + len(queries))
-    try:
-        graph.grow(cols, limits, ctx.graph_config)
-        nodes.extend(qnodes)
-        if strategy == "ignore":
-            gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
-                                 targets=np.arange(base_n, graph.n),
-                                 hops=ctx.model_config.layers)
-            return forward_values(gt, ctx.params, ctx.model_config)[gt.n - len(queries):]
-        out = np.empty(len(queries))
-        for k, row in enumerate(range(base_n, graph.n)):
-            out[k] = predict_one(ctx, graph, nodes, row)
-            if strategy == "true":
-                nodes[row] = apply_preprocess(observed[k], ctx.stats, ctx.schema,
-                                              node_id=row)
-            else:
-                nodes[row] = predicted_node(ctx, nodes[row], out[k])
-        return out
-    finally:
-        graph.truncate(base_n)
-        del nodes[base_nodes:]
+    graph, nodes = graph.grow(cols, limits, ctx.graph_config), nodes + qnodes
+    if strategy == "ignore":
+        gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
+                             targets=np.arange(base_n, graph.n),
+                             hops=ctx.model_config.layers)
+        return forward_values(gt, ctx.params, ctx.model_config)[gt.n - len(queries):]
+    out = np.empty(len(queries))
+    for k, row in enumerate(range(base_n, graph.n)):
+        out[k] = predict_one(ctx, graph, nodes, row)
+        if strategy == "true":
+            nodes[row] = apply_preprocess(observed[k], ctx.stats, ctx.schema, node_id=row)
+        else:
+            nodes[row] = predicted_node(ctx, nodes[row], out[k])
+    return out
 
 
 # ---------------------------------------------------------------------------

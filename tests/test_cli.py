@@ -310,6 +310,12 @@ def test_diverging_training_exits_2_with_one_error_line(tmp_path, tiny_config_fi
     assert len(err) == 1 and err[0].startswith("error: loss became non-finite")
 
 
+def test_diverging_training_prints_no_numpy_warning(tmp_path, tiny_config_file, capsys):
+    assert run_cli("train", "--config", tiny_config_file, "--set", "train.lr=1e200",
+                   "--out", str(tmp_path / "x")) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_predict_has_no_strategy_flag(trained):
     with pytest.raises(SystemExit):
         run_cli("predict", "--checkpoint", str(trained), "--location", "0",

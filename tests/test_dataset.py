@@ -58,6 +58,20 @@ def test_load_collects_row_errors_without_failing(tmp_path):
     assert sorted(row for row, _ in report.skipped_rows) == [1, 2]
 
 
+def test_load_skips_non_finite_readings(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    lines = [FIXTURE_HEADER,
+             "1,121.0,31.0,5.0,1,1,1,1,nan,1,1,1,2.0,0.9,11",  # pressure
+             "2,121.0,31.0,5.0,1,1,1,inf,1,1,1,1,2.0,0.9,11",  # wind
+             "3,121.0,31.0,5.0,1,1,1,1,1,1,1,1,nan,0.9,11",    # detect_info
+             "4,121.0,31.0,5.0,1,1,1,1,1,1,1,1,2.0,0.9,11"]
+    path.write_text("\n".join(lines) + "\n")
+    report = ds.load_records(path)
+    assert [r.location_id for r in report.records] == [4]
+    assert report.skipped_rows == [
+        (1, "non-finite pressure"), (2, "non-finite wind"), (3, "non-finite detect_info")]
+
+
 def test_load_twenty_row_fixture_field_by_field(tmp_path):
     rng = np.random.default_rng(9)
     rows = []

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -469,6 +468,30 @@ def test_expand_rejects_id_other_than_next_position():
     assert sg.build_graph(nodes + [replace(skip, node_id=5)], 1, cfg).n == 6
 
 
+def test_grow_returns_a_new_graph():
+    cfg = sg.GraphConfig(top_k=2)
+    nodes = rand_nodes(np.random.default_rng(8), 12, init_count=2)
+    g = sg.build_graph(nodes[:9], 2, cfg)
+    names = ("lon", "lat", "t_raw", "t_norm", "offsets", "parent", "dist_m", "origin")
+    before = {name: getattr(g, name).copy() for name in names}
+
+    def unchanged():
+        return g.n == 9 and all(np.array_equal(getattr(g, name), before[name])
+                                for name in names)
+
+    grown = g.grow(columns(nodes[9:]), [9, 10, 11], cfg)
+    assert unchanged()
+    assert grown.n == 12 and grown.init_count == 2
+    n, m = g.n, g.edge_count()
+    for name, head in zip(names, (n, n, n, n, n + 1, m, m, m)):
+        assert np.array_equal(getattr(grown, name)[:head], before[name])
+    assert grown.to_json_dict() == sg.build_graph(nodes, 2, cfg).to_json_dict()
+    stale = replace(nodes[9], t_raw=nodes[8].t_raw - 1.0)
+    with pytest.raises(sg.TemporalOrderError):
+        g.grow(columns([stale]), [g.n], cfg)
+    assert unchanged()
+
+
 def test_combined_parents_equals_top_union_hard():
     rng = np.random.default_rng(31)
     cfg = sg.GraphConfig(l_res_m=600.0, t_res_days=25.0, top_k=3)
@@ -552,67 +575,3 @@ def test_parent_at_half_span_gives_half_dt_norm():
     g = sg.build_graph([a, b], 1, sg.GraphConfig(t_res_days=span))
     edges = g.to_json_dict()["edges"]
     assert edges and edges[0]["dt_norm"] == 0.5
-
-
-def test_graph_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(14)
-    nodes = rand_nodes(rng, 12, init_count=2)
-    g = sg.build_graph(nodes, 2, sg.GraphConfig(top_k=2))
-    path = tmp_path / "graph.json"
-    sg.save_graph_json(g, path)
-    back = sg.load_graph_json(path)
-    assert back.n == g.n and back.init_count == g.init_count
-    assert edge_set(back) == edge_set(g)
-    assert back.to_json_dict() == g.to_json_dict()
-
-
-@pytest.mark.parametrize("ids", [[1, 2, 3], [0, 2, 1], [0, 1, 1]])
-def test_load_graph_json_rejects_non_positional_ids(tmp_path, ids):
-    nodes = rand_nodes(np.random.default_rng(6), 3, init_count=1)
-    doc = sg.build_graph(nodes, 1, sg.GraphConfig()).to_json_dict()
-    for node, node_id in zip(doc["nodes"], ids):
-        node["id"] = node_id
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(sg.ConstructionError):
-        sg.load_graph_json(path)
-
-
-def swap_times(doc):
-    doc["nodes"][1]["t_raw"], doc["nodes"][2]["t_raw"] = \
-        doc["nodes"][2]["t_raw"], doc["nodes"][1]["t_raw"]
-
-
-def init_after_non_init(doc):
-    doc["nodes"][2]["is_init"] = True
-
-
-def nan_longitude(doc):
-    doc["nodes"][1]["lon"] = math.nan
-
-
-def unknown_origin(doc):
-    doc["edges"][0]["origin"] = "ranked"
-
-
-@pytest.mark.parametrize("corrupt", [swap_times, init_after_non_init, nan_longitude,
-                                     unknown_origin])
-def test_load_graph_json_rejects_graph_the_kernel_cannot_trust(tmp_path, corrupt):
-    nodes = rand_nodes(np.random.default_rng(6), 3, init_count=1)
-    doc = sg.build_graph(nodes, 1, sg.GraphConfig()).to_json_dict()
-    corrupt(doc)
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(sg.ConstructionError):
-        sg.load_graph_json(path)
-
-
-def test_load_graph_json_rejects_edge_to_missing_node(tmp_path):
-    nodes = rand_nodes(np.random.default_rng(6), 3, init_count=1)
-    doc = sg.build_graph(nodes, 1, sg.GraphConfig()).to_json_dict()
-    doc["edges"].append({"from": -1, "to": 2, "origin": "top",
-                         "dt_norm": 0.0, "dist_m": 0.0})
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(sg.ConstructionError):
-        sg.load_graph_json(path)

@@ -20,19 +20,19 @@ def make_context(inst, params=None):
 
 
 def append_query(ctx, graph, nodes, query):
-    """Append the query's node to graph and nodes, wired against every row
-    before it as the "true" and "predicted" strategies wire it."""
+    """graph grown by the query's node, wired against every row before it as
+    the "true" and "predicted" strategies wire it; the node joins nodes."""
     qnode = tr.query_node(ctx, nodes, graph.n, query)
-    graph.grow([[qnode.coords[0]], [qnode.coords[1]], [qnode.t_raw], [qnode.t_norm]],
-               [graph.n], ctx.graph_config)
     nodes.append(qnode)
-    return qnode
+    return graph.grow([[qnode.coords[0]], [qnode.coords[1]], [qnode.t_raw], [qnode.t_norm]],
+                      [graph.n], ctx.graph_config)
 
 
 def step(ctx, graph, nodes, query):
-    """One autoregressive step by hand: append the query's node and forecast it."""
-    append_query(ctx, graph, nodes, query)
-    return tr.predict_one(ctx, graph, nodes, graph.n - 1)
+    """One autoregressive step by hand: the graph grown by the query's node,
+    and the node's forecast."""
+    grown = append_query(ctx, graph, nodes, query)
+    return grown, tr.predict_one(ctx, grown, nodes, graph.n)
 
 
 def run_training(inst, epochs, seed=0, track=False):
@@ -125,9 +125,9 @@ def test_duplicate_query_matches_training_forward():
     last = nodes[-1]
     query = tr.Query(last.location_id, last.t_raw)
     grown_nodes = list(history_nodes)
-    yhat = step(ctx, history, grown_nodes, query)
+    grown, yhat = step(ctx, history, grown_nodes, query)
     # the step grows the history exactly as the build does
-    assert history.to_json_dict() == graph.to_json_dict()
+    assert grown.to_json_dict() == graph.to_json_dict()
     assert len(grown_nodes) == len(nodes)
 
     # training-style forward over the full graph, query features blanked the
@@ -144,14 +144,14 @@ def test_isolated_query_ignores_other_nodes_features():
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
     query = tr.Query(nodes[0].location_id, graph.t_raw.max() + 1e5)  # no proximity parents
-    y1 = step(ctx, graph.copy(), list(nodes), query)
+    _, y1 = step(ctx, graph, list(nodes), query)
 
     poked = [ds.apply_preprocess(r, inst["stats"], inst["schema"], node_id=i)
              for i, r in enumerate(inst["records"])]
     for node in poked:
         node.x_full = node.x_full.copy()
         node.x_full[:-3] += 3.3
-    y2 = step(ctx, graph.copy(), poked, query)
+    _, y2 = step(ctx, graph, poked, query)
     assert y1 == y2
 
 
@@ -185,18 +185,18 @@ def test_predict_sequence_restores_graph_and_nodes(strategy):
     inst = small_instance(21)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
-    n_before, doc_before, n_nodes = graph.n, graph.to_json_dict(), len(nodes)
+    n_before, doc_before, nodes_before = graph.n, graph.to_json_dict(), list(nodes)
     queries = chain_queries(inst, 3)
     observed = inst["records"][:3]
 
     def unchanged():
         return (graph.n == n_before and graph.to_json_dict() == doc_before
-                and len(nodes) == n_nodes)
+                and len(nodes) == len(nodes_before)
+                and all(a is b for a, b in zip(nodes, nodes_before)))
 
     tr.predict_sequence(ctx, graph, nodes, queries, strategy, observed=observed)
     assert unchanged()
-    # the second query names a location without history and fails after the
-    # first one has grown the graph
+    # the second query names a location without history
     failing = [queries[0], tr.Query(424242, queries[1].t_raw)]
     with pytest.raises(tr.QueryError):
         tr.predict_sequence(ctx, graph, nodes, failing, strategy, observed=observed[:2])
@@ -214,11 +214,12 @@ def test_three_query_chain_matches_dense_hand_step():
     got = tr.predict_sequence(ctx, graph, nodes, queries, strategy="predicted")
 
     # dense oracle stepped by hand with explicit commits
-    work_graph = graph.copy()
+    work_graph = graph
     work_nodes = list(nodes)
     want = []
     for q in queries:
-        qnode = append_query(ctx, work_graph, work_nodes, q)
+        work_graph = append_query(ctx, work_graph, work_nodes, q)
+        qnode = work_nodes[-1]
         dense = dense_forward(work_graph, work_nodes, inst["params"],
                               inst["config"], l_res_m=inst["graph_cfg"].l_res_m)
         yhat = float(dense[qnode.node_id])
@@ -243,9 +244,10 @@ def test_single_query_strategies_agree():
     queries = chain_queries(inst, 1)
     obs = [inst["records"][0]]
     obs[0].collect_time = queries[0].t_raw
-    a = tr.predict_sequence(ctx, inst["graph"].copy(), list(inst["nodes"]), queries, "ignore")
-    b = tr.predict_sequence(ctx, inst["graph"].copy(), list(inst["nodes"]), queries, "true", obs)
-    c = tr.predict_sequence(ctx, inst["graph"].copy(), list(inst["nodes"]), queries, "predicted")
+    graph, nodes = inst["graph"], inst["nodes"]
+    a = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
+    b = tr.predict_sequence(ctx, graph, nodes, queries, "true", obs)
+    c = tr.predict_sequence(ctx, graph, nodes, queries, "predicted")
     assert a == b == c
 
 
@@ -282,7 +284,7 @@ def test_ignore_strategy_is_order_free_per_query():
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 4)
     out = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    singles = [step(ctx, graph.copy(), list(nodes), q) for q in queries]
+    singles = [step(ctx, graph, list(nodes), q)[1] for q in queries]
     assert np.allclose(out, singles, atol=1e-12)
     # no query's answer depends on the queries before it
     tail = tr.predict_sequence(ctx, graph, nodes, queries[2:], "ignore")
@@ -295,7 +297,7 @@ def test_batch_ignore_equals_sequential():
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 5)
     batched = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    singles = [step(ctx, graph.copy(), list(nodes), q) for q in queries]
+    singles = [step(ctx, graph, list(nodes), q)[1] for q in queries]
     assert np.allclose(batched, singles, atol=1e-12)
 
 
@@ -309,18 +311,19 @@ def test_batch_ignore_allow_past_wires_against_no_later_history():
     visible = int(np.sum(graph.t_raw <= t))
     prefix = sg.build_graph(sg.graph_nodes_from_processed(nodes[:visible], 2), 2,
                             inst["graph_cfg"])
-    want = step(ctx, prefix, nodes[:visible], q)
+    _, want = step(ctx, prefix, nodes[:visible], q)
     assert got[0] == pytest.approx(want, abs=1e-12)
 
 
 def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
     """What predict_sequence answers, from a full-graph prepare_tensors and
     forward pass over the grown graph per step."""
-    work_graph, work_nodes, out = graph.copy(), list(nodes), []
+    work_graph, work_nodes, out = graph, list(nodes), []
     for k, q in enumerate(queries):
         if strategy == "ignore":
-            work_graph, work_nodes = graph.copy(), list(nodes)
-        qnode = append_query(ctx, work_graph, work_nodes, q)
+            work_graph, work_nodes = graph, list(nodes)
+        work_graph = append_query(ctx, work_graph, work_nodes, q)
+        qnode = work_nodes[-1]
         gt = md.prepare_tensors(work_graph, work_nodes, l_res_m=ctx.graph_config.l_res_m)
         out.append(md.forward_values(gt, ctx.params, ctx.model_config)[-1])
         if strategy == "true":
@@ -365,7 +368,7 @@ def brute_force_ancestors(graph, node_id, hops):
 def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
     inst = small_instance(23, n=64, init_count=4, layers=layers)
     ctx = make_context(inst)
-    graph, nodes = inst["graph"].copy(), list(inst["nodes"])
+    nodes = list(inst["nodes"])
     handed = []
 
     def spy(gt, *args, **kwargs):
@@ -373,7 +376,7 @@ def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
         return md.forward_values(gt, *args, **kwargs)
 
     monkeypatch.setattr(tr, "forward_values", spy)
-    step(ctx, graph, nodes, chain_queries(inst, 1)[0])
+    graph, _ = step(ctx, inst["graph"], nodes, chain_queries(inst, 1)[0])
     (gt,) = handed
     parents, cone = brute_force_ancestors(graph, graph.n - 1, layers)
     if layers == 1:
