@@ -33,6 +33,10 @@ class UsageError(ValueError):
     pass
 
 
+def _log(msg: str) -> None:
+    print(msg, file=sys.stderr)
+
+
 def load_run_config(path: str | None, overrides: list[str],
                     benchmark: bool = False) -> RunConfig:
     if benchmark and path:
@@ -108,7 +112,7 @@ def cmd_build_graph(args) -> int:
     config = load_run_config(args.config, args.set, args.benchmark)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    data = prepare_data(config)
+    data = prepare_data(config, log=_log)
     t1 = time.perf_counter()
     graph, _ = build_history_graph(config, data)
     t2 = time.perf_counter()
@@ -125,7 +129,7 @@ def cmd_build_graph(args) -> int:
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set, args.benchmark)
     out = _out_dir(args)
-    result = run_experiment(config, log=lambda msg: print(msg, file=sys.stderr))
+    result = run_experiment(config, log=_log)
     ckpt_path = out / "model.ckpt"
     tr.save_checkpoint(ckpt_path, result.checkpoint)
     loss_path = out / "loss.csv"
@@ -178,7 +182,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
 
     t0 = time.perf_counter()
-    data = prepare_data(config, stats=ckpt.stats)
+    data = prepare_data(config, stats=ckpt.stats, log=_log)
     t1 = time.perf_counter()
     graph, graph_cfg = build_history_graph(config, data)
     t2 = time.perf_counter()
@@ -204,7 +208,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = tr.load_checkpoint(args.checkpoint)
     config = _checkpoint_config(ckpt)
-    data = prepare_data(config, stats=ckpt.stats)
+    data = prepare_data(config, stats=ckpt.stats, log=_log)
     graph, graph_cfg = build_history_graph(config, data)
     ctx = tr.InferenceContext(params=ckpt.params, model_config=ckpt.model_config,
                               graph_config=graph_cfg, stats=ckpt.stats,
@@ -222,7 +226,7 @@ def cmd_matrix(args) -> int:
         raise UsageError("matrix needs at least one axis")
     out = _out_dir(args)
     t0 = time.perf_counter()
-    rows = run_matrix(config, axes, log=lambda msg: print(msg, file=sys.stderr))
+    rows = run_matrix(config, axes, log=_log)
     path = out / "matrix.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

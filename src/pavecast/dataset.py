@@ -112,20 +112,16 @@ class FeatureSchema:
     """Which raw columns enter the full feature vector, and in what order.
 
     Layout of x_full: standardized env features, standardized detect_info,
-    one-hot type (optional), standardized detect_conf (optional), then the
-    spatial-temporal tail [std longitude, std latitude, rescaled time]. The
-    tail is shared with x_st, so x_st is always the last three slots.
+    one-hot type, standardized detect_conf, then the spatial-temporal tail
+    [std longitude, std latitude, rescaled time]. The tail is shared with
+    x_st, so x_st is always the last three slots.
     """
 
     env_features: tuple[str, ...] = ENV_FEATURES
-    include_type_onehot: bool = True
-    include_conf: bool = True
 
     @property
     def dim_full(self) -> int:
-        return (len(self.env_features) + 1
-                + (len(DISTRESS_TYPES) if self.include_type_onehot else 0)
-                + (1 if self.include_conf else 0) + 3)
+        return len(self.env_features) + 1 + len(DISTRESS_TYPES) + 1 + 3
 
     @property
     def dim_st(self) -> int:
@@ -173,16 +169,23 @@ class PreprocessStats:
 
 @dataclass
 class ProcessedNode:
-    """A graph node: full feature vector, spatial-temporal slice, raw target."""
+    """A graph node: full feature vector and raw target. The spatial-temporal
+    vector x_st and the rescaled time t_norm are read from x_full's tail."""
 
     node_id: int
     location_id: int
     x_full: np.ndarray
-    x_st: np.ndarray
     y: float
-    t_norm: float
     t_raw: float
     coords: tuple[float, float]  # (lon, lat)
+
+    @property
+    def x_st(self) -> np.ndarray:
+        return self.x_full[-3:]
+
+    @property
+    def t_norm(self) -> float:
+        return float(self.x_full[-1])
 
 
 @dataclass
@@ -258,23 +261,16 @@ def apply_preprocess(record: RawRecord, stats: PreprocessStats,
     """Assemble x_full / x_st for one record under fitted statistics."""
     if record.distress_type not in DISTRESS_TYPES:
         raise EncodingError(f"unknown distress_type code {record.distress_type}")
-    parts = [stats.standardize(name, getattr(record, name))
-             for name in schema.env_features]
-    parts.append(stats.standardize("detect_info", record.detect_info))
-    if schema.include_type_onehot:
-        onehot = [0.0] * len(DISTRESS_TYPES)
-        onehot[DISTRESS_TYPES.index(record.distress_type)] = 1.0
-        parts.extend(onehot)
-    if schema.include_conf:
-        parts.append(stats.standardize("detect_conf", record.detect_conf))
-    t_norm = stats.rescale_time(record.collect_time)
-    st_tail = [stats.standardize("longitude_gcj", record.longitude_gcj),
-               stats.standardize("latitude_gcj", record.latitude_gcj),
-               t_norm]
-    x_full = np.array(parts + st_tail)
+    x_full = np.array([
+        *(stats.standardize(name, getattr(record, name)) for name in schema.env_features),
+        stats.standardize("detect_info", record.detect_info),
+        *(float(code == record.distress_type) for code in DISTRESS_TYPES),
+        stats.standardize("detect_conf", record.detect_conf),
+        stats.standardize("longitude_gcj", record.longitude_gcj),
+        stats.standardize("latitude_gcj", record.latitude_gcj),
+        stats.rescale_time(record.collect_time)])
     return ProcessedNode(node_id=node_id, location_id=record.location_id,
-                         x_full=x_full, x_st=x_full[-3:].copy(),
-                         y=record.detect_info, t_norm=t_norm,
+                         x_full=x_full, y=record.detect_info,
                          t_raw=record.collect_time,
                          coords=(record.longitude_gcj, record.latitude_gcj))
 
@@ -306,6 +302,24 @@ def split_segment(items: list, fractions: tuple[float, float, float] = (0.1, 0.7
 # Synthetic data with planted spatiotemporal structure
 
 
+# generator settings shared by every synthetic dataset
+CENTER_LON = 121.45
+CENTER_LAT = 31.20
+EXTENT_DEG = 0.05
+CLUSTER_SPREAD_DEG = 0.0004  # scatter of locations around a cluster
+ROUTE_GAP_DAYS = 4.0  # typical revisit gap on route locations
+START_DAY = 18750.0  # days since epoch
+SPACE_SCALE_DEG = 0.008
+TIME_SCALE_DAYS = 60.0
+RATE_BASE = 0.06  # deterioration units per day
+RATE_SPREAD = 0.45
+LEVEL_CAP = 14.0   # deterioration saturates as damage accumulates
+REPAIR_RADIUS_FRAC = 0.18  # repair patch radius as a fraction of extent
+DRIVER_FEATURE = "precipitation"
+DRIVER_WEIGHT = 0.6
+NOISE_FEATURE = "cloud"
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for the seeded deterioration-field generator.
@@ -319,44 +333,42 @@ class SyntheticConfig:
     regional repair event covers the location. Repairs are regional, so the
     severity level itself stays spatially smooth and nearby recent
     observations genuinely inform a query.
+
+    The module constants above fix the rest: CENTER_LON, CENTER_LAT,
+    EXTENT_DEG, CLUSTER_SPREAD_DEG, ROUTE_GAP_DAYS, START_DAY, SPACE_SCALE_DEG,
+    TIME_SCALE_DAYS, RATE_BASE, RATE_SPREAD, LEVEL_CAP, REPAIR_RADIUS_FRAC,
+    DRIVER_FEATURE, DRIVER_WEIGHT and NOISE_FEATURE.
     """
 
     n_locations: int = 320
     n_records: int | None = 2000
-    center_lon: float = 121.45
-    center_lat: float = 31.20
-    extent_deg: float = 0.05
     n_clusters: int = 24        # road-segment clusters the locations sit on
-    cluster_spread_deg: float = 0.0004  # scatter of locations around a cluster
     mean_visits: float = 4.0
     route_frac: float = 0.55    # fraction of clusters on a frequent inspection route
-    route_gap_days: float = 4.0  # typical revisit gap on route locations
     span_days: float = 360.0
-    start_day: float = 18750.0  # days since epoch
-    space_scale_deg: float = 0.008
-    time_scale_days: float = 60.0
     noise_level: float = 0.3
-    rate_base: float = 0.06  # deterioration units per day
-    rate_spread: float = 0.45
-    level_cap: float = 14.0   # deterioration saturates as damage accumulates
     n_repair_events: float = 60.0  # mean regional repairs over the span
-    repair_radius_frac: float = 0.18  # repair patch radius as a fraction of extent
-    driver_feature: str = "precipitation"
-    driver_weight: float = 0.6
     driver_obs_bias: float = 0.25  # measurement bias per unit of driver swing
     driver_spell_days: tuple[float, float] = (4.0, 14.0)  # weather spell periods
-    noise_feature: str = "cloud"
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_locations <= 0:
-            raise ConfigError("n_locations must be positive")
-        if self.span_days <= 0 or self.mean_visits <= 0 or self.extent_deg <= 0:
-            raise ConfigError("span_days, mean_visits and extent_deg must be positive")
-        if self.driver_feature not in ENV_FEATURES or self.noise_feature not in ENV_FEATURES:
-            raise ConfigError("driver/noise features must be environmental features")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        spell = self.driver_spell_days
+        for name, rule, ok in (
+                ("n_locations", ">= 1", self.n_locations >= 1),
+                ("n_records", "None or >= 1", self.n_records is None or self.n_records >= 1),
+                ("n_clusters", ">= 1", self.n_clusters >= 1),
+                ("mean_visits", "finite and >= 1", 1.0 <= self.mean_visits < math.inf),
+                ("route_frac", "in [0, 1]", 0.0 <= self.route_frac <= 1.0),
+                ("span_days", "finite and > 0", 0.0 < self.span_days < math.inf),
+                ("noise_level", "finite and >= 0", 0.0 <= self.noise_level < math.inf),
+                ("n_repair_events", "finite and >= 0", 0.0 <= self.n_repair_events < math.inf),
+                ("driver_obs_bias", "finite", math.isfinite(self.driver_obs_bias)),
+                ("driver_spell_days", "two finite periods 0 < low <= high",
+                 len(spell) == 2 and 0.0 < spell[0] <= spell[-1] < math.inf),
+                ("seed", ">= 0", self.seed >= 0)):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def sample_latent_field(coords: np.ndarray, length_scale_deg: float,
@@ -400,18 +412,18 @@ class _WeatherSpell:
                          for w, p, ph in zip(self.weights, self.periods, self.phases)))
 
 
-def _env_value(name: str, t: float, loc_offset: float, cfg: SyntheticConfig,
-               rng: np.random.Generator, spell: _WeatherSpell | None = None) -> float:
-    if name == cfg.noise_feature:
+def _env_value(name: str, t: float, loc_offset: float, rng: np.random.Generator,
+               spell: _WeatherSpell) -> float:
+    if name == NOISE_FEATURE:
         # deliberately structureless: masking it must cost nothing
         return _ENV_BASE[name] + _ENV_AMP[name] * rng.standard_normal() * 0.5
-    if name == cfg.driver_feature and spell is not None:
+    if name == DRIVER_FEATURE:
         value = (_ENV_BASE[name]
                  + _ENV_AMP[name] * (0.8 * spell(t) + 0.2 * loc_offset)
                  + 0.15 * _ENV_AMP[name] * rng.standard_normal())
     else:
         phase = ENV_FEATURES.index(name)
-        season = math.sin(2.0 * math.pi * t / cfg.time_scale_days + phase)
+        season = math.sin(2.0 * math.pi * t / TIME_SCALE_DAYS + phase)
         value = (_ENV_BASE[name] + _ENV_AMP[name] * (0.6 * season + 0.3 * loc_offset)
                  + 0.35 * _ENV_AMP[name] * rng.standard_normal())
     if name in ("humidity", "cloud"):
@@ -421,12 +433,6 @@ def _env_value(name: str, t: float, loc_offset: float, cfg: SyntheticConfig,
     return value
 
 
-def _driver_multiplier(driver_value: float, cfg: SyntheticConfig) -> float:
-    """Positive growth multiplier from the driver feature (keeps trend monotone)."""
-    centered = (driver_value - _ENV_BASE[cfg.driver_feature]) / _ENV_AMP[cfg.driver_feature]
-    return math.exp(cfg.driver_weight * math.tanh(centered))
-
-
 def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
     """Generate a seeded record list realizing the target data pathologies."""
     config.validate()
@@ -434,29 +440,28 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
 
     # locations cluster along road segments: pick cluster centers in the
     # extent, scatter locations tightly around them
-    c_lon = config.center_lon + rng.uniform(-0.5, 0.5, config.n_clusters) * config.extent_deg
-    c_lat = config.center_lat + rng.uniform(-0.5, 0.5, config.n_clusters) * config.extent_deg
+    c_lon = CENTER_LON + rng.uniform(-0.5, 0.5, config.n_clusters) * EXTENT_DEG
+    c_lat = CENTER_LAT + rng.uniform(-0.5, 0.5, config.n_clusters) * EXTENT_DEG
     member = rng.integers(0, config.n_clusters, config.n_locations)
-    lons = c_lon[member] + rng.normal(0.0, config.cluster_spread_deg, config.n_locations)
-    lats = c_lat[member] + rng.normal(0.0, config.cluster_spread_deg, config.n_locations)
+    lons = c_lon[member] + rng.normal(0.0, CLUSTER_SPREAD_DEG, config.n_locations)
+    lats = c_lat[member] + rng.normal(0.0, CLUSTER_SPREAD_DEG, config.n_locations)
     coords = np.stack([lons, lats], axis=1)
 
-    rate_field = sample_latent_field(coords, config.space_scale_deg, rng)
-    env_field = sample_latent_field(coords, config.space_scale_deg * 2.0, rng)
-    rates = config.rate_base * np.exp(config.rate_spread * rate_field)
+    rate_field = sample_latent_field(coords, SPACE_SCALE_DEG, rng)
+    env_field = sample_latent_field(coords, SPACE_SCALE_DEG * 2.0, rng)
+    rates = RATE_BASE * np.exp(RATE_SPREAD * rate_field)
     types = rng.choice(DISTRESS_TYPES, size=config.n_locations)
 
     # starting level = rate x age since the last (unobserved) repair; the
     # exponential age matches the repair process's stationary distribution,
     # so levels do not drift between the train and test periods. Repairs are
     # regional, so the starting age is shared across a cluster.
-    mean_radius_sq = (config.repair_radius_frac * config.extent_deg) ** 2 * 13.0 / 12.0
-    area_frac = min(1.0, math.pi * mean_radius_sq / config.extent_deg ** 2)
+    mean_radius_sq = (REPAIR_RADIUS_FRAC * EXTENT_DEG) ** 2 * 13.0 / 12.0
+    area_frac = min(1.0, math.pi * mean_radius_sq / EXTENT_DEG ** 2)
     repair_gap = (config.span_days / max(config.n_repair_events * area_frac, 1e-9))
     cluster_age = np.minimum(rng.exponential(repair_gap, config.n_clusters),
                              2.2 * repair_gap)
-    cap = config.level_cap
-    start_levels = cap * (1.0 - np.exp(-rates * cluster_age[member] / cap))
+    start_levels = LEVEL_CAP * (1.0 - np.exp(-rates * cluster_age[member] / LEVEL_CAP))
 
     # visit counts: geometric => short, unequal series (median well under 10);
     # one location per routed cluster sits on a frequent inspection route and
@@ -480,7 +485,7 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
                 + 2.2 * math.exp(-((t_frac - 0.93) ** 2) / 0.005))
 
     def next_gap(t: float, routed: bool) -> float:
-        mu = math.log(config.route_gap_days) if routed else 2.4
+        mu = math.log(ROUTE_GAP_DAYS) if routed else 2.4
         gap = rng.lognormal(mean=mu, sigma=0.7 if routed else 0.9) \
             / season_rate(t / config.span_days)
         return max(0.25, gap)
@@ -490,7 +495,7 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
     for j in range(config.n_locations):
         routed = j in route_location
         if routed:
-            t = rng.uniform(0.0, 1.5 * config.route_gap_days)
+            t = rng.uniform(0.0, 1.5 * ROUTE_GAP_DAYS)
             while t < config.span_days:
                 visits.append((t, j))
                 chain_t[j] = t
@@ -536,10 +541,9 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
     # keeping severity levels spatially coherent
     n_events = int(rng.poisson(config.n_repair_events))
     event_times = np.sort(rng.uniform(0.0, config.span_days, n_events))
-    event_lon = config.center_lon + rng.uniform(-0.5, 0.5, n_events) * config.extent_deg
-    event_lat = config.center_lat + rng.uniform(-0.5, 0.5, n_events) * config.extent_deg
-    event_radius = rng.uniform(0.5, 1.5, n_events) * config.repair_radius_frac \
-        * config.extent_deg
+    event_lon = CENTER_LON + rng.uniform(-0.5, 0.5, n_events) * EXTENT_DEG
+    event_lat = CENTER_LAT + rng.uniform(-0.5, 0.5, n_events) * EXTENT_DEG
+    event_radius = rng.uniform(0.5, 1.5, n_events) * REPAIR_RADIUS_FRAC * EXTENT_DEG
     repairs: list[list[float]] = [[] for _ in range(config.n_locations)]
     for e in range(n_events):
         hit = (lons - event_lon[e]) ** 2 + (lats - event_lat[e]) ** 2 \
@@ -553,9 +557,13 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
     next_repair = [0] * config.n_locations
     spell = _WeatherSpell(config.seed, config.driver_spell_days)
     for t, j in visits:
-        env = {name: _env_value(name, t, env_field[j], config, rng, spell=spell)
+        env = {name: _env_value(name, t, env_field[j], rng, spell)
                for name in ENV_FEATURES}
-        mult = _driver_multiplier(env[config.driver_feature], config)
+        # the driver's swing in (-1, 1): it speeds growth (a positive
+        # multiplier keeps the trend monotone) and biases the reading
+        swing = math.tanh((env[DRIVER_FEATURE] - _ENV_BASE[DRIVER_FEATURE])
+                          / _ENV_AMP[DRIVER_FEATURE])
+        mult = math.exp(DRIVER_WEIGHT * swing)
         # advance the latent level, honoring any repairs since the last visit
         t_prev = last_time[j]
         reps = repairs[j]
@@ -566,8 +574,8 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
                 t_prev = t_rep
             next_repair[j] += 1
         # saturating growth toward the damage cap, monotone between repairs
-        level[j] = cap - (cap - level[j]) * math.exp(
-            -rates[j] * mult * (t - t_prev) / cap)
+        level[j] = LEVEL_CAP - (LEVEL_CAP - level[j]) * math.exp(
+            -rates[j] * mult * (t - t_prev) / LEVEL_CAP)
         last_time[j] = t
 
         # observation corruption (none when noise_level is 0): weather-driven
@@ -575,15 +583,13 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
         conf = float(min(1.0, max(0.05, 0.82 + 0.12 * rng.standard_normal())))
         observed = level[j]
         if config.noise_level > 0:
-            centered = ((env[config.driver_feature] - _ENV_BASE[config.driver_feature])
-                        / _ENV_AMP[config.driver_feature])
-            observed = observed * (1.0 + config.driver_obs_bias * math.tanh(centered))
+            observed = observed * (1.0 + config.driver_obs_bias * swing)
             noise_sd = config.noise_level * (1.0 + 6.0 * max(0.0, 0.9 - conf))
             observed = max(0.0, observed + noise_sd * rng.standard_normal())
         records.append(RawRecord(
             location_id=j,
             longitude_gcj=float(lons[j]), latitude_gcj=float(lats[j]),
-            collect_time=float(config.start_day + t),
+            collect_time=float(START_DAY + t),
             detect_info=float(observed),
             detect_conf=conf,
             distress_type=int(types[j]),

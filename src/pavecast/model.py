@@ -6,6 +6,8 @@ edge with per-head attention over the spatial-temporal representations plus
 the edge's time difference, and aggregates: parents contribute their full
 representation, the self loop contributes only the spatial-temporal one,
 so a node's own deterioration reading can never reach its own prediction.
+Attention is scored once per forward pass, from the first layer's
+representations; stacked layers reuse those coefficients.
 
 Baselines (pooled-neighbor MLP, fixed-weight graph convolution with and
 without an MLP head, and feature-based attention without the time-difference
@@ -16,7 +18,7 @@ self channel spatial-temporal-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -34,6 +36,9 @@ class ModelConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Variant, widths and depth. Stacked layers (layers > 1) reuse the first
+    layer's attention coefficients and add only a convolution each."""
+
     variant: str = "stgan"
     heads: int = 5
     layers: int = 1
@@ -42,9 +47,6 @@ class ModelConfig:
     head_hidden: int = 256
     leaky_slope: float = 0.2
     eam_gamma: float = 1.0
-    # stacked convolutions reuse the first layer's coefficients by default;
-    # set False to re-score each layer from its incoming representations
-    reuse_attention: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -80,9 +82,8 @@ class ModelConfig:
 
 @dataclass
 class CoefficientProbe:
-    """One head's normalized coefficients for one layer, for diagnostics."""
+    """One head's normalized coefficients, for diagnostics."""
 
-    layer: int
     head: int
     values: np.ndarray   # (m,)
     seg_ids: np.ndarray  # (m,) target node per edge
@@ -213,12 +214,6 @@ def _glorot_entry(params, rng, name, fan_in, fan_out, bias=True):
         params[name + "_b"] = np.zeros((1, fan_out))
 
 
-def _attention_layers(config: ModelConfig) -> tuple[int, ...]:
-    if config.variant not in ATTENTION_VARIANTS:
-        return ()
-    return (1,) if config.reuse_attention else tuple(range(1, config.layers + 1))
-
-
 def init_params(config: ModelConfig, dim_full: int, dim_st: int,
                 seed: int) -> dict[str, np.ndarray]:
     """Named parameter arrays in a fixed creation order (seeded)."""
@@ -237,9 +232,9 @@ def init_params(config: ModelConfig, dim_full: int, dim_st: int,
         for k in range(len(widths) - 1):
             _glorot_entry(params, rng, f"{prefix}{k}", widths[k], widths[k + 1])
 
-    for layer in _attention_layers(config):
+    if config.variant in ATTENTION_VARIANTS:
         for k in range(config.heads):
-            _glorot_entry(params, rng, f"attn_l{layer}_h{k}",
+            _glorot_entry(params, rng, f"attn_l1_h{k}",
                           config.score_slot_width, 1, bias=False)
 
     conv_in = h * (config.heads if config.variant in ATTENTION_VARIANTS else 1)
@@ -272,8 +267,8 @@ def _mlp(tape, x, pnodes, prefix, n_layers, slope_final=True):
     return out
 
 
-def _attention_coefficients(tape, gt, pnodes, config, layer, rep, src_edges, probes):
-    """Normalized coefficients for one layer's edge set, one column per head.
+def _attention_coefficients(tape, gt, pnodes, config, rep, src_edges, probes):
+    """Normalized coefficients for the edge set, one column per head.
 
     The heads' weights, each spanning [self-slot || source-slot (|| time-slot)],
     are the columns of one matrix; scoring projects each slot separately and
@@ -283,7 +278,7 @@ def _attention_coefficients(tape, gt, pnodes, config, layer, rep, src_edges, pro
     scores the already gathered per-edge matrix src_edges.
     """
     h = rep.value.shape[1]
-    w = ng.concat_cols([pnodes[f"attn_l{layer}_h{k}_w"] for k in range(config.heads)])
+    w = ng.concat_cols([pnodes[f"attn_l1_h{k}_w"] for k in range(config.heads)])
     s = ng.gather_rows(ng.matmul(rep, ng.slice_rows(w, 0, h)), gt.dst)
     if src_edges is not None:
         s = ng.add(s, ng.matmul(src_edges, ng.slice_rows(w, h, 2 * h)))
@@ -299,7 +294,7 @@ def _attention_coefficients(tape, gt, pnodes, config, layer, rep, src_edges, pro
         s = ng.mul_array(s, np.repeat(decay[:, None], config.heads, axis=1))
     coefs = ng.segment_softmax(s, gt.dst, gt.n)
     if probes is not None:
-        probes.extend(CoefficientProbe(layer, k, coefs.value[:, k].copy(), gt.dst, gt.n)
+        probes.extend(CoefficientProbe(k, coefs.value[:, k].copy(), gt.dst, gt.n)
                       for k in range(config.heads))
     return coefs
 
@@ -317,29 +312,22 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
     depth = len(config.extractor_hidden)
     z = _mlp(tape, x, pnodes, "ext_full", depth)
     z_st = _mlp(tape, x_st, pnodes, "ext_st", depth)
-    attention = config.variant in ATTENTION_VARIANTS
-    # (m, H) edge weights: the heads' coefficients, or the one fixed GCN column
-    coefs = None if attention else tape.constant(gt.gcn_w.reshape(-1, 1))
-    edge_scored = config.variant in ("gat", "stgan_eam")  # scores what a parent sends
-
-    for layer in range(1, config.layers + 1):
-        if layer == 1:
-            # parent edges carry the full representation, the self loop only
-            # the spatial-temporal one: this is the leakage barrier
-            rep = z_st
-            gathered = ng.gather_rows_mixed(z, z_st, gt.src, gt.is_self)
-        else:
-            rep = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes[f"conv_l{layer - 1}_w"]),
-                                       pnodes[f"conv_l{layer - 1}_b"]))
-            gathered = ng.gather_rows(rep, gt.src)
-        if attention and (layer == 1 or not config.reuse_attention):
-            src_edges = gathered if layer == 1 and edge_scored else None
-            coefs = _attention_coefficients(tape, gt, pnodes, config, layer, rep,
-                                            src_edges, probes)
-        elif attention and probes is not None:
-            probes.extend(CoefficientProbe(layer, p.head, p.values, p.seg_ids, p.n)
-                          for p in probes[:config.heads])
-        agg = ng.weighted_segment_sum(gathered, coefs, gt.dst, gt.n)
+    # parent edges carry the full representation, the self loop only the
+    # spatial-temporal one: this is the leakage barrier
+    gathered = ng.gather_rows_mixed(z, z_st, gt.src, gt.is_self)
+    # (m, H) edge weights, shared by every layer: the heads' coefficients, or
+    # the one fixed GCN column
+    if config.variant in ATTENTION_VARIANTS:
+        edge_scored = config.variant in ("gat", "stgan_eam")  # scores what a parent sends
+        coefs = _attention_coefficients(tape, gt, pnodes, config, z_st,
+                                        gathered if edge_scored else None, probes)
+    else:
+        coefs = tape.constant(gt.gcn_w.reshape(-1, 1))
+    agg = ng.weighted_segment_sum(gathered, coefs, gt.dst, gt.n)
+    for layer in range(1, config.layers):
+        rep = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes[f"conv_l{layer}_w"]),
+                                   pnodes[f"conv_l{layer}_b"]))
+        agg = ng.weighted_segment_sum(ng.gather_rows(rep, gt.src), coefs, gt.dst, gt.n)
 
     if config.variant == "gcn":
         return ng.add_rowvec(ng.matmul(agg, pnodes["head0_w"]), pnodes["head0_b"])
@@ -399,7 +387,7 @@ def first_nonfinite_primitive(gt: GraphTensors, params: dict[str, np.ndarray],
 
 
 def attention_sum_deviation(probes: list["CoefficientProbe"]) -> float:
-    """Max |sum of coefficients - 1| over every (target, head, layer)."""
+    """Max |sum of coefficients - 1| over every (target, head)."""
     worst = 0.0
     for probe in probes:
         sums = np.zeros(probe.n)

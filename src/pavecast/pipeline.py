@@ -160,12 +160,18 @@ def effective_graph_config(config: RunConfig) -> sg.GraphConfig:
     return config.graph
 
 
-def load_dataset(config: RunConfig) -> list[ds.RawRecord]:
-    if config.dataset.csv is not None:
-        report = ds.load_records(config.dataset.csv,
-                                 ds.CsvSchema(time_format=config.dataset.time_format))
-        return report.records
-    return ds.generate_synthetic(config.dataset.synthetic)
+def load_dataset(config: RunConfig, log=None) -> list[ds.RawRecord]:
+    """The configured records; a CSV's skipped rows are counted to log, with
+    the first one's row number and reason."""
+    if config.dataset.csv is None:
+        return ds.generate_synthetic(config.dataset.synthetic)
+    report = ds.load_records(config.dataset.csv,
+                             ds.CsvSchema(time_format=config.dataset.time_format))
+    if report.skipped_rows and log:
+        row, reason = report.skipped_rows[0]
+        log(f"warning: skipped {len(report.skipped_rows)} invalid rows "
+            f"(first: row {row}: {reason})")
+    return report.records
 
 
 @dataclass
@@ -190,7 +196,7 @@ def _prepare(config: RunConfig, records, history, test_records, init_count: int,
 
 
 def prepare_data(config: RunConfig, records=None,
-                 stats: ds.PreprocessStats | None = None) -> PreparedData:
+                 stats: ds.PreprocessStats | None = None, log=None) -> PreparedData:
     """Split records in time order and preprocess the historical part.
 
     Standardization statistics come from the historical (init + train) rows
@@ -198,7 +204,7 @@ def prepare_data(config: RunConfig, records=None,
     trained); the time range spans the whole segment.
     """
     if records is None:
-        records = load_dataset(config)
+        records = load_dataset(config, log)
     init_recs, train_recs, test_recs = ds.split_segment(records, config.split)
     return _prepare(config, records, init_recs + train_recs, test_recs,
                     len(init_recs), stats)
@@ -264,7 +270,7 @@ def evaluate_test(config: RunConfig, data: PreparedData, graph, graph_cfg,
 
 def run_experiment(config: RunConfig, log=None, records=None) -> RunResult:
     """Train one model per the config and evaluate it on the test split."""
-    data = prepare_data(config, records=records)
+    data = prepare_data(config, records=records, log=log)
     graph, graph_cfg, train_cfg, result, timings = _train_model(config, data, log=log)
 
     t0 = time.perf_counter()
@@ -309,7 +315,7 @@ def run_matrix(config: RunConfig, axes, log=None,
     unknown = [a for a in axes if a not in MATRIX_AXES]
     if unknown:
         raise RunConfigError(f"unknown matrix axes {unknown}; choose from {MATRIX_AXES}")
-    records = load_dataset(config)
+    records = load_dataset(config, log)
     n = len(records)
     intervals = gen_intervals if gen_intervals is not None else (0, n // 20, n // 10)
     model_sweeps = {"variant": ("{}", VARIANTS), "heads": ("H={}", HEADS_SWEEP),
@@ -355,7 +361,7 @@ def run_generalization(config: RunConfig, axis: str, k: int, s: int,
     """Axis-sorted split with a removed gap; queries may sit inside the
     historical time span, so parents are restricted to no-later train nodes."""
     if records is None:
-        records = load_dataset(config)
+        records = load_dataset(config, log)
     train_ids, test_ids = ev.generalization_split(records, axis, k, s)
     by_time = attrgetter("collect_time", "location_id")
     history = sorted((records[i] for i in train_ids), key=by_time)

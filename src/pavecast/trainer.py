@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .stgraph import GraphConfig, STGraph
 STRATEGIES = ("ignore", "true", "predicted")
 
 CHECKPOINT_MAGIC = b"PVCASTCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class DivergenceError(ArithmeticError):
@@ -170,15 +170,13 @@ def query_node(ctx: InferenceContext, nodes: list[ProcessedNode], node_id: int,
     if not math.isfinite(query.t_raw):
         raise QueryError(f"query time {query.t_raw} is not finite")
     lon, lat = query.coords or _location_coords(nodes, query.location_id)
-    t_norm = ctx.stats.rescale_time(query.t_raw)
     x_full = np.zeros(ctx.schema.dim_full)
-    x_st = np.array([ctx.stats.standardize("longitude_gcj", lon),
-                     ctx.stats.standardize("latitude_gcj", lat),
-                     t_norm])
-    x_full[-3:] = x_st
+    x_full[-3:] = (ctx.stats.standardize("longitude_gcj", lon),
+                   ctx.stats.standardize("latitude_gcj", lat),
+                   ctx.stats.rescale_time(query.t_raw))
     return ProcessedNode(node_id=node_id, location_id=query.location_id,
-                         x_full=x_full, x_st=x_st, y=float("nan"),
-                         t_norm=t_norm, t_raw=query.t_raw, coords=(lon, lat))
+                         x_full=x_full, y=float("nan"), t_raw=query.t_raw,
+                         coords=(lon, lat))
 
 
 def predicted_node(ctx: InferenceContext, base: ProcessedNode,
@@ -189,11 +187,8 @@ def predicted_node(ctx: InferenceContext, base: ProcessedNode,
     training mean in standardized space.
     """
     x_full = base.x_full.copy()
-    info_slot = len(ctx.schema.env_features)
-    x_full[info_slot] = ctx.stats.standardize("detect_info", yhat)
-    return ProcessedNode(node_id=base.node_id, location_id=base.location_id,
-                         x_full=x_full, x_st=base.x_st.copy(), y=float(yhat),
-                         t_norm=base.t_norm, t_raw=base.t_raw, coords=base.coords)
+    x_full[len(ctx.schema.env_features)] = ctx.stats.standardize("detect_info", yhat)
+    return replace(base, x_full=x_full, y=float(yhat))
 
 
 def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode],
@@ -225,7 +220,8 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
     "true" and "predicted" wire each query against every row before it,
     earlier queries included, and take one predict_one step per query in
     time order, overwriting the query's node with its observed record
-    (caller-supplied) or its own prediction before the next step reads it.
+    (caller-supplied, and matching the query's location and time) or its
+    own prediction before the next step reads it.
     The forecast runs on a grown copy of the graph and node list: it reads
     the caller's and writes neither.
     """
@@ -234,8 +230,13 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
             raise QueryError("queries must be sorted by time")
     if strategy not in STRATEGIES:
         raise StrategyError(f"unknown strategy {strategy!r}")
-    if strategy == "true" and (observed is None or len(observed) != len(queries)):
-        raise StrategyError("true-feedback needs one observed record per query")
+    if strategy == "true":
+        if observed is None or len(observed) != len(queries):
+            raise StrategyError("true-feedback needs one observed record per query")
+        for q, r in zip(queries, observed):
+            if (r.location_id, r.collect_time) != (q.location_id, q.t_raw):
+                raise StrategyError(f"observed record ({r.location_id}, {r.collect_time}) "
+                                    f"differs from its query ({q.location_id}, {q.t_raw})")
     if not queries:
         return np.empty(0)
 

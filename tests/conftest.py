@@ -27,7 +27,7 @@ def random_records(rng, n, n_locations=4, extent=0.004, span=60.0):
 
 
 def small_instance(seed, n=8, variant="stgan", layers=1, top_k=2, init_count=1,
-                   reuse_attention=True, param_seed=None):
+                   param_seed=None):
     """A tiny end-to-end instance: records -> nodes -> graph -> tensors -> params."""
     rng = np.random.default_rng(seed)
     records = random_records(rng, n)
@@ -39,8 +39,7 @@ def small_instance(seed, n=8, variant="stgan", layers=1, top_k=2, init_count=1,
     meta = sg.graph_nodes_from_processed(nodes, init_count)
     graph = sg.build_graph(meta, init_count, graph_cfg)
     gt = md.prepare_tensors(graph, nodes, l_res_m=graph_cfg.l_res_m)
-    config = md.ModelConfig(variant=variant, layers=layers,
-                            reuse_attention=reuse_attention, **SMALL_DIMS)
+    config = md.ModelConfig(variant=variant, layers=layers, **SMALL_DIMS)
     params = md.init_params(config, schema.dim_full, schema.dim_st,
                             seed if param_seed is None else param_seed)
     return dict(records=records, schema=schema, stats=stats, nodes=nodes,

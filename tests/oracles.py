@@ -68,11 +68,11 @@ def dense_forward(graph, nodes, params, config, l_res_m=200.0):
     z = oracle_mlp(x_full, params, "ext_full", depth)
     z_st = oracle_mlp(x_st, params, "ext_st", depth)
 
-    def attention_matrix(layer, rep_self, rep_source):
+    def attention_matrix(rep_self, rep_source):
         """Per-head list of n x n coefficient matrices (NaN off-neighborhood)."""
         mats = []
         for k in range(config.heads):
-            w_e = params[f"attn_l{layer}_h{k}_w"]
+            w_e = params[f"attn_l1_h{k}_w"]
             scores = np.full((n, n), np.nan)
             for i in range(n):
                 members = list(np.flatnonzero(adj[:, i])) + [i]
@@ -115,8 +115,7 @@ def dense_forward(graph, nodes, params, config, l_res_m=200.0):
             score_source = value_source
         else:
             score_source = lambda i, b: z_st[b]
-        first_mats = attention_matrix(1, z_st, score_source)
-        agg = aggregate(first_mats, value_source)
+        mats = attention_matrix(z_st, score_source)
     else:
         deg = adj.sum(axis=0) + 1.0
         coef = np.zeros((n, n))
@@ -124,18 +123,14 @@ def dense_forward(graph, nodes, params, config, l_res_m=200.0):
             coef[i, i] = 1.0 / deg[i]
             for b in np.flatnonzero(adj[:, i]):
                 coef[b, i] = 1.0 / np.sqrt(deg[b] * deg[i])
-        first_mats = [coef]
-        agg = aggregate(first_mats, value_source)
+        mats = [coef]
+    agg = aggregate(mats, value_source)
 
+    # stacked layers reuse the first layer's coefficients
     for layer in range(2, config.layers + 1):
         z_l = oracle_elu(agg @ params[f"conv_l{layer - 1}_w"]
                          + params[f"conv_l{layer - 1}_b"])
-        plain = lambda i, b: z_l[b]
-        if attention and not config.reuse_attention:
-            mats = attention_matrix(layer, z_l, plain)
-        else:
-            mats = first_mats
-        agg = aggregate(mats, plain)
+        agg = aggregate(mats, lambda i, b: z_l[b])
 
     if config.variant == "gcn":
         return (agg @ params["head0_w"] + params["head0_b"])[:, 0]

@@ -193,6 +193,38 @@ def test_unknown_time_format_exits_2_before_reading(tmp_path, training_csv, caps
     assert len(err) == 1 and err[0].startswith("error: ") and "time_format" in err[0]
 
 
+def test_every_command_reading_a_csv_warns_of_skipped_rows(tmp_path, training_csv,
+                                                          trained, capsys):
+    lines = training_csv.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[ds.CSV_COLUMNS.index("pressure")] = "nan"
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**tiny_run_config().to_dict(), "dataset": {"csv": str(bad)}}))
+
+    def warnings(*argv):
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        return [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: ")]
+
+    once = ["warning: skipped 1 invalid rows (first: row 5: non-finite pressure)"]
+    ckpt = str(tmp_path / "t" / "model.ckpt")
+    assert warnings("build-graph", "--config", str(config), "--out", str(tmp_path / "g")) == once
+    assert warnings("train", "--config", str(config), "--out", str(tmp_path / "t")) == once
+    assert warnings("evaluate", "--checkpoint", ckpt, "--out", str(tmp_path / "e")) == once
+    assert warnings("evaluate", "--checkpoint", str(trained), "--data", str(bad),
+                    "--out", str(tmp_path / "d")) == once
+    assert warnings("predict", "--checkpoint", ckpt, "--location", cells[0],
+                    "--time", "1e9") == once
+    assert warnings("matrix", "--config", str(config), "--set", "train.epochs=1",
+                    "--axes", "heads", "--out", str(tmp_path / "m")) == once
+    assert warnings("build-graph", "--config", str(config), "--set",
+                    f'dataset={{"csv": "{training_csv}"}}', "--out", str(tmp_path / "h")) == []
+
+
 def test_evaluate_data_training_csv_equals_plain_evaluate(tmp_path, trained,
                                                           training_csv):
     assert _test_report(tmp_path, trained, "csv", "--data", str(training_csv)) == \
@@ -291,6 +323,15 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "train.lr=NaN",                          # TrainConfigError
     "seed=-1",                               # RunConfigError
     "dataset.synthetic.seed=-1",             # ConfigError
+    "dataset.synthetic.n_records=-5",        # ConfigError
+    "dataset.synthetic.n_clusters=0",        # ConfigError
+    "dataset.synthetic.route_frac=2",        # ConfigError
+    "dataset.synthetic.n_repair_events=-1",  # ConfigError
+    "dataset.synthetic.driver_spell_days=[0,0]",  # ConfigError
+    "dataset.synthetic.span_days=NaN",       # ConfigError
+    "model.reuse_attention=false",           # RunConfigError: removed key
+    "features.include_conf=false",           # RunConfigError: removed key
+    "dataset.synthetic.extent_deg=0.1",      # RunConfigError: removed key
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsys,
                                                override):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ def test_predict_sequence_restores_graph_and_nodes(strategy):
     graph, nodes = inst["graph"], inst["nodes"]
     n_before, doc_before, nodes_before = graph.n, graph.to_json_dict(), list(nodes)
     queries = chain_queries(inst, 3)
-    observed = inst["records"][:3]
+    observed = chain_observed(inst, queries)
 
     def unchanged():
         return (graph.n == n_before and graph.to_json_dict() == doc_before
@@ -199,7 +200,8 @@ def test_predict_sequence_restores_graph_and_nodes(strategy):
     # the second query names a location without history
     failing = [queries[0], tr.Query(424242, queries[1].t_raw)]
     with pytest.raises(tr.QueryError):
-        tr.predict_sequence(ctx, graph, nodes, failing, strategy, observed=observed[:2])
+        tr.predict_sequence(ctx, graph, nodes, failing, strategy,
+                            observed=[observed[0], replace(observed[1], location_id=424242)])
     assert unchanged()
 
 
@@ -238,6 +240,13 @@ def chain_queries(inst, k):
     return [tr.Query(nodes[i % len(nodes)].location_id, t0 + i + 1.0) for i in range(k)]
 
 
+def chain_observed(inst, queries):
+    """Records observed at chain_queries' locations and times."""
+    records = inst["records"]
+    return [replace(records[i % len(records)], collect_time=q.t_raw)
+            for i, q in enumerate(queries)]
+
+
 def test_single_query_strategies_agree():
     inst = small_instance(12)
     ctx = make_context(inst)
@@ -266,6 +275,20 @@ def test_true_feedback_requires_observations():
     with pytest.raises(tr.StrategyError):
         tr.predict_sequence(ctx, inst["graph"], inst["nodes"],
                             chain_queries(inst, 2), "true")
+
+
+@pytest.mark.parametrize("shift", [dict(collect_time=-30.0), dict(location_id=1)])
+def test_true_feedback_rejects_records_off_their_query(shift):
+    inst = small_instance(14)
+    ctx = make_context(inst)
+    queries = chain_queries(inst, 3)
+    observed = chain_observed(inst, queries)
+    # the third record moved in time or to the next location id
+    observed[2] = replace(observed[2], **{key: getattr(observed[2], key) + delta
+                                          for key, delta in shift.items()})
+    with pytest.raises(tr.StrategyError, match="differs from its query"):
+        tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, "true",
+                            observed=observed)
 
 
 def test_unknown_strategy_rejected():
@@ -334,19 +357,19 @@ def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
     return np.array(out)
 
 
-MODEL_GRID = [(variant, layers, reuse)
-              for variant in md.VARIANTS for layers in (1, 2)
-              for reuse in ((True, False) if variant in md.ATTENTION_VARIANTS else (True,))]
+MODEL_GRID = [(variant, layers) for variant in md.VARIANTS for layers in (1, 2)]
 
 
-@pytest.mark.parametrize("variant,layers,reuse_attention", MODEL_GRID)
-def test_cone_forecasts_match_full_recompute(variant, layers, reuse_attention):
-    inst = small_instance(22, n=40, init_count=3, variant=variant, layers=layers,
-                          reuse_attention=reuse_attention)
+# "True": stacked layers reuse the first one's attention; kept in the ids so
+# the test names stay stable
+@pytest.mark.parametrize("variant,layers", MODEL_GRID,
+                         ids=[f"{v}-{layers}-True" for v, layers in MODEL_GRID])
+def test_cone_forecasts_match_full_recompute(variant, layers):
+    inst = small_instance(22, n=40, init_count=3, variant=variant, layers=layers)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 4)
-    observed = inst["records"][:4]
+    observed = chain_observed(inst, queries)
     for strategy in tr.STRATEGIES:
         got = tr.predict_sequence(ctx, graph, nodes, queries, strategy, observed=observed)
         want = full_recompute(ctx, graph, nodes, queries, strategy, observed)
@@ -449,6 +472,24 @@ def test_checkpoint_version_bump_rejected(tmp_path):
     raw[8:12] = np.uint32(99).tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(tr.CheckpointVersionError):
+        tr.load_checkpoint(path)
+
+
+def test_version_2_checkpoint_is_a_version_error(tmp_path):
+    # a version-2 manifest names settings this build no longer has
+    inst = small_instance(19)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, trained_checkpoint(inst))
+    raw = path.read_bytes()
+    mlen = int(np.frombuffer(raw[12:20], dtype="<u8")[0])
+    manifest = json.loads(raw[20:20 + mlen])
+    manifest["format_version"] = 2
+    manifest["model_config"]["reuse_attention"] = True
+    manifest["feature_schema"].update(include_type_onehot=True, include_conf=True)
+    mbytes = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + np.uint32(2).tobytes() + np.uint64(len(mbytes)).tobytes()
+                     + mbytes + raw[20 + mlen:])
+    with pytest.raises(tr.CheckpointVersionError, match="version 2"):
         tr.load_checkpoint(path)
 
 
