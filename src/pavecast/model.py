@@ -6,8 +6,11 @@ edge with per-head attention over the spatial-temporal representations plus
 the edge's time difference, and aggregates: parents contribute their full
 representation, the self loop contributes only the spatial-temporal one,
 so a node's own deterioration reading can never reach its own prediction.
-Attention is scored once per forward pass, from the first layer's
-representations; stacked layers reuse those coefficients.
+Aggregation is one sparse product per layer for all heads
+(ndgrad.csr_aggregate over the GraphTensors' edge layout), and scoring
+gathers (n, H) projections per edge, so no (edges x hidden) matrix is
+formed on the tape. Attention is scored once per forward pass, from the
+first layer's representations; stacked layers reuse those coefficients.
 
 Baselines (pooled-neighbor MLP, fixed-weight graph convolution with and
 without an MLP head, and feature-based attention without the time-difference
@@ -96,8 +99,10 @@ class GraphTensors:
     it, see prepare_tensors), ready for the forward pass.
 
     Edges are ordered per target node: the self loop first, then parents in
-    their stored order. dist_norm is meters over the proximity threshold, so
-    decay-based scoring sees a dimensionless quantity.
+    their stored order; layout is that order as an ng.EdgeLayout, validated
+    once here and reused by every softmax and aggregation. dist_norm is
+    meters over the proximity threshold, so decay-based scoring sees a
+    dimensionless quantity.
     """
 
     x_full: np.ndarray    # (n, d)
@@ -110,6 +115,11 @@ class GraphTensors:
     dist_norm: np.ndarray  # (m,)
     gcn_w: np.ndarray     # (m,) fixed symmetric-normalized weights
     top_pool: np.ndarray  # (n, d+1) mean over ranked parents of [x_full || y]
+    layout: ng.EdgeLayout | None = None  # built from dst and src when not given
+
+    def __post_init__(self):
+        if self.layout is None:
+            self.layout = ng.EdgeLayout(self.dst, self.n, self.src)
 
     @property
     def n(self) -> int:
@@ -267,23 +277,26 @@ def _mlp(tape, x, pnodes, prefix, n_layers, slope_final=True):
     return out
 
 
-def _attention_coefficients(tape, gt, pnodes, config, rep, src_edges, probes):
+def _attention_coefficients(tape, gt, pnodes, config, z, z_st, probes):
     """Normalized coefficients for the edge set, one column per head.
 
     The heads' weights, each spanning [self-slot || source-slot (|| time-slot)],
-    are the columns of one matrix; scoring projects each slot separately and
-    sums, which equals the concatenated dot product without materializing
-    per-edge concatenations. The self slot reads the node-level
-    representations rep, and so does the source slot unless the variant
-    scores the already gathered per-edge matrix src_edges.
+    are the columns of one matrix; scoring projects each slot's node-level
+    representations to (n, H) and gathers the projections per edge, which
+    equals the concatenated dot product without materializing per-edge
+    concatenations. The self slot reads z_st. So does the source slot, unless
+    the variant scores what an edge sends: z from a parent, z_st on the self
+    loop.
     """
-    h = rep.value.shape[1]
+    h = z_st.value.shape[1]
     w = ng.concat_cols([pnodes[f"attn_l1_h{k}_w"] for k in range(config.heads)])
-    s = ng.gather_rows(ng.matmul(rep, ng.slice_rows(w, 0, h)), gt.dst)
-    if src_edges is not None:
-        s = ng.add(s, ng.matmul(src_edges, ng.slice_rows(w, h, 2 * h)))
+    w_src = ng.slice_rows(w, h, 2 * h)
+    s = ng.gather_rows(ng.matmul(z_st, ng.slice_rows(w, 0, h)), gt.dst)
+    if config.variant in ("gat", "stgan_eam"):
+        sent = ng.concat_rows([ng.matmul(z, w_src), ng.matmul(z_st, w_src)])
+        s = ng.add(s, ng.gather_rows(sent, np.where(gt.is_self, gt.n + gt.dst, gt.src)))
     else:
-        s = ng.add(s, ng.gather_rows(ng.matmul(rep, ng.slice_rows(w, h, 2 * h)), gt.src))
+        s = ng.add(s, ng.gather_rows(ng.matmul(z_st, w_src), gt.src))
     if config.variant in ("stgan", "stgan_no_top"):
         t_col = tape.constant(gt.dt_norm.reshape(-1, 1))
         s = ng.add(s, ng.matmul(t_col, ng.slice_rows(w, 2 * h, 2 * h + 1)))
@@ -292,7 +305,7 @@ def _attention_coefficients(tape, gt, pnodes, config, rep, src_edges, probes):
         g = config.eam_gamma
         decay = np.exp(-g * gt.dist_norm) * np.exp(-g * gt.dt_norm)
         s = ng.mul_array(s, np.repeat(decay[:, None], config.heads, axis=1))
-    coefs = ng.segment_softmax(s, gt.dst, gt.n)
+    coefs = ng.segment_softmax(s, gt.layout)
     if probes is not None:
         probes.extend(CoefficientProbe(k, coefs.value[:, k].copy(), gt.dst, gt.n)
                       for k in range(config.heads))
@@ -312,22 +325,19 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
     depth = len(config.extractor_hidden)
     z = _mlp(tape, x, pnodes, "ext_full", depth)
     z_st = _mlp(tape, x_st, pnodes, "ext_st", depth)
-    # parent edges carry the full representation, the self loop only the
-    # spatial-temporal one: this is the leakage barrier
-    gathered = ng.gather_rows_mixed(z, z_st, gt.src, gt.is_self)
     # (m, H) edge weights, shared by every layer: the heads' coefficients, or
     # the one fixed GCN column
     if config.variant in ATTENTION_VARIANTS:
-        edge_scored = config.variant in ("gat", "stgan_eam")  # scores what a parent sends
-        coefs = _attention_coefficients(tape, gt, pnodes, config, z_st,
-                                        gathered if edge_scored else None, probes)
+        coefs = _attention_coefficients(tape, gt, pnodes, config, z, z_st, probes)
     else:
         coefs = tape.constant(gt.gcn_w.reshape(-1, 1))
-    agg = ng.weighted_segment_sum(gathered, coefs, gt.dst, gt.n)
+    # parent edges carry the full representation, the self loop only the
+    # spatial-temporal one: this is the leakage barrier
+    agg = ng.csr_aggregate(z, z_st, coefs, gt.layout)
     for layer in range(1, config.layers):
         rep = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes[f"conv_l{layer}_w"]),
                                    pnodes[f"conv_l{layer}_b"]))
-        agg = ng.weighted_segment_sum(ng.gather_rows(rep, gt.src), coefs, gt.dst, gt.n)
+        agg = ng.csr_aggregate(rep, rep, coefs, gt.layout)
 
     if config.variant == "gcn":
         return ng.add_rowvec(ng.matmul(agg, pnodes["head0_w"]), pnodes["head0_b"])
@@ -373,7 +383,9 @@ def loss_and_grads(gt: GraphTensors, params: dict[str, np.ndarray],
     ng.backward(tape, loss)
     grads = {name: (node.grad if node.grad is not None else np.zeros_like(node.value))
              for name, node in pnodes.items()}
-    return float(loss.value[0, 0]), grads, yhat.value[:, 0].copy()
+    result = float(loss.value[0, 0]), grads, yhat.value[:, 0].copy()
+    tape.nodes.clear()  # as in forward_values: free the arrays now, not at a GC pass
+    return result
 
 
 def first_nonfinite_primitive(gt: GraphTensors, params: dict[str, np.ndarray],

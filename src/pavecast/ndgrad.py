@@ -3,15 +3,20 @@
 Values are computed eagerly; a tape records every primitive application in
 insertion order, so the reverse sweep is a single walk backwards over the
 tape. Only the primitives the forecasting models need are provided: matmul,
-a handful of elementwise ops, column concatenation, row gather/scatter, and
-per-segment softmax and weighted sums for edge attention, which take one
-column per attention head. Segments must be sorted, in range and non-empty.
+a handful of elementwise ops, row and column concatenation, row gather, and
+for edge attention a per-target softmax and a fused aggregation, both over an
+EdgeLayout built and validated once per edge set. The aggregation is one
+sparse product for every head at once, over a CSR structure binned by row
+length so each bin is one batched matmul; its backward pass is the
+transposed product plus, for the coefficients, one dot product per edge and
+head. No per-edge copy of a representation is kept on the tape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +31,6 @@ class SegmentError(ValueError):
 
 class GraphContractError(ValueError):
     """A tape-level contract was violated (e.g. non-scalar loss)."""
-
-
-class NumericError(ArithmeticError):
-    """A gradient check met a non-finite loss."""
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -167,16 +168,12 @@ def matmul(a: Node, b: Node) -> Node:
 
 def elu(a: Node) -> Node:
     x = a.value
-    neg = x <= 0.0
-    val = x.copy()
-    val[neg] = np.expm1(x[neg])
+    val = np.maximum(x, np.expm1(np.minimum(x, 0.0)))
     out = Node(a.tape, "elu", val, (a,))
 
     def backward(g):
         # d/dx ELU = 1 for x>0, exp(x) = ELU(x)+1 for x<=0
-        gx = g.copy()
-        gx[neg] *= val[neg] + 1.0
-        a.accumulate(gx)
+        a.accumulate(g * np.where(x > 0.0, 1.0, val + 1.0))
 
     out._backward = backward
     return out
@@ -215,24 +212,32 @@ def sum_all(a: Node) -> Node:
     return out
 
 
-def concat_cols(parts: list[Node]) -> Node:
+def _concat(parts: list[Node], axis: int, kind: str) -> Node:
     if not parts:
-        raise ShapeError("concat_cols: no parts")
-    rows = parts[0].value.shape[0]
+        raise ShapeError(f"{kind}: no parts")
+    other = parts[0].value.shape[1 - axis]
     for p in parts:
-        if p.value.shape[0] != rows:
-            raise ShapeError(
-                f"concat_cols: row counts differ ({rows} vs {p.value.shape[0]})")
-    out = Node(parts[0].tape, "concat_cols",
-               np.concatenate([p.value for p in parts], axis=1), tuple(parts))
-    offsets = np.cumsum([0] + [p.value.shape[1] for p in parts])
+        if p.value.shape[1 - axis] != other:
+            raise ShapeError(f"{kind}: {('row', 'column')[1 - axis]} counts differ "
+                             f"({other} vs {p.value.shape[1 - axis]})")
+    out = Node(parts[0].tape, kind,
+               np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
+    offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p.accumulate(g[:, lo:hi])
+            p.accumulate(g[:, lo:hi] if axis else g[lo:hi])
 
     out._backward = backward
     return out
+
+
+def concat_cols(parts: list[Node]) -> Node:
+    return _concat(parts, 1, "concat_cols")
+
+
+def concat_rows(parts: list[Node]) -> Node:
+    return _concat(parts, 0, "concat_rows")
 
 
 def gather_rows(a: Node, idx) -> Node:
@@ -263,90 +268,117 @@ def slice_rows(a: Node, lo: int, hi: int) -> Node:
     return out
 
 
-def gather_rows_mixed(a: Node, b: Node, idx, use_b) -> Node:
-    """Per-row gather from a or b: row k is b[idx[k]] where use_b[k] else a[idx[k]].
+class EdgeLayout:
+    """Edges grouped by target row, validated once and shared by every
+    segment softmax and aggregation over them.
 
-    Lets edge messages pull a parent's full representation while self edges
-    pull the node's spatial-temporal-only representation, without ever
-    touching the other source (exact-zero leakage, not merely small).
+    seg_ids gives each of the m edges' target row; they must be sorted, in
+    range and cover every row 0..n-1 at least once, so every per-target
+    reduction is one contiguous reduceat. The first edge of each target is
+    its self term; the others are parent edges, read from rows src.
+
+    The parent edges are a CSR matrix stored row-binned: targets with the
+    same parent count c form one bin, whose edge positions are a (targets, c)
+    block, so a bin aggregates with one batched matmul. source_bins bins
+    the same edges by source row, for the transposed product.
     """
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(
-            f"gather_rows_mixed: widths {a.value.shape[1]} and {b.value.shape[1]} differ")
-    idx = np.asarray(idx, dtype=np.intp)
-    use_b = np.asarray(use_b, dtype=bool)
-    val = a.value[idx]
-    val[use_b] = b.value[idx[use_b]]
-    out = Node(a.tape, "gather_rows_mixed", val, (a, b))
+
+    def __init__(self, seg_ids, n: int, src):
+        seg_ids = np.asarray(seg_ids, dtype=np.intp)
+        src = np.asarray(src, dtype=np.intp)
+        starts = np.flatnonzero(np.diff(seg_ids, prepend=seg_ids[:1] - 1))
+        if not np.array_equal(seg_ids[starts], np.arange(n)):
+            raise SegmentError(f"segment ids are not 0..{n - 1} in sorted order, "
+                               "each at least once")
+        if len(src) and not 0 <= src.min() <= src.max() < n:
+            raise SegmentError(f"source rows outside 0..{n - 1}")
+        self.n = n
+        self.seg_ids = seg_ids
+        self.starts = starts  # (n,) each target's self-term edge
+        self._src = src
+        counts = np.bincount(seg_ids, minlength=n) - 1
+        # (targets, (targets, c) positions of their parent edges, those edges' sources)
+        self.bins = [(rows, pos, src[pos]) for rows, pos in _bins(starts + 1, counts)]
+
+    @cached_property
+    def source_bins(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(sources, (sources, d) positions of their parent edges), one entry
+        per out-degree d > 0; only a backward pass needs them."""
+        pos = np.delete(np.arange(len(self._src)), self.starts)
+        pos = pos[np.argsort(self._src[pos], kind="stable")]
+        degree = np.bincount(self._src[pos], minlength=self.n)
+        return [(sources, pos[k]) for sources, k in _bins(np.cumsum(degree) - degree, degree)]
+
+
+def _bins(first, lengths) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each length l > 0: the ids of that length, and the (ids, l) block
+    of first[id] + 0..l-1."""
+    out = []
+    for length in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
+        ids = np.flatnonzero(lengths == length)
+        out.append((ids, first[ids, None] + np.arange(length)))
+    return out
+
+
+def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout) -> Node:
+    """Per target row i and coefficient column k, the sum over i's parent
+    edges e of coefs[e, k] * parents[src e], plus coefs[self edge, k] *
+    self_rep[i].
+
+    parents and self_rep are (n, h), coefs (m, H) in layout's edge order; the
+    result is (n, H*h) with column k's sums in columns k*h:(k+1)*h, so one
+    call aggregates every attention head. The self term never reads parents,
+    so a row's own parents-side input cannot reach its own output. The
+    backward pass sends each parent edge's gradient to its source by the
+    transposed product, and gives each coefficient the dot product of its
+    target's gradient with what the edge carried.
+    """
+    x, s, w = parents.value, self_rep.value, coefs.value
+    if s.shape != x.shape or len(x) != layout.n or len(w) != len(layout.seg_ids):
+        raise ShapeError(f"csr_aggregate: parents {x.shape}, self_rep {s.shape} and "
+                         f"{len(w)} coefficient rows for {layout.n} targets and "
+                         f"{len(layout.seg_ids)} edges")
+    (n, h), heads = x.shape, w.shape[1]
+    w_self = w[layout.starts]
+    acc = w_self[:, :, None] * s[:, None, :]  # (n, H, h)
+    # one matmul per bin and head on contiguous operands: a head's sums then do
+    # not depend on how many heads share the call
+    w_t = np.ascontiguousarray(w.T)
+    for rows, pos, src in layout.bins:
+        x_src = x[src]
+        for k in range(heads):
+            acc[rows, k] += np.matmul(w_t[k][pos][:, None, :], x_src)[:, 0]
+    out = Node(parents.tape, "csr_aggregate", acc.reshape(n, heads * h),
+               (parents, self_rep, coefs))
 
     def backward(g):
-        acc_a = np.zeros_like(a.value)
-        acc_b = np.zeros_like(b.value)
-        np.add.at(acc_a, idx[~use_b], g[~use_b])
-        np.add.at(acc_b, idx[use_b], g[use_b])
-        a.accumulate(acc_a)
-        b.accumulate(acc_b)
+        g3 = g.reshape(n, heads, h)
+        self_rep.accumulate(np.einsum("nk,nkh->nh", w_self, g3))
+        gw = np.empty_like(w)
+        gw[layout.starts] = np.einsum("nkh,nh->nk", g3, s)
+        sent = np.empty((len(w), h))  # per parent edge, the gradient of what it carried
+        for rows, pos, src in layout.bins:
+            g_rows = g3[rows]
+            gw[pos] = np.matmul(x[src], g_rows.transpose(0, 2, 1))
+            sent[pos] = np.matmul(w[pos], g_rows)
+        gx = np.zeros_like(x)
+        for sources, pos in layout.source_bins:
+            gx[sources] = sent[pos].sum(axis=1)
+        parents.accumulate(gx)
+        coefs.accumulate(gw)
 
     out._backward = backward
     return out
 
 
-def _segment_starts(seg_ids, num_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    """seg_ids as an index array, and the offset where each segment starts.
+def segment_softmax(scores: Node, layout: EdgeLayout) -> Node:
+    """Softmax of each column of an (m, H) score matrix within each target's
+    edges.
 
-    Segments must be sorted, in range and non-empty (the graph edge layout),
-    so every per-segment reduction is one contiguous reduceat.
+    Max-subtraction inside each segment keeps exp in range; the result is
+    unchanged by adding any constant to a whole segment of a column.
     """
-    seg_ids = np.asarray(seg_ids, dtype=np.intp)
-    starts = np.flatnonzero(np.diff(seg_ids, prepend=seg_ids[:1] - 1))
-    if not np.array_equal(seg_ids[starts], np.arange(num_segments)):
-        raise SegmentError(f"segment ids are not 0..{num_segments - 1} in sorted "
-                           "order, each at least once")
-    return seg_ids, starts
-
-
-def weighted_segment_sum(values: Node, weights: Node, seg_ids, num_segments: int) -> Node:
-    """Per segment s and weight column k, the sum over entries e of segment s
-    of weights[e, k] * values[e].
-
-    values is (m, h) and weights (m, H); the result is (n, H*h) with column
-    k's sums in columns k*h:(k+1)*h, so one call aggregates every attention
-    head. The weighted intermediate never reaches the tape.
-    """
-    m, h = values.value.shape
-    if weights.value.shape[0] != m:
-        raise ShapeError(
-            f"weighted_segment_sum: {weights.value.shape[0]} weight rows for {m} values")
-    seg_ids, starts = _segment_starts(seg_ids, num_segments)
-    w = weights.value
-    heads = w.shape[1]
-    # one head at a time keeps the temporary at h x m, and its (h, m) layout
-    # lets every segment sum run over contiguous memory
-    v_t = np.ascontiguousarray(values.value.T)
-    weighted = np.empty_like(v_t)
-    acc = np.empty((heads * h, num_segments))
-    for k in range(heads):
-        np.multiply(v_t, w[:, k], out=weighted)
-        np.add.reduceat(weighted, starts, axis=1, out=acc[k * h:(k + 1) * h])
-    out = Node(values.tape, "weighted_segment_sum", acc.T, (values, weights))
-
-    def backward(g):
-        g_rows = g[seg_ids].reshape(m, heads, h)
-        values.accumulate(np.einsum("mkh,mk->mh", g_rows, w))
-        weights.accumulate(np.einsum("mkh,mh->mk", g_rows, values.value))
-
-    out._backward = backward
-    return out
-
-
-def segment_softmax(scores: Node, seg_ids, num_segments: int) -> Node:
-    """Softmax of each column of an (m, H) score matrix within each segment.
-
-    Segments must be sorted, in range and non-empty. Max-subtraction inside
-    each segment keeps exp in range; the result is unchanged by adding any
-    constant to a whole segment of a column.
-    """
-    seg_ids, starts = _segment_starts(seg_ids, num_segments)
+    seg_ids, starts = layout.seg_ids, layout.starts
     s = scores.value
     e = np.exp(s - np.maximum.reduceat(s, starts, axis=0)[seg_ids])
     p = e / np.add.reduceat(e, starts, axis=0)[seg_ids]
@@ -428,55 +460,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v *= b2
         v += (1.0 - b2) * (g * g)
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-
-
-def finite_difference_grads(loss_fn, params: dict[str, np.ndarray],
-                            h: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradient of loss_fn(params) for every entry."""
-    grads = {}
-    for name, p in params.items():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            up = loss_fn(params)
-            flat[k] = orig - h
-            down = loss_fn(params)
-            flat[k] = orig
-            gflat[k] = (up - down) / (2.0 * h)
-        grads[name] = g
-    return grads
-
-
-def grad_check(loss_and_grads_fn, params: dict[str, np.ndarray],
-               h: float = 1e-5, denom_floor: float = 1e-6) -> dict[str, float]:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_and_grads_fn(params) must return (loss_value, grads_dict) and be
-    deterministic. Raises NumericError when the loss is non-finite.
-    """
-    loss, analytic = loss_and_grads_fn(params)
-    if not math.isfinite(loss):
-        raise NumericError(f"non-finite loss {loss} during gradient check")
-
-    def loss_only(p):
-        value, _ = loss_and_grads_fn(p)
-        return value
-
-    numeric = finite_difference_grads(loss_only, params, h=h)
-    report = {}
-    for name in params:
-        a = analytic[name]
-        n = numeric[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), denom_floor)
-        report[name] = float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
-    return report
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pavecast import ndgrad as ng
 from pavecast import stgraph as sg
 
 from conftest import SMALL_DIMS, random_records, small_instance
+from gradcheck import grad_check
 from oracles import dense_forward, dense_mae_loss, oracle_elu
 
 
@@ -213,7 +216,7 @@ def test_heads_with_identical_weights_tile_the_aggregate():
     pn = md.make_param_nodes(tape, params)
     md.forward_nodes(tape, inst["gt"], pn, inst["config"])
     # the head reads the heads' aggregates, side by side
-    (agg,) = [node.value for node in tape.nodes if node.kind == "weighted_segment_sum"]
+    (agg,) = [node.value for node in tape.nodes if node.kind == "csr_aggregate"]
     h = inst["config"].hidden
     assert np.array_equal(agg[:, :h], agg[:, h:])
 
@@ -227,7 +230,7 @@ def test_one_softmax_and_one_segment_sum_per_layer():
     md.forward_nodes(tape, inst["gt"], md.make_param_nodes(tape, params), cfg)
     kinds = [node.kind for node in tape.nodes]
     assert kinds.count("segment_softmax") == 1
-    assert kinds.count("weighted_segment_sum") == 2
+    assert kinds.count("csr_aggregate") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +390,7 @@ def test_full_gradient_matches_finite_differences(variant):
         loss, grads, _ = md.loss_and_grads(gt, params, cfg, loss_ids)
         return loss, grads
 
-    report = ng.grad_check(loss_and_grads_fn, inst["params"], h=1e-5)
+    report = grad_check(loss_and_grads_fn, inst["params"], h=1e-5)
     worst = max(report.values())
     assert worst < 1e-4, f"{variant}: max rel err {worst}"
 
@@ -410,7 +413,39 @@ def test_two_layer_gradient_matches_finite_differences():
         loss, grads, _ = md.loss_and_grads(gt, params, cfg, loss_ids)
         return loss, grads
 
-    assert max(ng.grad_check(fn, inst["params"], h=1e-5).values()) < 1e-4
+    assert max(grad_check(fn, inst["params"], h=1e-5).values()) < 1e-4
+
+
+@pytest.mark.parametrize("variant", ["stgan", "gat", "gcn"])
+def test_no_tape_node_copies_representations_per_edge(variant):
+    # aggregation and scoring read node-level matrices; per edge, the tape holds
+    # at most one column per head (scores, coefficients)
+    inst = small_instance(64, n=8, variant=variant, layers=2)
+    gt, cfg = inst["gt"], inst["config"]
+    m = len(gt.src)
+    assert m > gt.n
+    tape = ng.Tape()
+    yhat = md.forward_nodes(tape, gt, md.make_param_nodes(tape, inst["params"]), cfg)
+    ng.backward(tape, md.mae_loss_node(tape, yhat, gt.y, np.arange(1, gt.n)))
+    wide = [node for node in tape.nodes
+            if node.value.shape[0] == m and node.value.shape[1] > cfg.heads]
+    assert not wide
+
+
+def test_loss_and_grads_leaves_no_tape_to_the_cyclic_gc():
+    inst = small_instance(65, n=6)
+
+    def live_tapes():
+        return sum(isinstance(obj, ng.Tape) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_tapes()
+        md.loss_and_grads(inst["gt"], inst["params"], inst["config"], np.arange(1, 6))
+        assert live_tapes() == before
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pavecast import ndgrad as ng
 
+from gradcheck import NumericError, grad_check
+
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central differences of scalar f w.r.t. every entry of x (mutated in place)."""
@@ -141,55 +143,58 @@ def test_concat_backward_splits_all_ones():
 # segment_softmax
 
 
+def segments(seg_ids, n):
+    """A layout over the given segments; parent edges read their own row."""
+    return ng.EdgeLayout(seg_ids, n, seg_ids)
+
+
 def test_segment_softmax_singleton():
     t = ng.Tape()
-    out = ng.segment_softmax(t.leaf([[3.7]]), [0], 1)
+    out = ng.segment_softmax(t.leaf([[3.7]]), segments([0], 1))
     assert out.value[0, 0] == 1.0
 
 
 def test_segment_softmax_equal_scores():
     t = ng.Tape()
-    out = ng.segment_softmax(t.leaf([[0.5]] * 4), [0, 0, 0, 0], 1)
+    out = ng.segment_softmax(t.leaf([[0.5]] * 4), segments([0, 0, 0, 0], 1))
     assert np.allclose(out.value, 0.25, atol=1e-15)
 
 
 def test_segment_softmax_hand_value():
     t = ng.Tape()
-    out = ng.segment_softmax(t.leaf([[0.0], [math.log(3.0)]]), [0, 0], 1)
+    out = ng.segment_softmax(t.leaf([[0.0], [math.log(3.0)]]), segments([0, 0], 1))
     assert out.value[:, 0] == pytest.approx([0.25, 0.75], abs=1e-12)
 
 
 def test_segment_softmax_empty_segment():
-    t = ng.Tape()
     with pytest.raises(ng.SegmentError):
-        ng.segment_softmax(t.leaf([[1.0], [2.0]]), [0, 0], 2)
+        segments([0, 0], 2)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.floats(-2, 2), min_size=1, max_size=8),
        st.floats(-5, 5))
 def test_segment_softmax_sums_to_one_and_shift_invariant(scores, shift):
+    one = segments([0] * len(scores), 1)
     t = ng.Tape()
-    p = ng.segment_softmax(t.leaf(np.array(scores).reshape(-1, 1)),
-                           [0] * len(scores), 1)
+    p = ng.segment_softmax(t.leaf(np.array(scores).reshape(-1, 1)), one)
     assert abs(p.value.sum() - 1.0) < 1e-12
 
     t2 = ng.Tape()
-    p2 = ng.segment_softmax(t2.leaf(np.array(scores).reshape(-1, 1) + shift),
-                            [0] * len(scores), 1)
+    p2 = ng.segment_softmax(t2.leaf(np.array(scores).reshape(-1, 1) + shift), one)
     assert np.allclose(p.value, p2.value, atol=1e-12)
 
 
 def test_segment_softmax_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     s_val = rng.uniform(-2, 2, (6, 1))
-    seg = np.array([0, 0, 1, 1, 1, 2])
+    layout = segments([0, 0, 1, 1, 1, 2], 3)
     w = rng.uniform(-1, 1, (6, 1))  # weights make the loss sensitive per entry
 
     def run():
         t = ng.Tape()
         s = t.leaf(s_val)
-        p = ng.segment_softmax(s, seg, 3)
+        p = ng.segment_softmax(s, layout)
         loss = ng.sum_all(ng.mul_array(p, w))
         return t, s, loss
 
@@ -253,103 +258,102 @@ def test_gather_rows_values_and_gradient():
     assert np.array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
-def test_gather_rows_mixed_selects_per_row():
+def test_concat_rows_values_and_gradient():
     t = ng.Tape()
-    a = t.leaf(np.ones((2, 2)) * 10)
-    b = t.leaf(np.ones((2, 2)) * 20)
-    out = ng.gather_rows_mixed(a, b, [0, 1, 0], [False, True, True])
-    assert np.array_equal(out.value, [[10, 10], [20, 20], [20, 20]])
-    ng.backward(t, ng.sum_all(out))
-    assert np.array_equal(a.grad, [[1, 1], [0, 0]])
-    assert np.array_equal(b.grad, [[1, 1], [1, 1]])
-
-
-def test_weighted_segment_sum_matches_manual():
-    rng = np.random.default_rng(11)
-    v_val = rng.uniform(-2, 2, (5, 3))
-    w_val = rng.uniform(-2, 2, (5, 1))
-    with pytest.raises(ng.SegmentError):
-        _wss_loss(v_val, w_val, np.array([0, 1, 1, 0, 2]))
-    seg = np.array([0, 0, 1, 1, 2])
-
-    t = ng.Tape()
-    v = t.leaf(v_val)
-    w = t.leaf(w_val)
-    out = ng.weighted_segment_sum(v, w, seg, 3)
-    manual = np.zeros((3, 3))
-    for k in range(5):
-        manual[seg[k]] += w_val[k, 0] * v_val[k]
-    assert np.allclose(out.value, manual, atol=1e-14)
-
-    ng.backward(t, ng.sum_all(out))
-    fd_v = finite_diff(
-        lambda: _wss_loss(v_val, w_val, seg), v_val)
-    fd_w = finite_diff(
-        lambda: _wss_loss(v_val, w_val, seg), w_val)
-    assert rel_err(v.grad, fd_v) < 1e-6
-    assert rel_err(w.grad, fd_w) < 1e-6
-
-
-def _wss_loss(v_val, w_val, seg):
-    t = ng.Tape()
-    out = ng.weighted_segment_sum(t.leaf(v_val), t.leaf(w_val), seg, 3)
-    return ng.sum_all(out).value[0, 0]
+    a = t.leaf([[1.0, 2.0]])
+    b = t.leaf([[3.0, 4.0], [5.0, 6.0]])
+    out = ng.concat_rows([a, b])
+    assert np.array_equal(out.value, [[1, 2], [3, 4], [5, 6]])
+    ng.backward(t, ng.sum_all(ng.mul_array(out, [[1, 2], [3, 4], [5, 6]])))
+    assert np.array_equal(a.grad, [[1, 2]])
+    assert np.array_equal(b.grad, [[3, 4], [5, 6]])
+    with pytest.raises(ng.ShapeError):
+        ng.concat_rows([a, t.leaf(np.zeros((1, 3)))])
 
 
 # ---------------------------------------------------------------------------
-# one column per head: H = 3 against H = 1 calls
+# csr_aggregate
 
+# edges per target, self term first: 0 <- self; 1 <- self, 0, 2; 2 <- self, 1
 SEG3 = np.array([0, 1, 1, 1, 2, 2])
+SRC3 = np.array([0, 1, 0, 2, 2, 1])
+LAYOUT3 = ng.EdgeLayout(SEG3, 3, SRC3)
+
+
+def test_csr_aggregate_hand_value_and_gradient():
+    t = ng.Tape()
+    parents = t.leaf([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    self_rep = t.leaf([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
+    coefs = t.leaf([[0.5], [0.25], [2.0], [3.0], [1.0], [4.0]])
+    out = ng.csr_aggregate(parents, self_rep, coefs, LAYOUT3)
+    # self terms read only self_rep, parent edges only parents
+    assert np.array_equal(out.value, [[5, 5], [10, 8], [30, 34]])
+    ng.backward(t, ng.sum_all(out))
+    assert np.array_equal(parents.grad, [[2, 2], [4, 4], [3, 3]])
+    assert np.array_equal(self_rep.grad, [[0.5, 0.5], [0.25, 0.25], [1, 1]])
+    assert np.array_equal(coefs.grad, [[20], [40], [1], [2], [60], [1]])
+
+
+def test_csr_aggregate_matches_per_edge_loop():
+    rng = np.random.default_rng(11)
+    p_val, s_val = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4))
+    w_val = rng.uniform(-2, 2, (6, 2))
+    t = ng.Tape()
+    out = ng.csr_aggregate(t.leaf(p_val), t.leaf(s_val), t.leaf(w_val), LAYOUT3)
+    manual = np.zeros((3, 8))
+    for e, (i, j) in enumerate(zip(SEG3, SRC3)):
+        first = e == 0 or SEG3[e - 1] != i
+        for k in range(2):
+            manual[i, 4 * k:4 * (k + 1)] += w_val[e, k] * (s_val[i] if first else p_val[j])
+    assert np.allclose(out.value, manual, atol=1e-14)
 
 
 def test_segment_ops_columns_equal_single_column_calls():
     rng = np.random.default_rng(5)
     s_val = rng.uniform(-2, 2, (6, 3))
-    v_val = rng.uniform(-2, 2, (6, 4))
+    p_val, self_val = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4))
     t = ng.Tape()
-    p = ng.segment_softmax(t.leaf(s_val), SEG3, 3)
-    agg = ng.weighted_segment_sum(t.leaf(v_val), p, SEG3, 3)
+    p = ng.segment_softmax(t.leaf(s_val), LAYOUT3)
+    agg = ng.csr_aggregate(t.leaf(p_val), t.leaf(self_val), p, LAYOUT3)
     assert p.shape == (6, 3) and agg.shape == (3, 12)
     for k in range(3):
-        pk = ng.segment_softmax(t.leaf(s_val[:, k:k + 1]), SEG3, 3)
+        pk = ng.segment_softmax(t.leaf(s_val[:, k:k + 1]), LAYOUT3)
         assert np.array_equal(p.value[:, k:k + 1], pk.value)
-        aggk = ng.weighted_segment_sum(t.leaf(v_val), pk, SEG3, 3)
+        aggk = ng.csr_aggregate(t.leaf(p_val), t.leaf(self_val), pk, LAYOUT3)
         assert np.array_equal(agg.value[:, 4 * k:4 * (k + 1)], aggk.value)
 
 
 def test_segment_ops_gradients_match_finite_differences_three_heads():
     rng = np.random.default_rng(6)
-    s_val = rng.uniform(-2, 2, (6, 3))
-    v_val = rng.uniform(-2, 2, (6, 4))
+    vals = [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4)),
+            rng.uniform(-2, 2, (6, 3))]
     mix = rng.uniform(-1, 1, (3, 12))  # every output entry weighs differently
 
-    def run():
+    def run(softmax):
+        # all three inputs of csr_aggregate, the coefficients either as a free
+        # leaf or as the softmax of a score leaf
         t = ng.Tape()
-        s, v = t.leaf(s_val), t.leaf(v_val)
-        w = ng.segment_softmax(s, SEG3, 3)
-        out = ng.weighted_segment_sum(v, w, SEG3, 3)
-        return t, s, v, w, ng.sum_all(ng.mul_array(out, mix))
+        xs = [t.leaf(v) for v in vals]
+        coefs = ng.segment_softmax(xs[2], LAYOUT3) if softmax else xs[2]
+        out = ng.csr_aggregate(xs[0], xs[1], coefs, LAYOUT3)
+        return t, xs, ng.sum_all(ng.mul_array(out, mix))
 
-    def loss_value():
-        return run()[4].value[0, 0]
+    for softmax in (False, True):
+        t, xs, loss = run(softmax)
+        ng.backward(t, loss)
+        for x, v in zip(xs, vals):
+            fd = finite_diff(lambda: run(softmax)[2].value[0, 0], v)
+            assert rel_err(x.grad, fd) < 1e-6
 
-    t, s, v, w, loss = run()
-    ng.backward(t, loss)
-    assert rel_err(s.grad, finite_diff(loss_value, s_val)) < 1e-6
-    assert rel_err(v.grad, finite_diff(loss_value, v_val)) < 1e-6
 
-    # the weights' gradient, with the weights as a free leaf
-    w_val = w.value.copy()
-
-    def run_w():
-        t = ng.Tape()
-        wl = t.leaf(w_val)
-        out = ng.weighted_segment_sum(t.leaf(v_val), wl, SEG3, 3)
-        return t, wl, ng.sum_all(ng.mul_array(out, mix))
-
-    t, wl, loss = run_w()
-    ng.backward(t, loss)
-    assert rel_err(wl.grad, finite_diff(lambda: run_w()[2].value[0, 0], w_val)) < 1e-6
+def test_csr_aggregate_shape_mismatch():
+    t = ng.Tape()
+    with pytest.raises(ng.ShapeError):
+        ng.csr_aggregate(t.leaf(np.zeros((3, 4))), t.leaf(np.zeros((3, 5))),
+                         t.leaf(np.ones((6, 1))), LAYOUT3)
+    with pytest.raises(ng.ShapeError):
+        ng.csr_aggregate(t.leaf(np.zeros((3, 4))), t.leaf(np.zeros((3, 4))),
+                         t.leaf(np.ones((5, 1))), LAYOUT3)
 
 
 @pytest.mark.parametrize("seg", [[0, 1, 1, 0, 2, 2],     # unsorted
@@ -357,11 +361,22 @@ def test_segment_ops_gradients_match_finite_differences_three_heads():
                                  [-1, 0, 1, 1, 2, 2],    # negative
                                  [0, 0, 2, 2, 2, 2]])    # segment 1 empty
 def test_segment_ops_reject_bad_ids(seg):
-    t = ng.Tape()
     with pytest.raises(ng.SegmentError):
-        ng.segment_softmax(t.leaf(np.zeros((6, 3))), seg, 3)
+        ng.EdgeLayout(seg, 3, [0] * 6)
+
+
+@pytest.mark.parametrize("src", [[0, 1, 3, 2, 2, 1], [0, 1, -1, 2, 2, 1]])
+def test_edge_layout_rejects_source_out_of_range(src):
     with pytest.raises(ng.SegmentError):
-        ng.weighted_segment_sum(t.leaf(np.zeros((6, 4))), t.leaf(np.ones((6, 3))), seg, 3)
+        ng.EdgeLayout(SEG3, 3, src)
+
+
+def test_edge_layout_bins_rows_by_parent_count_and_source():
+    # bins: (targets, their parent edge positions, those edges' sources)
+    assert [(r.tolist(), p.tolist(), s.tolist()) for r, p, s in LAYOUT3.bins] == [
+        ([2], [[5]], [[1]]), ([1], [[2, 3]], [[0, 2]])]
+    assert [(s.tolist(), p.tolist()) for s, p in LAYOUT3.source_bins] == [
+        ([0, 1, 2], [[2], [5], [3]])]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +408,7 @@ def _build_prim(kind, t, xs):
     if kind == "gather":
         return ng.gather_rows(xs[0], [1, 0, 1, 2])
     if kind == "segment_softmax":
-        return ng.segment_softmax(xs[4], [0, 0, 1, 1, 1], 2)
+        return ng.segment_softmax(xs[4], segments([0, 0, 1, 1, 1], 2))
     raise AssertionError(kind)
 
 
@@ -491,7 +506,7 @@ def _linear_model(params):
 
 
 def test_grad_check_linear_model_exact():
-    report = ng.grad_check(_linear_model, {"w": np.random.default_rng(1).uniform(-1, 1, (3, 2))})
+    report = grad_check(_linear_model, {"w": np.random.default_rng(1).uniform(-1, 1, (3, 2))})
     assert report["w"] < 1e-9
 
 
@@ -511,7 +526,7 @@ def test_grad_check_two_layer_elu_mlp():
     rng = np.random.default_rng(5)
     params = {"w1": rng.uniform(-1, 1, (4, 3)), "b1": rng.uniform(-1, 1, (1, 3)),
               "w2": rng.uniform(-1, 1, (3, 1))}
-    report = ng.grad_check(_mlp_model, params)
+    report = grad_check(_mlp_model, params)
     assert max(report.values()) < 1e-5
 
 
@@ -519,5 +534,5 @@ def test_grad_check_reports_nonfinite_loss():
     def bad(params):
         return float("nan"), {"w": np.zeros((1, 1))}
 
-    with pytest.raises(ng.NumericError):
-        ng.grad_check(bad, {"w": np.zeros((1, 1))})
+    with pytest.raises(NumericError):
+        grad_check(bad, {"w": np.zeros((1, 1))})
