@@ -7,7 +7,7 @@ a handful of elementwise ops, row and column concatenation, row gather, and
 for edge attention a per-target softmax and a fused aggregation, both over an
 EdgeLayout built and validated once per edge set. The aggregation is one
 sparse product for every head at once, over a CSR structure binned by row
-length so each bin is one batched matmul; its backward pass is the
+length so each bin takes batched matmuls; its backward pass is the
 transposed product plus, for the coefficients, one dot product per edge and
 head. No per-edge copy of a representation is kept on the tape.
 """
@@ -279,7 +279,7 @@ class EdgeLayout:
 
     The parent edges are a CSR matrix stored row-binned: targets with the
     same parent count c form one bin, whose edge positions are a (targets, c)
-    block, so a bin aggregates with one batched matmul. source_bins bins
+    block, so a bin aggregates with batched matmuls. source_bins bins
     the same edges by source row, for the transposed product.
     """
 
