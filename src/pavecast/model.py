@@ -99,27 +99,20 @@ class GraphTensors:
     it, see prepare_tensors), ready for the forward pass.
 
     Edges are ordered per target node: the self loop first, then parents in
-    their stored order; layout is that order as an ng.EdgeLayout, validated
-    once here and reused by every softmax and aggregation. dist_norm is
-    meters over the proximity threshold, so decay-based scoring sees a
-    dimensionless quantity.
+    their stored order. layout holds that order, each edge's source and
+    target row, validated once where it is built and reused by every
+    scoring, softmax and aggregation. dist_norm is meters over the proximity
+    threshold, so decay-based scoring sees a dimensionless quantity.
     """
 
     x_full: np.ndarray    # (n, d)
     x_st: np.ndarray      # (n, d')
     y: np.ndarray         # (n,)
-    src: np.ndarray       # (m,)
-    dst: np.ndarray       # (m,)
-    is_self: np.ndarray   # (m,) bool
+    layout: ng.EdgeLayout  # m edges
     dt_norm: np.ndarray   # (m,)
     dist_norm: np.ndarray  # (m,)
     gcn_w: np.ndarray     # (m,) fixed symmetric-normalized weights
     top_pool: np.ndarray  # (n, d+1) mean over ranked parents of [x_full || y]
-    layout: ng.EdgeLayout | None = None  # built from dst and src when not given
-
-    def __post_init__(self):
-        if self.layout is None:
-            self.layout = ng.EdgeLayout(self.dst, self.n, self.src)
 
     @property
     def n(self) -> int:
@@ -190,11 +183,8 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     self_pos = offsets[:k] + np.arange(k)
     edge_pos = np.arange(len(parent)) + child + 1
     m = k + len(parent)
-    src, dst = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
-    src[self_pos] = dst[self_pos] = np.arange(k)
-    src[edge_pos], dst[edge_pos] = parent, child
-    is_self = np.zeros(m, dtype=bool)
-    is_self[self_pos] = True
+    src = np.empty(m, dtype=np.intp)
+    src[self_pos], src[edge_pos] = np.arange(k), parent
     dt_norm = np.zeros(m)
     dt_norm[edge_pos] = np.abs(t_norm[child] - t_norm[parent])
     dist_norm = np.zeros(m)
@@ -210,7 +200,7 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     n_top = np.bincount(child[top], minlength=k)
     top_pool[n_top > 0] /= n_top[n_top > 0, None]
     return GraphTensors(
-        x_full=x_full, x_st=x_st, y=y, src=src, dst=dst, is_self=is_self,
+        x_full=x_full, x_st=x_st, y=y, layout=ng.EdgeLayout(src, counts),
         dt_norm=dt_norm, dist_norm=dist_norm, gcn_w=gcn_w, top_pool=top_pool)
 
 
@@ -291,12 +281,15 @@ def _attention_coefficients(tape, gt, pnodes, config, z, z_st, probes):
     h = z_st.value.shape[1]
     w = ng.concat_cols([pnodes[f"attn_l1_h{k}_w"] for k in range(config.heads)])
     w_src = ng.slice_rows(w, h, 2 * h)
-    s = ng.gather_rows(ng.matmul(z_st, ng.slice_rows(w, 0, h)), gt.dst)
+    layout = gt.layout
+    s = ng.gather_rows(ng.matmul(z_st, ng.slice_rows(w, 0, h)), layout.dst)
     if config.variant in ("gat", "stgan_eam"):
         sent = ng.concat_rows([ng.matmul(z, w_src), ng.matmul(z_st, w_src)])
-        s = ng.add(s, ng.gather_rows(sent, np.where(gt.is_self, gt.n + gt.dst, gt.src)))
+        slot = layout.src.copy()
+        slot[layout.starts] += gt.n  # a self loop sends its z_st row
+        s = ng.add(s, ng.gather_rows(sent, slot))
     else:
-        s = ng.add(s, ng.gather_rows(ng.matmul(z_st, w_src), gt.src))
+        s = ng.add(s, ng.gather_rows(ng.matmul(z_st, w_src), layout.src))
     if config.variant in ("stgan", "stgan_no_top"):
         t_col = tape.constant(gt.dt_norm.reshape(-1, 1))
         s = ng.add(s, ng.matmul(t_col, ng.slice_rows(w, 2 * h, 2 * h + 1)))
@@ -305,9 +298,9 @@ def _attention_coefficients(tape, gt, pnodes, config, z, z_st, probes):
         g = config.eam_gamma
         decay = np.exp(-g * gt.dist_norm) * np.exp(-g * gt.dt_norm)
         s = ng.mul_array(s, np.repeat(decay[:, None], config.heads, axis=1))
-    coefs = ng.segment_softmax(s, gt.layout)
+    coefs = ng.segment_softmax(s, layout)
     if probes is not None:
-        probes.extend(CoefficientProbe(k, coefs.value[:, k].copy(), gt.dst, gt.n)
+        probes.extend(CoefficientProbe(k, coefs.value[:, k].copy(), layout.dst, gt.n)
                       for k in range(config.heads))
     return coefs
 

@@ -26,7 +26,7 @@ class ShapeError(ValueError):
 
 
 class SegmentError(ValueError):
-    """Segment ids are unsorted or out of range, or a segment has no members."""
+    """An edge layout's parent counts and source rows do not fit together."""
 
 
 class GraphContractError(ValueError):
@@ -272,10 +272,12 @@ class EdgeLayout:
     """Edges grouped by target row, validated once and shared by every
     segment softmax and aggregation over them.
 
-    seg_ids gives each of the m edges' target row; they must be sorted, in
-    range and cover every row 0..n-1 at least once, so every per-target
-    reduction is one contiguous reduceat. The first edge of each target is
-    its self term; the others are parent edges, read from rows src.
+    counts[i] is the number of parent edges of target row i; its edges are
+    its self loop, then those parents, and targets follow one another in
+    row order, so every per-target reduction is one contiguous reduceat.
+    src gives each of the m = n + sum(counts) edges' source row; a self
+    loop's source must be its own target. Scoring and aggregation both find
+    the self loops at starts.
 
     The parent edges are a CSR matrix stored row-binned: targets with the
     same parent count c form one bin, whose edge positions are a (targets, c)
@@ -283,30 +285,40 @@ class EdgeLayout:
     the same edges by source row, for the transposed product.
     """
 
-    def __init__(self, seg_ids, n: int, src):
-        seg_ids = np.asarray(seg_ids, dtype=np.intp)
+    def __init__(self, src, counts):
         src = np.asarray(src, dtype=np.intp)
-        starts = np.flatnonzero(np.diff(seg_ids, prepend=seg_ids[:1] - 1))
-        if not np.array_equal(seg_ids[starts], np.arange(n)):
-            raise SegmentError(f"segment ids are not 0..{n - 1} in sorted order, "
-                               "each at least once")
+        counts = np.asarray(counts, dtype=np.intp)
+        n = len(counts)
+        if np.any(counts < 0):
+            raise SegmentError("a target has a negative parent count")
+        sizes = counts + 1
+        if len(src) != sizes.sum():
+            raise SegmentError(f"{len(src)} edges for {n} targets with "
+                               f"{sizes.sum() - n} parent edges")
         if len(src) and not 0 <= src.min() <= src.max() < n:
             raise SegmentError(f"source rows outside 0..{n - 1}")
+        starts = np.cumsum(sizes) - sizes
+        if not np.array_equal(src[starts], np.arange(n)):
+            raise SegmentError("a target's first edge is not its self loop")
         self.n = n
-        self.seg_ids = seg_ids
-        self.starts = starts  # (n,) each target's self-term edge
-        self._src = src
-        counts = np.bincount(seg_ids, minlength=n) - 1
-        # (targets, (targets, c) positions of their parent edges, those edges' sources)
-        self.bins = [(rows, pos, src[pos]) for rows, pos in _bins(starts + 1, counts)]
+        self.src = src
+        self.counts = counts
+        self.starts = starts  # (n,) each target's self-loop edge
+        self.dst = np.repeat(np.arange(n), sizes)  # (m,) each edge's target
+
+    @cached_property
+    def bins(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(targets, (targets, c) positions of their parent edges), one entry
+        per parent count c > 0."""
+        return _bins(self.starts + 1, self.counts)
 
     @cached_property
     def source_bins(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(sources, (sources, d) positions of their parent edges), one entry
         per out-degree d > 0; only a backward pass needs them."""
-        pos = np.delete(np.arange(len(self._src)), self.starts)
-        pos = pos[np.argsort(self._src[pos], kind="stable")]
-        degree = np.bincount(self._src[pos], minlength=self.n)
+        pos = np.delete(np.arange(len(self.src)), self.starts)
+        pos = pos[np.argsort(self.src[pos], kind="stable")]
+        degree = np.bincount(self.src[pos], minlength=self.n)
         return [(sources, pos[k]) for sources, k in _bins(np.cumsum(degree) - degree, degree)]
 
 
@@ -334,18 +346,18 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
     target's gradient with what the edge carried.
     """
     x, s, w = parents.value, self_rep.value, coefs.value
-    if s.shape != x.shape or len(x) != layout.n or len(w) != len(layout.seg_ids):
+    if s.shape != x.shape or len(x) != layout.n or len(w) != len(layout.src):
         raise ShapeError(f"csr_aggregate: parents {x.shape}, self_rep {s.shape} and "
                          f"{len(w)} coefficient rows for {layout.n} targets and "
-                         f"{len(layout.seg_ids)} edges")
+                         f"{len(layout.src)} edges")
     (n, h), heads = x.shape, w.shape[1]
     w_self = w[layout.starts]
     acc = w_self[:, :, None] * s[:, None, :]  # (n, H, h)
     # one matmul per bin and head on contiguous operands: a head's sums then do
     # not depend on how many heads share the call
     w_t = np.ascontiguousarray(w.T)
-    for rows, pos, src in layout.bins:
-        x_src = x[src]
+    for rows, pos in layout.bins:
+        x_src = x[layout.src[pos]]
         for k in range(heads):
             acc[rows, k] += np.matmul(w_t[k][pos][:, None, :], x_src)[:, 0]
     out = Node(parents.tape, "csr_aggregate", acc.reshape(n, heads * h),
@@ -357,9 +369,9 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
         gw = np.empty_like(w)
         gw[layout.starts] = np.einsum("nkh,nh->nk", g3, s)
         sent = np.empty((len(w), h))  # per parent edge, the gradient of what it carried
-        for rows, pos, src in layout.bins:
+        for rows, pos in layout.bins:
             g_rows = g3[rows]
-            gw[pos] = np.matmul(x[src], g_rows.transpose(0, 2, 1))
+            gw[pos] = np.matmul(x[layout.src[pos]], g_rows.transpose(0, 2, 1))
             sent[pos] = np.matmul(w[pos], g_rows)
         gx = np.zeros_like(x)
         for sources, pos in layout.source_bins:
@@ -378,15 +390,15 @@ def segment_softmax(scores: Node, layout: EdgeLayout) -> Node:
     Max-subtraction inside each segment keeps exp in range; the result is
     unchanged by adding any constant to a whole segment of a column.
     """
-    seg_ids, starts = layout.seg_ids, layout.starts
+    dst, starts = layout.dst, layout.starts
     s = scores.value
-    e = np.exp(s - np.maximum.reduceat(s, starts, axis=0)[seg_ids])
-    p = e / np.add.reduceat(e, starts, axis=0)[seg_ids]
+    e = np.exp(s - np.maximum.reduceat(s, starts, axis=0)[dst])
+    p = e / np.add.reduceat(e, starts, axis=0)[dst]
     out = Node(scores.tape, "segment_softmax", p, (scores,))
 
     def backward(g):
         gp = g * p
-        scores.accumulate(gp - p * np.add.reduceat(gp, starts, axis=0)[seg_ids])
+        scores.accumulate(gp - p * np.add.reduceat(gp, starts, axis=0)[dst])
 
     out._backward = backward
     return out

@@ -1,4 +1,5 @@
 import gc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -51,10 +52,11 @@ def test_prepare_tensors_equals_per_edge_loop():
         if tops:
             top_pool[i] = np.mean(tops, axis=0)
     src, dst, is_self, dt_norm, dist_norm, gcn_w = map(np.array, zip(*rows))
-    for name, want in [("src", src), ("dst", dst), ("is_self", is_self),
+    for name, want in [("layout.src", src), ("layout.dst", dst),
+                       ("layout.starts", np.flatnonzero(is_self)),
                        ("dt_norm", dt_norm), ("dist_norm", dist_norm),
                        ("gcn_w", gcn_w), ("top_pool", top_pool)]:
-        assert np.array_equal(getattr(gt, name), want), name
+        assert np.array_equal(attrgetter(name)(gt), want), name
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +102,8 @@ def test_isolated_node_self_coefficient_is_one():
     gt = inst["gt"]
     # locations are far enough apart in time that some node has no parents
     yhat, probes = forward_with_probes(inst)
-    isolated = [i for i in range(gt.n) if not np.any((gt.dst == i) & ~gt.is_self)]
-    assert isolated, "instance should contain an isolated node"
+    isolated = np.flatnonzero(gt.layout.counts == 0)
+    assert len(isolated), "instance should contain an isolated node"
     for probe in probes:
         for i in isolated:
             mask = probe.seg_ids == i
@@ -199,10 +201,10 @@ def test_node_relabeling_equivariance():
     inv = np.argsort(perm)
     # segment ops need edges sorted by target; a stable sort keeps each
     # target's self loop first
-    order = np.argsort(perm[gt.dst], kind="stable")
+    order = np.argsort(perm[gt.layout.dst], kind="stable")
     permuted = md.GraphTensors(
         x_full=gt.x_full[inv], x_st=gt.x_st[inv], y=gt.y[inv],
-        src=perm[gt.src][order], dst=perm[gt.dst][order], is_self=gt.is_self[order],
+        layout=ng.EdgeLayout(perm[gt.layout.src][order], gt.layout.counts[inv]),
         dt_norm=gt.dt_norm[order], dist_norm=gt.dist_norm[order],
         gcn_w=gt.gcn_w[order], top_pool=gt.top_pool[inv])
     out = md.forward_values(permuted, params, cfg)
@@ -316,8 +318,8 @@ def test_no_td_scores_differ_by_constant_when_dt_constant():
         pn = md.make_param_nodes(tape, params)
         z_st = md._mlp(tape, tape.constant(gt.x_st), pn, "ext_st",
                        len(cfg.extractor_hidden))
-        rep_dst = ng.gather_rows(z_st, gt.dst)
-        rep_src = ng.gather_rows(z_st, gt.src)
+        rep_dst = ng.gather_rows(z_st, gt.layout.dst)
+        rep_src = ng.gather_rows(z_st, gt.layout.src)
         parts = [rep_dst, rep_src]
         if w_key_width == cfg.hidden * 2 + 1:
             parts.append(tape.constant(gt.dt_norm.reshape(-1, 1)))
@@ -422,7 +424,7 @@ def test_no_tape_node_copies_representations_per_edge(variant):
     # at most one column per head (scores, coefficients)
     inst = small_instance(64, n=8, variant=variant, layers=2)
     gt, cfg = inst["gt"], inst["config"]
-    m = len(gt.src)
+    m = len(gt.layout.src)
     assert m > gt.n
     tape = ng.Tape()
     yhat = md.forward_nodes(tape, gt, md.make_param_nodes(tape, inst["params"]), cfg)

@@ -144,8 +144,9 @@ def test_concat_backward_splits_all_ones():
 
 
 def segments(seg_ids, n):
-    """A layout over the given segments; parent edges read their own row."""
-    return ng.EdgeLayout(seg_ids, n, seg_ids)
+    """A layout over the given sorted segments; parent edges read their own
+    row."""
+    return ng.EdgeLayout(seg_ids, np.bincount(seg_ids, minlength=n) - 1)
 
 
 def test_segment_softmax_singleton():
@@ -277,7 +278,7 @@ def test_concat_rows_values_and_gradient():
 # edges per target, self term first: 0 <- self; 1 <- self, 0, 2; 2 <- self, 1
 SEG3 = np.array([0, 1, 1, 1, 2, 2])
 SRC3 = np.array([0, 1, 0, 2, 2, 1])
-LAYOUT3 = ng.EdgeLayout(SEG3, 3, SRC3)
+LAYOUT3 = ng.EdgeLayout(SRC3, [0, 2, 1])
 
 
 def test_csr_aggregate_hand_value_and_gradient():
@@ -356,25 +357,35 @@ def test_csr_aggregate_shape_mismatch():
                          t.leaf(np.ones((5, 1))), LAYOUT3)
 
 
-@pytest.mark.parametrize("seg", [[0, 1, 1, 0, 2, 2],     # unsorted
-                                 [0, 1, 1, 1, 2, 3],     # past the last segment
-                                 [-1, 0, 1, 1, 2, 2],    # negative
-                                 [0, 0, 2, 2, 2, 2]])    # segment 1 empty
+# (src, counts) pairs that do not form segments of SEG3's shape
+@pytest.mark.parametrize("seg", [([0, 2, 1, 0, 1, 2], [0, 2, 1]),  # targets 1 and 2 interleaved
+                                 (SRC3.tolist() + [2], [0, 2, 1]),  # past the last segment
+                                 (SRC3, [0, 3, -1]),              # negative count
+                                 (SRC3[:5], [0, 2, 1])])           # segment 2 missing an edge
 def test_segment_ops_reject_bad_ids(seg):
     with pytest.raises(ng.SegmentError):
-        ng.EdgeLayout(seg, 3, [0] * 6)
+        ng.EdgeLayout(*seg)
 
 
 @pytest.mark.parametrize("src", [[0, 1, 3, 2, 2, 1], [0, 1, -1, 2, 2, 1]])
 def test_edge_layout_rejects_source_out_of_range(src):
     with pytest.raises(ng.SegmentError):
-        ng.EdgeLayout(SEG3, 3, src)
+        ng.EdgeLayout(src, [0, 2, 1])
+
+
+def test_edge_layout_rejects_self_loop_not_first():
+    # target 1's self loop is its second edge: aggregation would read
+    # parents[1] into row 1 and take parents[0] as its self term
+    with pytest.raises(ng.SegmentError):
+        ng.EdgeLayout([0, 0, 1, 2, 2, 1], [0, 2, 1])
 
 
 def test_edge_layout_bins_rows_by_parent_count_and_source():
-    # bins: (targets, their parent edge positions, those edges' sources)
-    assert [(r.tolist(), p.tolist(), s.tolist()) for r, p, s in LAYOUT3.bins] == [
-        ([2], [[5]], [[1]]), ([1], [[2, 3]], [[0, 2]])]
+    # bins: (targets, their parent edge positions)
+    assert [(r.tolist(), p.tolist()) for r, p in LAYOUT3.bins] == [
+        ([2], [[5]]), ([1], [[2, 3]])]
+    assert LAYOUT3.starts.tolist() == [0, 1, 4]
+    assert LAYOUT3.dst.tolist() == SEG3.tolist()
     assert [(s.tolist(), p.tolist()) for s, p in LAYOUT3.source_bins] == [
         ([0, 1, 2], [[2], [5], [3]])]
 

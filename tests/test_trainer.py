@@ -101,7 +101,7 @@ def test_training_graph_contains_no_test_nodes():
     graph = sg.build_graph(meta, len(init), inst["graph_cfg"])
     assert graph.n == len(history)
     gt = md.prepare_tensors(graph, history, l_res_m=inst["graph_cfg"].l_res_m)
-    assert gt.src.max() < len(history) and gt.dst.max() < len(history)
+    assert gt.layout.src.max() < len(history) and gt.layout.dst.max() < len(history)
 
 
 def test_attention_tracking_reports_tight_sums():
@@ -409,7 +409,7 @@ def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
     assert np.array_equal(gt.x_full, np.stack([nodes[i].x_full for i in ids]))
     # nodes exactly `layers` hops out bring their features, not their parents
     _, inner = brute_force_ancestors(graph, graph.n - 1, layers - 1)
-    assert len(gt.src) == gt.n + sum(len(parents.get(v, ())) for v in inner)
+    assert len(gt.layout.src) == gt.n + sum(len(parents.get(v, ())) for v in inner)
 
 
 # ---------------------------------------------------------------------------

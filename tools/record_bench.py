@@ -1,14 +1,16 @@
-"""Record one commit's benchmark point as BENCH_<commit>.json.
+"""Record benchmark points as BENCH_<commit>.json, one file per checkout.
 
-    python3 tools/record_bench.py [--repo CHECKOUT] [--seeds 5] [--seconds 15]
+    python3 tools/record_bench.py [CHECKOUT ...]
 
-Runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
-in CHECKOUT (default: this repository) for every workload and every seed
-0..N-1, seed by seed, and writes BENCH_<short commit>.json into the root of
-this repository. The file holds the host, the command, every run's raw
+Runs `python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0`
+for seeds 0..9 and every workload, in each CHECKOUT (default: this
+repository). The checkouts take turns run by run, so a drift of the host's
+speed reaches them alike. Each BENCH_<short commit>.json, written into the
+root of this repository, holds the host, the command, every run's raw
 end-to-end metrics and operation counts, and per workload and metric the
-median and quartiles over the seeds. Two such files, one per commit,
-measured on the same host, make a before/after pair.
+median and quartiles over the seeds. Given two checkouts, a before and an
+after, it also prints on how many seeds the second beat the first, per
+workload and metric.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-2k", "autoregress-2k", "bulk-8k")
+SEEDS = range(10)
+SECONDS = 15
 
 
 def _git(repo: Path, *args: str) -> str:
@@ -44,10 +48,10 @@ def host() -> dict:
             "python": platform.python_version()}
 
 
-def run_once(repo: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(repo: Path, workload: str, seed: int) -> dict:
     """One perfbench run: its env line and its result object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=repo, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -70,36 +74,51 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def wins(before: list[dict], after: list[dict]) -> dict:
+    """Per metric, on how many seeds `after` beat `before`."""
+    better = {m["name"]: m["better"] for m in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    count = {}
+    for name, sense in better.items():
+        pairs = [(b["metrics"][name], a["metrics"][name]) for b, a in zip(before, after)]
+        count[name] = sum(new > old if sense == "higher" else new < old for old, new in pairs)
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repo", type=Path, default=ROOT,
-                        help="checkout to measure (default: this repository)")
-    parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    args = parser.parse_args(argv)
-    if args.seeds < 1 or args.seconds <= 0:
-        parser.error("--seeds must be >= 1 and --seconds > 0")
-    repo = args.repo.resolve()
-    commit = _git(repo, "rev-parse", "HEAD")
-    runs = {w: [] for w in WORKLOADS}
-    for seed in range(args.seeds):
+    parser.add_argument("checkouts", type=Path, nargs="*", default=[ROOT],
+                        help="checkouts to measure (default: this repository)")
+    repos = [path.resolve() for path in parser.parse_args(argv).checkouts]
+    commits = [_git(repo, "rev-parse", "HEAD") for repo in repos]
+    runs = [{w: [] for w in WORKLOADS} for _ in repos]
+    for seed in SEEDS:
         for workload in WORKLOADS:
-            run = run_once(repo, workload, seed, args.seconds)
-            runs[workload].append(run)
-            print(f"{workload} seed {seed}: "
-                  + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
-                  + f" failed={run['failed']}", file=sys.stderr)
-    doc = {
-        "commit": commit,
-        "command": ("python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds:g} --trace 0"),
-        "seeds": list(range(args.seeds)),
-        "host": host(),
-        "workloads": {w: {"summary": summarize(r), "runs": r} for w, r in runs.items()},
-    }
-    path = ROOT / f"BENCH_{commit[:7]}.json"
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {path}")
+            for repo, commit, by_workload in zip(repos, commits, runs):
+                run = run_once(repo, workload, seed)
+                by_workload[workload].append(run)
+                print(f"{commit[:7]} {workload} seed {seed}: "
+                      + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
+                      + f" failed={run['failed']}", file=sys.stderr)
+    for commit, by_workload in zip(commits, runs):
+        doc = {
+            "commit": commit,
+            "command": ("python3 perfbench/run.py --workload W --seed S "
+                        f"--seconds {SECONDS} --trace 0"),
+            "seeds": list(SEEDS),
+            "measured_with": [c[:7] for c in commits],
+            "host": host(),
+            "workloads": {w: {"summary": summarize(r), "runs": r}
+                          for w, r in by_workload.items()},
+        }
+        path = ROOT / f"BENCH_{commit[:7]}.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        print(f"wrote {path}")
+    if len(runs) == 2:
+        for workload in WORKLOADS:
+            won = wins(runs[0][workload], runs[1][workload])
+            print(f"{commits[1][:7]} beat {commits[0][:7]} on {workload}: "
+                  + " ".join(f"{k} {v}/{len(SEEDS)}" for k, v in won.items()))
     return 0
 
 
