@@ -4,8 +4,8 @@
 
 Runs `python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0`
 for seeds 0..9 and every workload, in each CHECKOUT (default: this
-repository). The checkouts take turns run by run, so a drift of the host's
-speed reaches them alike. Each BENCH_<short commit>.json, written into the
+repository). The checkouts take turns run by run, and which one goes first
+rotates seed by seed, so a drift of the host's speed reaches them alike. Each BENCH_<short commit>.json, written into the
 root of this repository, holds the host, the command, every run's raw
 end-to-end metrics and operation counts, and per workload and metric the
 median and quartiles over the seeds. Given two checkouts, a before and an
@@ -92,9 +92,11 @@ def main(argv=None) -> int:
     repos = [path.resolve() for path in parser.parse_args(argv).checkouts]
     commits = [_git(repo, "rev-parse", "HEAD") for repo in repos]
     runs = [{w: [] for w in WORKLOADS} for _ in repos]
+    sides = list(zip(repos, commits, runs))
     for seed in SEEDS:
+        first = seed % len(sides)  # the checkouts take turns running first
         for workload in WORKLOADS:
-            for repo, commit, by_workload in zip(repos, commits, runs):
+            for repo, commit, by_workload in sides[first:] + sides[:first]:
                 run = run_once(repo, workload, seed)
                 by_workload[workload].append(run)
                 print(f"{commit[:7]} {workload} seed {seed}: "
