@@ -113,6 +113,7 @@ class GraphTensors:
     dist_norm: np.ndarray  # (m,)
     gcn_w: np.ndarray     # (m,) fixed symmetric-normalized weights
     top_pool: np.ndarray  # (n, d+1) mean over ranked parents of [x_full || y]
+    targets: np.ndarray | None = None  # row of each requested target, in request order
 
     @property
     def n(self) -> int:
@@ -150,8 +151,8 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     predictions for the targets read nothing else. Nodes within hops - 1 of
     a target keep all their parent edges, the ones exactly hops out only
     their self loop (their own outputs are then wrong and never read).
-    Rows are the cone's ids in increasing order, so targets that are the
-    newest nodes are the last rows. Degrees, and so gcn_w, are the whole
+    Rows are the cone's ids in increasing order, and the tensors' targets
+    field holds each target's row. Degrees, and so gcn_w, are the whole
     graph's. Nothing is cached: a query answered from its ancestor cone
     needs no state that a later append or overwrite could make stale.
     """
@@ -201,7 +202,8 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     top_pool[n_top > 0] /= n_top[n_top > 0, None]
     return GraphTensors(
         x_full=x_full, x_st=x_st, y=y, layout=ng.EdgeLayout(src, counts),
-        dt_norm=dt_norm, dist_norm=dist_norm, gcn_w=gcn_w, top_pool=top_pool)
+        dt_norm=dt_norm, dist_norm=dist_norm, gcn_w=gcn_w, top_pool=top_pool,
+        targets=None if targets is None else local[targets])
 
 
 # ---------------------------------------------------------------------------

@@ -241,13 +241,20 @@ def concat_rows(parts: list[Node]) -> Node:
 
 
 def gather_rows(a: Node, idx) -> Node:
+    """Rows idx of a (non-negative, repeats allowed); the gradient sums each
+    row's copies in idx order, one bincount per column."""
     idx = np.asarray(idx, dtype=np.intp)
+    if idx.size and idx.min() < 0:
+        raise ShapeError("gather_rows: negative row index")
     out = Node(a.tape, "gather_rows", a.value[idx], (a,))
 
     def backward(g):
-        acc = np.zeros_like(a.value)
-        np.add.at(acc, idx, g)
-        a.accumulate(acc)
+        n, width = a.value.shape[0], math.prod(a.value.shape[1:])
+        g = g.reshape(len(idx), width)
+        acc = np.empty((n, width))
+        for j in range(width):
+            acc[:, j] = np.bincount(idx, weights=g[:, j], minlength=n)
+        a.accumulate(acc.reshape(a.value.shape))
 
     out._backward = backward
     return out

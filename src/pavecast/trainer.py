@@ -7,19 +7,24 @@ autoregression. predict_sequence answers a query list under a continuation
 strategy: it appends every query as a node carrying spatial-temporal
 features only and wires them all in one call, since a node's parents depend
 on the coordinates and times before it alone. "ignore" wires every query
-against the history and answers them all in one forward pass. "true" and
-"predicted" wire each query against everything before it and take one step
-per query: predict_one, the forward pass for that query's node, after which
-the node takes its observed record or its prediction. predict_sequence
-reads the caller's graph and node list and writes neither: it forecasts on
-the graph that STGraph.grow returns and on a node list of its own.
+against the history; "true" and "predicted" wire each query against
+everything before it, after which the query's node takes its observed
+record or its prediction. predict_sequence reads the caller's graph and
+node list and writes neither: it forecasts on the graph that STGraph.grow
+returns and on a node list of its own.
 
-Both forward passes cover the queries' ancestor cone, no cache: edges point
-from older to newer nodes, so an L-layer model's prediction for a query
-reads only the nodes within L parent hops of it, and prepare_tensors
-flattens just those. Each step is O(cone) instead of O(graph); a later
-query is never in an earlier one's cone, and with nothing cached there is
-nothing to invalidate when a strategy overwrites a query's node.
+Forecasts are level-synchronous. Edges point from older to newer nodes, so
+an L-layer model's prediction for a query reads only the nodes within L
+parent hops of it (its ancestor cone), and a query must wait only for the
+earlier queries inside that cone. A query's level is 1 plus the highest
+level among those, or 1 if there are none (query_levels). Two queries on
+one level are not in each other's cones, so neither reads the other's
+node, and one predict_one step answers the whole level: one
+prepare_tensors over the level's joint ancestor cone and one forward pass,
+after which the level's nodes are written for the levels above. "ignore"
+is the one-level case, one pass for every query. Nothing is cached: each
+step flattens its cone afresh, so nothing goes stale when a strategy
+overwrites a query's node.
 
 Checkpoints are a JSON manifest followed by little-endian float64 parameter
 sections with per-section checksums; identical (config, seed, data) produce
@@ -191,16 +196,44 @@ def predicted_node(ctx: InferenceContext, base: ProcessedNode,
     return replace(base, x_full=x_full, y=float(yhat))
 
 
-def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode],
-                row: int) -> float:
-    """One autoregressive step: the forecast for graph row `row`, a wired query node.
+def query_levels(graph: STGraph, base_n: int) -> np.ndarray:
+    """The level of each query row base_n, base_n + 1, ... of a grown graph.
 
-    Runs the forward pass over the row's ancestor cone only. Edges point
-    from older rows to newer ones, so rows after it never enter that cone.
+    A query's level is 1 plus the highest level among the query rows
+    within L parent hops of it, or 1 if there are none. History rows never
+    have query parents, so a chain of parent hops from a query to an
+    earlier one starts with a query parent, whose level already exceeds
+    that earlier query's. Levels therefore follow from the query-to-query
+    edges alone, for every L. Parents precede children in the CSR, so one
+    pass over those edges in row order computes every level.
+    """
+    parent = graph.parent[graph.offsets[base_n]:] - base_n
+    levels = np.ones(graph.n - base_n, dtype=np.intp)
+    linked = parent >= 0
+    if not linked.any():
+        return levels
+    child = np.repeat(np.arange(len(levels)), np.diff(graph.offsets[base_n:]))
+    lv = levels.tolist()
+    for c, p in zip(child[linked].tolist(), parent[linked].tolist()):
+        lv[c] = max(lv[c], lv[p] + 1)
+    return np.array(lv)
+
+
+def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode],
+                rows) -> np.ndarray:
+    """One autoregressive step: the forecasts for graph rows `rows`, wired queries.
+
+    Runs one forward pass over the rows' joint ancestor cone only, and reads
+    each row's output where prepare_tensors placed it. Edges point from
+    older rows to newer ones, so rows after the newest target never enter
+    that cone. Each target's forecast reads its own cone alone, so the rows
+    of one step must not lie in each other's cones: a row would otherwise
+    read another's node before that node took its observed record or its
+    prediction. predict_sequence steps one level at a time, which holds this.
     """
     gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
-                         targets=[row], hops=ctx.model_config.layers)
-    return float(forward_values(gt, ctx.params, ctx.model_config)[-1])
+                         targets=rows, hops=ctx.model_config.layers)
+    return forward_values(gt, ctx.params, ctx.model_config)[gt.targets]
 
 
 def predict_sequence(ctx: InferenceContext, graph: STGraph,
@@ -212,16 +245,20 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
 
     Every query becomes a node carrying spatial-temporal features only, and
     one combined_parents call wires them all. "ignore" wires each query
-    against the history alone and answers all of them in one forward pass:
-    edges only point from older to newer nodes, so no query reaches another
-    query or a historical node's representation. allow_past admits
-    ignore-strategy queries timestamped inside the historical span (for
-    generalization splits); their parents are then the no-later history.
-    "true" and "predicted" wire each query against every row before it,
-    earlier queries included, and take one predict_one step per query in
-    time order, overwriting the query's node with its observed record
-    (caller-supplied, and matching the query's location and time) or its
-    own prediction before the next step reads it.
+    against the history alone. allow_past admits ignore-strategy queries
+    timestamped inside the historical span (for generalization splits);
+    their parents are then the no-later history. "true" and "predicted"
+    wire each query against every row before it, earlier queries included.
+
+    The queries are answered level by level (see query_levels), one
+    predict_one step per level. Two queries on one level are not within L
+    parent hops of each other, so neither forecast reads the other's node
+    and both can share a forward pass; every query within L hops of a query
+    sits on a lower level and has already been answered. After a level, if
+    a later one follows, its queries' nodes take their observed record
+    (caller-supplied, and matching the query's location and time) under
+    "true" or their own prediction under "predicted". Under "ignore" no
+    query has a query parent, so all of them form one level and one pass.
     The forecast runs on a grown copy of the graph and node list: it reads
     the caller's and writes neither.
     """
@@ -252,18 +289,20 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
     else:
         limits = np.arange(base_n, base_n + len(queries))
     graph, nodes = graph.grow(cols, limits, ctx.graph_config), nodes + qnodes
-    if strategy == "ignore":
-        gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
-                             targets=np.arange(base_n, graph.n),
-                             hops=ctx.model_config.layers)
-        return forward_values(gt, ctx.params, ctx.model_config)[gt.n - len(queries):]
+    levels = query_levels(graph, base_n)
+    top = int(levels.max())
     out = np.empty(len(queries))
-    for k, row in enumerate(range(base_n, graph.n)):
-        out[k] = predict_one(ctx, graph, nodes, row)
-        if strategy == "true":
-            nodes[row] = apply_preprocess(observed[k], ctx.stats, ctx.schema, node_id=row)
-        else:
-            nodes[row] = predicted_node(ctx, nodes[row], out[k])
+    for level in range(1, top + 1):
+        ks = np.flatnonzero(levels == level)
+        out[ks] = predict_one(ctx, graph, nodes, base_n + ks)
+        if level == top:
+            break
+        for k in ks.tolist():
+            row = base_n + k
+            if strategy == "true":
+                nodes[row] = apply_preprocess(observed[k], ctx.stats, ctx.schema, node_id=row)
+            else:
+                nodes[row] = predicted_node(ctx, nodes[row], out[k])
     return out
 
 

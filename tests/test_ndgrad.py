@@ -259,6 +259,25 @@ def test_gather_rows_values_and_gradient():
     assert np.array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
+def test_gather_rows_gradient_sums_repeated_rows_like_a_one_hot_product(rng):
+    idx = np.concatenate([rng.integers(0, 6, 60), [2, 2, 2]])  # row 6 never gathered
+    t = ng.Tape()
+    a = t.leaf(rng.standard_normal((7, 5)))
+    weights = rng.standard_normal((len(idx), 5))
+    ng.backward(t, ng.sum_all(ng.mul_array(ng.gather_rows(a, idx), weights)))
+    one_hot = np.zeros((len(idx), 7))
+    one_hot[np.arange(len(idx)), idx] = 1.0
+    assert np.allclose(a.grad, one_hot.T @ weights, rtol=0.0, atol=1e-12)
+    assert not a.grad[6].any()
+    # the per-column bincount adds each row's copies in the same order as
+    # a sequential scatter-add
+    scattered = np.zeros((7, 5))
+    np.add.at(scattered, idx, weights)
+    assert np.array_equal(a.grad, scattered)
+    with pytest.raises(ng.ShapeError):
+        ng.gather_rows(a, [0, -1])
+
+
 def test_concat_rows_values_and_gradient():
     t = ng.Tape()
     a = t.leaf([[1.0, 2.0]])

@@ -33,7 +33,7 @@ def step(ctx, graph, nodes, query):
     """One autoregressive step by hand: the graph grown by the query's node,
     and the node's forecast."""
     grown = append_query(ctx, graph, nodes, query)
-    return grown, tr.predict_one(ctx, grown, nodes, graph.n)
+    return grown, tr.predict_one(ctx, grown, nodes, [graph.n])[0]
 
 
 def run_training(inst, epochs, seed=0, track=False):
@@ -410,6 +410,63 @@ def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
     # nodes exactly `layers` hops out bring their features, not their parents
     _, inner = brute_force_ancestors(graph, graph.n - 1, layers - 1)
     assert len(gt.layout.src) == gt.n + sum(len(parents.get(v, ())) for v in inner)
+
+
+def brute_force_levels(graph, base_n, hops):
+    """Query levels by definition: 1 + the highest level among the query rows
+    within hops parent hops, 1 if there are none."""
+    levels = {}
+    for row in range(base_n, graph.n):
+        _, reached = brute_force_ancestors(graph, row, hops)
+        levels[row] = 1 + max((levels[r] for r in reached - {row} if r >= base_n), default=0)
+    return [levels[row] for row in range(base_n, graph.n)]
+
+
+def level_instance(layers):
+    """An instance whose ten chained queries share levels under "true" and
+    "predicted", the grown graph those strategies forecast on, and its levels."""
+    inst = small_instance(23, n=40, init_count=3, layers=layers)
+    ctx = make_context(inst)
+    queries = chain_queries(inst, 10)
+    grown, nodes = inst["graph"], list(inst["nodes"])
+    for q in queries:
+        grown = append_query(ctx, grown, nodes, q)
+    return inst, ctx, queries, grown, tr.query_levels(grown, inst["graph"].n)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_query_levels_match_brute_force(layers):
+    inst, _, queries, grown, levels = level_instance(layers)
+    assert levels.tolist() == brute_force_levels(grown, inst["graph"].n, layers)
+    assert 1 < levels.max() < len(queries)  # several levels, some shared
+
+
+@pytest.mark.parametrize("strategy", tr.STRATEGIES)
+def test_one_forward_pass_per_level(monkeypatch, strategy):
+    inst, ctx, queries, _, levels = level_instance(2)
+    observed = chain_observed(inst, queries)
+    passes, written = [], []
+
+    def forward_spy(gt, *args, **kwargs):
+        passes.append(len(gt.targets))
+        return md.forward_values(gt, *args, **kwargs)
+
+    def writer_spy(real):
+        return lambda *args, **kwargs: written.append(real) or real(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_values", forward_spy)
+    monkeypatch.setattr(tr, "predicted_node", writer_spy(tr.predicted_node))
+    monkeypatch.setattr(tr, "apply_preprocess", writer_spy(tr.apply_preprocess))
+    got = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, strategy,
+                              observed=observed)
+    if strategy == "ignore":
+        assert passes == [len(queries)] and written == []
+    else:
+        assert passes == np.bincount(levels)[1:].tolist()
+        assert len(written) == np.sum(levels < levels.max())
+    # queries sharing a pass read nothing of each other
+    want = full_recompute(ctx, inst["graph"], inst["nodes"], queries, strategy, observed)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@
 Runs `python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0`
 for seeds 0..9 and every workload, in each CHECKOUT (default: this
 repository). The checkouts take turns run by run, and which one goes first
-rotates seed by seed, so a drift of the host's speed reaches them alike. Each BENCH_<short commit>.json, written into the
-root of this repository, holds the host, the command, every run's raw
-end-to-end metrics and operation counts, and per workload and metric the
-median and quartiles over the seeds. Given two checkouts, a before and an
-after, it also prints on how many seeds the second beat the first, per
-workload and metric.
+rotates seed by seed, so a drift of the host's speed reaches them alike.
+Each BENCH_<short commit>.json, written into the root of this repository,
+holds the host, the command, every run's raw end-to-end metrics and
+operation counts, and per workload and metric the median and quartiles
+over the seeds. Given two checkouts, a before and an after, it also
+prints on how many seeds the second beat the first, per workload and
+metric.
 """
 
 from __future__ import annotations
