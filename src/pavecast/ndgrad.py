@@ -78,7 +78,12 @@ class Tape:
         self.nodes: list[Node] = []
 
     def leaf(self, value, kind: str = "leaf") -> Node:
-        return Node(self, kind, _as_matrix(value).copy())
+        """A node whose value is a read-only view of value, not a copy: a write
+        through it raises. It still follows in-place updates of value itself,
+        as adam_step makes, so run a tape's backward before those."""
+        view = _as_matrix(value).view()
+        view.flags.writeable = False
+        return Node(self, kind, view)
 
     def constant(self, value) -> Node:
         return self.leaf(value, kind="const")

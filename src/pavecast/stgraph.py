@@ -20,6 +20,13 @@ Wiring: a node's parents depend only on the coordinates and times of the
 rows before it, never on their features or edges. So combined_parents, the
 one wiring kernel, wires a batch of rows per call, each against its own
 prefix: build_graph calls it twice, a forecast once for all its queries.
+It scores each row against its candidates in rounds, and each candidate
+once. The first round scores a time window that holds every proximity
+candidate and at least K rows. A row whose K-th best score could still be
+beaten by an older row carries its K best candidates, and the proximity
+candidates it may yet rank, into the next round. That round scores only
+the older rows its window did not cover, plus the K it holds. Every round
+groups its rows by width into blocks, each scored as one padded matrix.
 
 Sorted-time contract: t_raw is nondecreasing over the rows of every graph
 that build_graph produces. combined_parents relies on it: each row's
@@ -43,6 +50,9 @@ INIT, TOP, HARD = range(len(ORIGINS))
 _ORIGIN_DTYPE = np.int8
 _NODE_COLUMNS = ("lon", "lat", "t_raw", "t_norm")
 _BLOCK_CELLS = 1 << 17  # B x W scores per kernel block: bounds its scratch memory
+_SLACK = 16 * np.finfo(float).eps  # relative slack of a time window's bounds
+_BLOCK_FIXED_CELLS = 2048  # a kernel block's fixed cost, in scores
+_GROWTH = 4  # a row's widened window is at most this many times as wide
 
 
 class ConstructionError(ValueError):
@@ -171,11 +181,25 @@ class STGraph:
 
 def _distances(lon, lat, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
     """Equirectangular approximation, meters, from each row's (lon, lat) to the
-    (lons, lats) on that row, all in degrees."""
-    dphi = (lats - lat) * _DEG
-    dlam = (lons - lon) * _DEG
-    cos_mid = np.cos(0.5 * (lats + lat) * _DEG)
-    return EARTH_RADIUS_M * np.sqrt(dphi * dphi + (cos_mid * dlam) ** 2)
+    (lons, lats) on that row, all in degrees. Computed in place, so that at
+    most three temporaries the size of lons are alive at once."""
+    dphi = lats - lat
+    dphi *= _DEG
+    cos_mid = lats + lat
+    cos_mid *= 0.5
+    cos_mid *= _DEG
+    np.cos(cos_mid, out=cos_mid)
+    dlam = lons - lon
+    dlam *= _DEG
+    cos_mid *= dlam
+    del dlam
+    np.square(cos_mid, out=cos_mid)
+    np.square(dphi, out=dphi)
+    dphi += cos_mid
+    del cos_mid
+    np.sqrt(dphi, out=dphi)
+    dphi *= EARTH_RADIUS_M
+    return dphi
 
 
 def _time_window(ts: np.ndarray, t: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
@@ -184,48 +208,103 @@ def _time_window(ts: np.ndarray, t: np.ndarray, span) -> tuple[np.ndarray, np.nd
     The bounds carry a slack far above the rounding error of t -+ span, so
     the window is only a candidate filter: callers apply the exact mask.
     """
-    slack = 16 * np.finfo(float).eps * (np.abs(t) + span)
+    slack = _SLACK * (np.abs(t) + span)
     return (np.searchsorted(ts, t - span - slack, side="left"),
             np.searchsorted(ts, t + span + slack, side="right"))
 
 
-def _wire_block(lon, lat, t_raw, rows, start, end, config: GraphConfig, mutual: bool):
-    """Score rows against their own candidate windows [start, end) as one matrix.
+def _blocks(width: np.ndarray) -> list[np.ndarray | slice]:
+    """Blocks of rows of similar width, as indices into width.
 
-    Returns (passed, kth, top, hard): the rows whose window passes the
-    stopping rule, each row's K-th best score, and the passed rows' ranked
-    (in rank order) and other (in id order) edges as (row, parent, dist_m).
+    A block pads its rows to its widest one, and costs _BLOCK_FIXED_CELLS
+    scores beyond them. Rows that fit one block padded by less than that
+    are one block, slice(None). Otherwise, going from the widest rows down,
+    each block takes the run of next narrower rows with the least cost per
+    row (fixed cost plus padding over the rows), so a block ends where the
+    next row would pad more than that. No block holds more than
+    _BLOCK_CELLS scores, or one row.
     """
-    idx = start[:, None] + np.arange(int((end - start).max(initial=0)))
-    valid = idx < end[:, None]
+    top = int(width.max(initial=0))
+    if len(width) * top <= _BLOCK_CELLS and \
+            len(width) * top - int(width.sum()) <= _BLOCK_FIXED_CELLS:
+        return [slice(None)]
+    order = np.argsort(width, kind="stable")
+    w = width[order]
+    cells = np.concatenate(([0], np.cumsum(w)))
+    blocks, hi = [], len(w)
+    while hi:
+        top = int(w[hi - 1])
+        size = np.arange(1, min(max(_BLOCK_CELLS // max(top, 1), 1), hi) + 1)
+        padding = size * top - (cells[hi] - cells[hi - size])
+        lo = hi - int(size[np.argmin((_BLOCK_FIXED_CELLS + padding) / size)])
+        blocks.append(order[lo:hi])
+        hi = lo
+    return blocks
+
+
+def _wire_block(lon, lat, t_raw, rows, held, start, end, config: GraphConfig, mutual: bool):
+    """Score rows against the candidates they hold and their windows [start, end).
+
+    held (B x h) holds the ids of the candidates each row ranked best so
+    far, -1 for none; h is 0 on the rows' first windows, the only ones that
+    can hold proximity candidates. Returns (passed, kth, best, hard): the
+    rows that pass the stopping rule, each row's K-th best score, each
+    row's K best candidates as (row, parent, dist_m, rank) in rank order,
+    ties to the lower id, and the first windows' proximity candidates as
+    (row, parent, dist_m) in id order, less the ranked ones of passed rows.
+    """
+    n_held = held.shape[1]
+    width = n_held + int((end - start).max(initial=0))
+    idx = np.empty((len(rows), width), np.int64)
+    valid = np.empty(idx.shape, bool)
+    np.add(start[:, None], np.arange(width - n_held), out=idx[:, n_held:])
+    np.less(idx[:, n_held:], end[:, None], out=valid[:, n_held:])
+    np.minimum(idx, len(t_raw) - 1, out=idx)
+    if n_held:
+        np.greater_equal(held, 0, out=valid[:, :n_held])
+        np.maximum(held, 0, out=idx[:, :n_held])
     if mutual:
         valid &= idx != rows[:, None]
-    idx = np.minimum(idx, len(t_raw) - 1)
     dist = _distances(lon[rows, None], lat[rows, None], lon[idx], lat[idx])
-    if not (np.isfinite(dist) | ~valid).all():
+    # padded cells point at any row: only a valid one's distance must be finite
+    if not np.isfinite(dist).all() and not (np.isfinite(dist) | ~valid).all():
         raise ArithmeticError("non-finite coordinates")
     t = t_raw[rows]
-    dt = np.abs(t[:, None] - t_raw[idx])
-    hard = valid & (dist <= config.l_res_m) & (dt <= config.t_res_days)
+    dt = t_raw[idx]
+    np.subtract(t[:, None], dt, out=dt)
+    np.abs(dt, out=dt)
+    hard = None
+    if not n_held:
+        hard = valid & (dist <= config.l_res_m) & (dt <= config.t_res_days)
     k = 0 if mutual else config.top_k
-    passed, kth, top = np.ones(len(rows), bool), np.full(len(rows), -math.inf), _NO_EDGES
+    passed, kth, best = np.ones(len(rows), bool), None, (*_NO_EDGES, _NO_EDGES[0])
     if k:
-        score = dist / config.l_res_m + dt / config.t_res_days
-        pool = valid & ~hard if config.top_mode == "additional" else valid
-        masked = np.where(pool, score, math.inf)  # inf: fewer than K in the pool
-        kth[:] = np.partition(masked, k - 1, axis=1)[:, k - 1] if idx.shape[1] >= k else math.inf
+        score = dt
+        score /= config.t_res_days
+        score += dist / config.l_res_m
+        pool = valid if hard is None or config.top_mode == "merged" else valid & ~hard
+        np.copyto(score, math.inf, where=~pool)  # inf: fewer than K in the pool
+        kth = (np.partition(score, k - 1, axis=1)[:, k - 1] if width >= k
+               else np.full(len(rows), math.inf))
         # every candidate older than the window scores at least its dt/t_res
         passed = (start == 0) | (np.abs(t - t_raw[np.maximum(start - 1, 0)])
                                  / config.t_res_days > kth)
-        r, c = np.nonzero(pool & (masked <= kth[:, None]) & passed[:, None])
-        order = np.lexsort((c, score[r, c], r))  # ties to the lower id
-        r, c = r[order], c[order]
-        ranked = np.arange(len(r)) - np.searchsorted(r, r) < k
-        r, c = r[ranked], c[ranked]
-        hard[r, c] = False
-        top = (r, idx[r, c], dist[r, c])
-    hr, hc = np.nonzero(hard & passed[:, None])
-    return passed, kth, top, (hr, idx[hr, hc], dist[hr, hc])
+        r, c = np.nonzero(score <= kth[:, None] if np.isfinite(kth).all()
+                          else pool & (score <= kth[:, None]))
+        parent = idx[r, c]
+        order = np.lexsort((parent, score[r, c], r))  # ties to the lower id; r stays sorted
+        rank = np.arange(len(r)) - np.searchsorted(r, r)
+        ranked = rank < k
+        order, r = order[ranked], r[ranked]
+        c = c[order]
+        best = (r, parent[order], dist[r, c], rank[ranked])
+        if hard is not None:
+            top = passed[r]
+            hard[r[top], c[top]] = False
+    if hard is None:
+        return passed, kth, best, _NO_EDGES
+    hr, hc = np.nonzero(hard)
+    return passed, kth, best, (hr, idx[hr, hc], dist[hr, hc])
 
 
 def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits,
@@ -238,13 +317,22 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     within both thresholds (inclusive), in id order; top_k=0 gives the pure
     proximity set. mutual wires an initialization block instead: parents are
     every other row of [0, limit), older or newer, within both thresholds.
+    Writes none of its arguments.
 
     The rows [0, max(limits)) must be sorted by time and, unless mutual, no
-    later than the rows they are candidates of. Each row is scored against
-    its own time window, a block of rows at once. Ranked candidates lie in
-    the window too once the next older candidate's dt/t_res, a lower bound
-    on its score and every older one's, is strictly above the K-th best;
-    only the rows that fail that rule are rescored over a wider window.
+    later than the rows they are candidates of. A row is first scored over
+    the window [min(lo, limit - K), limit), where lo is the oldest row
+    within t_res of it: that window holds every proximity candidate and at
+    least K rows. Ranked candidates lie in the window too once the next
+    older candidate's dt/t_res, a lower bound on its score and on every
+    older one's, is strictly above the K-th best score. A row that fails
+    that rule holds on to its K best candidates and is scored again over
+    those and the older rows its window did not cover only: the window
+    grows to at most _GROWTH times its width, and to no row whose dt/t_res
+    exceeds the K-th best score. Its first window's proximity candidates
+    become edges once it passes, less those it ranked. Each round groups
+    its rows into blocks of similar width (_blocks), each scored as one
+    matrix of at most _BLOCK_CELLS scores.
     """
     limits = np.asarray(limits, np.int64)
     rows = np.arange(len(t_raw) - len(limits), len(t_raw))
@@ -253,6 +341,7 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
         raise ArithmeticError("non-finite time")
     ts = t_raw[:limits.max(initial=0)]
     lo, hi = _time_window(ts, t, config.t_res_days)
+    k = 0 if mutual else config.top_k
     if mutual:
         start, end = np.minimum(lo, limits), np.minimum(hi, limits)
     else:
@@ -261,27 +350,49 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
             r = int(np.argmax(late))
             raise TemporalOrderError(f"node at t={t[r]} is older than a candidate "
                                      f"at t={t_raw[limits[r] - 1]}")
-        start, end = np.maximum(0, np.minimum(lo, limits - config.top_k)), limits
-    tops, hards, pending = [], [], np.arange(len(limits))
+        start, end = np.maximum(0, np.minimum(lo, limits - k)), limits
+    # each round: the rows still to wire, as positions into limits, with the
+    # candidates they hold and their next window
+    pending, held = np.arange(len(limits)), np.empty((len(limits), 0), np.int64)
+    tops, hards, provisional = [], [], []
+    first_round = 0  # how many entries of tops the first round made
     while len(pending):
-        step = max(_BLOCK_CELLS // max(int((end - start)[pending].max()), 1), 1)
-        failed = []
-        for block in np.split(pending, range(step, len(pending), step)):
-            passed, kth, top, hard = _wire_block(lon, lat, t_raw, rows[block], start[block],
-                                                 end[block], config, mutual)
-            tops.append((block[top[0]], *top[1:]))
-            hards.append((block[hard[0]], *hard[1:]))
-            # widen by at most a doubling, less where the K-th score bounds
-            # the time gap of any better candidate
-            redo, kth = block[~passed], kth[~passed]
-            bound, _ = _time_window(ts, t[redo], kth * config.t_res_days)
-            doubled = 2 * start[redo] - end[redo]
-            start[redo] = np.maximum(0, np.minimum(np.maximum(bound, doubled), start[redo] - 1))
-            failed.append(redo)
-        pending = np.concatenate(failed)
+        carried = []
+        for b in _blocks(held.shape[1] + end - start):
+            pb = pending[b]
+            passed, kth, (r, parent, dist, rank), (hr, hp, hd) = _wire_block(
+                lon, lat, t_raw, rows[pb], held[b], start[b], end[b], config, mutual)
+            if passed.all():
+                tops.append((pb[r], parent, dist))
+                hards.append((pb[hr], hp, hd))
+                continue
+            top, done = passed[r], passed[hr]
+            tops.append((pb[r[top]], parent[top], dist[top]))
+            hards.append((pb[hr[done]], hp[done], hd[done]))
+            provisional.append((pb[hr[~done]], hp[~done], hd[~done]))
+            redo, top = np.flatnonzero(~passed), ~top
+            keep = np.full((len(redo), k), -1, np.int64)
+            keep[np.searchsorted(redo, r[top]), rank[top]] = parent[top]
+            pr, s = pb[redo], start[b][redo]
+            # no candidate better than the K-th is older than t - kth * t_res
+            bound = _time_window(ts, t[pr], kth[redo] * config.t_res_days)[0]
+            grown = np.maximum(bound, limits[pr] - _GROWTH * (limits[pr] - s))
+            carried.append((pr, keep, np.maximum(0, np.minimum(grown, s - 1)), s))
+        first_round = first_round or len(tops)
+        if not carried:
+            break
+        pending, held, start, end = (np.concatenate(col) for col in zip(*carried))
+    n_top = sum(len(r) for r, _, _ in tops)
+    row, prov, prov_dist = (np.concatenate(col) for col in zip(_NO_EDGES, *provisional))
+    if len(row):  # rows that failed their first window, all ranked in later rounds
+        pos, parent, _ = (np.concatenate(col) for col in zip(*tops[first_round:]))
+        ranked = np.sort(pos * len(t_raw) + parent)
+        key = row * len(t_raw) + prov
+        other = ranked[np.minimum(np.searchsorted(ranked, key), len(ranked) - 1)] != key
+        hards.append((row[other], prov[other], prov_dist[other]))
     pos, parent, dist = (np.concatenate(col) for col in zip(_NO_EDGES, *tops, *hards))
     origin = np.full(len(pos), INIT if mutual else HARD, _ORIGIN_DTYPE)
-    origin[:sum(len(r) for r, _, _ in tops)] = TOP
+    origin[:n_top] = TOP
     order = np.argsort(pos, kind="stable")  # per row: ranked edges, then the rest
     offsets = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(limits)))))
     return offsets, parent[order], dist[order], origin[order]

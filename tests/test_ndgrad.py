@@ -30,6 +30,22 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# leaves
+
+
+@pytest.mark.parametrize("value", [np.arange(6.0).reshape(2, 3), np.arange(4.0)])
+def test_leaf_is_a_read_only_view_of_its_input(value):
+    t = ng.Tape()
+    node = t.leaf(value)
+    assert np.shares_memory(node.value, value)
+    with pytest.raises(ValueError, match="read-only"):
+        node.value[0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        node.value += 1.0
+    assert value.flags.writeable and value.reshape(-1)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
 # matmul
 
 

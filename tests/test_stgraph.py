@@ -334,6 +334,54 @@ def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
     assert max(widths) < 450 // 4  # the scan stopped well short of the full history
 
 
+def far_ranked_batch(top_mode):
+    """100 history rows 3 t_res apart and six later queries with limits in
+    (80, 100]: every query's K best candidates are the K oldest rows, the
+    only ones at its spot, so each query widens its window to row 0 over at
+    least 3 rounds. Returns (config, columns, limits)."""
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=5, top_mode=top_mode)
+    far = (122.0, 31.0)  # ~95 km: a score far above any dt/t_res here
+    history = [sg.GraphNode(i, *(SPOTS[0] if i < cfg.top_k else far), 3 * T_RES * i,
+                            0.0, False) for i in range(100)]
+    queries = [sg.GraphNode(100 + q, *SPOTS[0], 3 * T_RES * (100 + q), 0.0, False)
+               for q in range(6)]
+    return cfg, columns(history + queries)[:3], np.array([100, 97, 93, 88, 84, 81])
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+def test_widening_scores_each_candidate_once(monkeypatch, top_mode):
+    """A widened window scores only the rows its last window did not cover,
+    plus the K candidates the row holds, in blocks padded to little more."""
+    cfg, cols, limits = far_ranked_batch(top_mode)
+    shapes = []
+    distances = sg._distances
+
+    def recording(lon, lat, lons, lats):
+        shapes.append(lons.shape)
+        return distances(lon, lat, lons, lats)
+
+    monkeypatch.setattr(sg, "_distances", recording)
+    offsets, parent, _, origin = sg.combined_parents(*cols, limits, cfg)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        assert parent[a:b].tolist() == list(range(cfg.top_k))[::-1]  # so the window reached row 0
+        assert (origin[a:b] == sg.TOP).all()
+    rows_scored = sum(b for b, _ in shapes)
+    assert rows_scored >= 4 * len(limits)  # at least 3 widening rounds per row
+    carried = rows_scored - len(limits)  # (row, round) pairs after the first
+    final_windows = int(limits.sum())
+    assert sum(b * w for b, w in shapes) <= 2 * final_windows + cfg.top_k * carried
+
+
+def test_combined_parents_writes_none_of_its_arguments():
+    cfg, cols, limits = far_ranked_batch("merged")
+    before = [col.copy() for col in (*cols, limits)]
+    first = sg.combined_parents(*cols, limits, cfg)
+    for arg, old in zip((*cols, limits), before):
+        assert np.array_equal(arg, old) and arg.dtype == old.dtype
+    again = sg.combined_parents(*cols, limits, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
 # ---------------------------------------------------------------------------
 # init graph
 
