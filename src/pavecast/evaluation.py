@@ -42,27 +42,44 @@ def regression_metrics(y, yhat) -> tuple[float, float, float]:
     return mae, mse, float(np.sqrt(mse))
 
 
+def level_indices(values) -> np.ndarray:
+    """Each value's index into LEVELS (NaN falls in the last level).
+
+    Raises DomainError for a negative value.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    negative = values < 0
+    if negative.any():
+        raise DomainError(f"deterioration value must be >= 0, got {values[negative][0]}")
+    return np.searchsorted([lo for lo, _ in LEVEL_EDGES], values, side="right") - 1
+
+
+def level_affinities(yhat, class_index: int) -> np.ndarray:
+    """Negative distance of each yhat to the class bin: 0.0 inside the bin,
+    -0.0 on its upper edge."""
+    lo, hi = LEVEL_EDGES[class_index]
+    yhat = np.asarray(yhat, dtype=np.float64)
+    out = np.zeros_like(yhat)
+    outside = yhat < lo
+    np.subtract(lo, yhat, out=out, where=outside)
+    if hi != float("inf"):
+        above = yhat >= hi
+        np.subtract(yhat, hi, out=out, where=above)
+        outside |= above
+    return np.negative(out, out=out, where=outside)
+
+
 def classify_level(value: float) -> str:
-    if value < 0:
-        raise DomainError(f"deterioration value must be >= 0, got {value}")
-    for name, (lo, hi) in zip(LEVELS, LEVEL_EDGES):
-        if lo <= value < hi:
-            return name
-    return LEVELS[-1]
+    return LEVELS[level_index(value)]
 
 
 def level_index(value: float) -> int:
-    return LEVELS.index(classify_level(value))
+    return int(level_indices([value])[0])
 
 
 def level_affinity(yhat: float, class_index: int) -> float:
     """Negative distance of yhat to the class bin (0 inside the bin)."""
-    lo, hi = LEVEL_EDGES[class_index]
-    if yhat < lo:
-        return -(lo - yhat)
-    if hi != float("inf") and yhat >= hi:
-        return -(yhat - hi)
-    return 0.0
+    return float(level_affinities([yhat], class_index)[0])
 
 
 def roc_curve(labels, scores):
@@ -94,14 +111,13 @@ def level_roc_curves(true_values, predicted_values) -> dict[str, tuple]:
 
     Levels lacking a positive or a negative example have no curve.
     """
-    true_classes = np.array([level_index(v) for v in true_values])
+    true_classes = level_indices(true_values)
     curves = {}
     for c, name in enumerate(LEVELS):
         labels = true_classes == c
         if labels.all() or not labels.any():
             continue
-        scores = np.array([level_affinity(v, c) for v in predicted_values])
-        curves[name] = roc_curve(labels, scores)
+        curves[name] = roc_curve(labels, level_affinities(predicted_values, c))
     return curves
 
 
@@ -122,10 +138,9 @@ def roc_auc_ovr(true_values, predicted_values):
 
 def confusion_counts(true_values, predicted_values) -> np.ndarray:
     """4x4 counts, rows true level, columns predicted level."""
-    counts = np.zeros((len(LEVELS), len(LEVELS)), dtype=int)
-    for t, p in zip(true_values, predicted_values):
-        counts[level_index(t), level_index(max(p, 0.0))] += 1
-    return counts
+    predicted = np.maximum(np.asarray(predicted_values, dtype=np.float64), 0.0)
+    cells = level_indices(true_values) * len(LEVELS) + level_indices(predicted)
+    return np.bincount(cells, minlength=len(LEVELS) ** 2).reshape(len(LEVELS), len(LEVELS))
 
 
 @dataclass

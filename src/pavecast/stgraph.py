@@ -20,13 +20,11 @@ Wiring: a node's parents depend only on the coordinates and times of the
 rows before it, never on their features or edges. So combined_parents, the
 one wiring kernel, wires a batch of rows per call, each against its own
 prefix: build_graph calls it twice, a forecast once for all its queries.
-It scores each row against its candidates in rounds, and each candidate
-once. The first round scores a time window that holds every proximity
-candidate and at least K rows. A row whose K-th best score could still be
-beaten by an older row carries its K best candidates, and the proximity
-candidates it may yet rank, into the next round. That round scores only
-the older rows its window did not cover, plus the K it holds. Every round
-groups its rows by width into blocks, each scored as one padded matrix.
+It puts the candidates once on a grid of cells about l_res wide and scores
+a row, in rounds, only against those within a reach s of it in both space
+(s * l_res) and time (s * t_res). s starts at 1, which holds every
+proximity candidate; a row is done once its K-th best score is at most s,
+since every candidate out of reach scores more.
 
 Sorted-time contract: t_raw is nondecreasing over the rows of every graph
 that build_graph produces. combined_parents relies on it: each row's
@@ -49,10 +47,9 @@ ORIGINS = ("init", "top", "hard")
 INIT, TOP, HARD = range(len(ORIGINS))
 _ORIGIN_DTYPE = np.int8
 _NODE_COLUMNS = ("lon", "lat", "t_raw", "t_norm")
-_BLOCK_CELLS = 1 << 17  # B x W scores per kernel block: bounds its scratch memory
-_SLACK = 16 * np.finfo(float).eps  # relative slack of a time window's bounds
-_BLOCK_FIXED_CELLS = 2048  # a kernel block's fixed cost, in scores
-_GROWTH = 4  # a row's widened window is at most this many times as wide
+_BLOCK_CELLS = 1 << 14  # (row, candidate) pairs scored at once: bounds a round's scratch
+_SLACK = 16 * np.finfo(float).eps  # relative slack of a reach's bounds
+_BLOCK_PAD = 4096  # padded scores that cost less than ranking one more block
 
 
 class ConstructionError(ValueError):
@@ -209,102 +206,92 @@ def _time_window(ts: np.ndarray, t: np.ndarray, span) -> tuple[np.ndarray, np.nd
     the window is only a candidate filter: callers apply the exact mask.
     """
     slack = _SLACK * (np.abs(t) + span)
-    return (np.searchsorted(ts, t - span - slack, side="left"),
-            np.searchsorted(ts, t + span + slack, side="right"))
+    return ts.searchsorted(t - span - slack, "left"), ts.searchsorted(t + span + slack, "right")
 
 
-def _blocks(width: np.ndarray) -> list[np.ndarray | slice]:
-    """Blocks of rows of similar width, as indices into width.
-
-    A block pads its rows to its widest one, and costs _BLOCK_FIXED_CELLS
-    scores beyond them. Rows that fit one block padded by less than that
-    are one block, slice(None). Otherwise, going from the widest rows down,
-    each block takes the run of next narrower rows with the least cost per
-    row (fixed cost plus padding over the rows), so a block ends where the
-    next row would pad more than that. No block holds more than
-    _BLOCK_CELLS scores, or one row.
-    """
-    top = int(width.max(initial=0))
-    if len(width) * top <= _BLOCK_CELLS and \
-            len(width) * top - int(width.sum()) <= _BLOCK_FIXED_CELLS:
-        return [slice(None)]
-    order = np.argsort(width, kind="stable")
-    w = width[order]
-    cells = np.concatenate(([0], np.cumsum(w)))
-    blocks, hi = [], len(w)
-    while hi:
-        top = int(w[hi - 1])
-        size = np.arange(1, min(max(_BLOCK_CELLS // max(top, 1), 1), hi) + 1)
-        padding = size * top - (cells[hi] - cells[hi - size])
-        lo = hi - int(size[np.argmin((_BLOCK_FIXED_CELLS + padding) / size)])
-        blocks.append(order[lo:hi])
-        hi = lo
-    return blocks
+def _spans(weight: np.ndarray) -> list[tuple[int, int]]:
+    """Runs [i, j) of consecutive rows, each weighing at most _BLOCK_CELLS or one row."""
+    cum, cuts = np.add.accumulate(weight), [0]
+    while cuts[-1] < len(cum):
+        base = cum[cuts[-1] - 1] if cuts[-1] else 0
+        cuts.append(max(int(cum.searchsorted(base + _BLOCK_CELLS, "right")), cuts[-1] + 1))
+    return list(zip(cuts, cuts[1:])) or [(0, 0)]
 
 
-def _wire_block(lon, lat, t_raw, rows, held, start, end, config: GraphConfig, mutual: bool):
-    """Score rows against the candidates they hold and their windows [start, end).
+def _flatten(lo, hi: np.ndarray) -> np.ndarray:
+    """The integers lo[i]..hi[i]-1 of every run i, run after run."""
+    size = hi - lo
+    end = np.add.accumulate(size)
+    return (hi - end).repeat(size) + np.arange(end[-1] if len(end) else 0)
 
-    held (B x h) holds the ids of the candidates each row ranked best so
-    far, -1 for none; h is 0 on the rows' first windows, the only ones that
-    can hold proximity candidates. Returns (passed, kth, best, hard): the
-    rows that pass the stopping rule, each row's K-th best score, each
-    row's K best candidates as (row, parent, dist_m, rank) in rank order,
-    ties to the lower id, and the first windows' proximity candidates as
-    (row, parent, dist_m) in id order, less the ranked ones of passed rows.
-    """
-    n_held = held.shape[1]
-    width = n_held + int((end - start).max(initial=0))
-    idx = np.empty((len(rows), width), np.int64)
-    valid = np.empty(idx.shape, bool)
-    np.add(start[:, None], np.arange(width - n_held), out=idx[:, n_held:])
-    np.less(idx[:, n_held:], end[:, None], out=valid[:, n_held:])
-    np.minimum(idx, len(t_raw) - 1, out=idx)
-    if n_held:
-        np.greater_equal(held, 0, out=valid[:, :n_held])
-        np.maximum(held, 0, out=idx[:, :n_held])
+
+def _kth(score: np.ndarray, row: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th lowest score (inf below k), score[i] being row row[i]'s
+    and counts[r] row r's count. Rows are ranked in blocks of similar count,
+    each padded with inf to a matrix: from the largest count down, a block
+    takes rows while its padding stays below its scores plus _BLOCK_PAD."""
+    col = np.arange(len(score)) - (np.add.accumulate(counts) - counts)[row]
+    top = int(counts.max(initial=0))
+    if len(counts) * top <= 2 * len(score) + _BLOCK_PAD:  # one block
+        padded = np.full((len(counts), max(top, k)), math.inf)
+        padded[row, col] = score
+        padded.partition(k - 1, axis=1)
+        return padded[:, k - 1]
+    order = counts.argsort(kind="stable")
+    width = counts[order]
+    cum = np.concatenate(([0], np.add.accumulate(width)))
+    blocks, hi, cells = [], len(width), 0
+    while hi and width[hi - 1] >= k:
+        top, size = int(width[hi - 1]), np.arange(1, hi + 1)
+        fits = size * top <= 2 * (cum[hi] - cum[hi - size]) + _BLOCK_PAD
+        lo = hi - (hi if fits.all() else int(np.argmin(fits)))
+        blocks.append((lo, hi, top, cells))
+        cells, hi = cells + (hi - lo) * top, lo
+    dest = np.full(len(counts), cells)  # rows below k scores share a scratch tail
+    for lo, hi, top, base in blocks:
+        dest[order[lo:hi]] = base + top * np.arange(hi - lo)
+    padded, kth = np.full(cells + k, math.inf), np.full(len(counts), math.inf)
+    padded[dest[row] + col] = score
+    for lo, hi, top, base in blocks:
+        block = padded[base:base + (hi - lo) * top].reshape(hi - lo, top)
+        kth[order[lo:hi]] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    return kth
+
+
+def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, covered,
+               config: GraphConfig, k: int, mutual: bool):
+    """Score the pairs (rows[pr], cand), grouped by row, counts[r] for rows[r].
+    Returns the rows that pass, each row's next reach and the passed rows'
+    edges as (row index, parent, dist_m, key), key a rank or k + parent."""
+    r = rows[pr]
+    dist = _distances(lon[r], lat[r], lon[cand], lat[cand])
+    score = np.abs(t_raw[r] - t_raw[cand])
+    hard = (dist <= config.l_res_m) & (score <= config.t_res_days)
     if mutual:
-        valid &= idx != rows[:, None]
-    dist = _distances(lon[rows, None], lat[rows, None], lon[idx], lat[idx])
-    # padded cells point at any row: only a valid one's distance must be finite
-    if not np.isfinite(dist).all() and not (np.isfinite(dist) | ~valid).all():
-        raise ArithmeticError("non-finite coordinates")
-    t = t_raw[rows]
-    dt = t_raw[idx]
-    np.subtract(t[:, None], dt, out=dt)
-    np.abs(dt, out=dt)
-    hard = None
-    if not n_held:
-        hard = valid & (dist <= config.l_res_m) & (dt <= config.t_res_days)
-    k = 0 if mutual else config.top_k
-    passed, kth, best = np.ones(len(rows), bool), None, (*_NO_EDGES, _NO_EDGES[0])
+        hard &= cand != r
+    passed, edges = np.ones(len(rows), bool), []
     if k:
-        score = dt
         score /= config.t_res_days
         score += dist / config.l_res_m
-        pool = valid if hard is None or config.top_mode == "merged" else valid & ~hard
-        np.copyto(score, math.inf, where=~pool)  # inf: fewer than K in the pool
-        kth = (np.partition(score, k - 1, axis=1)[:, k - 1] if width >= k
-               else np.full(len(rows), math.inf))
-        # every candidate older than the window scores at least its dt/t_res
-        passed = (start == 0) | (np.abs(t - t_raw[np.maximum(start - 1, 0)])
-                                 / config.t_res_days > kth)
-        r, c = np.nonzero(score <= kth[:, None] if np.isfinite(kth).all()
-                          else pool & (score <= kth[:, None]))
-        parent = idx[r, c]
-        order = np.lexsort((parent, score[r, c], r))  # ties to the lower id; r stays sorted
-        rank = np.arange(len(r)) - np.searchsorted(r, r)
-        ranked = rank < k
-        order, r = order[ranked], r[ranked]
-        c = c[order]
-        best = (r, parent[order], dist[r, c], rank[ranked])
-        if hard is not None:
-            top = passed[r]
-            hard[r[top], c[top]] = False
-    if hard is None:
-        return passed, kth, best, _NO_EDGES
-    hr, hc = np.nonzero(hard)
-    return passed, kth, best, (hr, idx[hr, hc], dist[hr, hc])
+        if config.top_mode == "additional":
+            score[hard] = math.inf
+        kth = _kth(score, pr, counts, k)
+        passed = (kth <= reach) | covered
+        done = passed[pr]
+        best = (score <= kth[pr]) & (score < math.inf) & done  # in the pool
+        sel = best.nonzero()[0]
+        sel = sel[np.lexsort((cand[sel], score[sel], pr[sel]))]  # ties to the lower id
+        row = pr[sel]
+        rank = np.arange(len(sel)) - row.searchsorted(row)
+        top = rank < k
+        sel = sel[top]
+        hard[sel] = False
+        hard &= done
+        edges.append((row[top], cand[sel], dist[sel], rank[top]))
+        reach = np.where(kth < math.inf, kth, 4 * reach)
+    h = hard.nonzero()[0]
+    edges.append((pr[h], cand[h], dist[h], k + cand[h]))
+    return passed, reach, edges
 
 
 def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits,
@@ -320,81 +307,94 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     Writes none of its arguments.
 
     The rows [0, max(limits)) must be sorted by time and, unless mutual, no
-    later than the rows they are candidates of. A row is first scored over
-    the window [min(lo, limit - K), limit), where lo is the oldest row
-    within t_res of it: that window holds every proximity candidate and at
-    least K rows. Ranked candidates lie in the window too once the next
-    older candidate's dt/t_res, a lower bound on its score and on every
-    older one's, is strictly above the K-th best score. A row that fails
-    that rule holds on to its K best candidates and is scored again over
-    those and the older rows its window did not cover only: the window
-    grows to at most _GROWTH times its width, and to no row whose dt/t_res
-    exceeds the K-th best score. Its first window's proximity candidates
-    become edges once it passes, less those it ranked. Each round groups
-    its rows into blocks of similar width (_blocks), each scored as one
-    matrix of at most _BLOCK_CELLS scores.
+    later than the rows they are candidates of. They go once on a grid of
+    cells l_res tall and l_res / cos(max |lat|) wide (coarser if that makes
+    more cells than candidates), sorted by cell, then id. Each round scores
+    a row against the candidates within its reach s: in the cells within
+    s * l_res and the times within s * t_res, both widened by _time_window's
+    slack. In a cell those times are one run of ids, found by searchsorted
+    once empty cells are dropped. s starts at 1, which holds every proximity
+    candidate. R * |dphi| and R * cos(max |lat|) * |dlam| bound the distance
+    from below, so every candidate out of reach scores more than s: a row
+    whose K-th best score is at most s is done. Any other row goes again
+    with s set to that score (4s while it has fewer than K candidates) until
+    its reach covers every candidate. _BLOCK_CELLS bounds a round's scratch.
     """
     limits = np.asarray(limits, np.int64)
-    rows = np.arange(len(t_raw) - len(limits), len(t_raw))
+    n, k = len(t_raw), 0 if mutual else config.top_k
+    rows = np.arange(n - len(limits), n)
     t = t_raw[rows]
     if not np.isfinite(t).all():
         raise ArithmeticError("non-finite time")
-    ts = t_raw[:limits.max(initial=0)]
-    lo, hi = _time_window(ts, t, config.t_res_days)
-    k = 0 if mutual else config.top_k
-    if mutual:
-        start, end = np.minimum(lo, limits), np.minimum(hi, limits)
-    else:
+    n_c = int(limits.max(initial=0))
+    if not mutual:
         late = (limits > 0) & (t_raw[np.maximum(limits - 1, 0)] > t)
         if late.any():
             r = int(np.argmax(late))
             raise TemporalOrderError(f"node at t={t[r]} is older than a candidate "
                                      f"at t={t_raw[limits[r] - 1]}")
-        start, end = np.maximum(0, np.minimum(lo, limits - k)), limits
-    # each round: the rows still to wire, as positions into limits, with the
-    # candidates they hold and their next window
-    pending, held = np.arange(len(limits)), np.empty((len(limits), 0), np.int64)
-    tops, hards, provisional = [], [], []
-    first_round = 0  # how many entries of tops the first round made
+    pending, reach, edges = np.flatnonzero(limits > 0), np.ones(len(limits)), []
+    if len(pending):
+        at = np.array((lat, lon))
+        (lat0, lon0), (lat1, lon1) = at.min(axis=1), at.max(axis=1)
+        if not all(map(math.isfinite, (lat0, lat1, lon0, lon1))):
+            raise ArithmeticError("non-finite coordinates")
+        cos_lo = max(math.cos(min(max(-lat0, lat1), 90.0) * _DEG) - 4 * _SLACK, 1e-300)
+        deg = config.l_res_m / (EARTH_RADIUS_M * _DEG)  # l_res in degrees of latitude
+        height, width = lat1 - lat0, (lon1 - lon0) * cos_lo
+        side = max(deg, math.sqrt(height * width / n_c), (height + width) / n_c)
+        # a reach s spans s * per + pad cells either way, slack included
+        per, pad = deg * (1 + _SLACK) / side, _SLACK * max(-lat0, lat1, -lon0, lon1) / side
+        at = (at - [[lat0], [lon0]]) * [[1 / side], [cos_lo / side]]  # in cells
+        cy, cx = at[:, :n_c].astype(np.int64)
+        ny, nx = (cy.max() + 1).item(), (cx.max() + 1).item()
+        key = cy * nx + cx
+        # ids ascend within a cell; 16-bit keys sort by radix
+        by_cell = (key.astype(np.uint16) if ny * nx <= 1 << 16 else key).argsort(kind="stable")
+        runs = key[by_cell] * n_c + by_cell
+        occupied = np.zeros(ny * nx, bool)
+        occupied[key] = True
+        at, last = at[:, rows], np.array([[ny - 1], [nx - 1]])
     while len(pending):
-        carried = []
-        for b in _blocks(held.shape[1] + end - start):
-            pb = pending[b]
-            passed, kth, (r, parent, dist, rank), (hr, hp, hd) = _wire_block(
-                lon, lat, t_raw, rows[pb], held[b], start[b], end[b], config, mutual)
-            if passed.all():
-                tops.append((pb[r], parent, dist))
-                hards.append((pb[hr], hp, hd))
-                continue
-            top, done = passed[r], passed[hr]
-            tops.append((pb[r[top]], parent[top], dist[top]))
-            hards.append((pb[hr[done]], hp[done], hd[done]))
-            provisional.append((pb[hr[~done]], hp[~done], hd[~done]))
-            redo, top = np.flatnonzero(~passed), ~top
-            keep = np.full((len(redo), k), -1, np.int64)
-            keep[np.searchsorted(redo, r[top]), rank[top]] = parent[top]
-            pr, s = pb[redo], start[b][redo]
-            # no candidate better than the K-th is older than t - kth * t_res
-            bound = _time_window(ts, t[pr], kth[redo] * config.t_res_days)[0]
-            grown = np.maximum(bound, limits[pr] - _GROWTH * (limits[pr] - s))
-            carried.append((pr, keep, np.maximum(0, np.minimum(grown, s - 1)), s))
-        first_round = first_round or len(tops)
-        if not carried:
-            break
-        pending, held, start, end = (np.concatenate(col) for col in zip(*carried))
-    n_top = sum(len(r) for r, _, _ in tops)
-    row, prov, prov_dist = (np.concatenate(col) for col in zip(_NO_EDGES, *provisional))
-    if len(row):  # rows that failed their first window, all ranked in later rounds
-        pos, parent, _ = (np.concatenate(col) for col in zip(*tops[first_round:]))
-        ranked = np.sort(pos * len(t_raw) + parent)
-        key = row * len(t_raw) + prov
-        other = ranked[np.minimum(np.searchsorted(ranked, key), len(ranked) - 1)] != key
-        hards.append((row[other], prov[other], prov_dist[other]))
-    pos, parent, dist = (np.concatenate(col) for col in zip(_NO_EDGES, *tops, *hards))
+        s = reach[pending]
+        lo, hi = _time_window(t_raw[:n_c], t[pending], s * config.t_res_days)
+        lim = limits[pending]
+        lo, hi = np.minimum(lo, lim), np.minimum(hi, lim) if mutual else lim
+        half = s * per + pad
+        box = np.floor([at[:, pending] - half, at[:, pending] + half])
+        box = np.minimum(np.maximum(box, 0), last)
+        ys, xs = (box[1] - box[0] + 1).astype(np.int64)
+        area, failed = ys * xs, []
+        covered = (area == ny * nx) & (lo == 0)
+        corner = (box[0, 0] * nx + box[0, 1]).astype(np.int64)
+        for i, j in _spans(area):
+            # the span's (row, cell) entries, then each one's run of candidates
+            er, w = np.arange(j - i).repeat(area[i:j]), _flatten(0, area[i:j])
+            wide = xs[i:j][er]
+            cells = corner[i:j][er] + w + w // wide * (nx - wide)
+            keep = occupied[cells]
+            er, cells = er[keep], cells[keep] * n_c
+            a = runs.searchsorted(cells + lo[i:j][er])
+            b = runs.searchsorted(cells + hi[i:j][er])
+            counts = np.bincount(er, b - a, j - i).astype(np.int64)
+            for p, q in _spans(counts):
+                e, now = slice(*er.searchsorted((p, q))), pending[i + p:i + q]
+                passed, nxt, out = _wire_rows(
+                    lon, lat, t_raw, rows[now], er[e].repeat(b[e] - a[e]) - p,
+                    by_cell[_flatten(a[e], b[e])], counts[p:q], s[i + p:i + q],
+                    covered[i + p:i + q], config, k, mutual)
+                edges += [(now[r], *rest) for r, *rest in out]
+                reach[now] = nxt
+                failed.append(now[~passed])
+        pending = np.concatenate(failed)
+    pos, parent, dist, key = (np.concatenate(col) for col in zip(
+        (*_NO_EDGES, _NO_EDGES[0]), *edges))
+    del edges  # the pieces, before the sort's scratch
     origin = np.full(len(pos), INIT if mutual else HARD, _ORIGIN_DTYPE)
-    origin[:n_top] = TOP
-    order = np.argsort(pos, kind="stable")  # per row: ranked edges, then the rest
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(limits)))))
+    origin[key < k] = TOP
+    order = (pos * (n_c + k) + key).argsort(kind="stable")  # ranked edges first, by rank
+    offsets = np.zeros(len(limits) + 1, np.int64)
+    np.add.accumulate(np.bincount(pos, minlength=len(limits)), out=offsets[1:])
     return offsets, parent[order], dist[order], origin[order]
 
 

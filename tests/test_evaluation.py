@@ -160,6 +160,33 @@ def test_confusion_counts():
     assert counts.sum() == 3
 
 
+def test_array_levels_match_the_bins_value_by_value():
+    """level_indices, level_affinities and confusion_counts over arrays give,
+    value by value, what the bins give: the level with lo <= v < hi (the
+    last for NaN), minus the distance to the bin with a signed zero on its
+    upper edge, and one count per pair, predictions clipped at 0."""
+    values = [0.0, -0.0, 0.5, 1.0, 4.999999999999999, 5.0, 7.5, 10.0, 12.0, math.inf, math.nan]
+
+    def level(v):
+        return next((c for c, (lo, hi) in enumerate(ev.LEVEL_EDGES) if lo <= v < hi), 3)
+
+    assert ev.level_indices(values).tolist() == [level(v) for v in values]
+    assert [ev.level_index(v) for v in values] == [level(v) for v in values]
+    for c, (lo, hi) in enumerate(ev.LEVEL_EDGES):
+        want = np.array([-(lo - v) if v < lo else -(v - hi) if hi != math.inf and v >= hi
+                         else 0.0 for v in values])
+        got = ev.level_affinities(values, c)
+        assert np.array_equal(got, want) and (np.signbit(got) == np.signbit(want)).all()
+        assert [ev.level_affinity(v, c) for v in values] == want.tolist()
+    predicted = [v - 1.0 for v in reversed(values)]
+    want = np.zeros((len(ev.LEVELS), len(ev.LEVELS)), int)
+    for t, p in zip(values, predicted):
+        want[level(t), level(max(p, 0.0))] += 1
+    assert np.array_equal(ev.confusion_counts(values, predicted), want)
+    with pytest.raises(ev.DomainError, match="got -0.5"):
+        ev.confusion_counts([1.0, -0.5, -2.0], [1.0, 1.0, 1.0])
+
+
 def test_report_rmse_consistency():
     rng = np.random.default_rng(3)
     y = rng.uniform(0, 12, 30)

@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -321,17 +324,18 @@ def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
     rng = np.random.default_rng(450)
     cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=10.0, top_k=5, top_mode=top_mode)
     nodes = rand_nodes(rng, 450, extent=0.004, span=300.0, init_count=30)
-    widths = []
+    scored = Counter()  # (row, candidate) pairs scored per row, rows told apart by location
     distances = sg._distances
 
     def recording(lon, lat, lons, lats):
-        widths.append(lons.shape[-1])
+        scored.update(zip(np.broadcast_to(lon, lons.shape).ravel().tolist(),
+                          np.broadcast_to(lat, lats.shape).ravel().tolist()))
         return distances(lon, lat, lons, lats)
 
     monkeypatch.setattr(sg, "_distances", recording)
     g = sg.build_graph(nodes, 30, cfg)
     assert edge_set(g) == oracle_graph_edges(nodes, 30, cfg)
-    assert max(widths) < 450 // 4  # the scan stopped well short of the full history
+    assert max(scored.values()) < 450 // 4  # the scan stopped well short of the full history
 
 
 def far_ranked_batch(top_mode):
@@ -350,26 +354,31 @@ def far_ranked_batch(top_mode):
 
 @pytest.mark.parametrize("top_mode", ["merged", "additional"])
 def test_widening_scores_each_candidate_once(monkeypatch, top_mode):
-    """A widened window scores only the rows its last window did not cover,
-    plus the K candidates the row holds, in blocks padded to little more."""
+    """Over all its widening rounds, a row scores at most twice its final
+    window plus K (row, candidate) pairs per round after the first."""
     cfg, cols, limits = far_ranked_batch(top_mode)
-    shapes = []
-    distances = sg._distances
+    pairs, rounds = [], []
+    distances, time_window = sg._distances, sg._time_window
 
     def recording(lon, lat, lons, lats):
-        shapes.append(lons.shape)
+        pairs.append(lons.size)
         return distances(lon, lat, lons, lats)
 
+    def windows(ts, t, span):
+        rounds.append(len(t))  # one window per row and round
+        return time_window(ts, t, span)
+
     monkeypatch.setattr(sg, "_distances", recording)
+    monkeypatch.setattr(sg, "_time_window", windows)
     offsets, parent, _, origin = sg.combined_parents(*cols, limits, cfg)
     for a, b in zip(offsets[:-1], offsets[1:]):
         assert parent[a:b].tolist() == list(range(cfg.top_k))[::-1]  # so the window reached row 0
         assert (origin[a:b] == sg.TOP).all()
-    rows_scored = sum(b for b, _ in shapes)
+    rows_scored = sum(rounds)
     assert rows_scored >= 4 * len(limits)  # at least 3 widening rounds per row
     carried = rows_scored - len(limits)  # (row, round) pairs after the first
     final_windows = int(limits.sum())
-    assert sum(b * w for b, w in shapes) <= 2 * final_windows + cfg.top_k * carried
+    assert sum(pairs) <= 2 * final_windows + cfg.top_k * carried
 
 
 def test_combined_parents_writes_none_of_its_arguments():
@@ -380,6 +389,141 @@ def test_combined_parents_writes_none_of_its_arguments():
         assert np.array_equal(arg, old) and arg.dtype == old.dtype
     again = sg.combined_parents(*cols, limits, cfg)
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+# ---------------------------------------------------------------------------
+# the space-time grid
+
+
+def assert_rows_match_oracle(nodes, limits, config):
+    """One combined_parents call for the last len(limits) nodes, each row
+    against the oracle over its candidates nodes[:limit]."""
+    first = len(nodes) - len(limits)
+    for row, limit, got in zip(range(first, len(nodes)), limits, wire(nodes, limits, config)):
+        want, want_top = oracle_parents(nodes[row], nodes[:limit], config)
+        ids = [p for p, _, _ in got]
+        assert len(ids) == len(set(ids)) and set(ids) == want, row
+        assert [p for p, origin, _ in got if origin == "top"] == want_top, row
+
+
+def clustered_nodes(rng, n, init_count, clusters=12, extent=0.02, sigma=0.0015, span=200.0):
+    """Time-sorted nodes in clusters spread over a few dozen cells a side."""
+    centres = rng.uniform(-extent, extent, (clusters, 2))[rng.integers(0, clusters, n)]
+    ts = np.sort(rng.uniform(0, span, n))
+    return [sg.GraphNode(i, 121.0 + float(x), 31.0 + float(y), float(ts[i]), float(ts[i] / span),
+                         i < init_count)
+            for i, (x, y) in enumerate(centres + rng.normal(0, sigma, (n, 2)))]
+
+
+def query_nodes(first_id, coords, times):
+    return [sg.GraphNode(first_id + q, lon, lat, float(t), 0.0, False)
+            for q, ((lon, lat), t) in enumerate(zip(coords, times))]
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@pytest.mark.parametrize("init_count", [40, 400])
+def test_grid_build_and_forecasts_match_brute_force(top_mode, init_count):
+    """Clustered rows over many cells, an initialization block of a tenth or
+    of every row, and forecasts: ignore-strategy queries inside the clusters,
+    outside the history's bounding box and timestamped inside the history
+    (allow_past, a few with fewer than K candidates), then chained queries
+    wired against the queries before them."""
+    rng = np.random.default_rng(400)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
+    nodes = clustered_nodes(rng, 400, init_count)
+    g = sg.build_graph(nodes, init_count, cfg)
+    assert edge_set(g) == oracle_graph_edges(nodes, init_count, cfg)
+
+    inside = [(nd.lon, nd.lat) for nd in rng.choice(np.array(nodes, object), 10)]
+    outside = list(zip(rng.uniform(120.5, 121.6, 10), rng.choice([30.7, 31.3], 10)))
+    times = np.concatenate((rng.uniform(200.0, 260.0, 20), rng.uniform(-5.0, 200.0, 10),
+                            [nodes[2].t_raw]))
+    coords = inside + outside + inside[:10] + [outside[0]]
+    order = np.argsort(times, kind="stable")
+    queries = query_nodes(g.n, [coords[i] for i in order], times[order])
+    limits = np.searchsorted(g.t_raw, [q.t_raw for q in queries], side="right")
+    assert limits.min() < cfg.top_k and (limits < g.n).sum() >= 10
+    assert_rows_match_oracle(nodes + queries, limits, cfg)
+
+    chained = query_nodes(g.n, inside + outside, np.sort(rng.uniform(200.0, 260.0, 20)))
+    assert_rows_match_oracle(nodes + chained, np.arange(g.n, g.n + len(chained)), cfg)
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@pytest.mark.parametrize("axis", ["lat", "lon"])
+def test_proximity_reaches_exactly_l_res_across_a_cell_boundary(top_mode, axis):
+    """A row and a candidate one cell further along one axis, the candidate
+    exactly l_res away as the kernel measures it: it is a proximity parent.
+    With older rows in every cell the cells are l_res wide and the pair
+    straddles a cell boundary, or sits on two; with none the grid coarsens
+    and the pair falls anywhere on it."""
+    step = 200.0 / (sg.EARTH_RADIUS_M * sg._DEG)  # 200 m of latitude, in degrees
+    if axis == "lon":
+        step /= math.cos(31.0 * sg._DEG)
+
+    def at(node_id, cells, t):
+        lon, lat = (121.0 + cells * step, 31.0) if axis == "lon" else (121.0, 31.0 + cells * step)
+        return sg.GraphNode(node_id, lon, lat, t, 0.0, False)
+
+    for cell, frac, filled in itertools.product(range(1, 33), (0.0, 0.25, 0.5, 0.75),
+                                                (True, False)):
+        nodes = [at(i, i, i - 100.0) for i in range(cell + 2 if filled else 1)]
+        cand = at(len(nodes), cell + frac, 99.0)
+        row = at(len(nodes) + 1, cell - 1 + frac, 100.0)
+        nodes += [cand, row]
+        l_res = pair_distance((row.lon, row.lat), (cand.lon, cand.lat))
+        assert l_res == equirect_m((row.lon, row.lat), (cand.lon, cand.lat))
+        for top_k in (0, 1):
+            cfg = sg.GraphConfig(l_res_m=l_res, t_res_days=14.0, top_k=top_k,
+                                 top_mode=top_mode)
+            assert (cand.node_id, "top" if top_k and top_mode == "merged" else "hard") \
+                in [(p, origin) for p, origin, _ in parents(row, nodes[:-1], cfg)]
+            assert_rows_match_oracle(nodes, [len(nodes) - 1], cfg)
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+def test_rows_with_fewer_than_k_candidates_match_brute_force(top_mode):
+    """Rows tens of kilometres and months apart: the first K rows have fewer
+    than K candidates overall, and a row's reach must grow over most of the
+    grid before it holds K."""
+    rng = np.random.default_rng(9)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
+    nodes = rand_nodes(rng, 12, extent=0.3, span=900.0, init_count=1)
+    g = sg.build_graph(nodes, 1, cfg)
+    assert edge_set(g) == oracle_graph_edges(nodes, 1, cfg)
+    assert (in_degree(g)[1:cfg.top_k] == np.arange(1, cfg.top_k)).all()
+    queries = query_nodes(g.n, [(121.5, 31.2), (120.6, 30.8), (121.0, 31.0)],
+                          [nodes[3].t_raw, 950.0, 2000.0])
+    assert_rows_match_oracle(nodes + queries,
+                             np.searchsorted(g.t_raw, [q.t_raw for q in queries], "right"), cfg)
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+def test_rows_at_one_spot_stay_within_the_scratch_cap(top_mode):
+    """2,000 rows at one spot, each with 50 older rows within t_res: every
+    row falls in one cell, so the grid filters nothing. The call's traced
+    peak is the edges' columns while they are sorted (under 80 bytes an
+    edge) plus one span of _BLOCK_CELLS pairs' scratch; scoring all 100,000
+    pairs at once would exceed it."""
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
+    n = 2000
+    lon, lat, t = np.full(n, 121.0), np.full(n, 31.0), np.arange(n) * (cfg.t_res_days / 50.5)
+    tracemalloc.start()
+    try:
+        offsets, parent, _, origin = sg.combined_parents(lon, lat, t, np.arange(n), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * len(parent) + 64 * sg._BLOCK_CELLS
+    child = np.repeat(np.arange(n), np.diff(offsets))
+    ranked, hard = (np.bincount(child[origin == o], minlength=n) for o in (sg.TOP, sg.HARD))
+    near = np.minimum(np.arange(n), 50)  # the older rows within t_res, all proximity
+    if top_mode == "merged":
+        assert (ranked == np.minimum(np.arange(n), cfg.top_k)).all()
+        assert (hard == near - ranked).all()
+    else:
+        assert (ranked == np.minimum(np.arange(n) - near, cfg.top_k)).all()
+        assert (hard == near).all()
 
 
 # ---------------------------------------------------------------------------
