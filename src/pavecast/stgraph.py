@@ -20,11 +20,10 @@ Wiring: a node's parents depend only on the coordinates and times of the
 rows before it, never on their features or edges. So combined_parents, the
 one wiring kernel, wires a batch of rows per call, each against its own
 prefix: build_graph calls it twice, a forecast once for all its queries.
-It puts the candidates once on a grid of cells about l_res wide and scores
-a row, in rounds, only against those within a reach s of it in both space
-(s * l_res) and time (s * t_res). s starts at 1, which holds every
-proximity candidate; a row is done once its K-th best score is at most s,
-since every candidate out of reach scores more.
+It puts the candidates on a grid of cells about l_res wide and scores a row,
+in rounds, only against those within s * l_res and s * t_res of it. s starts
+at 1, which holds every proximity candidate; a row is done once its K-th
+best score is at most s, as every candidate out of reach scores more.
 
 Sorted-time contract: t_raw is nondecreasing over the rows of every graph
 that build_graph produces. combined_parents relies on it: each row's
@@ -218,11 +217,10 @@ def _spans(weight: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:])) or [(0, 0)]
 
 
-def _flatten(lo, hi: np.ndarray) -> np.ndarray:
-    """The integers lo[i]..hi[i]-1 of every run i, run after run."""
-    size = hi - lo
+def _flatten(start, size: np.ndarray) -> np.ndarray:
+    """The size[i] integers from start[i] of every run i, run after run."""
     end = np.add.accumulate(size)
-    return (hi - end).repeat(size) + np.arange(end[-1] if len(end) else 0)
+    return (start - end + size).repeat(size) + np.arange(end[-1] if len(end) else 0)
 
 
 def _kth(score: np.ndarray, row: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
@@ -230,13 +228,13 @@ def _kth(score: np.ndarray, row: np.ndarray, counts: np.ndarray, k: int) -> np.n
     and counts[r] row r's count. Rows are ranked in blocks of similar count,
     each padded with inf to a matrix: from the largest count down, a block
     takes rows while its padding stays below its scores plus _BLOCK_PAD."""
-    col = np.arange(len(score)) - (np.add.accumulate(counts) - counts)[row]
     top = int(counts.max(initial=0))
     if len(counts) * top <= 2 * len(score) + _BLOCK_PAD:  # one block
         padded = np.full((len(counts), max(top, k)), math.inf)
-        padded[row, col] = score
+        padded[np.arange(padded.shape[1]) < counts[:, None]] = score
         padded.partition(k - 1, axis=1)
         return padded[:, k - 1]
+    col = np.arange(len(score)) - (np.add.accumulate(counts) - counts)[row]
     order = counts.argsort(kind="stable")
     width = counts[order]
     cum = np.concatenate(([0], np.add.accumulate(width)))
@@ -336,7 +334,8 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     pending, reach, edges = np.flatnonzero(limits > 0), np.ones(len(limits)), []
     if len(pending):
         at = np.array((lat, lon))
-        (lat0, lon0), (lat1, lon1) = at.min(axis=1), at.max(axis=1)
+        low = at.min(axis=1, keepdims=True)
+        (lat0, lon0), (lat1, lon1) = low[:, 0], at.max(axis=1)
         if not all(map(math.isfinite, (lat0, lat1, lon0, lon1))):
             raise ArithmeticError("non-finite coordinates")
         cos_lo = max(math.cos(min(max(-lat0, lat1), 90.0) * _DEG) - 4 * _SLACK, 1e-300)
@@ -345,10 +344,11 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
         side = max(deg, math.sqrt(height * width / n_c), (height + width) / n_c)
         # a reach s spans s * per + pad cells either way, slack included
         per, pad = deg * (1 + _SLACK) / side, _SLACK * max(-lat0, lat1, -lon0, lon1) / side
-        at = (at - [[lat0], [lon0]]) * [[1 / side], [cos_lo / side]]  # in cells
-        cy, cx = at[:, :n_c].astype(np.int64)
-        ny, nx = (cy.max() + 1).item(), (cx.max() + 1).item()
-        key = cy * nx + cx
+        at -= low
+        at *= [[1 / side], [cos_lo / side]]  # in cells from the grid's corner
+        xy = at[:, :n_c].astype(np.int64)  # each candidate's cell
+        ny, nx = (xy.max(axis=1) + 1).tolist()
+        key = xy[0] * nx + xy[1]
         # ids ascend within a cell; 16-bit keys sort by radix
         by_cell = (key.astype(np.uint16) if ny * nx <= 1 << 16 else key).argsort(kind="stable")
         runs = key[by_cell] * n_c + by_cell
@@ -360,13 +360,13 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
         lo, hi = _time_window(t_raw[:n_c], t[pending], s * config.t_res_days)
         lim = limits[pending]
         lo, hi = np.minimum(lo, lim), np.minimum(hi, lim) if mutual else lim
-        half = s * per + pad
-        box = np.floor([at[:, pending] - half, at[:, pending] + half])
-        box = np.minimum(np.maximum(box, 0), last)
-        ys, xs = (box[1] - box[0] + 1).astype(np.int64)
+        half, here = s * per + pad, at[:, pending]
+        box_lo = np.maximum(np.floor(here - half), 0)
+        box_hi = np.minimum(np.floor(here + half), last)
+        ys, xs = np.maximum(box_hi - box_lo + 1, 0).astype(np.int64)
         area, failed = ys * xs, []
         covered = (area == ny * nx) & (lo == 0)
-        corner = (box[0, 0] * nx + box[0, 1]).astype(np.int64)
+        corner = (box_lo[0] * nx + box_lo[1]).astype(np.int64)
         for i, j in _spans(area):
             # the span's (row, cell) entries, then each one's run of candidates
             er, w = np.arange(j - i).repeat(area[i:j]), _flatten(0, area[i:j])
@@ -375,13 +375,13 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
             keep = occupied[cells]
             er, cells = er[keep], cells[keep] * n_c
             a = runs.searchsorted(cells + lo[i:j][er])
-            b = runs.searchsorted(cells + hi[i:j][er])
-            counts = np.bincount(er, b - a, j - i).astype(np.int64)
+            size = runs.searchsorted(cells + hi[i:j][er]) - a
+            counts = np.bincount(er, size, j - i).astype(np.int64)
             for p, q in _spans(counts):
                 e, now = slice(*er.searchsorted((p, q))), pending[i + p:i + q]
                 passed, nxt, out = _wire_rows(
-                    lon, lat, t_raw, rows[now], er[e].repeat(b[e] - a[e]) - p,
-                    by_cell[_flatten(a[e], b[e])], counts[p:q], s[i + p:i + q],
+                    lon, lat, t_raw, rows[now], er[e].repeat(size[e]) - p,
+                    by_cell[_flatten(a[e], size[e])], counts[p:q], s[i + p:i + q],
                     covered[i + p:i + q], config, k, mutual)
                 edges += [(now[r], *rest) for r, *rest in out]
                 reach[now] = nxt
