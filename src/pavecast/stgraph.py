@@ -20,10 +20,9 @@ Wiring: a node's parents depend only on the coordinates and times of the
 rows before it, never on their features or edges. So combined_parents, the
 one wiring kernel, wires a batch of rows per call, each against its own
 prefix: build_graph calls it twice, a forecast once for all its queries.
-It puts the candidates on a grid of cells about l_res wide and scores a row,
-in rounds, only against those within s * l_res and s * t_res of it. s starts
-at 1, which holds every proximity candidate; a row is done once its K-th
-best score is at most s, as every candidate out of reach scores more.
+It scores a row in rounds on a grid of cells about l_res wide, against the
+candidates within s * l_res and s * t_res of it only, from s = 1, which
+holds every proximity candidate, until its K-th best score is at most s.
 
 Sorted-time contract: t_raw is nondecreasing over the rows of every graph
 that build_graph produces. combined_parents relies on it: each row's
@@ -224,10 +223,9 @@ def _flatten(start, size: np.ndarray) -> np.ndarray:
 
 
 def _kth(score: np.ndarray, row: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k-th lowest score (inf below k), score[i] being row row[i]'s
-    and counts[r] row r's count. Rows are ranked in blocks of similar count,
-    each padded with inf to a matrix: from the largest count down, a block
-    takes rows while its padding stays below its scores plus _BLOCK_PAD."""
+    """Each row's k-th lowest score (inf below k), score[i] being row row[i]'s.
+    Rows go in blocks of similar count, each an inf-padded matrix: from the
+    largest count down, a block grows while padding < its scores + _BLOCK_PAD."""
     top = int(counts.max(initial=0))
     if len(counts) * top <= 2 * len(score) + _BLOCK_PAD:  # one block
         padded = np.full((len(counts), max(top, k)), math.inf)
@@ -238,17 +236,16 @@ def _kth(score: np.ndarray, row: np.ndarray, counts: np.ndarray, k: int) -> np.n
     order = counts.argsort(kind="stable")
     width = counts[order]
     cum = np.concatenate(([0], np.add.accumulate(width)))
-    blocks, hi, cells = [], len(width), 0
+    dest = np.zeros(len(counts), np.int64)  # rows below k scores share the first k cells
+    blocks, hi, cells = [], len(width), k
     while hi and width[hi - 1] >= k:
         top, size = int(width[hi - 1]), np.arange(1, hi + 1)
         fits = size * top <= 2 * (cum[hi] - cum[hi - size]) + _BLOCK_PAD
         lo = hi - (hi if fits.all() else int(np.argmin(fits)))
         blocks.append((lo, hi, top, cells))
+        dest[order[lo:hi]] = cells + top * np.arange(hi - lo)
         cells, hi = cells + (hi - lo) * top, lo
-    dest = np.full(len(counts), cells)  # rows below k scores share a scratch tail
-    for lo, hi, top, base in blocks:
-        dest[order[lo:hi]] = base + top * np.arange(hi - lo)
-    padded, kth = np.full(cells + k, math.inf), np.full(len(counts), math.inf)
+    padded, kth = np.full(cells, math.inf), np.full(len(counts), math.inf)
     padded[dest[row] + col] = score
     for lo, hi, top, base in blocks:
         block = padded[base:base + (hi - lo) * top].reshape(hi - lo, top)
@@ -292,72 +289,38 @@ def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, covered,
     return passed, reach, edges
 
 
-def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits,
-                     config: GraphConfig, mutual: bool = False) -> Wiring:
-    """CSR parent lists of the last len(limits) rows of the columns lon, lat, t_raw.
-
-    New row r is wired against the rows [0, limits[r]): first ranked edges
-    to the top_k candidates with the lowest dist/l_res + dt/t_res score,
-    ties to the lower id, then proximity edges to every other candidate
-    within both thresholds (inclusive), in id order; top_k=0 gives the pure
-    proximity set. mutual wires an initialization block instead: parents are
-    every other row of [0, limit), older or newer, within both thresholds.
-    Writes none of its arguments.
-
-    The rows [0, max(limits)) must be sorted by time and, unless mutual, no
-    later than the rows they are candidates of. They go once on a grid of
-    cells l_res tall and l_res / cos(max |lat|) wide (coarser if that makes
-    more cells than candidates), sorted by cell, then id. Each round scores
-    a row against the candidates within its reach s: in the cells within
-    s * l_res and the times within s * t_res, both widened by _time_window's
-    slack. In a cell those times are one run of ids, found by searchsorted
-    once empty cells are dropped. s starts at 1, which holds every proximity
-    candidate. R * |dphi| and R * cos(max |lat|) * |dlam| bound the distance
-    from below, so every candidate out of reach scores more than s: a row
-    whose K-th best score is at most s is done. Any other row goes again
-    with s set to that score (4s while it has fewer than K candidates) until
-    its reach covers every candidate. _BLOCK_CELLS bounds a round's scratch.
-    """
-    limits = np.asarray(limits, np.int64)
-    n, k = len(t_raw), 0 if mutual else config.top_k
-    rows = np.arange(n - len(limits), n)
-    t = t_raw[rows]
-    if not np.isfinite(t).all():
-        raise ArithmeticError("non-finite time")
-    n_c = int(limits.max(initial=0))
-    if not mutual:
-        late = (limits > 0) & (t_raw[np.maximum(limits - 1, 0)] > t)
-        if late.any():
-            r = int(np.argmax(late))
-            raise TemporalOrderError(f"node at t={t[r]} is older than a candidate "
-                                     f"at t={t_raw[limits[r] - 1]}")
+def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int,
+                mutual: bool) -> list:
+    """combined_parents' edges as _wire_rows' pieces, row indices made positions
+    into limits. Their scratch is freed before the CSR columns are allocated."""
+    n_c, rows = int(limits.max(initial=0)), np.arange(len(t_raw) - len(limits), len(t_raw))
     pending, reach, edges = np.flatnonzero(limits > 0), np.ones(len(limits)), []
-    if len(pending):
-        at = np.array((lat, lon))
-        low = at.min(axis=1, keepdims=True)
-        (lat0, lon0), (lat1, lon1) = low[:, 0], at.max(axis=1)
-        if not all(map(math.isfinite, (lat0, lat1, lon0, lon1))):
-            raise ArithmeticError("non-finite coordinates")
-        cos_lo = max(math.cos(min(max(-lat0, lat1), 90.0) * _DEG) - 4 * _SLACK, 1e-300)
-        deg = config.l_res_m / (EARTH_RADIUS_M * _DEG)  # l_res in degrees of latitude
-        height, width = lat1 - lat0, (lon1 - lon0) * cos_lo
-        side = max(deg, math.sqrt(height * width / n_c), (height + width) / n_c)
-        # a reach s spans s * per + pad cells either way, slack included
-        per, pad = deg * (1 + _SLACK) / side, _SLACK * max(-lat0, lat1, -lon0, lon1) / side
-        at -= low
-        at *= [[1 / side], [cos_lo / side]]  # in cells from the grid's corner
-        xy = at[:, :n_c].astype(np.int64)  # each candidate's cell
-        ny, nx = (xy.max(axis=1) + 1).tolist()
-        key = xy[0] * nx + xy[1]
-        # ids ascend within a cell; 16-bit keys sort by radix
-        by_cell = (key.astype(np.uint16) if ny * nx <= 1 << 16 else key).argsort(kind="stable")
-        runs = key[by_cell] * n_c + by_cell
-        occupied = np.zeros(ny * nx, bool)
-        occupied[key] = True
-        at, last = at[:, rows], np.array([[ny - 1], [nx - 1]])
+    if not len(pending):
+        return edges
+    at = np.array((lat, lon))
+    low = at.min(axis=1, keepdims=True)
+    (lat0, lon0), (lat1, lon1) = low[:, 0], at.max(axis=1)
+    if not all(map(math.isfinite, (lat0, lat1, lon0, lon1))):
+        raise ArithmeticError("non-finite coordinates")
+    cos_lo = max(math.cos(min(max(-lat0, lat1), 90.0) * _DEG) - 4 * _SLACK, 1e-300)
+    deg = config.l_res_m / (EARTH_RADIUS_M * _DEG)  # l_res in degrees of latitude
+    height, width = lat1 - lat0, (lon1 - lon0) * cos_lo
+    side = max(deg, math.sqrt(height * width / n_c), (height + width) / n_c)
+    # a reach s spans s * per + pad cells either way, slack included
+    per, pad = deg * (1 + _SLACK) / side, _SLACK * max(-lat0, lat1, -lon0, lon1) / side
+    at -= low
+    at *= [[1 / side], [cos_lo / side]]  # in cells from the grid's corner
+    xy = at[:, :n_c].astype(np.int64)  # each candidate's cell
+    ny, nx = (xy.max(axis=1) + 1).tolist()
+    key = xy[0] * nx + xy[1]
+    # ids ascend within a cell; 16-bit keys sort by radix
+    by_cell = (key.astype(np.uint16) if ny * nx <= 1 << 16 else key).argsort(kind="stable")
+    runs = key[by_cell] * n_c + by_cell
+    occupied = np.bincount(key, minlength=ny * nx) > 0
+    at, last = at[:, rows], np.array([[ny - 1], [nx - 1]])
     while len(pending):
         s = reach[pending]
-        lo, hi = _time_window(t_raw[:n_c], t[pending], s * config.t_res_days)
+        lo, hi = _time_window(t_raw[:n_c], t_raw[rows[pending]], s * config.t_res_days)
         lim = limits[pending]
         lo, hi = np.minimum(lo, lim), np.minimum(hi, lim) if mutual else lim
         half, here = s * per + pad, at[:, pending]
@@ -387,12 +350,49 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
                 reach[now] = nxt
                 failed.append(now[~passed])
         pending = np.concatenate(failed)
+    return edges
+
+
+def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits,
+                     config: GraphConfig, mutual: bool = False) -> Wiring:
+    """CSR parent lists of the last len(limits) rows of the columns lon, lat, t_raw.
+
+    New row r is wired against the rows [0, limits[r]): first ranked edges
+    to the top_k candidates with the lowest dist/l_res + dt/t_res score,
+    ties to the lower id, then proximity edges to every other candidate
+    within both thresholds (inclusive), in id order; top_k=0 gives the pure
+    proximity set. mutual wires an initialization block instead: parents are
+    every other row of [0, limit), older or newer, within both thresholds.
+    Writes none of its arguments.
+
+    The rows [0, max(limits)) must be sorted by time and, unless mutual, no
+    later than the rows they are candidates of. They go on a grid of cells
+    l_res tall and l_res / cos(max |lat|) wide (coarser if that makes more
+    cells than candidates), sorted by cell, then id: a cell's candidates in
+    a time window are one run, found by searchsorted. A round scores a row
+    against the candidates within its reach s: in the cells within s * l_res
+    and the times within s * t_res, widened by _time_window's slack. s starts
+    at 1, which holds every proximity candidate. R * |dphi| and R *
+    cos(max |lat|) * |dlam| bound the distance from below, so a row whose K-th
+    best score is at most s is done: every candidate out of reach scores
+    more. Others go again with s set to that score (4s while they have fewer
+    than K) until they are done or reach every candidate.
+    """
+    limits = np.asarray(limits, np.int64)
+    n, k = len(t_raw), 0 if mutual else config.top_k
+    t = t_raw[n - len(limits):]
+    if not np.isfinite(t).all():
+        raise ArithmeticError("non-finite time")
+    if not mutual:
+        late = (limits > 0) & (t_raw[np.maximum(limits - 1, 0)] > t)
+        if late.any():
+            raise TemporalOrderError(f"node at t={t[late][0]} is older than a candidate "
+                                     f"at t={t_raw[limits[late][0] - 1]}")
     pos, parent, dist, key = (np.concatenate(col) for col in zip(
-        (*_NO_EDGES, _NO_EDGES[0]), *edges))
-    del edges  # the pieces, before the sort's scratch
+        (*_NO_EDGES, _NO_EDGES[0]), *_grid_edges(lon, lat, t_raw, limits, config, k, mutual)))
     origin = np.full(len(pos), INIT if mutual else HARD, _ORIGIN_DTYPE)
     origin[key < k] = TOP
-    order = (pos * (n_c + k) + key).argsort(kind="stable")  # ranked edges first, by rank
+    order = (pos * (n + k) + key).argsort(kind="stable")  # ranked edges first, by rank
     offsets = np.zeros(len(limits) + 1, np.int64)
     np.add.accumulate(np.bincount(pos, minlength=len(limits)), out=offsets[1:])
     return offsets, parent[order], dist[order], origin[order]
