@@ -291,8 +291,8 @@ def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, covered,
 
 def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int,
                 mutual: bool) -> list:
-    """combined_parents' edges as _wire_rows' pieces, row indices made positions
-    into limits. Their scratch is freed before the CSR columns are allocated."""
+    """combined_parents' edges as _wire_rows' pieces keyed by position in limits,
+    returned before the CSR columns are allocated, once its scratch is freed."""
     n_c, rows = int(limits.max(initial=0)), np.arange(len(t_raw) - len(limits), len(t_raw))
     pending, reach, edges = np.flatnonzero(limits > 0), np.ones(len(limits)), []
     if not len(pending):
