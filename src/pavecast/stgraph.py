@@ -222,35 +222,23 @@ def _flatten(start, size: np.ndarray) -> np.ndarray:
     return (start - end + size).repeat(size) + np.arange(end[-1] if len(end) else 0)
 
 
-def _kth(score: np.ndarray, row: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k-th lowest score (inf below k), score[i] being row row[i]'s.
-    Rows go in blocks of similar count, each an inf-padded matrix: from the
-    largest count down, a block grows while padding < its scores + _BLOCK_PAD."""
+def _kth(score: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th lowest score (inf below k), score holding counts[r]
+    scores of each row r, row after row. The rows go in one inf-padded
+    matrix, unless it would pad more than its scores + _BLOCK_PAD: then the
+    rows over half the widest count go in one, which pads less than their
+    scores, and the rest recurse."""
     top = int(counts.max(initial=0))
-    if len(counts) * top <= 2 * len(score) + _BLOCK_PAD:  # one block
-        padded = np.full((len(counts), max(top, k)), math.inf)
-        padded[np.arange(padded.shape[1]) < counts[:, None]] = score
-        padded.partition(k - 1, axis=1)
-        return padded[:, k - 1]
-    col = np.arange(len(score)) - (np.add.accumulate(counts) - counts)[row]
-    order = counts.argsort(kind="stable")
-    width = counts[order]
-    cum = np.concatenate(([0], np.add.accumulate(width)))
-    dest = np.zeros(len(counts), np.int64)  # rows below k scores share the first k cells
-    blocks, hi, cells = [], len(width), k
-    while hi and width[hi - 1] >= k:
-        top, size = int(width[hi - 1]), np.arange(1, hi + 1)
-        fits = size * top <= 2 * (cum[hi] - cum[hi - size]) + _BLOCK_PAD
-        lo = hi - (hi if fits.all() else int(np.argmin(fits)))
-        blocks.append((lo, hi, top, cells))
-        dest[order[lo:hi]] = cells + top * np.arange(hi - lo)
-        cells, hi = cells + (hi - lo) * top, lo
-    padded, kth = np.full(cells, math.inf), np.full(len(counts), math.inf)
-    padded[dest[row] + col] = score
-    for lo, hi, top, base in blocks:
-        block = padded[base:base + (hi - lo) * top].reshape(hi - lo, top)
-        kth[order[lo:hi]] = np.partition(block, k - 1, axis=1)[:, k - 1]
-    return kth
+    if len(counts) * top > 2 * len(score) + _BLOCK_PAD:
+        kth = np.empty(len(counts))
+        wide = 2 * counts > top
+        for part in (wide, ~wide):
+            kth[part] = _kth(score[part.repeat(counts)], counts[part], k)
+        return kth
+    padded = np.full((len(counts), max(top, k)), math.inf)
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = score
+    padded.partition(k - 1, axis=1)
+    return padded[:, k - 1]
 
 
 def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, covered,
@@ -270,7 +258,7 @@ def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, covered,
         score += dist / config.l_res_m
         if config.top_mode == "additional":
             score[hard] = math.inf
-        kth = _kth(score, pr, counts, k)
+        kth = _kth(score, counts, k)
         passed = (kth <= reach) | covered
         done = passed[pr]
         best = (score <= kth[pr]) & (score < math.inf) & done  # in the pool
@@ -293,55 +281,67 @@ def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int
                 mutual: bool) -> list:
     """combined_parents' edges as _wire_rows' pieces keyed by position in limits,
     returned before the CSR columns are allocated, once its scratch is freed."""
-    n_c, rows = int(limits.max(initial=0)), np.arange(len(t_raw) - len(limits), len(t_raw))
-    pending, reach, edges = np.flatnonzero(limits > 0), np.ones(len(limits)), []
-    if not len(pending):
-        return edges
+    n_c = int(limits.max(initial=0))
+    if not n_c:
+        return []
+    rows = np.arange(len(t_raw) - len(limits), len(t_raw))
     at = np.array((lat, lon))
     low = at.min(axis=1, keepdims=True)
-    (lat0, lon0), (lat1, lon1) = low[:, 0], at.max(axis=1)
+    lat0, lon0 = low.ravel()
+    lat1, lon1 = at.max(axis=1)
     if not all(map(math.isfinite, (lat0, lat1, lon0, lon1))):
         raise ArithmeticError("non-finite coordinates")
     cos_lo = max(math.cos(min(max(-lat0, lat1), 90.0) * _DEG) - 4 * _SLACK, 1e-300)
     deg = config.l_res_m / (EARTH_RADIUS_M * _DEG)  # l_res in degrees of latitude
-    height, width = lat1 - lat0, (lon1 - lon0) * cos_lo
+    height = lat1 - lat0
+    width = (lon1 - lon0) * cos_lo
     side = max(deg, math.sqrt(height * width / n_c), (height + width) / n_c)
     # a reach s spans s * per + pad cells either way, slack included
-    per, pad = deg * (1 + _SLACK) / side, _SLACK * max(-lat0, lat1, -lon0, lon1) / side
+    per = deg * (1 + _SLACK) / side
+    pad = _SLACK * max(-lat0, lat1, -lon0, lon1) / side
     at -= low
     at *= [[1 / side], [cos_lo / side]]  # in cells from the grid's corner
     xy = at[:, :n_c].astype(np.int64)  # each candidate's cell
     ny, nx = (xy.max(axis=1) + 1).tolist()
     key = xy[0] * nx + xy[1]
-    # ids ascend within a cell; 16-bit keys sort by radix
-    by_cell = (key.astype(np.uint16) if ny * nx <= 1 << 16 else key).argsort(kind="stable")
-    runs = key[by_cell] * n_c + by_cell
+    runs = np.sort(key * n_c + np.arange(n_c))  # by cell, then id
+    by_cell = runs % n_c
     occupied = np.bincount(key, minlength=ny * nx) > 0
-    at, last = at[:, rows], np.array([[ny - 1], [nx - 1]])
+    at = at[:, rows]
+    last = np.array([[ny - 1], [nx - 1]])
+    pending = np.flatnonzero(limits > 0)
+    reach = np.ones(len(limits))
+    edges = []
     while len(pending):
         s = reach[pending]
-        lo, hi = _time_window(t_raw[:n_c], t_raw[rows[pending]], s * config.t_res_days)
         lim = limits[pending]
-        lo, hi = np.minimum(lo, lim), np.minimum(hi, lim) if mutual else lim
-        half, here = s * per + pad, at[:, pending]
+        lo, hi = _time_window(t_raw[:n_c], t_raw[rows[pending]], s * config.t_res_days)
+        lo = np.minimum(lo, lim)
+        hi = np.minimum(hi, lim)  # lim unless mutual: no row below lim is later
+        half = s * per + pad
+        here = at[:, pending]
         box_lo = np.maximum(np.floor(here - half), 0)
         box_hi = np.minimum(np.floor(here + half), last)
         ys, xs = np.maximum(box_hi - box_lo + 1, 0).astype(np.int64)
-        area, failed = ys * xs, []
+        area = ys * xs
         covered = (area == ny * nx) & (lo == 0)
         corner = (box_lo[0] * nx + box_lo[1]).astype(np.int64)
+        failed = []
         for i, j in _spans(area):
             # the span's (row, cell) entries, then each one's run of candidates
-            er, w = np.arange(j - i).repeat(area[i:j]), _flatten(0, area[i:j])
+            er = np.arange(j - i).repeat(area[i:j])
+            w = _flatten(0, area[i:j])
             wide = xs[i:j][er]
             cells = corner[i:j][er] + w + w // wide * (nx - wide)
             keep = occupied[cells]
-            er, cells = er[keep], cells[keep] * n_c
+            er = er[keep]
+            cells = cells[keep] * n_c
             a = runs.searchsorted(cells + lo[i:j][er])
             size = runs.searchsorted(cells + hi[i:j][er]) - a
             counts = np.bincount(er, size, j - i).astype(np.int64)
             for p, q in _spans(counts):
-                e, now = slice(*er.searchsorted((p, q))), pending[i + p:i + q]
+                e = slice(*er.searchsorted((p, q)))
+                now = pending[i + p:i + q]
                 passed, nxt, out = _wire_rows(
                     lon, lat, t_raw, rows[now], er[e].repeat(size[e]) - p,
                     by_cell[_flatten(a[e], size[e])], counts[p:q], s[i + p:i + q],
