@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, UsageError, RunConfigError, ds.SchemaError,
+    except (OSError, UsageError, RunConfigError, ds.SchemaError,
             ds.ConfigError, ds.SplitError, ModelConfigError, sg.ConstructionError,
             tr.TrainConfigError, tr.CheckpointVersionError,
             tr.CheckpointIntegrityError, tr.QueryError, tr.StrategyError,

@@ -6,6 +6,21 @@ numeric columns against training-period statistics, rescales time to [0, 1],
 and one-hot encodes the distress type, producing the two feature vectors
 each graph node carries: the full vector and the spatial-temporal-only one.
 
+Loading reads the file once, as UTF-8 (a leading byte-order mark is
+dropped), and takes the header as csv.DictReader does. The data section
+then goes to NumPy's C reader (np.loadtxt into one structured array), is
+validated with column masks, and sorted with one lexsort; only flagged rows
+build their message, through RawRecord.validate. Files that reader cannot
+read exactly as csv.DictReader would (a quoted cell, a lone carriage
+return, a cell that does not parse, a short or whitespace-only row) and
+iso8601 timestamps go to the row parser instead, which reads and validates
+one row at a time; both give the same LoadReport, skipped-row numbers and
+reasons included. The input decides which path runs.
+
+Preprocessing is columnar too: the statistics are fitted on column arrays,
+and the feature vectors of a record list are the rows of one matrix built
+with elementwise operations.
+
 The synthetic generator plants a spatially correlated, temporally increasing
 deterioration field observed through an irregular, sparse, asynchronous
 visit process, so ordering experiments have a known signal to recover.
@@ -15,8 +30,10 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,6 +68,8 @@ CSV_COLUMNS = ("location_id", "longitude_gcj", "latitude_gcj", "collect_time",
                "visibility", "precipitation", "cloud",
                "detect_info", "detect_conf", "distress_type")  # RawRecord's fields, in order
 _INT_COLUMNS = ("location_id", "distress_type")  # the rest are floats
+_RECORD_DTYPE = np.dtype([(c, np.int64 if c in _INT_COLUMNS else np.float64)
+                          for c in CSV_COLUMNS])
 TIME_FORMATS = ("days", "iso8601")
 
 
@@ -198,27 +217,80 @@ def load_records(path, schema: CsvSchema = CsvSchema()) -> LoadReport:
     """Read records from CSV, sorted by time (ties: location_id, file order).
 
     Unparsable rows are skipped and reported with their row numbers; a
-    missing column fails immediately.
+    missing column or a file that is not UTF-8 text fails immediately.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"missing columns {missing} in {path}")
-        parsers = [(c, int if c in _INT_COLUMNS else
-                    schema.parse_time if c == "collect_time" else float)
-                   for c in CSV_COLUMNS]
-        records: list[tuple[float, int, int, RawRecord]] = []
-        skipped: list[tuple[int, str]] = []
-        for rownum, row in enumerate(reader, start=1):
-            try:
-                rec = RawRecord(*[parse(row[c]) for c, parse in parsers])
-                rec.validate()
-            except (ValueError, TypeError) as exc:
-                skipped.append((rownum, str(exc)))
-                continue
-            records.append((rec.collect_time, rec.location_id, rownum, rec))
+    header, body = _read_csv(path)
+    if schema.time_format == "days":
+        try:
+            return _load_columns(header, body)
+        except ValueError:
+            pass
+    return _load_rows(header, body, schema)
+
+
+def _read_csv(path) -> tuple[list[str], str]:
+    """The header, as csv.DictReader takes it, and the text after it."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = csv.DictReader(fh).fieldnames or []
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(f"missing columns {missing} in {path}")
+            return header, fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}") from None
+
+
+def _load_columns(header: list[str], body: str) -> LoadReport:
+    """The data section, read by np.loadtxt and validated with column masks.
+
+    np.loadtxt skips empty lines, as csv.DictReader does. ValueError means
+    the two could read the text differently: a quote character, a cell
+    that does not parse, a row too short for a column, a whitespace-only
+    line, or a carriage return that ends a line on its own.
+    """
+    if '"' in body:
+        raise ValueError("quoted cells")
+    if not body.strip("\r\n"):
+        return LoadReport(records=[], skipped_rows=[])
+    where = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    table = np.loadtxt(body.split("\n"), dtype=_RECORD_DTYPE, delimiter=",",
+                       comments=None, usecols=[where[c] for c in CSV_COLUMNS], ndmin=1)
+    conf = table["detect_conf"]
+    bad = ((table["detect_info"] < 0) | ~((conf >= 0.0) & (conf <= 1.0))
+           | ~np.isin(table["distress_type"], DISTRESS_TYPES))
+    for c in CSV_COLUMNS:
+        if c not in _INT_COLUMNS:
+            bad |= ~np.isfinite(table[c])
+    skipped = []
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            RawRecord(*table[i].tolist()).validate()
+        except ValueError as exc:
+            skipped.append((i + 1, str(exc)))
+    keep = np.flatnonzero(~bad)
+    order = keep[np.lexsort((keep, table["location_id"][keep], table["collect_time"][keep]))]
+    records = list(map(RawRecord, *(table[c][order].tolist() for c in CSV_COLUMNS)))
+    return LoadReport(records=records, skipped_rows=skipped)
+
+
+def _load_rows(header: list[str], body: str, schema: CsvSchema) -> LoadReport:
+    """The data section, parsed and validated one csv.DictReader row at a time."""
+    parsers = [(c, int if c in _INT_COLUMNS else
+                schema.parse_time if c == "collect_time" else float)
+               for c in CSV_COLUMNS]
+    records: list[tuple[float, int, int, RawRecord]] = []
+    skipped: list[tuple[int, str]] = []
+    reader = csv.DictReader(io.StringIO(body, newline=""), header)
+    for rownum, row in enumerate(reader, start=1):
+        try:
+            rec = RawRecord(*[parse(row[c]) for c, parse in parsers])
+            rec.validate()
+        except (ValueError, TypeError) as exc:
+            skipped.append((rownum, str(exc)))
+            continue
+        records.append((rec.collect_time, rec.location_id, rownum, rec))
     records.sort(key=lambda item: (item[0], item[1], item[2]))
     return LoadReport(records=[item[3] for item in records], skipped_rows=skipped)
 
@@ -233,6 +305,12 @@ def write_records(path, records: list[RawRecord]) -> None:
                              for c in CSV_COLUMNS])
 
 
+def _columns(records: list[RawRecord], names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """One float64 array per named field, over the records in order."""
+    values = np.array(list(map(attrgetter(*names), records)), dtype=float)
+    return dict(zip(names, np.ascontiguousarray(values.reshape(len(records), len(names)).T)))
+
+
 def fit_standardizer(train_records: list[RawRecord],
                      time_range: tuple[float, float] | None = None) -> PreprocessStats:
     """Population mean/std per numeric feature over the given records.
@@ -242,44 +320,71 @@ def fit_standardizer(train_records: list[RawRecord],
     """
     if not train_records:
         raise EmptyDatasetError("cannot fit a standardizer on zero records")
+    cols = _columns(train_records, NUMERIC_FEATURES + ("collect_time",))
     means, stds = {}, {}
     for name in NUMERIC_FEATURES:
-        vals = np.array([getattr(r, name) for r in train_records])
+        vals = cols[name]
         mean = float(vals.mean())
         means[name] = mean
         stds[name] = float(np.sqrt(np.mean((vals - mean) ** 2)))
     if time_range is None:
-        times = [r.collect_time for r in train_records]
+        times = cols["collect_time"].tolist()
         time_range = (min(times), max(times))
     return PreprocessStats(means=means, stds=stds,
                            t_min=float(time_range[0]), t_max=float(time_range[1]))
+
+
+def _feature_matrix(records: list[RawRecord], stats: PreprocessStats,
+                    schema: FeatureSchema) -> np.ndarray:
+    """x_full of every record, one row each (layout: FeatureSchema).
+
+    Elementwise over columns, with PreprocessStats' formulas: each entry is
+    the float the scalar standardize and rescale_time give.
+    """
+    k = len(schema.env_features)
+    head = (*schema.env_features, "detect_info")
+    tail = ("detect_conf", "longitude_gcj", "latitude_gcj")
+    cols = _columns(records, (*head, *tail, "collect_time", "distress_type"))
+    unknown = ~np.isin(cols["distress_type"], DISTRESS_TYPES)
+    if unknown.any():
+        code = records[int(np.argmax(unknown))].distress_type
+        raise EncodingError(f"unknown distress_type code {code}")
+    x = np.empty((len(records), schema.dim_full))
+    for j, name in enumerate(head):
+        x[:, j] = stats.standardize(name, cols[name])
+    x[:, k + 1:k + 1 + len(DISTRESS_TYPES)] = cols["distress_type"][:, None] == DISTRESS_TYPES
+    for j, name in enumerate(tail, start=k + 1 + len(DISTRESS_TYPES)):
+        x[:, j] = stats.standardize(name, cols[name])
+    if stats.t_max == stats.t_min:
+        x[:, -1] = 0.0
+    else:  # min(1, max(0, t)) as Python takes it: NaN maps to 0
+        t = (cols["collect_time"] - stats.t_min) / (stats.t_max - stats.t_min)
+        t = np.where(t > 0.0, t, 0.0)
+        x[:, -1] = np.where(t < 1.0, t, 1.0)
+    return x
+
+
+def _processed(records: list[RawRecord], stats: PreprocessStats,
+               schema: FeatureSchema, first_id: int) -> list[ProcessedNode]:
+    """One node per record, ids from first_id, each x_full a row of one matrix."""
+    return [ProcessedNode(node_id=i, location_id=r.location_id, x_full=x,
+                          y=r.detect_info, t_raw=r.collect_time,
+                          coords=(r.longitude_gcj, r.latitude_gcj))
+            for i, r, x in zip(range(first_id, first_id + len(records)), records,
+                               _feature_matrix(records, stats, schema))]
 
 
 def apply_preprocess(record: RawRecord, stats: PreprocessStats,
                      schema: FeatureSchema = FeatureSchema(),
                      node_id: int = -1) -> ProcessedNode:
     """Assemble x_full / x_st for one record under fitted statistics."""
-    if record.distress_type not in DISTRESS_TYPES:
-        raise EncodingError(f"unknown distress_type code {record.distress_type}")
-    x_full = np.array([
-        *(stats.standardize(name, getattr(record, name)) for name in schema.env_features),
-        stats.standardize("detect_info", record.detect_info),
-        *(float(code == record.distress_type) for code in DISTRESS_TYPES),
-        stats.standardize("detect_conf", record.detect_conf),
-        stats.standardize("longitude_gcj", record.longitude_gcj),
-        stats.standardize("latitude_gcj", record.latitude_gcj),
-        stats.rescale_time(record.collect_time)])
-    return ProcessedNode(node_id=node_id, location_id=record.location_id,
-                         x_full=x_full, y=record.detect_info,
-                         t_raw=record.collect_time,
-                         coords=(record.longitude_gcj, record.latitude_gcj))
+    return _processed([record], stats, schema, node_id)[0]
 
 
 def preprocess_records(records: list[RawRecord], stats: PreprocessStats,
                        schema: FeatureSchema = FeatureSchema()) -> list[ProcessedNode]:
     """Preprocess a time-sorted record list, assigning node ids 0..n-1."""
-    return [apply_preprocess(r, stats, schema, node_id=i)
-            for i, r in enumerate(records)]
+    return _processed(records, stats, schema, 0)
 
 
 def split_segment(items: list, fractions: tuple[float, float, float] = (0.1, 0.7, 0.2)):

@@ -166,9 +166,9 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     k = len(ids)
     rows = [nodes[i] for i in ids.tolist()]
     x_full = np.stack([p.x_full for p in rows])
-    x_st = np.stack([p.x_st for p in rows])
+    x_st = np.ascontiguousarray(x_full[:, -3:])  # ProcessedNode's x_st and t_norm
+    t_norm = x_full[:, -1]
     y = np.array([p.y for p in rows])
-    t_norm = np.array([p.t_norm for p in rows])
 
     # the kept parent edges, renumbered to rows; row r's self loop sits at
     # offsets[r] + r, its parents right after it
@@ -196,9 +196,11 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
 
     # mean of [x_full || y] over ranked parents, summed in edge order
     top = graph.origin[pos] == TOP
-    top_pool = np.zeros((k, x_full.shape[1] + 1))
-    np.add.at(top_pool, child[top], np.column_stack([x_full, y])[parent[top]])
-    n_top = np.bincount(child[top], minlength=k)
+    top_child = child[top]
+    top_pool = np.empty((k, x_full.shape[1] + 1))
+    for j, col in enumerate(np.vstack([x_full.T, y])[:, parent[top]]):
+        top_pool[:, j] = np.bincount(top_child, weights=col, minlength=k)
+    n_top = np.bincount(top_child, minlength=k)
     top_pool[n_top > 0] /= n_top[n_top > 0, None]
     return GraphTensors(
         x_full=x_full, x_st=x_st, y=y, layout=ng.EdgeLayout(src, counts),

@@ -341,6 +341,31 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsy
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("build-graph", "--config", "{dir}", "--out", "{out}"),
+    ("predict", "--checkpoint", "{dir}", "--location", "1", "--time", "5"),
+    ("build-graph", "--config", "{config}", "--set", "dataset.csv={dir}", "--out", "{out}"),
+], ids=["config", "checkpoint", "dataset-csv"])
+def test_directory_path_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsys,
+                                                    argv):
+    names = dict(dir=str(tmp_path), out=str(tmp_path / "x"), config=tiny_config_file)
+    assert run_cli(*(arg.format(**names) for arg in argv)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Is a directory" in err[0]
+
+
+def test_non_utf8_csv_exits_2_naming_the_file(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "data"
+    assert run_cli("gen-data", "--config", tiny_config_file, "--out", str(out)) == 0
+    csv_path = out / "data.csv"
+    csv_path.write_bytes(csv_path.read_bytes().replace(b"\n", b"\xe9\n", 3))
+    capsys.readouterr()
+    assert run_cli("build-graph", "--config", tiny_config_file,
+                   "--set", f"dataset.csv={csv_path}", "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "data.csv is not UTF-8" in err[0]
+
+
 def test_diverging_training_exits_2_with_one_error_line(tmp_path, tiny_config_file,
                                                         capsys):
     # a finite lr this large overflows the weights after one step

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -101,6 +102,150 @@ def test_load_iso8601_timestamps(tmp_path):
 def test_unknown_time_format_rejected_at_construction():
     with pytest.raises(ds.SchemaError, match="unix"):
         ds.CsvSchema(time_format="unix")
+
+
+def test_load_drops_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    ds.write_records(plain, [make_record(loc=1, t=5.0), make_record(loc=2, t=3.0)])
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert ds.load_records(marked) == ds.load_records(plain)
+    assert len(ds.load_records(marked).records) == 2
+
+
+@pytest.mark.parametrize("schema", [ds.CsvSchema(), ds.CsvSchema(time_format="iso8601")])
+def test_load_non_utf8_file_raises_schema_error_naming_it(tmp_path, schema):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((FIXTURE_HEADER + "\n").encode()
+                     + "1,121.0,31.0,5.0,1,1,1,1,1,1,1,1,2.0,0.9,11 caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ds.SchemaError, match="latin1.csv.*not UTF-8"):
+        ds.load_records(path, schema)
+
+
+def test_load_repeated_header_name_reads_its_last_column(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text(FIXTURE_HEADER + ",detect_info\n"
+                    + "1,121.0,31.0,5.0,1,1,1,1,1,1,1,1,-4.0,0.9,11,3.5\n")
+    header, body = ds._read_csv(path)
+    assert ds._load_columns(header, body).records[0].detect_info == 3.5
+    assert ds.load_records(path) == ds._load_rows(header, body, ds.CsvSchema())
+
+
+def test_strict_reader_reads_what_write_records_writes(tmp_path, default_synthetic):
+    path = tmp_path / "synth.csv"
+    ds.write_records(path, default_synthetic)
+    header, body = ds._read_csv(path)
+    assert ds._load_columns(header, body) == ds._load_rows(header, body, ds.CsvSchema())
+
+
+_NASTY_CELLS = ("1_0", "\u0661\u0662", "\uff11", " 5 ", "+5", "-0", "0011", "1e5", "1E+05",
+                ".5", "5.", "+.5e-3", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                "+iNF", "nan(1)", "1e400", "-1e-400", "", " ", "+", "-", "#5", "# 1",
+                "0x1p3", "\xa01.5", "1.5\u2028", "99999999999999999999", "1.0", "11.0",
+                "1,5", "5\t")
+
+
+_SPELLINGS = (repr, "{:g}".format, "{:.3e}".format, "{:.17g}".format)
+# readings every column accepts (few, so rows tie on time and location),
+# and readings that fail a check or are out of some column's range
+_ORDINARY = tuple(spell(v) for v in (0.0, -0.0, 0.5, 1.0, 1e-300, 0.1) for spell in _SPELLINGS)
+_EDGE = tuple(spell(v) for v in (-0.25, 1.5, 121.4567, 1e308, -7.5e-5, math.nan,
+                                 math.inf, -math.inf) for spell in _SPELLINGS)
+_NASTY = ("1_0", "\u0661\u0662", "\uff11", " 5 ", "+5", "-0", "0011", "1e5", "1E+05",
+          ".5", "5.", "+.5e-3", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+          "+iNF", "nan(1)", "1e400", "-1e-400", "", " ", "+", "-", "#5", "# 1",
+          "0x1p3", "\xa01.5", "1.5\u2028", "99999999999999999999", "1.0", "11.0",
+          "1,5", "5\t")
+
+
+def _cell(name):
+    """An ordinary cell of a column: both readers parse it and it passes."""
+    if name == "distress_type":
+        return st.sampled_from(ds.DISTRESS_TYPES).map(str)
+    if name == "location_id":
+        return st.integers(0, 3).map(str)
+    if name in ds.CSV_COLUMNS:
+        return st.sampled_from(_ORDINARY)
+    return st.sampled_from(["", "a", "b 1", "#", "12.5", "\t"])  # an extra column's free text
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text, and whether every line is one the strict reader must accept."""
+    extra = draw(st.lists(st.sampled_from(["note", "extra", *ds.CSV_COLUMNS]), max_size=3))
+    header = draw(st.permutations([*ds.CSV_COLUMNS, *extra]))
+    clean, lines = True, [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["ordinary"] * 5 + ["edge", "float", "int", "nasty",
+                                                        "fuzz", "short", "long", "quoted",
+                                                        "blank", "spaces"]))
+        cells = [draw(_cell(name)) for name in header]
+        k = draw(st.integers(0, len(cells) - 1))
+        if kind in ("edge", "float"):  # in a float column: parsed, maybe refused
+            k = draw(st.sampled_from([i for i, name in enumerate(header)
+                                      if name in ds.CSV_COLUMNS
+                                      and name not in ("location_id", "distress_type")]))
+            cells[k] = draw(st.sampled_from(_EDGE) if kind == "edge" else
+                            st.tuples(st.floats(), st.sampled_from(_SPELLINGS))
+                            .map(lambda v: v[1](v[0])))
+        elif kind == "int":
+            cells[k] = str(draw(st.integers(-2**63, 2**63 - 1) | st.sampled_from([12, -11])))
+        elif kind == "nasty":
+            cells[k] = draw(st.sampled_from(_NASTY))
+        elif kind == "fuzz":
+            cells[k] = draw(st.text(alphabet="0123456789+-.eE_ naifINF#x\t\xa0\u0661",
+                                    max_size=6))
+        elif kind == "short":
+            cells = cells[:k]
+        elif kind == "long":
+            cells += ["7", "x"][:draw(st.integers(1, 2))]
+        elif kind == "quoted":
+            cells[k] = draw(st.sampled_from(['"{}"'.format(cells[k]), '"1,2"', '"a""b"']))
+        line = {"blank": "", "spaces": draw(st.sampled_from([" ", "\t", "  "]))}.get(
+            kind, ",".join(cells))
+        clean &= kind in ("ordinary", "edge", "float", "long", "blank")
+        lines.append(line)
+    ends = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    if ends == "mixed":  # CRLF, LF and now and then a lone CR between lines
+        seps = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        clean &= "\r" not in seps
+    else:
+        seps = [ends] * len(lines)
+    seps[-1] = draw(st.sampled_from([seps[-1], ""]))  # with or without a final line end
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(line + sep for line, sep in zip(lines, seps)), clean
+
+
+@settings(deadline=None, max_examples=200)
+@given(csv_files(), st.sampled_from(ds.TIME_FORMATS))
+def test_strict_reader_and_row_parser_agree(tmp_path_factory, file, time_format):
+    text, clean = file
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    header, body = ds._read_csv(path)
+    rows = ds._load_rows(header, body, ds.CsvSchema())
+    try:
+        strict = ds._load_columns(header, body)
+    except ValueError:
+        assert not clean, "the strict reader refused a file it should read"
+    else:
+        assert strict == rows
+        assert ([tuple(map(type, astuple(r))) for r in strict.records]
+                == [tuple(map(type, astuple(r))) for r in rows.records])
+    schema = ds.CsvSchema(time_format=time_format)
+    assert ds.load_records(path, schema) == ds._load_rows(header, body, schema)
+
+
+def test_iso8601_timestamps_take_the_row_parser(tmp_path):
+    path = tmp_path / "iso.csv"
+    path.write_text(FIXTURE_HEADER + "\n"
+                    + "1,121.0,31.0,1970-01-03T00:00:00+00:00,1,1,1,1,1,1,1,1,2.0,0.9,11\n"
+                    + "2,121.0,31.0,4.0,1,1,1,1,1,1,1,1,2.0,0.9,11\n")
+    header, body = ds._read_csv(path)
+    with pytest.raises(ValueError):
+        ds._load_columns(header, body)
+    report = ds.load_records(path, ds.CsvSchema(time_format="iso8601"))
+    assert [r.location_id for r in report.records] == [1]
+    assert report.skipped_rows == [(2, "Invalid isoformat string: '4.0'")]
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +350,51 @@ def test_x_st_is_exact_slice_of_x_full(info, conf, dtype, temp, t):
     assert np.array_equal(node.x_st, node.x_full[-3:])
     onehot = node.x_full[len(ds.ENV_FEATURES) + 1: len(ds.ENV_FEATURES) + 6]
     assert onehot.sum() == 1.0 and (onehot == 1.0).sum() == 1
+
+
+def _scalar_x_full(r, stats, schema):
+    """x_full one value at a time, with PreprocessStats' scalar formulas."""
+    return np.array([*(stats.standardize(n, getattr(r, n)) for n in schema.env_features),
+                     stats.standardize("detect_info", r.detect_info),
+                     *(float(code == r.distress_type) for code in ds.DISTRESS_TYPES),
+                     stats.standardize("detect_conf", r.detect_conf),
+                     stats.standardize("longitude_gcj", r.longitude_gcj),
+                     stats.standardize("latitude_gcj", r.latitude_gcj),
+                     stats.rescale_time(r.collect_time)])
+
+
+_READINGS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5.0, math.nan, math.inf])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.lists(_READINGS, min_size=12, max_size=12),
+                          st.sampled_from(ds.DISTRESS_TYPES)), min_size=1, max_size=12),
+       st.integers(0, 11), st.sampled_from([None, (20.0, 80.0), (50.0, 50.0)]),
+       st.sampled_from([(), ("humidity",), ("cloud", "min_tem")]))
+def test_feature_rows_equal_the_scalar_formulas(rows, n_fit, time_range, masked):
+    names = [n for n in ds.NUMERIC_FEATURES if n not in ("longitude_gcj", "latitude_gcj")]
+    recs = [make_record(loc=i, lon=v[10], lat=v[11], t=v[9] * 0.1 + 50.0, dtype=dtype,
+                        **dict(zip(names, v)))
+            for i, (v, dtype) in enumerate(rows)]
+    schema = ds.FeatureSchema()
+    for name in masked:
+        schema = schema.without_env(name)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf readings
+        stats = ds.fit_standardizer(recs[:n_fit + 1], time_range)
+        for name in ds.NUMERIC_FEATURES:  # the fit's formulas, one column at a time
+            vals = np.array([getattr(r, name) for r in recs[:n_fit + 1]])
+            mean = float(vals.mean())
+            std = float(np.sqrt(np.mean((vals - mean) ** 2)))
+            assert np.array([stats.means[name], stats.stds[name]]).tobytes() \
+                == np.array([mean, std]).tobytes()
+        nodes = ds.preprocess_records(recs, stats, schema)
+    for i, (r, node) in enumerate(zip(recs, nodes)):
+        assert node.x_full.tobytes() == _scalar_x_full(r, stats, schema).tobytes()
+        with np.errstate(invalid="ignore"):
+            one = ds.apply_preprocess(r, stats, schema, node_id=i)
+        assert one.x_full.tobytes() == node.x_full.tobytes()
+        assert (node.node_id, node.location_id, node.t_raw, node.coords) \
+            == (one.node_id, r.location_id, r.collect_time, (r.longitude_gcj, r.latitude_gcj))
 
 
 def test_feature_schema_dims_and_env_masking():

@@ -11,7 +11,8 @@ holds the host, the command, every run's raw end-to-end metrics and
 operation counts, and per workload and metric the median and quartiles
 over the seeds. Given two checkouts, a before and an after, it also
 prints on how many seeds the second beat the first, per workload and
-metric.
+metric. The checkouts' resolved paths must have one length, since that
+length alone moves `peak_rss_mb` (it exits 2 otherwise).
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ def main(argv=None) -> int:
     parser.add_argument("checkouts", type=Path, nargs="*", default=[ROOT],
                         help="checkouts to measure (default: this repository)")
     repos = [path.resolve() for path in parser.parse_args(argv).checkouts]
+    if len({len(str(repo)) for repo in repos}) > 1:
+        print("error: the checkouts' resolved paths differ in length: "
+              + ", ".join(f"{repo} ({len(str(repo))})" for repo in repos), file=sys.stderr)
+        return 2
     commits = [_git(repo, "rev-parse", "HEAD") for repo in repos]
     runs = [{w: [] for w in WORKLOADS} for _ in repos]
     sides = list(zip(repos, commits, runs))
