@@ -305,10 +305,10 @@ def write_records(path, records: list[RawRecord]) -> None:
                              for c in CSV_COLUMNS])
 
 
-def _columns(records: list[RawRecord], names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """One float64 array per named field, over the records in order."""
+def _columns(records: list[RawRecord], names: tuple[str, ...]) -> np.ndarray:
+    """The named fields of the records as float64, one contiguous row per name."""
     values = np.array(list(map(attrgetter(*names), records)), dtype=float)
-    return dict(zip(names, np.ascontiguousarray(values.reshape(len(records), len(names)).T)))
+    return values.reshape(len(records), len(names)).T.copy()
 
 
 def fit_standardizer(train_records: list[RawRecord],
@@ -320,20 +320,20 @@ def fit_standardizer(train_records: list[RawRecord],
     """
     if not train_records:
         raise EmptyDatasetError("cannot fit a standardizer on zero records")
-    cols = _columns(train_records, NUMERIC_FEATURES + ("collect_time",))
+    *cols, times = _columns(train_records, NUMERIC_FEATURES + ("collect_time",))
     means, stds = {}, {}
-    for name in NUMERIC_FEATURES:
-        vals = cols[name]
+    for name, vals in zip(NUMERIC_FEATURES, cols):
         mean = float(vals.mean())
         means[name] = mean
         stds[name] = float(np.sqrt(np.mean((vals - mean) ** 2)))
     if time_range is None:
-        times = cols["collect_time"].tolist()
+        times = times.tolist()
         time_range = (min(times), max(times))
     return PreprocessStats(means=means, stds=stds,
                            t_min=float(time_range[0]), t_max=float(time_range[1]))
 
 
+@np.errstate(invalid="ignore", over="ignore")  # silent, like the scalar formulas
 def _feature_matrix(records: list[RawRecord], stats: PreprocessStats,
                     schema: FeatureSchema) -> np.ndarray:
     """x_full of every record, one row each (layout: FeatureSchema).
@@ -341,27 +341,25 @@ def _feature_matrix(records: list[RawRecord], stats: PreprocessStats,
     Elementwise over columns, with PreprocessStats' formulas: each entry is
     the float the scalar standardize and rescale_time give.
     """
-    k = len(schema.env_features)
-    head = (*schema.env_features, "detect_info")
-    tail = ("detect_conf", "longitude_gcj", "latitude_gcj")
-    cols = _columns(records, (*head, *tail, "collect_time", "distress_type"))
-    unknown = ~np.isin(cols["distress_type"], DISTRESS_TYPES)
-    if unknown.any():
-        code = records[int(np.argmax(unknown))].distress_type
+    k = len(schema.env_features) + 1  # the standardized columns before the one-hot
+    names = (*schema.env_features, "detect_info", "detect_conf", "longitude_gcj", "latitude_gcj")
+    cols = _columns(records, (*names, "collect_time", "distress_type"))
+    times, types = cols[-2], cols[-1]
+    onehot = types[:, None] == DISTRESS_TYPES
+    known = onehot.any(axis=1)
+    if not known.all():
+        code = records[int(np.argmin(known))].distress_type
         raise EncodingError(f"unknown distress_type code {code}")
-    x = np.empty((len(records), schema.dim_full))
-    for j, name in enumerate(head):
-        x[:, j] = stats.standardize(name, cols[name])
-    x[:, k + 1:k + 1 + len(DISTRESS_TYPES)] = cols["distress_type"][:, None] == DISTRESS_TYPES
-    for j, name in enumerate(tail, start=k + 1 + len(DISTRESS_TYPES)):
-        x[:, j] = stats.standardize(name, cols[name])
+    means = np.array([stats.means[name] for name in names])
+    stds = np.array([stats.stds[name] for name in names])
+    flat = stds == 0.0
+    z = np.where(flat, 0.0, (cols[:-2].T - means) / np.where(flat, 1.0, stds))
     if stats.t_max == stats.t_min:
-        x[:, -1] = 0.0
+        t = np.zeros(len(records))
     else:  # min(1, max(0, t)) as Python takes it: NaN maps to 0
-        t = (cols["collect_time"] - stats.t_min) / (stats.t_max - stats.t_min)
-        t = np.where(t > 0.0, t, 0.0)
-        x[:, -1] = np.where(t < 1.0, t, 1.0)
-    return x
+        t = (times - stats.t_min) / (stats.t_max - stats.t_min)
+        t = np.where(t > 0.0, np.where(t < 1.0, t, 1.0), 0.0)
+    return np.concatenate([z[:, :k], onehot, z[:, k:], t[:, None]], axis=1)
 
 
 def _processed(records: list[RawRecord], stats: PreprocessStats,

@@ -339,6 +339,13 @@ def test_unknown_type_rejected():
         ds.apply_preprocess(bad, stats)
 
 
+def test_unknown_type_named_is_the_first_in_record_order():
+    stats = ds.fit_standardizer([make_record()])
+    recs = [make_record(dtype=11), make_record(dtype=12), make_record(dtype=99)]
+    with pytest.raises(ds.EncodingError, match="code 12$"):
+        ds.preprocess_records(recs, stats)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.floats(0, 50), st.floats(0, 1), st.sampled_from(ds.DISTRESS_TYPES),
        st.floats(-10, 40), st.floats(0, 400))
