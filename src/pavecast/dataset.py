@@ -19,7 +19,12 @@ reasons included. The input decides which path runs.
 
 Preprocessing is columnar too: the statistics are fitted on column arrays,
 and the feature vectors of a record list are the rows of one matrix built
-with elementwise operations.
+with elementwise operations. Forecast queries get their nodes the same way:
+query_nodes builds the rows for a batch of (location, coordinates, time)
+columns, zero but for the spatial-temporal tail and with no reading, and
+with_readings writes a batch of forecasts into such rows. One pair of
+helpers holds the standardization formulas for all three, so x_full's
+layout has a single implementation.
 
 The synthetic generator plants a spatially correlated, temporally increasing
 deterioration field observed through an irregular, sparse, asynchronous
@@ -71,6 +76,8 @@ _INT_COLUMNS = ("location_id", "distress_type")  # the rest are floats
 _RECORD_DTYPE = np.dtype([(c, np.int64 if c in _INT_COLUMNS else np.float64)
                           for c in CSV_COLUMNS])
 TIME_FORMATS = ("days", "iso8601")
+COORD_BOUNDS = {"longitude_gcj": 180.0, "latitude_gcj": 90.0}  # |coordinate| on Earth, degrees
+_COORDS = tuple(COORD_BOUNDS)  # standardized in x_full's tail, before time
 
 
 @dataclass
@@ -98,6 +105,10 @@ class RawRecord:
                if c not in _INT_COLUMNS and not math.isfinite(getattr(self, c))]
         if bad:
             raise ValueError(f"non-finite {', '.join(bad)}")
+        for name, bound in COORD_BOUNDS.items():
+            if not -bound <= getattr(self, name) <= bound:
+                raise ValueError(f"{name} must be in [-{bound}, {bound}], "
+                                 f"got {getattr(self, name)}")
         if self.detect_info < 0:
             raise ValueError(f"detect_info must be >= 0, got {self.detect_info}")
         if not 0.0 <= self.detect_conf <= 1.0:
@@ -189,9 +200,9 @@ class PreprocessStats:
 @dataclass
 class ProcessedNode:
     """A graph node: full feature vector and raw target. The spatial-temporal
-    vector x_st and the rescaled time t_norm are read from x_full's tail."""
+    vector x_st and the rescaled time t_norm are read from x_full's tail. A
+    node's id is its position in the node list."""
 
-    node_id: int
     location_id: int
     x_full: np.ndarray
     y: float
@@ -263,6 +274,8 @@ def _load_columns(header: list[str], body: str) -> LoadReport:
     for c in CSV_COLUMNS:
         if c not in _INT_COLUMNS:
             bad |= ~np.isfinite(table[c])
+    for c, bound in COORD_BOUNDS.items():
+        bad |= np.abs(table[c]) > bound
     skipped = []
     for i in np.flatnonzero(bad).tolist():
         try:
@@ -334,6 +347,26 @@ def fit_standardizer(train_records: list[RawRecord],
 
 
 @np.errstate(invalid="ignore", over="ignore")  # silent, like the scalar formulas
+def _standardized(stats: PreprocessStats, names: tuple[str, ...], cols) -> np.ndarray:
+    """PreprocessStats.standardize of every entry of cols (one row per name),
+    one column per name."""
+    means = np.array([stats.means[name] for name in names])
+    stds = np.array([stats.stds[name] for name in names])
+    flat = stds == 0.0
+    return np.where(flat, 0.0, (np.asarray(cols, dtype=float).T - means)
+                    / np.where(flat, 1.0, stds))
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _rescaled(stats: PreprocessStats, times: np.ndarray) -> np.ndarray:
+    """PreprocessStats.rescale_time of every entry of times."""
+    if stats.t_max == stats.t_min:
+        return np.zeros(len(times))
+    # min(1, max(0, t)) as Python takes it: NaN maps to 0
+    t = (times - stats.t_min) / (stats.t_max - stats.t_min)
+    return np.where(t > 0.0, np.where(t < 1.0, t, 1.0), 0.0)
+
+
 def _feature_matrix(records: list[RawRecord], stats: PreprocessStats,
                     schema: FeatureSchema) -> np.ndarray:
     """x_full of every record, one row each (layout: FeatureSchema).
@@ -342,47 +375,50 @@ def _feature_matrix(records: list[RawRecord], stats: PreprocessStats,
     the float the scalar standardize and rescale_time give.
     """
     k = len(schema.env_features) + 1  # the standardized columns before the one-hot
-    names = (*schema.env_features, "detect_info", "detect_conf", "longitude_gcj", "latitude_gcj")
+    names = (*schema.env_features, "detect_info", "detect_conf", *_COORDS)
     cols = _columns(records, (*names, "collect_time", "distress_type"))
-    times, types = cols[-2], cols[-1]
-    onehot = types[:, None] == DISTRESS_TYPES
+    onehot = cols[-1][:, None] == DISTRESS_TYPES
     known = onehot.any(axis=1)
     if not known.all():
         code = records[int(np.argmin(known))].distress_type
         raise EncodingError(f"unknown distress_type code {code}")
-    means = np.array([stats.means[name] for name in names])
-    stds = np.array([stats.stds[name] for name in names])
-    flat = stds == 0.0
-    z = np.where(flat, 0.0, (cols[:-2].T - means) / np.where(flat, 1.0, stds))
-    if stats.t_max == stats.t_min:
-        t = np.zeros(len(records))
-    else:  # min(1, max(0, t)) as Python takes it: NaN maps to 0
-        t = (times - stats.t_min) / (stats.t_max - stats.t_min)
-        t = np.where(t > 0.0, np.where(t < 1.0, t, 1.0), 0.0)
-    return np.concatenate([z[:, :k], onehot, z[:, k:], t[:, None]], axis=1)
-
-
-def _processed(records: list[RawRecord], stats: PreprocessStats,
-               schema: FeatureSchema, first_id: int) -> list[ProcessedNode]:
-    """One node per record, ids from first_id, each x_full a row of one matrix."""
-    return [ProcessedNode(node_id=i, location_id=r.location_id, x_full=x,
-                          y=r.detect_info, t_raw=r.collect_time,
-                          coords=(r.longitude_gcj, r.latitude_gcj))
-            for i, r, x in zip(range(first_id, first_id + len(records)), records,
-                               _feature_matrix(records, stats, schema))]
-
-
-def apply_preprocess(record: RawRecord, stats: PreprocessStats,
-                     schema: FeatureSchema = FeatureSchema(),
-                     node_id: int = -1) -> ProcessedNode:
-    """Assemble x_full / x_st for one record under fitted statistics."""
-    return _processed([record], stats, schema, node_id)[0]
+    z = _standardized(stats, names, cols[:-2])
+    return np.concatenate([z[:, :k], onehot, z[:, k:], _rescaled(stats, cols[-2])[:, None]],
+                          axis=1)
 
 
 def preprocess_records(records: list[RawRecord], stats: PreprocessStats,
                        schema: FeatureSchema = FeatureSchema()) -> list[ProcessedNode]:
-    """Preprocess a time-sorted record list, assigning node ids 0..n-1."""
-    return _processed(records, stats, schema, 0)
+    """One node per record, in order, each x_full a row of one matrix."""
+    return [ProcessedNode(location_id=r.location_id, x_full=x, y=r.detect_info,
+                          t_raw=r.collect_time, coords=(r.longitude_gcj, r.latitude_gcj))
+            for r, x in zip(records, _feature_matrix(records, stats, schema))]
+
+
+def query_nodes(location_id: list[int], lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray,
+                stats: PreprocessStats, schema: FeatureSchema) -> list[ProcessedNode]:
+    """One node per query column entry, for a time not yet observed.
+
+    x_full is zero but for the spatial-temporal tail, which is what a
+    record at those coordinates and time would have there; y is NaN.
+    """
+    x_full = np.zeros((len(t_raw), schema.dim_full))
+    x_full[:, -3:-1] = _standardized(stats, _COORDS, (lon, lat))
+    x_full[:, -1] = _rescaled(stats, t_raw)
+    return [ProcessedNode(location_id=loc, x_full=x, y=math.nan, t_raw=t, coords=(lo, la))
+            for loc, x, t, lo, la in zip(location_id, x_full, t_raw.tolist(),
+                                         lon.tolist(), lat.tolist())]
+
+
+def with_readings(nodes: list[ProcessedNode], values: np.ndarray, stats: PreprocessStats,
+                  schema: FeatureSchema) -> list[ProcessedNode]:
+    """Copies of nodes holding values as their deterioration readings: as y, and
+    standardized in x_full's detect_info slot. The other slots stay as they
+    are; in a query node the environmental, confidence and type slots are
+    zero, the training mean in standardized space."""
+    x_full = np.stack([p.x_full for p in nodes])
+    x_full[:, len(schema.env_features)] = _standardized(stats, ("detect_info",), [values])[:, 0]
+    return [replace(p, x_full=x, y=v) for p, x, v in zip(nodes, x_full, values.tolist())]
 
 
 def split_segment(items: list, fractions: tuple[float, float, float] = (0.1, 0.7, 0.2)):

@@ -396,10 +396,13 @@ def first_nonfinite_primitive(gt: GraphTensors, params: dict[str, np.ndarray],
 
 
 def attention_sum_deviation(probes: list["CoefficientProbe"]) -> float:
-    """Max |sum of coefficients - 1| over every (target, head)."""
+    """Max |sum of coefficients - 1| over every (target, head).
+
+    bincount adds each target's coefficients in edge order from 0.0, as
+    np.add.at would, so the sums keep their bits.
+    """
     worst = 0.0
     for probe in probes:
-        sums = np.zeros(probe.n)
-        np.add.at(sums, probe.seg_ids, probe.values)
+        sums = np.bincount(probe.seg_ids, weights=probe.values, minlength=probe.n)
         worst = max(worst, float(np.max(np.abs(sums - 1.0))))
     return worst

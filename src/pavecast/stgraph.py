@@ -422,8 +422,8 @@ def build_graph(nodes_meta: list[GraphNode], init_count: int,
 
 
 def graph_nodes_from_processed(nodes, init_count: int = 0) -> list[GraphNode]:
-    """GraphNode metadata from ProcessedNode objects (ids must be 0..n-1)."""
-    return [GraphNode(node_id=p.node_id, lon=p.coords[0], lat=p.coords[1],
+    """GraphNode metadata from ProcessedNode objects, numbered by position."""
+    return [GraphNode(node_id=i, lon=p.coords[0], lat=p.coords[1],
                       t_raw=p.t_raw, t_norm=p.t_norm, is_init=(i < init_count))
             for i, p in enumerate(nodes)]
 

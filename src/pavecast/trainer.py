@@ -4,32 +4,41 @@ Training runs full-batch over the initialization + training graph with the
 mean-absolute-error loss taken over training nodes only (initialization
 nodes pass messages but are never scored). Prediction is graph
 autoregression. predict_sequence answers a query list under a continuation
-strategy: it appends every query as a node carrying spatial-temporal
-features only and wires them all in one call, since a node's parents depend
-on the coordinates and times before it alone. "ignore" wires every query
-against the history; "true" and "predicted" wire each query against
-everything before it, after which the query's node takes its observed
-record or its prediction. predict_sequence reads the caller's graph and
-node list and writes neither: it forecasts on the graph that STGraph.grow
-returns and on a node list of its own.
+strategy: it appends every query as a row and wires them all in one call,
+since a row's parents depend on the coordinates and times before it alone.
+"ignore" wires every query against the history; "true" and "predicted"
+wire each query against everything before it. The rows are built as
+arrays by dataset: a spatial-temporal row per query (dataset.query_nodes),
+or under "true" the query's observed record (dataset.preprocess_records).
+predict_sequence reads the caller's graph and node list and writes neither:
+it forecasts on the graph that STGraph.grow returns and on a node list of
+its own.
 
-Forecasts are level-synchronous. Edges point from older to newer nodes, so
-an L-layer model's prediction for a query reads only the nodes within L
-parent hops of it (its ancestor cone), and a query must wait only for the
-earlier queries inside that cone. A query's level is 1 plus the highest
-level among those, or 1 if there are none (query_levels). Two queries on
-one level are not in each other's cones, so neither reads the other's
-node, and one predict_one step answers the whole level: one
-prepare_tensors over the level's joint ancestor cone and one forward pass,
-after which the level's nodes are written for the levels above. "ignore"
-is the one-level case, one pass for every query. Nothing is cached: each
-step flattens its cone afresh, so nothing goes stale when a strategy
-overwrites a query's node.
+Edges point from older to newer rows, so an L-layer model's prediction for
+a query reads only the rows within L parent hops of it (its ancestor cone),
+and never its own row's features (the leakage barrier: the self loop
+carries only the spatial-temporal representation). Under "ignore" no query
+is in another's cone. Under "true" every row holds its record from the
+start, which is what a later forecast should read of it. Either way one
+predict_one step answers every query: one prepare_tensors over the joint
+ancestor cone and one forward pass.
+
+Only "predicted" writes a forecast back into the graph, so only it has to
+wait: a query's forecast reads its cone's earlier queries, which must hold
+their own forecasts first. Its forecasts are level-synchronous. A query's
+level is 1 plus the highest level among the earlier queries in its cone,
+or 1 if there are none (query_levels). Two queries on one level are not in
+each other's cones, so one predict_one step answers the whole level, after
+which the level's rows take their forecasts (dataset.with_readings) for the
+levels above. Nothing is cached: each step flattens its cone afresh, so
+nothing goes stale when a level's rows are overwritten.
 
 Checkpoints are a JSON manifest followed by little-endian float64 parameter
 sections with per-section checksums; identical (config, seed, data) produce
 byte-identical files. Adam's hyperparameters and step count are kept, its
-moments are not: nothing resumes training from a checkpoint.
+moments are not: nothing resumes training from a checkpoint. The checksums
+do not cover the manifest, so load_checkpoint raises
+CheckpointIntegrityError naming any manifest section it cannot build.
 """
 
 from __future__ import annotations
@@ -37,12 +46,13 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import ndgrad as ng
-from .dataset import FeatureSchema, PreprocessStats, ProcessedNode, RawRecord, apply_preprocess
+from .dataset import (COORD_BOUNDS, FeatureSchema, PreprocessStats, ProcessedNode, RawRecord,
+                      preprocess_records, query_nodes, with_readings)
 from .model import (ModelConfig, attention_sum_deviation, first_nonfinite_primitive,
                     forward_values, init_params, loss_and_grads, prepare_tensors)
 from .stgraph import GraphConfig, STGraph
@@ -162,40 +172,6 @@ class InferenceContext:
     schema: FeatureSchema
 
 
-def _location_coords(nodes: list[ProcessedNode], location_id: int) -> tuple[float, float]:
-    for node in nodes:
-        if node.location_id == location_id:
-            return node.coords
-    raise QueryError(f"location {location_id} has no historical observations")
-
-
-def query_node(ctx: InferenceContext, nodes: list[ProcessedNode], node_id: int,
-               query: Query) -> ProcessedNode:
-    """A feature-bearing node for a future query: spatial-temporal slots only."""
-    if not math.isfinite(query.t_raw):
-        raise QueryError(f"query time {query.t_raw} is not finite")
-    lon, lat = query.coords or _location_coords(nodes, query.location_id)
-    x_full = np.zeros(ctx.schema.dim_full)
-    x_full[-3:] = (ctx.stats.standardize("longitude_gcj", lon),
-                   ctx.stats.standardize("latitude_gcj", lat),
-                   ctx.stats.rescale_time(query.t_raw))
-    return ProcessedNode(node_id=node_id, location_id=query.location_id,
-                         x_full=x_full, y=float("nan"), t_raw=query.t_raw,
-                         coords=(lon, lat))
-
-
-def predicted_node(ctx: InferenceContext, base: ProcessedNode,
-                   yhat: float) -> ProcessedNode:
-    """Commit-ready node carrying a prediction in the deterioration slot.
-
-    Environmental, confidence and type slots stay zero, which is the
-    training mean in standardized space.
-    """
-    x_full = base.x_full.copy()
-    x_full[len(ctx.schema.env_features)] = ctx.stats.standardize("detect_info", yhat)
-    return replace(base, x_full=x_full, y=float(yhat))
-
-
 def query_levels(graph: STGraph, base_n: int) -> np.ndarray:
     """The level of each query row base_n, base_n + 1, ... of a grown graph.
 
@@ -226,14 +202,41 @@ def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode
     Runs one forward pass over the rows' joint ancestor cone only, and reads
     each row's output where prepare_tensors placed it. Edges point from
     older rows to newer ones, so rows after the newest target never enter
-    that cone. Each target's forecast reads its own cone alone, so the rows
-    of one step must not lie in each other's cones: a row would otherwise
-    read another's node before that node took its observed record or its
-    prediction. predict_sequence steps one level at a time, which holds this.
+    that cone. A target may lie in another's cone only if its node already
+    holds what the other's forecast should read of it: its observed record
+    under "true", never a forecast still to be made. Its own forecast does
+    not read its own node's features, which the leakage barrier keeps out.
     """
     gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
                          targets=rows, hops=ctx.model_config.layers)
     return forward_values(gt, ctx.params, ctx.model_config)[gt.targets]
+
+
+def _query_columns(nodes: list[ProcessedNode], queries: list[Query]):
+    """Location ids, longitudes, latitudes and times of the queries.
+
+    A query without coords sits at its location's first history row; the
+    lookup is built once, and only if some query needs it.
+    """
+    times = np.array([q.t_raw for q in queries], dtype=float)
+    if not np.isfinite(times).all():
+        raise QueryError(f"query time {times[~np.isfinite(times)][0]} is not finite")
+    where = {}
+    if not all(q.coords for q in queries):
+        where = {p.location_id: p.coords for p in reversed(nodes)}
+    coords = []
+    for q in queries:
+        at = q.coords or where.get(q.location_id)
+        if at is None:
+            raise QueryError(f"location {q.location_id} has no historical observations")
+        coords.append(at)
+    lon, lat = np.array(coords, dtype=float).reshape(-1, 2).T
+    for name, col in zip(COORD_BOUNDS, (lon, lat)):
+        off = ~(np.abs(col) <= COORD_BOUNDS[name])
+        if off.any():
+            raise QueryError(f"query {name} {col[off][0]} is outside "
+                             f"[-{COORD_BOUNDS[name]}, {COORD_BOUNDS[name]}]")
+    return [q.location_id for q in queries], lon, lat, times
 
 
 def predict_sequence(ctx: InferenceContext, graph: STGraph,
@@ -243,24 +246,27 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
                      allow_past: bool = False) -> np.ndarray:
     """Predict a time-sorted query list under one continuation strategy.
 
-    Every query becomes a node carrying spatial-temporal features only, and
-    one combined_parents call wires them all. "ignore" wires each query
-    against the history alone. allow_past admits ignore-strategy queries
-    timestamped inside the historical span (for generalization splits);
-    their parents are then the no-later history. "true" and "predicted"
-    wire each query against every row before it, earlier queries included.
+    Every query becomes a row, and one combined_parents call wires them all.
+    "ignore" wires each query against the history alone. allow_past admits
+    ignore-strategy queries timestamped inside the historical span (for
+    generalization splits); their parents are then the no-later history.
+    "true" and "predicted" wire each query against every row before it,
+    earlier queries included. A query's coordinates are its own, or its
+    location's first history row's.
 
-    The queries are answered level by level (see query_levels), one
-    predict_one step per level. Two queries on one level are not within L
-    parent hops of each other, so neither forecast reads the other's node
-    and both can share a forward pass; every query within L hops of a query
-    sits on a lower level and has already been answered. After a level, if
-    a later one follows, its queries' nodes take their observed record
-    (caller-supplied, and matching the query's location and time) under
-    "true" or their own prediction under "predicted". Under "ignore" no
-    query has a query parent, so all of them form one level and one pass.
-    The forecast runs on a grown copy of the graph and node list: it reads
-    the caller's and writes neither.
+    Under "ignore" a row carries spatial-temporal features only, and no
+    query has a query parent. Under "true" a row holds its observed record
+    from the start (caller-supplied, and matching the query's location,
+    coordinates and time): a forecast never reads its own row's features,
+    and every earlier query it reads already holds its record. Both take one
+    predict_one pass for every query. Under "predicted" a query's row must
+    hold its forecast before later forecasts read it, so the queries are
+    answered level by level (see query_levels), one predict_one step per
+    level. Two queries on one level are not within L parent hops of each
+    other, so neither forecast reads the other's row; every query within L
+    hops of a query sits on a lower level, and its row took its forecast
+    after that level's step. The forecast runs on a grown copy of the graph
+    and node list: it reads the caller's and writes neither.
     """
     for earlier, later in zip(queries, queries[1:]):
         if later.t_raw < earlier.t_raw:
@@ -282,27 +288,35 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
             and queries[0].t_raw < history[-1]:
         raise QueryError(f"query time {queries[0].t_raw} precedes the latest "
                          "historical observation")
-    qnodes = [query_node(ctx, nodes, base_n + k, q) for k, q in enumerate(queries)]
-    cols = [np.array(col) for col in zip(*((*q.coords, q.t_raw, q.t_norm) for q in qnodes))]
+    locations, lon, lat, t_raw = _query_columns(nodes, queries)
+    if strategy == "true":
+        for r, at in zip(observed, zip(lon.tolist(), lat.tolist())):
+            if (r.longitude_gcj, r.latitude_gcj) != at:
+                raise StrategyError(f"observed record at ({r.longitude_gcj}, "
+                                    f"{r.latitude_gcj}) differs from its query at {at}")
+        rows = preprocess_records(observed, ctx.stats, ctx.schema)
+    else:
+        rows = query_nodes(locations, lon, lat, t_raw, ctx.stats, ctx.schema)
     if strategy == "ignore":
-        limits = np.searchsorted(history, cols[2], side="right")
+        limits = np.searchsorted(history, t_raw, side="right")
     else:
         limits = np.arange(base_n, base_n + len(queries))
-    graph, nodes = graph.grow(cols, limits, ctx.graph_config), nodes + qnodes
+    t_norm = np.array([p.t_norm for p in rows])
+    graph = graph.grow([lon, lat, t_raw, t_norm], limits, ctx.graph_config)
+    nodes = nodes + rows
+    if strategy != "predicted":
+        return predict_one(ctx, graph, nodes, base_n + np.arange(len(queries)))
     levels = query_levels(graph, base_n)
     top = int(levels.max())
     out = np.empty(len(queries))
     for level in range(1, top + 1):
         ks = np.flatnonzero(levels == level)
         out[ks] = predict_one(ctx, graph, nodes, base_n + ks)
-        if level == top:
-            break
-        for k in ks.tolist():
-            row = base_n + k
-            if strategy == "true":
-                nodes[row] = apply_preprocess(observed[k], ctx.stats, ctx.schema, node_id=row)
-            else:
-                nodes[row] = predicted_node(ctx, nodes[row], out[k])
+        if level < top:
+            written = with_readings([nodes[base_n + k] for k in ks], out[ks],
+                                    ctx.stats, ctx.schema)
+            for k, node in zip(ks.tolist(), written):
+                nodes[base_n + k] = node
     return out
 
 
@@ -380,37 +394,53 @@ def load_checkpoint(path) -> Checkpoint:
         manifest = json.loads(raw[20:20 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointIntegrityError(f"manifest unreadable: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointIntegrityError("manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"manifest version {manifest.get('format_version')}, "
             f"this build reads {CHECKPOINT_VERSION}")
 
+    def section(name, build):
+        """build(manifest[name]). The checksums cover the parameters only, so
+        a section that does not build is reported here, by name."""
+        if name not in manifest:
+            raise CheckpointIntegrityError(f"manifest has no {name} section")
+        try:
+            return build(manifest[name])
+        except CheckpointIntegrityError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CheckpointIntegrityError(f"manifest section {name} is malformed: "
+                                           f"{type(exc).__name__}: {exc}") from None
+
     body = raw[20 + mlen:]
-    arrays = {}
-    for entry in manifest["sections"]:
-        blob = body[entry["offset"]: entry["offset"] + entry["nbytes"]]
-        if len(blob) != entry["nbytes"]:
-            raise CheckpointIntegrityError(f"section {entry['name']} truncated")
-        if zlib.crc32(blob) != entry["crc32"]:
-            raise CheckpointIntegrityError(f"section {entry['name']} failed checksum")
-        arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(
-            entry["shape"]).astype(np.float64)
 
-    params = {name.split(":", 1)[1]: arrays[name]
-              for name in arrays if name.startswith("param:")}
-    a = manifest["adam"]
-    adam = ng.AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                        eps=a["eps"], t=a["t"])
+    def arrays(entries):
+        out = {}
+        for entry in entries:
+            blob = body[entry["offset"]: entry["offset"] + entry["nbytes"]]
+            if len(blob) != entry["nbytes"]:
+                raise CheckpointIntegrityError(f"section {entry['name']} truncated")
+            if zlib.crc32(blob) != entry["crc32"]:
+                raise CheckpointIntegrityError(f"section {entry['name']} failed checksum")
+            out[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(
+                entry["shape"]).astype(np.float64)
+        return out
 
-    fs = manifest["feature_schema"]
+    params = {name.split(":", 1)[1]: value
+              for name, value in section("sections", arrays).items()
+              if name.startswith("param:")}
     return Checkpoint(
-        model_config=ModelConfig.from_dict(manifest["model_config"]),
-        graph_config=GraphConfig(**manifest["graph_config"]),
-        train_config=TrainConfig(**manifest["train_config"]),
-        stats=PreprocessStats.from_dict(manifest["stats"]),
-        schema=FeatureSchema(**{**fs, "env_features": tuple(fs["env_features"])}),
-        params=params, adam=adam,
-        loss_trace=list(manifest["loss_trace"]),
-        final_train_mae=manifest["final_train_mae"],
+        model_config=section("model_config", ModelConfig.from_dict),
+        graph_config=section("graph_config", lambda d: GraphConfig(**d)),
+        train_config=section("train_config", lambda d: TrainConfig(**d)),
+        stats=section("stats", PreprocessStats.from_dict),
+        schema=section("feature_schema", lambda fs: FeatureSchema(
+            **{**fs, "env_features": tuple(fs["env_features"])})),
+        params=params, adam=section("adam", lambda a: ng.AdamState(
+            lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"], t=a["t"])),
+        loss_trace=section("loss_trace", list),
+        final_train_mae=section("final_train_mae", float),
         run_config=manifest.get("run_config"),
         attention_max_dev=manifest.get("attention_max_dev"))

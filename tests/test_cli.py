@@ -354,6 +354,35 @@ def test_directory_path_exits_2_with_one_error_line(tmp_path, tiny_config_file, 
     assert len(err) == 1 and err[0].startswith("error: ") and "Is a directory" in err[0]
 
 
+def rewrite_manifest(path, edit):
+    """The checkpoint at path with edit applied to its manifest; the parameter
+    sections and their checksums stay as they are."""
+    raw = path.read_bytes()
+    mlen = int(np.frombuffer(raw[12:20], dtype="<u8")[0])
+    manifest = json.loads(raw[20:20 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode()
+    path.write_bytes(raw[:12] + np.uint64(len(mbytes)).tobytes() + mbytes + raw[20 + mlen:])
+
+
+@pytest.mark.parametrize("edit,section", [
+    (lambda m: m["graph_config"].update(bogus=1), "graph_config"),
+    (lambda m: m.pop("stats"), "stats"),
+    (lambda m: m["model_config"].update(heads="5"), "model_config"),
+], ids=["extra-key", "missing-section", "text-for-int"])
+def test_malformed_checkpoint_manifest_exits_2_naming_the_section(tmp_path, tiny_config_file,
+                                                                 capsys, edit, section):
+    out = tmp_path / "one"
+    assert run_cli("train", "--config", tiny_config_file, "--set", "train.epochs=1",
+                   "--out", str(out)) == 0
+    rewrite_manifest(out / "model.ckpt", edit)
+    capsys.readouterr()
+    assert run_cli("predict", "--checkpoint", str(out / "model.ckpt"),
+                   "--location", "0", "--time", "1e9") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest") and f" {section} " in err[0]
+
+
 def test_non_utf8_csv_exits_2_naming_the_file(tmp_path, tiny_config_file, capsys):
     out = tmp_path / "data"
     assert run_cli("gen-data", "--config", tiny_config_file, "--out", str(out)) == 0

@@ -137,6 +137,26 @@ def test_strict_reader_reads_what_write_records_writes(tmp_path, default_synthet
     assert ds._load_columns(header, body) == ds._load_rows(header, body, ds.CsvSchema())
 
 
+@pytest.mark.parametrize("reader", ["columns", "rows"])
+def test_load_skips_coordinates_off_the_earth(tmp_path, reader):
+    path = tmp_path / "coords.csv"
+    rows = [make_record(loc=1, lat=121.45, lon=31.2),  # swapped
+            make_record(loc=2, lon=400.0),
+            make_record(loc=3, lat=-90.00000000000001),
+            make_record(loc=4, lon=-180.0, lat=90.0),  # on the bounds
+            make_record(loc=5)]
+    ds.write_records(path, rows)
+    header, body = ds._read_csv(path)
+    load = ds._load_columns if reader == "columns" else (
+        lambda h, b: ds._load_rows(h, b, ds.CsvSchema()))
+    report = load(header, body)
+    assert [r.location_id for r in report.records] == [4, 5]
+    assert report.skipped_rows == [
+        (1, "latitude_gcj must be in [-90.0, 90.0], got 121.45"),
+        (2, "longitude_gcj must be in [-180.0, 180.0], got 400.0"),
+        (3, "latitude_gcj must be in [-90.0, 90.0], got -90.00000000000001")]
+
+
 _NASTY_CELLS = ("1_0", "\u0661\u0662", "\uff11", " 5 ", "+5", "-0", "0011", "1e5", "1E+05",
                 ".5", "5.", "+.5e-3", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
                 "+iNF", "nan(1)", "1e400", "-1e-400", "", " ", "+", "-", "#5", "# 1",
@@ -146,10 +166,12 @@ _NASTY_CELLS = ("1_0", "\u0661\u0662", "\uff11", " 5 ", "+5", "-0", "0011", "1e5
 
 _SPELLINGS = (repr, "{:g}".format, "{:.3e}".format, "{:.17g}".format)
 # readings every column accepts (few, so rows tie on time and location),
-# and readings that fail a check or are out of some column's range
+# and readings that fail a check or are out of some column's range, coordinates
+# off the Earth and on its bounds among them
 _ORDINARY = tuple(spell(v) for v in (0.0, -0.0, 0.5, 1.0, 1e-300, 0.1) for spell in _SPELLINGS)
 _EDGE = tuple(spell(v) for v in (-0.25, 1.5, 121.4567, 1e308, -7.5e-5, math.nan,
-                                 math.inf, -math.inf) for spell in _SPELLINGS)
+                                 math.inf, -math.inf, -180.0, 90.00000000000001, -400.0)
+              for spell in _SPELLINGS)
 _NASTY = ("1_0", "\u0661\u0662", "\uff11", " 5 ", "+5", "-0", "0011", "1e5", "1E+05",
           ".5", "5.", "+.5e-3", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
           "+iNF", "nan(1)", "1e400", "-1e-400", "", " ", "+", "-", "#5", "# 1",
@@ -291,14 +313,19 @@ def test_standardized_train_features_are_zero_mean_unit_var():
 
 
 # ---------------------------------------------------------------------------
-# apply_preprocess
+# preprocessing one record
+
+
+def preprocess_one(record, stats, schema=ds.FeatureSchema()):
+    (node,) = ds.preprocess_records([record], stats, schema)
+    return node
 
 
 def test_mean_record_standardizes_to_zero():
     recs = [make_record(t=0.0, min_tem=1.0), make_record(t=10.0, min_tem=3.0)]
     stats = ds.fit_standardizer(recs)
     mean_rec = make_record(t=5.0, min_tem=2.0, lon=121.0, lat=31.0)
-    node = ds.apply_preprocess(mean_rec, stats)
+    node = preprocess_one(mean_rec, stats)
     # every standardized numeric slot is 0 (features equal the training mean)
     env_and_info = node.x_full[: len(ds.ENV_FEATURES) + 1]
     assert np.allclose(env_and_info, 0.0, atol=1e-12)
@@ -308,25 +335,25 @@ def test_mean_record_standardizes_to_zero():
 def test_time_rescale_endpoints():
     recs = [make_record(t=10.0), make_record(t=30.0)]
     stats = ds.fit_standardizer(recs)
-    assert ds.apply_preprocess(recs[0], stats).t_norm == 0.0
-    assert ds.apply_preprocess(recs[1], stats).t_norm == 1.0
+    assert preprocess_one(recs[0], stats).t_norm == 0.0
+    assert preprocess_one(recs[1], stats).t_norm == 1.0
 
 
 def test_time_rescale_clamps_and_degenerate_range():
     recs = [make_record(t=10.0), make_record(t=30.0)]
     stats = ds.fit_standardizer(recs)
-    assert ds.apply_preprocess(make_record(t=99.0), stats).t_norm == 1.0
+    assert preprocess_one(make_record(t=99.0), stats).t_norm == 1.0
     single = ds.fit_standardizer([make_record(t=10.0)])
-    assert ds.apply_preprocess(make_record(t=10.0), single).t_norm == 0.0
+    assert preprocess_one(make_record(t=10.0), single).t_norm == 0.0
 
 
 def test_one_hot_ordering():
     recs = [make_record(t=0.0), make_record(t=1.0)]
     stats = ds.fit_standardizer(recs)
-    node = ds.apply_preprocess(make_record(dtype=11), stats)
+    node = preprocess_one(make_record(dtype=11), stats)
     onehot = node.x_full[len(ds.ENV_FEATURES) + 1: len(ds.ENV_FEATURES) + 6]
     assert list(onehot) == [1.0, 0.0, 0.0, 0.0, 0.0]
-    node15 = ds.apply_preprocess(make_record(dtype=15), stats)
+    node15 = preprocess_one(make_record(dtype=15), stats)
     onehot15 = node15.x_full[len(ds.ENV_FEATURES) + 1: len(ds.ENV_FEATURES) + 6]
     assert list(onehot15) == [0.0, 0.0, 0.0, 1.0, 0.0]
 
@@ -336,7 +363,7 @@ def test_unknown_type_rejected():
     bad = make_record()
     bad.distress_type = 12
     with pytest.raises(ds.EncodingError):
-        ds.apply_preprocess(bad, stats)
+        preprocess_one(bad, stats)
 
 
 def test_unknown_type_named_is_the_first_in_record_order():
@@ -352,7 +379,7 @@ def test_unknown_type_named_is_the_first_in_record_order():
 def test_x_st_is_exact_slice_of_x_full(info, conf, dtype, temp, t):
     recs = [make_record(t=0.0, min_tem=-5.0), make_record(t=100.0, min_tem=35.0)]
     stats = ds.fit_standardizer(recs)
-    node = ds.apply_preprocess(
+    node = preprocess_one(
         make_record(t=t, info=info, conf=conf, dtype=dtype, min_tem=temp), stats)
     assert np.array_equal(node.x_st, node.x_full[-3:])
     onehot = node.x_full[len(ds.ENV_FEATURES) + 1: len(ds.ENV_FEATURES) + 6]
@@ -395,13 +422,46 @@ def test_feature_rows_equal_the_scalar_formulas(rows, n_fit, time_range, masked)
             assert np.array([stats.means[name], stats.stds[name]]).tobytes() \
                 == np.array([mean, std]).tobytes()
         nodes = ds.preprocess_records(recs, stats, schema)
-    for i, (r, node) in enumerate(zip(recs, nodes)):
+    for r, node in zip(recs, nodes):
         assert node.x_full.tobytes() == _scalar_x_full(r, stats, schema).tobytes()
         with np.errstate(invalid="ignore"):
-            one = ds.apply_preprocess(r, stats, schema, node_id=i)
+            one = preprocess_one(r, stats, schema)
         assert one.x_full.tobytes() == node.x_full.tobytes()
-        assert (node.node_id, node.location_id, node.t_raw, node.coords) \
-            == (one.node_id, r.location_id, r.collect_time, (r.longitude_gcj, r.latitude_gcj))
+        assert (node.location_id, node.t_raw, node.coords) \
+            == (r.location_id, r.collect_time, (r.longitude_gcj, r.latitude_gcj))
+
+
+_COORD = st.floats(-180, 180)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(_COORD, _COORD, st.floats(-50, 500), st.floats(-1e3, 1e3)),
+                min_size=1, max_size=8),
+       st.sampled_from([None, (20.0, 80.0), (50.0, 50.0)]),
+       st.sampled_from([(), ("humidity",)]))
+def test_query_rows_equal_the_scalar_formulas(rows, time_range, masked):
+    fit = [make_record(lon=121.0, lat=31.0, t=0.0, info=1.0),
+           make_record(lon=121.5, lat=31.5, t=100.0, info=4.0)]
+    stats = ds.fit_standardizer(fit, time_range)
+    schema = ds.FeatureSchema()
+    for name in masked:
+        schema = schema.without_env(name)
+    lon, lat, t, values = (np.array(col) for col in zip(*rows))
+    nodes = ds.query_nodes(list(range(len(rows))), lon, lat, t, stats, schema)
+    tail = schema.dim_full - 3
+    for i, node in enumerate(nodes):
+        want = np.array([0.0] * tail + [stats.standardize("longitude_gcj", lon[i]),
+                                        stats.standardize("latitude_gcj", lat[i]),
+                                        stats.rescale_time(t[i])])
+        assert node.x_full.tobytes() == want.tobytes()
+        assert math.isnan(node.y)
+        assert (node.location_id, node.coords, node.t_raw) == (i, (lon[i], lat[i]), t[i])
+    slot = len(schema.env_features)
+    for node, value, done in zip(nodes, values, ds.with_readings(nodes, values, stats, schema)):
+        want = node.x_full.copy()
+        want[slot] = stats.standardize("detect_info", value)
+        assert done.x_full.tobytes() == want.tobytes() and done.y == value
+        assert math.isnan(node.y) and node.x_full[slot] == 0.0  # the input stays as it was
 
 
 def test_feature_schema_dims_and_env_masking():
@@ -410,7 +470,7 @@ def test_feature_schema_dims_and_env_masking():
     masked = schema.without_env("humidity")
     assert masked.dim_full == 17
     stats = ds.fit_standardizer([make_record(t=0.0), make_record(t=1.0)])
-    node = ds.apply_preprocess(make_record(), stats, masked)
+    node = preprocess_one(make_record(), stats, masked)
     assert node.x_full.shape == (17,)
     assert np.array_equal(node.x_st, node.x_full[-3:])
     with pytest.raises(ds.SchemaError):

@@ -129,6 +129,22 @@ def test_attention_normalization_tight():
     assert md.attention_sum_deviation(probes) < 1e-12
 
 
+def test_attention_sum_deviation_keeps_the_add_at_bits():
+    # what checkpoints store as attention_max_dev must not move: the sums are
+    # the ones np.add.at gives, edge by edge in order, to the last bit
+    inst = small_instance(31, n=40, init_count=3, variant="gat")
+    probes = []
+    md.forward_values(inst["gt"], inst["params"], inst["config"], probes=probes)
+    rng = np.random.default_rng(5)
+    m = 600  # and edges in no target order, with values of every magnitude
+    probes.append(md.CoefficientProbe(0, rng.standard_normal(m) * 10.0 ** rng.uniform(-9, 9, m),
+                                      rng.integers(0, 50, m), 53))
+    for probe in probes:
+        sums = np.zeros(probe.n)
+        np.add.at(sums, probe.seg_ids, probe.values)
+        assert md.attention_sum_deviation([probe]) == float(np.max(np.abs(sums - 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # dense-oracle equivalence (the forward path check for all variants)
 
@@ -369,7 +385,7 @@ def test_leakage_invariance_bit_exact(variant):
         base = md.forward_values(gt, inst["params"], inst["config"])
         for i in range(gt.n):
             changed = perturb_record(inst["records"][i], rng)
-            node = ds.apply_preprocess(changed, stats, schema, node_id=i)
+            (node,) = ds.preprocess_records([changed], stats, schema)
             poked_nodes = list(inst["nodes"])
             poked_nodes[i] = node
             poked = md.prepare_tensors(inst["graph"], poked_nodes,

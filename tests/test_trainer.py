@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +21,25 @@ def make_context(inst, params=None):
                                stats=inst["stats"], schema=inst["schema"])
 
 
+def query_row(ctx, nodes, query):
+    """The query's node, spatial-temporal features only, at its coords or its
+    location's first row in nodes."""
+    lon, lat = query.coords or next(p.coords for p in nodes
+                                    if p.location_id == query.location_id)
+    (row,) = ds.query_nodes([query.location_id], np.array([lon]), np.array([lat]),
+                            np.array([query.t_raw]), ctx.stats, ctx.schema)
+    return row
+
+
+def written(ctx, node, value):
+    """node holding value as its reading, as "predicted" writes a forecast."""
+    return ds.with_readings([node], np.array([value]), ctx.stats, ctx.schema)[0]
+
+
 def append_query(ctx, graph, nodes, query):
     """graph grown by the query's node, wired against every row before it as
     the "true" and "predicted" strategies wire it; the node joins nodes."""
-    qnode = tr.query_node(ctx, nodes, graph.n, query)
+    qnode = query_row(ctx, nodes, query)
     nodes.append(qnode)
     return graph.grow([[qnode.coords[0]], [qnode.coords[1]], [qnode.t_raw], [qnode.t_norm]],
                       [graph.n], ctx.graph_config)
@@ -133,10 +149,10 @@ def test_duplicate_query_matches_training_forward():
 
     # training-style forward over the full graph, query features blanked the
     # same way a fresh query node is
-    blank = tr.query_node(ctx, history_nodes, last.node_id, query)
+    blank = query_row(ctx, history_nodes, query)
     full_nodes = history_nodes + [blank]
     gt = md.prepare_tensors(graph, full_nodes, l_res_m=inst["graph_cfg"].l_res_m)
-    want = md.forward_values(gt, inst["params"], inst["config"])[last.node_id]
+    want = md.forward_values(gt, inst["params"], inst["config"])[len(history_nodes)]
     assert yhat == pytest.approx(want, abs=1e-12)
 
 
@@ -147,8 +163,7 @@ def test_isolated_query_ignores_other_nodes_features():
     query = tr.Query(nodes[0].location_id, graph.t_raw.max() + 1e5)  # no proximity parents
     _, y1 = step(ctx, graph, list(nodes), query)
 
-    poked = [ds.apply_preprocess(r, inst["stats"], inst["schema"], node_id=i)
-             for i, r in enumerate(inst["records"])]
+    poked = ds.preprocess_records(inst["records"], inst["stats"], inst["schema"])
     for node in poked:
         node.x_full = node.x_full.copy()
         node.x_full[:-3] += 3.3
@@ -162,11 +177,51 @@ def test_query_contract_errors():
     graph, nodes = inst["graph"], inst["nodes"]
     early = tr.Query(nodes[0].location_id, graph.t_raw.min() - 5.0)
     unknown = tr.Query(424242, graph.t_raw.max() + 5.0)
-    for query in (early, unknown):
+    off_earth = [tr.Query(nodes[0].location_id, graph.t_raw.max() + 5.0, coords)
+                 for coords in ((121.0, 121.45), (400.0, 31.0), (math.nan, 31.0),
+                                (121.0, math.inf))]
+    for query in (early, unknown, *off_earth):
         with pytest.raises(tr.QueryError):
             tr.predict_sequence(ctx, graph, nodes, [query], "predicted")
         with pytest.raises(tr.QueryError):
             tr.predict_sequence(ctx, graph, nodes, [query])
+
+
+def test_location_query_sits_at_its_first_history_row(monkeypatch):
+    # GPS jitter: the rows of one location carry different coordinates
+    inst = small_instance(25, n=16)
+    ctx = make_context(inst)
+    loc = max(set(r.location_id for r in inst["records"]),
+              key=[r.location_id for r in inst["records"]].count)
+    seen = []
+    records = []
+    for r in inst["records"]:
+        if r.location_id == loc:
+            r = replace(r, longitude_gcj=r.longitude_gcj + 2e-4 * len(seen),
+                        latitude_gcj=r.latitude_gcj - 1e-4 * len(seen))
+            seen.append((r.longitude_gcj, r.latitude_gcj))
+        records.append(r)
+    assert len(set(seen)) > 1
+    nodes = ds.preprocess_records(records, inst["stats"], inst["schema"])
+    graph = sg.build_graph(sg.graph_nodes_from_processed(nodes, 1), 1, inst["graph_cfg"])
+    real, grown = tr.predict_one, []
+
+    def spy(ctx, graph, *args):
+        grown.append(graph)
+        return real(ctx, graph, *args)
+
+    monkeypatch.setattr(tr, "predict_one", spy)
+    t = graph.t_raw.max() + 2.0
+    observed = [replace(next(r for r in records if r.location_id == loc), collect_time=t)]
+    for strategy in tr.STRATEGIES:
+        def forecast(**coords):
+            return tr.predict_sequence(ctx, graph, nodes, [tr.Query(loc, t, **coords)],
+                                       strategy, observed=observed)
+        got = forecast()
+        assert (grown[-1].lon[-1], grown[-1].lat[-1]) == seen[0], strategy
+        assert got == forecast(coords=seen[0])
+        if strategy != "true":  # its record sits at the first row's coordinates
+            assert got != forecast(coords=seen[-1])
 
 
 def test_uncommitted_query_leaves_graph_untouched():
@@ -224,9 +279,9 @@ def test_three_query_chain_matches_dense_hand_step():
         qnode = work_nodes[-1]
         dense = dense_forward(work_graph, work_nodes, inst["params"],
                               inst["config"], l_res_m=inst["graph_cfg"].l_res_m)
-        yhat = float(dense[qnode.node_id])
+        yhat = float(dense[len(work_nodes) - 1])
         want.append(yhat)
-        work_nodes[-1] = tr.predicted_node(ctx, qnode, yhat)
+        work_nodes[-1] = written(ctx, qnode, yhat)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -277,13 +332,14 @@ def test_true_feedback_requires_observations():
                             chain_queries(inst, 2), "true")
 
 
-@pytest.mark.parametrize("shift", [dict(collect_time=-30.0), dict(location_id=1)])
+@pytest.mark.parametrize("shift", [dict(collect_time=-30.0), dict(location_id=1),
+                                   dict(longitude_gcj=1e-4)])
 def test_true_feedback_rejects_records_off_their_query(shift):
     inst = small_instance(14)
     ctx = make_context(inst)
     queries = chain_queries(inst, 3)
     observed = chain_observed(inst, queries)
-    # the third record moved in time or to the next location id
+    # the third record moved in time, to the next location id or along a road
     observed[2] = replace(observed[2], **{key: getattr(observed[2], key) + delta
                                           for key, delta in shift.items()})
     with pytest.raises(tr.StrategyError, match="differs from its query"):
@@ -346,14 +402,12 @@ def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
         if strategy == "ignore":
             work_graph, work_nodes = graph, list(nodes)
         work_graph = append_query(ctx, work_graph, work_nodes, q)
-        qnode = work_nodes[-1]
         gt = md.prepare_tensors(work_graph, work_nodes, l_res_m=ctx.graph_config.l_res_m)
         out.append(md.forward_values(gt, ctx.params, ctx.model_config)[-1])
         if strategy == "true":
-            work_nodes[-1] = ds.apply_preprocess(observed[k], ctx.stats, ctx.schema,
-                                                 node_id=qnode.node_id)
+            work_nodes[-1] = ds.preprocess_records([observed[k]], ctx.stats, ctx.schema)[0]
         elif strategy == "predicted":
-            work_nodes[-1] = tr.predicted_node(ctx, qnode, out[-1])
+            work_nodes[-1] = written(ctx, work_nodes[-1], out[-1])
     return np.array(out)
 
 
@@ -451,19 +505,19 @@ def test_one_forward_pass_per_level(monkeypatch, strategy):
         passes.append(len(gt.targets))
         return md.forward_values(gt, *args, **kwargs)
 
-    def writer_spy(real):
-        return lambda *args, **kwargs: written.append(real) or real(*args, **kwargs)
+    def writer_spy(nodes, *args, **kwargs):
+        written.extend(nodes)
+        return ds.with_readings(nodes, *args, **kwargs)
 
     monkeypatch.setattr(tr, "forward_values", forward_spy)
-    monkeypatch.setattr(tr, "predicted_node", writer_spy(tr.predicted_node))
-    monkeypatch.setattr(tr, "apply_preprocess", writer_spy(tr.apply_preprocess))
+    monkeypatch.setattr(tr, "with_readings", writer_spy)
     got = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, strategy,
                               observed=observed)
-    if strategy == "ignore":
-        assert passes == [len(queries)] and written == []
-    else:
+    if strategy == "predicted":
         assert passes == np.bincount(levels)[1:].tolist()
         assert len(written) == np.sum(levels < levels.max())
+    else:
+        assert passes == [len(queries)] and written == []
     # queries sharing a pass read nothing of each other
     want = full_recompute(ctx, inst["graph"], inst["nodes"], queries, strategy, observed)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
