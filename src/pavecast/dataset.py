@@ -350,11 +350,11 @@ def fit_standardizer(train_records: list[RawRecord],
 def _standardized(stats: PreprocessStats, names: tuple[str, ...], cols) -> np.ndarray:
     """PreprocessStats.standardize of every entry of cols (one row per name),
     one column per name."""
-    means = np.array([stats.means[name] for name in names])
-    stds = np.array([stats.stds[name] for name in names])
-    flat = stds == 0.0
-    return np.where(flat, 0.0, (np.asarray(cols, dtype=float).T - means)
-                    / np.where(flat, 1.0, stds))
+    out = np.zeros((len(names), len(cols[0])))
+    for row, name, col in zip(out, names, cols):
+        if stats.stds[name] != 0.0:
+            np.divide(np.subtract(col, stats.means[name]), stats.stds[name], out=row)
+    return out.T
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -416,9 +416,11 @@ def with_readings(nodes: list[ProcessedNode], values: np.ndarray, stats: Preproc
     standardized in x_full's detect_info slot. The other slots stay as they
     are; in a query node the environmental, confidence and type slots are
     zero, the training mean in standardized space."""
-    x_full = np.stack([p.x_full for p in nodes])
+    x_full = np.array([p.x_full for p in nodes])
     x_full[:, len(schema.env_features)] = _standardized(stats, ("detect_info",), [values])[:, 0]
-    return [replace(p, x_full=x, y=v) for p, x, v in zip(nodes, x_full, values.tolist())]
+    return [ProcessedNode(location_id=p.location_id, x_full=x, y=v, t_raw=p.t_raw,
+                          coords=p.coords)
+            for p, x, v in zip(nodes, x_full, values.tolist())]
 
 
 def split_segment(items: list, fractions: tuple[float, float, float] = (0.1, 0.7, 0.2)):

@@ -313,10 +313,10 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
         ks = np.flatnonzero(levels == level)
         out[ks] = predict_one(ctx, graph, nodes, base_n + ks)
         if level < top:
-            written = with_readings([nodes[base_n + k] for k in ks], out[ks],
-                                    ctx.stats, ctx.schema)
-            for k, node in zip(ks.tolist(), written):
-                nodes[base_n + k] = node
+            rows = (base_n + ks).tolist()
+            written = with_readings([nodes[r] for r in rows], out[ks], ctx.stats, ctx.schema)
+            for r, node in zip(rows, written):
+                nodes[r] = node
     return out
 
 
