@@ -231,11 +231,10 @@ def _query_columns(nodes: list[ProcessedNode], queries: list[Query]):
             raise QueryError(f"location {q.location_id} has no historical observations")
         coords.append(at)
     lon, lat = np.array(coords, dtype=float).reshape(-1, 2).T
-    for name, col in zip(COORD_BOUNDS, (lon, lat)):
-        off = ~(np.abs(col) <= COORD_BOUNDS[name])
+    for (name, bound), col in zip(COORD_BOUNDS.items(), (lon, lat)):
+        off = ~(np.abs(col) <= bound)
         if off.any():
-            raise QueryError(f"query {name} {col[off][0]} is outside "
-                             f"[-{COORD_BOUNDS[name]}, {COORD_BOUNDS[name]}]")
+            raise QueryError(f"query {name} {col[off][0]} is outside [-{bound}, {bound}]")
     return [q.location_id for q in queries], lon, lat, times
 
 
@@ -313,10 +312,10 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
         ks = np.flatnonzero(levels == level)
         out[ks] = predict_one(ctx, graph, nodes, base_n + ks)
         if level < top:
-            rows = (base_n + ks).tolist()
-            written = with_readings([nodes[r] for r in rows], out[ks], ctx.stats, ctx.schema)
-            for r, node in zip(rows, written):
-                nodes[r] = node
+            ids = (base_n + ks).tolist()
+            written = with_readings([nodes[i] for i in ids], out[ks], ctx.stats, ctx.schema)
+            for i, node in zip(ids, written):
+                nodes[i] = node
     return out
 
 
