@@ -371,18 +371,22 @@ def mae_loss_node(tape: ng.Tape, yhat: ng.Node, y: np.ndarray,
 
 def loss_and_grads(gt: GraphTensors, params: dict[str, np.ndarray],
                    config: ModelConfig, loss_ids: np.ndarray,
-                   probes: list | None = None):
-    """One forward/backward sweep: (loss value, gradient dict, predictions)."""
-    tape = ng.Tape()
+                   probes: list | None = None, workspace: ng.Workspace | None = None):
+    """One forward/backward sweep: (loss value, gradient dict, predictions).
+
+    With a workspace, the sweep's large arrays come from it, and the
+    gradients stay valid until the next sweep on that workspace starts."""
+    tape = ng.Tape(workspace)
     pnodes = make_param_nodes(tape, params)
     yhat = forward_nodes(tape, gt, pnodes, config, probes=probes)
     loss = mae_loss_node(tape, yhat, gt.y, loss_ids)
+    # read before the backward sweep, which returns both arrays to the workspace
+    value, predictions = float(loss.value[0, 0]), yhat.value[:, 0].copy()
     ng.backward(tape, loss)
     grads = {name: (node.grad if node.grad is not None else np.zeros_like(node.value))
              for name, node in pnodes.items()}
-    result = float(loss.value[0, 0]), grads, yhat.value[:, 0].copy()
     tape.nodes.clear()  # as in forward_values: free the arrays now, not at a GC pass
-    return result
+    return value, grads, predictions
 
 
 def first_nonfinite_primitive(gt: GraphTensors, params: dict[str, np.ndarray],

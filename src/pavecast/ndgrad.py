@@ -10,15 +10,48 @@ sparse product for every head at once, over a CSR structure binned by row
 length so each bin takes batched matmuls; its backward pass is the
 transposed product plus, for the coefficients, one dot product per edge and
 head. No per-edge copy of a representation is kept on the tape.
+
+Workspace. Full-batch training repeats one sweep, with the same array shapes
+in the same order, every epoch. Freed large arrays go back to the kernel, so
+each epoch would fault its memory in afresh. A Workspace is a pool of flat
+float64 buffers that outlives the tapes: every primitive writes its forward
+output and its large backward temporaries with numpy's out= into
+Tape.out(shape) or Tape.empty(shape), which lend a view of the best-fitting
+free buffer. Only arrays of at least POOLED_MIN_ELEMENTS elements (128 KiB,
+glibc's default mmap threshold) are pooled. For smaller ones, and on a tape
+without a workspace, Tape.out gives None, so numpy allocates the result as
+it would without out=, and Tape.empty gives np.empty. The arithmetic is the
+same either way.
+
+An array goes back to the pool when nothing reads it any more:
+- a non-leaf node's value and gradient, right after its backward has run,
+  since every consumer of the node came later on the tape and has run its
+  own backward by then;
+- a backward temporary once it has been used, and a gradient handed to
+  Node.accumulate(fresh=True) once it has been added into an existing one.
+  On first arrival such a gradient is adopted, not copied;
+- everything else when the next Tape(workspace) starts. Leaf gradients are
+  never returned mid-sweep, so the gradients a sweep computes stay valid
+  until the next tape on the same workspace starts. Read a non-leaf node's
+  value (the loss, the predictions) before the backward sweep.
+
+Gathers into pooled buffers use np.take with mode="clip", since with
+mode="raise" numpy copies through a buffer of its own. Clip would map an
+index past the last row to the last row, so every index is bounds-checked
+first: gather_rows checks its caller's, and EdgeLayout validates the source
+rows its aggregation gathers.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+POOLED_MIN_ELEMENTS = 1 << 14  # 128 KiB of float64, glibc's default mmap threshold
 
 
 class ShapeError(ValueError):
@@ -42,6 +75,55 @@ def _as_matrix(value) -> np.ndarray:
     return arr
 
 
+class Workspace:
+    """Flat float64 buffers lent to the tapes that name this workspace.
+
+    A request takes the free buffer of least capacity that holds it, or a
+    new buffer of exactly its size if none does, and gets a view of the
+    buffer's head in the requested shape. The workspace records each view
+    it lends, so give() takes back exactly those and ignores other arrays.
+    """
+
+    def __init__(self):
+        self._sizes: list[int] = []        # free buffers' capacities, ascending
+        self._free: list[np.ndarray] = []  # the free buffers, in that order
+        self._lent: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # id(view): (view, buffer)
+
+    @property
+    def nbytes(self) -> int:
+        """Total capacity of the buffers, free and lent: a new buffer raises it."""
+        return 8 * (sum(self._sizes) + sum(buf.size for _, buf in self._lent.values()))
+
+    def take(self, shape) -> np.ndarray:
+        size = math.prod(shape)
+        i = bisect.bisect_left(self._sizes, size)
+        if i < len(self._sizes):
+            del self._sizes[i]
+            buf = self._free.pop(i)
+        else:
+            buf = np.empty(size)
+        view = buf[:size].reshape(shape)
+        self._lent[id(view)] = view, buf
+        return view
+
+    def give(self, arr: np.ndarray) -> None:
+        """Take back arr's buffer if arr is a view this workspace lent."""
+        lent = self._lent.pop(id(arr), None)
+        if lent is not None:
+            self._put(lent[1])
+
+    def reclaim(self) -> None:
+        """Take back every lent buffer."""
+        for _, buf in self._lent.values():
+            self._put(buf)
+        self._lent.clear()
+
+    def _put(self, buf: np.ndarray) -> None:
+        i = bisect.bisect_left(self._sizes, buf.size)
+        self._sizes.insert(i, buf.size)
+        self._free.insert(i, buf)
+
+
 class Node:
     """One tape entry: a primitive application and its cached output."""
 
@@ -61,21 +143,54 @@ class Node:
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
-    def accumulate(self, grad: np.ndarray) -> None:
+    def accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add grad into this node's gradient. fresh means the caller made
+        grad for this call alone: a first arrival adopts it, a later one
+        returns it to the pool once added. Any other grad is copied."""
         if self.grad is None:
-            self.grad = grad.copy()
+            if fresh:
+                self.grad = grad
+            else:
+                self.grad = self.tape.empty(grad.shape)
+                np.copyto(self.grad, grad)
         else:
             self.grad += grad
+            if fresh:
+                self.tape.release(grad)
 
     def __repr__(self):
         return f"Node({self.kind}, shape={self.value.shape})"
 
 
 class Tape:
-    """Computation graph: nodes in insertion order (inputs always precede use)."""
+    """Computation graph: nodes in insertion order (inputs always precede use).
 
-    def __init__(self):
+    A tape on a workspace takes its large arrays from it, and starting one
+    takes back everything the workspace's previous tape still held."""
+
+    def __init__(self, workspace: Workspace | None = None):
         self.nodes: list[Node] = []
+        self.workspace = workspace
+        if workspace is not None:
+            workspace.reclaim()
+
+    def out(self, shape) -> np.ndarray | None:
+        """numpy's out= for a float64 result of this shape: a view the
+        workspace lends if the result is large, else None, so numpy
+        allocates it."""
+        if self.workspace is None or math.prod(shape) < POOLED_MIN_ELEMENTS:
+            return None
+        return self.workspace.take(shape)
+
+    def empty(self, shape) -> np.ndarray:
+        """An uninitialized float64 array, lent by the workspace if it is large."""
+        out = self.out(shape)
+        return np.empty(shape) if out is None else out
+
+    def release(self, arr: np.ndarray) -> None:
+        """Return arr to the workspace, if it lent it: nothing reads arr after."""
+        if self.workspace is not None:
+            self.workspace.give(arr)
 
     def leaf(self, value, kind: str = "leaf") -> Node:
         """A node whose value is a read-only view of value, not a copy: a write
@@ -96,7 +211,8 @@ def _binary_shape_check(a: Node, b: Node, op: str) -> None:
 
 def add(a: Node, b: Node) -> Node:
     _binary_shape_check(a, b, "add")
-    out = Node(a.tape, "add", a.value + b.value, (a, b))
+    tape = a.tape
+    out = Node(tape, "add", np.add(a.value, b.value, out=tape.out(a.shape)), (a, b))
 
     def backward(g):
         a.accumulate(g)
@@ -108,21 +224,23 @@ def add(a: Node, b: Node) -> Node:
 
 def sub(a: Node, b: Node) -> Node:
     _binary_shape_check(a, b, "sub")
-    out = Node(a.tape, "sub", a.value - b.value, (a, b))
+    tape = a.tape
+    out = Node(tape, "sub", np.subtract(a.value, b.value, out=tape.out(a.shape)), (a, b))
 
     def backward(g):
         a.accumulate(g)
-        b.accumulate(-g)
+        b.accumulate(np.negative(g, out=tape.out(g.shape)), fresh=True)
 
     out._backward = backward
     return out
 
 
 def scale(a: Node, c: float) -> Node:
-    out = Node(a.tape, "scale", a.value * float(c), (a,))
+    c, tape = float(c), a.tape
+    out = Node(tape, "scale", np.multiply(a.value, c, out=tape.out(a.shape)), (a,))
 
     def backward(g):
-        a.accumulate(g * float(c))
+        a.accumulate(np.multiply(g, c, out=tape.out(g.shape)), fresh=True)
 
     out._backward = backward
     return out
@@ -133,10 +251,11 @@ def mul_array(a: Node, const) -> Node:
     carr = _as_matrix(const)
     if carr.shape != a.value.shape:
         raise ShapeError(f"mul_array: shapes {a.value.shape} and {carr.shape} differ")
-    out = Node(a.tape, "mul_array", a.value * carr, (a,))
+    tape = a.tape
+    out = Node(tape, "mul_array", np.multiply(a.value, carr, out=tape.out(a.shape)), (a,))
 
     def backward(g):
-        a.accumulate(g * carr)
+        a.accumulate(np.multiply(g, carr, out=tape.out(g.shape)), fresh=True)
 
     out._backward = backward
     return out
@@ -147,11 +266,12 @@ def add_rowvec(a: Node, b: Node) -> Node:
     if b.value.shape != (1, a.value.shape[1]):
         raise ShapeError(
             f"add_rowvec: bias shape {b.value.shape} does not match (1, {a.value.shape[1]})")
-    out = Node(a.tape, "add_rowvec", a.value + b.value, (a, b))
+    tape = a.tape
+    out = Node(tape, "add_rowvec", np.add(a.value, b.value, out=tape.out(a.shape)), (a, b))
 
     def backward(g):
         a.accumulate(g)
-        b.accumulate(g.sum(axis=0, keepdims=True))
+        b.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
 
     out._backward = backward
     return out
@@ -161,57 +281,73 @@ def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(
             f"matmul: inner dims of {a.value.shape} and {b.value.shape} do not match")
-    out = Node(a.tape, "matmul", a.value @ b.value, (a, b))
+    tape = a.tape
+    out = Node(tape, "matmul", np.matmul(a.value, b.value, out=tape.out(
+        (a.value.shape[0], b.value.shape[1]))), (a, b))
 
     def backward(g):
-        a.accumulate(g @ b.value.T)
-        b.accumulate(a.value.T @ g)
+        a.accumulate(np.matmul(g, b.value.T, out=tape.out(a.shape)), fresh=True)
+        b.accumulate(np.matmul(a.value.T, g, out=tape.out(b.shape)), fresh=True)
 
     out._backward = backward
     return out
 
 
 def elu(a: Node) -> Node:
-    x = a.value
-    val = np.maximum(x, np.expm1(np.minimum(x, 0.0)))
-    out = Node(a.tape, "elu", val, (a,))
+    x, tape = a.value, a.tape
+    val = np.minimum(x, 0.0, out=tape.out(x.shape))
+    np.expm1(val, out=val)
+    np.maximum(x, val, out=val)
+    out = Node(tape, "elu", val, (a,))
 
     def backward(g):
-        # d/dx ELU = 1 for x>0, exp(x) = ELU(x)+1 for x<=0
-        a.accumulate(g * np.where(x > 0.0, 1.0, val + 1.0))
+        # d/dx ELU = 1 for x>0, exp(x) = ELU(x)+1 for x<=0; ELU(x)+1 > 1 just
+        # where x > 0, so the minimum with 1 picks the same factor everywhere
+        d = np.add(val, 1.0, out=tape.out(x.shape))
+        np.minimum(d, 1.0, out=d)
+        a.accumulate(np.multiply(g, d, out=d), fresh=True)
 
     out._backward = backward
     return out
 
 
 def leaky_relu(a: Node, alpha: float = 0.2) -> Node:
-    x = a.value
+    x, tape = a.value, a.tape
     neg = x <= 0.0
-    out = Node(a.tape, "leaky_relu", np.where(neg, alpha * x, x), (a,))
+    val = tape.empty(x.shape)
+    np.copyto(val, x)
+    np.multiply(x, alpha, out=val, where=neg)
+    out = Node(tape, "leaky_relu", val, (a,))
 
     def backward(g):
-        a.accumulate(g * np.where(neg, alpha, 1.0))
+        d = tape.empty(g.shape)
+        np.copyto(d, g)
+        a.accumulate(np.multiply(g, alpha, out=d, where=neg), fresh=True)
 
     out._backward = backward
     return out
 
 
 def absolute(a: Node) -> Node:
-    out = Node(a.tape, "abs", np.abs(a.value), (a,))
+    tape = a.tape
+    out = Node(tape, "abs", np.abs(a.value, out=tape.out(a.shape)), (a,))
     sign = np.sign(a.value)  # subgradient 0 at exactly 0
 
     def backward(g):
-        a.accumulate(g * sign)
+        a.accumulate(np.multiply(g, sign, out=tape.out(g.shape)), fresh=True)
 
     out._backward = backward
     return out
 
 
 def sum_all(a: Node) -> Node:
-    out = Node(a.tape, "sum_all", np.array([[a.value.sum()]]), (a,))
+    tape = a.tape
+    out = Node(tape, "sum_all", np.array([[a.value.sum()]]), (a,))
 
     def backward(g):
-        a.accumulate(np.full_like(a.value, g[0, 0]))
+        full = tape.empty(a.shape)
+        full.fill(g[0, 0])
+        a.accumulate(full, fresh=True)
 
     out._backward = backward
     return out
@@ -225,9 +361,11 @@ def _concat(parts: list[Node], axis: int, kind: str) -> Node:
         if p.value.shape[1 - axis] != other:
             raise ShapeError(f"{kind}: {('row', 'column')[1 - axis]} counts differ "
                              f"({other} vs {p.value.shape[1 - axis]})")
-    out = Node(parts[0].tape, kind,
-               np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
+    tape = parts[0].tape
     offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
+    shape = (offsets[-1], other) if axis == 0 else (other, offsets[-1])
+    out = Node(tape, kind, np.concatenate([p.value for p in parts], axis=axis,
+                                          out=tape.out(shape)), tuple(parts))
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -245,21 +383,31 @@ def concat_rows(parts: list[Node]) -> Node:
     return _concat(parts, 0, "concat_rows")
 
 
+def _take_rows(tape: Tape, arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """arr[idx] along the first axis, idx already known to be in range."""
+    return arr.take(idx, axis=0, mode="clip", out=tape.out(idx.shape + arr.shape[1:]))
+
+
 def gather_rows(a: Node, idx) -> Node:
-    """Rows idx of a (non-negative, repeats allowed); the gradient sums each
+    """Rows idx of a (in range, repeats allowed); the gradient sums each
     row's copies in idx order, one bincount per column."""
     idx = np.asarray(idx, dtype=np.intp)
+    n = a.value.shape[0]
     if idx.size and idx.min() < 0:
         raise ShapeError("gather_rows: negative row index")
-    out = Node(a.tape, "gather_rows", a.value[idx], (a,))
+    if idx.size and idx.max() >= n:
+        raise ShapeError(f"gather_rows: row index {idx.max()} outside {n} rows")
+    tape = a.tape
+    out = Node(tape, "gather_rows", _take_rows(tape, a.value, idx), (a,))
 
     def backward(g):
-        n, width = a.value.shape[0], math.prod(a.value.shape[1:])
+        width = math.prod(a.value.shape[1:])
         g = g.reshape(len(idx), width)
-        acc = np.empty((n, width))
+        acc = tape.empty(a.shape)
+        flat = acc.reshape(n, width)
         for j in range(width):
-            acc[:, j] = np.bincount(idx, weights=g[:, j], minlength=n)
-        a.accumulate(acc.reshape(a.value.shape))
+            flat[:, j] = np.bincount(idx, weights=g[:, j], minlength=n)
+        a.accumulate(acc, fresh=True)
 
     out._backward = backward
     return out
@@ -269,12 +417,16 @@ def slice_rows(a: Node, lo: int, hi: int) -> Node:
     """Rows lo:hi of a; the gradient scatters back into that band."""
     if not 0 <= lo < hi <= a.value.shape[0]:
         raise ShapeError(f"slice_rows: [{lo}, {hi}) outside {a.value.shape}")
-    out = Node(a.tape, "slice_rows", a.value[lo:hi].copy(), (a,))
+    tape = a.tape
+    val = tape.empty((hi - lo,) + a.value.shape[1:])
+    np.copyto(val, a.value[lo:hi])
+    out = Node(tape, "slice_rows", val, (a,))
 
     def backward(g):
-        acc = np.zeros_like(a.value)
+        acc = tape.empty(a.shape)
+        acc.fill(0.0)
         acc[lo:hi] = g
-        a.accumulate(acc)
+        a.accumulate(acc, fresh=True)
 
     out._backward = backward
     return out
@@ -363,33 +515,53 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
                          f"{len(w)} coefficient rows for {layout.n} targets and "
                          f"{len(layout.src)} edges")
     (n, h), heads = x.shape, w.shape[1]
+    tape = parents.tape
     w_self = w[layout.starts]
-    acc = w_self[:, :, None] * s[:, None, :]  # (n, H, h)
+    value = tape.empty((n, heads * h))  # the node's value is this very array
+    acc = value.reshape(n, heads, h)
+    np.multiply(w_self[:, :, None], s[:, None, :], out=acc)
     # one matmul per bin and head on contiguous operands: a head's sums then do
     # not depend on how many heads share the call
     w_t = np.ascontiguousarray(w.T)
     for rows, pos in layout.bins:
-        x_src = x[layout.src[pos]]
+        x_src = _take_rows(tape, x, layout.src[pos])
+        parts = tape.empty((heads, len(rows), 1, h))
         for k in range(heads):
-            acc[rows, k] += np.matmul(w_t[k][pos][:, None, :], x_src)[:, 0]
-    out = Node(parents.tape, "csr_aggregate", acc.reshape(n, heads * h),
-               (parents, self_rep, coefs))
+            np.matmul(w_t[k][pos][:, None, :], x_src, out=parts[k])
+            acc[rows, k] += parts[k, :, 0]
+        tape.release(parts)
+        tape.release(x_src)
+    out = Node(tape, "csr_aggregate", value, (parents, self_rep, coefs))
 
     def backward(g):
         g3 = g.reshape(n, heads, h)
-        self_rep.accumulate(np.einsum("nk,nkh->nh", w_self, g3))
-        gw = np.empty_like(w)
+        self_rep.accumulate(np.einsum("nk,nkh->nh", w_self, g3, out=tape.out((n, h))),
+                            fresh=True)
+        gw = tape.empty(w.shape)
         gw[layout.starts] = np.einsum("nkh,nh->nk", g3, s)
-        sent = np.empty((len(w), h))  # per parent edge, the gradient of what it carried
+        sent = tape.empty((len(w), h))  # per parent edge, the gradient of what it carried
         for rows, pos in layout.bins:
-            g_rows = g3[rows]
-            gw[pos] = np.matmul(x[layout.src[pos]], g_rows.transpose(0, 2, 1))
-            sent[pos] = np.matmul(w[pos], g_rows)
-        gx = np.zeros_like(x)
+            g_rows = _take_rows(tape, g3, rows)
+            x_src = _take_rows(tape, x, layout.src[pos])
+            prod = np.matmul(x_src, g_rows.transpose(0, 2, 1),
+                             out=tape.out(pos.shape + (heads,)))
+            gw[pos] = prod
+            tape.release(prod)
+            tape.release(x_src)
+            w_pos = _take_rows(tape, w, pos)
+            prod = np.matmul(w_pos, g_rows, out=tape.out(pos.shape + (h,)))
+            sent[pos] = prod
+            for temp in (prod, w_pos, g_rows):
+                tape.release(temp)
+        gx = tape.empty(x.shape)
+        gx.fill(0.0)
         for sources, pos in layout.source_bins:
-            gx[sources] = sent[pos].sum(axis=1)
-        parents.accumulate(gx)
-        coefs.accumulate(gw)
+            sent_pos = _take_rows(tape, sent, pos)
+            gx[sources] = sent_pos.sum(axis=1)
+            tape.release(sent_pos)
+        tape.release(sent)
+        parents.accumulate(gx, fresh=True)
+        coefs.accumulate(gw, fresh=True)
 
     out._backward = backward
     return out
@@ -403,21 +575,31 @@ def segment_softmax(scores: Node, layout: EdgeLayout) -> Node:
     unchanged by adding any constant to a whole segment of a column.
     """
     dst, starts = layout.dst, layout.starts
-    s = scores.value
-    e = np.exp(s - np.maximum.reduceat(s, starts, axis=0)[dst])
-    p = e / np.add.reduceat(e, starts, axis=0)[dst]
-    out = Node(scores.tape, "segment_softmax", p, (scores,))
+    s, tape = scores.value, scores.tape
+    e = _take_rows(tape, np.maximum.reduceat(s, starts, axis=0), dst)
+    np.subtract(s, e, out=e)
+    np.exp(e, out=e)
+    p = _take_rows(tape, np.add.reduceat(e, starts, axis=0), dst)
+    np.divide(e, p, out=p)
+    tape.release(e)
+    out = Node(tape, "segment_softmax", p, (scores,))
 
     def backward(g):
-        gp = g * p
-        scores.accumulate(gp - p * np.add.reduceat(gp, starts, axis=0)[dst])
+        gp = np.multiply(g, p, out=tape.out(g.shape))
+        sums = _take_rows(tape, np.add.reduceat(gp, starts, axis=0), dst)
+        np.multiply(p, sums, out=sums)
+        np.subtract(gp, sums, out=gp)
+        tape.release(sums)
+        scores.accumulate(gp, fresh=True)
 
     out._backward = backward
     return out
 
 
 def backward(tape: Tape, loss: Node) -> None:
-    """Reverse accumulation from a scalar loss over the whole tape."""
+    """Reverse accumulation from a scalar loss over the whole tape. A non-leaf
+    node's value and gradient go back to the tape's workspace, if it has one,
+    right after its backward: every consumer of it has run by then."""
     if loss.value.shape != (1, 1):
         raise GraphContractError(f"loss must be 1x1, got shape {loss.value.shape}")
     if loss.tape is not tape:
@@ -427,6 +609,8 @@ def backward(tape: Tape, loss: Node) -> None:
         if node.grad is None or node._backward is None:
             continue
         node._backward(node.grad)
+        tape.release(node.grad)
+        tape.release(node.value)
 
 
 def first_nonfinite_kind(tape: Tape) -> str | None:

@@ -38,7 +38,9 @@ sections with per-section checksums; identical (config, seed, data) produce
 byte-identical files. Adam's hyperparameters and step count are kept, its
 moments are not: nothing resumes training from a checkpoint. The checksums
 do not cover the manifest, so load_checkpoint raises
-CheckpointIntegrityError naming any manifest section it cannot build.
+CheckpointIntegrityError naming any manifest section it cannot build, and
+the first parameter whose name or shape differs from what init_params makes
+for the manifest's model config and feature widths.
 """
 
 from __future__ import annotations
@@ -118,7 +120,10 @@ def train_on_graph(graph: STGraph, nodes: list[ProcessedNode],
     """Full-batch Adam on the MAE loss over an init+train graph.
 
     The loss covers exactly the non-initialization nodes; test nodes must
-    not be in the graph at all.
+    not be in the graph at all. Every epoch repeats one sweep with the same
+    array shapes, so the epochs share one ndgrad.Workspace, which keeps
+    their large arrays from the second epoch on; it is dropped before the
+    final forward pass.
     """
     gt = prepare_tensors(graph, nodes, l_res_m=graph_config.l_res_m)
     loss_ids = np.arange(graph.init_count, graph.n)
@@ -127,10 +132,11 @@ def train_on_graph(graph: STGraph, nodes: list[ProcessedNode],
     adam = ng.adam_init(params, lr=train_config.lr)
     trace: list[float] = []
     max_dev = 0.0 if train_config.track_attention else None
+    workspace = ng.Workspace()
     for epoch in range(train_config.epochs):
         probes = [] if train_config.track_attention else None
         loss, grads, _ = loss_and_grads(gt, params, model_config, loss_ids,
-                                        probes=probes)
+                                        probes=probes, workspace=workspace)
         if not math.isfinite(loss):
             kind = first_nonfinite_primitive(gt, params, model_config, loss_ids)
             raise DivergenceError(f"loss became non-finite at epoch {epoch}, "
@@ -141,6 +147,7 @@ def train_on_graph(graph: STGraph, nodes: list[ProcessedNode],
         ng.adam_step(params, grads, adam)
         if log and train_config.log_every and epoch % train_config.log_every == 0:
             log(f"epoch {epoch}: train mae {loss:.6f}")
+    del workspace  # its buffers would sit idle under the forward pass's arrays
     final_probes = [] if train_config.track_attention else None
     yhat = forward_values(gt, params, model_config, probes=final_probes)
     if final_probes is not None:
@@ -377,6 +384,26 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             fh.write(blob)
 
 
+def _check_param_shapes(params: dict[str, np.ndarray], model_config: ModelConfig,
+                        schema: FeatureSchema) -> None:
+    """The parameters must be those init_params makes for the manifest's
+    model_config and feature widths, name for name and shape for shape: the
+    checksums cover their bytes, not the config that reads them."""
+    want = init_params(model_config, schema.dim_full, schema.dim_st, seed=0)
+    for name, arr in want.items():
+        if name not in params:
+            raise CheckpointIntegrityError(
+                f"checkpoint has no parameter {name}, which its model_config needs")
+        if params[name].shape != arr.shape:
+            raise CheckpointIntegrityError(
+                f"parameter {name} has shape {params[name].shape}, but the manifest's "
+                f"model_config and feature_schema give {arr.shape}")
+    extra = [name for name in params if name not in want]
+    if extra:
+        raise CheckpointIntegrityError(
+            f"parameter {extra[0]} is not one the manifest's model_config uses")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -430,7 +457,7 @@ def load_checkpoint(path) -> Checkpoint:
     params = {name.split(":", 1)[1]: value
               for name, value in section("sections", arrays).items()
               if name.startswith("param:")}
-    return Checkpoint(
+    ckpt = Checkpoint(
         model_config=section("model_config", ModelConfig.from_dict),
         graph_config=section("graph_config", lambda d: GraphConfig(**d)),
         train_config=section("train_config", lambda d: TrainConfig(**d)),
@@ -443,3 +470,5 @@ def load_checkpoint(path) -> Checkpoint:
         final_train_mae=section("final_train_mae", float),
         run_config=manifest.get("run_config"),
         attention_max_dev=manifest.get("attention_max_dev"))
+    _check_param_shapes(ckpt.params, ckpt.model_config, ckpt.schema)
+    return ckpt

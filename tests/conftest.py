@@ -3,6 +3,7 @@ import pytest
 
 from pavecast import dataset as ds
 from pavecast import model as md
+from pavecast import ndgrad as ng
 from pavecast import stgraph as sg
 
 SMALL_DIMS = dict(hidden=8, extractor_hidden=(6, 8), heads=2, head_hidden=8)
@@ -67,3 +68,32 @@ def tiny_run_config(variant="stgan", seed=0, epochs=12, **model_kw):
                      dataset=DatasetSource(synthetic=tiny_synthetic()),
                      model=md.ModelConfig(variant=variant, **dims),
                      train=TrainConfig(epochs=epochs))
+
+
+class WatchedWorkspace(ng.Workspace):
+    """A workspace that counts its lends, and the lends that share memory
+    with a view it lent before and has not taken back. It fills what it
+    takes back with NaN, so an array read after its return shows."""
+
+    def __init__(self):
+        super().__init__()
+        self.live: dict[int, np.ndarray] = {}
+        self.lends = self.overlaps = 0
+
+    def take(self, shape):
+        view = super().take(shape)
+        self.lends += 1
+        self.overlaps += sum(np.shares_memory(view, other) for other in self.live.values())
+        self.live[id(view)] = view
+        return view
+
+    def give(self, arr):
+        if self.live.pop(id(arr), None) is not None:
+            arr.fill(np.nan)
+        super().give(arr)
+
+    def reclaim(self):
+        for view in self.live.values():
+            view.fill(np.nan)
+        self.live.clear()
+        super().reclaim()

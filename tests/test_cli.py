@@ -383,6 +383,28 @@ def test_malformed_checkpoint_manifest_exits_2_naming_the_section(tmp_path, tiny
     assert len(err) == 1 and err[0].startswith("error: manifest") and f" {section} " in err[0]
 
 
+@pytest.mark.parametrize("edit,param", [
+    (lambda m: m["model_config"].update(heads=1), "head0_w"),
+    (lambda m: m["model_config"].update(hidden=6, extractor_hidden=[6, 6]), "ext_full1_w"),
+    (lambda m: m.__setitem__("sections", [e for e in m["sections"]
+                                          if e["name"] != "param:head1_b"]), "head1_b"),
+], ids=["heads-2-to-1", "hidden-8-to-6", "section-dropped"])
+def test_checkpoint_whose_config_does_not_fit_its_parameters_exits_2(tmp_path, tiny_config_file,
+                                                                      capsys, edit, param):
+    """The checksums cover the parameters' bytes, not the config that reads
+    them: an edited config, or a parameter missing from the manifest, is
+    named on one line instead of failing inside the forward pass."""
+    out = tmp_path / "one"
+    assert run_cli("train", "--config", tiny_config_file, "--set", "train.epochs=1",
+                   "--out", str(out)) == 0
+    rewrite_manifest(out / "model.ckpt", edit)
+    capsys.readouterr()
+    assert run_cli("predict", "--checkpoint", str(out / "model.ckpt"),
+                   "--location", "0", "--time", "1e9") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f" {param}" in err[0]
+
+
 def test_non_utf8_csv_exits_2_naming_the_file(tmp_path, tiny_config_file, capsys):
     out = tmp_path / "data"
     assert run_cli("gen-data", "--config", tiny_config_file, "--out", str(out)) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pavecast import ndgrad as ng
 
+from conftest import WatchedWorkspace
 from gradcheck import NumericError, grad_check
 
 
@@ -290,8 +291,9 @@ def test_gather_rows_gradient_sums_repeated_rows_like_a_one_hot_product(rng):
     scattered = np.zeros((7, 5))
     np.add.at(scattered, idx, weights)
     assert np.array_equal(a.grad, scattered)
-    with pytest.raises(ng.ShapeError):
-        ng.gather_rows(a, [0, -1])
+    for bad in ([0, -1], [0, 7]):  # before the first row, past the last
+        with pytest.raises(ng.ShapeError):
+            ng.gather_rows(a, bad)
 
 
 def test_concat_rows_values_and_gradient():
@@ -582,3 +584,91 @@ def test_grad_check_reports_nonfinite_loss():
 
     with pytest.raises(NumericError):
         grad_check(bad, {"w": np.zeros((1, 1))})
+
+
+# ---------------------------------------------------------------------------
+# workspace
+
+
+def big_inputs(rng, n=300, d=60, heads=3):
+    """Inputs whose arrays reach the pooling threshold: (n, d) rows, and
+    about 18 parents a row."""
+    counts = rng.integers(8, 29, n)
+    src = np.concatenate([[i, *rng.integers(0, n, c)] for i, c in enumerate(counts)])
+    layout = ng.EdgeLayout(src, counts)
+    return layout, dict(x=rng.standard_normal((n, d)), w=rng.standard_normal((d, d)) / 8,
+                        b=rng.standard_normal((1, d)), att=rng.standard_normal((2 * d, heads)),
+                        decay=rng.uniform(0.5, 1.0, (len(src), heads)))
+
+
+def big_sweep(tape, layout, inputs):
+    """Every primitive once, on arrays of pooled size; returns the leaves and
+    the loss."""
+    leaves = {name: tape.leaf(inputs[name]) for name in ("x", "w", "b", "att")}
+    x = leaves["x"]
+    h = ng.elu(ng.add_rowvec(ng.matmul(x, leaves["w"]), leaves["b"]))
+    g = ng.leaky_relu(ng.sub(ng.scale(h, 0.5), x))
+    scores = ng.matmul(ng.gather_rows(ng.concat_cols([h, g]), layout.src), leaves["att"])
+    coefs = ng.segment_softmax(ng.mul_array(scores, inputs["decay"]), layout)
+    agg = ng.csr_aggregate(h, g, coefs, layout)
+    both = ng.concat_rows([ng.slice_rows(agg, 0, 10), agg])
+    return leaves, ng.sum_all(ng.absolute(ng.add(both, both)))
+
+
+def test_workspace_sweeps_equal_plain_sweeps_bit_for_bit(rng):
+    """Repeated sweeps on one workspace give the values and gradients of a
+    tape without one, reuse the first sweep's buffers, and never lend memory
+    that a live array still holds."""
+    layout, inputs = big_inputs(rng)
+    tape = ng.Tape()
+    leaves, loss = big_sweep(tape, layout, inputs)
+    ng.backward(tape, loss)
+    want = [loss.value.tobytes()] + [leaf.grad.tobytes() for leaf in leaves.values()]
+    ws = WatchedWorkspace()
+    held = []
+    for _ in range(3):
+        tape = ng.Tape(ws)
+        leaves, loss = big_sweep(tape, layout, inputs)
+        got = [loss.value.tobytes()]
+        ng.backward(tape, loss)
+        assert got + [leaf.grad.tobytes() for leaf in leaves.values()] == want
+        held.append(ws.nbytes)
+    assert ws.lends > 0 and ws.overlaps == 0
+    assert held[1] == held[2]
+
+
+def test_workspace_gradients_hold_until_the_next_tape(rng):
+    layout, inputs = big_inputs(rng)
+    ws = ng.Workspace()
+    tape = ng.Tape(ws)
+    leaves, loss = big_sweep(tape, layout, inputs)
+    ng.backward(tape, loss)
+    grad = leaves["x"].grad
+    kept = grad.copy()
+    assert not grad.flags.owndata  # a view the workspace lent
+    # another sweep without the workspace, and one on a second workspace
+    for other in (ng.Tape(), ng.Tape(ng.Workspace())):
+        ng.backward(other, big_sweep(other, layout, inputs)[1])
+    assert np.array_equal(grad, kept)
+
+
+def test_workspace_pools_only_large_arrays():
+    ws = ng.Workspace()
+    tape = ng.Tape(ws)
+    small = tape.empty((ng.POOLED_MIN_ELEMENTS - 1, 1))
+    large = tape.empty((ng.POOLED_MIN_ELEMENTS, 1))
+    assert small.flags.owndata and not large.flags.owndata
+    assert ws.nbytes == 8 * ng.POOLED_MIN_ELEMENTS
+
+
+def test_workspace_lends_the_smallest_free_buffer_that_holds_a_request():
+    ws = ng.Workspace()
+    views = [ws.take((size,)) for size in (300, 100, 200)]
+    for view in views:
+        ws.give(view)
+    ws.give(np.empty(100))  # not lent by it: ignored
+    view = ws.take((10, 15))
+    assert view.shape == (10, 15) and np.shares_memory(view, views[2])
+    assert ws.nbytes == 8 * 600
+    ws.take((301,))
+    assert ws.nbytes == 8 * 901

@@ -499,6 +499,36 @@ def test_rows_with_fewer_than_k_candidates_match_brute_force(top_mode):
 
 
 @pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@pytest.mark.parametrize("pole", [90.0, -90.0])
+def test_rows_within_1e_12_degrees_of_a_pole_reach_the_cos_clamp(pole, top_mode):
+    """cos of a latitude within about 8e-13 degrees of a pole is below the
+    4 * _SLACK that _grid_edges subtracts from it, so the grid's width factor
+    is clamped to 1e-300: every row falls in one column of cells, and the
+    latitude cells alone filter. Rows spread over every longitude within
+    550 m of the pole, some at the pole itself or within 1e-12 degrees of
+    it; the build and forecasts still match brute force."""
+    rng = np.random.default_rng(12)
+    n, init_count = 160, 12
+    lat = rng.uniform(89.995, 90.0, n)
+    lat[rng.choice(n, 12, replace=False)] = 90.0 - rng.uniform(0.0, 1e-12, 12)
+    lat[rng.choice(n, 4, replace=False)] = 90.0
+    lon = rng.uniform(-180.0, 180.0, n)
+    ts = np.sort(rng.uniform(0.0, 100.0, n))
+    nodes = [sg.GraphNode(i, float(lon[i]), math.copysign(float(lat[i]), pole), float(ts[i]),
+                          float(ts[i] / 100.0), i < init_count) for i in range(n)]
+    assert math.cos(90.0 * sg._DEG) - 4 * sg._SLACK < 0.0  # the clamp's branch is taken
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
+    g = sg.build_graph(nodes, init_count, cfg)
+    assert edge_set(g) == oracle_graph_edges(nodes, init_count, cfg)
+    hard = np.bincount(g.origin, minlength=len(sg.ORIGINS))[sg.HARD]
+    assert 0 < hard < n * (n - 1) // 4  # the proximity threshold filters
+    coords = [(float(x), math.copysign(90.0 - float(d), pole))
+              for x, d in zip(rng.uniform(-180.0, 180.0, 8), [0.0, 1e-13, 3e-13, 1e-3] * 2)]
+    queries = query_nodes(g.n, coords, np.sort(rng.uniform(100.0, 110.0, 8)))
+    assert_rows_match_oracle(nodes + queries, np.arange(g.n, g.n + len(queries)), cfg)
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
 def test_rows_at_one_spot_stay_within_the_scratch_cap(top_mode):
     """2,000 rows at one spot, each with 50 older rows within t_res: every
     row falls in one cell, so the grid filters nothing. The call's traced

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from pavecast import dataset as ds
 from pavecast import model as md
+from pavecast import ndgrad as ng
+from pavecast import pipeline
 from pavecast import stgraph as sg
 from pavecast import trainer as tr
 
-from conftest import SMALL_DIMS, small_instance
+from conftest import SMALL_DIMS, WatchedWorkspace, small_instance
 from oracles import dense_forward
 
 
@@ -50,6 +53,9 @@ def step(ctx, graph, nodes, query):
     and the node's forecast."""
     grown = append_query(ctx, graph, nodes, query)
     return grown, tr.predict_one(ctx, grown, nodes, [graph.n])[0]
+
+
+MODEL_GRID = [(variant, layers) for variant in md.VARIANTS for layers in (1, 2)]
 
 
 def run_training(inst, epochs, seed=0, track=False):
@@ -125,6 +131,88 @@ def test_attention_tracking_reports_tight_sums():
     result = run_training(inst, 5, track=True)
     assert result.attention_max_dev is not None
     assert result.attention_max_dev < 1e-12
+
+
+def plain_training(inst, epochs, seed=0):
+    """train_on_graph's epochs by hand: loss_and_grads on a tape without a
+    workspace, then adam_step. Returns the loss trace and the parameters."""
+    gt = md.prepare_tensors(inst["graph"], inst["nodes"], l_res_m=inst["graph_cfg"].l_res_m)
+    loss_ids = np.arange(inst["graph"].init_count, inst["graph"].n)
+    params = md.init_params(inst["config"], gt.x_full.shape[1], gt.x_st.shape[1], seed)
+    adam = ng.adam_init(params, lr=tr.TrainConfig().lr)
+    trace = []
+    for _ in range(epochs):
+        loss, grads, _ = md.loss_and_grads(gt, params, inst["config"], loss_ids)
+        trace.append(loss)
+        ng.adam_step(params, grads, adam)
+    return trace, params
+
+
+@pytest.mark.parametrize("variant,layers", MODEL_GRID,
+                         ids=[f"{v}-{layers}" for v, layers in MODEL_GRID])
+def test_training_on_a_workspace_equals_epochs_without_one(monkeypatch, variant, layers):
+    """With every array pooled, no lend shares memory with a live one, and
+    the loss trace and parameters keep their bytes."""
+    monkeypatch.setattr(ng, "POOLED_MIN_ELEMENTS", 1)
+    made = []
+    monkeypatch.setattr(ng, "Workspace", lambda: made.append(WatchedWorkspace()) or made[-1])
+    inst = small_instance(23, n=40, init_count=3, variant=variant, layers=layers)
+    result = run_training(inst, 8)
+    trace, params = plain_training(inst, 8)
+    assert result.loss_trace == trace
+    assert all(result.params[name].tobytes() == params[name].tobytes() for name in params)
+    (ws,) = made
+    assert ws.lends > 0 and ws.overlaps == 0
+
+
+@pytest.fixture(scope="module")
+def benchmark_sweep():
+    """The benchmark model on a 600-record graph: its large arrays pool."""
+    base = pipeline.reference_benchmark_config(0)
+    config = replace(base, dataset=pipeline.DatasetSource(synthetic=replace(
+        base.dataset.synthetic, n_records=600, n_locations=96)))
+    data = pipeline.prepare_data(config)
+    graph, graph_cfg = pipeline.build_history_graph(config, data)
+    gt = md.prepare_tensors(graph, data.history_nodes, l_res_m=graph_cfg.l_res_m)
+    params = md.init_params(config.model, gt.x_full.shape[1], gt.x_st.shape[1], 0)
+    return gt, params, config.model, np.arange(graph.init_count, graph.n)
+
+
+@pytest.mark.parametrize("pool_all", [False, True], ids=["large-arrays", "every-array"])
+def test_workspace_stops_growing_and_stays_under_a_plain_sweeps_peak(monkeypatch,
+                                                                     benchmark_sweep, pool_all):
+    """From the second sweep on, the workspace makes no new buffer. Pooling
+    only large arrays, it holds no more than a sweep without it peaks at."""
+    md.loss_and_grads(*benchmark_sweep)  # first calls pay one-off costs
+    tracemalloc.start()
+    try:
+        md.loss_and_grads(*benchmark_sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if pool_all:
+        monkeypatch.setattr(ng, "POOLED_MIN_ELEMENTS", 1)
+    ws = ng.Workspace()
+    held = []
+    for _ in range(4):
+        md.loss_and_grads(*benchmark_sweep, workspace=ws)
+        held.append(ws.nbytes)
+    assert held[0] > 0
+    assert held[1] == held[2] == held[3]
+    assert pool_all or held[-1] <= peak
+
+
+def test_workspace_gradients_keep_their_values_until_the_next_sweep(monkeypatch,
+                                                                     benchmark_sweep):
+    monkeypatch.setattr(ng, "POOLED_MIN_ELEMENTS", 1)  # the gradients pool too
+    ws = ng.Workspace()
+    _, grads, _ = md.loss_and_grads(*benchmark_sweep, workspace=ws)
+    assert any(not g.flags.owndata for g in grads.values())
+    kept = {name: g.copy() for name, g in grads.items()}
+    gt, params, config, _ = benchmark_sweep
+    md.forward_values(gt, params, config)
+    md.loss_and_grads(*benchmark_sweep)
+    assert all(np.array_equal(grads[name], kept[name]) for name in grads)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +497,6 @@ def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
         elif strategy == "predicted":
             work_nodes[-1] = written(ctx, work_nodes[-1], out[-1])
     return np.array(out)
-
-
-MODEL_GRID = [(variant, layers) for variant in md.VARIANTS for layers in (1, 2)]
 
 
 # "True": stacked layers reuse the first one's attention; kept in the ids so
