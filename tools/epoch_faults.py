@@ -64,7 +64,7 @@ def measure(records: int, locations: int, epochs: int, runs: int, seed: int) -> 
                                    graph_config)
     finally:
         trainer.loss_and_grads = inner
-    first = [run[0] for run in epochs_by_run if run]
+    first = [run[0] for run in epochs_by_run]
     later = [epoch for run in epochs_by_run for epoch in run[1:]]
 
     def medians(samples):
