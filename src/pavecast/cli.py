@@ -45,7 +45,10 @@ def load_run_config(path: str | None, overrides: list[str],
         doc = reference_benchmark_config().to_dict()
     elif path:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise UsageError(f"--config {path} is not UTF-8 JSON: {exc}") from None
     else:
         doc = RunConfig().to_dict()
     for item in overrides:
@@ -56,10 +59,13 @@ def load_run_config(path: str | None, overrides: list[str],
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
+        node, parts = doc, key.split(".")
+        for depth, part in enumerate(parts):
+            if not isinstance(node, dict):
+                where = ".".join(parts[:depth]) or "the config"
+                raise UsageError(f"--set {key}: {where} is not an object")
+            if depth + 1 < len(parts):
+                node = node.setdefault(part, {})
         node[parts[-1]] = value
     return RunConfig.from_dict(doc)
 

@@ -149,6 +149,12 @@ class FeatureSchema:
 
     env_features: tuple[str, ...] = ENV_FEATURES
 
+    def __post_init__(self):
+        unknown = [f for f in self.env_features if f not in ENV_FEATURES]
+        if unknown:
+            raise SchemaError(f"unknown env_features {unknown}, "
+                              f"expected names from {', '.join(ENV_FEATURES)}")
+
     @property
     def dim_full(self) -> int:
         return len(self.env_features) + 1 + len(DISTRESS_TYPES) + 1 + 3

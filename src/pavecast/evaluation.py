@@ -69,19 +69,6 @@ def level_affinities(yhat, class_index: int) -> np.ndarray:
     return np.negative(out, out=out, where=outside)
 
 
-def classify_level(value: float) -> str:
-    return LEVELS[level_index(value)]
-
-
-def level_index(value: float) -> int:
-    return int(level_indices([value])[0])
-
-
-def level_affinity(yhat: float, class_index: int) -> float:
-    """Negative distance of yhat to the class bin (0 inside the bin)."""
-    return float(level_affinities([yhat], class_index)[0])
-
-
 def roc_curve(labels, scores):
     """(fpr, tpr, thresholds) with tied scores grouped at one threshold."""
     labels = np.asarray(labels, dtype=bool)

@@ -222,8 +222,8 @@ def build_history_graph(config: RunConfig,
                         data: PreparedData) -> tuple[sg.STGraph, sg.GraphConfig]:
     """The init + train graph under the effective graph config, and that config."""
     graph_cfg = effective_graph_config(config)
-    meta = sg.graph_nodes_from_processed(data.history_nodes, data.init_count)
-    return sg.build_graph(meta, data.init_count, graph_cfg), graph_cfg
+    cols = sg.graph_nodes_from_processed(data.history_nodes)
+    return sg.build_graph(cols, data.init_count, graph_cfg), graph_cfg
 
 
 def _train_model(config: RunConfig, data: PreparedData, log=None):

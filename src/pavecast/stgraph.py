@@ -10,11 +10,12 @@ the autoregressive expansion.
 
 Layout: an STGraph is columnar. Node i is row i of the float64 columns
 lon, lat, t_raw and t_norm (a node's id is its position), and the first
-init_count rows are the initialization block. Parent edges are kept in CSR
-form: the parents of node i are entries offsets[i]:offsets[i + 1] of the
-per-edge columns parent, dist_m and origin (a code into ORIGINS). A graph
-is a value: grow returns a new graph holding the old rows followed by the
-new ones, and leaves the graph it was called on as it was.
+init_count rows are the initialization block. Rows enter build_graph and
+grow alike, as those four _NODE_COLUMNS arrays. Parent edges are kept in
+CSR form: the parents of node i are entries offsets[i]:offsets[i + 1] of
+the per-edge columns parent, dist_m and origin (a code into ORIGINS). A
+graph is a value: grow returns a new graph holding the old rows followed
+by the new ones, and leaves the graph it was called on as it was.
 
 Wiring: a node's parents depend only on the coordinates and times of the
 rows before it, never on their features or edges. So combined_parents, the
@@ -74,37 +75,8 @@ class GraphConfig:
             raise ConstructionError(f"unknown top_mode {self.top_mode!r}")
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    node_id: int
-    lon: float
-    lat: float
-    t_raw: float
-    t_norm: float
-    is_init: bool
-
-
 Wiring = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # CSR (offsets, parent, dist_m, origin)
 _NO_EDGES = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))  # (row, parent, dist_m)
-
-
-def _checked_rows(ids, is_init, cols) -> int:
-    """The number of init rows, once the rows pass every check the kernel relies on.
-
-    Raises ConstructionError for non-positional ids, non-finite coordinates
-    or times and init rows that are not a prefix, and TemporalOrderError for
-    t_raw out of order. cols are the _NODE_COLUMNS arrays.
-    """
-    if list(ids) != list(range(len(ids))):
-        raise ConstructionError("node ids must equal their positions 0..n-1")
-    if not all(np.isfinite(col).all() for col in cols):
-        raise ConstructionError("node coordinates and times must be finite")
-    if np.any(np.diff(cols[_NODE_COLUMNS.index("t_raw")]) < 0):
-        raise TemporalOrderError("node t_raw must be nondecreasing")
-    init_count = sum(is_init)
-    if list(is_init) != [True] * init_count + [False] * (len(ids) - init_count):
-        raise ConstructionError("init nodes must come first")
-    return init_count
 
 
 def _column(dtype=float):
@@ -398,34 +370,42 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     return offsets, parent[order], dist[order], origin[order]
 
 
-def build_graph(nodes_meta: list[GraphNode], init_count: int,
-                config: GraphConfig) -> STGraph:
+def build_graph(cols, init_count: int, config: GraphConfig) -> STGraph:
     """The initialization block, then every later row wired against the rows before it.
 
-    Raises ConstructionError for rows that fail _checked_rows
-    (TemporalOrderError for rows out of time order) and for an init_count
-    other than the number of rows flagged is_init.
+    cols are the _NODE_COLUMNS arrays, as STGraph.grow takes them, and the
+    first init_count rows are the initialization block. Raises
+    ConstructionError for other than four columns of one length, an
+    init_count outside [1, n] and non-finite coordinates or times, and
+    TemporalOrderError for a t_raw that goes backwards.
     """
-    n = len(nodes_meta)
+    cols = [np.asarray(col, dtype=float) for col in cols]
+    if len(cols) != len(_NODE_COLUMNS) or len({col.shape for col in cols}) != 1 \
+            or cols[0].ndim != 1:
+        raise ConstructionError(f"expected the columns {', '.join(_NODE_COLUMNS)}, "
+                                f"one length each, got shapes {[col.shape for col in cols]}")
+    n = len(cols[0])
     if init_count <= 0 or init_count > n:
         raise ConstructionError(f"bad init_count {init_count} for {n} nodes")
-    cols = [np.array([getattr(nd, name) for nd in nodes_meta], dtype=float)
-            for name in _NODE_COLUMNS]
-    flagged = _checked_rows([nd.node_id for nd in nodes_meta],
-                            [nd.is_init for nd in nodes_meta], cols)
-    if flagged != init_count:
-        raise ConstructionError(f"init_count {init_count}, but {flagged} init nodes")
+    if not all(np.isfinite(col).all() for col in cols):
+        raise ConstructionError("node coordinates and times must be finite")
+    if np.any(np.diff(cols[_NODE_COLUMNS.index("t_raw")]) < 0):
+        raise TemporalOrderError("node t_raw must be nondecreasing")
     init = STGraph().grow([col[:init_count] for col in cols], np.full(init_count, init_count),
                           config, mutual=True)
     return replace(init, init_count=init_count).grow(
         [col[init_count:] for col in cols], np.arange(init_count, n), config)
 
 
-def graph_nodes_from_processed(nodes, init_count: int = 0) -> list[GraphNode]:
-    """GraphNode metadata from ProcessedNode objects, numbered by position."""
-    return [GraphNode(node_id=i, lon=p.coords[0], lat=p.coords[1],
-                      t_raw=p.t_raw, t_norm=p.t_norm, is_init=(i < init_count))
-            for i, p in enumerate(nodes)]
+def graph_nodes_from_processed(nodes, init_count: int = 0) -> list[np.ndarray]:
+    """The _NODE_COLUMNS arrays of ProcessedNode objects, row i read from nodes[i].
+
+    init_count is ignored (build_graph takes the initialization block's
+    size); it stays only because perfbench/worker.py still passes it.
+    """
+    return [np.fromiter(values, float, len(nodes)) for values in (
+        (p.coords[0] for p in nodes), (p.coords[1] for p in nodes),
+        (p.t_raw for p in nodes), (p.t_norm for p in nodes))]
 
 
 def save_graph_json(graph: STGraph, path) -> None:

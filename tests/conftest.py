@@ -37,8 +37,8 @@ def small_instance(seed, n=8, variant="stgan", layers=1, top_k=2, init_count=1,
     nodes = ds.preprocess_records(records, stats, schema)
     graph_cfg = sg.GraphConfig(l_res_m=500.0, t_res_days=20.0,
                                top_k=0 if variant == "stgan_no_top" else top_k)
-    meta = sg.graph_nodes_from_processed(nodes, init_count)
-    graph = sg.build_graph(meta, init_count, graph_cfg)
+    cols = sg.graph_nodes_from_processed(nodes)
+    graph = sg.build_graph(cols, init_count, graph_cfg)
     gt = md.prepare_tensors(graph, nodes, l_res_m=graph_cfg.l_res_m)
     config = md.ModelConfig(variant=variant, layers=layers, **SMALL_DIMS)
     params = md.init_params(config, schema.dim_full, schema.dim_st,

@@ -332,6 +332,10 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "model.reuse_attention=false",           # RunConfigError: removed key
     "features.include_conf=false",           # RunConfigError: removed key
     "dataset.synthetic.extent_deg=0.1",      # RunConfigError: removed key
+    "seed.x=1",                              # UsageError: seed is no object
+    "split.0=0.2",                           # UsageError: split is no object
+    "seed.x.y=1",                            # UsageError: seed is no object
+    'features.env_features=["foo"]',         # SchemaError
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsys,
                                                override):
@@ -339,6 +343,16 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsy
                    "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("content", [b'{"seed": 1,', b'{"seed": "\xe9"}'],
+                         ids=["not-json", "not-utf8"])
+def test_unreadable_config_file_exits_2_with_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert run_cli("build-graph", "--config", str(path), "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: --config {path} ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,7 +383,8 @@ def rewrite_manifest(path, edit):
     (lambda m: m["graph_config"].update(bogus=1), "graph_config"),
     (lambda m: m.pop("stats"), "stats"),
     (lambda m: m["model_config"].update(heads="5"), "model_config"),
-], ids=["extra-key", "missing-section", "text-for-int"])
+    (lambda m: m["feature_schema"].update(env_features=["foo"]), "feature_schema"),
+], ids=["extra-key", "missing-section", "text-for-int", "unknown-env-feature"])
 def test_malformed_checkpoint_manifest_exits_2_naming_the_section(tmp_path, tiny_config_file,
                                                                  capsys, edit, section):
     out = tmp_path / "one"

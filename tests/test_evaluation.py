@@ -46,30 +46,28 @@ def test_rmse_squared_equals_mse(y, yhat):
 # severity levels
 
 
+def levels(values):
+    return [ev.LEVELS[i] for i in ev.level_indices(values)]
+
+
 def test_level_examples():
-    assert ev.classify_level(0.5) == "Healthy"
-    assert ev.classify_level(3.0) == "Good"
-    assert ev.classify_level(7.0) == "Severe"
-    assert ev.classify_level(12.0) == "VerySevere"
+    assert levels([0.5, 3.0, 7.0, 12.0]) == ["Healthy", "Good", "Severe", "VerySevere"]
 
 
 def test_level_bin_boundaries():
-    assert ev.classify_level(1.0) == "Good"
-    assert ev.classify_level(5.0) == "Severe"
-    assert ev.classify_level(10.0) == "VerySevere"
-    assert ev.classify_level(0.0) == "Healthy"
+    assert levels([1.0, 5.0, 10.0, 0.0]) == ["Good", "Severe", "VerySevere", "Healthy"]
 
 
 def test_negative_value_rejected():
     with pytest.raises(ev.DomainError):
-        ev.classify_level(-0.1)
+        ev.level_indices([-0.1])
 
 
 @settings(deadline=None, max_examples=50)
 @given(st.floats(0, 40), st.floats(0, 40))
 def test_classify_level_monotone(a, b):
-    lo, hi = sorted((a, b))
-    assert ev.level_index(lo) <= ev.level_index(hi)
+    lo, hi = ev.level_indices(sorted((a, b)))
+    assert lo <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +95,10 @@ def test_six_point_toy_matches_pair_count():
     true = [0.5, 0.2, 3.0, 4.0, 7.0, 12.0]
     pred = [0.8, 2.0, 2.5, 6.0, 5.5, 11.0]
     auc = ev.roc_auc_ovr(true, pred)
-    true_cls = [ev.level_index(v) for v in true]
+    true_cls = ev.level_indices(true)
     for c, name in enumerate(ev.LEVELS):
         labels = [t == c for t in true_cls]
-        scores = [ev.level_affinity(p, c) for p in pred]
+        scores = ev.level_affinities(pred, c)
         want = pairwise_auc(labels, scores)
         if want is None:
             assert auc[name] is None
@@ -117,10 +115,10 @@ def test_auc_matches_pair_count_on_random_cases():
         if rng.random() < 0.3:
             pred = np.round(pred)  # force ties
         auc = ev.roc_auc_ovr(true, pred)
-        true_cls = [ev.level_index(v) for v in true]
+        true_cls = ev.level_indices(true)
         for c, name in enumerate(ev.LEVELS):
             labels = [t == c for t in true_cls]
-            scores = [ev.level_affinity(p, c) for p in pred]
+            scores = ev.level_affinities(pred, c)
             want = pairwise_auc(labels, scores)
             if want is None:
                 assert auc[name] is None
@@ -171,13 +169,13 @@ def test_array_levels_match_the_bins_value_by_value():
         return next((c for c, (lo, hi) in enumerate(ev.LEVEL_EDGES) if lo <= v < hi), 3)
 
     assert ev.level_indices(values).tolist() == [level(v) for v in values]
-    assert [ev.level_index(v) for v in values] == [level(v) for v in values]
+    assert [ev.level_indices([v])[0] for v in values] == [level(v) for v in values]
     for c, (lo, hi) in enumerate(ev.LEVEL_EDGES):
         want = np.array([-(lo - v) if v < lo else -(v - hi) if hi != math.inf and v >= hi
                          else 0.0 for v in values])
         got = ev.level_affinities(values, c)
         assert np.array_equal(got, want) and (np.signbit(got) == np.signbit(want)).all()
-        assert [ev.level_affinity(v, c) for v in values] == want.tolist()
+        assert [ev.level_affinities([v], c)[0] for v in values] == want.tolist()
     predicted = [v - 1.0 for v in reversed(values)]
     want = np.zeros((len(ev.LEVELS), len(ev.LEVELS)), int)
     for t, p in zip(values, predicted):

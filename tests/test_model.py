@@ -199,8 +199,8 @@ def test_single_node_graph_prediction_uses_only_st_features():
     records = inst["records"][:1]
     stats, schema = inst["stats"], inst["schema"]
     nodes = ds.preprocess_records(records, stats, schema)
-    meta = sg.graph_nodes_from_processed(nodes, 1)
-    graph = sg.build_graph(meta, 1, inst["graph_cfg"])
+    cols = sg.graph_nodes_from_processed(nodes)
+    graph = sg.build_graph(cols, 1, inst["graph_cfg"])
     gt = md.prepare_tensors(graph, nodes, l_res_m=inst["graph_cfg"].l_res_m)
     base = md.forward_values(gt, inst["params"], inst["config"])
     gt.x_full = gt.x_full.copy()
@@ -264,7 +264,7 @@ def test_gcn_on_edgeless_graph_is_per_node_mlp_of_st_features():
     stats = ds.fit_standardizer(far)
     nodes = ds.preprocess_records(far, stats, inst["schema"])
     cfg_g = sg.GraphConfig(l_res_m=10.0, t_res_days=0.5, top_k=0)
-    graph = sg.build_graph(sg.graph_nodes_from_processed(nodes, 1), 1, cfg_g)
+    graph = sg.build_graph(sg.graph_nodes_from_processed(nodes), 1, cfg_g)
     assert graph.edge_count() == 0
     gt = md.prepare_tensors(graph, nodes, l_res_m=cfg_g.l_res_m)
     cfg = md.ModelConfig(variant="gcn", **SMALL_DIMS)

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -11,15 +12,25 @@ from hypothesis import given, settings, strategies as st
 
 from pavecast import stgraph as sg
 
+from conftest import small_instance
 
-def rand_nodes(rng, n, extent=0.01, span=100.0, init_count=0):
-    """Random time-sorted node metadata with ids equal to positions."""
+
+class Row(NamedTuple):
+    """One graph row as the brute-force oracles read it; node_id is its position."""
+    node_id: int
+    lon: float
+    lat: float
+    t_raw: float
+    t_norm: float
+
+
+def rand_nodes(rng, n, extent=0.01, span=100.0):
+    """Random time-sorted rows with ids equal to positions."""
     ts = np.sort(rng.uniform(0, span, n))
-    return [sg.GraphNode(node_id=i,
-                         lon=121.0 + float(rng.uniform(-extent, extent)),
-                         lat=31.0 + float(rng.uniform(-extent, extent)),
-                         t_raw=float(ts[i]), t_norm=float(ts[i] / span),
-                         is_init=(i < init_count))
+    return [Row(node_id=i,
+                lon=121.0 + float(rng.uniform(-extent, extent)),
+                lat=31.0 + float(rng.uniform(-extent, extent)),
+                t_raw=float(ts[i]), t_norm=float(ts[i] / span))
             for i in range(n)]
 
 
@@ -132,8 +143,8 @@ def ranked(node, candidates, config):
 def pair_distance(a, b):
     """Distance in meters that combined_parents reports between two (lon, lat)."""
     far = sg.GraphConfig(l_res_m=1e9, t_res_days=1e9, top_k=1)
-    node = sg.GraphNode(1, a[0], a[1], 0.0, 0.0, False)
-    ((_, _, dist),) = parents(node, [sg.GraphNode(0, b[0], b[1], 0.0, 0.0, False)], far)
+    node = Row(1, a[0], a[1], 0.0, 0.0)
+    ((_, _, dist),) = parents(node, [Row(0, b[0], b[1], 0.0, 0.0)], far)
     return dist
 
 
@@ -161,15 +172,15 @@ def test_distance_hand_value():
     "ignore:invalid value encountered in subtract:RuntimeWarning",
     "ignore:invalid value encountered in cos:RuntimeWarning")
 def test_distance_nonfinite():
-    node = sg.GraphNode(1, float("nan"), 31.0, 1.0, 0.1, False)
-    cand = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)
+    node = Row(1, float("nan"), 31.0, 1.0, 0.1)
+    cand = Row(0, 121.0, 31.0, 0.0, 0.0)
     with pytest.raises(ArithmeticError):
         parents(node, [cand], sg.GraphConfig())
     with pytest.raises(ArithmeticError):
-        parents(replace(cand, node_id=1, t_raw=2.0), [replace(node, node_id=0)],
+        parents(cand._replace(node_id=1, t_raw=2.0), [node._replace(node_id=0)],
                 sg.GraphConfig(top_k=0))
     with pytest.raises(ArithmeticError):
-        wire([replace(cand, lat=math.inf), replace(node, lon=121.0)], [2, 2],
+        wire([cand._replace(lat=math.inf), node._replace(lon=121.0)], [2, 2],
              sg.GraphConfig(), mutual=True)
 
 
@@ -179,20 +190,20 @@ def test_distance_nonfinite():
 
 def test_hard_edge_trivial_inclusion():
     cfg = sg.GraphConfig(top_k=0)
-    cand = sg.GraphNode(0, 121.0, 31.0, 10.0, 0.1, True)
-    g = sg.build_graph([cand, sg.GraphNode(1, 121.0, 31.0, 10.0, 0.1, False)], 1, cfg)
+    cand = Row(0, 121.0, 31.0, 10.0, 0.1)
+    g = sg.build_graph(columns([cand, Row(1, 121.0, 31.0, 10.0, 0.1)]), 1, cfg)
     assert g.to_json_dict()["edges"] == [
         {"from": 0, "to": 1, "origin": "hard", "dt_norm": 0.0, "dist_m": 0.0}]
 
 
 def test_hard_edge_threshold_is_inclusive_and_strict_beyond():
     cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0)
-    node = sg.GraphNode(1, 121.0, 31.0, 20.0, 0.2, False)
+    node = Row(1, 121.0, 31.0, 20.0, 0.2)
     # ~0.0021 deg of longitude is just over 200 m at 31 N
-    beyond = sg.GraphNode(0, 121.0021, 31.0, 20.0, 0.2, False)
+    beyond = Row(0, 121.0021, 31.0, 20.0, 0.2)
     assert equirect_m((121.0, 31.0), (121.0021, 31.0)) > 200.0
     assert proximity(node, [beyond], cfg) == []
-    at_time_limit = sg.GraphNode(0, 121.0, 31.0, 6.0, 0.06, False)
+    at_time_limit = Row(0, 121.0, 31.0, 6.0, 0.06)
     assert len(proximity(node, [at_time_limit], cfg)) == 1
 
 
@@ -221,11 +232,11 @@ def test_top_returns_all_when_fewer_than_k():
 
 def test_top_tie_broken_by_lower_id():
     cfg = sg.GraphConfig(top_k=1)
-    node = sg.GraphNode(5, 121.0, 31.0, 50.0, 0.5, False)
-    twin = sg.GraphNode(2, 121.001, 31.0, 40.0, 0.4, False)
-    far = sg.GraphNode(0, 121.5, 31.0, 10.0, 0.1, False)
-    candidates = [far, replace(far, node_id=1, t_raw=20.0), twin,
-                  replace(far, node_id=3, t_raw=40.0), replace(twin, node_id=4)]
+    node = Row(5, 121.0, 31.0, 50.0, 0.5)
+    twin = Row(2, 121.001, 31.0, 40.0, 0.4)
+    far = Row(0, 121.5, 31.0, 10.0, 0.1)
+    candidates = [far, far._replace(node_id=1, t_raw=20.0), twin,
+                  far._replace(node_id=3, t_raw=40.0), twin._replace(node_id=4)]
     assert ranked(node, candidates, cfg) == [2]
 
 
@@ -255,9 +266,9 @@ def test_combined_parents_matches_brute_force_at_boundaries(t, picks, top_k, top
     times = [np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf),
              t - 3 * T_RES, t - 0.5 * T_RES, t]
     rows = sorted(((float(times[i]), SPOTS[j]) for i, j in picks), key=lambda r: r[0])
-    candidates = [sg.GraphNode(k, lon, lat, ts, 0.0, False)
+    candidates = [Row(k, lon, lat, ts, 0.0)
                   for k, (ts, (lon, lat)) in enumerate(rows)]
-    node = sg.GraphNode(len(candidates), *SPOTS[0], t, 0.0, False)
+    node = Row(len(candidates), *SPOTS[0], t, 0.0)
     got = parents(node, candidates, cfg)
     want, want_top = oracle_parents(node, candidates, cfg)
     ids = [p for p, _, _ in got]
@@ -281,7 +292,7 @@ def test_batched_kernel_equals_row_by_row_calls_and_brute_force(rows, data, top_
     row and the full-sort oracle. Sparse times make rows widen their window;
     repeated spots and times make score ties."""
     cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=top_k, top_mode=top_mode)
-    nodes = [sg.GraphNode(i, *SPOTS[j], t, 0.0, False)
+    nodes = [Row(i, *SPOTS[j], t, 0.0)
              for i, (t, j) in enumerate(sorted(rows, key=lambda r: r[0]))]
     first = len(nodes) - data.draw(st.integers(1, len(nodes)))
     limits = [data.draw(st.integers(0, row)) for row in range(first, len(nodes))]
@@ -304,9 +315,9 @@ def test_scan_goes_on_past_a_candidate_tied_with_the_kth_score():
     # twins beyond the time window: the newer one alone fills top_k=1, the
     # older one's dt/t_res equals that score, and the tie goes to the lower id
     cfg = sg.GraphConfig(t_res_days=14.0, top_k=1)
-    twin = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, False)
-    node = sg.GraphNode(2, 121.0, 31.0, 42.0, 1.0, False)
-    assert ranked(node, [twin, replace(twin, node_id=1)], cfg) == [0]
+    twin = Row(0, 121.0, 31.0, 0.0, 0.0)
+    node = Row(2, 121.0, 31.0, 42.0, 1.0)
+    assert ranked(node, [twin, twin._replace(node_id=1)], cfg) == [0]
 
 
 def test_window_keeps_parent_whose_time_gap_rounds_to_t_res():
@@ -314,8 +325,8 @@ def test_window_keeps_parent_whose_time_gap_rounds_to_t_res():
     cfg = sg.GraphConfig(t_res_days=14.0, top_k=0)
     ts = -7.900000000000001
     assert abs(6.1 - ts) <= 14.0 and not ts >= 6.1 - 14.0
-    cand = sg.GraphNode(0, 121.0, 31.0, ts, 0.0, False)
-    assert proximity(sg.GraphNode(1, 121.0, 31.0, 6.1, 1.0, False), [cand], cfg) \
+    cand = Row(0, 121.0, 31.0, ts, 0.0)
+    assert proximity(Row(1, 121.0, 31.0, 6.1, 1.0), [cand], cfg) \
         == [(0, "hard", 0.0)]
 
 
@@ -323,7 +334,7 @@ def test_window_keeps_parent_whose_time_gap_rounds_to_t_res():
 def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
     rng = np.random.default_rng(450)
     cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=10.0, top_k=5, top_mode=top_mode)
-    nodes = rand_nodes(rng, 450, extent=0.004, span=300.0, init_count=30)
+    nodes = rand_nodes(rng, 450, extent=0.004, span=300.0)
     scored = Counter()  # (row, candidate) pairs scored per row, rows told apart by location
     distances = sg._distances
 
@@ -333,7 +344,7 @@ def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
         return distances(lon, lat, lons, lats)
 
     monkeypatch.setattr(sg, "_distances", recording)
-    g = sg.build_graph(nodes, 30, cfg)
+    g = sg.build_graph(columns(nodes), 30, cfg)
     assert edge_set(g) == oracle_graph_edges(nodes, 30, cfg)
     assert max(scored.values()) < 450 // 4  # the scan stopped well short of the full history
 
@@ -345,9 +356,9 @@ def far_ranked_batch(top_mode):
     least 3 rounds. Returns (config, columns, limits)."""
     cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=5, top_mode=top_mode)
     far = (122.0, 31.0)  # ~95 km: a score far above any dt/t_res here
-    history = [sg.GraphNode(i, *(SPOTS[0] if i < cfg.top_k else far), 3 * T_RES * i,
-                            0.0, False) for i in range(100)]
-    queries = [sg.GraphNode(100 + q, *SPOTS[0], 3 * T_RES * (100 + q), 0.0, False)
+    history = [Row(i, *(SPOTS[0] if i < cfg.top_k else far), 3 * T_RES * i, 0.0)
+               for i in range(100)]
+    queries = [Row(100 + q, *SPOTS[0], 3 * T_RES * (100 + q), 0.0)
                for q in range(6)]
     return cfg, columns(history + queries)[:3], np.array([100, 97, 93, 88, 84, 81])
 
@@ -406,17 +417,16 @@ def assert_rows_match_oracle(nodes, limits, config):
         assert [p for p, origin, _ in got if origin == "top"] == want_top, row
 
 
-def clustered_nodes(rng, n, init_count, clusters=12, extent=0.02, sigma=0.0015, span=200.0):
+def clustered_nodes(rng, n, clusters=12, extent=0.02, sigma=0.0015, span=200.0):
     """Time-sorted nodes in clusters spread over a few dozen cells a side."""
     centres = rng.uniform(-extent, extent, (clusters, 2))[rng.integers(0, clusters, n)]
     ts = np.sort(rng.uniform(0, span, n))
-    return [sg.GraphNode(i, 121.0 + float(x), 31.0 + float(y), float(ts[i]), float(ts[i] / span),
-                         i < init_count)
+    return [Row(i, 121.0 + float(x), 31.0 + float(y), float(ts[i]), float(ts[i] / span))
             for i, (x, y) in enumerate(centres + rng.normal(0, sigma, (n, 2)))]
 
 
 def query_nodes(first_id, coords, times):
-    return [sg.GraphNode(first_id + q, lon, lat, float(t), 0.0, False)
+    return [Row(first_id + q, lon, lat, float(t), 0.0)
             for q, ((lon, lat), t) in enumerate(zip(coords, times))]
 
 
@@ -430,11 +440,11 @@ def test_grid_build_and_forecasts_match_brute_force(top_mode, init_count):
     wired against the queries before them."""
     rng = np.random.default_rng(400)
     cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
-    nodes = clustered_nodes(rng, 400, init_count)
-    g = sg.build_graph(nodes, init_count, cfg)
+    nodes = clustered_nodes(rng, 400)
+    g = sg.build_graph(columns(nodes), init_count, cfg)
     assert edge_set(g) == oracle_graph_edges(nodes, init_count, cfg)
 
-    inside = [(nd.lon, nd.lat) for nd in rng.choice(np.array(nodes, object), 10)]
+    inside = [(nodes[i].lon, nodes[i].lat) for i in rng.choice(len(nodes), 10)]
     outside = list(zip(rng.uniform(120.5, 121.6, 10), rng.choice([30.7, 31.3], 10)))
     times = np.concatenate((rng.uniform(200.0, 260.0, 20), rng.uniform(-5.0, 200.0, 10),
                             [nodes[2].t_raw]))
@@ -463,7 +473,7 @@ def test_proximity_reaches_exactly_l_res_across_a_cell_boundary(top_mode, axis):
 
     def at(node_id, cells, t):
         lon, lat = (121.0 + cells * step, 31.0) if axis == "lon" else (121.0, 31.0 + cells * step)
-        return sg.GraphNode(node_id, lon, lat, t, 0.0, False)
+        return Row(node_id, lon, lat, t, 0.0)
 
     for cell, frac, filled in itertools.product(range(1, 33), (0.0, 0.25, 0.5, 0.75),
                                                 (True, False)):
@@ -488,8 +498,8 @@ def test_rows_with_fewer_than_k_candidates_match_brute_force(top_mode):
     grid before it holds K."""
     rng = np.random.default_rng(9)
     cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
-    nodes = rand_nodes(rng, 12, extent=0.3, span=900.0, init_count=1)
-    g = sg.build_graph(nodes, 1, cfg)
+    nodes = rand_nodes(rng, 12, extent=0.3, span=900.0)
+    g = sg.build_graph(columns(nodes), 1, cfg)
     assert edge_set(g) == oracle_graph_edges(nodes, 1, cfg)
     assert (in_degree(g)[1:cfg.top_k] == np.arange(1, cfg.top_k)).all()
     queries = query_nodes(g.n, [(121.5, 31.2), (120.6, 30.8), (121.0, 31.0)],
@@ -514,11 +524,11 @@ def test_rows_within_1e_12_degrees_of_a_pole_reach_the_cos_clamp(pole, top_mode)
     lat[rng.choice(n, 4, replace=False)] = 90.0
     lon = rng.uniform(-180.0, 180.0, n)
     ts = np.sort(rng.uniform(0.0, 100.0, n))
-    nodes = [sg.GraphNode(i, float(lon[i]), math.copysign(float(lat[i]), pole), float(ts[i]),
-                          float(ts[i] / 100.0), i < init_count) for i in range(n)]
+    nodes = [Row(i, float(lon[i]), math.copysign(float(lat[i]), pole), float(ts[i]),
+                 float(ts[i] / 100.0)) for i in range(n)]
     assert math.cos(90.0 * sg._DEG) - 4 * sg._SLACK < 0.0  # the clamp's branch is taken
     cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
-    g = sg.build_graph(nodes, init_count, cfg)
+    g = sg.build_graph(columns(nodes), init_count, cfg)
     assert edge_set(g) == oracle_graph_edges(nodes, init_count, cfg)
     hard = np.bincount(g.origin, minlength=len(sg.ORIGINS))[sg.HARD]
     assert 0 < hard < n * (n - 1) // 4  # the proximity threshold filters
@@ -561,15 +571,14 @@ def test_rows_at_one_spot_stay_within_the_scratch_cap(top_mode):
 
 
 def test_init_single_node():
-    g = sg.build_graph(rand_nodes(np.random.default_rng(0), 1, init_count=1), 1,
-                       sg.GraphConfig())
+    g = sg.build_graph(columns(rand_nodes(np.random.default_rng(0), 1)), 1, sg.GraphConfig())
     assert g.n == 1 and g.edge_count() == 0
 
 
 def test_init_colocated_pair_mutually_visible():
-    a = sg.GraphNode(0, 121.0, 31.0, 5.0, 0.0, True)
-    b = sg.GraphNode(1, 121.0, 31.0, 5.0, 0.0, True)
-    g = sg.build_graph([a, b], 2, sg.GraphConfig())
+    a = Row(0, 121.0, 31.0, 5.0, 0.0)
+    b = Row(1, 121.0, 31.0, 5.0, 0.0)
+    g = sg.build_graph(columns([a, b]), 2, sg.GraphConfig())
     assert edge_set(g) == {(0, 1), (1, 0)}
     assert g.origin_counts() == {"init": 2, "top": 0, "hard": 0}
 
@@ -577,16 +586,16 @@ def test_init_colocated_pair_mutually_visible():
 def test_init_matches_symmetric_oracle():
     rng = np.random.default_rng(21)
     cfg = sg.GraphConfig(l_res_m=500.0, t_res_days=30.0)
-    nodes = rand_nodes(rng, 10, extent=0.004, span=40.0, init_count=10)
-    g = sg.build_graph(nodes, 10, cfg)
+    nodes = rand_nodes(rng, 10, extent=0.004, span=40.0)
+    g = sg.build_graph(columns(nodes), 10, cfg)
     assert edge_set(g) == brute_force_graph_edges(nodes, 10, cfg)
 
 
 def test_init_matches_symmetric_oracle_on_120_nodes():
     rng = np.random.default_rng(120)
     cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=15.0)
-    nodes = rand_nodes(rng, 120, extent=0.004, span=90.0, init_count=120)
-    g = sg.build_graph(nodes, 120, cfg)
+    nodes = rand_nodes(rng, 120, extent=0.004, span=90.0)
+    g = sg.build_graph(columns(nodes), 120, cfg)
     want = brute_force_graph_edges(nodes, 120, cfg)
     assert edge_set(g) == want and len(want) > 200
     for i in range(g.n):
@@ -594,27 +603,44 @@ def test_init_matches_symmetric_oracle_on_120_nodes():
         assert plist == sorted(plist)
 
 
-def test_init_rejects_non_positional_ids():
-    nodes = rand_nodes(np.random.default_rng(1), 3, init_count=3)
-    with pytest.raises(sg.ConstructionError):
-        sg.build_graph(nodes[1:], 2, sg.GraphConfig())
-
-
 def test_init_empty_rejected():
     with pytest.raises(sg.ConstructionError):
-        sg.build_graph([], 0, sg.GraphConfig())
+        sg.build_graph(columns([]), 0, sg.GraphConfig())
 
 
 def test_init_rejects_unsorted_times():
-    a, b = rand_nodes(np.random.default_rng(3), 2, init_count=2)
+    a, b = rand_nodes(np.random.default_rng(3), 2)
     with pytest.raises(sg.TemporalOrderError):
-        sg.build_graph([replace(a, t_raw=b.t_raw), replace(b, t_raw=a.t_raw)], 2,
+        sg.build_graph(columns([a._replace(t_raw=b.t_raw), b._replace(t_raw=a.t_raw)]), 2,
                        sg.GraphConfig())
     for bad in (math.nan, math.inf):
         with pytest.raises(sg.ConstructionError):
-            sg.build_graph([a, replace(b, t_raw=bad)], 2, sg.GraphConfig())
+            sg.build_graph(columns([a, b._replace(t_raw=bad)]), 2, sg.GraphConfig())
         with pytest.raises(sg.ConstructionError):
-            sg.build_graph([a, replace(b, lat=bad)], 2, sg.GraphConfig())
+            sg.build_graph(columns([a, b._replace(lat=bad)]), 2, sg.GraphConfig())
+
+
+def test_build_graph_rejects_other_than_four_columns_of_one_length():
+    cfg = sg.GraphConfig()
+    cols = columns(rand_nodes(np.random.default_rng(4), 6))
+    for bad in (cols[:3], [*cols[:3], cols[3][:-1]], [col[:, None] for col in cols]):
+        with pytest.raises(sg.ConstructionError):
+            sg.build_graph(bad, 1, cfg)
+    assert sg.build_graph(cols, 1, cfg).n == 6
+
+
+def test_graph_nodes_from_processed_reads_each_node_bit_for_bit():
+    nodes = small_instance(3, n=12)["nodes"]
+    cols = sg.graph_nodes_from_processed(nodes)
+    fields = ([p.coords[0] for p in nodes], [p.coords[1] for p in nodes],
+              [p.t_raw for p in nodes], [p.t_norm for p in nodes])
+    assert len(cols) == len(fields)
+    for col, values in zip(cols, fields):
+        assert col.dtype == np.float64 and col.shape == (len(nodes),)
+        assert col.tobytes() == np.array(values, dtype=np.float64).tobytes()
+    ignored = sg.graph_nodes_from_processed(nodes, 5)  # init_count is ignored
+    assert all(np.array_equal(a, b) for a, b in zip(ignored, cols))
+    assert [col.shape for col in sg.graph_nodes_from_processed([])] == [(0,)] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -623,42 +649,39 @@ def test_init_rejects_unsorted_times():
 
 def test_expand_no_parents_when_k_zero_and_far():
     cfg = sg.GraphConfig(top_k=0)
-    base = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)
-    far = sg.GraphNode(1, 122.0, 32.0, 90.0, 0.9, False)
-    g = sg.build_graph([base, far], 1, cfg)
+    base = Row(0, 121.0, 31.0, 0.0, 0.0)
+    far = Row(1, 122.0, 32.0, 90.0, 0.9)
+    g = sg.build_graph(columns([base, far]), 1, cfg)
     assert in_degree(g)[1] == 0
 
 
 def test_expand_in_degree_min_k_prior():
     cfg = sg.GraphConfig(top_k=5)
     rng = np.random.default_rng(8)
-    nodes = rand_nodes(rng, 4, extent=0.5, span=400.0, init_count=1)
-    g = sg.build_graph(nodes, 1, cfg)
+    nodes = rand_nodes(rng, 4, extent=0.5, span=400.0)
+    g = sg.build_graph(columns(nodes), 1, cfg)
     assert in_degree(g)[3] == 3  # min(K=5, 3 prior)
 
 
 def test_expand_sequence_matches_batch_oracle():
     rng = np.random.default_rng(13)
     cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=12.0, top_k=4)
-    nodes = rand_nodes(rng, 50, extent=0.004, span=90.0, init_count=5)
-    g = sg.build_graph(nodes, 5, cfg)
+    nodes = rand_nodes(rng, 50, extent=0.004, span=90.0)
+    g = sg.build_graph(columns(nodes), 5, cfg)
     assert edge_set(g) == brute_force_graph_edges(nodes, 5, cfg)
 
 
-def test_expand_rejects_out_of_order_and_duplicate():
+def test_expand_rejects_out_of_order():
     cfg = sg.GraphConfig()
-    nodes = rand_nodes(np.random.default_rng(2), 5, init_count=1)
-    stale = sg.GraphNode(5, 121.0, 31.0, nodes[2].t_raw - 1.0, 0.0, False)
+    nodes = rand_nodes(np.random.default_rng(2), 5)
+    stale = Row(5, 121.0, 31.0, nodes[2].t_raw - 1.0, 0.0)
     with pytest.raises(sg.TemporalOrderError):
-        sg.build_graph(nodes + [stale], 1, cfg)
-    dup = sg.GraphNode(3, 121.0, 31.0, 1e9, 1.0, False)
-    with pytest.raises(sg.ConstructionError):
-        sg.build_graph(nodes + [dup], 1, cfg)
+        sg.build_graph(columns(nodes + [stale]), 1, cfg)
     # the kernel refuses a row older than one of its candidates, and a
     # refused growth leaves the graph as it was
     with pytest.raises(sg.TemporalOrderError):
         wire(nodes + [stale], [5], cfg)
-    g = sg.build_graph(nodes, 1, cfg)
+    g = sg.build_graph(columns(nodes), 1, cfg)
     with pytest.raises(sg.TemporalOrderError):
         g.grow(columns([stale]), [g.n], cfg)
     assert g.n == 5
@@ -666,34 +689,16 @@ def test_expand_rejects_out_of_order_and_duplicate():
 
 def test_expand_rejects_node_older_than_init_block():
     cfg = sg.GraphConfig()
-    init = [sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True),
-            sg.GraphNode(1, 121.0, 31.0, 10.0, 0.1, True)]
+    init = [Row(0, 121.0, 31.0, 0.0, 0.0),
+            Row(1, 121.0, 31.0, 10.0, 0.1)]
     with pytest.raises(sg.TemporalOrderError):
-        sg.build_graph(init + [sg.GraphNode(2, 121.0, 31.0, 5.0, 0.05, False)], 2, cfg)
-
-
-def test_expand_rejects_init_node():
-    cfg = sg.GraphConfig()
-    nodes = [sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True),
-             sg.GraphNode(1, 121.0, 31.0, 5.0, 0.05, True)]
-    with pytest.raises(sg.ConstructionError):
-        sg.build_graph(nodes, 1, cfg)
-    assert sg.build_graph(nodes, 2, cfg).init_count == 2
-
-
-def test_expand_rejects_id_other_than_next_position():
-    cfg = sg.GraphConfig()
-    nodes = rand_nodes(np.random.default_rng(2), 5, init_count=1)
-    skip = sg.GraphNode(6, 121.0, 31.0, 1e9, 1.0, False)
-    with pytest.raises(sg.ConstructionError):
-        sg.build_graph(nodes + [skip], 1, cfg)
-    assert sg.build_graph(nodes + [replace(skip, node_id=5)], 1, cfg).n == 6
+        sg.build_graph(columns(init + [Row(2, 121.0, 31.0, 5.0, 0.05)]), 2, cfg)
 
 
 def test_grow_returns_a_new_graph():
     cfg = sg.GraphConfig(top_k=2)
-    nodes = rand_nodes(np.random.default_rng(8), 12, init_count=2)
-    g = sg.build_graph(nodes[:9], 2, cfg)
+    nodes = rand_nodes(np.random.default_rng(8), 12)
+    g = sg.build_graph(columns(nodes[:9]), 2, cfg)
     names = ("lon", "lat", "t_raw", "t_norm", "offsets", "parent", "dist_m", "origin")
     before = {name: getattr(g, name).copy() for name in names}
 
@@ -707,8 +712,8 @@ def test_grow_returns_a_new_graph():
     n, m = g.n, g.edge_count()
     for name, head in zip(names, (n, n, n, n, n + 1, m, m, m)):
         assert np.array_equal(getattr(grown, name)[:head], before[name])
-    assert grown.to_json_dict() == sg.build_graph(nodes, 2, cfg).to_json_dict()
-    stale = replace(nodes[9], t_raw=nodes[8].t_raw - 1.0)
+    assert grown.to_json_dict() == sg.build_graph(columns(nodes), 2, cfg).to_json_dict()
+    stale = nodes[9]._replace(t_raw=nodes[8].t_raw - 1.0)
     with pytest.raises(sg.TemporalOrderError):
         g.grow(columns([stale]), [g.n], cfg)
     assert unchanged()
@@ -737,8 +742,8 @@ def test_temporal_soundness_and_top_guarantee(seed, k):
     cfg = sg.GraphConfig(top_k=k)
     n = int(rng.integers(6, 40))
     init_count = max(1, n // 10)
-    nodes = rand_nodes(rng, n, init_count=init_count)
-    g = sg.build_graph(nodes, init_count, cfg)
+    nodes = rand_nodes(rng, n)
+    g = sg.build_graph(columns(nodes), init_count, cfg)
     later = g.child >= init_count
     assert (g.t_raw[g.parent[later]] <= g.t_raw[g.child[later]]).all()
     ids = np.arange(init_count, g.n)
@@ -747,26 +752,26 @@ def test_temporal_soundness_and_top_guarantee(seed, k):
 
 def test_k_zero_edges_subset_of_k_five():
     rng = np.random.default_rng(77)
-    nodes = rand_nodes(rng, 60, extent=0.003, span=50.0, init_count=6)
-    g0 = sg.build_graph(nodes, 6, sg.GraphConfig(top_k=0))
-    g5 = sg.build_graph(nodes, 6, sg.GraphConfig(top_k=5))
+    nodes = rand_nodes(rng, 60, extent=0.003, span=50.0)
+    g0 = sg.build_graph(columns(nodes), 6, sg.GraphConfig(top_k=0))
+    g5 = sg.build_graph(columns(nodes), 6, sg.GraphConfig(top_k=5))
     assert edge_set(g0) <= edge_set(g5)
 
 
 def test_incremental_equals_batch_on_200_nodes():
     rng = np.random.default_rng(200)
     cfg = sg.GraphConfig(l_res_m=250.0, t_res_days=10.0, top_k=5)
-    nodes = rand_nodes(rng, 200, extent=0.01, span=150.0, init_count=20)
-    g = sg.build_graph(nodes, 20, cfg)
+    nodes = rand_nodes(rng, 200, extent=0.01, span=150.0)
+    g = sg.build_graph(columns(nodes), 20, cfg)
     assert edge_set(g) == brute_force_graph_edges(nodes, 20, cfg)
 
 
 def test_additional_mode_still_meets_top_guarantee():
     rng = np.random.default_rng(55)
     cfg = sg.GraphConfig(top_k=3, top_mode="additional", l_res_m=800.0, t_res_days=40.0)
-    nodes = rand_nodes(rng, 40, extent=0.004, span=60.0, init_count=4)
-    g = sg.build_graph(nodes, 4, cfg)
-    merged = sg.build_graph(nodes, 4, sg.GraphConfig(top_k=3))
+    nodes = rand_nodes(rng, 40, extent=0.004, span=60.0)
+    g = sg.build_graph(columns(nodes), 4, cfg)
+    merged = sg.build_graph(columns(nodes), 4, sg.GraphConfig(top_k=3))
     ids = np.arange(4, g.n)
     assert (in_degree(g)[ids] >= np.minimum(cfg.top_k, ids)).all()
     assert edge_set(merged) <= edge_set(g) | edge_set(merged)
@@ -779,8 +784,8 @@ def test_additional_mode_still_meets_top_guarantee():
 def test_annotations_match_recomputation():
     rng = np.random.default_rng(4)
     cfg = sg.GraphConfig(top_k=3)
-    nodes = rand_nodes(rng, 10, init_count=2)
-    g = sg.build_graph(nodes, 2, cfg)
+    nodes = rand_nodes(rng, 10)
+    g = sg.build_graph(columns(nodes), 2, cfg)
     edges = g.to_json_dict()["edges"]
     assert len(edges) == g.edge_count()
     for e in edges:
@@ -792,8 +797,8 @@ def test_annotations_match_recomputation():
 
 def test_parent_at_half_span_gives_half_dt_norm():
     span = 80.0
-    a = sg.GraphNode(0, 121.0, 31.0, 0.0, 0.0, True)
-    b = sg.GraphNode(1, 121.0, 31.0, span / 2, 0.5, False)
-    g = sg.build_graph([a, b], 1, sg.GraphConfig(t_res_days=span))
+    a = Row(0, 121.0, 31.0, 0.0, 0.0)
+    b = Row(1, 121.0, 31.0, span / 2, 0.5)
+    g = sg.build_graph(columns([a, b]), 1, sg.GraphConfig(t_res_days=span))
     edges = g.to_json_dict()["edges"]
     assert edges and edges[0]["dt_norm"] == 0.5

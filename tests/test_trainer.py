@@ -119,8 +119,8 @@ def test_training_graph_contains_no_test_nodes():
     inst = small_instance(5, n=10, init_count=2)
     init, train_part, test = ds.split_segment(inst["nodes"], (0.2, 0.5, 0.3))
     history = init + train_part
-    meta = sg.graph_nodes_from_processed(history, len(init))
-    graph = sg.build_graph(meta, len(init), inst["graph_cfg"])
+    cols = sg.graph_nodes_from_processed(history)
+    graph = sg.build_graph(cols, len(init), inst["graph_cfg"])
     assert graph.n == len(history)
     gt = md.prepare_tensors(graph, history, l_res_m=inst["graph_cfg"].l_res_m)
     assert gt.layout.src.max() < len(history) and gt.layout.dst.max() < len(history)
@@ -223,8 +223,8 @@ def test_duplicate_query_matches_training_forward():
     inst = small_instance(7, n=8, init_count=1)
     nodes, graph = inst["nodes"], inst["graph"]
     history_nodes = nodes[:-1]
-    history_meta = sg.graph_nodes_from_processed(history_nodes, 1)
-    history = sg.build_graph(history_meta, 1, inst["graph_cfg"])
+    history_cols = sg.graph_nodes_from_processed(history_nodes)
+    history = sg.build_graph(history_cols, 1, inst["graph_cfg"])
     ctx = make_context(inst)
 
     last = nodes[-1]
@@ -291,7 +291,7 @@ def test_location_query_sits_at_its_first_history_row(monkeypatch):
         records.append(r)
     assert len(set(seen)) > 1
     nodes = ds.preprocess_records(records, inst["stats"], inst["schema"])
-    graph = sg.build_graph(sg.graph_nodes_from_processed(nodes, 1), 1, inst["graph_cfg"])
+    graph = sg.build_graph(sg.graph_nodes_from_processed(nodes), 1, inst["graph_cfg"])
     real, grown = tr.predict_one, []
 
     def spy(ctx, graph, *args):
@@ -476,7 +476,7 @@ def test_batch_ignore_allow_past_wires_against_no_later_history():
     q = tr.Query(nodes[0].location_id, t, coords=nodes[0].coords)
     got = tr.predict_sequence(ctx, graph, nodes, [q], allow_past=True)
     visible = int(np.sum(graph.t_raw <= t))
-    prefix = sg.build_graph(sg.graph_nodes_from_processed(nodes[:visible], 2), 2,
+    prefix = sg.build_graph(sg.graph_nodes_from_processed(nodes[:visible]), 2,
                             inst["graph_cfg"])
     _, want = step(ctx, prefix, nodes[:visible], q)
     assert got[0] == pytest.approx(want, abs=1e-12)
