@@ -25,8 +25,8 @@ from . import stgraph as sg
 from . import trainer as tr
 from .model import ModelConfigError, prepare_tensors, forward_values
 from .pipeline import (RunConfig, RunConfigError, build_history_graph,
-                       evaluate_test, prepare_data, run_experiment, run_matrix,
-                       reference_benchmark_config)
+                       effective_graph_config, evaluate_test, prepare_data,
+                       run_experiment, run_matrix, reference_benchmark_config)
 
 
 class UsageError(ValueError):
@@ -171,9 +171,17 @@ def _report_paths(out: Path, report: ev.EvalReport, split_name: str) -> list[Pat
 
 
 def _checkpoint_config(ckpt: tr.Checkpoint) -> RunConfig:
+    """The run config (evaluate reads it) once it agrees with the sections predict reads."""
     if ckpt.run_config is None:
         raise UsageError("checkpoint carries no run config; cannot rebuild the graph")
-    return RunConfig.from_dict(ckpt.run_config)
+    config = RunConfig.from_dict(ckpt.run_config)
+    for name, ours, theirs in (("model_config", config.model, ckpt.model_config),
+                               ("feature_schema", config.features, ckpt.schema),
+                               ("graph_config", effective_graph_config(config), ckpt.graph_config)):
+        if ours != theirs:
+            raise tr.CheckpointIntegrityError(f"manifest section run_config disagrees with "
+                                              f"its {name} section")
+    return config
 
 
 def cmd_evaluate(args) -> int:

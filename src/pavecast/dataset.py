@@ -18,12 +18,12 @@ one row at a time; both give the same LoadReport, skipped-row numbers and
 reasons included. The input decides which path runs.
 
 Preprocessing is columnar too: the statistics are fitted on column arrays,
-and the feature vectors of a record list are the rows of one matrix built
+and a record list becomes one NodeTable, whose x_full is one matrix built
 with elementwise operations. Forecast queries get their nodes the same way:
-query_nodes builds the rows for a batch of (location, coordinates, time)
+query_nodes builds the table for a batch of (location, coordinates, time)
 columns, zero but for the spatial-temporal tail and with no reading, and
-with_readings writes a batch of forecasts into such rows. One pair of
-helpers holds the standardization formulas for all three, so x_full's
+write_readings writes a batch of forecasts into rows of a table. One pair
+of helpers holds the standardization formulas for all three, so x_full's
 layout has a single implementation.
 
 The synthetic generator plants a spatially correlated, temporally increasing
@@ -105,6 +105,8 @@ class RawRecord:
                if c not in _INT_COLUMNS and not math.isfinite(getattr(self, c))]
         if bad:
             raise ValueError(f"non-finite {', '.join(bad)}")
+        if not -2 ** 63 <= self.location_id < 2 ** 63:  # NodeTable keeps it as int64
+            raise ValueError(f"location_id must fit in 64 bits, got {self.location_id}")
         for name, bound in COORD_BOUNDS.items():
             if not -bound <= getattr(self, name) <= bound:
                 raise ValueError(f"{name} must be in [-{bound}, {bound}], "
@@ -203,25 +205,38 @@ class PreprocessStats:
                    t_min=d["t_min"], t_max=d["t_max"])
 
 
-@dataclass
-class ProcessedNode:
-    """A graph node: full feature vector and raw target. The spatial-temporal
-    vector x_st and the rescaled time t_norm are read from x_full's tail. A
-    node's id is its position in the node list."""
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Graph nodes as columns, node i in row i; x_st and t_norm are x_full's tail. table[index]
+    indexes every column (table[i] is node i, table[ids] a sub-table); + stacks two tables."""
 
-    location_id: int
-    x_full: np.ndarray
-    y: float
-    t_raw: float
-    coords: tuple[float, float]  # (lon, lat)
+    location_id: np.ndarray  # (n,) int64
+    lon: np.ndarray
+    lat: np.ndarray
+    t_raw: np.ndarray
+    x_full: np.ndarray  # (n, d), layout: FeatureSchema
+    y: np.ndarray  # raw deterioration reading, NaN where not yet known
 
     @property
     def x_st(self) -> np.ndarray:
-        return self.x_full[-3:]
+        return self.x_full[..., -3:]
 
     @property
-    def t_norm(self) -> float:
-        return float(self.x_full[-1])
+    def t_norm(self) -> np.ndarray:
+        return self.x_full[..., -1]
+
+    @property
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.lon, self.lat
+
+    def __len__(self) -> int:
+        return len(self.t_raw)
+
+    def __getitem__(self, index) -> "NodeTable":
+        return NodeTable(*(col[index] for col in vars(self).values()))
+
+    def __add__(self, other: "NodeTable") -> "NodeTable":
+        return NodeTable(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
 
 
 @dataclass
@@ -373,9 +388,9 @@ def _rescaled(stats: PreprocessStats, times: np.ndarray) -> np.ndarray:
     return np.where(t > 0.0, np.where(t < 1.0, t, 1.0), 0.0)
 
 
-def _feature_matrix(records: list[RawRecord], stats: PreprocessStats,
-                    schema: FeatureSchema) -> np.ndarray:
-    """x_full of every record, one row each (layout: FeatureSchema).
+def preprocess_records(records: list[RawRecord], stats: PreprocessStats,
+                       schema: FeatureSchema = FeatureSchema()) -> NodeTable:
+    """One node per record, in order (x_full's layout: FeatureSchema).
 
     Elementwise over columns, with PreprocessStats' formulas: each entry is
     the float the scalar standardize and rescale_time give.
@@ -389,20 +404,14 @@ def _feature_matrix(records: list[RawRecord], stats: PreprocessStats,
         code = records[int(np.argmin(known))].distress_type
         raise EncodingError(f"unknown distress_type code {code}")
     z = _standardized(stats, names, cols[:-2])
-    return np.concatenate([z[:, :k], onehot, z[:, k:], _rescaled(stats, cols[-2])[:, None]],
-                          axis=1)
-
-
-def preprocess_records(records: list[RawRecord], stats: PreprocessStats,
-                       schema: FeatureSchema = FeatureSchema()) -> list[ProcessedNode]:
-    """One node per record, in order, each x_full a row of one matrix."""
-    return [ProcessedNode(location_id=r.location_id, x_full=x, y=r.detect_info,
-                          t_raw=r.collect_time, coords=(r.longitude_gcj, r.latitude_gcj))
-            for r, x in zip(records, _feature_matrix(records, stats, schema))]
+    x_full = np.concatenate([z[:, :k], onehot, z[:, k:], _rescaled(stats, cols[-2])[:, None]],
+                            axis=1)
+    location_id = np.fromiter(map(attrgetter("location_id"), records), np.int64, len(records))
+    return NodeTable(location_id, cols[-4], cols[-3], cols[-2], x_full, cols[k - 1])
 
 
 def query_nodes(location_id: list[int], lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray,
-                stats: PreprocessStats, schema: FeatureSchema) -> list[ProcessedNode]:
+                stats: PreprocessStats, schema: FeatureSchema) -> NodeTable:
     """One node per query column entry, for a time not yet observed.
 
     x_full is zero but for the spatial-temporal tail, which is what a
@@ -411,22 +420,19 @@ def query_nodes(location_id: list[int], lon: np.ndarray, lat: np.ndarray, t_raw:
     x_full = np.zeros((len(t_raw), schema.dim_full))
     x_full[:, -3:-1] = _standardized(stats, _COORDS, (lon, lat))
     x_full[:, -1] = _rescaled(stats, t_raw)
-    return [ProcessedNode(location_id=loc, x_full=x, y=math.nan, t_raw=t, coords=(lo, la))
-            for loc, x, t, lo, la in zip(location_id, x_full, t_raw.tolist(),
-                                         lon.tolist(), lat.tolist())]
+    return NodeTable(np.asarray(location_id, dtype=np.int64), lon, lat, t_raw, x_full,
+                     np.full(len(t_raw), math.nan))
 
 
-def with_readings(nodes: list[ProcessedNode], values: np.ndarray, stats: PreprocessStats,
-                  schema: FeatureSchema) -> list[ProcessedNode]:
-    """Copies of nodes holding values as their deterioration readings: as y, and
+def write_readings(nodes: NodeTable, rows, values: np.ndarray, stats: PreprocessStats,
+                   schema: FeatureSchema) -> None:
+    """Write values into nodes' rows as their deterioration readings: as y, and
     standardized in x_full's detect_info slot. The other slots stay as they
     are; in a query node the environmental, confidence and type slots are
     zero, the training mean in standardized space."""
-    x_full = np.array([p.x_full for p in nodes])
-    x_full[:, len(schema.env_features)] = _standardized(stats, ("detect_info",), [values])[:, 0]
-    return [ProcessedNode(location_id=p.location_id, x_full=x, y=v, t_raw=p.t_raw,
-                          coords=p.coords)
-            for p, x, v in zip(nodes, x_full, values.tolist())]
+    nodes.y[rows] = values
+    nodes.x_full[rows, len(schema.env_features)] = _standardized(
+        stats, ("detect_info",), [values])[:, 0]
 
 
 def split_segment(items: list, fractions: tuple[float, float, float] = (0.1, 0.7, 0.2)):
@@ -435,7 +441,7 @@ def split_segment(items: list, fractions: tuple[float, float, float] = (0.1, 0.7
     Sizes: floor(n * f_init) and floor(n * f_train); the remainder is test.
     Each of the three parts must be non-empty.
     """
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
+    if len(fractions) != 3 or not abs(sum(fractions) - 1.0) <= 1e-9:  # NaN sums fail too
         raise SplitError(f"fractions {fractions} are not three parts summing to 1")
     n = len(items)
     n_init = int(n * fractions[0])

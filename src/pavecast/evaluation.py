@@ -168,8 +168,8 @@ def generalization_split(records, axis: str, k: int, s: int):
     """
     if axis not in ("time", "longitude", "latitude"):
         raise SplitError(f"unknown axis {axis!r}")
-    if k + s >= len(records):
-        raise SplitError(f"k + s = {k + s} leaves no test data for n = {len(records)}")
+    if not 0 < k < len(records) - s:
+        raise SplitError(f"k = {k} and s = {s} leave no train or test data for n = {len(records)}")
     field = {"time": "collect_time", "longitude": "longitude_gcj",
              "latitude": "latitude_gcj"}[axis]
     order = sorted(range(len(records)), key=lambda i: (getattr(records[i], field), i))

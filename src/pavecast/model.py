@@ -95,7 +95,7 @@ class CoefficientProbe:
 
 @dataclass
 class GraphTensors:
-    """Edge-list arrays for one graph + node list (or for an ancestor cone of
+    """Edge-list arrays for one graph + node table (or for an ancestor cone of
     it, see prepare_tensors), ready for the forward pass.
 
     Edges are ordered per target node: the self loop first, then parents in
@@ -144,7 +144,7 @@ def _ancestor_cone(graph: STGraph, targets, hops: int) -> tuple[np.ndarray, np.n
 
 def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
                     targets=None, hops: int = 1) -> GraphTensors:
-    """Flatten a graph plus processed nodes into forward-ready arrays.
+    """Flatten a graph plus its dataset.NodeTable into forward-ready arrays.
 
     With targets (node ids), only the targets' ancestor cone is flattened:
     edges point from older to newer nodes, so a hops-layer model's
@@ -164,11 +164,10 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     else:
         ids, expanded = _ancestor_cone(graph, targets, hops)
     k = len(ids)
-    rows = [nodes[i] for i in ids.tolist()]
-    x_full = np.stack([p.x_full for p in rows])
-    x_st = np.ascontiguousarray(x_full[:, -3:])  # ProcessedNode's x_st and t_norm
+    x_full = nodes.x_full[ids]
+    x_st = np.ascontiguousarray(x_full[:, -3:])  # NodeTable's x_st and t_norm
     t_norm = x_full[:, -1]
-    y = np.array([p.y for p in rows])
+    y = nodes.y[ids]
 
     # the kept parent edges, renumbered to rows; row r's self loop sits at
     # offsets[r] + r, its parents right after it

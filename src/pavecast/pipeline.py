@@ -177,7 +177,7 @@ def load_dataset(config: RunConfig, log=None) -> list[ds.RawRecord]:
 @dataclass
 class PreparedData:
     stats: ds.PreprocessStats
-    history_nodes: list[ds.ProcessedNode]   # init + train, ids 0..n_hist-1
+    history_nodes: ds.NodeTable   # init + train, ids 0..n_hist-1
     test_records: list[ds.RawRecord]
     init_count: int
 

@@ -398,14 +398,9 @@ def build_graph(cols, init_count: int, config: GraphConfig) -> STGraph:
 
 
 def graph_nodes_from_processed(nodes, init_count: int = 0) -> list[np.ndarray]:
-    """The _NODE_COLUMNS arrays of ProcessedNode objects, row i read from nodes[i].
-
-    init_count is ignored (build_graph takes the initialization block's
-    size); it stays only because perfbench/worker.py still passes it.
-    """
-    return [np.fromiter(values, float, len(nodes)) for values in (
-        (p.coords[0] for p in nodes), (p.coords[1] for p in nodes),
-        (p.t_raw for p in nodes), (p.t_norm for p in nodes))]
+    """The _NODE_COLUMNS arrays of a dataset.NodeTable. init_count is ignored
+    (build_graph takes it); it stays only because perfbench/worker.py passes it."""
+    return [nodes.lon, nodes.lat, nodes.t_raw, nodes.t_norm]
 
 
 def save_graph_json(graph: STGraph, path) -> None:

@@ -7,12 +7,12 @@ autoregression. predict_sequence answers a query list under a continuation
 strategy: it appends every query as a row and wires them all in one call,
 since a row's parents depend on the coordinates and times before it alone.
 "ignore" wires every query against the history; "true" and "predicted"
-wire each query against everything before it. The rows are built as
-arrays by dataset: a spatial-temporal row per query (dataset.query_nodes),
+wire each query against everything before it. The rows are a
+dataset.NodeTable: a spatial-temporal row per query (dataset.query_nodes),
 or under "true" the query's observed record (dataset.preprocess_records).
-predict_sequence reads the caller's graph and node list and writes neither:
-it forecasts on the graph that STGraph.grow returns and on a node list of
-its own.
+predict_sequence reads the caller's graph and node table and writes
+neither: it forecasts on the graph that STGraph.grow returns and on the
+table that joins the caller's and the query rows.
 
 Edges point from older to newer rows, so an L-layer model's prediction for
 a query reads only the rows within L parent hops of it (its ancestor cone),
@@ -29,7 +29,7 @@ their own forecasts first. Its forecasts are level-synchronous. A query's
 level is 1 plus the highest level among the earlier queries in its cone,
 or 1 if there are none (query_levels). Two queries on one level are not in
 each other's cones, so one predict_one step answers the whole level, after
-which the level's rows take their forecasts (dataset.with_readings) for the
+which the level's rows take their forecasts (dataset.write_readings) for the
 levels above. Nothing is cached: each step flattens its cone afresh, so
 nothing goes stale when a level's rows are overwritten.
 
@@ -53,8 +53,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import ndgrad as ng
-from .dataset import (COORD_BOUNDS, FeatureSchema, PreprocessStats, ProcessedNode, RawRecord,
-                      preprocess_records, query_nodes, with_readings)
+from .dataset import (COORD_BOUNDS, FeatureSchema, NodeTable, PreprocessStats, RawRecord,
+                      preprocess_records, query_nodes, write_readings)
 from .model import (ModelConfig, attention_sum_deviation, first_nonfinite_primitive,
                     forward_values, init_params, loss_and_grads, prepare_tensors)
 from .stgraph import GraphConfig, STGraph
@@ -114,7 +114,7 @@ class TrainResult:
 # numpy's overflow warnings would repeat what DivergenceError reports: the
 # non-finite loss and the primitive that first produced a non-finite value
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train_on_graph(graph: STGraph, nodes: list[ProcessedNode],
+def train_on_graph(graph: STGraph, nodes: NodeTable,
                    model_config: ModelConfig, train_config: TrainConfig,
                    graph_config: GraphConfig, log=None) -> TrainResult:
     """Full-batch Adam on the MAE loss over an init+train graph.
@@ -202,25 +202,25 @@ def query_levels(graph: STGraph, base_n: int) -> np.ndarray:
     return np.array(lv)
 
 
-def predict_one(ctx: InferenceContext, graph: STGraph, nodes: list[ProcessedNode],
+def predict_one(ctx: InferenceContext, graph: STGraph, nodes: NodeTable,
                 rows) -> np.ndarray:
     """One autoregressive step: the forecasts for graph rows `rows`, wired queries.
 
     Runs one forward pass over the rows' joint ancestor cone only, and reads
     each row's output where prepare_tensors placed it. Edges point from
     older rows to newer ones, so rows after the newest target never enter
-    that cone. A target may lie in another's cone only if its node already
+    that cone. A target may lie in another's cone only if its row already
     holds what the other's forecast should read of it: its observed record
     under "true", never a forecast still to be made. Its own forecast does
-    not read its own node's features, which the leakage barrier keeps out.
+    not read its own row's features, which the leakage barrier keeps out.
     """
     gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
                          targets=rows, hops=ctx.model_config.layers)
     return forward_values(gt, ctx.params, ctx.model_config)[gt.targets]
 
 
-def _query_columns(nodes: list[ProcessedNode], queries: list[Query]):
-    """Location ids, longitudes, latitudes and times of the queries.
+def _query_rows(ctx: InferenceContext, nodes: NodeTable, queries: list[Query]) -> NodeTable:
+    """The queries' rows, spatial-temporal features only (dataset.query_nodes).
 
     A query without coords sits at its location's first history row; the
     lookup is built once, and only if some query needs it.
@@ -230,23 +230,22 @@ def _query_columns(nodes: list[ProcessedNode], queries: list[Query]):
         raise QueryError(f"query time {times[~np.isfinite(times)][0]} is not finite")
     where = {}
     if not all(q.coords for q in queries):
-        where = {p.location_id: p.coords for p in reversed(nodes)}
-    coords = []
-    for q in queries:
-        at = q.coords or where.get(q.location_id)
-        if at is None:
-            raise QueryError(f"location {q.location_id} has no historical observations")
-        coords.append(at)
+        ids, first = np.unique(nodes.location_id, return_index=True)
+        where = dict(zip(ids.tolist(), zip(nodes.lon[first].tolist(), nodes.lat[first].tolist())))
+    coords = [q.coords or where.get(q.location_id) for q in queries]
+    if None in coords:
+        raise QueryError(f"location {queries[coords.index(None)].location_id} "
+                         "has no historical observations")
     lon, lat = np.array(coords, dtype=float).reshape(-1, 2).T
     for (name, bound), col in zip(COORD_BOUNDS.items(), (lon, lat)):
         off = ~(np.abs(col) <= bound)
         if off.any():
             raise QueryError(f"query {name} {col[off][0]} is outside [-{bound}, {bound}]")
-    return [q.location_id for q in queries], lon, lat, times
+    return query_nodes([q.location_id for q in queries], lon, lat, times, ctx.stats, ctx.schema)
 
 
 def predict_sequence(ctx: InferenceContext, graph: STGraph,
-                     nodes: list[ProcessedNode], queries: list[Query],
+                     nodes: NodeTable, queries: list[Query],
                      strategy: str = "ignore",
                      observed: list[RawRecord] | None = None,
                      allow_past: bool = False) -> np.ndarray:
@@ -272,7 +271,7 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
     other, so neither forecast reads the other's row; every query within L
     hops of a query sits on a lower level, and its row took its forecast
     after that level's step. The forecast runs on a grown copy of the graph
-    and node list: it reads the caller's and writes neither.
+    and node table: it reads the caller's and writes neither.
     """
     for earlier, later in zip(queries, queries[1:]):
         if later.t_raw < earlier.t_raw:
@@ -282,10 +281,6 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
     if strategy == "true":
         if observed is None or len(observed) != len(queries):
             raise StrategyError("true-feedback needs one observed record per query")
-        for q, r in zip(queries, observed):
-            if (r.location_id, r.collect_time) != (q.location_id, q.t_raw):
-                raise StrategyError(f"observed record ({r.location_id}, {r.collect_time}) "
-                                    f"differs from its query ({q.location_id}, {q.t_raw})")
     if not queries:
         return np.empty(0)
 
@@ -294,21 +289,20 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
             and queries[0].t_raw < history[-1]:
         raise QueryError(f"query time {queries[0].t_raw} precedes the latest "
                          "historical observation")
-    locations, lon, lat, t_raw = _query_columns(nodes, queries)
+    rows = _query_rows(ctx, nodes, queries)
     if strategy == "true":
-        for r, at in zip(observed, zip(lon.tolist(), lat.tolist())):
-            if (r.longitude_gcj, r.latitude_gcj) != at:
-                raise StrategyError(f"observed record at ({r.longitude_gcj}, "
-                                    f"{r.latitude_gcj}) differs from its query at {at}")
-        rows = preprocess_records(observed, ctx.stats, ctx.schema)
-    else:
-        rows = query_nodes(locations, lon, lat, t_raw, ctx.stats, ctx.schema)
+        for q, r, at in zip(queries, observed, zip(rows.lon.tolist(), rows.lat.tolist())):
+            if (r.location_id, r.collect_time, (r.longitude_gcj, r.latitude_gcj)) \
+                    != (q.location_id, q.t_raw, at):
+                raise StrategyError(f"observed record ({r.location_id}, {r.collect_time}) at "
+                                    f"({r.longitude_gcj}, {r.latitude_gcj}) differs from its "
+                                    f"query ({q.location_id}, {q.t_raw}) at {at}")
+        rows = preprocess_records(observed, ctx.stats, ctx.schema)  # the same coordinates and times
     if strategy == "ignore":
-        limits = np.searchsorted(history, t_raw, side="right")
+        limits = np.searchsorted(history, rows.t_raw, side="right")
     else:
         limits = np.arange(base_n, base_n + len(queries))
-    t_norm = np.array([p.t_norm for p in rows])
-    graph = graph.grow([lon, lat, t_raw, t_norm], limits, ctx.graph_config)
+    graph = graph.grow([rows.lon, rows.lat, rows.t_raw, rows.t_norm], limits, ctx.graph_config)
     nodes = nodes + rows
     if strategy != "predicted":
         return predict_one(ctx, graph, nodes, base_n + np.arange(len(queries)))
@@ -319,10 +313,7 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
         ks = np.flatnonzero(levels == level)
         out[ks] = predict_one(ctx, graph, nodes, base_n + ks)
         if level < top:
-            ids = (base_n + ks).tolist()
-            written = with_readings([nodes[i] for i in ids], out[ks], ctx.stats, ctx.schema)
-            for i, node in zip(ids, written):
-                nodes[i] = node
+            write_readings(nodes, base_n + ks, out[ks], ctx.stats, ctx.schema)
     return out
 
 

@@ -336,6 +336,8 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "split.0=0.2",                           # UsageError: split is no object
     "seed.x.y=1",                            # UsageError: seed is no object
     'features.env_features=["foo"]',         # SchemaError
+    "split=[NaN,0.7,0.3]",                   # SplitError
+    "split=[Infinity,-Infinity,1]",          # SplitError
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsys,
                                                override):
@@ -418,6 +420,27 @@ def test_checkpoint_whose_config_does_not_fit_its_parameters_exits_2(tmp_path, t
                    "--location", "0", "--time", "1e9") == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and f" {param}" in err[0]
+
+
+@pytest.mark.parametrize("edit,section", [
+    (lambda m: m["run_config"]["model"].update(variant="gat"), "model_config"),
+    (lambda m: m["run_config"]["graph"].update(l_res_m=5000.0), "graph_config"),
+    (lambda m: m["run_config"]["features"]["env_features"].pop(), "feature_schema"),
+], ids=["variant-gat", "l_res_m-5000", "env-feature-dropped"])
+def test_run_config_that_disagrees_with_its_checkpoint_exits_2(tmp_path, tiny_config_file,
+                                                               capsys, edit, section):
+    """evaluate rebuilds the data and graph from run_config, predict from the
+    sections the model was trained under: the two must agree."""
+    out = tmp_path / "one"
+    assert run_cli("train", "--config", tiny_config_file, "--set", "train.epochs=1",
+                   "--out", str(out)) == 0
+    rewrite_manifest(out / "model.ckpt", edit)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--checkpoint", str(out / "model.ckpt"),
+                   "--out", str(tmp_path / "eval")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest section run_config ") \
+        and f" {section} " in err[0]
 
 
 def test_non_utf8_csv_exits_2_naming_the_file(tmp_path, tiny_config_file, capsys):

@@ -73,6 +73,17 @@ def test_load_skips_non_finite_readings(tmp_path):
         (1, "non-finite pressure"), (2, "non-finite wind"), (3, "non-finite detect_info")]
 
 
+def test_load_skips_a_location_id_outside_int64(tmp_path):
+    path = tmp_path / "wide.csv"
+    lines = [FIXTURE_HEADER,
+             f"{2 ** 63},121.0,31.0,5.0,1,1,1,1,1,1,1,1,2.0,0.9,11",
+             f"{-2 ** 63},121.0,31.0,5.0,1,1,1,1,1,1,1,1,2.0,0.9,11"]
+    path.write_text("\n".join(lines) + "\n")
+    report = ds.load_records(path)
+    assert [r.location_id for r in report.records] == [-2 ** 63]
+    assert report.skipped_rows == [(1, f"location_id must fit in 64 bits, got {2 ** 63}")]
+
+
 def test_load_twenty_row_fixture_field_by_field(tmp_path):
     rng = np.random.default_rng(9)
     rows = []
@@ -427,8 +438,9 @@ def test_feature_rows_equal_the_scalar_formulas(rows, n_fit, time_range, masked)
         with np.errstate(invalid="ignore"):
             one = preprocess_one(r, stats, schema)
         assert one.x_full.tobytes() == node.x_full.tobytes()
-        assert (node.location_id, node.t_raw, node.coords) \
-            == (r.location_id, r.collect_time, (r.longitude_gcj, r.latitude_gcj))
+        assert node.location_id == r.location_id
+        assert np.array([node.t_raw, *node.coords]).tobytes() \
+            == np.array([r.collect_time, r.longitude_gcj, r.latitude_gcj]).tobytes()
 
 
 _COORD = st.floats(-180, 180)
@@ -457,11 +469,15 @@ def test_query_rows_equal_the_scalar_formulas(rows, time_range, masked):
         assert math.isnan(node.y)
         assert (node.location_id, node.coords, node.t_raw) == (i, (lon[i], lat[i]), t[i])
     slot = len(schema.env_features)
-    for node, value, done in zip(nodes, values, ds.with_readings(nodes, values, stats, schema)):
+    written, rows = nodes[np.arange(len(nodes))], np.arange(0, len(nodes), 2)  # a copy; even rows
+    ds.write_readings(written, rows, values[rows], stats, schema)
+    for i, (node, value, done) in enumerate(zip(nodes, values, written)):
         want = node.x_full.copy()
-        want[slot] = stats.standardize("detect_info", value)
-        assert done.x_full.tobytes() == want.tobytes() and done.y == value
-        assert math.isnan(node.y) and node.x_full[slot] == 0.0  # the input stays as it was
+        if i in rows:
+            want[slot] = stats.standardize("detect_info", value)
+        assert done.x_full.tobytes() == want.tobytes()
+        assert done.y == value if i in rows else math.isnan(done.y)
+        assert math.isnan(node.y) and node.x_full[slot] == 0.0  # the copied rows stay
 
 
 def test_feature_schema_dims_and_env_masking():

@@ -249,3 +249,9 @@ def test_split_rejects_consuming_everything():
         ev.generalization_split(fake_records(5, rng), "time", 3, 2)
     with pytest.raises(ev.SplitError):
         ev.generalization_split(fake_records(5, rng), "altitude", 1, 1)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_split_rejects_an_empty_training_side(k):
+    with pytest.raises(ev.SplitError, match=f"k = {k} and s = 0 leave no train or test"):
+        ev.generalization_split(fake_records(5, np.random.default_rng(4)), "time", k, 0)

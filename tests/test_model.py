@@ -385,9 +385,9 @@ def test_leakage_invariance_bit_exact(variant):
         base = md.forward_values(gt, inst["params"], inst["config"])
         for i in range(gt.n):
             changed = perturb_record(inst["records"][i], rng)
-            (node,) = ds.preprocess_records([changed], stats, schema)
-            poked_nodes = list(inst["nodes"])
-            poked_nodes[i] = node
+            nodes = inst["nodes"]
+            poked_nodes = (nodes[:i] + ds.preprocess_records([changed], stats, schema)
+                           + nodes[i + 1:])
             poked = md.prepare_tensors(inst["graph"], poked_nodes,
                                        l_res_m=inst["graph_cfg"].l_res_m)
             out = md.forward_values(poked, inst["params"], inst["config"])

@@ -630,7 +630,19 @@ def test_build_graph_rejects_other_than_four_columns_of_one_length():
 
 
 def test_graph_nodes_from_processed_reads_each_node_bit_for_bit():
+    """A NodeTable's rows, by index and by iteration, give every column's
+    value bit for bit (perfbench's reference.history_arrays reads the
+    history that way), and so do the graph columns read from it."""
     nodes = small_instance(3, n=12)["nodes"]
+    names = ("location_id", "lon", "lat", "t_raw", "x_full", "y", "x_st", "t_norm")
+    assert len(list(nodes)) == len(nodes) == 12
+    for i, row in enumerate(nodes):
+        for name in names:
+            want = getattr(nodes, name)[i].tobytes()
+            assert np.asarray(getattr(row, name)).tobytes() == want, name
+            assert np.asarray(getattr(nodes[i], name)).tobytes() == want, name
+    assert np.stack([p.x_full for p in nodes]).tobytes() == nodes.x_full.tobytes()
+    assert np.stack([p.x_st for p in nodes]).tobytes() == nodes.x_st.tobytes()
     cols = sg.graph_nodes_from_processed(nodes)
     fields = ([p.coords[0] for p in nodes], [p.coords[1] for p in nodes],
               [p.t_raw for p in nodes], [p.t_norm for p in nodes])
@@ -640,7 +652,7 @@ def test_graph_nodes_from_processed_reads_each_node_bit_for_bit():
         assert col.tobytes() == np.array(values, dtype=np.float64).tobytes()
     ignored = sg.graph_nodes_from_processed(nodes, 5)  # init_count is ignored
     assert all(np.array_equal(a, b) for a, b in zip(ignored, cols))
-    assert [col.shape for col in sg.graph_nodes_from_processed([])] == [(0,)] * 4
+    assert [col.shape for col in sg.graph_nodes_from_processed(nodes[:0])] == [(0,)] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -25,34 +25,33 @@ def make_context(inst, params=None):
 
 
 def query_row(ctx, nodes, query):
-    """The query's node, spatial-temporal features only, at its coords or its
-    location's first row in nodes."""
+    """The query's one-row table, spatial-temporal features only, at its coords
+    or its location's first row in nodes."""
     lon, lat = query.coords or next(p.coords for p in nodes
                                     if p.location_id == query.location_id)
-    (row,) = ds.query_nodes([query.location_id], np.array([lon]), np.array([lat]),
-                            np.array([query.t_raw]), ctx.stats, ctx.schema)
-    return row
+    return ds.query_nodes([query.location_id], np.array([lon]), np.array([lat]),
+                          np.array([query.t_raw]), ctx.stats, ctx.schema)
 
 
-def written(ctx, node, value):
-    """node holding value as its reading, as "predicted" writes a forecast."""
-    return ds.with_readings([node], np.array([value]), ctx.stats, ctx.schema)[0]
+def write_forecast(ctx, nodes, value):
+    """Write value into nodes' last row as its reading, as "predicted" writes a
+    forecast."""
+    ds.write_readings(nodes, [len(nodes) - 1], np.array([value]), ctx.stats, ctx.schema)
 
 
 def append_query(ctx, graph, nodes, query):
-    """graph grown by the query's node, wired against every row before it as
-    the "true" and "predicted" strategies wire it; the node joins nodes."""
-    qnode = query_row(ctx, nodes, query)
-    nodes.append(qnode)
-    return graph.grow([[qnode.coords[0]], [qnode.coords[1]], [qnode.t_raw], [qnode.t_norm]],
-                      [graph.n], ctx.graph_config)
+    """graph and nodes grown by the query's row, wired against every row before
+    it as the "true" and "predicted" strategies wire it."""
+    row = query_row(ctx, nodes, query)
+    return (graph.grow([row.lon, row.lat, row.t_raw, row.t_norm], [graph.n], ctx.graph_config),
+            nodes + row)
 
 
 def step(ctx, graph, nodes, query):
-    """One autoregressive step by hand: the graph grown by the query's node,
-    and the node's forecast."""
-    grown = append_query(ctx, graph, nodes, query)
-    return grown, tr.predict_one(ctx, grown, nodes, [graph.n])[0]
+    """One autoregressive step by hand: the graph and nodes grown by the
+    query's row, and the row's forecast."""
+    grown, grown_nodes = append_query(ctx, graph, nodes, query)
+    return grown, grown_nodes, tr.predict_one(ctx, grown, grown_nodes, [graph.n])[0]
 
 
 MODEL_GRID = [(variant, layers) for variant in md.VARIANTS for layers in (1, 2)]
@@ -229,8 +228,7 @@ def test_duplicate_query_matches_training_forward():
 
     last = nodes[-1]
     query = tr.Query(last.location_id, last.t_raw)
-    grown_nodes = list(history_nodes)
-    grown, yhat = step(ctx, history, grown_nodes, query)
+    grown, grown_nodes, yhat = step(ctx, history, history_nodes, query)
     # the step grows the history exactly as the build does
     assert grown.to_json_dict() == graph.to_json_dict()
     assert len(grown_nodes) == len(nodes)
@@ -238,7 +236,7 @@ def test_duplicate_query_matches_training_forward():
     # training-style forward over the full graph, query features blanked the
     # same way a fresh query node is
     blank = query_row(ctx, history_nodes, query)
-    full_nodes = history_nodes + [blank]
+    full_nodes = history_nodes + blank
     gt = md.prepare_tensors(graph, full_nodes, l_res_m=inst["graph_cfg"].l_res_m)
     want = md.forward_values(gt, inst["params"], inst["config"])[len(history_nodes)]
     assert yhat == pytest.approx(want, abs=1e-12)
@@ -249,13 +247,11 @@ def test_isolated_query_ignores_other_nodes_features():
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
     query = tr.Query(nodes[0].location_id, graph.t_raw.max() + 1e5)  # no proximity parents
-    _, y1 = step(ctx, graph, list(nodes), query)
+    _, _, y1 = step(ctx, graph, nodes, query)
 
     poked = ds.preprocess_records(inst["records"], inst["stats"], inst["schema"])
-    for node in poked:
-        node.x_full = node.x_full.copy()
-        node.x_full[:-3] += 3.3
-    _, y2 = step(ctx, graph, poked, query)
+    poked.x_full[:, :-3] += 3.3
+    _, _, y2 = step(ctx, graph, poked, query)
     assert y1 == y2
 
 
@@ -329,14 +325,15 @@ def test_predict_sequence_restores_graph_and_nodes(strategy):
     inst = small_instance(21)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
-    n_before, doc_before, nodes_before = graph.n, graph.to_json_dict(), list(nodes)
+    n_before, doc_before = graph.n, graph.to_json_dict()
+    nodes_before = {name: col.tobytes() for name, col in vars(nodes).items()}
     queries = chain_queries(inst, 3)
     observed = chain_observed(inst, queries)
 
     def unchanged():
         return (graph.n == n_before and graph.to_json_dict() == doc_before
-                and len(nodes) == len(nodes_before)
-                and all(a is b for a, b in zip(nodes, nodes_before)))
+                and {name: col.tobytes() for name, col in vars(nodes).items()}
+                == nodes_before)
 
     tr.predict_sequence(ctx, graph, nodes, queries, strategy, observed=observed)
     assert unchanged()
@@ -359,17 +356,15 @@ def test_three_query_chain_matches_dense_hand_step():
     got = tr.predict_sequence(ctx, graph, nodes, queries, strategy="predicted")
 
     # dense oracle stepped by hand with explicit commits
-    work_graph = graph
-    work_nodes = list(nodes)
+    work_graph, work_nodes = graph, nodes
     want = []
     for q in queries:
-        work_graph = append_query(ctx, work_graph, work_nodes, q)
-        qnode = work_nodes[-1]
+        work_graph, work_nodes = append_query(ctx, work_graph, work_nodes, q)
         dense = dense_forward(work_graph, work_nodes, inst["params"],
                               inst["config"], l_res_m=inst["graph_cfg"].l_res_m)
         yhat = float(dense[len(work_nodes) - 1])
         want.append(yhat)
-        work_nodes[-1] = written(ctx, qnode, yhat)
+        write_forecast(ctx, work_nodes, yhat)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -451,7 +446,7 @@ def test_ignore_strategy_is_order_free_per_query():
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 4)
     out = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    singles = [step(ctx, graph, list(nodes), q)[1] for q in queries]
+    singles = [step(ctx, graph, nodes, q)[2] for q in queries]
     assert np.allclose(out, singles, atol=1e-12)
     # no query's answer depends on the queries before it
     tail = tr.predict_sequence(ctx, graph, nodes, queries[2:], "ignore")
@@ -464,7 +459,7 @@ def test_batch_ignore_equals_sequential():
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 5)
     batched = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    singles = [step(ctx, graph, list(nodes), q)[1] for q in queries]
+    singles = [step(ctx, graph, nodes, q)[2] for q in queries]
     assert np.allclose(batched, singles, atol=1e-12)
 
 
@@ -478,24 +473,25 @@ def test_batch_ignore_allow_past_wires_against_no_later_history():
     visible = int(np.sum(graph.t_raw <= t))
     prefix = sg.build_graph(sg.graph_nodes_from_processed(nodes[:visible]), 2,
                             inst["graph_cfg"])
-    _, want = step(ctx, prefix, nodes[:visible], q)
+    _, _, want = step(ctx, prefix, nodes[:visible], q)
     assert got[0] == pytest.approx(want, abs=1e-12)
 
 
 def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
     """What predict_sequence answers, from a full-graph prepare_tensors and
     forward pass over the grown graph per step."""
-    work_graph, work_nodes, out = graph, list(nodes), []
+    work_graph, work_nodes, out = graph, nodes, []
     for k, q in enumerate(queries):
         if strategy == "ignore":
-            work_graph, work_nodes = graph, list(nodes)
-        work_graph = append_query(ctx, work_graph, work_nodes, q)
+            work_graph, work_nodes = graph, nodes
+        work_graph, work_nodes = append_query(ctx, work_graph, work_nodes, q)
         gt = md.prepare_tensors(work_graph, work_nodes, l_res_m=ctx.graph_config.l_res_m)
         out.append(md.forward_values(gt, ctx.params, ctx.model_config)[-1])
         if strategy == "true":
-            work_nodes[-1] = ds.preprocess_records([observed[k]], ctx.stats, ctx.schema)[0]
+            work_nodes = work_nodes[:-1] + ds.preprocess_records([observed[k]], ctx.stats,
+                                                                 ctx.schema)
         elif strategy == "predicted":
-            work_nodes[-1] = written(ctx, work_nodes[-1], out[-1])
+            write_forecast(ctx, work_nodes, out[-1])
     return np.array(out)
 
 
@@ -530,7 +526,6 @@ def brute_force_ancestors(graph, node_id, hops):
 def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
     inst = small_instance(23, n=64, init_count=4, layers=layers)
     ctx = make_context(inst)
-    nodes = list(inst["nodes"])
     handed = []
 
     def spy(gt, *args, **kwargs):
@@ -538,7 +533,7 @@ def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
         return md.forward_values(gt, *args, **kwargs)
 
     monkeypatch.setattr(tr, "forward_values", spy)
-    graph, _ = step(ctx, inst["graph"], nodes, chain_queries(inst, 1)[0])
+    graph, nodes, _ = step(ctx, inst["graph"], inst["nodes"], chain_queries(inst, 1)[0])
     (gt,) = handed
     parents, cone = brute_force_ancestors(graph, graph.n - 1, layers)
     if layers == 1:
@@ -567,9 +562,9 @@ def level_instance(layers):
     inst = small_instance(23, n=40, init_count=3, layers=layers)
     ctx = make_context(inst)
     queries = chain_queries(inst, 10)
-    grown, nodes = inst["graph"], list(inst["nodes"])
+    grown, nodes = inst["graph"], inst["nodes"]
     for q in queries:
-        grown = append_query(ctx, grown, nodes, q)
+        grown, nodes = append_query(ctx, grown, nodes, q)
     return inst, ctx, queries, grown, tr.query_levels(grown, inst["graph"].n)
 
 
@@ -590,12 +585,12 @@ def test_one_forward_pass_per_level(monkeypatch, strategy):
         passes.append(len(gt.targets))
         return md.forward_values(gt, *args, **kwargs)
 
-    def writer_spy(nodes, *args, **kwargs):
-        written.extend(nodes)
-        return ds.with_readings(nodes, *args, **kwargs)
+    def writer_spy(nodes, rows, *args, **kwargs):
+        written.extend(rows)
+        return ds.write_readings(nodes, rows, *args, **kwargs)
 
     monkeypatch.setattr(tr, "forward_values", forward_spy)
-    monkeypatch.setattr(tr, "with_readings", writer_spy)
+    monkeypatch.setattr(tr, "write_readings", writer_spy)
     got = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, strategy,
                               observed=observed)
     if strategy == "predicted":
