@@ -6,25 +6,28 @@ numeric columns against training-period statistics, rescales time to [0, 1],
 and one-hot encodes the distress type, producing the two feature vectors
 each graph node carries: the full vector and the spatial-temporal-only one.
 
-Loading reads the file once, as UTF-8 (a leading byte-order mark is
-dropped), and takes the header as csv.DictReader does. The data section
-then goes to NumPy's C reader (np.loadtxt into one structured array), is
-validated with column masks, and sorted with one lexsort; only flagged rows
-build their message, through RawRecord.validate. Files that reader cannot
-read exactly as csv.DictReader would (a quoted cell, a lone carriage
-return, a cell that does not parse, a short or whitespace-only row) and
-iso8601 timestamps go to the row parser instead, which reads and validates
-one row at a time; both give the same LoadReport, skipped-row numbers and
-reasons included. The input decides which path runs.
+Records are one np.recarray of RECORD_DTYPE, one row per observation, from
+loading or synthesis to the forecast; the code reads its columns and never
+iterates its rows. Loading reads the file once, as UTF-8 (a leading
+byte-order mark is dropped), and takes the header as csv.DictReader does.
+The data section then goes to NumPy's C reader (np.loadtxt into the
+table). Files that reader cannot read exactly as csv.DictReader would (a
+quoted cell, a lone carriage return, a cell that does not parse, a short or
+whitespace-only row) and iso8601 timestamps go to the row parser instead,
+which turns each row's cells into a table row or the reason a cell does not
+parse. Both paths end in one tail: one vectorised validator, whose column
+masks build a message only for the rows they flag, and one lexsort by time,
+location and row number. So both give the same LoadReport, skipped-row
+numbers and reasons included. The input decides which path runs.
 
-Preprocessing is columnar too: the statistics are fitted on column arrays,
-and a record list becomes one NodeTable, whose x_full is one matrix built
-with elementwise operations. Forecast queries get their nodes the same way:
-query_nodes builds the table for a batch of (location, coordinates, time)
-columns, zero but for the spatial-temporal tail and with no reading, and
-write_readings writes a batch of forecasts into rows of a table. One pair
-of helpers holds the standardization formulas for all three, so x_full's
-layout has a single implementation.
+Preprocessing is columnar too: the statistics are fitted on the record
+columns, and the records become one NodeTable, whose x_full is one matrix
+built with elementwise operations. Forecast queries get their nodes the
+same way: query_nodes builds the table for a batch of (location,
+coordinates, time) columns, zero but for the spatial-temporal tail and with
+no reading, and write_readings writes a batch of forecasts into rows of a
+table. One pair of helpers holds the standardization formulas for all
+three, so x_full's layout has a single implementation.
 
 The synthetic generator plants a spatially correlated, temporally increasing
 deterioration field observed through an irregular, sparse, asynchronous
@@ -38,7 +41,6 @@ import datetime as _dt
 import io
 import math
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -71,52 +73,16 @@ NUMERIC_FEATURES = ENV_FEATURES + ("detect_info", "detect_conf",
 CSV_COLUMNS = ("location_id", "longitude_gcj", "latitude_gcj", "collect_time",
                "min_tem", "max_tem", "humidity", "wind", "pressure",
                "visibility", "precipitation", "cloud",
-               "detect_info", "detect_conf", "distress_type")  # RawRecord's fields, in order
+               "detect_info", "detect_conf", "distress_type")  # RECORD_DTYPE's fields, in order
 _INT_COLUMNS = ("location_id", "distress_type")  # the rest are floats
-_RECORD_DTYPE = np.dtype([(c, np.int64 if c in _INT_COLUMNS else np.float64)
-                          for c in CSV_COLUMNS])
+_FLOAT_COLUMNS = tuple(c for c in CSV_COLUMNS if c not in _INT_COLUMNS)
+# one observation: where, when (collect_time in days since epoch, fractional
+# allowed), weather, and the deterioration reading; records are a recarray of it
+RECORD_DTYPE = np.dtype([(c, np.int64 if c in _INT_COLUMNS else np.float64)
+                         for c in CSV_COLUMNS])
 TIME_FORMATS = ("days", "iso8601")
 COORD_BOUNDS = {"longitude_gcj": 180.0, "latitude_gcj": 90.0}  # |coordinate| on Earth, degrees
 _COORDS = tuple(COORD_BOUNDS)  # standardized in x_full's tail, before time
-
-
-@dataclass
-class RawRecord:
-    """One observation: where, when, weather, and the deterioration reading."""
-
-    location_id: int
-    longitude_gcj: float
-    latitude_gcj: float
-    collect_time: float  # days since epoch, fractional allowed
-    min_tem: float
-    max_tem: float
-    humidity: float
-    wind: float
-    pressure: float
-    visibility: float
-    precipitation: float
-    cloud: float
-    detect_info: float
-    detect_conf: float
-    distress_type: int
-
-    def validate(self) -> None:
-        bad = [c for c in CSV_COLUMNS
-               if c not in _INT_COLUMNS and not math.isfinite(getattr(self, c))]
-        if bad:
-            raise ValueError(f"non-finite {', '.join(bad)}")
-        if not -2 ** 63 <= self.location_id < 2 ** 63:  # NodeTable keeps it as int64
-            raise ValueError(f"location_id must fit in 64 bits, got {self.location_id}")
-        for name, bound in COORD_BOUNDS.items():
-            if not -bound <= getattr(self, name) <= bound:
-                raise ValueError(f"{name} must be in [-{bound}, {bound}], "
-                                 f"got {getattr(self, name)}")
-        if self.detect_info < 0:
-            raise ValueError(f"detect_info must be >= 0, got {self.detect_info}")
-        if not 0.0 <= self.detect_conf <= 1.0:
-            raise ValueError(f"detect_conf must be in [0,1], got {self.detect_conf}")
-        if self.distress_type not in DISTRESS_TYPES:
-            raise EncodingError(f"unknown distress_type code {self.distress_type}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +207,7 @@ class NodeTable:
 
 @dataclass
 class LoadReport:
-    records: list[RawRecord]
+    records: np.recarray  # of RECORD_DTYPE
     skipped_rows: list[tuple[int, str]]  # (1-based data row number, reason)
 
 
@@ -275,7 +241,7 @@ def _read_csv(path) -> tuple[list[str], str]:
 
 
 def _load_columns(header: list[str], body: str) -> LoadReport:
-    """The data section, read by np.loadtxt and validated with column masks.
+    """The data section, read by np.loadtxt into one table.
 
     np.loadtxt skips empty lines, as csv.DictReader does. ValueError means
     the two could read the text differently: a quote character, a cell
@@ -284,84 +250,101 @@ def _load_columns(header: list[str], body: str) -> LoadReport:
     """
     if '"' in body:
         raise ValueError("quoted cells")
-    if not body.strip("\r\n"):
-        return LoadReport(records=[], skipped_rows=[])
-    where = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-    table = np.loadtxt(body.split("\n"), dtype=_RECORD_DTYPE, delimiter=",",
-                       comments=None, usecols=[where[c] for c in CSV_COLUMNS], ndmin=1)
-    conf = table["detect_conf"]
-    bad = ((table["detect_info"] < 0) | ~((conf >= 0.0) & (conf <= 1.0))
-           | ~np.isin(table["distress_type"], DISTRESS_TYPES))
-    for c in CSV_COLUMNS:
-        if c not in _INT_COLUMNS:
-            bad |= ~np.isfinite(table[c])
-    for c, bound in COORD_BOUNDS.items():
-        bad |= np.abs(table[c]) > bound
-    skipped = []
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            RawRecord(*table[i].tolist()).validate()
-        except ValueError as exc:
-            skipped.append((i + 1, str(exc)))
-    keep = np.flatnonzero(~bad)
-    order = keep[np.lexsort((keep, table["location_id"][keep], table["collect_time"][keep]))]
-    records = list(map(RawRecord, *(table[c][order].tolist() for c in CSV_COLUMNS)))
-    return LoadReport(records=records, skipped_rows=skipped)
+    table = np.empty(0, RECORD_DTYPE)
+    if body.strip("\r\n"):
+        where = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        table = np.loadtxt(body.split("\n"), dtype=RECORD_DTYPE, delimiter=",", comments=None,
+                           usecols=[where[c] for c in CSV_COLUMNS], ndmin=1)
+    return _validated(table, np.arange(1, len(table) + 1), [])
 
 
 def _load_rows(header: list[str], body: str, schema: CsvSchema) -> LoadReport:
-    """The data section, parsed and validated one csv.DictReader row at a time."""
+    """The data section, one csv.DictReader row at a time: each row's cells
+    become a row of the table, or the reason the first one does not parse."""
     parsers = [(c, int if c in _INT_COLUMNS else
                 schema.parse_time if c == "collect_time" else float)
                for c in CSV_COLUMNS]
-    records: list[tuple[float, int, int, RawRecord]] = []
+    rows: list[tuple] = []
+    rownums: list[int] = []
     skipped: list[tuple[int, str]] = []
     reader = csv.DictReader(io.StringIO(body, newline=""), header)
     for rownum, row in enumerate(reader, start=1):
         try:
-            rec = RawRecord(*[parse(row[c]) for c, parse in parsers])
-            rec.validate()
+            cells = tuple(parse(row[c]) for c, parse in parsers)
         except (ValueError, TypeError) as exc:
             skipped.append((rownum, str(exc)))
             continue
-        records.append((rec.collect_time, rec.location_id, rownum, rec))
-    records.sort(key=lambda item: (item[0], item[1], item[2]))
-    return LoadReport(records=[item[3] for item in records], skipped_rows=skipped)
+        # the int columns, location_id first and distress_type last, must fit in int64
+        if not -2 ** 63 <= cells[0] < 2 ** 63:
+            skipped.append((rownum, f"location_id must fit in 64 bits, got {cells[0]}"))
+        elif not -2 ** 63 <= cells[-1] < 2 ** 63:
+            skipped.append((rownum, f"unknown distress_type code {cells[-1]}"))
+        else:
+            rows.append(cells)
+            rownums.append(rownum)
+    return _validated(np.array(rows, RECORD_DTYPE), np.array(rownums, np.int64), skipped)
 
 
-def write_records(path, records: list[RawRecord]) -> None:
+def _validated(table: np.ndarray, rownums: np.ndarray,
+               skipped: list[tuple[int, str]]) -> LoadReport:
+    """Both parse paths' tail: table's rows, numbered rownums, checked and sorted.
+
+    A row that breaks a rule is skipped with the first broken rule's
+    reason, the rules in this order: every float finite, coordinates on
+    the Earth (COORD_BOUNDS), detect_info >= 0, detect_conf in [0, 1] and
+    distress_type in DISTRESS_TYPES. (A location_id outside int64, which
+    comes between the first two, cannot reach the table: _load_rows skips
+    it.) The rest are sorted by collect_time, then location_id, then row
+    number; skipped comes back sorted by row number.
+    """
+    finite = np.isfinite([table[c] for c in _FLOAT_COLUMNS]).reshape(len(_FLOAT_COLUMNS), -1)
+    keep = finite.all(axis=0)
+    for i, num in zip(np.flatnonzero(~keep).tolist(), rownums[~keep].tolist()):
+        skipped.append((num, "non-finite " + ", ".join(
+            c for c, ok in zip(_FLOAT_COLUMNS, finite[:, i]) if not ok)))
+    conf = table["detect_conf"]
+    rules = [*((np.abs(table[c]) > bound, c, f"{c} must be in [-{bound}, {bound}], got {{}}")
+               for c, bound in COORD_BOUNDS.items()),
+             (table["detect_info"] < 0, "detect_info", "detect_info must be >= 0, got {}"),
+             (~((conf >= 0.0) & (conf <= 1.0)), "detect_conf",
+              "detect_conf must be in [0,1], got {}"),
+             (~np.isin(table["distress_type"], DISTRESS_TYPES), "distress_type",
+              "unknown distress_type code {}")]  # (rows broken, column, reason for its value)
+    for broken, c, reason in rules:
+        hit = np.flatnonzero(broken & keep)
+        keep[hit] = False
+        skipped += zip(rownums[hit].tolist(), map(reason.format, table[c][hit].tolist()))
+    kept = np.flatnonzero(keep)
+    order = kept[np.lexsort((rownums[kept], table["location_id"][kept],
+                             table["collect_time"][kept]))]
+    return LoadReport(records=table[order].view(np.recarray), skipped_rows=sorted(skipped))
+
+
+def write_records(path, records: np.recarray) -> None:
     """Write records in the CSV schema (fractional-day timestamps)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([getattr(r, c) if c in _INT_COLUMNS else repr(getattr(r, c))
-                             for c in CSV_COLUMNS])
+        writer.writerows(zip(*(records[c].tolist() for c in CSV_COLUMNS)))  # floats as repr
 
 
-def _columns(records: list[RawRecord], names: tuple[str, ...]) -> np.ndarray:
-    """The named fields of the records as float64, one contiguous row per name."""
-    values = np.array(list(map(attrgetter(*names), records)), dtype=float)
-    return values.reshape(len(records), len(names)).T.copy()
-
-
-def fit_standardizer(train_records: list[RawRecord],
+def fit_standardizer(train_records: np.recarray,
                      time_range: tuple[float, float] | None = None) -> PreprocessStats:
     """Population mean/std per numeric feature over the given records.
 
     time_range, when known, should span the whole segment (train + test) so
     future timestamps rescale inside [0, 1]; otherwise later timestamps clamp.
     """
-    if not train_records:
+    if not len(train_records):
         raise EmptyDatasetError("cannot fit a standardizer on zero records")
-    *cols, times = _columns(train_records, NUMERIC_FEATURES + ("collect_time",))
     means, stds = {}, {}
-    for name, vals in zip(NUMERIC_FEATURES, cols):
+    for name in NUMERIC_FEATURES:
+        vals = train_records[name]
         mean = float(vals.mean())
         means[name] = mean
         stds[name] = float(np.sqrt(np.mean((vals - mean) ** 2)))
     if time_range is None:
-        times = times.tolist()
+        times = train_records["collect_time"].tolist()
         time_range = (min(times), max(times))
     return PreprocessStats(means=means, stds=stds,
                            t_min=float(time_range[0]), t_max=float(time_range[1]))
@@ -388,26 +371,27 @@ def _rescaled(stats: PreprocessStats, times: np.ndarray) -> np.ndarray:
     return np.where(t > 0.0, np.where(t < 1.0, t, 1.0), 0.0)
 
 
-def preprocess_records(records: list[RawRecord], stats: PreprocessStats,
+def preprocess_records(records: np.recarray, stats: PreprocessStats,
                        schema: FeatureSchema = FeatureSchema()) -> NodeTable:
     """One node per record, in order (x_full's layout: FeatureSchema).
 
     Elementwise over columns, with PreprocessStats' formulas: each entry is
-    the float the scalar standardize and rescale_time give.
+    the float the scalar standardize and rescale_time give. The node
+    columns are copies, so writing a reading into them leaves records be.
     """
     k = len(schema.env_features) + 1  # the standardized columns before the one-hot
     names = (*schema.env_features, "detect_info", "detect_conf", *_COORDS)
-    cols = _columns(records, (*names, "collect_time", "distress_type"))
-    onehot = cols[-1][:, None] == DISTRESS_TYPES
+    code = records["distress_type"]
+    onehot = code[:, None] == DISTRESS_TYPES
     known = onehot.any(axis=1)
     if not known.all():
-        code = records[int(np.argmin(known))].distress_type
-        raise EncodingError(f"unknown distress_type code {code}")
-    z = _standardized(stats, names, cols[:-2])
-    x_full = np.concatenate([z[:, :k], onehot, z[:, k:], _rescaled(stats, cols[-2])[:, None]],
+        raise EncodingError(f"unknown distress_type code {code[np.argmin(known)]}")
+    z = _standardized(stats, names, [records[c] for c in names])
+    location_id, lon, lat, t_raw, y = (np.array(records[c]) for c in (
+        "location_id", *_COORDS, "collect_time", "detect_info"))
+    x_full = np.concatenate([z[:, :k], onehot, z[:, k:], _rescaled(stats, t_raw)[:, None]],
                             axis=1)
-    location_id = np.fromiter(map(attrgetter("location_id"), records), np.int64, len(records))
-    return NodeTable(location_id, cols[-4], cols[-3], cols[-2], x_full, cols[k - 1])
+    return NodeTable(location_id, lon, lat, t_raw, x_full, y)
 
 
 def query_nodes(location_id: list[int], lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray,
@@ -586,8 +570,9 @@ def _env_value(name: str, t: float, loc_offset: float, rng: np.random.Generator,
     return value
 
 
-def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
-    """Generate a seeded record list realizing the target data pathologies."""
+def generate_synthetic(config: SyntheticConfig) -> np.recarray:
+    """Generate seeded records realizing the target data pathologies, sorted
+    by time (ties: location_id, visit order)."""
     config.validate()
     rng = np.random.default_rng(config.seed)
 
@@ -704,7 +689,7 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
         for j in np.flatnonzero(hit):
             repairs[j].append(float(event_times[e]))
 
-    records: list[RawRecord] = []
+    rows: list[tuple] = []  # in CSV_COLUMNS order
     last_time = np.zeros(config.n_locations)
     level = start_levels.copy()
     next_repair = [0] * config.n_locations
@@ -739,15 +724,9 @@ def generate_synthetic(config: SyntheticConfig) -> list[RawRecord]:
             observed = observed * (1.0 + config.driver_obs_bias * swing)
             noise_sd = config.noise_level * (1.0 + 6.0 * max(0.0, 0.9 - conf))
             observed = max(0.0, observed + noise_sd * rng.standard_normal())
-        records.append(RawRecord(
-            location_id=j,
-            longitude_gcj=float(lons[j]), latitude_gcj=float(lats[j]),
-            collect_time=float(START_DAY + t),
-            detect_info=float(observed),
-            detect_conf=conf,
-            distress_type=int(types[j]),
-            **{name: float(env[name]) for name in ENV_FEATURES},
-        ))
+        rows.append((j, float(lons[j]), float(lats[j]), float(START_DAY + t),
+                     *(float(env[name]) for name in ENV_FEATURES),
+                     float(observed), conf, int(types[j])))
 
-    records.sort(key=lambda r: (r.collect_time, r.location_id))
-    return records
+    table = np.array(rows, RECORD_DTYPE)
+    return table[np.lexsort((table["location_id"], table["collect_time"]))].view(np.recarray)

@@ -164,13 +164,16 @@ def build_report(y, yhat, split_descriptor: dict, train_mae=None) -> EvalReport:
 def generalization_split(records, axis: str, k: int, s: int):
     """Sorted-by-axis split of records: first k train, next s removed, rest test.
 
-    Returns (train indices, test indices); ties on the axis go to the lower index.
+    Returns (train indices, test indices) as arrays; ties on the axis go to
+    the lower index. A negative s would put ids on both sides.
     """
     if axis not in ("time", "longitude", "latitude"):
         raise SplitError(f"unknown axis {axis!r}")
+    if s < 0:
+        raise SplitError(f"gap s must be >= 0, got {s}")
     if not 0 < k < len(records) - s:
         raise SplitError(f"k = {k} and s = {s} leave no train or test data for n = {len(records)}")
     field = {"time": "collect_time", "longitude": "longitude_gcj",
              "latitude": "latitude_gcj"}[axis]
-    order = sorted(range(len(records)), key=lambda i: (getattr(records[i], field), i))
+    order = np.argsort(records[field], kind="stable")
     return order[:k], order[k + s:]

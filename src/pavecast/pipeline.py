@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, asdict, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -160,7 +159,7 @@ def effective_graph_config(config: RunConfig) -> sg.GraphConfig:
     return config.graph
 
 
-def load_dataset(config: RunConfig, log=None) -> list[ds.RawRecord]:
+def load_dataset(config: RunConfig, log=None) -> np.recarray:
     """The configured records; a CSV's skipped rows are counted to log, with
     the first one's row number and reason."""
     if config.dataset.csv is None:
@@ -178,7 +177,7 @@ def load_dataset(config: RunConfig, log=None) -> list[ds.RawRecord]:
 class PreparedData:
     stats: ds.PreprocessStats
     history_nodes: ds.NodeTable   # init + train, ids 0..n_hist-1
-    test_records: list[ds.RawRecord]
+    test_records: np.recarray  # of ds.RECORD_DTYPE
     init_count: int
 
 
@@ -187,8 +186,8 @@ def _prepare(config: RunConfig, records, history, test_records, init_count: int,
     """Preprocess the time-sorted history under stats, by default fitted on it
     with a time range over every record so test timestamps stay in [0, 1]."""
     if stats is None:
-        times = [r.collect_time for r in records]
-        stats = ds.fit_standardizer(history, time_range=(min(times), max(times)))
+        times = records["collect_time"]
+        stats = ds.fit_standardizer(history, time_range=(times.min(), times.max()))
     return PreparedData(stats=stats,
                         history_nodes=ds.preprocess_records(history, stats,
                                                             config.features),
@@ -206,7 +205,7 @@ def prepare_data(config: RunConfig, records=None,
     if records is None:
         records = load_dataset(config, log)
     init_recs, train_recs, test_recs = ds.split_segment(records, config.split)
-    return _prepare(config, records, init_recs + train_recs, test_recs,
+    return _prepare(config, records, records[:len(init_recs) + len(train_recs)], test_recs,
                     len(init_recs), stats)
 
 
@@ -250,12 +249,12 @@ def _forecast(config: RunConfig, data: PreparedData, graph, graph_cfg, params,
     ctx = InferenceContext(params=params, model_config=config.model,
                            graph_config=graph_cfg, stats=data.stats,
                            schema=config.features)
-    queries = [Query(r.location_id, r.collect_time,
-                     coords=(r.longitude_gcj, r.latitude_gcj))
-               for r in data.test_records]
+    test = data.test_records
+    queries = list(map(Query, test["location_id"].tolist(), test["collect_time"].tolist(),
+                       zip(test["longitude_gcj"].tolist(), test["latitude_gcj"].tolist())))
     yhat = tr.predict_sequence(ctx, graph, data.history_nodes, queries, strategy,
-                               observed=data.test_records, allow_past=allow_past)
-    return np.array([r.detect_info for r in data.test_records]), yhat
+                               observed=test, allow_past=allow_past)
+    return np.array(test["detect_info"]), yhat
 
 
 def evaluate_test(config: RunConfig, data: PreparedData, graph, graph_cfg,
@@ -362,11 +361,10 @@ def run_generalization(config: RunConfig, axis: str, k: int, s: int,
     historical time span, so parents are restricted to no-later train nodes."""
     if records is None:
         records = load_dataset(config, log)
-    train_ids, test_ids = ev.generalization_split(records, axis, k, s)
-    by_time = attrgetter("collect_time", "location_id")
-    history = sorted((records[i] for i in train_ids), key=by_time)
-    data = _prepare(config, records, history,
-                    sorted((records[i] for i in test_ids), key=by_time),
+    t, loc = records["collect_time"], records["location_id"]
+    history, test = (records[ids[np.lexsort((loc[ids], t[ids]))]]  # stable: ties keep
+                     for ids in ev.generalization_split(records, axis, k, s))  # the axis order
+    data = _prepare(config, records, history, test,
                     init_count=max(1, int(len(history) * config.split[0])))
     graph, graph_cfg, _, result, _ = _train_model(config, data, log=log)
     y_true, yhat = _forecast(config, data, graph, graph_cfg, result.params,

@@ -199,15 +199,17 @@ def _kth(score: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     scores of each row r, row after row. The rows go in one inf-padded
     matrix, unless it would pad more than its scores + _BLOCK_PAD: then the
     rows over half the widest count go in one, which pads less than their
-    scores, and the rest recurse."""
+    scores, and the rest recurse. A k over every count pads nothing."""
     top = int(counts.max(initial=0))
+    if k > top:
+        return np.full(len(counts), math.inf)
     if len(counts) * top > 2 * len(score) + _BLOCK_PAD:
         kth = np.empty(len(counts))
         wide = 2 * counts > top
         for part in (wide, ~wide):
             kth[part] = _kth(score[part.repeat(counts)], counts[part], k)
         return kth
-    padded = np.full((len(counts), max(top, k)), math.inf)
+    padded = np.full((len(counts), top), math.inf)
     padded[np.arange(padded.shape[1]) < counts[:, None]] = score
     padded.partition(k - 1, axis=1)
     return padded[:, k - 1]
@@ -351,7 +353,9 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     than K) until they are done or reach every candidate.
     """
     limits = np.asarray(limits, np.int64)
-    n, k = len(t_raw), 0 if mutual else config.top_k
+    # no row has more than max(limits) candidates to rank, and the clamp keeps
+    # pos * (n + k) below inside int64
+    n, k = len(t_raw), 0 if mutual else min(config.top_k, int(limits.max(initial=0)))
     t = t_raw[n - len(limits):]
     if not np.isfinite(t).all():
         raise ArithmeticError("non-finite time")

@@ -53,7 +53,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import ndgrad as ng
-from .dataset import (COORD_BOUNDS, FeatureSchema, NodeTable, PreprocessStats, RawRecord,
+from .dataset import (COORD_BOUNDS, FeatureSchema, NodeTable, PreprocessStats,
                       preprocess_records, query_nodes, write_readings)
 from .model import (ModelConfig, attention_sum_deviation, first_nonfinite_primitive,
                     forward_values, init_params, loss_and_grads, prepare_tensors)
@@ -247,7 +247,7 @@ def _query_rows(ctx: InferenceContext, nodes: NodeTable, queries: list[Query]) -
 def predict_sequence(ctx: InferenceContext, graph: STGraph,
                      nodes: NodeTable, queries: list[Query],
                      strategy: str = "ignore",
-                     observed: list[RawRecord] | None = None,
+                     observed: np.recarray | None = None,
                      allow_past: bool = False) -> np.ndarray:
     """Predict a time-sorted query list under one continuation strategy.
 
@@ -291,12 +291,16 @@ def predict_sequence(ctx: InferenceContext, graph: STGraph,
                          "historical observation")
     rows = _query_rows(ctx, nodes, queries)
     if strategy == "true":
-        for q, r, at in zip(queries, observed, zip(rows.lon.tolist(), rows.lat.tolist())):
-            if (r.location_id, r.collect_time, (r.longitude_gcj, r.latitude_gcj)) \
-                    != (q.location_id, q.t_raw, at):
-                raise StrategyError(f"observed record ({r.location_id}, {r.collect_time}) at "
-                                    f"({r.longitude_gcj}, {r.latitude_gcj}) differs from its "
-                                    f"query ({q.location_id}, {q.t_raw}) at {at}")
+        seen = [observed[c] for c in ("location_id", "collect_time", "longitude_gcj",
+                                      "latitude_gcj")]
+        off = np.flatnonzero(np.any([a != b for a, b in zip(
+            seen, (rows.location_id, rows.t_raw, rows.lon, rows.lat))], axis=0))
+        if len(off):
+            i, q = off[0], queries[off[0]]
+            loc, t, lon, lat = (col[i].item() for col in seen)
+            raise StrategyError(f"observed record ({loc}, {t}) at ({lon}, {lat}) differs from "
+                                f"its query ({q.location_id}, {q.t_raw}) at "
+                                f"{(rows.lon[i].item(), rows.lat[i].item())}")
         rows = preprocess_records(observed, ctx.stats, ctx.schema)  # the same coordinates and times
     if strategy == "ignore":
         limits = np.searchsorted(history, rows.t_raw, side="right")

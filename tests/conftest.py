@@ -14,17 +14,17 @@ def random_records(rng, n, n_locations=4, extent=0.004, span=60.0):
     lons = 121.0 + rng.uniform(-extent, extent, n_locations)
     lats = 31.0 + rng.uniform(-extent, extent, n_locations)
     ts = np.sort(rng.uniform(0.0, span, n))
-    recs = []
+    rows = []
     for i in range(n):
         j = int(rng.integers(0, n_locations))
-        recs.append(ds.RawRecord(
-            location_id=j, longitude_gcj=float(lons[j]), latitude_gcj=float(lats[j]),
-            collect_time=float(ts[i]),
-            detect_info=float(rng.uniform(0, 8)),
-            detect_conf=float(rng.uniform(0.5, 1.0)),
-            distress_type=int(rng.choice(ds.DISTRESS_TYPES)),
-            **{name: float(rng.uniform(0, 20)) for name in ds.ENV_FEATURES}))
-    return recs
+        row = dict(location_id=j, longitude_gcj=float(lons[j]), latitude_gcj=float(lats[j]),
+                   collect_time=float(ts[i]),
+                   detect_info=float(rng.uniform(0, 8)),
+                   detect_conf=float(rng.uniform(0.5, 1.0)),
+                   distress_type=int(rng.choice(ds.DISTRESS_TYPES)),
+                   **{name: float(rng.uniform(0, 20)) for name in ds.ENV_FEATURES})
+        rows.append(tuple(row[c] for c in ds.CSV_COLUMNS))
+    return np.rec.array(rows, dtype=ds.RECORD_DTYPE)
 
 
 def small_instance(seed, n=8, variant="stgan", layers=1, top_k=2, init_count=1,

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,8 +235,9 @@ def test_evaluate_data_reads_features_with_checkpoint_stats(tmp_path, trained,
     # refitted stats would standardize the doubled readings back to the
     # same features; the checkpoint's do not
     doubled = tmp_path / "doubled.csv"
-    ds.write_records(doubled, [replace(r, pressure=2.0 * r.pressure)
-                               for r in ds.load_records(training_csv).records])
+    records = ds.load_records(training_csv).records
+    records.pressure *= 2.0
+    ds.write_records(doubled, records)
     assert _test_report(tmp_path, trained, "doubled", "--data", str(doubled)) != \
         _test_report(tmp_path, trained, "plain")
 

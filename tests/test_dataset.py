@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,10 +13,23 @@ FIXTURE_HEADER = ",".join(ds.CSV_COLUMNS)
 
 
 def make_record(loc=0, lon=121.0, lat=31.0, t=100.0, info=2.0, conf=0.9, dtype=11, **env):
-    fields = {name: env.get(name, 1.0) for name in ds.ENV_FEATURES}
-    return ds.RawRecord(location_id=loc, longitude_gcj=lon, latitude_gcj=lat,
-                        collect_time=t, detect_info=info, detect_conf=conf,
-                        distress_type=dtype, **fields)
+    """One record's row, in CSV_COLUMNS order."""
+    fields = dict(location_id=loc, longitude_gcj=lon, latitude_gcj=lat, collect_time=t,
+                  detect_info=info, detect_conf=conf, distress_type=dtype,
+                  **{name: env.get(name, 1.0) for name in ds.ENV_FEATURES})
+    return tuple(fields[c] for c in ds.CSV_COLUMNS)
+
+
+def table(rows):
+    """The records table of rows made by make_record."""
+    return np.rec.array(rows, dtype=ds.RECORD_DTYPE)
+
+
+def assert_same_report(got, want):
+    """The same records, bit for bit and of one dtype, and the same skipped rows."""
+    assert got.records.dtype == want.records.dtype == ds.RECORD_DTYPE
+    assert got.records.tobytes() == want.records.tobytes()
+    assert got.skipped_rows == want.skipped_rows
 
 
 # ---------------------------------------------------------------------------
@@ -28,12 +40,13 @@ def test_load_empty_data_section(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(FIXTURE_HEADER + "\n")
     report = ds.load_records(path)
-    assert report.records == [] and report.skipped_rows == []
+    assert report.records.dtype == ds.RECORD_DTYPE
+    assert len(report.records) == 0 and report.skipped_rows == []
 
 
 def test_load_sorts_swapped_timestamps(tmp_path):
     path = tmp_path / "two.csv"
-    rows = [make_record(loc=1, t=50.0, info=1.0), make_record(loc=2, t=10.0, info=2.0)]
+    rows = table([make_record(loc=1, t=50.0, info=1.0), make_record(loc=2, t=10.0, info=2.0)])
     ds.write_records(path, rows)
     report = ds.load_records(path)
     assert [r.collect_time for r in report.records] == [10.0, 50.0]
@@ -48,14 +61,13 @@ def test_load_missing_column(tmp_path):
 
 def test_load_collects_row_errors_without_failing(tmp_path):
     path = tmp_path / "mixed.csv"
-    good = make_record(loc=3, t=5.0)
     lines = [FIXTURE_HEADER,
              "1,121.0,31.0,notatime,1,1,1,1,1,1,1,1,2.0,0.9,11",  # bad timestamp
              "2,121.0,31.0,6.0,1,1,1,1,1,1,1,1,2.0,0.9,99",       # unknown type
              "3,121.0,31.0,5.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.9,11"]
     path.write_text("\n".join(lines) + "\n")
     report = ds.load_records(path)
-    assert [r.location_id for r in report.records] == [good.location_id]
+    assert [r.location_id for r in report.records] == [3]
     assert sorted(row for row, _ in report.skipped_rows) == [1, 2]
 
 
@@ -95,11 +107,11 @@ def test_load_twenty_row_fixture_field_by_field(tmp_path):
             dtype=ds.DISTRESS_TYPES[i % 5],
             **{name: float(rng.uniform(-3, 30)) for name in ds.ENV_FEATURES}))
     path = tmp_path / "fix.csv"
-    ds.write_records(path, rows)
+    ds.write_records(path, table(rows))
     loaded = ds.load_records(path).records
     assert len(loaded) == 20
-    for orig, back in zip(rows, loaded):
-        assert orig == back
+    assert loaded.dtype == ds.RECORD_DTYPE
+    assert loaded.tobytes() == table(rows).tobytes()
 
 
 def test_load_iso8601_timestamps(tmp_path):
@@ -117,9 +129,9 @@ def test_unknown_time_format_rejected_at_construction():
 
 def test_load_drops_a_byte_order_mark(tmp_path):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-    ds.write_records(plain, [make_record(loc=1, t=5.0), make_record(loc=2, t=3.0)])
+    ds.write_records(plain, table([make_record(loc=1, t=5.0), make_record(loc=2, t=3.0)]))
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    assert ds.load_records(marked) == ds.load_records(plain)
+    assert_same_report(ds.load_records(marked), ds.load_records(plain))
     assert len(ds.load_records(marked).records) == 2
 
 
@@ -138,24 +150,25 @@ def test_load_repeated_header_name_reads_its_last_column(tmp_path):
                     + "1,121.0,31.0,5.0,1,1,1,1,1,1,1,1,-4.0,0.9,11,3.5\n")
     header, body = ds._read_csv(path)
     assert ds._load_columns(header, body).records[0].detect_info == 3.5
-    assert ds.load_records(path) == ds._load_rows(header, body, ds.CsvSchema())
+    assert_same_report(ds.load_records(path), ds._load_rows(header, body, ds.CsvSchema()))
 
 
 def test_strict_reader_reads_what_write_records_writes(tmp_path, default_synthetic):
     path = tmp_path / "synth.csv"
     ds.write_records(path, default_synthetic)
     header, body = ds._read_csv(path)
-    assert ds._load_columns(header, body) == ds._load_rows(header, body, ds.CsvSchema())
+    assert_same_report(ds._load_columns(header, body),
+                       ds._load_rows(header, body, ds.CsvSchema()))
 
 
 @pytest.mark.parametrize("reader", ["columns", "rows"])
 def test_load_skips_coordinates_off_the_earth(tmp_path, reader):
     path = tmp_path / "coords.csv"
-    rows = [make_record(loc=1, lat=121.45, lon=31.2),  # swapped
-            make_record(loc=2, lon=400.0),
-            make_record(loc=3, lat=-90.00000000000001),
-            make_record(loc=4, lon=-180.0, lat=90.0),  # on the bounds
-            make_record(loc=5)]
+    rows = table([make_record(loc=1, lat=121.45, lon=31.2),  # swapped
+                  make_record(loc=2, lon=400.0),
+                  make_record(loc=3, lat=-90.00000000000001),
+                  make_record(loc=4, lon=-180.0, lat=90.0),  # on the bounds
+                  make_record(loc=5)])
     ds.write_records(path, rows)
     header, body = ds._read_csv(path)
     load = ds._load_columns if reader == "columns" else (
@@ -261,11 +274,41 @@ def test_strict_reader_and_row_parser_agree(tmp_path_factory, file, time_format)
     except ValueError:
         assert not clean, "the strict reader refused a file it should read"
     else:
-        assert strict == rows
-        assert ([tuple(map(type, astuple(r))) for r in strict.records]
-                == [tuple(map(type, astuple(r))) for r in rows.records])
+        assert_same_report(strict, rows)
     schema = ds.CsvSchema(time_format=time_format)
-    assert ds.load_records(path, schema) == ds._load_rows(header, body, schema)
+    assert_same_report(ds.load_records(path, schema), ds._load_rows(header, body, schema))
+
+
+_ORDINARY_ROW = dict(zip(ds.CSV_COLUMNS, "7,121.0,31.0,5.0,1,1,1,1,1,1,1,1,2.0,0.9,11".split(",")))
+
+
+@pytest.mark.parametrize("cells,reason", [
+    ({"wind": "nan", "cloud": "inf", "detect_info": "-inf"},
+     "non-finite wind, cloud, detect_info"),
+    ({"location_id": str(2 ** 63)}, f"location_id must fit in 64 bits, got {2 ** 63}"),
+    ({"location_id": str(-2 ** 63 - 1)}, f"location_id must fit in 64 bits, got {-2 ** 63 - 1}"),
+    ({"longitude_gcj": "-180.5"}, "longitude_gcj must be in [-180.0, 180.0], got -180.5"),
+    ({"latitude_gcj": "90.25"}, "latitude_gcj must be in [-90.0, 90.0], got 90.25"),
+    ({"detect_info": "-0.5"}, "detect_info must be >= 0, got -0.5"),
+    ({"detect_conf": "1.5"}, "detect_conf must be in [0,1], got 1.5"),
+    ({"distress_type": "12"}, "unknown distress_type code 12"),
+    ({"distress_type": str(2 ** 64)}, f"unknown distress_type code {2 ** 64}"),
+    # two rules broken: the first in order names the row
+    ({"pressure": "nan", "longitude_gcj": "400"}, "non-finite pressure"),
+    ({"detect_info": "-1", "distress_type": "99"}, "detect_info must be >= 0, got -1.0"),
+])
+def test_each_rule_names_its_row_alike_through_both_readers(cells, reason):
+    header = list(ds.CSV_COLUMNS)
+    body = "".join(",".join(row[c] for c in header) + "\n"
+                   for row in ({**_ORDINARY_ROW, **cells}, _ORDINARY_ROW))
+    want = ds.LoadReport(records=table([make_record(loc=7, t=5.0)]),  # the ordinary row
+                         skipped_rows=[(1, reason)])
+    assert_same_report(ds._load_rows(header, body, ds.CsvSchema()), want)
+    if any(abs(int(cells.get(c, 0))) >= 2 ** 63 for c in ("location_id", "distress_type")):
+        with pytest.raises(ValueError):  # no int64 column holds the cell
+            ds._load_columns(header, body)
+    else:
+        assert_same_report(ds._load_columns(header, body), want)
 
 
 def test_iso8601_timestamps_take_the_row_parser(tmp_path):
@@ -286,35 +329,35 @@ def test_iso8601_timestamps_take_the_row_parser(tmp_path):
 
 
 def test_fit_standardizer_hand_values():
-    recs = [make_record(t=float(i), min_tem=v) for i, v in enumerate([1.0, 2.0, 3.0])]
+    recs = table([make_record(t=float(i), min_tem=v) for i, v in enumerate([1.0, 2.0, 3.0])])
     stats = ds.fit_standardizer(recs)
     assert stats.means["min_tem"] == pytest.approx(2.0)
     assert stats.stds["min_tem"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
 
 def test_fit_standardizer_constant_feature_flagged():
-    recs = [make_record(t=float(i), wind=4.5) for i in range(5)]
+    recs = table([make_record(t=float(i), wind=4.5) for i in range(5)])
     stats = ds.fit_standardizer(recs)
     assert stats.stds["wind"] == 0.0
     assert stats.standardize("wind", 4.5) == stats.standardize("wind", 9.0) == 0.0
 
 
 def test_fit_standardizer_single_record():
-    stats = ds.fit_standardizer([make_record(min_tem=7.0)])
+    stats = ds.fit_standardizer(table([make_record(min_tem=7.0)]))
     assert stats.means["min_tem"] == 7.0
     assert all(s == 0.0 for s in stats.stds.values())
 
 
 def test_fit_standardizer_empty():
     with pytest.raises(ds.EmptyDatasetError):
-        ds.fit_standardizer([])
+        ds.fit_standardizer(np.empty(0, ds.RECORD_DTYPE).view(np.recarray))
 
 
 def test_standardized_train_features_are_zero_mean_unit_var():
     rng = np.random.default_rng(2)
-    recs = [make_record(loc=i, t=float(i), info=float(rng.uniform(0, 5)),
-                        **{n: float(rng.uniform(0, 10)) for n in ds.ENV_FEATURES})
-            for i in range(40)]
+    recs = table([make_record(loc=i, t=float(i), info=float(rng.uniform(0, 5)),
+                              **{n: float(rng.uniform(0, 10)) for n in ds.ENV_FEATURES})
+                  for i in range(40)])
     stats = ds.fit_standardizer(recs)
     nodes = ds.preprocess_records(recs, stats)
     x = np.array([n.x_full for n in nodes])
@@ -328,12 +371,12 @@ def test_standardized_train_features_are_zero_mean_unit_var():
 
 
 def preprocess_one(record, stats, schema=ds.FeatureSchema()):
-    (node,) = ds.preprocess_records([record], stats, schema)
+    (node,) = ds.preprocess_records(table([record]), stats, schema)
     return node
 
 
 def test_mean_record_standardizes_to_zero():
-    recs = [make_record(t=0.0, min_tem=1.0), make_record(t=10.0, min_tem=3.0)]
+    recs = table([make_record(t=0.0, min_tem=1.0), make_record(t=10.0, min_tem=3.0)])
     stats = ds.fit_standardizer(recs)
     mean_rec = make_record(t=5.0, min_tem=2.0, lon=121.0, lat=31.0)
     node = preprocess_one(mean_rec, stats)
@@ -345,22 +388,20 @@ def test_mean_record_standardizes_to_zero():
 
 def test_time_rescale_endpoints():
     recs = [make_record(t=10.0), make_record(t=30.0)]
-    stats = ds.fit_standardizer(recs)
+    stats = ds.fit_standardizer(table(recs))
     assert preprocess_one(recs[0], stats).t_norm == 0.0
     assert preprocess_one(recs[1], stats).t_norm == 1.0
 
 
 def test_time_rescale_clamps_and_degenerate_range():
-    recs = [make_record(t=10.0), make_record(t=30.0)]
-    stats = ds.fit_standardizer(recs)
+    stats = ds.fit_standardizer(table([make_record(t=10.0), make_record(t=30.0)]))
     assert preprocess_one(make_record(t=99.0), stats).t_norm == 1.0
-    single = ds.fit_standardizer([make_record(t=10.0)])
+    single = ds.fit_standardizer(table([make_record(t=10.0)]))
     assert preprocess_one(make_record(t=10.0), single).t_norm == 0.0
 
 
 def test_one_hot_ordering():
-    recs = [make_record(t=0.0), make_record(t=1.0)]
-    stats = ds.fit_standardizer(recs)
+    stats = ds.fit_standardizer(table([make_record(t=0.0), make_record(t=1.0)]))
     node = preprocess_one(make_record(dtype=11), stats)
     onehot = node.x_full[len(ds.ENV_FEATURES) + 1: len(ds.ENV_FEATURES) + 6]
     assert list(onehot) == [1.0, 0.0, 0.0, 0.0, 0.0]
@@ -370,16 +411,15 @@ def test_one_hot_ordering():
 
 
 def test_unknown_type_rejected():
-    stats = ds.fit_standardizer([make_record()])
-    bad = make_record()
-    bad.distress_type = 12
+    stats = ds.fit_standardizer(table([make_record()]))
+    bad = make_record(dtype=12)
     with pytest.raises(ds.EncodingError):
         preprocess_one(bad, stats)
 
 
 def test_unknown_type_named_is_the_first_in_record_order():
-    stats = ds.fit_standardizer([make_record()])
-    recs = [make_record(dtype=11), make_record(dtype=12), make_record(dtype=99)]
+    stats = ds.fit_standardizer(table([make_record()]))
+    recs = table([make_record(dtype=11), make_record(dtype=12), make_record(dtype=99)])
     with pytest.raises(ds.EncodingError, match="code 12$"):
         ds.preprocess_records(recs, stats)
 
@@ -388,7 +428,7 @@ def test_unknown_type_named_is_the_first_in_record_order():
 @given(st.floats(0, 50), st.floats(0, 1), st.sampled_from(ds.DISTRESS_TYPES),
        st.floats(-10, 40), st.floats(0, 400))
 def test_x_st_is_exact_slice_of_x_full(info, conf, dtype, temp, t):
-    recs = [make_record(t=0.0, min_tem=-5.0), make_record(t=100.0, min_tem=35.0)]
+    recs = table([make_record(t=0.0, min_tem=-5.0), make_record(t=100.0, min_tem=35.0)])
     stats = ds.fit_standardizer(recs)
     node = preprocess_one(
         make_record(t=t, info=info, conf=conf, dtype=dtype, min_tem=temp), stats)
@@ -397,15 +437,17 @@ def test_x_st_is_exact_slice_of_x_full(info, conf, dtype, temp, t):
     assert onehot.sum() == 1.0 and (onehot == 1.0).sum() == 1
 
 
-def _scalar_x_full(r, stats, schema):
-    """x_full one value at a time, with PreprocessStats' scalar formulas."""
-    return np.array([*(stats.standardize(n, getattr(r, n)) for n in schema.env_features),
-                     stats.standardize("detect_info", r.detect_info),
-                     *(float(code == r.distress_type) for code in ds.DISTRESS_TYPES),
-                     stats.standardize("detect_conf", r.detect_conf),
-                     stats.standardize("longitude_gcj", r.longitude_gcj),
-                     stats.standardize("latitude_gcj", r.latitude_gcj),
-                     stats.rescale_time(r.collect_time)])
+def _scalar_x_full(row, stats, schema):
+    """x_full one value at a time, with PreprocessStats' scalar formulas, of a
+    record row given as Python values in CSV_COLUMNS order."""
+    r = dict(zip(ds.CSV_COLUMNS, row))
+    return np.array([*(stats.standardize(n, r[n]) for n in schema.env_features),
+                     stats.standardize("detect_info", r["detect_info"]),
+                     *(float(code == r["distress_type"]) for code in ds.DISTRESS_TYPES),
+                     stats.standardize("detect_conf", r["detect_conf"]),
+                     stats.standardize("longitude_gcj", r["longitude_gcj"]),
+                     stats.standardize("latitude_gcj", r["latitude_gcj"]),
+                     stats.rescale_time(r["collect_time"])])
 
 
 _READINGS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5.0, math.nan, math.inf])
@@ -418,29 +460,31 @@ _READINGS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5.0, math.nan, ma
        st.sampled_from([(), ("humidity",), ("cloud", "min_tem")]))
 def test_feature_rows_equal_the_scalar_formulas(rows, n_fit, time_range, masked):
     names = [n for n in ds.NUMERIC_FEATURES if n not in ("longitude_gcj", "latitude_gcj")]
-    recs = [make_record(loc=i, lon=v[10], lat=v[11], t=v[9] * 0.1 + 50.0, dtype=dtype,
+    made = [make_record(loc=i, lon=v[10], lat=v[11], t=v[9] * 0.1 + 50.0, dtype=dtype,
                         **dict(zip(names, v)))
             for i, (v, dtype) in enumerate(rows)]
+    recs = table(made)
     schema = ds.FeatureSchema()
     for name in masked:
         schema = schema.without_env(name)
     with np.errstate(invalid="ignore", over="ignore"):  # inf readings
         stats = ds.fit_standardizer(recs[:n_fit + 1], time_range)
         for name in ds.NUMERIC_FEATURES:  # the fit's formulas, one column at a time
-            vals = np.array([getattr(r, name) for r in recs[:n_fit + 1]])
+            vals = np.array([dict(zip(ds.CSV_COLUMNS, r))[name] for r in made[:n_fit + 1]])
             mean = float(vals.mean())
             std = float(np.sqrt(np.mean((vals - mean) ** 2)))
             assert np.array([stats.means[name], stats.stds[name]]).tobytes() \
                 == np.array([mean, std]).tobytes()
         nodes = ds.preprocess_records(recs, stats, schema)
-    for r, node in zip(recs, nodes):
+    for r, node in zip(made, nodes):
         assert node.x_full.tobytes() == _scalar_x_full(r, stats, schema).tobytes()
         with np.errstate(invalid="ignore"):
             one = preprocess_one(r, stats, schema)
         assert one.x_full.tobytes() == node.x_full.tobytes()
-        assert node.location_id == r.location_id
+        r = dict(zip(ds.CSV_COLUMNS, r))
+        assert node.location_id == r["location_id"]
         assert np.array([node.t_raw, *node.coords]).tobytes() \
-            == np.array([r.collect_time, r.longitude_gcj, r.latitude_gcj]).tobytes()
+            == np.array([r["collect_time"], r["longitude_gcj"], r["latitude_gcj"]]).tobytes()
 
 
 _COORD = st.floats(-180, 180)
@@ -452,8 +496,8 @@ _COORD = st.floats(-180, 180)
        st.sampled_from([None, (20.0, 80.0), (50.0, 50.0)]),
        st.sampled_from([(), ("humidity",)]))
 def test_query_rows_equal_the_scalar_formulas(rows, time_range, masked):
-    fit = [make_record(lon=121.0, lat=31.0, t=0.0, info=1.0),
-           make_record(lon=121.5, lat=31.5, t=100.0, info=4.0)]
+    fit = table([make_record(lon=121.0, lat=31.0, t=0.0, info=1.0),
+                 make_record(lon=121.5, lat=31.5, t=100.0, info=4.0)])
     stats = ds.fit_standardizer(fit, time_range)
     schema = ds.FeatureSchema()
     for name in masked:
@@ -485,7 +529,7 @@ def test_feature_schema_dims_and_env_masking():
     assert schema.dim_full == 18 and schema.dim_st == 3
     masked = schema.without_env("humidity")
     assert masked.dim_full == 17
-    stats = ds.fit_standardizer([make_record(t=0.0), make_record(t=1.0)])
+    stats = ds.fit_standardizer(table([make_record(t=0.0), make_record(t=1.0)]))
     node = preprocess_one(make_record(), stats, masked)
     assert node.x_full.shape == (17,)
     assert np.array_equal(node.x_st, node.x_full[-3:])
@@ -535,7 +579,8 @@ def default_synthetic():
 
 def test_synthetic_same_seed_bit_identical(default_synthetic):
     again = ds.generate_synthetic(ds.SyntheticConfig())
-    assert default_synthetic == again
+    assert default_synthetic.dtype == again.dtype == ds.RECORD_DTYPE
+    assert default_synthetic.tobytes() == again.tobytes()
 
 
 def test_synthetic_row_count_exact(default_synthetic):
@@ -607,10 +652,11 @@ def test_synthetic_roundtrips_through_csv(tmp_path, default_synthetic):
     ds.write_records(path, default_synthetic)
     back = ds.load_records(path)
     assert back.skipped_rows == []
-    assert back.records == default_synthetic
+    assert back.records.dtype == default_synthetic.dtype == ds.RECORD_DTYPE
+    assert back.records.tobytes() == default_synthetic.tobytes()
 
 
 def test_stats_roundtrip_json():
-    stats = ds.fit_standardizer([make_record(t=0.0), make_record(t=5.0, min_tem=9.0)])
+    stats = ds.fit_standardizer(table([make_record(t=0.0), make_record(t=5.0, min_tem=9.0)]))
     clone = ds.PreprocessStats.from_dict(stats.to_dict())
     assert clone == stats

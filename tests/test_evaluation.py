@@ -199,16 +199,13 @@ def test_report_rmse_consistency():
 # generalization split
 
 
-class FakeRecord:
-    def __init__(self, t, lon, lat):
-        self.collect_time = t
-        self.longitude_gcj = lon
-        self.latitude_gcj = lat
-
-
 def fake_records(n, rng):
-    return [FakeRecord(float(rng.uniform(0, 100)), float(rng.uniform(0, 1)),
-                       float(rng.uniform(0, 1))) for _ in range(n)]
+    return axis_records(*rng.uniform([0, 0, 0], [100, 1, 1], (n, 3)).T)
+
+
+def axis_records(t, lon, lat):
+    """The columns generalization_split reads, as a records table."""
+    return np.rec.fromarrays([t, lon, lat], names="collect_time,longitude_gcj,latitude_gcj")
 
 
 def test_split_no_gap():
@@ -233,14 +230,14 @@ def test_split_longitude_matches_sort_oracle():
     records = fake_records(15, rng)
     train, test = ev.generalization_split(records, "longitude", 6, 3)
     order = sorted(range(15), key=lambda i: (records[i].longitude_gcj, i))
-    assert train == order[:6]
-    assert test == order[9:]
+    assert train.tolist() == order[:6]
+    assert test.tolist() == order[9:]
 
 
 def test_split_ties_go_to_the_lower_index():
-    records = [FakeRecord(t, 0.0, 0.0) for t in (5.0, 1.0, 5.0, 1.0, 3.0)]
+    records = axis_records([5.0, 1.0, 5.0, 1.0, 3.0], np.zeros(5), np.zeros(5))
     train, test = ev.generalization_split(records, "time", 2, 1)
-    assert (train, test) == ([1, 3], [0, 2])
+    assert (train.tolist(), test.tolist()) == ([1, 3], [0, 2])
 
 
 def test_split_rejects_consuming_everything():
@@ -255,3 +252,9 @@ def test_split_rejects_consuming_everything():
 def test_split_rejects_an_empty_training_side(k):
     with pytest.raises(ev.SplitError, match=f"k = {k} and s = 0 leave no train or test"):
         ev.generalization_split(fake_records(5, np.random.default_rng(4)), "time", k, 0)
+
+
+def test_split_rejects_a_negative_gap():
+    # s = -5 would hand 5 training ids to the test side as well
+    with pytest.raises(ev.SplitError, match="gap s must be >= 0, got -5"):
+        ev.generalization_split(fake_records(50, np.random.default_rng(5)), "time", 30, -5)

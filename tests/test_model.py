@@ -257,10 +257,10 @@ def test_one_softmax_and_one_segment_sum_per_layer():
 
 def test_gcn_on_edgeless_graph_is_per_node_mlp_of_st_features():
     inst = small_instance(11, n=5, variant="gcn", top_k=0)
-    records = inst["records"]
     # spread locations and times so no proximity edges exist
-    far = [ds.RawRecord(**{**r.__dict__, "longitude_gcj": 121.0 + 0.2 * i,
-                           "collect_time": 100.0 * i}) for i, r in enumerate(records)]
+    far = inst["records"].copy()
+    far.longitude_gcj = 121.0 + 0.2 * np.arange(len(far))
+    far.collect_time = 100.0 * np.arange(len(far))
     stats = ds.fit_standardizer(far)
     nodes = ds.preprocess_records(far, stats, inst["schema"])
     cfg_g = sg.GraphConfig(l_res_m=10.0, t_res_days=0.5, top_k=0)
@@ -366,13 +366,14 @@ def test_no_top_variant_runs_on_k_zero_graph():
 
 
 def perturb_record(record, rng):
-    changed = ds.RawRecord(**record.__dict__)
-    changed.detect_info = record.detect_info + float(rng.uniform(0.5, 3.0))
+    """A copy of record, a one-row table, with other features."""
+    changed = record.copy()
+    changed.detect_info += float(rng.uniform(0.5, 3.0))
     changed.detect_conf = float(rng.uniform(0, 1))
     changed.distress_type = int(rng.choice(
-        [t for t in ds.DISTRESS_TYPES if t != record.distress_type]))
+        [t for t in ds.DISTRESS_TYPES if t != record.distress_type[0]]))
     for name in ds.ENV_FEATURES:
-        setattr(changed, name, getattr(record, name) + float(rng.uniform(-5, 5)))
+        changed[name] += float(rng.uniform(-5, 5))
     return changed
 
 
@@ -384,9 +385,9 @@ def test_leakage_invariance_bit_exact(variant):
         gt, stats, schema = inst["gt"], inst["stats"], inst["schema"]
         base = md.forward_values(gt, inst["params"], inst["config"])
         for i in range(gt.n):
-            changed = perturb_record(inst["records"][i], rng)
+            changed = perturb_record(inst["records"][i:i + 1], rng)
             nodes = inst["nodes"]
-            poked_nodes = (nodes[:i] + ds.preprocess_records([changed], stats, schema)
+            poked_nodes = (nodes[:i] + ds.preprocess_records(changed, stats, schema)
                            + nodes[i + 1:])
             poked = md.prepare_tensors(inst["graph"], poked_nodes,
                                        l_res_m=inst["graph_cfg"].l_res_m)

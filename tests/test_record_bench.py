@@ -41,3 +41,23 @@ def test_path_lengths_are_compared_after_resolving(tmp_path, no_git):
     a, long = dirs(tmp_path, "a", "long")
     (tmp_path / "b").symlink_to(long)
     assert record_bench.main([a, str(tmp_path / "b")]) == 2
+
+
+METRICS = [{"name": "job_s", "better": "lower", "bound": 0.25},
+           {"name": "forecast_qps", "better": "higher", "bound": 0.25},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def medians(**values):
+    return {name: {"median": v, "q1": v, "q3": v} for name, v in values.items()}
+
+
+def test_over_bound_names_each_metric_worse_by_more_than_its_bound():
+    before = medians(job_s=1.0, forecast_qps=100.0, peak_rss_mb=100.0)
+    after = medians(job_s=1.3, forecast_qps=80.0, peak_rss_mb=111.0)
+    assert record_bench.over_bound(before, after, METRICS) == ["job_s", "peak_rss_mb"]
+    after = medians(job_s=1.25, forecast_qps=74.0, peak_rss_mb=109.0)  # job_s at its bound
+    assert record_bench.over_bound(before, after, METRICS) == ["forecast_qps"]
+    after = medians(job_s=0.5, forecast_qps=200.0, peak_rss_mb=50.0)  # better is never worse
+    assert record_bench.over_bound(before, after, METRICS) == []
+

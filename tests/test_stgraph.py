@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pavecast import dataset as ds
+from pavecast import pipeline
 from pavecast import stgraph as sg
 
 from conftest import small_instance
@@ -564,6 +566,26 @@ def test_rows_at_one_spot_stay_within_the_scratch_cap(top_mode):
     else:
         assert (ranked == np.minimum(np.arange(n) - near, cfg.top_k)).all()
         assert (hard == near).all()
+
+
+def test_top_k_beyond_every_candidate_count_allocates_by_the_candidates():
+    """A top_k over the row count ranks every candidate, as top_k = n does;
+    the scratch follows the candidates, not top_k (a 20,000-wide padded
+    score matrix took 38 MB here)."""
+    config = pipeline.RunConfig(dataset=pipeline.DatasetSource(
+        synthetic=ds.SyntheticConfig(n_records=300, n_locations=60)))
+    data = pipeline.prepare_data(config)
+    cols = sg.graph_nodes_from_processed(data.history_nodes)
+    want = sg.build_graph(cols, data.init_count, replace(config.graph, top_k=len(cols[0])))
+    tracemalloc.start()
+    try:
+        got = sg.build_graph(cols, data.init_count, replace(config.graph, top_k=20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name in ("offsets", "parent", "dist_m", "origin"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------

@@ -275,16 +275,13 @@ def test_location_query_sits_at_its_first_history_row(monkeypatch):
     # GPS jitter: the rows of one location carry different coordinates
     inst = small_instance(25, n=16)
     ctx = make_context(inst)
-    loc = max(set(r.location_id for r in inst["records"]),
-              key=[r.location_id for r in inst["records"]].count)
-    seen = []
-    records = []
-    for r in inst["records"]:
-        if r.location_id == loc:
-            r = replace(r, longitude_gcj=r.longitude_gcj + 2e-4 * len(seen),
-                        latitude_gcj=r.latitude_gcj - 1e-4 * len(seen))
-            seen.append((r.longitude_gcj, r.latitude_gcj))
-        records.append(r)
+    ids = inst["records"].location_id.tolist()
+    loc = max(set(ids), key=ids.count)
+    records = inst["records"].copy()
+    at = np.flatnonzero(records.location_id == loc)
+    records.longitude_gcj[at] += 2e-4 * np.arange(len(at))
+    records.latitude_gcj[at] -= 1e-4 * np.arange(len(at))
+    seen = list(zip(records.longitude_gcj[at].tolist(), records.latitude_gcj[at].tolist()))
     assert len(set(seen)) > 1
     nodes = ds.preprocess_records(records, inst["stats"], inst["schema"])
     graph = sg.build_graph(sg.graph_nodes_from_processed(nodes), 1, inst["graph_cfg"])
@@ -296,7 +293,8 @@ def test_location_query_sits_at_its_first_history_row(monkeypatch):
 
     monkeypatch.setattr(tr, "predict_one", spy)
     t = graph.t_raw.max() + 2.0
-    observed = [replace(next(r for r in records if r.location_id == loc), collect_time=t)]
+    observed = records[at[:1]]  # a copy
+    observed.collect_time = t
     for strategy in tr.STRATEGIES:
         def forecast(**coords):
             return tr.predict_sequence(ctx, graph, nodes, [tr.Query(loc, t, **coords)],
@@ -340,8 +338,9 @@ def test_predict_sequence_restores_graph_and_nodes(strategy):
     # the second query names a location without history
     failing = [queries[0], tr.Query(424242, queries[1].t_raw)]
     with pytest.raises(tr.QueryError):
-        tr.predict_sequence(ctx, graph, nodes, failing, strategy,
-                            observed=[observed[0], replace(observed[1], location_id=424242)])
+        wrong = observed[:2].copy()
+        wrong.location_id[1] = 424242
+        tr.predict_sequence(ctx, graph, nodes, failing, strategy, observed=wrong)
     assert unchanged()
 
 
@@ -381,16 +380,17 @@ def chain_queries(inst, k):
 def chain_observed(inst, queries):
     """Records observed at chain_queries' locations and times."""
     records = inst["records"]
-    return [replace(records[i % len(records)], collect_time=q.t_raw)
-            for i, q in enumerate(queries)]
+    observed = records[np.arange(len(queries)) % len(records)]  # a copy
+    observed.collect_time = [q.t_raw for q in queries]
+    return observed
 
 
 def test_single_query_strategies_agree():
     inst = small_instance(12)
     ctx = make_context(inst)
     queries = chain_queries(inst, 1)
-    obs = [inst["records"][0]]
-    obs[0].collect_time = queries[0].t_raw
+    obs = inst["records"][:1].copy()
+    obs.collect_time = queries[0].t_raw
     graph, nodes = inst["graph"], inst["nodes"]
     a = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
     b = tr.predict_sequence(ctx, graph, nodes, queries, "true", obs)
@@ -423,8 +423,8 @@ def test_true_feedback_rejects_records_off_their_query(shift):
     queries = chain_queries(inst, 3)
     observed = chain_observed(inst, queries)
     # the third record moved in time, to the next location id or along a road
-    observed[2] = replace(observed[2], **{key: getattr(observed[2], key) + delta
-                                          for key, delta in shift.items()})
+    for key, delta in shift.items():
+        observed[key][2] += delta
     with pytest.raises(tr.StrategyError, match="differs from its query"):
         tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, "true",
                             observed=observed)
@@ -488,7 +488,7 @@ def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
         gt = md.prepare_tensors(work_graph, work_nodes, l_res_m=ctx.graph_config.l_res_m)
         out.append(md.forward_values(gt, ctx.params, ctx.model_config)[-1])
         if strategy == "true":
-            work_nodes = work_nodes[:-1] + ds.preprocess_records([observed[k]], ctx.stats,
+            work_nodes = work_nodes[:-1] + ds.preprocess_records(observed[k:k + 1], ctx.stats,
                                                                  ctx.schema)
         elif strategy == "predicted":
             write_forecast(ctx, work_nodes, out[-1])

@@ -10,8 +10,11 @@ Each BENCH_<short commit>.json, written into the root of this repository,
 holds the host, the command, every run's raw end-to-end metrics and
 operation counts, and per workload and metric the median and quartiles
 over the seeds. Given two checkouts, a before and an after, it also
-prints on how many seeds the second beat the first, per workload and
-metric. The checkouts' resolved paths must have one length, since that
+prints per workload on how many seeds the second beat the first, per
+metric, each side's failed operations over its runs, and the end-to-end
+metrics whose median in the second is worse than in the first by more
+than the metric's BENCHMARK.json bound (a share of the first's median).
+The checkouts' resolved paths must have one length, since that
 length alone moves `peak_rss_mb` (it exits 2 otherwise).
 """
 
@@ -76,15 +79,31 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def end_to_end() -> list[dict]:
+    """BENCHMARK.json's end-to-end metrics: name, unit, better and bound."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
 def wins(before: list[dict], after: list[dict]) -> dict:
     """Per metric, on how many seeds `after` beat `before`."""
-    better = {m["name"]: m["better"] for m in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in end_to_end()}
     count = {}
     for name, sense in better.items():
         pairs = [(b["metrics"][name], a["metrics"][name]) for b, a in zip(before, after)]
         count[name] = sum(new > old if sense == "higher" else new < old for old, new in pairs)
     return count
+
+
+def over_bound(before: dict, after: dict, metrics: list[dict]) -> list[str]:
+    """The metrics whose median in the summary `after` is worse than in
+    `before` by more than the metric's bound, a share of before's median."""
+    worse = []
+    for m in metrics:
+        old, new = before[m["name"]]["median"], after[m["name"]]["median"]
+        if (new > old * (1 + m["bound"]) if m["better"] == "lower"
+                else new < old * (1 - m["bound"])):
+            worse.append(m["name"])
+    return worse
 
 
 def main(argv=None) -> int:
@@ -124,9 +143,17 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
     if len(runs) == 2:
         for workload in WORKLOADS:
-            won = wins(runs[0][workload], runs[1][workload])
+            before, after = runs[0][workload], runs[1][workload]
+            won = wins(before, after)
             print(f"{commits[1][:7]} beat {commits[0][:7]} on {workload}: "
                   + " ".join(f"{k} {v}/{len(SEEDS)}" for k, v in won.items()))
+            print("  failed operations: " + ", ".join(
+                f"{c[:7]} {sum(r['failed'] for r in side)} of "
+                f"{sum(r['attempted'] for r in side)}"
+                for c, side in zip(commits, (before, after))))
+            worse = over_bound(summarize(before), summarize(after), end_to_end())
+            print(f"  worse than {commits[0][:7]} by more than the bound: "
+                  f"{', '.join(worse) or 'none'}")
     return 0
 
 
