@@ -353,8 +353,8 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     than K) until they are done or reach every candidate.
     """
     limits = np.asarray(limits, np.int64)
-    # no row has more than max(limits) candidates to rank, and the clamp keeps
-    # pos * (n + k) below inside int64
+    # no row ranks more than max(limits) candidates; the clamp also keeps the
+    # sort key pos * (n + k) inside int64
     n, k = len(t_raw), 0 if mutual else min(config.top_k, int(limits.max(initial=0)))
     t = t_raw[n - len(limits):]
     if not np.isfinite(t).all():
