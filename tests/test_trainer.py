@@ -337,9 +337,9 @@ def test_predict_sequence_restores_graph_and_nodes(strategy):
     assert unchanged()
     # the second query names a location without history
     failing = [queries[0], tr.Query(424242, queries[1].t_raw)]
+    wrong = observed[:2].copy()
+    wrong.location_id[1] = 424242
     with pytest.raises(tr.QueryError):
-        wrong = observed[:2].copy()
-        wrong.location_id[1] = 424242
         tr.predict_sequence(ctx, graph, nodes, failing, strategy, observed=wrong)
     assert unchanged()
 
