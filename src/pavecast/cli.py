@@ -1,8 +1,8 @@
 """Command-line entry point for reproducible runs.
 
-Every command is driven by one JSON config file (overridable with repeated
---set key=value flags) plus a seed, and writes its artifacts under --out
-with a manifest of content hashes. Reruns of the same config produce
+Every command is driven by one JSON config file, overridable with repeated
+--set key=value flags (the model's seed is train.seed), and writes its
+artifacts under --out with a manifest of content hashes. Reruns of the same config produce
 byte-identical artifacts; wall-clock timings go to a separate timings.csv
 that is excluded from the manifest.
 """
@@ -219,6 +219,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _location_query(nodes: ds.NodeTable, location: int, t: float) -> np.recarray:
+    """A one-record query table at the location's first history row and time t;
+    its other columns are zero, which the "ignore" strategy never reads."""
+    at = np.flatnonzero(nodes.location_id == location)  # compares any int, 2**63 too
+    if not len(at):
+        raise tr.QueryError(f"location {location} has no historical observations")
+    query = np.zeros(1, ds.RECORD_DTYPE).view(np.recarray)
+    query.location_id, query.collect_time = location, t
+    query.longitude_gcj, query.latitude_gcj = nodes.lon[at[0]], nodes.lat[at[0]]
+    return query
+
+
 def cmd_predict(args) -> int:
     ckpt = tr.load_checkpoint(args.checkpoint)
     config = _checkpoint_config(ckpt)
@@ -227,8 +239,8 @@ def cmd_predict(args) -> int:
     ctx = tr.InferenceContext(params=ckpt.params, model_config=ckpt.model_config,
                               graph_config=graph_cfg, stats=ckpt.stats,
                               schema=ckpt.schema)
-    yhat = tr.predict_sequence(ctx, graph, data.history_nodes,
-                               [tr.Query(args.location, args.time)])[0]
+    query = _location_query(data.history_nodes, args.location, args.time)
+    yhat = tr.predict_sequence(ctx, graph, data.history_nodes, query)[0]
     print(f"{yhat:.6f}")
     return 0
 

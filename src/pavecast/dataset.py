@@ -394,7 +394,7 @@ def preprocess_records(records: np.recarray, stats: PreprocessStats,
     return NodeTable(location_id, lon, lat, t_raw, x_full, y)
 
 
-def query_nodes(location_id: list[int], lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray,
+def query_nodes(location_id: np.ndarray, lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray,
                 stats: PreprocessStats, schema: FeatureSchema) -> NodeTable:
     """One node per query column entry, for a time not yet observed.
 

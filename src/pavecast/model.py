@@ -63,6 +63,8 @@ class ModelConfig:
             raise ModelConfigError(
                 f"extractor output width {self.extractor_hidden[-1]} "
                 f"must equal hidden width {self.hidden}")
+        if not 0 <= self.eam_gamma < np.inf:  # a negative decay would grow with distance
+            raise ModelConfigError(f"eam_gamma must be finite and >= 0, got {self.eam_gamma}")
 
     @property
     def score_slot_width(self) -> int:

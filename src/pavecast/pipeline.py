@@ -1,8 +1,9 @@
 """End-to-end experiment wiring: config -> data -> graph -> model -> report.
 
 One RunConfig JSON document fully determines a run: dataset source, split
-fractions, graph thresholds, model variant and sizes, training settings,
-and the master seed. Reruns of the same config produce identical artifacts.
+fractions, graph thresholds, model variant and sizes, and training
+settings, whose seed (train.seed) is the one that initializes the model.
+Reruns of the same config produce identical artifacts.
 Generalization runs (train one side of an axis, forecast the other) reuse
 the temporal run's preparation, training and forecast steps; only the
 split differs.
@@ -20,7 +21,7 @@ from . import evaluation as ev
 from . import stgraph as sg
 from . import trainer as tr
 from .model import ModelConfig
-from .trainer import InferenceContext, Query, TrainConfig
+from .trainer import InferenceContext, TrainConfig
 
 
 class RunConfigError(ValueError):
@@ -30,18 +31,18 @@ class RunConfigError(ValueError):
 def reference_benchmark_config(seed: int = 0) -> "RunConfig":
     """The frozen synthetic benchmark used for model-ordering runs.
 
-    2000 records, 10/70/20 temporal split, default graph thresholds. The
-    model is deliberately narrow (hidden 48) and trained 250 epochs: at this
-    capacity the attention variants separate cleanly and reseeded runs land
-    within a few thousandths of each other.
+    2000 records, 10/70/20 temporal split, default graph thresholds, and
+    `seed` as train.seed. The model is deliberately narrow (hidden 48) and
+    trained 250 epochs. Reseeded runs do not land close together: stgan's
+    test MAE read 1.2663, 1.1273 and 1.1340 on seeds 0-2, a spread of 0.14,
+    so variants are compared over several seeds.
     """
     return RunConfig(
-        seed=seed,
         dataset=DatasetSource(synthetic=ds.SyntheticConfig(
             seed=0, driver_obs_bias=0.0, driver_spell_days=(35.0, 120.0))),
         model=ModelConfig(variant="stgan", hidden=48, extractor_hidden=(24, 48),
                           head_hidden=48),
-        train=TrainConfig(epochs=250))
+        train=TrainConfig(epochs=250, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class DatasetSource:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
     dataset: DatasetSource = field(
         default_factory=lambda: DatasetSource(synthetic=ds.SyntheticConfig()))
     split: tuple[float, float, float] = (0.1, 0.7, 0.2)
@@ -72,12 +72,9 @@ class RunConfig:
     def __post_init__(self):
         if self.strategy not in tr.STRATEGIES:
             raise RunConfigError(f"unknown strategy {self.strategy!r}")
-        if self.seed < 0:
-            raise RunConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = {
-            "seed": self.seed,
             "split": list(self.split),
             "strategy": self.strategy,
             "graph": asdict(self.graph),
@@ -106,7 +103,6 @@ class RunConfig:
                 ds.SyntheticConfig, "dataset.synthetic", src.get("synthetic", {}))))
         feats = _checked(ds.FeatureSchema, "features", d.get("features", {}))
         return cls(
-            seed=d.get("seed", 0),
             dataset=dataset,
             split=tuple(d.get("split", (0.1, 0.7, 0.2))),
             strategy=d.get("strategy", "ignore"),
@@ -230,30 +226,27 @@ def _train_model(config: RunConfig, data: PreparedData, log=None):
     graph, graph_cfg = build_history_graph(config, data)
     t_graph = time.perf_counter() - t0
 
-    train_cfg = replace(config.train, seed=config.seed)
     t0 = time.perf_counter()
     result = tr.train_on_graph(graph, data.history_nodes, config.model,
-                               train_cfg, graph_cfg, log=log)
+                               config.train, graph_cfg, log=log)
     t_train = time.perf_counter() - t0
-    return graph, graph_cfg, train_cfg, result, {"graph_build": t_graph,
-                                                 "train": t_train}
+    return graph, graph_cfg, result, {"graph_build": t_graph, "train": t_train}
 
 
 def _forecast(config: RunConfig, data: PreparedData, graph, graph_cfg, params,
               strategy: str, allow_past: bool = False):
     """(observed, predicted) values of the test records, forecast in order.
 
-    Each query carries its record's own coordinates, so test locations need
-    no historical observation (spatial generalization splits have none).
+    The test records are the queries: each sits at its own coordinates, so
+    test locations need no historical observation (spatial generalization
+    splits have none).
     """
     ctx = InferenceContext(params=params, model_config=config.model,
                            graph_config=graph_cfg, stats=data.stats,
                            schema=config.features)
     test = data.test_records
-    queries = list(map(Query, test["location_id"].tolist(), test["collect_time"].tolist(),
-                       zip(test["longitude_gcj"].tolist(), test["latitude_gcj"].tolist())))
-    yhat = tr.predict_sequence(ctx, graph, data.history_nodes, queries, strategy,
-                               observed=test, allow_past=allow_past)
+    yhat = tr.predict_sequence(ctx, graph, data.history_nodes, test, strategy,
+                               allow_past=allow_past)
     return np.array(test["detect_info"]), yhat
 
 
@@ -270,14 +263,14 @@ def evaluate_test(config: RunConfig, data: PreparedData, graph, graph_cfg,
 def run_experiment(config: RunConfig, log=None, records=None) -> RunResult:
     """Train one model per the config and evaluate it on the test split."""
     data = prepare_data(config, records=records, log=log)
-    graph, graph_cfg, train_cfg, result, timings = _train_model(config, data, log=log)
+    graph, graph_cfg, result, timings = _train_model(config, data, log=log)
 
     t0 = time.perf_counter()
     test_report = evaluate_test(config, data, graph, graph_cfg, result.params)
     timings["predict"] = time.perf_counter() - t0
 
     ckpt = tr.Checkpoint(model_config=config.model, graph_config=graph_cfg,
-                         train_config=train_cfg, stats=data.stats,
+                         train_config=config.train, stats=data.stats,
                          schema=config.features, params=result.params,
                          adam=result.adam, loss_trace=result.loss_trace,
                          final_train_mae=result.final_train_mae,
@@ -366,7 +359,7 @@ def run_generalization(config: RunConfig, axis: str, k: int, s: int,
                      for ids in ev.generalization_split(records, axis, k, s))  # the axis order
     data = _prepare(config, records, history, test,
                     init_count=max(1, int(len(history) * config.split[0])))
-    graph, graph_cfg, _, result, _ = _train_model(config, data, log=log)
+    graph, graph_cfg, result, _ = _train_model(config, data, log=log)
     y_true, yhat = _forecast(config, data, graph, graph_cfg, result.params,
                              "ignore", allow_past=True)
     return ev.build_report(y_true, yhat,

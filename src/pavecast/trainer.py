@@ -3,16 +3,18 @@
 Training runs full-batch over the initialization + training graph with the
 mean-absolute-error loss taken over training nodes only (initialization
 nodes pass messages but are never scored). Prediction is graph
-autoregression. predict_sequence answers a query list under a continuation
-strategy: it appends every query as a row and wires them all in one call,
-since a row's parents depend on the coordinates and times before it alone.
-"ignore" wires every query against the history; "true" and "predicted"
-wire each query against everything before it. The rows are a
-dataset.NodeTable: a spatial-temporal row per query (dataset.query_nodes),
-or under "true" the query's observed record (dataset.preprocess_records).
-predict_sequence reads the caller's graph and node table and writes
-neither: it forecasts on the graph that STGraph.grow returns and on the
-table that joins the caller's and the query rows.
+autoregression. predict_sequence answers a query table, records of
+dataset.RECORD_DTYPE in time order, under a continuation strategy: it
+appends every query as a row and wires them all in one call, since a row's
+parents depend on the coordinates and times before it alone. "ignore"
+wires every query against the history; "true" and "predicted" wire each
+query against everything before it. The rows are a dataset.NodeTable: a
+spatial-temporal row per query (dataset.query_nodes, which reads only the
+query's location, coordinates and time), or under "true" the query's whole
+record (dataset.preprocess_records). predict_sequence reads the caller's
+graph and node table and writes neither: it forecasts on the graph that
+STGraph.grow returns and on the table that joins the caller's and the
+query rows.
 
 Edges point from older to newer rows, so an L-layer model's prediction for
 a query reads only the rows within L parent hops of it (its ancestor cone),
@@ -100,6 +102,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or not 0 < self.lr < math.inf:
             raise TrainConfigError("epochs must be >= 0 and lr finite and > 0")
+        if self.seed < 0:
+            raise TrainConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -161,13 +165,6 @@ def train_on_graph(graph: STGraph, nodes: NodeTable,
 # Prediction
 
 
-@dataclass(frozen=True)
-class Query:
-    location_id: int
-    t_raw: float
-    coords: tuple[float, float] | None = None  # overrides the location lookup
-
-
 @dataclass
 class InferenceContext:
     """Everything a frozen model needs to answer queries."""
@@ -219,89 +216,59 @@ def predict_one(ctx: InferenceContext, graph: STGraph, nodes: NodeTable,
     return forward_values(gt, ctx.params, ctx.model_config)[gt.targets]
 
 
-def _query_rows(ctx: InferenceContext, nodes: NodeTable, queries: list[Query]) -> NodeTable:
-    """The queries' rows, spatial-temporal features only (dataset.query_nodes).
-
-    A query without coords sits at its location's first history row; the
-    lookup is built once, and only if some query needs it.
-    """
-    times = np.array([q.t_raw for q in queries], dtype=float)
-    if not np.isfinite(times).all():
-        raise QueryError(f"query time {times[~np.isfinite(times)][0]} is not finite")
-    where = {}
-    if not all(q.coords for q in queries):
-        ids, first = np.unique(nodes.location_id, return_index=True)
-        where = dict(zip(ids.tolist(), zip(nodes.lon[first].tolist(), nodes.lat[first].tolist())))
-    coords = [q.coords or where.get(q.location_id) for q in queries]
-    if None in coords:
-        raise QueryError(f"location {queries[coords.index(None)].location_id} "
-                         "has no historical observations")
-    lon, lat = np.array(coords, dtype=float).reshape(-1, 2).T
-    for (name, bound), col in zip(COORD_BOUNDS.items(), (lon, lat)):
-        off = ~(np.abs(col) <= bound)
-        if off.any():
-            raise QueryError(f"query {name} {col[off][0]} is outside [-{bound}, {bound}]")
-    return query_nodes([q.location_id for q in queries], lon, lat, times, ctx.stats, ctx.schema)
-
-
-def predict_sequence(ctx: InferenceContext, graph: STGraph,
-                     nodes: NodeTable, queries: list[Query],
-                     strategy: str = "ignore",
-                     observed: np.recarray | None = None,
+def predict_sequence(ctx: InferenceContext, graph: STGraph, nodes: NodeTable,
+                     queries: np.recarray, strategy: str = "ignore",
                      allow_past: bool = False) -> np.ndarray:
-    """Predict a time-sorted query list under one continuation strategy.
+    """Forecast a query table under one continuation strategy.
 
-    Every query becomes a row, and one combined_parents call wires them all.
-    "ignore" wires each query against the history alone. allow_past admits
-    ignore-strategy queries timestamped inside the historical span (for
-    generalization splits); their parents are then the no-later history.
-    "true" and "predicted" wire each query against every row before it,
-    earlier queries included. A query's coordinates are its own, or its
-    location's first history row's.
+    queries is a records table (dataset.RECORD_DTYPE) sorted by
+    collect_time; each record is a query at its own location, coordinates
+    and time. Every query becomes a row, and one combined_parents call wires
+    them all. "ignore" wires each query against the history alone.
+    allow_past admits ignore-strategy queries timestamped inside the
+    historical span (for generalization splits); their parents are then the
+    no-later history. "true" and "predicted" wire each query against every
+    row before it, earlier queries included.
 
-    Under "ignore" a row carries spatial-temporal features only, and no
-    query has a query parent. Under "true" a row holds its observed record
-    from the start (caller-supplied, and matching the query's location,
-    coordinates and time): a forecast never reads its own row's features,
-    and every earlier query it reads already holds its record. Both take one
-    predict_one pass for every query. Under "predicted" a query's row must
-    hold its forecast before later forecasts read it, so the queries are
-    answered level by level (see query_levels), one predict_one step per
-    level. Two queries on one level are not within L parent hops of each
-    other, so neither forecast reads the other's row; every query within L
-    hops of a query sits on a lower level, and its row took its forecast
-    after that level's step. The forecast runs on a grown copy of the graph
-    and node table: it reads the caller's and writes neither.
+    Under "ignore" and "predicted" a row carries spatial-temporal features
+    only (dataset.query_nodes), read from the query's coordinates and time;
+    its other columns are not read. Under "ignore" no query has a query
+    parent. Under "true" a row holds the query's whole record from the start
+    (dataset.preprocess_records): a forecast never reads its own row's
+    features, and every earlier query it reads already holds its record.
+    "ignore" and "true" take one predict_one pass for every query. Under
+    "predicted" a query's row must hold its forecast before later forecasts
+    read it, so the queries are answered level by level (see query_levels),
+    one predict_one step per level. Two queries on one level are not within
+    L parent hops of each other, so neither forecast reads the other's row;
+    every query within L hops of a query sits on a lower level, and its row
+    took its forecast after that level's step. The forecast runs on a grown
+    copy of the graph and node table: it reads the caller's and writes
+    neither.
     """
-    for earlier, later in zip(queries, queries[1:]):
-        if later.t_raw < earlier.t_raw:
-            raise QueryError("queries must be sorted by time")
     if strategy not in STRATEGIES:
         raise StrategyError(f"unknown strategy {strategy!r}")
-    if strategy == "true":
-        if observed is None or len(observed) != len(queries):
-            raise StrategyError("true-feedback needs one observed record per query")
-    if not queries:
+    times = queries["collect_time"]
+    if not np.isfinite(times).all():
+        raise QueryError(f"query time {times[~np.isfinite(times)][0]} is not finite")
+    if (np.diff(times) < 0).any():
+        raise QueryError("queries must be sorted by time")
+    for name, bound in COORD_BOUNDS.items():
+        off = ~(np.abs(queries[name]) <= bound)
+        if off.any():
+            raise QueryError(f"query {name} {queries[name][off][0]} is outside "
+                             f"[-{bound}, {bound}]")
+    if not len(queries):
         return np.empty(0)
 
     base_n, history = graph.n, graph.t_raw
-    if base_n and not (allow_past and strategy == "ignore") \
-            and queries[0].t_raw < history[-1]:
-        raise QueryError(f"query time {queries[0].t_raw} precedes the latest "
-                         "historical observation")
-    rows = _query_rows(ctx, nodes, queries)
+    if base_n and not (allow_past and strategy == "ignore") and times[0] < history[-1]:
+        raise QueryError(f"query time {times[0]} precedes the latest historical observation")
     if strategy == "true":
-        seen = [observed[c] for c in ("location_id", "collect_time", "longitude_gcj",
-                                      "latitude_gcj")]
-        off = np.flatnonzero(np.any([a != b for a, b in zip(
-            seen, (rows.location_id, rows.t_raw, rows.lon, rows.lat))], axis=0))
-        if len(off):
-            i, q = off[0], queries[off[0]]
-            loc, t, lon, lat = (col[i].item() for col in seen)
-            raise StrategyError(f"observed record ({loc}, {t}) at ({lon}, {lat}) differs from "
-                                f"its query ({q.location_id}, {q.t_raw}) at "
-                                f"{(rows.lon[i].item(), rows.lat[i].item())}")
-        rows = preprocess_records(observed, ctx.stats, ctx.schema)  # the same coordinates and times
+        rows = preprocess_records(queries, ctx.stats, ctx.schema)
+    else:
+        place_and_time = ("location_id", *COORD_BOUNDS, "collect_time")
+        rows = query_nodes(*(queries[c] for c in place_and_time), ctx.stats, ctx.schema)
     if strategy == "ignore":
         limits = np.searchsorted(history, rows.t_raw, side="right")
     else:

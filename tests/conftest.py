@@ -64,10 +64,9 @@ def tiny_run_config(variant="stgan", seed=0, epochs=12, **model_kw):
     from pavecast.trainer import TrainConfig
     dims = dict(hidden=8, extractor_hidden=(6, 8), head_hidden=8, heads=2)
     dims.update(model_kw)
-    return RunConfig(seed=seed,
-                     dataset=DatasetSource(synthetic=tiny_synthetic()),
+    return RunConfig(dataset=DatasetSource(synthetic=tiny_synthetic()),
                      model=md.ModelConfig(variant=variant, **dims),
-                     train=TrainConfig(epochs=epochs))
+                     train=TrainConfig(epochs=epochs, seed=seed))
 
 
 class WatchedWorkspace(ng.Workspace):

@@ -7,9 +7,10 @@ import pytest
 
 from pavecast import cli
 from pavecast import dataset as ds
+from pavecast import stgraph as sg
 from pavecast import trainer as tr
 
-from conftest import tiny_run_config
+from conftest import small_instance, tiny_run_config
 
 
 @pytest.fixture
@@ -98,6 +99,17 @@ def test_train_epochs_zero_equals_initialization(tmp_path, tiny_config_file):
     assert ckpt.loss_trace == [] and ckpt.adam.t == 0
 
 
+def test_train_seed_is_the_seed_that_acts(tmp_path, tiny_config_file):
+    out0, out7 = tmp_path / "s0", tmp_path / "s7"
+    assert run_cli("train", "--config", tiny_config_file, "--out", str(out0)) == 0
+    assert run_cli("train", "--config", tiny_config_file, "--set", "train.seed=7",
+                   "--out", str(out7)) == 0
+    assert (out0 / "loss.csv").read_bytes() != (out7 / "loss.csv").read_bytes()
+    ckpt = tr.load_checkpoint(out7 / "model.ckpt")
+    assert ckpt.train_config.seed == ckpt.run_config["train"]["seed"] == 7
+    assert "seed" not in ckpt.run_config
+
+
 def test_train_rerun_is_byte_identical(tmp_path, tiny_config_file):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     run_cli("train", "--config", tiny_config_file, "--out", str(out1))
@@ -164,6 +176,21 @@ def test_evaluate_rerun_identical_reports(tmp_path, trained):
     run_cli("evaluate", "--checkpoint", str(trained), "--out", str(out2))
     assert (out1 / "report_test.json").read_bytes() == \
         (out2 / "report_test.json").read_bytes()
+
+
+def test_checkpoint_with_a_top_level_seed_exits_2_naming_it(tmp_path, trained, capsys):
+    # checkpoints written before train.seed became the one seed carry a
+    # top-level run_config seed
+    ckpt = tr.load_checkpoint(trained)
+    ckpt.run_config = {"seed": 0, **ckpt.run_config}
+    old = tmp_path / "old.ckpt"
+    tr.save_checkpoint(old, ckpt)
+    for argv in (("evaluate", "--out", str(tmp_path / "e")),
+                 ("predict", "--location", "0", "--time", "1e9")):
+        capsys.readouterr()
+        assert run_cli(argv[0], "--checkpoint", str(old), *argv[1:]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: unknown config key 'seed'"]
 
 
 @pytest.fixture
@@ -257,6 +284,51 @@ def test_predict_single_query(tmp_path, trained, capsys):
     assert np.isfinite(value)
 
 
+@pytest.mark.parametrize("location", ["424242", str(2**63)])
+def test_predict_unknown_location_exits_2(trained, capsys, location):
+    capsys.readouterr()
+    assert run_cli("predict", "--checkpoint", str(trained),
+                   "--location", location, "--time", "1e9") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: location {location} has no historical observations"]
+
+
+def test_predict_location_sits_at_its_first_history_row(monkeypatch):
+    # GPS jitter: the rows of one location carry different coordinates
+    inst = small_instance(25, n=16)
+    ctx = tr.InferenceContext(params=inst["params"], model_config=inst["config"],
+                              graph_config=inst["graph_cfg"], stats=inst["stats"],
+                              schema=inst["schema"])
+    ids = inst["records"].location_id.tolist()
+    loc = max(set(ids), key=ids.count)
+    records = inst["records"].copy()
+    at = np.flatnonzero(records.location_id == loc)
+    records.longitude_gcj[at] += 2e-4 * np.arange(len(at))
+    records.latitude_gcj[at] -= 1e-4 * np.arange(len(at))
+    seen = list(zip(records.longitude_gcj[at].tolist(), records.latitude_gcj[at].tolist()))
+    assert len(set(seen)) > 1
+    nodes = ds.preprocess_records(records, inst["stats"], inst["schema"])
+    graph = sg.build_graph(sg.graph_nodes_from_processed(nodes), 1, inst["graph_cfg"])
+    real, grown = tr.predict_one, []
+
+    def spy(ctx, graph, *args):
+        grown.append(graph)
+        return real(ctx, graph, *args)
+
+    monkeypatch.setattr(tr, "predict_one", spy)
+    t = graph.t_raw.max() + 2.0
+    query = cli._location_query(nodes, loc, t)
+    for strategy in ("ignore", "predicted"):
+        def forecast(lon, lat):
+            placed = records[at[:1]]  # a copy
+            placed.longitude_gcj, placed.latitude_gcj, placed.collect_time = lon, lat, t
+            return tr.predict_sequence(ctx, graph, nodes, placed, strategy)
+        got = tr.predict_sequence(ctx, graph, nodes, query, strategy)
+        assert (grown[-1].lon[-1], grown[-1].lat[-1]) == seen[0], strategy
+        assert got == forecast(*seen[0])
+        assert got != forecast(*seen[-1])
+
+
 def test_predict_rejects_past_time(tmp_path, trained):
     assert run_cli("predict", "--checkpoint", str(trained),
                    "--location", "0", "--time", "1.0") == 2
@@ -321,7 +393,11 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "model.head_hidden=0",                   # ModelConfigError
     "model.extractor_hidden=[0,8]",          # ModelConfigError
     "train.lr=NaN",                          # TrainConfigError
-    "seed=-1",                               # RunConfigError
+    "seed=-1",                               # RunConfigError: removed key
+    "train.seed=-1",                         # TrainConfigError
+    "model.eam_gamma=-1",                    # ModelConfigError
+    "model.eam_gamma=NaN",                   # ModelConfigError
+    "model.eam_gamma=Infinity",              # ModelConfigError
     "dataset.synthetic.seed=-1",             # ConfigError
     "dataset.synthetic.n_records=-5",        # ConfigError
     "dataset.synthetic.n_clusters=0",        # ConfigError
@@ -332,9 +408,9 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "model.reuse_attention=false",           # RunConfigError: removed key
     "features.include_conf=false",           # RunConfigError: removed key
     "dataset.synthetic.extent_deg=0.1",      # RunConfigError: removed key
-    "seed.x=1",                              # UsageError: seed is no object
+    "strategy.x=1",                          # UsageError: strategy is no object
     "split.0=0.2",                           # UsageError: split is no object
-    "seed.x.y=1",                            # UsageError: seed is no object
+    "strategy.x.y=1",                        # UsageError: strategy is no object
     'features.env_features=["foo"]',         # SchemaError
     "split=[NaN,0.7,0.3]",                   # SplitError
     "split=[Infinity,-Infinity,1]",          # SplitError

@@ -24,13 +24,17 @@ def make_context(inst, params=None):
                                stats=inst["stats"], schema=inst["schema"])
 
 
-def query_row(ctx, nodes, query):
-    """The query's one-row table, spatial-temporal features only, at its coords
-    or its location's first row in nodes."""
-    lon, lat = query.coords or next(p.coords for p in nodes
-                                    if p.location_id == query.location_id)
-    return ds.query_nodes([query.location_id], np.array([lon]), np.array([lat]),
-                          np.array([query.t_raw]), ctx.stats, ctx.schema)
+def queries_at(records, times):
+    """Copies of records as queries at times."""
+    queries = records.copy()
+    queries.collect_time = times
+    return queries
+
+
+def query_row(ctx, query):
+    """A one-record query table's row, spatial-temporal features only."""
+    return ds.query_nodes(query.location_id, query.longitude_gcj, query.latitude_gcj,
+                          query.collect_time, ctx.stats, ctx.schema)
 
 
 def write_forecast(ctx, nodes, value):
@@ -40,9 +44,9 @@ def write_forecast(ctx, nodes, value):
 
 
 def append_query(ctx, graph, nodes, query):
-    """graph and nodes grown by the query's row, wired against every row before
-    it as the "true" and "predicted" strategies wire it."""
-    row = query_row(ctx, nodes, query)
+    """graph and nodes grown by a one-record query table's row, wired against
+    every row before it as the "true" and "predicted" strategies wire it."""
+    row = query_row(ctx, query)
     return (graph.grow([row.lon, row.lat, row.t_raw, row.t_norm], [graph.n], ctx.graph_config),
             nodes + row)
 
@@ -226,8 +230,7 @@ def test_duplicate_query_matches_training_forward():
     history = sg.build_graph(history_cols, 1, inst["graph_cfg"])
     ctx = make_context(inst)
 
-    last = nodes[-1]
-    query = tr.Query(last.location_id, last.t_raw)
+    query = inst["records"][-1:]  # the last node's record, as a query
     grown, grown_nodes, yhat = step(ctx, history, history_nodes, query)
     # the step grows the history exactly as the build does
     assert grown.to_json_dict() == graph.to_json_dict()
@@ -235,7 +238,7 @@ def test_duplicate_query_matches_training_forward():
 
     # training-style forward over the full graph, query features blanked the
     # same way a fresh query node is
-    blank = query_row(ctx, history_nodes, query)
+    blank = query_row(ctx, query)
     full_nodes = history_nodes + blank
     gt = md.prepare_tensors(graph, full_nodes, l_res_m=inst["graph_cfg"].l_res_m)
     want = md.forward_values(gt, inst["params"], inst["config"])[len(history_nodes)]
@@ -246,7 +249,7 @@ def test_isolated_query_ignores_other_nodes_features():
     inst = small_instance(8, n=6, init_count=1, top_k=0, variant="stgan_no_top")
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
-    query = tr.Query(nodes[0].location_id, graph.t_raw.max() + 1e5)  # no proximity parents
+    query = queries_at(inst["records"][:1], graph.t_raw.max() + 1e5)  # no proximity parents
     _, _, y1 = step(ctx, graph, nodes, query)
 
     poked = ds.preprocess_records(inst["records"], inst["stats"], inst["schema"])
@@ -259,51 +262,19 @@ def test_query_contract_errors():
     inst = small_instance(9)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
-    early = tr.Query(nodes[0].location_id, graph.t_raw.min() - 5.0)
-    unknown = tr.Query(424242, graph.t_raw.max() + 5.0)
-    off_earth = [tr.Query(nodes[0].location_id, graph.t_raw.max() + 5.0, coords)
-                 for coords in ((121.0, 121.45), (400.0, 31.0), (math.nan, 31.0),
-                                (121.0, math.inf))]
-    for query in (early, unknown, *off_earth):
-        with pytest.raises(tr.QueryError):
-            tr.predict_sequence(ctx, graph, nodes, [query], "predicted")
-        with pytest.raises(tr.QueryError):
-            tr.predict_sequence(ctx, graph, nodes, [query])
-
-
-def test_location_query_sits_at_its_first_history_row(monkeypatch):
-    # GPS jitter: the rows of one location carry different coordinates
-    inst = small_instance(25, n=16)
-    ctx = make_context(inst)
-    ids = inst["records"].location_id.tolist()
-    loc = max(set(ids), key=ids.count)
-    records = inst["records"].copy()
-    at = np.flatnonzero(records.location_id == loc)
-    records.longitude_gcj[at] += 2e-4 * np.arange(len(at))
-    records.latitude_gcj[at] -= 1e-4 * np.arange(len(at))
-    seen = list(zip(records.longitude_gcj[at].tolist(), records.latitude_gcj[at].tolist()))
-    assert len(set(seen)) > 1
-    nodes = ds.preprocess_records(records, inst["stats"], inst["schema"])
-    graph = sg.build_graph(sg.graph_nodes_from_processed(nodes), 1, inst["graph_cfg"])
-    real, grown = tr.predict_one, []
-
-    def spy(ctx, graph, *args):
-        grown.append(graph)
-        return real(ctx, graph, *args)
-
-    monkeypatch.setattr(tr, "predict_one", spy)
-    t = graph.t_raw.max() + 2.0
-    observed = records[at[:1]]  # a copy
-    observed.collect_time = t
-    for strategy in tr.STRATEGIES:
-        def forecast(**coords):
-            return tr.predict_sequence(ctx, graph, nodes, [tr.Query(loc, t, **coords)],
-                                       strategy, observed=observed)
-        got = forecast()
-        assert (grown[-1].lon[-1], grown[-1].lat[-1]) == seen[0], strategy
-        assert got == forecast(coords=seen[0])
-        if strategy != "true":  # its record sits at the first row's coordinates
-            assert got != forecast(coords=seen[-1])
+    later = graph.t_raw.max() + 5.0
+    early = queries_at(inst["records"][:1], graph.t_raw.min() - 5.0)
+    off_earth = []
+    for coords in ((121.0, 121.45), (400.0, 31.0), (math.nan, 31.0), (121.0, math.inf)):
+        query = queries_at(inst["records"][:1], later)
+        query.longitude_gcj, query.latitude_gcj = coords
+        off_earth.append(query)
+    not_finite = [queries_at(inst["records"][:2], [later, t]) for t in (math.nan, math.inf)]
+    unsorted = queries_at(inst["records"][:2], [later + 1.0, later])
+    for queries in (early, *off_earth, *not_finite, unsorted):
+        for strategy in tr.STRATEGIES:
+            with pytest.raises(tr.QueryError):
+                tr.predict_sequence(ctx, graph, nodes, queries, strategy)
 
 
 def test_uncommitted_query_leaves_graph_untouched():
@@ -312,8 +283,8 @@ def test_uncommitted_query_leaves_graph_untouched():
     graph, nodes = inst["graph"], inst["nodes"]
     n_before, doc_before = graph.n, graph.to_json_dict()
     n_nodes = len(nodes)
-    tr.predict_sequence(ctx, graph, nodes, [tr.Query(nodes[0].location_id,
-                                                     graph.t_raw.max() + 1.0)])
+    tr.predict_sequence(ctx, graph, nodes,
+                        queries_at(inst["records"][:1], graph.t_raw.max() + 1.0))
     assert graph.n == n_before and graph.to_json_dict() == doc_before
     assert len(nodes) == n_nodes
 
@@ -326,21 +297,19 @@ def test_predict_sequence_restores_graph_and_nodes(strategy):
     n_before, doc_before = graph.n, graph.to_json_dict()
     nodes_before = {name: col.tobytes() for name, col in vars(nodes).items()}
     queries = chain_queries(inst, 3)
-    observed = chain_observed(inst, queries)
 
     def unchanged():
         return (graph.n == n_before and graph.to_json_dict() == doc_before
                 and {name: col.tobytes() for name, col in vars(nodes).items()}
                 == nodes_before)
 
-    tr.predict_sequence(ctx, graph, nodes, queries, strategy, observed=observed)
+    tr.predict_sequence(ctx, graph, nodes, queries, strategy)
     assert unchanged()
-    # the second query names a location without history
-    failing = [queries[0], tr.Query(424242, queries[1].t_raw)]
-    wrong = observed[:2].copy()
-    wrong.location_id[1] = 424242
+    # the second query lies off the Earth
+    failing = queries[:2].copy()
+    failing.latitude_gcj[1] = 91.0
     with pytest.raises(tr.QueryError):
-        tr.predict_sequence(ctx, graph, nodes, failing, strategy, observed=wrong)
+        tr.predict_sequence(ctx, graph, nodes, failing, strategy)
     assert unchanged()
 
 
@@ -348,17 +317,14 @@ def test_three_query_chain_matches_dense_hand_step():
     inst = small_instance(11, n=6, init_count=1)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
-    t0 = graph.t_raw.max()
-    queries = [tr.Query(nodes[0].location_id, t0 + 1.0),
-               tr.Query(nodes[1].location_id, t0 + 2.0),
-               tr.Query(nodes[2].location_id, t0 + 3.0)]
+    queries = chain_queries(inst, 3)  # at nodes 0-2's locations, 1-3 days on
     got = tr.predict_sequence(ctx, graph, nodes, queries, strategy="predicted")
 
     # dense oracle stepped by hand with explicit commits
     work_graph, work_nodes = graph, nodes
     want = []
-    for q in queries:
-        work_graph, work_nodes = append_query(ctx, work_graph, work_nodes, q)
+    for k in range(len(queries)):
+        work_graph, work_nodes = append_query(ctx, work_graph, work_nodes, queries[k:k + 1])
         dense = dense_forward(work_graph, work_nodes, inst["params"],
                               inst["config"], l_res_m=inst["graph_cfg"].l_res_m)
         yhat = float(dense[len(work_nodes) - 1])
@@ -372,62 +338,69 @@ def test_three_query_chain_matches_dense_hand_step():
 
 
 def chain_queries(inst, k):
-    graph, nodes = inst["graph"], inst["nodes"]
-    t0 = graph.t_raw.max()
-    return [tr.Query(nodes[i % len(nodes)].location_id, t0 + i + 1.0) for i in range(k)]
-
-
-def chain_observed(inst, queries):
-    """Records observed at chain_queries' locations and times."""
+    """k queries one day apart after the history, each a copy of a history
+    record (its location, coordinates and readings)."""
     records = inst["records"]
-    observed = records[np.arange(len(queries)) % len(records)]  # a copy
-    observed.collect_time = [q.t_raw for q in queries]
-    return observed
+    return queries_at(records[np.arange(k) % len(records)],
+                      inst["graph"].t_raw.max() + np.arange(1.0, k + 1))
 
 
 def test_single_query_strategies_agree():
     inst = small_instance(12)
     ctx = make_context(inst)
     queries = chain_queries(inst, 1)
-    obs = inst["records"][:1].copy()
-    obs.collect_time = queries[0].t_raw
     graph, nodes = inst["graph"], inst["nodes"]
     a = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    b = tr.predict_sequence(ctx, graph, nodes, queries, "true", obs)
+    b = tr.predict_sequence(ctx, graph, nodes, queries, "true")
     c = tr.predict_sequence(ctx, graph, nodes, queries, "predicted")
     assert a == b == c
+
+
+@pytest.mark.parametrize("strategy", ["ignore", "predicted"])
+def test_forecast_reads_only_a_querys_place_and_time(strategy):
+    # a query's readings, were any read, would turn the forecasts NaN or
+    # fail to encode
+    inst = small_instance(26, n=24, init_count=2)
+    ctx = make_context(inst)
+    queries = chain_queries(inst, 6)
+    want = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, strategy)
+    for name in ("detect_info", "detect_conf", *ds.ENV_FEATURES):
+        queries[name] = math.nan
+    queries.distress_type = -1
+    got = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, strategy)
+    assert np.isfinite(want).all() and np.array_equal(got, want)
+
+
+def test_true_forecast_never_reads_its_own_record():
+    inst = small_instance(27, n=24, init_count=2)
+    ctx = make_context(inst)
+    graph, nodes = inst["graph"], inst["nodes"]
+    queries = chain_queries(inst, 2)
+    other = queries.copy()  # other readings, a valid type code
+    other.detect_info += 4.0
+    other.detect_conf = 1.0 - other.detect_conf
+    for name in ds.ENV_FEATURES:
+        other[name] = 2.0 * other[name] + 1.0
+    other.distress_type = [code for code in ds.DISTRESS_TYPES
+                           if code != queries.distress_type[0]][0]
+    # the leakage barrier: a query's own record never reaches its own forecast
+    assert (tr.predict_sequence(ctx, graph, nodes, queries[:1], "true")[0]
+            == tr.predict_sequence(ctx, graph, nodes, other[:1], "true")[0])
+    # but a later query that reads the first reads its record
+    later = queries.copy()
+    later[:1] = other[:1]
+    a = tr.predict_sequence(ctx, graph, nodes, queries, "true")
+    b = tr.predict_sequence(ctx, graph, nodes, later, "true")
+    assert a[0] == b[0] and a[1] != b[1]
 
 
 def test_empty_query_list_answers_nothing():
     inst = small_instance(24)
     ctx = make_context(inst)
     for strategy in tr.STRATEGIES:
-        out = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], [], strategy,
-                                  observed=[])
+        out = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], inst["records"][:0],
+                                  strategy)
         assert out.shape == (0,)
-
-
-def test_true_feedback_requires_observations():
-    inst = small_instance(14)
-    ctx = make_context(inst)
-    with pytest.raises(tr.StrategyError):
-        tr.predict_sequence(ctx, inst["graph"], inst["nodes"],
-                            chain_queries(inst, 2), "true")
-
-
-@pytest.mark.parametrize("shift", [dict(collect_time=-30.0), dict(location_id=1),
-                                   dict(longitude_gcj=1e-4)])
-def test_true_feedback_rejects_records_off_their_query(shift):
-    inst = small_instance(14)
-    ctx = make_context(inst)
-    queries = chain_queries(inst, 3)
-    observed = chain_observed(inst, queries)
-    # the third record moved in time, to the next location id or along a road
-    for key, delta in shift.items():
-        observed[key][2] += delta
-    with pytest.raises(tr.StrategyError, match="differs from its query"):
-        tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, "true",
-                            observed=observed)
 
 
 def test_unknown_strategy_rejected():
@@ -446,7 +419,7 @@ def test_ignore_strategy_is_order_free_per_query():
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 4)
     out = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    singles = [step(ctx, graph, nodes, q)[2] for q in queries]
+    singles = [step(ctx, graph, nodes, queries[k:k + 1])[2] for k in range(len(queries))]
     assert np.allclose(out, singles, atol=1e-12)
     # no query's answer depends on the queries before it
     tail = tr.predict_sequence(ctx, graph, nodes, queries[2:], "ignore")
@@ -459,7 +432,7 @@ def test_batch_ignore_equals_sequential():
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 5)
     batched = tr.predict_sequence(ctx, graph, nodes, queries, "ignore")
-    singles = [step(ctx, graph, nodes, q)[2] for q in queries]
+    singles = [step(ctx, graph, nodes, queries[k:k + 1])[2] for k in range(len(queries))]
     assert np.allclose(batched, singles, atol=1e-12)
 
 
@@ -468,8 +441,8 @@ def test_batch_ignore_allow_past_wires_against_no_later_history():
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
     t = float(graph.t_raw[6])  # inside the history, after the init block
-    q = tr.Query(nodes[0].location_id, t, coords=nodes[0].coords)
-    got = tr.predict_sequence(ctx, graph, nodes, [q], allow_past=True)
+    q = queries_at(inst["records"][:1], t)
+    got = tr.predict_sequence(ctx, graph, nodes, q, allow_past=True)
     visible = int(np.sum(graph.t_raw <= t))
     prefix = sg.build_graph(sg.graph_nodes_from_processed(nodes[:visible]), 2,
                             inst["graph_cfg"])
@@ -477,18 +450,18 @@ def test_batch_ignore_allow_past_wires_against_no_later_history():
     assert got[0] == pytest.approx(want, abs=1e-12)
 
 
-def full_recompute(ctx, graph, nodes, queries, strategy, observed=None):
+def full_recompute(ctx, graph, nodes, queries, strategy):
     """What predict_sequence answers, from a full-graph prepare_tensors and
     forward pass over the grown graph per step."""
     work_graph, work_nodes, out = graph, nodes, []
-    for k, q in enumerate(queries):
+    for k in range(len(queries)):
         if strategy == "ignore":
             work_graph, work_nodes = graph, nodes
-        work_graph, work_nodes = append_query(ctx, work_graph, work_nodes, q)
+        work_graph, work_nodes = append_query(ctx, work_graph, work_nodes, queries[k:k + 1])
         gt = md.prepare_tensors(work_graph, work_nodes, l_res_m=ctx.graph_config.l_res_m)
         out.append(md.forward_values(gt, ctx.params, ctx.model_config)[-1])
         if strategy == "true":
-            work_nodes = work_nodes[:-1] + ds.preprocess_records(observed[k:k + 1], ctx.stats,
+            work_nodes = work_nodes[:-1] + ds.preprocess_records(queries[k:k + 1], ctx.stats,
                                                                  ctx.schema)
         elif strategy == "predicted":
             write_forecast(ctx, work_nodes, out[-1])
@@ -504,10 +477,9 @@ def test_cone_forecasts_match_full_recompute(variant, layers):
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
     queries = chain_queries(inst, 4)
-    observed = chain_observed(inst, queries)
     for strategy in tr.STRATEGIES:
-        got = tr.predict_sequence(ctx, graph, nodes, queries, strategy, observed=observed)
-        want = full_recompute(ctx, graph, nodes, queries, strategy, observed)
+        got = tr.predict_sequence(ctx, graph, nodes, queries, strategy)
+        want = full_recompute(ctx, graph, nodes, queries, strategy)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12), strategy
 
 
@@ -533,7 +505,7 @@ def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
         return md.forward_values(gt, *args, **kwargs)
 
     monkeypatch.setattr(tr, "forward_values", spy)
-    graph, nodes, _ = step(ctx, inst["graph"], inst["nodes"], chain_queries(inst, 1)[0])
+    graph, nodes, _ = step(ctx, inst["graph"], inst["nodes"], chain_queries(inst, 1))
     (gt,) = handed
     parents, cone = brute_force_ancestors(graph, graph.n - 1, layers)
     if layers == 1:
@@ -563,8 +535,8 @@ def level_instance(layers):
     ctx = make_context(inst)
     queries = chain_queries(inst, 10)
     grown, nodes = inst["graph"], inst["nodes"]
-    for q in queries:
-        grown, nodes = append_query(ctx, grown, nodes, q)
+    for k in range(len(queries)):
+        grown, nodes = append_query(ctx, grown, nodes, queries[k:k + 1])
     return inst, ctx, queries, grown, tr.query_levels(grown, inst["graph"].n)
 
 
@@ -578,7 +550,6 @@ def test_query_levels_match_brute_force(layers):
 @pytest.mark.parametrize("strategy", tr.STRATEGIES)
 def test_one_forward_pass_per_level(monkeypatch, strategy):
     inst, ctx, queries, _, levels = level_instance(2)
-    observed = chain_observed(inst, queries)
     passes, written = [], []
 
     def forward_spy(gt, *args, **kwargs):
@@ -591,15 +562,14 @@ def test_one_forward_pass_per_level(monkeypatch, strategy):
 
     monkeypatch.setattr(tr, "forward_values", forward_spy)
     monkeypatch.setattr(tr, "write_readings", writer_spy)
-    got = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, strategy,
-                              observed=observed)
+    got = tr.predict_sequence(ctx, inst["graph"], inst["nodes"], queries, strategy)
     if strategy == "predicted":
         assert passes == np.bincount(levels)[1:].tolist()
         assert len(written) == np.sum(levels < levels.max())
     else:
         assert passes == [len(queries)] and written == []
     # queries sharing a pass read nothing of each other
-    want = full_recompute(ctx, inst["graph"], inst["nodes"], queries, strategy, observed)
+    want = full_recompute(ctx, inst["graph"], inst["nodes"], queries, strategy)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 

@@ -42,7 +42,7 @@ def measure(records: int, locations: int, epochs: int, runs: int, seed: int) -> 
     config = replace(
         base, dataset=pipeline.DatasetSource(synthetic=replace(
             base.dataset.synthetic, n_records=records, n_locations=locations)),
-        train=replace(base.train, epochs=epochs, seed=seed))
+        train=replace(base.train, epochs=epochs))
     data = pipeline.prepare_data(config)
     graph, graph_config = pipeline.build_history_graph(config, data)
     epochs_by_run: list[list[tuple[float, int]]] = []
