@@ -2,9 +2,9 @@
 
 Every command is driven by one JSON config file, overridable with repeated
 --set key=value flags (the model's seed is train.seed), and writes its
-artifacts under --out with a manifest of content hashes. Reruns of the same config produce
-byte-identical artifacts; wall-clock timings go to a separate timings.csv
-that is excluded from the manifest.
+artifacts under --out with a manifest of content hashes. Reruns of the same
+config produce byte-identical artifacts; wall-clock timings go to a
+separate timings.csv that is excluded from the manifest.
 """
 
 from __future__ import annotations
