@@ -522,7 +522,8 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
     np.multiply(w_self[:, :, None], s[:, None, :], out=acc)
     # one matmul per bin and head on contiguous operands: a head's sums then do
     # not depend on how many heads share the call
-    w_t = np.ascontiguousarray(w.T)
+    w_t = tape.empty((heads, len(w)))
+    np.copyto(w_t, w.T)
     for rows, pos in layout.bins:
         x_src = _take_rows(tape, x, layout.src[pos])
         parts = tape.empty((heads, len(rows), 1, h))
@@ -531,6 +532,7 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
             acc[rows, k] += parts[k, :, 0]
         tape.release(parts)
         tape.release(x_src)
+    tape.release(w_t)
     out = Node(tape, "csr_aggregate", value, (parents, self_rep, coefs))
 
     def backward(g):

@@ -21,9 +21,13 @@ Wiring: a node's parents depend only on the coordinates and times of the
 rows before it, never on their features or edges. So combined_parents, the
 one wiring kernel, wires a batch of rows per call, each against its own
 prefix: build_graph calls it twice, a forecast once for all its queries.
-It scores a row in rounds on a grid of cells about l_res wide, against the
-candidates within s * l_res and s * t_res of it only, from s = 1, which
-holds every proximity candidate, until its K-th best score is at most s.
+It scores a row in rounds on a grid of cells about l_res wide. No candidate
+is newer than the row's newest one, g * t_res older than the row, so every
+candidate scores at least g + dist / l_res: a round at reach s scores only
+the candidates within (s - g) * l_res and s * t_res of the row, since any
+other scores over s. It starts at s = g + 1, which holds every proximity
+candidate, and stops once the row's K-th best score is at most s, so a
+query months past the history scans only the cells near it.
 
 Sorted-time contract: t_raw is nondecreasing over the rows of every graph
 that build_graph produces. combined_parents relies on it: each row's
@@ -215,11 +219,12 @@ def _kth(score: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     return padded[:, k - 1]
 
 
-def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, covered,
+def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, near, covered,
                config: GraphConfig, k: int, mutual: bool):
-    """Score the pairs (rows[pr], cand), grouped by row, counts[r] for rows[r].
-    Returns the rows that pass, each row's next reach and the passed rows'
-    edges as (row index, parent, dist_m, key), key a rank or k + parent."""
+    """Score the pairs (rows[pr], cand), grouped by row, counts[r] for rows[r],
+    at each row's reach, near its reach less its gap. Returns the rows that
+    pass, each row's next reach and the passed rows' edges as (row index,
+    parent, dist_m, key), key a rank or k + parent."""
     r = rows[pr]
     dist = _distances(lon[r], lat[r], lon[cand], lat[cand])
     score = np.abs(t_raw[r] - t_raw[cand])
@@ -245,16 +250,18 @@ def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, covered,
         hard[sel] = False
         hard &= done
         edges.append((row[top], cand[sel], dist[sel], rank[top]))
-        reach = np.where(kth < math.inf, kth, 4 * reach)
+        reach = np.where(kth < math.inf, kth, reach + 3 * near)  # g + 4(s - g) below K
     h = hard.nonzero()[0]
     edges.append((pr[h], cand[h], dist[h], k + cand[h]))
     return passed, reach, edges
 
 
 def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int,
-                mutual: bool) -> list:
+                gap: np.ndarray | None) -> list:
     """combined_parents' edges as _wire_rows' pieces keyed by position in limits,
-    returned before the CSR columns are allocated, once its scratch is freed."""
+    returned before the CSR columns are allocated, once its scratch is freed.
+    gap holds each row's gap, or is None for a mutual call."""
+    mutual = gap is None
     n_c = int(limits.max(initial=0))
     if not n_c:
         return []
@@ -284,15 +291,16 @@ def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int
     at = at[:, rows]
     last = np.array([[ny - 1], [nx - 1]])
     pending = np.flatnonzero(limits > 0)
-    reach = np.ones(len(limits))
+    reach = np.ones(len(limits)) if mutual else gap + 1
     edges = []
     while len(pending):
         s = reach[pending]
+        near = s if mutual else s - gap[pending]  # a score <= s puts dist under near * l_res
         lim = limits[pending]
         lo, hi = _time_window(t_raw[:n_c], t_raw[rows[pending]], s * config.t_res_days)
         lo = np.minimum(lo, lim)
         hi = np.minimum(hi, lim)  # lim unless mutual: no row below lim is later
-        half = s * per + pad
+        half = near * per + pad
         here = at[:, pending]
         box_lo = np.maximum(np.floor(here - half), 0)
         box_hi = np.minimum(np.floor(here + half), last)
@@ -319,7 +327,7 @@ def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int
                 passed, nxt, out = _wire_rows(
                     lon, lat, t_raw, rows[now], er[e].repeat(size[e]) - p,
                     by_cell[_flatten(a[e], size[e])], counts[p:q], s[i + p:i + q],
-                    covered[i + p:i + q], config, k, mutual)
+                    near[i + p:i + q], covered[i + p:i + q], config, k, mutual)
                 edges += [(now[r], *rest) for r, *rest in out]
                 reach[now] = nxt
                 failed.append(now[~passed])
@@ -343,14 +351,20 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     later than the rows they are candidates of. They go on a grid of cells
     l_res tall and l_res / cos(max |lat|) wide (coarser if that makes more
     cells than candidates), sorted by cell, then id: a cell's candidates in
-    a time window are one run, found by searchsorted. A round scores a row
-    against the candidates within its reach s: in the cells within s * l_res
-    and the times within s * t_res, widened by _time_window's slack. s starts
-    at 1, which holds every proximity candidate. R * |dphi| and R *
-    cos(max |lat|) * |dlam| bound the distance from below, so a row whose K-th
-    best score is at most s is done: every candidate out of reach scores
-    more. Others go again with s set to that score (4s while they have fewer
-    than K) until they are done or reach every candidate.
+    a time window are one run, found by searchsorted.
+
+    A row's gap g is dt / t_res to its newest candidate, rounded down far
+    past a score's rounding error, or 0 if mutual: every candidate's time
+    term is at least g. A round scores a row against the candidates within
+    its reach s: in the cells within (s - g) * l_res and the times within
+    s * t_res, widened by _time_window's slack. R * |dphi| and R *
+    cos(max |lat|) * |dlam| bound the distance from below, so a candidate
+    out of reach scores over s: over s in time, or over g + (s - g) in
+    space. A row whose K-th best score is at most s is therefore done, with
+    the edges a scan of every candidate gives. s starts at g + 1, which
+    holds every proximity candidate. Other rows go again with s set to that
+    score (g + 4(s - g) while they have fewer than K) until they are done or
+    reach every candidate.
     """
     limits = np.asarray(limits, np.int64)
     # no row ranks more than max(limits) candidates; the clamp also keeps the
@@ -359,13 +373,18 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     t = t_raw[n - len(limits):]
     if not np.isfinite(t).all():
         raise ArithmeticError("non-finite time")
+    gap = None
     if not mutual:
-        late = (limits > 0) & (t_raw[np.maximum(limits - 1, 0)] > t)
+        newest = t_raw[np.maximum(limits - 1, 0)]
+        late = (limits > 0) & (newest > t)
         if late.any():
             raise TemporalOrderError(f"node at t={t[late][0]} is older than a candidate "
                                      f"at t={t_raw[limits[late][0] - 1]}")
+        # dt / t_res to the newest candidate, rounded down far past a score's
+        # rounding error: it bounds every candidate's time term from below
+        gap = (t - newest) * ((1 - _SLACK) / config.t_res_days)
     pos, parent, dist, key = (np.concatenate(col) for col in zip(
-        (*_NO_EDGES, _NO_EDGES[0]), *_grid_edges(lon, lat, t_raw, limits, config, k, mutual)))
+        (*_NO_EDGES, _NO_EDGES[0]), *_grid_edges(lon, lat, t_raw, limits, config, k, gap)))
     origin = np.full(len(pos), INIT if mutual else HARD, _ORIGIN_DTYPE)
     origin[key < k] = TOP
     order = (pos * (n + k) + key).argsort(kind="stable")  # ranked edges first, by rank

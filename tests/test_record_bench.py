@@ -61,3 +61,18 @@ def test_over_bound_names_each_metric_worse_by_more_than_its_bound():
     after = medians(job_s=0.5, forecast_qps=200.0, peak_rss_mb=50.0)  # better is never worse
     assert record_bench.over_bound(before, after, METRICS) == []
 
+
+
+def quartiles(**values):
+    return {name: dict(zip(("q1", "median", "q3"), v)) for name, v in values.items()}
+
+
+def test_outside_quartiles_names_each_median_past_the_worse_quartile():
+    before = quartiles(job_s=(0.9, 1.0, 1.1), forecast_qps=(90.0, 100.0, 110.0),
+                       peak_rss_mb=(99.0, 100.0, 101.0))
+    after = medians(job_s=1.11, forecast_qps=89.0, peak_rss_mb=101.0)  # peak_rss_mb at q3
+    assert record_bench.outside_quartiles(before, after, METRICS) == ["job_s", "forecast_qps"]
+    after = medians(job_s=0.5, forecast_qps=200.0, peak_rss_mb=90.0)  # past the better quartile
+    assert record_bench.outside_quartiles(before, after, METRICS) == []
+    after = medians(job_s=1.0, forecast_qps=90.0, peak_rss_mb=101.5)
+    assert record_bench.outside_quartiles(before, after, METRICS) == ["peak_rss_mb"]

@@ -461,6 +461,110 @@ def test_grid_build_and_forecasts_match_brute_force(top_mode, init_count):
     assert_rows_match_oracle(nodes + chained, np.arange(g.n, g.n + len(chained)), cfg)
 
 
+EXACT_GAPS = (0.0, 0.5, 1.0, 3.0)  # in t_res
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@pytest.mark.parametrize("top_k", [0, 1, 5, 12])
+def test_rows_far_past_their_newest_candidate_match_brute_force(top_mode, top_k):
+    """Rows 0, 1/2, exactly 1, exactly 3 and 10-30 t_res after their newest
+    candidate (times on a 1/8-day grid, so those gaps are exact), the first
+    four at that candidate's spot, the rest inside the clusters and outside
+    the history's bounding box: ignore-strategy queries after the history;
+    rows inside it, each wired against a prefix that ends that long before
+    it (allow_past), some holding fewer than K rows; chained rows, each that
+    long after the row before it; and queries over a history of three rows."""
+    rng = np.random.default_rng(22)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=top_k, top_mode=top_mode)
+    nodes = [nd._replace(t_raw=math.floor(nd.t_raw * 8) / 8)
+             for nd in clustered_nodes(rng, 300)]
+    n = len(nodes)
+    gaps = cfg.t_res_days * np.concatenate((EXACT_GAPS, rng.uniform(10.0, 30.0, 4)))
+    spots = [(nodes[i].lon, nodes[i].lat) for i in rng.choice(n, len(gaps))]
+    outside = list(zip(rng.uniform(120.5, 121.6, len(gaps)), rng.choice([30.7, 31.3], len(gaps))))
+    gaps = np.tile(gaps, 2)
+
+    def spot(newest, q):
+        return (nodes[newest].lon, nodes[newest].lat) if q < len(EXACT_GAPS) else (spots + outside)[q]
+
+    after = query_nodes(n, [spot(n - 1, q) for q in range(len(gaps))], nodes[-1].t_raw + gaps)
+    assert_rows_match_oracle(nodes + after, np.full(len(after), n), cfg)
+    near = wire(nodes + after, np.full(len(after), n), cfg)[:3]  # gaps 0, 1/2 and 1 t_res
+    assert all(n - 1 in [p for p, _, _ in row] for row in near)  # inclusive at dt = t_res
+
+    limits = rng.integers(1, n, len(gaps))
+    limits[:3] = [1, 4, 9]
+    past = query_nodes(n, [spot(lim - 1, q) for q, lim in enumerate(limits)],
+                       [nodes[lim - 1].t_raw + gap for lim, gap in zip(limits, gaps)])
+    assert_rows_match_oracle(nodes + past, limits, cfg)
+
+    chained = query_nodes(n, [spot(n - 1, q) for q in range(len(gaps))],
+                          nodes[-1].t_raw + np.cumsum(gaps))
+    assert_rows_match_oracle(nodes + chained, np.arange(n, n + len(chained)), cfg)
+
+    few = query_nodes(3, [spot(2, q) for q in range(len(gaps))], nodes[2].t_raw + gaps)
+    assert_rows_match_oracle(nodes[:3] + few, np.full(len(few), 3), cfg)
+
+
+def test_queries_far_past_the_history_score_a_few_pairs_each(monkeypatch):
+    """60 ignore-strategy queries inside the clusters, 4-8 t_res after the
+    history's last row: no candidate scores under its gap, so a query scans
+    only the cells near it. They score fewer (row, candidate) pairs than a
+    tenth of the history per query; a box s * l_res wide that ignores the
+    gap scores over 13,000 pairs here."""
+    rng = np.random.default_rng(400)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5)
+    nodes = clustered_nodes(rng, 400)
+    n = len(nodes)
+    spots = [(nodes[i].lon, nodes[i].lat) for i in rng.choice(n, 60)]
+    queries = query_nodes(n, spots, np.sort(nodes[-1].t_raw + cfg.t_res_days
+                                            * rng.uniform(4.0, 8.0, len(spots))))
+    pairs = []
+    distances = sg._distances
+
+    def recording(lon, lat, lons, lats):
+        pairs.append(lons.size)
+        return distances(lon, lat, lons, lats)
+
+    monkeypatch.setattr(sg, "_distances", recording)
+    assert_rows_match_oracle(nodes + queries, np.full(len(queries), n), cfg)
+    assert 0 < sum(pairs) <= len(queries) * n // 10
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+def test_ranked_edge_reaches_exactly_the_gap_bound_across_a_cell_boundary(top_mode):
+    """A row's newest candidate, exactly g t_res older and exactly l_res away
+    one cell further north, as the kernel measures both, scores g + 1, and a
+    twin of it at its time, a little under l_res east of the row, scores the
+    same: top_k=1 ranks the candidate, the lower id. With g = 2**24 - 1 +
+    2**-29, g + 1 rounds down to 2**24, so a box of (s - g) * l_res at the
+    first reach s = g + 1 ends 2**-29 cells short of l_res: the row's gap
+    must be rounded down before it bounds the box. With older rows in every
+    cell the cells are l_res tall, and the candidate sits just past a cell
+    boundary, or on it, or inside a cell."""
+    g, t_res = 2.0**24 - 1 + 2.0**-29, 2.0**-14  # g * t_res is exact
+    assert g - (2.0**24 - 1) == 2.0**-29 and g + 1 == 2.0**24  # g + 1 rounds down
+    step = 200.0 / (sg.EARTH_RADIUS_M * sg._DEG)  # 200 m of latitude, in degrees
+
+    def at(node_id, cells, t, east=0.0):
+        return Row(node_id, 121.0 + east, 31.0 + cells * step, t, 0.0)
+
+    for cell, frac in itertools.product(range(1, 33), (0.0, 2.0**-31, 2.0**-30, 0.5)):
+        nodes = [at(i, i, i - 100.0) for i in range(cell + 2)]
+        cand = at(len(nodes), cell + frac, 0.0)
+        row = at(len(nodes) + 2, cell - 1 + frac, g * t_res)
+        l_res = pair_distance((row.lon, row.lat), (cand.lon, cand.lat))
+        assert l_res == equirect_m((row.lon, row.lat), (cand.lon, cand.lat))
+        east = (1 - 2.0**-31) * step * l_res / 200.0 / math.cos(row.lat * sg._DEG)
+        twin = at(len(nodes) + 1, cell - 1 + frac, 0.0, east)
+        d_twin = pair_distance((row.lon, row.lat), (twin.lon, twin.lat)) / l_res
+        assert d_twin < 1 and g + d_twin == g + 1  # nearer than cand, and tied with it
+        nodes += [cand, twin, row]
+        cfg = sg.GraphConfig(l_res_m=l_res, t_res_days=t_res, top_k=1, top_mode=top_mode)
+        assert ranked(row, nodes[:-1], cfg) == [cand.node_id]
+        assert_rows_match_oracle(nodes, [len(nodes) - 1], cfg)
+
+
 @pytest.mark.parametrize("top_mode", ["merged", "additional"])
 @pytest.mark.parametrize("axis", ["lat", "lon"])
 def test_proximity_reaches_exactly_l_res_across_a_cell_boundary(top_mode, axis):

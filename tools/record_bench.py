@@ -11,9 +11,11 @@ holds the host, the command, every run's raw end-to-end metrics and
 operation counts, and per workload and metric the median and quartiles
 over the seeds. Given two checkouts, a before and an after, it also
 prints per workload on how many seeds the second beat the first, per
-metric, each side's failed operations over its runs, and the end-to-end
+metric, each side's failed operations over its runs, the end-to-end
 metrics whose median in the second is worse than in the first by more
-than the metric's BENCHMARK.json bound (a share of the first's median).
+than the metric's BENCHMARK.json bound (a share of the first's median),
+and those whose median in the second lies outside the first's
+interquartile range on the worse side.
 The checkouts' resolved paths must have one length, since that
 length alone moves `peak_rss_mb` (it exits 2 otherwise).
 """
@@ -106,6 +108,18 @@ def over_bound(before: dict, after: dict, metrics: list[dict]) -> list[str]:
     return worse
 
 
+def outside_quartiles(before: dict, after: dict, metrics: list[dict]) -> list[str]:
+    """The metrics whose median in the summary `after` lies outside before's
+    interquartile range on the worse side: over its q3 where lower is
+    better, under its q1 where higher is."""
+    worse = []
+    for m in metrics:
+        old, new = before[m["name"]], after[m["name"]]["median"]
+        if new > old["q3"] if m["better"] == "lower" else new < old["q1"]:
+            worse.append(m["name"])
+    return worse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", type=Path, nargs="*", default=[ROOT],
@@ -151,9 +165,12 @@ def main(argv=None) -> int:
                 f"{c[:7]} {sum(r['failed'] for r in side)} of "
                 f"{sum(r['attempted'] for r in side)}"
                 for c, side in zip(commits, (before, after))))
-            worse = over_bound(summarize(before), summarize(after), end_to_end())
+            old, new = summarize(before), summarize(after)
+            worse = over_bound(old, new, end_to_end())
             print(f"  worse than {commits[0][:7]} by more than the bound: "
                   f"{', '.join(worse) or 'none'}")
+            worse = outside_quartiles(old, new, end_to_end())
+            print(f"  worse than {commits[0][:7]}'s quartiles: {', '.join(worse) or 'none'}")
     return 0
 
 
