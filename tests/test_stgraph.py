@@ -469,8 +469,8 @@ EXACT_GAPS = (0.0, 0.5, 1.0, 3.0)  # in t_res
 def test_rows_far_past_their_newest_candidate_match_brute_force(top_mode, top_k):
     """Rows 0, 1/2, exactly 1, exactly 3 and 10-30 t_res after their newest
     candidate (times on a 1/8-day grid, so those gaps are exact), the first
-    four at that candidate's spot, the rest inside the clusters and outside
-    the history's bounding box: ignore-strategy queries after the history;
+    four at the spot of the last history row before them, the rest inside
+    the clusters and outside the history's bounding box: ignore-strategy queries after the history;
     rows inside it, each wired against a prefix that ends that long before
     it (allow_past), some holding fewer than K rows; chained rows, each that
     long after the row before it; and queries over a history of three rows."""
@@ -481,11 +481,11 @@ def test_rows_far_past_their_newest_candidate_match_brute_force(top_mode, top_k)
     n = len(nodes)
     gaps = cfg.t_res_days * np.concatenate((EXACT_GAPS, rng.uniform(10.0, 30.0, 4)))
     spots = [(nodes[i].lon, nodes[i].lat) for i in rng.choice(n, len(gaps))]
-    outside = list(zip(rng.uniform(120.5, 121.6, len(gaps)), rng.choice([30.7, 31.3], len(gaps))))
+    spots += zip(rng.uniform(120.5, 121.6, len(gaps)), rng.choice([30.7, 31.3], len(gaps)))
     gaps = np.tile(gaps, 2)
 
     def spot(newest, q):
-        return (nodes[newest].lon, nodes[newest].lat) if q < len(EXACT_GAPS) else (spots + outside)[q]
+        return (nodes[newest].lon, nodes[newest].lat) if q < len(EXACT_GAPS) else spots[q]
 
     after = query_nodes(n, [spot(n - 1, q) for q in range(len(gaps))], nodes[-1].t_raw + gaps)
     assert_rows_match_oracle(nodes + after, np.full(len(after), n), cfg)
