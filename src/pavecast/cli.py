@@ -191,7 +191,7 @@ def cmd_evaluate(args) -> int:
         doc = config.to_dict()
         doc["dataset"] = {"csv": args.data, "time_format": args.time_format}
         config = RunConfig.from_dict(doc)
-    if args.strategy not in tr.STRATEGIES:
+    if args.strategy is not None and args.strategy not in tr.STRATEGIES:
         raise UsageError(f"unknown strategy {args.strategy!r}")
     out = _out_dir(args)
 
@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--benchmark", action="store_true",
                        help="use the frozen reference benchmark config")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config entry (dot-separated path)")
+                       help="override a config entry (dot-separated path); VALUE is "
+                            "read as JSON if it parses, else as a string")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
 
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="CSV dataset path (defaults to the checkpoint's)")
     p.add_argument("--time-format", default="days", choices=ds.TIME_FORMATS)
     p.add_argument("--split", default="test", choices=["train", "test"])
-    p.add_argument("--strategy", default="ignore")
+    p.add_argument("--strategy", help="forecast strategy (default: the checkpoint's)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -127,16 +127,14 @@ class Workspace:
 class Node:
     """One tape entry: a primitive application and its cached output."""
 
-    __slots__ = ("tape", "kind", "value", "grad", "_parents", "_backward")
+    __slots__ = ("tape", "kind", "value", "grad", "_backward")
 
-    def __init__(self, tape: "Tape", kind: str, value: np.ndarray,
-                 parents=(), backward=None):
+    def __init__(self, tape: "Tape", kind: str, value: np.ndarray):
         self.tape = tape
         self.kind = kind
         self.value = value
         self.grad = None
-        self._parents = tuple(parents)
-        self._backward = backward
+        self._backward = None
         tape.nodes.append(self)
 
     @property
@@ -212,7 +210,7 @@ def _binary_shape_check(a: Node, b: Node, op: str) -> None:
 def add(a: Node, b: Node) -> Node:
     _binary_shape_check(a, b, "add")
     tape = a.tape
-    out = Node(tape, "add", np.add(a.value, b.value, out=tape.out(a.shape)), (a, b))
+    out = Node(tape, "add", np.add(a.value, b.value, out=tape.out(a.shape)))
 
     def backward(g):
         a.accumulate(g)
@@ -225,7 +223,7 @@ def add(a: Node, b: Node) -> Node:
 def sub(a: Node, b: Node) -> Node:
     _binary_shape_check(a, b, "sub")
     tape = a.tape
-    out = Node(tape, "sub", np.subtract(a.value, b.value, out=tape.out(a.shape)), (a, b))
+    out = Node(tape, "sub", np.subtract(a.value, b.value, out=tape.out(a.shape)))
 
     def backward(g):
         a.accumulate(g)
@@ -237,7 +235,7 @@ def sub(a: Node, b: Node) -> Node:
 
 def scale(a: Node, c: float) -> Node:
     c, tape = float(c), a.tape
-    out = Node(tape, "scale", np.multiply(a.value, c, out=tape.out(a.shape)), (a,))
+    out = Node(tape, "scale", np.multiply(a.value, c, out=tape.out(a.shape)))
 
     def backward(g):
         a.accumulate(np.multiply(g, c, out=tape.out(g.shape)), fresh=True)
@@ -252,7 +250,7 @@ def mul_array(a: Node, const) -> Node:
     if carr.shape != a.value.shape:
         raise ShapeError(f"mul_array: shapes {a.value.shape} and {carr.shape} differ")
     tape = a.tape
-    out = Node(tape, "mul_array", np.multiply(a.value, carr, out=tape.out(a.shape)), (a,))
+    out = Node(tape, "mul_array", np.multiply(a.value, carr, out=tape.out(a.shape)))
 
     def backward(g):
         a.accumulate(np.multiply(g, carr, out=tape.out(g.shape)), fresh=True)
@@ -267,7 +265,7 @@ def add_rowvec(a: Node, b: Node) -> Node:
         raise ShapeError(
             f"add_rowvec: bias shape {b.value.shape} does not match (1, {a.value.shape[1]})")
     tape = a.tape
-    out = Node(tape, "add_rowvec", np.add(a.value, b.value, out=tape.out(a.shape)), (a, b))
+    out = Node(tape, "add_rowvec", np.add(a.value, b.value, out=tape.out(a.shape)))
 
     def backward(g):
         a.accumulate(g)
@@ -283,7 +281,7 @@ def matmul(a: Node, b: Node) -> Node:
             f"matmul: inner dims of {a.value.shape} and {b.value.shape} do not match")
     tape = a.tape
     out = Node(tape, "matmul", np.matmul(a.value, b.value, out=tape.out(
-        (a.value.shape[0], b.value.shape[1]))), (a, b))
+        (a.value.shape[0], b.value.shape[1]))))
 
     def backward(g):
         a.accumulate(np.matmul(g, b.value.T, out=tape.out(a.shape)), fresh=True)
@@ -298,7 +296,7 @@ def elu(a: Node) -> Node:
     val = np.minimum(x, 0.0, out=tape.out(x.shape))
     np.expm1(val, out=val)
     np.maximum(x, val, out=val)
-    out = Node(tape, "elu", val, (a,))
+    out = Node(tape, "elu", val)
 
     def backward(g):
         # d/dx ELU = 1 for x>0, exp(x) = ELU(x)+1 for x<=0; ELU(x)+1 > 1 just
@@ -317,7 +315,7 @@ def leaky_relu(a: Node, alpha: float = 0.2) -> Node:
     val = tape.empty(x.shape)
     np.copyto(val, x)
     np.multiply(x, alpha, out=val, where=neg)
-    out = Node(tape, "leaky_relu", val, (a,))
+    out = Node(tape, "leaky_relu", val)
 
     def backward(g):
         d = tape.empty(g.shape)
@@ -330,7 +328,7 @@ def leaky_relu(a: Node, alpha: float = 0.2) -> Node:
 
 def absolute(a: Node) -> Node:
     tape = a.tape
-    out = Node(tape, "abs", np.abs(a.value, out=tape.out(a.shape)), (a,))
+    out = Node(tape, "abs", np.abs(a.value, out=tape.out(a.shape)))
     sign = np.sign(a.value)  # subgradient 0 at exactly 0
 
     def backward(g):
@@ -342,7 +340,7 @@ def absolute(a: Node) -> Node:
 
 def sum_all(a: Node) -> Node:
     tape = a.tape
-    out = Node(tape, "sum_all", np.array([[a.value.sum()]]), (a,))
+    out = Node(tape, "sum_all", np.array([[a.value.sum()]]))
 
     def backward(g):
         full = tape.empty(a.shape)
@@ -365,7 +363,7 @@ def _concat(parts: list[Node], axis: int, kind: str) -> Node:
     offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
     shape = (offsets[-1], other) if axis == 0 else (other, offsets[-1])
     out = Node(tape, kind, np.concatenate([p.value for p in parts], axis=axis,
-                                          out=tape.out(shape)), tuple(parts))
+                                          out=tape.out(shape)))
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -398,7 +396,7 @@ def gather_rows(a: Node, idx) -> Node:
     if idx.size and idx.max() >= n:
         raise ShapeError(f"gather_rows: row index {idx.max()} outside {n} rows")
     tape = a.tape
-    out = Node(tape, "gather_rows", _take_rows(tape, a.value, idx), (a,))
+    out = Node(tape, "gather_rows", _take_rows(tape, a.value, idx))
 
     def backward(g):
         width = math.prod(a.value.shape[1:])
@@ -420,7 +418,7 @@ def slice_rows(a: Node, lo: int, hi: int) -> Node:
     tape = a.tape
     val = tape.empty((hi - lo,) + a.value.shape[1:])
     np.copyto(val, a.value[lo:hi])
-    out = Node(tape, "slice_rows", val, (a,))
+    out = Node(tape, "slice_rows", val)
 
     def backward(g):
         acc = tape.empty(a.shape)
@@ -533,7 +531,7 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
         tape.release(parts)
         tape.release(x_src)
     tape.release(w_t)
-    out = Node(tape, "csr_aggregate", value, (parents, self_rep, coefs))
+    out = Node(tape, "csr_aggregate", value)
 
     def backward(g):
         g3 = g.reshape(n, heads, h)
@@ -584,7 +582,7 @@ def segment_softmax(scores: Node, layout: EdgeLayout) -> Node:
     p = _take_rows(tape, np.add.reduceat(e, starts, axis=0), dst)
     np.divide(e, p, out=p)
     tape.release(e)
-    out = Node(tape, "segment_softmax", p, (scores,))
+    out = Node(tape, "segment_softmax", p)
 
     def backward(g):
         gp = np.multiply(g, p, out=tape.out(g.shape))

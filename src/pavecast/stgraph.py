@@ -20,7 +20,7 @@ by the new ones, and leaves the graph it was called on as it was.
 Wiring: a node's parents depend only on the coordinates and times of the
 rows before it, never on their features or edges. So combined_parents, the
 one wiring kernel, wires a batch of rows per call, each against its own
-prefix: build_graph calls it twice, a forecast once for all its queries.
+older prefix: build_graph calls it twice, a forecast once for all its queries.
 It scores a row in rounds on a grid of cells about l_res wide. No candidate
 is newer than the row's newest one, g * t_res older than the row, so every
 candidate scores at least g + dist / l_res: a round at reach s scores only
@@ -31,8 +31,8 @@ query months past the history scans only the cells near it.
 
 Sorted-time contract: t_raw is nondecreasing over the rows of every graph
 that build_graph produces. combined_parents relies on it: each row's
-candidate prefix must be sorted by time and no later than the row, so that
-the row is scored against a time window of it only.
+candidate prefix must be sorted by time and no later than the row, so a
+row's time window ends where its prefix does and only its start is searched.
 """
 
 from __future__ import annotations
@@ -122,13 +122,12 @@ class STGraph:
         counts = np.bincount(self.origin, minlength=len(ORIGINS))
         return {name: int(c) for name, c in zip(ORIGINS, counts)}
 
-    def grow(self, cols, limits, config: GraphConfig, mutual: bool = False) -> "STGraph":
+    def grow(self, cols, limits, config: GraphConfig) -> "STGraph":
         """This graph plus rows holding cols (the _NODE_COLUMNS arrays), new row r
         wired by combined_parents against the rows [0, limits[r]) of the result."""
         lon, lat, t_raw, t_norm = (np.concatenate((getattr(self, name), col))
                                    for name, col in zip(_NODE_COLUMNS, cols))
-        offsets, parent, dist_m, origin = combined_parents(lon, lat, t_raw, limits,
-                                                           config, mutual)
+        offsets, parent, dist_m, origin = combined_parents(lon, lat, t_raw, limits, config)
         return STGraph(lon, lat, t_raw, t_norm,
                        np.concatenate((self.offsets, self.edge_count() + offsets[1:])),
                        np.concatenate((self.parent, parent)),
@@ -173,14 +172,13 @@ def _distances(lon, lat, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
     return dphi
 
 
-def _time_window(ts: np.ndarray, t: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
-    """Rows lo:hi of the sorted ts that hold every row with |t - ts| <= span, per t.
+def _window_start(ts: np.ndarray, t: np.ndarray, span) -> np.ndarray:
+    """The first row of the sorted ts with t - ts <= span, per t.
 
-    The bounds carry a slack far above the rounding error of t -+ span, so
-    the window is only a candidate filter: callers apply the exact mask.
+    The bound carries a slack far above the rounding error of t - span, so
+    it is only a candidate filter: callers apply the exact mask.
     """
-    slack = _SLACK * (np.abs(t) + span)
-    return ts.searchsorted(t - span - slack, "left"), ts.searchsorted(t + span + slack, "right")
+    return ts.searchsorted(t - span - _SLACK * (np.abs(t) + span), "left")
 
 
 def _spans(weight: np.ndarray) -> list[tuple[int, int]]:
@@ -220,7 +218,7 @@ def _kth(score: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
 
 
 def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, near, covered,
-               config: GraphConfig, k: int, mutual: bool):
+               config: GraphConfig, k: int):
     """Score the pairs (rows[pr], cand), grouped by row, counts[r] for rows[r],
     at each row's reach, near its reach less its gap. Returns the rows that
     pass, each row's next reach and the passed rows' edges as (row index,
@@ -229,8 +227,6 @@ def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, near, covered,
     dist = _distances(lon[r], lat[r], lon[cand], lat[cand])
     score = np.abs(t_raw[r] - t_raw[cand])
     hard = (dist <= config.l_res_m) & (score <= config.t_res_days)
-    if mutual:
-        hard &= cand != r
     passed, edges = np.ones(len(rows), bool), []
     if k:
         score /= config.t_res_days
@@ -257,11 +253,9 @@ def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, near, covered,
 
 
 def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int,
-                gap: np.ndarray | None) -> list:
+                gap: np.ndarray) -> list:
     """combined_parents' edges as _wire_rows' pieces keyed by position in limits,
-    returned before the CSR columns are allocated, once its scratch is freed.
-    gap holds each row's gap, or is None for a mutual call."""
-    mutual = gap is None
+    returned before the CSR columns are allocated, once its scratch is freed."""
     n_c = int(limits.max(initial=0))
     if not n_c:
         return []
@@ -291,15 +285,14 @@ def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int
     at = at[:, rows]
     last = np.array([[ny - 1], [nx - 1]])
     pending = np.flatnonzero(limits > 0)
-    reach = np.ones(len(limits)) if mutual else gap + 1
+    reach = gap + 1
     edges = []
     while len(pending):
         s = reach[pending]
-        near = s if mutual else s - gap[pending]  # a score <= s puts dist under near * l_res
-        lim = limits[pending]
-        lo, hi = _time_window(t_raw[:n_c], t_raw[rows[pending]], s * config.t_res_days)
-        lo = np.minimum(lo, lim)
-        hi = np.minimum(hi, lim)  # lim unless mutual: no row below lim is later
+        near = s - gap[pending]  # a score <= s puts dist under near * l_res
+        hi = limits[pending]  # no candidate is later than its row
+        lo = np.minimum(_window_start(t_raw[:n_c], t_raw[rows[pending]], s * config.t_res_days),
+                        hi)
         half = near * per + pad
         here = at[:, pending]
         box_lo = np.maximum(np.floor(here - half), 0)
@@ -327,7 +320,7 @@ def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int
                 passed, nxt, out = _wire_rows(
                     lon, lat, t_raw, rows[now], er[e].repeat(size[e]) - p,
                     by_cell[_flatten(a[e], size[e])], counts[p:q], s[i + p:i + q],
-                    near[i + p:i + q], covered[i + p:i + q], config, k, mutual)
+                    near[i + p:i + q], covered[i + p:i + q], config, k)
                 edges += [(now[r], *rest) for r, *rest in out]
                 reach[now] = nxt
                 failed.append(now[~passed])
@@ -336,28 +329,26 @@ def _grid_edges(lon, lat, t_raw, limits: np.ndarray, config: GraphConfig, k: int
 
 
 def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits,
-                     config: GraphConfig, mutual: bool = False) -> Wiring:
+                     config: GraphConfig) -> Wiring:
     """CSR parent lists of the last len(limits) rows of the columns lon, lat, t_raw.
 
     New row r is wired against the rows [0, limits[r]): first ranked edges
     to the top_k candidates with the lowest dist/l_res + dt/t_res score,
     ties to the lower id, then proximity edges to every other candidate
     within both thresholds (inclusive), in id order; top_k=0 gives the pure
-    proximity set. mutual wires an initialization block instead: parents are
-    every other row of [0, limit), older or newer, within both thresholds.
-    Writes none of its arguments.
+    proximity set. Writes none of its arguments.
 
-    The rows [0, max(limits)) must be sorted by time and, unless mutual, no
-    later than the rows they are candidates of. They go on a grid of cells
-    l_res tall and l_res / cos(max |lat|) wide (coarser if that makes more
-    cells than candidates), sorted by cell, then id: a cell's candidates in
-    a time window are one run, found by searchsorted.
+    The rows [0, max(limits)) must be sorted by time and no later than the
+    rows they are candidates of. They go on a grid of cells l_res tall and
+    l_res / cos(max |lat|) wide (coarser if that makes more cells than
+    candidates), sorted by cell, then id: a cell's candidates in a time
+    window are one run, found by searchsorted.
 
     A row's gap g is dt / t_res to its newest candidate, rounded down far
-    past a score's rounding error, or 0 if mutual: every candidate's time
-    term is at least g. A round scores a row against the candidates within
-    its reach s: in the cells within (s - g) * l_res and the times within
-    s * t_res, widened by _time_window's slack. R * |dphi| and R *
+    past a score's rounding error: every candidate's time term is at least
+    g. A round scores a row against the candidates within its reach s: in
+    the cells within (s - g) * l_res and the times within s * t_res,
+    widened by _window_start's slack. R * |dphi| and R *
     cos(max |lat|) * |dlam| bound the distance from below, so a candidate
     out of reach scores over s: over s in time, or over g + (s - g) in
     space. A row whose K-th best score is at most s is therefore done, with
@@ -369,23 +360,21 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     limits = np.asarray(limits, np.int64)
     # no row ranks more than max(limits) candidates; the clamp also keeps the
     # sort key pos * (n + k) inside int64
-    n, k = len(t_raw), 0 if mutual else min(config.top_k, int(limits.max(initial=0)))
+    n, k = len(t_raw), min(config.top_k, int(limits.max(initial=0)))
     t = t_raw[n - len(limits):]
     if not np.isfinite(t).all():
         raise ArithmeticError("non-finite time")
-    gap = None
-    if not mutual:
-        newest = t_raw[np.maximum(limits - 1, 0)]
-        late = (limits > 0) & (newest > t)
-        if late.any():
-            raise TemporalOrderError(f"node at t={t[late][0]} is older than a candidate "
-                                     f"at t={t_raw[limits[late][0] - 1]}")
-        # dt / t_res to the newest candidate, rounded down far past a score's
-        # rounding error: it bounds every candidate's time term from below
-        gap = (t - newest) * ((1 - _SLACK) / config.t_res_days)
+    newest = t_raw[np.maximum(limits - 1, 0)]
+    late = (limits > 0) & (newest > t)
+    if late.any():
+        raise TemporalOrderError(f"node at t={t[late][0]} is older than a candidate "
+                                 f"at t={t_raw[limits[late][0] - 1]}")
+    # dt / t_res to the newest candidate, rounded down far past a score's
+    # rounding error: it bounds every candidate's time term from below
+    gap = (t - newest) * ((1 - _SLACK) / config.t_res_days)
     pos, parent, dist, key = (np.concatenate(col) for col in zip(
         (*_NO_EDGES, _NO_EDGES[0]), *_grid_edges(lon, lat, t_raw, limits, config, k, gap)))
-    origin = np.full(len(pos), INIT if mutual else HARD, _ORIGIN_DTYPE)
+    origin = np.full(len(pos), HARD, _ORIGIN_DTYPE)
     origin[key < k] = TOP
     order = (pos * (n + k) + key).argsort(kind="stable")  # ranked edges first, by rank
     offsets = np.zeros(len(limits) + 1, np.int64)
@@ -397,7 +386,10 @@ def build_graph(cols, init_count: int, config: GraphConfig) -> STGraph:
     """The initialization block, then every later row wired against the rows before it.
 
     cols are the _NODE_COLUMNS arrays, as STGraph.grow takes them, and the
-    first init_count rows are the initialization block. Raises
+    first init_count rows are the initialization block. A block row gets its
+    proximity parents among the rows before it (top_k=0), and every block
+    edge is added reversed too, so the block's rows see one another both
+    ways; a block row's parents are INIT, in id order. Raises
     ConstructionError for other than four columns of one length, an
     init_count outside [1, n] and non-finite coordinates or times, and
     TemporalOrderError for a t_raw that goes backwards.
@@ -414,10 +406,17 @@ def build_graph(cols, init_count: int, config: GraphConfig) -> STGraph:
         raise ConstructionError("node coordinates and times must be finite")
     if np.any(np.diff(cols[_NODE_COLUMNS.index("t_raw")]) < 0):
         raise TemporalOrderError("node t_raw must be nondecreasing")
-    init = STGraph().grow([col[:init_count] for col in cols], np.full(init_count, init_count),
-                          config, mutual=True)
-    return replace(init, init_count=init_count).grow(
-        [col[init_count:] for col in cols], np.arange(init_count, n), config)
+    head = [col[:init_count] for col in cols]
+    offsets, parent, dist_m, _ = combined_parents(*head[:3], np.arange(init_count),
+                                                  replace(config, top_k=0))
+    # mirror each edge: _distances gives a -> b and b -> a the same bits
+    child = np.arange(init_count).repeat(np.diff(offsets))
+    child, parent = np.concatenate((child, parent)), np.concatenate((parent, child))
+    order = (child * init_count + parent).argsort()
+    np.add.accumulate(np.bincount(child, minlength=init_count), out=offsets[1:])
+    init = STGraph(*head, offsets, parent[order], np.concatenate((dist_m, dist_m))[order],
+                   np.full(len(order), INIT, _ORIGIN_DTYPE), init_count)
+    return init.grow([col[init_count:] for col in cols], np.arange(init_count, n), config)
 
 
 def graph_nodes_from_processed(nodes, init_count: int = 0) -> list[np.ndarray]:

@@ -158,6 +158,24 @@ def test_evaluate_strategies_flag(tmp_path, trained):
                    "--strategy", "nonsense", "--out", str(tmp_path / "x")) == 2
 
 
+def test_evaluate_defaults_to_the_checkpoints_strategy(tmp_path, tiny_config_file, capsys):
+    train_out, eval_out = tmp_path / "t", tmp_path / "e"
+    assert run_cli("train", "--config", tiny_config_file, "--set", 'strategy="true"',
+                   "--out", str(train_out)) == 0
+    trained_mae = capsys.readouterr().out.split("test mae ")[1].split()[0]
+    assert run_cli("evaluate", "--checkpoint", str(train_out / "model.ckpt"),
+                   "--out", str(eval_out)) == 0
+    assert capsys.readouterr().out.split()[2] == trained_mae
+    report = json.loads((eval_out / "report_test.json").read_text())
+    assert report["split"]["strategy"] == "true"
+
+
+def test_set_reads_a_value_as_json_first(tmp_path, tiny_config_file, capsys):
+    assert run_cli("train", "--config", tiny_config_file, "--set", "strategy=true",
+                   "--out", str(tmp_path / "t")) == 2
+    assert capsys.readouterr().err.strip() == "error: config.strategy must be str, got True"
+
+
 def test_timings_name_each_phase(tmp_path, tiny_config_file, trained):
     def phases(out):
         with open(out / "timings.csv", newline="") as fh:

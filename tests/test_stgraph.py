@@ -116,11 +116,10 @@ def columns(nodes):
             for name in ("lon", "lat", "t_raw", "t_norm")]
 
 
-def wire(nodes, limits, config, mutual=False):
+def wire(nodes, limits, config):
     """One combined_parents call for the last len(limits) nodes: per row, its
     parents as (parent, origin, dist_m) tuples."""
-    offsets, parent, dist, origin = sg.combined_parents(*columns(nodes)[:3], limits,
-                                                        config, mutual)
+    offsets, parent, dist, origin = sg.combined_parents(*columns(nodes)[:3], limits, config)
     assert offsets[0] == 0 and offsets[-1] == len(parent) == len(dist) == len(origin)
     edges = [(int(p), sg.ORIGINS[o], float(d)) for p, o, d in zip(parent, origin, dist)]
     return [edges[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
@@ -182,8 +181,7 @@ def test_distance_nonfinite():
         parents(cand._replace(node_id=1, t_raw=2.0), [node._replace(node_id=0)],
                 sg.GraphConfig(top_k=0))
     with pytest.raises(ArithmeticError):
-        wire([cand._replace(lat=math.inf), node._replace(lon=121.0)], [2, 2],
-             sg.GraphConfig(), mutual=True)
+        parents(node._replace(lon=121.0), [cand._replace(lat=math.inf)], sg.GraphConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +369,7 @@ def test_widening_scores_each_candidate_once(monkeypatch, top_mode):
     window plus K (row, candidate) pairs per round after the first."""
     cfg, cols, limits = far_ranked_batch(top_mode)
     pairs, rounds = [], []
-    distances, time_window = sg._distances, sg._time_window
+    distances, window_start = sg._distances, sg._window_start
 
     def recording(lon, lat, lons, lats):
         pairs.append(lons.size)
@@ -379,10 +377,10 @@ def test_widening_scores_each_candidate_once(monkeypatch, top_mode):
 
     def windows(ts, t, span):
         rounds.append(len(t))  # one window per row and round
-        return time_window(ts, t, span)
+        return window_start(ts, t, span)
 
     monkeypatch.setattr(sg, "_distances", recording)
-    monkeypatch.setattr(sg, "_time_window", windows)
+    monkeypatch.setattr(sg, "_window_start", windows)
     offsets, parent, _, origin = sg.combined_parents(*cols, limits, cfg)
     for a, b in zip(offsets[:-1], offsets[1:]):
         assert parent[a:b].tolist() == list(range(cfg.top_k))[::-1]  # so the window reached row 0
@@ -392,6 +390,25 @@ def test_widening_scores_each_candidate_once(monkeypatch, top_mode):
     carried = rows_scored - len(limits)  # (row, round) pairs after the first
     final_windows = int(limits.sum())
     assert sum(pairs) <= 2 * final_windows + cfg.top_k * carried
+
+
+def test_initialization_block_scores_each_pair_once(monkeypatch):
+    """An initialization block of n colocated rows, all within both
+    thresholds: wiring it scores each (row, older row) pair once, n(n - 1)/2
+    pairs, not every row against the whole block."""
+    n = 40
+    pairs = []
+    distances = sg._distances
+
+    def recording(lon, lat, lons, lats):
+        pairs.append(lons.size)
+        return distances(lon, lat, lons, lats)
+
+    monkeypatch.setattr(sg, "_distances", recording)
+    rows = [Row(i, *SPOTS[0], i * (T_RES / n), 0.0) for i in range(n)]
+    g = sg.build_graph(columns(rows), n, sg.GraphConfig(t_res_days=T_RES))
+    assert edge_set(g) == set(itertools.permutations(range(n), 2))
+    assert sum(pairs) <= n * (n - 1) // 2
 
 
 def test_combined_parents_writes_none_of_its_arguments():
@@ -727,6 +744,57 @@ def test_init_matches_symmetric_oracle_on_120_nodes():
     for i in range(g.n):
         plist = g.parent[g.offsets[i]:g.offsets[i + 1]].tolist()
         assert plist == sorted(plist)
+
+
+_STEP = 2.0 ** -12  # degrees; 31 + m * _STEP is exact, so are differences of such latitudes
+_L_RES = equirect_m((121.0, 31.0), (121.0, 31.0 + 4 * _STEP))  # 4 steps along a meridian
+
+
+def init_block(case):
+    """(rows, pairs): an initialization block's rows in time order, and pairs
+    of row ids that must be joined, exactly on the threshold the case names."""
+    if case == "colocated":
+        return [Row(i, *SPOTS[0], 3.0 * i, 0.0) for i in range(7)], [(0, 4)]
+    if case == "equal_times":
+        return [Row(i, *SPOTS[i % 4], 50.0, 0.0) for i in range(9)], [(0, 4)]
+    if case == "t_res_apart":
+        # each pair at its own spot, exactly T_RES apart; pairs 100 days apart
+        return [Row(2 * p + j, *SPOTS[p], 100.0 * p + 0.25 + j * T_RES, 0.0)
+                for p in range(4) for j in range(2)], [(0, 1), (2, 3), (4, 5), (6, 7)]
+    assert case == "l_res_apart"
+    # pairs _L_RES apart on one meridian, at quarter-cell offsets from the
+    # grid's corner (row 0, half a cell below them): each pair spans a cell boundary
+    rows = [Row(0, 121.0, 31.0 - 2 * _STEP, 0.0, 0.0)]
+    for p in range(4):
+        lat = 31.0 + p * _STEP
+        rows += [Row(len(rows), 121.0, lat, 100.0 * (p + 1), 0.0),
+                 Row(len(rows) + 1, 121.0, lat + 4 * _STEP, 100.0 * (p + 1) + 1.0, 0.0)]
+    return rows, [(1, 2), (3, 4), (5, 6), (7, 8)]
+
+
+@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@pytest.mark.parametrize("init", ["one", "two", "all"])
+@pytest.mark.parametrize("case", ["colocated", "equal_times", "t_res_apart", "l_res_apart"])
+def test_init_block_cases_match_brute_force(case, init, top_mode):
+    """Initialization blocks of colocated rows, equal times and pairs exactly
+    l_res or t_res apart, of one, two or every row, against the symmetric
+    oracle; later rows see them as ordinary prefixes. Each block row's
+    parents ascend by id, and every block edge reports the distance of its
+    reverse bit for bit."""
+    cfg = sg.GraphConfig(l_res_m=_L_RES, t_res_days=T_RES, top_k=3, top_mode=top_mode)
+    rows, pairs = init_block(case)
+    init_count = {"one": 1, "two": 2, "all": len(rows)}[init]
+    g = sg.build_graph(columns(rows), init_count, cfg)
+    edges = edge_set(g)
+    assert edges == oracle_graph_edges(rows, init_count, cfg)
+    assert all((a, b) in edges and (b, a) in edges for a, b in pairs if b < init_count)
+    block = g.offsets[init_count]
+    assert (g.origin[:block] == sg.INIT).all() and (g.origin[block:] != sg.INIT).all()
+    dist = dict(zip(zip(g.parent.tolist(), g.child.tolist()), g.dist_m.tolist()))
+    for i in range(init_count):
+        plist = g.parent[g.offsets[i]:g.offsets[i + 1]].tolist()
+        assert plist == sorted(set(plist))
+        assert all(dist[p, i] == dist[i, p] for p in plist)
 
 
 def test_init_empty_rejected():
