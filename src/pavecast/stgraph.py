@@ -416,6 +416,7 @@ def build_graph(cols, init_count: int, config: GraphConfig) -> STGraph:
     np.add.accumulate(np.bincount(child, minlength=init_count), out=offsets[1:])
     init = STGraph(*head, offsets, parent[order], np.concatenate((dist_m, dist_m))[order],
                    np.full(len(order), INIT, _ORIGIN_DTYPE), init_count)
+    del child, parent, dist_m, order  # not alive through the later rows' wiring
     return init.grow([col[init_count:] for col in cols], np.arange(init_count, n), config)
 
 
