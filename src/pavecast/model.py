@@ -148,7 +148,8 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
                     targets=None, hops: int = 1) -> GraphTensors:
     """Flatten a graph plus its dataset.NodeTable into forward-ready arrays.
 
-    With targets (node ids), only the targets' ancestor cone is flattened:
+    With targets (node ids), only the targets' ancestor cone is flattened
+    (trainer.train_on_graph's loss rows, trainer.predict_one's queries):
     edges point from older to newer nodes, so a hops-layer model's
     predictions for the targets read nothing else. Nodes within hops - 1 of
     a target keep all their parent edges, the ones exactly hops out only

@@ -336,7 +336,9 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     to the top_k candidates with the lowest dist/l_res + dt/t_res score,
     ties to the lower id, then proximity edges to every other candidate
     within both thresholds (inclusive), in id order; top_k=0 gives the pure
-    proximity set. Writes none of its arguments.
+    proximity set. Writes none of its arguments. Raises ConstructionError
+    for a limit outside [0, i], i being the row's index in the columns: a
+    row is never its own or a newer row's candidate.
 
     The rows [0, max(limits)) must be sorted by time and no later than the
     rows they are candidates of. They go on a grid of cells l_res tall and
@@ -358,10 +360,17 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
     reach every candidate.
     """
     limits = np.asarray(limits, np.int64)
+    n = len(t_raw)
+    first = n - len(limits)  # the first new row
+    bad = (limits < 0) | (limits > first + np.arange(len(limits)))
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ConstructionError(f"row {first + r} has limit {limits[r]}, outside "
+                                f"[0, {first + r}]: its candidates are rows before it")
     # no row ranks more than max(limits) candidates; the clamp also keeps the
     # sort key pos * (n + k) inside int64
-    n, k = len(t_raw), min(config.top_k, int(limits.max(initial=0)))
-    t = t_raw[n - len(limits):]
+    k = min(config.top_k, int(limits.max(initial=0)))
+    t = t_raw[first:]
     if not np.isfinite(t).all():
         raise ArithmeticError("non-finite time")
     newest = t_raw[np.maximum(limits - 1, 0)]

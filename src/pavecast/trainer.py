@@ -1,8 +1,9 @@
-"""Full-graph training, autoregressive prediction, and checkpointing.
+"""Full-batch training, autoregressive prediction, and checkpointing.
 
-Training runs full-batch over the initialization + training graph with the
-mean-absolute-error loss taken over training nodes only (initialization
-nodes pass messages but are never scored). Prediction is graph
+Training runs full-batch over the training nodes' ancestor cone in the
+initialization + training graph, with the mean-absolute-error loss taken
+over training nodes only (initialization nodes pass messages but are never
+scored, and those outside the cone reach no loss term). Prediction is graph
 autoregression. predict_sequence answers a query table, records of
 dataset.RECORD_DTYPE in time order, under a continuation strategy: it
 appends every query as a row and wires them all in one call, since a row's
@@ -108,6 +109,11 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """attention_max_dev covers the coefficients of the training cone (see
+    train_on_graph). Its rows model_config.layers hops from the loss rows,
+    all initialization rows, keep only their self loop, whose one
+    coefficient is exactly 1."""
+
     params: dict[str, np.ndarray]
     adam: ng.AdamState
     loss_trace: list[float]
@@ -124,13 +130,20 @@ def train_on_graph(graph: STGraph, nodes: NodeTable,
     """Full-batch Adam on the MAE loss over an init+train graph.
 
     The loss covers exactly the non-initialization nodes; test nodes must
-    not be in the graph at all. Every epoch repeats one sweep with the same
-    array shapes, so the epochs share one ndgrad.Workspace, which keeps
-    their large arrays from the second epoch on; it is dropped before the
-    final forward pass.
+    not be in the graph at all. The tensors flatten only the loss rows'
+    ancestor cone within model_config.layers parent hops (prepare_tensors
+    with targets, as predict_one flattens its queries'), since the loss
+    reads nothing outside it; degrees, and so gcn_w, stay the whole
+    graph's. The epochs, a divergence's diagnosis, the final forward pass
+    behind final_train_mae and the attention probes all run on it. Every
+    epoch repeats one sweep with the same array shapes, so the epochs share
+    one ndgrad.Workspace, which keeps their large arrays from the second
+    epoch on; it is dropped before the final forward pass.
     """
-    gt = prepare_tensors(graph, nodes, l_res_m=graph_config.l_res_m)
-    loss_ids = np.arange(graph.init_count, graph.n)
+    gt = prepare_tensors(graph, nodes, l_res_m=graph_config.l_res_m,
+                         targets=np.arange(graph.init_count, graph.n),
+                         hops=model_config.layers)
+    loss_ids = gt.targets
     params = init_params(model_config, gt.x_full.shape[1], gt.x_st.shape[1],
                          train_config.seed)
     adam = ng.adam_init(params, lr=train_config.lr)

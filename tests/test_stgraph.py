@@ -925,6 +925,23 @@ def test_grow_returns_a_new_graph():
     assert unchanged()
 
 
+@pytest.mark.parametrize("limit,message", [
+    (3, r"row 2 has limit 3, outside \[0, 2\]"),   # the row would be its own parent
+    (4, r"row 2 has limit 4, outside \[0, 2\]"),   # past the columns' end
+    (-1, r"row 2 has limit -1, outside \[0, 2\]"),
+])
+def test_grow_rejects_a_limit_past_the_rows_before_it(limit, message):
+    cfg = sg.GraphConfig(top_k=2)
+    rows = [Row(i, 121.0, 31.0, t, t / 2) for i, t in enumerate((0.0, 1.0, 1.0))]
+    g = sg.build_graph(columns(rows[:2]), 1, cfg)
+    with pytest.raises(sg.ConstructionError, match=message):
+        g.grow(columns(rows[2:]), [limit], cfg)
+    # the first bad row is named, in the columns' numbering
+    with pytest.raises(sg.ConstructionError, match=r"^row 1 has limit 2"):
+        sg.combined_parents(*columns(rows)[:3], [2, 3], cfg)
+    assert wire(rows, [2], cfg) == [[(1, "top", 0.0), (0, "top", 0.0)]]
+
+
 def test_combined_parents_equals_top_union_hard():
     rng = np.random.default_rng(31)
     cfg = sg.GraphConfig(l_res_m=600.0, t_res_days=25.0, top_k=3)

@@ -136,11 +136,18 @@ def test_attention_tracking_reports_tight_sums():
     assert result.attention_max_dev < 1e-12
 
 
-def plain_training(inst, epochs, seed=0):
-    """train_on_graph's epochs by hand: loss_and_grads on a tape without a
+def plain_training(inst, epochs, seed=0, whole_graph=False):
+    """train_on_graph's epochs by hand: loss_and_grads over the loss rows'
+    ancestor cone (or, with whole_graph, over every row) on a tape without a
     workspace, then adam_step. Returns the loss trace and the parameters."""
-    gt = md.prepare_tensors(inst["graph"], inst["nodes"], l_res_m=inst["graph_cfg"].l_res_m)
-    loss_ids = np.arange(inst["graph"].init_count, inst["graph"].n)
+    graph = inst["graph"]
+    loss_rows = np.arange(graph.init_count, graph.n)
+    if whole_graph:
+        gt, loss_ids = inst["gt"], loss_rows
+    else:
+        gt = md.prepare_tensors(graph, inst["nodes"], l_res_m=inst["graph_cfg"].l_res_m,
+                                targets=loss_rows, hops=inst["config"].layers)
+        loss_ids = gt.targets
     params = md.init_params(inst["config"], gt.x_full.shape[1], gt.x_st.shape[1], seed)
     adam = ng.adam_init(params, lr=tr.TrainConfig().lr)
     trace = []
@@ -166,6 +173,52 @@ def test_training_on_a_workspace_equals_epochs_without_one(monkeypatch, variant,
     assert all(result.params[name].tobytes() == params[name].tobytes() for name in params)
     (ws,) = made
     assert ws.lends > 0 and ws.overlaps == 0
+
+
+def ancestors_within(graph, rows, hops):
+    """rows and every row within hops parent hops of one, by a plain walk."""
+    reached, frontier = set(rows), set(rows)
+    for _ in range(hops):
+        frontier = {int(p) for c in frontier
+                    for p in graph.parent[graph.offsets[c]:graph.offsets[c + 1]]} - reached
+        reached |= frontier
+    return sorted(reached)
+
+
+@pytest.mark.parametrize("variant,layers", MODEL_GRID,
+                         ids=[f"{v}-{layers}" for v, layers in MODEL_GRID])
+def test_training_on_the_loss_rows_cone_equals_whole_graph_epochs(monkeypatch, variant,
+                                                                  layers):
+    """Training flattens the loss rows' cone: the loss and final_train_mae are
+    whole-graph training's, less terms whose gradient is zero."""
+    inst = small_instance(23, n=20, init_count=6, variant=variant, layers=layers)
+    graph, nodes = inst["graph"], inst["nodes"]
+    loss_rows = list(range(graph.init_count, graph.n))
+    cone = ancestors_within(graph, loss_rows, layers)
+    # an initialization row the loss never reads, and initialization rows
+    # wired to one another, whose edges the cone drops
+    assert set(range(graph.init_count)) - set(cone) and graph.offsets[graph.init_count] > 0
+    seen = []
+    monkeypatch.setattr(tr, "loss_and_grads",
+                        lambda gt, *args, **kw: seen.append(gt) or md.loss_and_grads(gt, *args,
+                                                                                      **kw))
+    result = run_training(inst, 10)
+    gt = seen[0]
+    assert all(g is gt for g in seen) and len(seen) == 10
+    assert gt.n == len(cone) and np.array_equal(gt.x_full, nodes.x_full[cone])
+    assert np.array_equal(gt.targets, [cone.index(r) for r in loss_rows])
+
+    trace, params = plain_training(inst, 10, whole_graph=True)
+    np.testing.assert_allclose(result.loss_trace, trace, rtol=1e-12, atol=0)
+    yhat = md.forward_values(inst["gt"], params, inst["config"])
+    whole_mae = float(np.mean(np.abs(yhat[loss_rows] - inst["gt"].y[loss_rows])))
+    assert result.final_train_mae == pytest.approx(whole_mae, rel=1e-12, abs=0)
+
+
+def test_training_without_loss_rows_is_rejected():
+    inst = small_instance(0, n=6, init_count=6)
+    with pytest.raises(md.ModelConfigError, match="^loss needs at least one node id$"):
+        run_training(inst, 3)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,8 @@ Trains perfbench's train-2k configuration (reference_benchmark_config with
 its generator resized to --records records at --locations locations, for
 --epochs epochs) --runs times in one child process, and times every
 model.loss_and_grads call there: wall time, and the minor page faults that
-resource.getrusage counts over it. It prints the medians of each run's first
+resource.getrusage counts over it. It prints the rows and edges (self loops
+included) of the tensors those calls ran on, the medians of each run's first
 epoch and of every later epoch, then one JSON object with the same figures.
 
 --env KEY=VALUE sets a variable in the child's environment only, for
@@ -46,12 +47,14 @@ def measure(records: int, locations: int, epochs: int, runs: int, seed: int) -> 
     data = pipeline.prepare_data(config)
     graph, graph_config = pipeline.build_history_graph(config, data)
     epochs_by_run: list[list[tuple[float, int]]] = []
+    sizes = set()  # (rows, edges) of the tensors each epoch ran on
     inner = trainer.loss_and_grads
 
-    def timed(*args, **kwargs):
+    def timed(gt, *args, **kwargs):
+        sizes.add((gt.n, len(gt.layout.src)))
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        out = inner(*args, **kwargs)
+        out = inner(gt, *args, **kwargs)
         epochs_by_run[-1].append((time.perf_counter() - t0,
                                   resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
         return out
@@ -74,7 +77,8 @@ def measure(records: int, locations: int, epochs: int, runs: int, seed: int) -> 
                 statistics.median(f for _, f in samples))
 
     (first_ms, first_faults), (later_ms, later_faults) = medians(first), medians(later)
-    return {"nodes": graph.n, "edges": int(graph.offsets[-1]) + graph.n,
+    ((rows, edges),) = sizes
+    return {"rows": rows, "edges": edges,
             "runs": runs, "epochs": epochs,
             "first_ms_p50": first_ms, "first_faults_p50": first_faults,
             "later_ms_p50": later_ms, "later_faults_p50": later_faults,
@@ -125,7 +129,7 @@ def main(argv=None) -> int:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     print("child env: " + (" ".join(f"{k}={v}" for k, v in result["env"].items())
                            or "(inherited)"))
-    print(f"graph: {result['nodes']} nodes, {result['edges']} edges with self loops; "
+    print(f"tensors: {result['rows']} rows, {result['edges']} edges with self loops; "
           f"{args.runs} runs x {args.epochs} epochs")
     print(f"epoch 1:    median {result['first_ms_p50']:.1f} ms, "
           f"{result['first_faults_p50']:,.0f} minor faults")
