@@ -199,9 +199,12 @@ def test_training_on_the_loss_rows_cone_equals_whole_graph_epochs(monkeypatch, v
     # wired to one another, whose edges the cone drops
     assert set(range(graph.init_count)) - set(cone) and graph.offsets[graph.init_count] > 0
     seen = []
-    monkeypatch.setattr(tr, "loss_and_grads",
-                        lambda gt, *args, **kw: seen.append(gt) or md.loss_and_grads(gt, *args,
-                                                                                      **kw))
+
+    def recorded(gt, *args, **kwargs):
+        seen.append(gt)
+        return md.loss_and_grads(gt, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "loss_and_grads", recorded)
     result = run_training(inst, 10)
     gt = seen[0]
     assert all(g is gt for g in seen) and len(seen) == 10
