@@ -22,6 +22,7 @@ self channel spatial-temporal-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,9 @@ class GraphTensors:
     target row, validated once where it is built and reused by every
     scoring, softmax and aggregation. dist_norm is meters over the proximity
     threshold, so decay-based scoring sees a dimensionless quantity.
+    top_src and top_dst are the source and target rows of the ranked parent
+    edges, in edge order; top_pool is built from them on first read, since
+    only top_mlp reads it.
     """
 
     x_full: np.ndarray    # (n, d)
@@ -114,12 +118,26 @@ class GraphTensors:
     dt_norm: np.ndarray   # (m,)
     dist_norm: np.ndarray  # (m,)
     gcn_w: np.ndarray     # (m,) fixed symmetric-normalized weights
-    top_pool: np.ndarray  # (n, d+1) mean over ranked parents of [x_full || y]
+    top_src: np.ndarray   # (r,) source row of each ranked parent edge
+    top_dst: np.ndarray   # (r,) its target row
     targets: np.ndarray | None = None  # row of each requested target, in request order
 
     @property
     def n(self) -> int:
         return len(self.y)
+
+    @cached_property
+    def top_pool(self) -> np.ndarray:
+        """(n, d+1) mean of [x_full || y] over each row's ranked parents,
+        summed in edge order; zero for a row without any. Computed from
+        x_full and y as they are at first read, then kept."""
+        k = self.n
+        pool = np.empty((k, self.x_full.shape[1] + 1))
+        for j, col in enumerate(np.vstack([self.x_full.T, self.y])[:, self.top_src]):
+            pool[:, j] = np.bincount(self.top_dst, weights=col, minlength=k)
+        n_top = np.bincount(self.top_dst, minlength=k)
+        pool[n_top > 0] /= n_top[n_top > 0, None]
+        return pool
 
 
 def _edge_positions(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -156,8 +174,9 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     their self loop (their own outputs are then wrong and never read).
     Rows are the cone's ids in increasing order, and the tensors' targets
     field holds each target's row. Degrees, and so gcn_w, are the whole
-    graph's. Nothing is cached: a query answered from its ancestor cone
-    needs no state that a later append or overwrite could make stale.
+    graph's. Nothing is cached across calls: a query answered from its
+    ancestor cone needs no state that a later append or overwrite could make
+    stale.
     """
     n = graph.n
     if len(nodes) != n:
@@ -196,17 +215,11 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     gcn_w[self_pos] = 1.0 / degree
     gcn_w[edge_pos] = 1.0 / np.sqrt(degree[parent] * degree[child])
 
-    # mean of [x_full || y] over ranked parents, summed in edge order
     top = graph.origin[pos] == TOP
-    top_child = child[top]
-    top_pool = np.empty((k, x_full.shape[1] + 1))
-    for j, col in enumerate(np.vstack([x_full.T, y])[:, parent[top]]):
-        top_pool[:, j] = np.bincount(top_child, weights=col, minlength=k)
-    n_top = np.bincount(top_child, minlength=k)
-    top_pool[n_top > 0] /= n_top[n_top > 0, None]
     return GraphTensors(
         x_full=x_full, x_st=x_st, y=y, layout=ng.EdgeLayout(src, counts),
-        dt_norm=dt_norm, dist_norm=dist_norm, gcn_w=gcn_w, top_pool=top_pool,
+        dt_norm=dt_norm, dist_norm=dist_norm, gcn_w=gcn_w,
+        top_src=parent[top], top_dst=child[top],
         targets=None if targets is None else local[targets])
 
 

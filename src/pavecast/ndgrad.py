@@ -7,9 +7,10 @@ a handful of elementwise ops, row and column concatenation, row gather, and
 for edge attention a per-target softmax and a fused aggregation, both over an
 EdgeLayout built and validated once per edge set. The aggregation is one
 sparse product for every head at once, over a CSR structure binned by row
-length so each bin takes batched matmuls; its backward pass is the
-transposed product plus, for the coefficients, one dot product per edge and
-head. No per-edge copy of a representation is kept on the tape.
+length so each bin takes one batched matmul for all its rows and heads; its
+backward pass is the transposed product plus, for the coefficients, one dot
+product per edge and head. No per-edge copy of a representation is kept on
+the tape.
 
 Workspace. Full-batch training repeats one sweep, with the same array shapes
 in the same order, every epoch. Freed large arrays go back to the kernel, so
@@ -443,7 +444,7 @@ class EdgeLayout:
 
     The parent edges are a CSR matrix stored row-binned: targets with the
     same parent count c form one bin, whose edge positions are a (targets, c)
-    block, so a bin aggregates with batched matmuls. source_bins bins
+    block, so a bin aggregates with one batched matmul. source_bins bins
     the same edges by source row, for the transposed product.
     """
 
@@ -518,19 +519,25 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
     value = tape.empty((n, heads * h))  # the node's value is this very array
     acc = value.reshape(n, heads, h)
     np.multiply(w_self[:, :, None], s[:, None, :], out=acc)
-    # one matmul per bin and head on contiguous operands: a head's sums then do
-    # not depend on how many heads share the call
-    w_t = tape.empty((heads, len(w)))
-    np.copyto(w_t, w.T)
+    # one batched matmul per bin for every head, each (row, head) its own
+    # 1 x c by c x h product: a head's sums then do not depend on how many
+    # heads share the call. The coefficients are copied into a contiguous
+    # (rows, heads, c) block first; read through a transposed view with
+    # stride heads, BLAS would sum them in another order.
     for rows, pos in layout.bins:
         x_src = _take_rows(tape, x, layout.src[pos])
-        parts = tape.empty((heads, len(rows), 1, h))
-        for k in range(heads):
-            np.matmul(w_t[k][pos][:, None, :], x_src, out=parts[k])
-            acc[rows, k] += parts[k, :, 0]
-        tape.release(parts)
-        tape.release(x_src)
-    tape.release(w_t)
+        w_pos = _take_rows(tape, w, pos)
+        block = tape.empty((len(rows), heads, pos.shape[1]))
+        np.copyto(block, w_pos.transpose(0, 2, 1))
+        prod = np.matmul(block[:, :, None, :], x_src[:, None],
+                         out=tape.out((len(rows), heads, 1, h)))
+        for temp in (block, w_pos, x_src):
+            tape.release(temp)
+        cur = _take_rows(tape, acc, rows)
+        np.add(cur, prod[:, :, 0], out=cur)
+        acc[rows] = cur
+        tape.release(cur)
+        tape.release(prod)
     out = Node(tape, "csr_aggregate", value)
 
     def backward(g):

@@ -58,8 +58,9 @@ import numpy as np
 from . import ndgrad as ng
 from .dataset import (COORD_BOUNDS, FeatureSchema, NodeTable, PreprocessStats,
                       preprocess_records, query_nodes, write_readings)
-from .model import (ModelConfig, attention_sum_deviation, first_nonfinite_primitive,
-                    forward_values, init_params, loss_and_grads, prepare_tensors)
+from .model import (ModelConfig, ModelConfigError, attention_sum_deviation,
+                    first_nonfinite_primitive, forward_values, init_params,
+                    loss_and_grads, prepare_tensors)
 from .stgraph import GraphConfig, STGraph
 
 STRATEGIES = ("ignore", "true", "predicted")
@@ -138,8 +139,11 @@ def train_on_graph(graph: STGraph, nodes: NodeTable,
     behind final_train_mae and the attention probes all run on it. Every
     epoch repeats one sweep with the same array shapes, so the epochs share
     one ndgrad.Workspace, which keeps their large arrays from the second
-    epoch on; it is dropped before the final forward pass.
+    epoch on; it is dropped before the final forward pass. A graph without
+    loss rows raises ModelConfigError before any epoch, whatever the count.
     """
+    if graph.init_count >= graph.n:
+        raise ModelConfigError("loss needs at least one node id")
     gt = prepare_tensors(graph, nodes, l_res_m=graph_config.l_res_m,
                          targets=np.arange(graph.init_count, graph.n),
                          hops=model_config.layers)

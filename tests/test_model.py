@@ -59,6 +59,16 @@ def test_prepare_tensors_equals_per_edge_loop():
         assert np.array_equal(attrgetter(name)(gt), want), name
 
 
+def test_top_pool_is_built_on_first_read_only():
+    inst = small_instance(21, n=14, init_count=3, top_k=3)
+    gt = inst["gt"]
+    assert len(gt.top_src) > 0  # the instance has ranked edges
+    md.forward_values(gt, inst["params"], inst["config"])  # stgan: never reads it
+    assert "top_pool" not in gt.__dict__
+    pool = gt.top_pool
+    assert gt.top_pool is pool and pool.shape == (gt.n, gt.x_full.shape[1] + 1)
+
+
 # ---------------------------------------------------------------------------
 # feature extraction
 
@@ -222,7 +232,7 @@ def test_node_relabeling_equivariance():
         x_full=gt.x_full[inv], x_st=gt.x_st[inv], y=gt.y[inv],
         layout=ng.EdgeLayout(perm[gt.layout.src][order], gt.layout.counts[inv]),
         dt_norm=gt.dt_norm[order], dist_norm=gt.dist_norm[order],
-        gcn_w=gt.gcn_w[order], top_pool=gt.top_pool[inv])
+        gcn_w=gt.gcn_w[order], top_src=perm[gt.top_src], top_dst=perm[gt.top_dst])
     out = md.forward_values(permuted, params, cfg)
     assert np.allclose(out[perm], base, rtol=1e-12, atol=1e-12)
 

@@ -346,6 +346,29 @@ def test_csr_aggregate_matches_per_edge_loop():
     assert np.allclose(out.value, manual, atol=1e-14)
 
 
+def test_csr_aggregate_forward_equals_per_head_matmuls_bit_for_bit():
+    """All heads of a bin in one batched product give every head the bits of
+    one matmul per bin and head, with and without a workspace; the bins are
+    large enough that the workspace lends the kernel's temporaries."""
+    rng = np.random.default_rng(12)
+    n, heads, h = 400, 3, 64
+    counts = rng.integers(0, 5, n)
+    src = np.concatenate([[i, *rng.integers(0, n, c)] for i, c in enumerate(counts)])
+    layout = ng.EdgeLayout(src, counts)
+    assert len(layout.bins) >= 3
+    x, s = rng.uniform(-2, 2, (n, h)), rng.uniform(-2, 2, (n, h))
+    w = rng.uniform(0, 1, (len(src), heads))
+    want = w[layout.starts][:, :, None] * s[:, None, :]
+    for rows, pos in layout.bins:
+        for k in range(heads):
+            want[rows, k] += np.matmul(w[pos, k][:, None, :], x[layout.src[pos]])[:, 0]
+    for workspace in (None, WatchedWorkspace()):
+        t = ng.Tape(workspace)
+        out = ng.csr_aggregate(t.leaf(x), t.leaf(s), t.leaf(w), layout)
+        assert np.array_equal(out.value, want.reshape(n, heads * h))
+    assert workspace.lends > 1 and workspace.overlaps == 0
+
+
 def test_segment_ops_columns_equal_single_column_calls():
     rng = np.random.default_rng(5)
     s_val = rng.uniform(-2, 2, (6, 3))

@@ -218,10 +218,14 @@ def test_training_on_the_loss_rows_cone_equals_whole_graph_epochs(monkeypatch, v
     assert result.final_train_mae == pytest.approx(whole_mae, rel=1e-12, abs=0)
 
 
-def test_training_without_loss_rows_is_rejected():
+def test_training_without_loss_rows_is_rejected(monkeypatch):
+    # rejected before the tensors are built, so before any epoch: with no
+    # epochs it would otherwise return a NaN final_train_mae
     inst = small_instance(0, n=6, init_count=6)
-    with pytest.raises(md.ModelConfigError, match="^loss needs at least one node id$"):
-        run_training(inst, 3)
+    monkeypatch.setattr(tr, "prepare_tensors", None)
+    for epochs in (0, 1, 3):
+        with pytest.raises(md.ModelConfigError, match="^loss needs at least one node id$"):
+            run_training(inst, epochs)
 
 
 @pytest.fixture(scope="module")
