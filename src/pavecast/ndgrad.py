@@ -531,6 +531,7 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
         np.copyto(block, w_pos.transpose(0, 2, 1))
         prod = np.matmul(block[:, :, None, :], x_src[:, None],
                          out=tape.out((len(rows), heads, 1, h)))
+        # returned before cur is taken, so the workspace can lend it one of them
         for temp in (block, w_pos, x_src):
             tape.release(temp)
         cur = _take_rows(tape, acc, rows)
