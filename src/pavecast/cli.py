@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import evaluation as ev
 from . import stgraph as sg
 from . import trainer as tr
 from .model import ModelConfigError, prepare_tensors, forward_values
-from .pipeline import (RunConfig, RunConfigError, build_history_graph,
+from .pipeline import (DatasetSource, RunConfig, RunConfigError, build_history_graph,
                        effective_graph_config, evaluate_test, prepare_data,
                        run_experiment, run_matrix, reference_benchmark_config)
 
@@ -188,9 +189,7 @@ def cmd_evaluate(args) -> int:
     ckpt = tr.load_checkpoint(args.checkpoint)
     config = _checkpoint_config(ckpt)
     if args.data:
-        doc = config.to_dict()
-        doc["dataset"] = {"csv": args.data, "time_format": args.time_format}
-        config = RunConfig.from_dict(doc)
+        config = replace(config, dataset=DatasetSource(csv=args.data, time_format=args.time_format))
     if args.strategy is not None and args.strategy not in tr.STRATEGIES:
         raise UsageError(f"unknown strategy {args.strategy!r}")
     out = _out_dir(args)

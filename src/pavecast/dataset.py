@@ -165,7 +165,19 @@ class PreprocessStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessStats":
+        """The stats to_dict wrote; SchemaError unless they give a finite mean
+        and std >= 0 for exactly NUMERIC_FEATURES and a finite t_min <= t_max."""
         feats = d["features"]
+        if set(feats) != set(NUMERIC_FEATURES):
+            raise SchemaError(f"stats need a mean and a std for exactly "
+                              f"{', '.join(NUMERIC_FEATURES)}")
+        numbers = {**{f"{k} {s}": v[s] for k, v in feats.items() for s in ("mean", "std")},
+                   "t_min": d["t_min"], "t_max": d["t_max"]}
+        for name, v in numbers.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise SchemaError(f"stats {name} must be a finite number, got {v!r}")
+        if min(v["std"] for v in feats.values()) < 0 or d["t_min"] > d["t_max"]:
+            raise SchemaError("stats need every std >= 0 and t_min <= t_max")
         return cls(means={k: v["mean"] for k, v in feats.items()},
                    stds={k: v["std"] for k, v in feats.items()},
                    t_min=d["t_min"], t_max=d["t_max"])
@@ -489,7 +501,7 @@ class SyntheticConfig:
     driver_spell_days: tuple[float, float] = (4.0, 14.0)  # weather spell periods
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         spell = self.driver_spell_days
         for name, rule, ok in (
                 ("n_locations", ">= 1", self.n_locations >= 1),
@@ -573,7 +585,6 @@ def _env_value(name: str, t: float, loc_offset: float, rng: np.random.Generator,
 def generate_synthetic(config: SyntheticConfig) -> np.recarray:
     """Generate seeded records realizing the target data pathologies, sorted
     by time (ties: location_id, visit order)."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
 
     # locations cluster along road segments: pick cluster centers in the

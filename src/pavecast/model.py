@@ -21,7 +21,7 @@ self channel spatial-temporal-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -73,17 +73,6 @@ class ModelConfig:
         if self.variant in ("stgan", "stgan_no_top"):
             return 2 * self.hidden + 1
         return 2 * self.hidden
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["extractor_hidden"] = list(self.extractor_hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["extractor_hidden"] = tuple(d["extractor_hidden"])
-        return cls(**d)
 
 
 @dataclass
@@ -140,14 +129,6 @@ class GraphTensors:
         return pool
 
 
-def _edge_positions(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Positions of the parent edges of ids, node by node in stored order."""
-    counts = offsets[ids + 1] - offsets[ids]
-    ends = np.cumsum(counts)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(offsets[ids] - ends + counts, counts))
-
-
 def _ancestor_cone(graph: STGraph, targets, hops: int) -> tuple[np.ndarray, np.ndarray]:
     """The ids within `hops` parent hops of targets, ascending, and a mask of
     those within hops - 1: an L-layer forward pass reads the parent edges of
@@ -156,7 +137,7 @@ def _ancestor_cone(graph: STGraph, targets, hops: int) -> tuple[np.ndarray, np.n
     hop[targets] = 0
     for h in range(1, hops + 1):
         frontier = np.flatnonzero(hop == h - 1)
-        reached = graph.parent[_edge_positions(graph.offsets, frontier)]
+        reached = graph.parent[graph.edge_positions(frontier)]
         hop[reached] = np.minimum(hop[reached], h)
     cone = np.flatnonzero(hop <= hops)
     return cone, hop[cone] < hops
@@ -193,11 +174,11 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
 
     # the kept parent edges, renumbered to rows; row r's self loop sits at
     # offsets[r] + r, its parents right after it
-    pos = _edge_positions(graph.offsets, ids[expanded])
+    pos = graph.edge_positions(ids[expanded])
     local = np.empty(n, dtype=np.intp)
     local[ids] = np.arange(k)
     parent = local[graph.parent[pos]]
-    n_parents = np.diff(graph.offsets)[ids]
+    n_parents = graph.parent_counts(ids)
     counts = np.where(expanded, n_parents, 0)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     child = np.repeat(np.arange(k), counts)
@@ -387,7 +368,7 @@ def mae_loss_node(tape: ng.Tape, yhat: ng.Node, y: np.ndarray,
 def loss_and_grads(gt: GraphTensors, params: dict[str, np.ndarray],
                    config: ModelConfig, loss_ids: np.ndarray,
                    probes: list | None = None, workspace: ng.Workspace | None = None):
-    """One forward/backward sweep: (loss value, gradient dict, predictions).
+    """One forward/backward sweep: (loss value, gradient dict).
 
     With a workspace, the sweep's large arrays come from it, and the
     gradients stay valid until the next sweep on that workspace starts."""
@@ -395,13 +376,12 @@ def loss_and_grads(gt: GraphTensors, params: dict[str, np.ndarray],
     pnodes = make_param_nodes(tape, params)
     yhat = forward_nodes(tape, gt, pnodes, config, probes=probes)
     loss = mae_loss_node(tape, yhat, gt.y, loss_ids)
-    # read before the backward sweep, which returns both arrays to the workspace
-    value, predictions = float(loss.value[0, 0]), yhat.value[:, 0].copy()
+    value = float(loss.value[0, 0])  # read before the backward sweep returns it to the workspace
     ng.backward(tape, loss)
     grads = {name: (node.grad if node.grad is not None else np.zeros_like(node.value))
              for name, node in pnodes.items()}
     tape.nodes.clear()  # as in forward_values: free the arrays now, not at a GC pass
-    return value, grads, predictions
+    return value, grads
 
 
 def first_nonfinite_primitive(gt: GraphTensors, params: dict[str, np.ndarray],

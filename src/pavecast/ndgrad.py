@@ -534,11 +534,13 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
         # returned before cur is taken, so the workspace can lend it one of them
         for temp in (block, w_pos, x_src):
             tape.release(temp)
+        del temp, block, w_pos, x_src  # without a workspace, this frees them
         cur = _take_rows(tape, acc, rows)
         np.add(cur, prod[:, :, 0], out=cur)
         acc[rows] = cur
         tape.release(cur)
         tape.release(prod)
+        del cur, prod
     out = Node(tape, "csr_aggregate", value)
 
     def backward(g):

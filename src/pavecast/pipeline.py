@@ -12,7 +12,7 @@ split differs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -20,12 +20,9 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import stgraph as sg
 from . import trainer as tr
+from .config import RunConfigError, read_config
 from .model import ModelConfig
 from .trainer import InferenceContext, TrainConfig
-
-
-class RunConfigError(ValueError):
-    """Run configuration missing or contradictory."""
 
 
 def reference_benchmark_config(seed: int = 0) -> "RunConfig":
@@ -74,78 +71,23 @@ class RunConfig:
             raise RunConfigError(f"unknown strategy {self.strategy!r}")
 
     def to_dict(self) -> dict:
-        d = {
-            "split": list(self.split),
-            "strategy": self.strategy,
-            "graph": asdict(self.graph),
-            "model": self.model.to_dict(),
-            "train": asdict(self.train),
-            "features": asdict(self.features),
-        }
-        if self.dataset.csv is not None:
-            d["dataset"] = {"csv": self.dataset.csv,
-                            "time_format": self.dataset.time_format}
-        else:
-            d["dataset"] = {"synthetic": asdict(self.dataset.synthetic)}
+        d = asdict(self)
+        src = d.pop("dataset")
+        d["dataset"] = ({"csv": src["csv"], "time_format": src["time_format"]}
+                        if self.dataset.csv is not None else {"synthetic": src["synthetic"]})
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """The config a JSON document describes; RunConfigError names the first
-        key no section has and the first value of a type its field rejects."""
-        d = _checked(cls, "config", d)
-        src = _checked(DatasetSource, "dataset", d.get("dataset", {}))
-        if "csv" in src:
-            dataset = DatasetSource(csv=src["csv"],
-                                    time_format=src.get("time_format", "days"))
-        else:
-            dataset = DatasetSource(synthetic=ds.SyntheticConfig(**_checked(
-                ds.SyntheticConfig, "dataset.synthetic", src.get("synthetic", {}))))
-        feats = _checked(ds.FeatureSchema, "features", d.get("features", {}))
-        return cls(
-            dataset=dataset,
-            split=tuple(d.get("split", (0.1, 0.7, 0.2))),
-            strategy=d.get("strategy", "ignore"),
-            graph=sg.GraphConfig(**_checked(sg.GraphConfig, "graph", d.get("graph", {}))),
-            model=ModelConfig.from_dict({**ModelConfig().to_dict(),
-                                         **_checked(ModelConfig, "model", d.get("model", {}))}),
-            train=TrainConfig(**_checked(TrainConfig, "train", d.get("train", {}))),
-            features=ds.FeatureSchema(**{**feats, "env_features": tuple(
-                feats.get("env_features", ds.ENV_FEATURES))}))
-
-
-# JSON types a field annotation names; any other name is a config section
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "tuple": (list, tuple), "None": type(None)}
-
-
-def _admits(annotation: str, value) -> bool:
-    """Whether a JSON value fits a field annotation such as "int | None" or
-    "tuple[float, ...]" (element by element); a bool is no number."""
-    for option in annotation.split("|"):
-        name, _, inner = option.strip().partition("[")
-        if isinstance(value, bool) and name != "bool":
-            continue
-        if isinstance(value, _JSON_TYPES.get(name, dict)) and (
-                not inner or all(_admits(inner.split(",")[0].rstrip("]"), v)
-                                 for v in value)):
-            return True
-    return False
-
-
-def _checked(cls, section: str, values) -> dict:
-    """values, once every key is a field of cls and every value fits its
-    field's annotation."""
-    if not isinstance(values, dict):
-        raise RunConfigError(f"{section} must be an object, got {values!r}")
-    annotations = {f.name: f.type for f in fields(cls)}
-    for key, value in values.items():
-        if key not in annotations:
-            raise RunConfigError(f"unknown {section} key {key!r}")
-        if not _admits(annotations[key], value):
-            raise RunConfigError(f"{section}.{key} must be {annotations[key]}, "
-                                 f"got {value!r}")
-    return values
+        """The config a JSON document describes, read by config.read_config. A
+        dataset object with a csv key reads that file, whatever synthetic
+        section it also holds (--set dataset.csv=PATH switches to a file); one
+        without reads its synthetic section, by default the default generator."""
+        src = d.get("dataset") if isinstance(d, dict) else None
+        if isinstance(src, dict):
+            d = {**d, "dataset": ({**src, "synthetic": None} if "csv" in src
+                                  else {"synthetic": {}, **src})}
+        return read_config(cls, d, "config")
 
 
 def effective_graph_config(config: RunConfig) -> sg.GraphConfig:

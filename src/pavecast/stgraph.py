@@ -118,6 +118,13 @@ class STGraph:
     def edge_count(self) -> int:
         return len(self.parent)
 
+    def parent_counts(self, ids) -> np.ndarray:
+        return self.offsets[ids + 1] - self.offsets[ids]
+
+    def edge_positions(self, ids) -> np.ndarray:
+        """Positions of the parent edges of rows ids, row by row in stored order."""
+        return _flatten(self.offsets[ids], self.parent_counts(ids))
+
     def origin_counts(self) -> dict[str, int]:
         counts = np.bincount(self.origin, minlength=len(ORIGINS))
         return {name: int(c) for name, c in zip(ORIGINS, counts)}

@@ -41,9 +41,10 @@ sections with per-section checksums; identical (config, seed, data) produce
 byte-identical files. Adam's hyperparameters and step count are kept, its
 moments are not: nothing resumes training from a checkpoint. The checksums
 do not cover the manifest, so load_checkpoint raises
-CheckpointIntegrityError naming any manifest section it cannot build, and
-the first parameter whose name or shape differs from what init_params makes
-for the manifest's model config and feature widths.
+CheckpointIntegrityError naming any manifest section it cannot build or
+whose values have the wrong type, and the first parameter whose name or
+shape differs from what init_params makes for the manifest's model config
+and feature widths.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import ndgrad as ng
+from .config import read_config, read_field
 from .dataset import (COORD_BOUNDS, FeatureSchema, NodeTable, PreprocessStats,
                       preprocess_records, query_nodes, write_readings)
 from .model import (ModelConfig, ModelConfigError, attention_sum_deviation,
@@ -156,8 +158,8 @@ def train_on_graph(graph: STGraph, nodes: NodeTable,
     workspace = ng.Workspace()
     for epoch in range(train_config.epochs):
         probes = [] if train_config.track_attention else None
-        loss, grads, _ = loss_and_grads(gt, params, model_config, loss_ids,
-                                        probes=probes, workspace=workspace)
+        loss, grads = loss_and_grads(gt, params, model_config, loss_ids,
+                                     probes=probes, workspace=workspace)
         if not math.isfinite(loss):
             kind = first_nonfinite_primitive(gt, params, model_config, loss_ids)
             raise DivergenceError(f"loss became non-finite at epoch {epoch}, "
@@ -340,7 +342,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "model_config": ckpt.model_config.to_dict(),
+        "model_config": asdict(ckpt.model_config),
         "graph_config": asdict(ckpt.graph_config),
         "train_config": asdict(ckpt.train_config),
         "stats": ckpt.stats.to_dict(),
@@ -384,6 +386,8 @@ def _check_param_shapes(params: dict[str, np.ndarray], model_config: ModelConfig
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at path; CheckpointIntegrityError also names a manifest
+    section that is missing, does not build or holds a value of the wrong type."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
@@ -406,18 +410,23 @@ def load_checkpoint(path) -> Checkpoint:
             f"manifest version {manifest.get('format_version')}, "
             f"this build reads {CHECKPOINT_VERSION}")
 
-    def section(name, build):
-        """build(manifest[name]). The checksums cover the parameters only, so
-        a section that does not build is reported here, by name."""
+    def section(name, read):
+        """read(manifest[name]); a section that does not read is named here."""
         if name not in manifest:
             raise CheckpointIntegrityError(f"manifest has no {name} section")
         try:
-            return build(manifest[name])
+            return read(manifest[name])
         except CheckpointIntegrityError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointIntegrityError(f"manifest section {name} is malformed: "
                                            f"{type(exc).__name__}: {exc}") from None
+
+    def config(name, cls):
+        return section(name, lambda v: read_config(cls, v, name))
+
+    def value(name):  # read as the Checkpoint field of that name holds it
+        return section(name, lambda v: read_field(Checkpoint, name, v, name))
 
     body = raw[20 + mlen:]
 
@@ -433,21 +442,18 @@ def load_checkpoint(path) -> Checkpoint:
                 entry["shape"]).astype(np.float64)
         return out
 
-    params = {name.split(":", 1)[1]: value
-              for name, value in section("sections", arrays).items()
+    params = {name.split(":", 1)[1]: arr
+              for name, arr in section("sections", arrays).items()
               if name.startswith("param:")}
     ckpt = Checkpoint(
-        model_config=section("model_config", ModelConfig.from_dict),
-        graph_config=section("graph_config", lambda d: GraphConfig(**d)),
-        train_config=section("train_config", lambda d: TrainConfig(**d)),
+        model_config=config("model_config", ModelConfig),
+        graph_config=config("graph_config", GraphConfig),
+        train_config=config("train_config", TrainConfig),
         stats=section("stats", PreprocessStats.from_dict),
-        schema=section("feature_schema", lambda fs: FeatureSchema(
-            **{**fs, "env_features": tuple(fs["env_features"])})),
-        params=params, adam=section("adam", lambda a: ng.AdamState(
-            lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"], t=a["t"])),
-        loss_trace=section("loss_trace", list),
-        final_train_mae=section("final_train_mae", float),
+        schema=config("feature_schema", FeatureSchema),
+        params=params, adam=config("adam", ng.AdamState),
+        loss_trace=value("loss_trace"), final_train_mae=value("final_train_mae"),
         run_config=manifest.get("run_config"),
-        attention_max_dev=manifest.get("attention_max_dev"))
+        attention_max_dev=value("attention_max_dev") if "attention_max_dev" in manifest else None)
     _check_param_shapes(ckpt.params, ckpt.model_config, ckpt.schema)
     return ckpt

@@ -494,6 +494,73 @@ def test_malformed_checkpoint_manifest_exits_2_naming_the_section(tmp_path, tiny
     assert len(err) == 1 and err[0].startswith("error: manifest") and f" {section} " in err[0]
 
 
+@pytest.fixture(scope="module")
+def one_epoch_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("one_epoch")
+    config = out / "run.json"
+    config.write_text(json.dumps(tiny_run_config().to_dict()))
+    assert run_cli("train", "--config", str(config), "--set", "train.epochs=1",
+                   "--out", str(out)) == 0
+    return out / "model.ckpt"
+
+
+def _drop_stats_feature(manifest, name):
+    del manifest["stats"]["features"][name]
+
+
+_EVERY_FEATURE = ", ".join(ds.NUMERIC_FEATURES)
+
+
+@pytest.mark.parametrize("edit,section,detail", [
+    (lambda m: m["model_config"].update(heads=2.0), "model_config",
+     "RunConfigError: model_config.heads must be int, got 2.0"),
+    (lambda m: m["model_config"].update(layers=1.0), "model_config",
+     "RunConfigError: model_config.layers must be int, got 1.0"),
+    (lambda m: m["model_config"].update(extractor_hidden=[6.0, 8.0]), "model_config",
+     "RunConfigError: model_config.extractor_hidden must be tuple[int, ...], got [6.0, 8.0]"),
+    (lambda m: m["model_config"].update(heads=True), "model_config",
+     "RunConfigError: model_config.heads must be int, got True"),
+    (lambda m: m["feature_schema"].update(env_features="min_tem"), "feature_schema",
+     "RunConfigError: feature_schema.env_features must be tuple[str, ...], got 'min_tem'"),
+    (lambda m: m["graph_config"].update(top_k=2.0), "graph_config",
+     "RunConfigError: graph_config.top_k must be int, got 2.0"),
+    (lambda m: m["train_config"].update(epochs=3.5), "train_config",
+     "RunConfigError: train_config.epochs must be int, got 3.5"),
+    (lambda m: m["adam"].update(t=1.5), "adam", "RunConfigError: adam.t must be int, got 1.5"),
+    (lambda m: m.update(loss_trace="abc"), "loss_trace",
+     "RunConfigError: loss_trace must be list[float], got 'abc'"),
+    (lambda m: m.update(final_train_mae="1.5"), "final_train_mae",
+     "RunConfigError: final_train_mae must be float, got '1.5'"),
+    (lambda m: m.update(attention_max_dev="x"), "attention_max_dev",
+     "RunConfigError: attention_max_dev must be float | None, got 'x'"),
+    (lambda m: _drop_stats_feature(m, "detect_info"), "stats",
+     f"SchemaError: stats need a mean and a std for exactly {_EVERY_FEATURE}"),
+    (lambda m: m["stats"]["features"]["humidity"].update(std=None), "stats",
+     "SchemaError: stats humidity std must be a finite number, got None"),
+    (lambda m: m["stats"]["features"]["wind"].update(std=-1.0), "stats",
+     "SchemaError: stats need every std >= 0 and t_min <= t_max"),
+    (lambda m: m["stats"].update(t_min="x"), "stats",
+     "SchemaError: stats t_min must be a finite number, got 'x'"),
+    (lambda m: m["stats"].update(t_max=math.nan), "stats",
+     "SchemaError: stats t_max must be a finite number, got nan"),
+], ids=["heads-float", "layers-float", "extractor-floats", "heads-bool", "env-features-text",
+        "top-k-float", "epochs-float", "adam-t-float", "loss-trace-text", "final-mae-text",
+        "attention-dev-text", "stats-feature-missing", "stats-std-null", "stats-std-negative",
+        "stats-t-min-text", "stats-t-max-nan"])
+def test_manifest_value_of_the_wrong_type_exits_2_naming_the_section(
+        tmp_path, one_epoch_checkpoint, capsys, edit, section, detail):
+    """The checksums cover the parameters only: every manifest value goes
+    through the config reader or its section's own check, and a bad one is
+    named on one line instead of failing later or changing forecasts."""
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(one_epoch_checkpoint.read_bytes())
+    rewrite_manifest(ckpt, edit)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: manifest section {section} is malformed: {detail}"]
+
+
 @pytest.mark.parametrize("edit,param", [
     (lambda m: m["model_config"].update(heads=1), "head0_w"),
     (lambda m: m["model_config"].update(hidden=6, extractor_hidden=[6, 6]), "ext_full1_w"),

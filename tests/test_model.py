@@ -1,4 +1,6 @@
 import gc
+import json
+from dataclasses import asdict
 from operator import attrgetter
 
 import numpy as np
@@ -8,6 +10,7 @@ from pavecast import dataset as ds
 from pavecast import model as md
 from pavecast import ndgrad as ng
 from pavecast import stgraph as sg
+from pavecast.config import read_config
 
 from conftest import SMALL_DIMS, random_records, small_instance
 from gradcheck import grad_check
@@ -416,7 +419,7 @@ def test_full_gradient_matches_finite_differences(variant):
     loss_ids = np.arange(inst["init_count"], gt.n)
 
     def loss_and_grads_fn(params):
-        loss, grads, _ = md.loss_and_grads(gt, params, cfg, loss_ids)
+        loss, grads = md.loss_and_grads(gt, params, cfg, loss_ids)
         return loss, grads
 
     report = grad_check(loss_and_grads_fn, inst["params"], h=1e-5)
@@ -427,7 +430,7 @@ def test_full_gradient_matches_finite_differences(variant):
 def test_gradient_loss_value_matches_dense_oracle():
     inst = small_instance(61, n=6)
     loss_ids = np.arange(1, inst["gt"].n)
-    loss, _, _ = md.loss_and_grads(inst["gt"], inst["params"], inst["config"], loss_ids)
+    loss, _ = md.loss_and_grads(inst["gt"], inst["params"], inst["config"], loss_ids)
     want = dense_mae_loss(inst["graph"], inst["nodes"], inst["params"],
                           inst["config"], loss_ids, l_res_m=inst["graph_cfg"].l_res_m)
     assert loss == pytest.approx(want, abs=1e-12)
@@ -439,10 +442,16 @@ def test_two_layer_gradient_matches_finite_differences():
     loss_ids = np.arange(1, gt.n)
 
     def fn(params):
-        loss, grads, _ = md.loss_and_grads(gt, params, cfg, loss_ids)
+        loss, grads = md.loss_and_grads(gt, params, cfg, loss_ids)
         return loss, grads
 
     assert max(grad_check(fn, inst["params"], h=1e-5).values()) < 1e-4
+
+
+def test_loss_over_no_rows_is_rejected():
+    inst = small_instance(66, n=6)
+    with pytest.raises(md.ModelConfigError, match="at least one node id"):
+        md.loss_and_grads(inst["gt"], inst["params"], inst["config"], np.empty(0, np.intp))
 
 
 @pytest.mark.parametrize("variant", ["stgan", "gat", "gcn"])
@@ -493,4 +502,4 @@ def test_config_rejects_bad_values():
 def test_config_roundtrips_through_dict():
     cfg = md.ModelConfig(variant="gat", heads=3, layers=2, hidden=16,
                          extractor_hidden=(8, 16), head_hidden=8)
-    assert md.ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert read_config(md.ModelConfig, json.loads(json.dumps(asdict(cfg))), "model") == cfg

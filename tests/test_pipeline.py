@@ -1,9 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
+from pavecast import dataset as ds
 from pavecast import evaluation as ev
 from pavecast import trainer as tr
-from pavecast.pipeline import (RunConfig, run_experiment, run_generalization,
+from pavecast.pipeline import (DatasetSource, RunConfig, run_experiment, run_generalization,
                                run_matrix, reference_benchmark_config)
 
 from conftest import tiny_run_config
@@ -51,6 +55,22 @@ def test_run_config_roundtrip():
     assert RunConfig.from_dict(bench.to_dict()) == bench
 
 
+@pytest.mark.parametrize("make", [tiny_run_config, reference_benchmark_config],
+                         ids=["tiny", "benchmark"])
+def test_run_config_roundtrips_through_json(make):
+    cfg = make()
+    clone = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert clone == cfg and hash(clone) == hash(cfg)
+
+
+def test_dataset_csv_key_wins_and_no_key_reads_the_default_generator():
+    doc = tiny_run_config().to_dict()
+    doc["dataset"]["csv"] = "data.csv"  # as --set dataset.csv=data.csv writes it
+    assert RunConfig.from_dict(doc).dataset == DatasetSource(csv="data.csv")
+    doc["dataset"] = {}
+    assert RunConfig.from_dict(doc).dataset == DatasetSource(synthetic=ds.SyntheticConfig())
+
+
 def test_generalization_axes():
     cfg = tiny_run_config(epochs=6)
     for axis in ("time", "longitude", "latitude"):
@@ -82,6 +102,13 @@ def test_matrix_env_mask_rows():
     rows = run_matrix(tiny_run_config(epochs=3), ["env_mask"])
     assert len(rows) == 8
     assert all(r.cell.startswith("mask:") for r in rows)
+
+
+def test_matrix_generalization_axis_rows():
+    rows = run_matrix(tiny_run_config(epochs=2), ["generalization"], gen_intervals=(0,))
+    assert [r.cell for r in rows] == ["time:s=0", "longitude:s=0", "latitude:s=0"]
+    assert all(r.axis == "generalization" for r in rows)
+    assert all(math.isfinite(v) for r in rows for v in (r.train_mae, r.test_mae))
 
 
 def test_matrix_rejects_unknown_axis():

@@ -153,6 +153,16 @@ def pair_distance(a, b):
 # distances
 
 
+def test_edge_positions_list_each_rows_parent_edges_in_stored_order():
+    graph = small_instance(67, n=12)["graph"]
+    off = graph.offsets
+    for ids in (np.arange(graph.n), np.random.default_rng(0).choice(graph.n, 7),
+                np.empty(0, np.int64)):
+        assert graph.parent_counts(ids).tolist() == [off[i + 1] - off[i] for i in ids]
+        assert graph.edge_positions(ids).tolist() == [
+            p for i in ids for p in range(off[i], off[i + 1])]
+
+
 def test_distance_identical_points():
     assert pair_distance((121.0, 31.0), (121.0, 31.0)) == 0.0
 

@@ -152,7 +152,7 @@ def plain_training(inst, epochs, seed=0, whole_graph=False):
     adam = ng.adam_init(params, lr=tr.TrainConfig().lr)
     trace = []
     for _ in range(epochs):
-        loss, grads, _ = md.loss_and_grads(gt, params, inst["config"], loss_ids)
+        loss, grads = md.loss_and_grads(gt, params, inst["config"], loss_ids)
         trace.append(loss)
         ng.adam_step(params, grads, adam)
     return trace, params
@@ -269,7 +269,7 @@ def test_workspace_gradients_keep_their_values_until_the_next_sweep(monkeypatch,
                                                                      benchmark_sweep):
     monkeypatch.setattr(ng, "POOLED_MIN_ELEMENTS", 1)  # the gradients pool too
     ws = ng.Workspace()
-    _, grads, _ = md.loss_and_grads(*benchmark_sweep, workspace=ws)
+    _, grads = md.loss_and_grads(*benchmark_sweep, workspace=ws)
     assert any(not g.flags.owndata for g in grads.values())
     kept = {name: g.copy() for name, g in grads.items()}
     gt, params, config, _ = benchmark_sweep
