@@ -85,24 +85,12 @@ COORD_BOUNDS = {"longitude_gcj": 180.0, "latitude_gcj": 90.0}  # |coordinate| on
 _COORDS = tuple(COORD_BOUNDS)  # standardized in x_full's tail, before time
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Timestamp convention for record files (columns are CSV_COLUMNS)."""
-
-    time_format: str = "days"  # "days" (fractional days since epoch) or "iso8601"
-
-    def __post_init__(self):
-        if self.time_format not in TIME_FORMATS:
-            raise SchemaError(f"unknown time_format {self.time_format!r}, "
-                              f"expected one of {', '.join(TIME_FORMATS)}")
-
-    def parse_time(self, text: str) -> float:
-        if self.time_format == "days":
-            return float(text)
-        stamp = _dt.datetime.fromisoformat(text)
-        if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=_dt.timezone.utc)
-        return stamp.timestamp() / 86400.0
+def _parse_iso8601(text: str) -> float:
+    """Days since the epoch of an ISO-8601 time; one without a zone is UTC."""
+    stamp = _dt.datetime.fromisoformat(text)
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=_dt.timezone.utc)
+    return stamp.timestamp() / 86400.0
 
 
 @dataclass(frozen=True)
@@ -223,19 +211,23 @@ class LoadReport:
     skipped_rows: list[tuple[int, str]]  # (1-based data row number, reason)
 
 
-def load_records(path, schema: CsvSchema = CsvSchema()) -> LoadReport:
+def load_records(path, time_format: str = "days") -> LoadReport:
     """Read records from CSV, sorted by time (ties: location_id, file order).
 
-    Unparsable rows are skipped and reported with their row numbers; a
-    missing column or a file that is not UTF-8 text fails immediately.
+    collect_time is in TIME_FORMATS' "days" (since the epoch) or "iso8601".
+    Unparsable rows are skipped and reported with their row numbers; an
+    unknown time_format, a missing column or non-UTF-8 text fails at once.
     """
+    if time_format not in TIME_FORMATS:
+        raise SchemaError(f"unknown time_format {time_format!r}, "
+                          f"expected one of {', '.join(TIME_FORMATS)}")
     header, body = _read_csv(path)
-    if schema.time_format == "days":
+    if time_format == "days":
         try:
             return _load_columns(header, body)
         except ValueError:
             pass
-    return _load_rows(header, body, schema)
+    return _load_rows(header, body, time_format)
 
 
 def _read_csv(path) -> tuple[list[str], str]:
@@ -270,11 +262,12 @@ def _load_columns(header: list[str], body: str) -> LoadReport:
     return _validated(table, np.arange(1, len(table) + 1), [])
 
 
-def _load_rows(header: list[str], body: str, schema: CsvSchema) -> LoadReport:
+def _load_rows(header: list[str], body: str, time_format: str) -> LoadReport:
     """The data section, one csv.DictReader row at a time: each row's cells
     become a row of the table, or the reason the first one does not parse."""
+    parse_time = _parse_iso8601 if time_format == "iso8601" else float
     parsers = [(c, int if c in _INT_COLUMNS else
-                schema.parse_time if c == "collect_time" else float)
+                parse_time if c == "collect_time" else float)
                for c in CSV_COLUMNS]
     rows: list[tuple] = []
     rownums: list[int] = []

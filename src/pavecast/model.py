@@ -41,31 +41,32 @@ class ModelConfigError(ValueError):
 @dataclass(frozen=True)
 class ModelConfig:
     """Variant, widths and depth. Stacked layers (layers > 1) reuse the first
-    layer's attention coefficients and add only a convolution each."""
+    layer's attention coefficients and add only a convolution each. hidden,
+    the extractor's last width, and leaky_slope are not fields."""
 
     variant: str = "stgan"
     heads: int = 5
     layers: int = 1
-    hidden: int = 256
     extractor_hidden: tuple[int, ...] = (128, 256)
     head_hidden: int = 256
-    leaky_slope: float = 0.2
     eam_gamma: float = 1.0
+
+    leaky_slope = 0.2
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ModelConfigError(f"unknown variant {self.variant!r}")
-        if self.heads < 1 or self.layers < 1 or self.hidden < 1:
-            raise ModelConfigError("heads, layers and hidden must be >= 1")
+        if self.heads < 1 or self.layers < 1:
+            raise ModelConfigError("heads and layers must be >= 1")
         if not self.extractor_hidden or min(*self.extractor_hidden, self.head_hidden) < 1:
             raise ModelConfigError("extractor_hidden needs at least one width, "
                                    "and every width must be >= 1")
-        if self.extractor_hidden[-1] != self.hidden:
-            raise ModelConfigError(
-                f"extractor output width {self.extractor_hidden[-1]} "
-                f"must equal hidden width {self.hidden}")
         if not 0 <= self.eam_gamma < np.inf:  # a negative decay would grow with distance
             raise ModelConfigError(f"eam_gamma must be finite and >= 0, got {self.eam_gamma}")
+
+    @property
+    def hidden(self) -> int:
+        return self.extractor_hidden[-1]
 
     @property
     def score_slot_width(self) -> int:

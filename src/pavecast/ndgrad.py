@@ -635,22 +635,21 @@ def first_nonfinite_kind(tape: Tape) -> str | None:
 # Adam optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments per parameter name."""
+    """Bias-corrected Adam moments per parameter name, at step t."""
 
-    lr: float = 0.004
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_init(params: dict[str, np.ndarray], lr: float = 0.004,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
+    state = AdamState(lr=lr)
     for name, p in params.items():
         state.m[name] = np.zeros_like(p)
         state.v[name] = np.zeros_like(p)
@@ -661,7 +660,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
     """One in-place bias-corrected Adam update over all named parameters."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name in params:
@@ -677,7 +676,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

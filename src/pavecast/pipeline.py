@@ -37,14 +37,13 @@ def reference_benchmark_config(seed: int = 0) -> "RunConfig":
     return RunConfig(
         dataset=DatasetSource(synthetic=ds.SyntheticConfig(
             seed=0, driver_obs_bias=0.0, driver_spell_days=(35.0, 120.0))),
-        model=ModelConfig(variant="stgan", hidden=48, extractor_hidden=(24, 48),
-                          head_hidden=48),
+        model=ModelConfig(variant="stgan", extractor_hidden=(24, 48), head_hidden=48),
         train=TrainConfig(epochs=250, seed=seed))
 
 
 @dataclass(frozen=True)
 class DatasetSource:
-    """Exactly one of: a CSV path, or a synthetic generator config."""
+    """Exactly one of: a CSV path, read in time_format, or a synthetic config."""
 
     csv: str | None = None
     time_format: str = "days"
@@ -53,6 +52,9 @@ class DatasetSource:
     def __post_init__(self):
         if (self.csv is None) == (self.synthetic is None):
             raise RunConfigError("dataset needs exactly one of csv or synthetic")
+        if self.csv is None and self.time_format != "days":
+            raise RunConfigError(f"dataset.time_format {self.time_format!r} "
+                                 "needs a csv: synthetic data has no time text")
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,7 @@ def load_dataset(config: RunConfig, log=None) -> np.recarray:
     the first one's row number and reason."""
     if config.dataset.csv is None:
         return ds.generate_synthetic(config.dataset.synthetic)
-    report = ds.load_records(config.dataset.csv,
-                             ds.CsvSchema(time_format=config.dataset.time_format))
+    report = ds.load_records(config.dataset.csv, config.dataset.time_format)
     if report.skipped_rows and log:
         row, reason = report.skipped_rows[0]
         log(f"warning: skipped {len(report.skipped_rows)} invalid rows "

@@ -4,9 +4,10 @@ Edges point from older nodes to newer ones. Two mechanisms create them:
 proximity edges when both the location and time gaps fall under configured
 thresholds, and ranked compensation edges that force every node to connect
 to its K closest predecessors under a joint space-time score, so sparse
-series still receive information. An initialization block of the earliest
-nodes is mutually visible (proximity edges in both directions) and seeds
-the autoregressive expansion.
+series still receive information. One rule ranks every predecessor,
+proximity ones included: one among the K best is a ranked edge only. An
+initialization block of the earliest nodes is mutually visible (proximity
+edges in both directions) and seeds the autoregressive expansion.
 
 Layout: an STGraph is columnar. Node i is row i of the float64 columns
 lon, lat, t_raw and t_norm (a node's id is its position), and the first
@@ -65,18 +66,20 @@ class TemporalOrderError(ConstructionError):
 
 @dataclass(frozen=True)
 class GraphConfig:
+    """The proximity thresholds and K; the ranking rule is no setting."""
+
     l_res_m: float = 200.0    # proximity threshold, meters
     t_res_days: float = 14.0  # proximity threshold, days
     top_k: int = 5
-    top_mode: str = "merged"  # "merged": rank all predecessors; "additional": only non-proximity ones
+    # the one ranking rule, not a field: every candidate is ranked, proximity
+    # ones included; it stays only because perfbench/reference.py reads it
+    top_mode = "merged"
 
     def __post_init__(self):
         if not (0 < self.l_res_m < math.inf and 0 < self.t_res_days < math.inf):
             raise ConstructionError("l_res_m and t_res_days must be finite and positive")
         if self.top_k < 0:
             raise ConstructionError("top_k must be >= 0")
-        if self.top_mode not in ("merged", "additional"):
-            raise ConstructionError(f"unknown top_mode {self.top_mode!r}")
 
 
 Wiring = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # CSR (offsets, parent, dist_m, origin)
@@ -238,8 +241,6 @@ def _wire_rows(lon, lat, t_raw, rows, pr, cand, counts, reach, near, covered,
     if k:
         score /= config.t_res_days
         score += dist / config.l_res_m
-        if config.top_mode == "additional":
-            score[hard] = math.inf
         kth = _kth(score, counts, k)
         passed = (kth <= reach) | covered
         done = passed[pr]
@@ -341,8 +342,9 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
 
     New row r is wired against the rows [0, limits[r]): first ranked edges
     to the top_k candidates with the lowest dist/l_res + dt/t_res score,
-    ties to the lower id, then proximity edges to every other candidate
-    within both thresholds (inclusive), in id order; top_k=0 gives the pure
+    ties to the lower id, proximity candidates ranked too, then proximity
+    edges to every other candidate within both thresholds (inclusive), in
+    id order; top_k=0 gives the pure
     proximity set. Writes none of its arguments. Raises ConstructionError
     for a limit outside [0, i], i being the row's index in the columns: a
     row is never its own or a newer row's candidate.

@@ -68,7 +68,7 @@ from .stgraph import GraphConfig, STGraph
 STRATEGIES = ("ignore", "true", "predicted")
 
 CHECKPOINT_MAGIC = b"PVCASTCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class DivergenceError(ArithmeticError):
@@ -347,8 +347,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "train_config": asdict(ckpt.train_config),
         "stats": ckpt.stats.to_dict(),
         "feature_schema": asdict(ckpt.schema),
-        "adam": {"lr": ckpt.adam.lr, "beta1": ckpt.adam.beta1,
-                 "beta2": ckpt.adam.beta2, "eps": ckpt.adam.eps, "t": ckpt.adam.t},
+        "adam": {"lr": ckpt.adam.lr, "t": ckpt.adam.t},
         "loss_trace": ckpt.loss_trace,
         "final_train_mae": ckpt.final_train_mae,
         "attention_max_dev": ckpt.attention_max_dev,

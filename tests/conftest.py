@@ -6,7 +6,7 @@ from pavecast import model as md
 from pavecast import ndgrad as ng
 from pavecast import stgraph as sg
 
-SMALL_DIMS = dict(hidden=8, extractor_hidden=(6, 8), heads=2, head_hidden=8)
+SMALL_DIMS = dict(extractor_hidden=(6, 8), heads=2, head_hidden=8)
 
 
 def random_records(rng, n, n_locations=4, extent=0.004, span=60.0):
@@ -62,7 +62,7 @@ def tiny_synthetic(seed=0, n_records=140):
 def tiny_run_config(variant="stgan", seed=0, epochs=12, **model_kw):
     from pavecast.pipeline import DatasetSource, RunConfig
     from pavecast.trainer import TrainConfig
-    dims = dict(hidden=8, extractor_hidden=(6, 8), head_hidden=8, heads=2)
+    dims = dict(extractor_hidden=(6, 8), head_hidden=8, heads=2)
     dims.update(model_kw)
     return RunConfig(dataset=DatasetSource(synthetic=tiny_synthetic()),
                      model=md.ModelConfig(variant=variant, **dims),

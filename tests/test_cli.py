@@ -441,6 +441,32 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsy
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("key,value,line", [
+    ("graph.top_mode", "merged", "error: unknown graph key 'top_mode'"),
+    ("model.hidden", 8, "error: unknown model key 'hidden'"),
+    ("model.leaky_slope", 0.2, "error: unknown model key 'leaky_slope'"),
+    ("dataset.time_format", "iso8601",
+     "error: dataset.time_format 'iso8601' needs a csv: synthetic data has no time text"),
+], ids=["top_mode", "hidden", "leaky_slope", "synthetic-time_format"])
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_removed_or_inapplicable_setting_exits_2_naming_it(tmp_path, capsys, key, value,
+                                                          line, source):
+    """Settings that are constants now (the ranking rule, the hidden width,
+    the attention slope), and a time format for a dataset with no time text."""
+    doc = tiny_run_config().to_dict()
+    section, name = key.split(".")
+    overrides = ["--set", f"{key}={json.dumps(value)}"]
+    if source == "file":
+        doc[section][name] = value
+        overrides = []
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("build-graph", "--config", str(config), *overrides,
+                   "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+
+
 @pytest.mark.parametrize("content", [b'{"seed": 1,', b'{"seed": "\xe9"}'],
                          ids=["not-json", "not-utf8"])
 def test_unreadable_config_file_exits_2_with_one_error_line(tmp_path, capsys, content):
@@ -561,9 +587,20 @@ def test_manifest_value_of_the_wrong_type_exits_2_naming_the_section(
         f"error: manifest section {section} is malformed: {detail}"]
 
 
+def test_version_3_checkpoint_exits_2_naming_its_version(tmp_path, one_epoch_checkpoint,
+                                                        capsys):
+    ckpt = tmp_path / "model.ckpt"
+    raw = one_epoch_checkpoint.read_bytes()
+    ckpt.write_bytes(raw[:8] + np.uint32(3).tobytes() + raw[12:])
+    capsys.readouterr()
+    assert run_cli("evaluate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: checkpoint version 3, this build reads 4"]
+
+
 @pytest.mark.parametrize("edit,param", [
     (lambda m: m["model_config"].update(heads=1), "head0_w"),
-    (lambda m: m["model_config"].update(hidden=6, extractor_hidden=[6, 6]), "ext_full1_w"),
+    (lambda m: m["model_config"].update(extractor_hidden=[6, 6]), "ext_full1_w"),
     (lambda m: m.__setitem__("sections", [e for e in m["sections"]
                                           if e["name"] != "param:head1_b"]), "head1_b"),
 ], ids=["heads-2-to-1", "hidden-8-to-6", "section-dropped"])

@@ -13,11 +13,11 @@ def test_lists_become_tuples_in_nested_sections():
 
 
 def test_an_integer_fits_a_float_field_as_it_is():
-    assert read_config(ModelConfig, {"leaky_slope": 1}, "model").leaky_slope == 1
+    assert read_config(ModelConfig, {"eam_gamma": 1}, "model").eam_gamma == 1
 
 
 @pytest.mark.parametrize("cls,values,message", [
-    (ModelConfig, {"leaky_slope": False}, "model.leaky_slope must be float, got False"),
+    (ModelConfig, {"eam_gamma": False}, "model.eam_gamma must be float, got False"),
     (ModelConfig, {"extractor_hidden": [8, "16"]},
      "model.extractor_hidden must be tuple[int, ...], got [8, '16']"),
     (ModelConfig, [1], "model must be an object, got [1]"),

@@ -118,13 +118,22 @@ def test_load_iso8601_timestamps(tmp_path):
     path = tmp_path / "iso.csv"
     line = "1,121.0,31.0,1970-01-03T00:00:00+00:00,1,1,1,1,1,1,1,1,2.0,0.9,11"
     path.write_text(FIXTURE_HEADER + "\n" + line + "\n")
-    report = ds.load_records(path, ds.CsvSchema(time_format="iso8601"))
+    report = ds.load_records(path, time_format="iso8601")
     assert report.records[0].collect_time == pytest.approx(2.0)
 
 
-def test_unknown_time_format_rejected_at_construction():
-    with pytest.raises(ds.SchemaError, match="unix"):
-        ds.CsvSchema(time_format="unix")
+def test_iso8601_time_without_a_zone_is_utc(tmp_path):
+    path = tmp_path / "naive.csv"
+    path.write_text(FIXTURE_HEADER + "\n"
+                    + "1,121.0,31.0,1970-01-03T12:00:00,1,1,1,1,1,1,1,1,2.0,0.9,11\n"
+                    + "2,121.0,31.0,1970-01-03T12:00:00+08:00,1,1,1,1,1,1,1,1,2.0,0.9,11\n")
+    report = ds.load_records(path, time_format="iso8601")
+    assert report.records.collect_time.tolist() == [52 / 24, 2.5]  # 04:00 UTC, then 12:00
+
+
+def test_unknown_time_format_fails_before_the_file_is_read(tmp_path):
+    with pytest.raises(ds.SchemaError, match="unknown time_format 'unix'"):
+        ds.load_records(tmp_path / "missing.csv", time_format="unix")
 
 
 def test_load_drops_a_byte_order_mark(tmp_path):
@@ -135,13 +144,13 @@ def test_load_drops_a_byte_order_mark(tmp_path):
     assert len(ds.load_records(marked).records) == 2
 
 
-@pytest.mark.parametrize("schema", [ds.CsvSchema(), ds.CsvSchema(time_format="iso8601")])
-def test_load_non_utf8_file_raises_schema_error_naming_it(tmp_path, schema):
+@pytest.mark.parametrize("time_format", ds.TIME_FORMATS)
+def test_load_non_utf8_file_raises_schema_error_naming_it(tmp_path, time_format):
     path = tmp_path / "latin1.csv"
     path.write_bytes((FIXTURE_HEADER + "\n").encode()
                      + "1,121.0,31.0,5.0,1,1,1,1,1,1,1,1,2.0,0.9,11 caf\xe9\n".encode("latin-1"))
     with pytest.raises(ds.SchemaError, match="latin1.csv.*not UTF-8"):
-        ds.load_records(path, schema)
+        ds.load_records(path, time_format)
 
 
 def test_load_repeated_header_name_reads_its_last_column(tmp_path):
@@ -150,7 +159,7 @@ def test_load_repeated_header_name_reads_its_last_column(tmp_path):
                     + "1,121.0,31.0,5.0,1,1,1,1,1,1,1,1,-4.0,0.9,11,3.5\n")
     header, body = ds._read_csv(path)
     assert ds._load_columns(header, body).records[0].detect_info == 3.5
-    assert_same_report(ds.load_records(path), ds._load_rows(header, body, ds.CsvSchema()))
+    assert_same_report(ds.load_records(path), ds._load_rows(header, body, "days"))
 
 
 def test_strict_reader_reads_what_write_records_writes(tmp_path, default_synthetic):
@@ -158,7 +167,7 @@ def test_strict_reader_reads_what_write_records_writes(tmp_path, default_synthet
     ds.write_records(path, default_synthetic)
     header, body = ds._read_csv(path)
     assert_same_report(ds._load_columns(header, body),
-                       ds._load_rows(header, body, ds.CsvSchema()))
+                       ds._load_rows(header, body, "days"))
 
 
 @pytest.mark.parametrize("reader", ["columns", "rows"])
@@ -172,7 +181,7 @@ def test_load_skips_coordinates_off_the_earth(tmp_path, reader):
     ds.write_records(path, rows)
     header, body = ds._read_csv(path)
     load = ds._load_columns if reader == "columns" else (
-        lambda h, b: ds._load_rows(h, b, ds.CsvSchema()))
+        lambda h, b: ds._load_rows(h, b, "days"))
     report = load(header, body)
     assert [r.location_id for r in report.records] == [4, 5]
     assert report.skipped_rows == [
@@ -268,15 +277,15 @@ def test_strict_reader_and_row_parser_agree(tmp_path_factory, file, time_format)
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(text.encode("utf-8"))
     header, body = ds._read_csv(path)
-    rows = ds._load_rows(header, body, ds.CsvSchema())
+    rows = ds._load_rows(header, body, "days")
     try:
         strict = ds._load_columns(header, body)
     except ValueError:
         assert not clean, "the strict reader refused a file it should read"
     else:
         assert_same_report(strict, rows)
-    schema = ds.CsvSchema(time_format=time_format)
-    assert_same_report(ds.load_records(path, schema), ds._load_rows(header, body, schema))
+    assert_same_report(ds.load_records(path, time_format),
+                       ds._load_rows(header, body, time_format))
 
 
 _ORDINARY_ROW = dict(zip(ds.CSV_COLUMNS, "7,121.0,31.0,5.0,1,1,1,1,1,1,1,1,2.0,0.9,11".split(",")))
@@ -303,7 +312,7 @@ def test_each_rule_names_its_row_alike_through_both_readers(cells, reason):
                    for row in ({**_ORDINARY_ROW, **cells}, _ORDINARY_ROW))
     want = ds.LoadReport(records=table([make_record(loc=7, t=5.0)]),  # the ordinary row
                          skipped_rows=[(1, reason)])
-    assert_same_report(ds._load_rows(header, body, ds.CsvSchema()), want)
+    assert_same_report(ds._load_rows(header, body, "days"), want)
     if any(abs(int(cells.get(c, 0))) >= 2 ** 63 for c in ("location_id", "distress_type")):
         with pytest.raises(ValueError):  # no int64 column holds the cell
             ds._load_columns(header, body)
@@ -319,7 +328,7 @@ def test_iso8601_timestamps_take_the_row_parser(tmp_path):
     header, body = ds._read_csv(path)
     with pytest.raises(ValueError):
         ds._load_columns(header, body)
-    report = ds.load_records(path, ds.CsvSchema(time_format="iso8601"))
+    report = ds.load_records(path, time_format="iso8601")
     assert [r.location_id for r in report.records] == [1]
     assert report.skipped_rows == [(2, "Invalid isoformat string: '4.0'")]
 

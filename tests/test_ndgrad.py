@@ -517,7 +517,7 @@ def test_primitive_gradients_match_finite_differences(kind, seed):
 
 def test_adam_zero_gradient_is_fixed_point():
     params = {"p": np.array([[1.0, -2.0]])}
-    state = ng.adam_init(params)
+    state = ng.adam_init(params, lr=0.004)
     ng.adam_step(params, {"p": np.zeros((1, 2))}, state)
     assert np.array_equal(params["p"], [[1.0, -2.0]])
     assert np.all(state.m["p"] == 0) and np.all(state.v["p"] == 0)
@@ -558,7 +558,7 @@ def test_adam_matches_scalar_oracle_bit_for_bit():
 
 def test_adam_shape_mismatch():
     params = {"p": np.zeros((2, 2))}
-    state = ng.adam_init(params)
+    state = ng.adam_init(params, lr=0.004)
     with pytest.raises(ng.ShapeError):
         ng.adam_step(params, {"p": np.zeros((2, 3))}, state)
 

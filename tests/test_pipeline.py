@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from pavecast import dataset as ds
 from pavecast import evaluation as ev
 from pavecast import trainer as tr
-from pavecast.pipeline import (DatasetSource, RunConfig, run_experiment, run_generalization,
-                               run_matrix, reference_benchmark_config)
+from pavecast.pipeline import (DatasetSource, RunConfig, RunConfigError, run_experiment,
+                               run_generalization, run_matrix, reference_benchmark_config)
 
 from conftest import tiny_run_config
 
@@ -55,8 +56,13 @@ def test_run_config_roundtrip():
     assert RunConfig.from_dict(bench.to_dict()) == bench
 
 
-@pytest.mark.parametrize("make", [tiny_run_config, reference_benchmark_config],
-                         ids=["tiny", "benchmark"])
+def csv_run_config():
+    return replace(tiny_run_config(), dataset=DatasetSource(csv="data.csv",
+                                                            time_format="iso8601"))
+
+
+@pytest.mark.parametrize("make", [tiny_run_config, reference_benchmark_config,
+                                  csv_run_config], ids=["tiny", "benchmark", "csv"])
 def test_run_config_roundtrips_through_json(make):
     cfg = make()
     clone = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -69,6 +75,13 @@ def test_dataset_csv_key_wins_and_no_key_reads_the_default_generator():
     assert RunConfig.from_dict(doc).dataset == DatasetSource(csv="data.csv")
     doc["dataset"] = {}
     assert RunConfig.from_dict(doc).dataset == DatasetSource(synthetic=ds.SyntheticConfig())
+
+
+def test_time_format_other_than_days_needs_a_csv():
+    with pytest.raises(RunConfigError, match="^dataset.time_format 'iso8601' needs a csv"):
+        RunConfig.from_dict({"dataset": {"synthetic": {}, "time_format": "iso8601"}})
+    assert RunConfig.from_dict({"dataset": {"synthetic": {}, "time_format": "days"}}) \
+        == RunConfig()
 
 
 def test_generalization_axes():

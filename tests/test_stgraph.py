@@ -78,30 +78,6 @@ def brute_force_graph_edges(nodes, init_count, config):
     return edges
 
 
-def brute_force_additional(node, candidates, config):
-    """brute_force_parents for top_mode="additional": rank only non-proximity candidates."""
-    hard, _ = brute_force_parents(node, candidates, replace(config, top_k=0))
-    _, top = brute_force_parents(
-        node, [c for c in candidates if c.node_id not in hard], config)
-    return hard | set(top), top
-
-
-def oracle_parents(node, candidates, config):
-    if config.top_mode == "additional":
-        return brute_force_additional(node, candidates, config)
-    return brute_force_parents(node, candidates, config)
-
-
-def oracle_graph_edges(nodes, init_count, config):
-    if config.top_mode == "merged":
-        return brute_force_graph_edges(nodes, init_count, config)
-    edges = brute_force_graph_edges(nodes, init_count, replace(config, top_k=0))
-    for i in range(init_count, len(nodes)):
-        _, top = brute_force_additional(nodes[i], nodes[:i], config)
-        edges.update((p, i) for p in top)
-    return edges
-
-
 def edge_set(graph):
     return set(zip(graph.parent.tolist(), graph.child.tolist()))
 
@@ -194,6 +170,13 @@ def test_distance_nonfinite():
         parents(node._replace(lon=121.0), [cand._replace(lat=math.inf)], sg.GraphConfig())
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_time_of_a_new_row_is_rejected(t):
+    cand = Row(0, 121.0, 31.0, 0.0, 0.0)
+    with pytest.raises(ArithmeticError, match="^non-finite time$"):
+        parents(cand._replace(node_id=1, t_raw=t), [cand], sg.GraphConfig())
+
+
 # ---------------------------------------------------------------------------
 # proximity edges (top_k=0)
 
@@ -260,18 +243,19 @@ def test_top_matches_sorted_oracle_prefix():
 
 
 T_RES = 14.0
+# every case runs combined_parents' one ranking rule, named in its id
+RANKING = pytest.mark.parametrize("top_mode", [sg.GraphConfig.top_mode])
 SPOTS = [(121.0, 31.0), (121.001, 31.0), (121.0, 31.0015), (121.0023, 30.999)]
 
 
 @settings(deadline=None, max_examples=150)
 @given(t=st.sampled_from([6.1, 0.0, 37.25, 1000.3]) | st.floats(-50.0, 500.0),
        picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=30),
-       top_k=st.sampled_from([0, 1, 5]),
-       top_mode=st.sampled_from(["merged", "additional"]))
-def test_combined_parents_matches_brute_force_at_boundaries(t, picks, top_k, top_mode):
+       top_k=st.sampled_from([0, 1, 5]))
+def test_combined_parents_matches_brute_force_at_boundaries(t, picks, top_k):
     """Candidate times on and one ulp either side of t - t_res, repeated
     locations and times (score ties), against the full-sort oracle."""
-    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=top_k, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=top_k)
     edge = t - T_RES
     times = [np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf),
              t - 3 * T_RES, t - 0.5 * T_RES, t]
@@ -280,7 +264,7 @@ def test_combined_parents_matches_brute_force_at_boundaries(t, picks, top_k, top
                   for k, (ts, (lon, lat)) in enumerate(rows)]
     node = Row(len(candidates), *SPOTS[0], t, 0.0)
     got = parents(node, candidates, cfg)
-    want, want_top = oracle_parents(node, candidates, cfg)
+    want, want_top = brute_force_parents(node, candidates, cfg)
     ids = [p for p, _, _ in got]
     assert len(ids) == len(set(ids)) and set(ids) == want
     assert [p for p, origin, _ in got if origin == "top"] == want_top
@@ -293,15 +277,14 @@ def test_combined_parents_matches_brute_force_at_boundaries(t, picks, top_k, top
                                st.integers(0, 3)), min_size=1, max_size=40),
        data=st.data(),
        top_k=st.sampled_from([0, 1, 3, 5]),
-       top_mode=st.sampled_from(["merged", "additional"]),
        block_cells=st.sampled_from([1, 8, 64, 1 << 17]))
 def test_batched_kernel_equals_row_by_row_calls_and_brute_force(rows, data, top_k,
-                                                                 top_mode, block_cells):
+                                                                 block_cells):
     """One combined_parents call for a batch of rows, each with its own prefix
     limit (0 included), split into blocks of every size, against one call per
     row and the full-sort oracle. Sparse times make rows widen their window;
     repeated spots and times make score ties."""
-    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=top_k, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=top_k)
     nodes = [Row(i, *SPOTS[j], t, 0.0)
              for i, (t, j) in enumerate(sorted(rows, key=lambda r: r[0]))]
     first = len(nodes) - data.draw(st.integers(1, len(nodes)))
@@ -311,7 +294,7 @@ def test_batched_kernel_equals_row_by_row_calls_and_brute_force(rows, data, top_
     for row, limit, got in zip(range(first, len(nodes)), limits, batched):
         node, candidates = nodes[row], nodes[:limit]
         assert got == parents(node, candidates, cfg)
-        want, want_top = oracle_parents(node, candidates, cfg)
+        want, want_top = brute_force_parents(node, candidates, cfg)
         ids = [p for p, _, _ in got]
         assert len(ids) == len(set(ids)) and set(ids) == want
         origins = [origin for _, origin, _ in got]
@@ -340,10 +323,10 @@ def test_window_keeps_parent_whose_time_gap_rounds_to_t_res():
         == [(0, "hard", 0.0)]
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
     rng = np.random.default_rng(450)
-    cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=10.0, top_k=5, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=10.0, top_k=5)
     nodes = rand_nodes(rng, 450, extent=0.004, span=300.0)
     scored = Counter()  # (row, candidate) pairs scored per row, rows told apart by location
     distances = sg._distances
@@ -355,16 +338,16 @@ def test_windowed_build_matches_brute_force_on_450_nodes(monkeypatch, top_mode):
 
     monkeypatch.setattr(sg, "_distances", recording)
     g = sg.build_graph(columns(nodes), 30, cfg)
-    assert edge_set(g) == oracle_graph_edges(nodes, 30, cfg)
+    assert edge_set(g) == brute_force_graph_edges(nodes, 30, cfg)
     assert max(scored.values()) < 450 // 4  # the scan stopped well short of the full history
 
 
-def far_ranked_batch(top_mode):
+def far_ranked_batch():
     """100 history rows 3 t_res apart and six later queries with limits in
     (80, 100]: every query's K best candidates are the K oldest rows, the
     only ones at its spot, so each query widens its window to row 0 over at
     least 3 rounds. Returns (config, columns, limits)."""
-    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=5, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=T_RES, top_k=5)
     far = (122.0, 31.0)  # ~95 km: a score far above any dt/t_res here
     history = [Row(i, *(SPOTS[0] if i < cfg.top_k else far), 3 * T_RES * i, 0.0)
                for i in range(100)]
@@ -373,11 +356,11 @@ def far_ranked_batch(top_mode):
     return cfg, columns(history + queries)[:3], np.array([100, 97, 93, 88, 84, 81])
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 def test_widening_scores_each_candidate_once(monkeypatch, top_mode):
     """Over all its widening rounds, a row scores at most twice its final
     window plus K (row, candidate) pairs per round after the first."""
-    cfg, cols, limits = far_ranked_batch(top_mode)
+    cfg, cols, limits = far_ranked_batch()
     pairs, rounds = [], []
     distances, window_start = sg._distances, sg._window_start
 
@@ -422,7 +405,7 @@ def test_initialization_block_scores_each_pair_once(monkeypatch):
 
 
 def test_combined_parents_writes_none_of_its_arguments():
-    cfg, cols, limits = far_ranked_batch("merged")
+    cfg, cols, limits = far_ranked_batch()
     before = [col.copy() for col in (*cols, limits)]
     first = sg.combined_parents(*cols, limits, cfg)
     for arg, old in zip((*cols, limits), before):
@@ -440,7 +423,7 @@ def assert_rows_match_oracle(nodes, limits, config):
     against the oracle over its candidates nodes[:limit]."""
     first = len(nodes) - len(limits)
     for row, limit, got in zip(range(first, len(nodes)), limits, wire(nodes, limits, config)):
-        want, want_top = oracle_parents(nodes[row], nodes[:limit], config)
+        want, want_top = brute_force_parents(nodes[row], nodes[:limit], config)
         ids = [p for p, _, _ in got]
         assert len(ids) == len(set(ids)) and set(ids) == want, row
         assert [p for p, origin, _ in got if origin == "top"] == want_top, row
@@ -459,7 +442,7 @@ def query_nodes(first_id, coords, times):
             for q, ((lon, lat), t) in enumerate(zip(coords, times))]
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 @pytest.mark.parametrize("init_count", [40, 400])
 def test_grid_build_and_forecasts_match_brute_force(top_mode, init_count):
     """Clustered rows over many cells, an initialization block of a tenth or
@@ -468,10 +451,10 @@ def test_grid_build_and_forecasts_match_brute_force(top_mode, init_count):
     (allow_past, a few with fewer than K candidates), then chained queries
     wired against the queries before them."""
     rng = np.random.default_rng(400)
-    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5)
     nodes = clustered_nodes(rng, 400)
     g = sg.build_graph(columns(nodes), init_count, cfg)
-    assert edge_set(g) == oracle_graph_edges(nodes, init_count, cfg)
+    assert edge_set(g) == brute_force_graph_edges(nodes, init_count, cfg)
 
     inside = [(nodes[i].lon, nodes[i].lat) for i in rng.choice(len(nodes), 10)]
     outside = list(zip(rng.uniform(120.5, 121.6, 10), rng.choice([30.7, 31.3], 10)))
@@ -491,7 +474,7 @@ def test_grid_build_and_forecasts_match_brute_force(top_mode, init_count):
 EXACT_GAPS = (0.0, 0.5, 1.0, 3.0)  # in t_res
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 @pytest.mark.parametrize("top_k", [0, 1, 5, 12])
 def test_rows_far_past_their_newest_candidate_match_brute_force(top_mode, top_k):
     """Rows 0, 1/2, exactly 1, exactly 3 and 10-30 t_res after their newest
@@ -502,7 +485,7 @@ def test_rows_far_past_their_newest_candidate_match_brute_force(top_mode, top_k)
     it (allow_past), some holding fewer than K rows; chained rows, each that
     long after the row before it; and queries over a history of three rows."""
     rng = np.random.default_rng(22)
-    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=top_k, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=top_k)
     nodes = [nd._replace(t_raw=math.floor(nd.t_raw * 8) / 8)
              for nd in clustered_nodes(rng, 300)]
     n = len(nodes)
@@ -558,7 +541,7 @@ def test_queries_far_past_the_history_score_a_few_pairs_each(monkeypatch):
     assert 0 < sum(pairs) <= len(queries) * n // 10
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 def test_ranked_edge_reaches_exactly_the_gap_bound_across_a_cell_boundary(top_mode):
     """A row's newest candidate, exactly g t_res older and exactly l_res away
     one cell further north, as the kernel measures both, scores g + 1, and a
@@ -587,12 +570,12 @@ def test_ranked_edge_reaches_exactly_the_gap_bound_across_a_cell_boundary(top_mo
         d_twin = pair_distance((row.lon, row.lat), (twin.lon, twin.lat)) / l_res
         assert d_twin < 1 and g + d_twin == g + 1  # nearer than cand, and tied with it
         nodes += [cand, twin, row]
-        cfg = sg.GraphConfig(l_res_m=l_res, t_res_days=t_res, top_k=1, top_mode=top_mode)
+        cfg = sg.GraphConfig(l_res_m=l_res, t_res_days=t_res, top_k=1)
         assert ranked(row, nodes[:-1], cfg) == [cand.node_id]
         assert_rows_match_oracle(nodes, [len(nodes) - 1], cfg)
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 @pytest.mark.parametrize("axis", ["lat", "lon"])
 def test_proximity_reaches_exactly_l_res_across_a_cell_boundary(top_mode, axis):
     """A row and a candidate one cell further along one axis, the candidate
@@ -617,23 +600,22 @@ def test_proximity_reaches_exactly_l_res_across_a_cell_boundary(top_mode, axis):
         l_res = pair_distance((row.lon, row.lat), (cand.lon, cand.lat))
         assert l_res == equirect_m((row.lon, row.lat), (cand.lon, cand.lat))
         for top_k in (0, 1):
-            cfg = sg.GraphConfig(l_res_m=l_res, t_res_days=14.0, top_k=top_k,
-                                 top_mode=top_mode)
-            assert (cand.node_id, "top" if top_k and top_mode == "merged" else "hard") \
+            cfg = sg.GraphConfig(l_res_m=l_res, t_res_days=14.0, top_k=top_k)
+            assert (cand.node_id, "top" if top_k else "hard") \
                 in [(p, origin) for p, origin, _ in parents(row, nodes[:-1], cfg)]
             assert_rows_match_oracle(nodes, [len(nodes) - 1], cfg)
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 def test_rows_with_fewer_than_k_candidates_match_brute_force(top_mode):
     """Rows tens of kilometres and months apart: the first K rows have fewer
     than K candidates overall, and a row's reach must grow over most of the
     grid before it holds K."""
     rng = np.random.default_rng(9)
-    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5)
     nodes = rand_nodes(rng, 12, extent=0.3, span=900.0)
     g = sg.build_graph(columns(nodes), 1, cfg)
-    assert edge_set(g) == oracle_graph_edges(nodes, 1, cfg)
+    assert edge_set(g) == brute_force_graph_edges(nodes, 1, cfg)
     assert (in_degree(g)[1:cfg.top_k] == np.arange(1, cfg.top_k)).all()
     queries = query_nodes(g.n, [(121.5, 31.2), (120.6, 30.8), (121.0, 31.0)],
                           [nodes[3].t_raw, 950.0, 2000.0])
@@ -641,7 +623,7 @@ def test_rows_with_fewer_than_k_candidates_match_brute_force(top_mode):
                              np.searchsorted(g.t_raw, [q.t_raw for q in queries], "right"), cfg)
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 @pytest.mark.parametrize("pole", [90.0, -90.0])
 def test_rows_within_1e_12_degrees_of_a_pole_reach_the_cos_clamp(pole, top_mode):
     """cos of a latitude within about 8e-13 degrees of a pole is below the
@@ -660,9 +642,9 @@ def test_rows_within_1e_12_degrees_of_a_pole_reach_the_cos_clamp(pole, top_mode)
     nodes = [Row(i, float(lon[i]), math.copysign(float(lat[i]), pole), float(ts[i]),
                  float(ts[i] / 100.0)) for i in range(n)]
     assert math.cos(90.0 * sg._DEG) - 4 * sg._SLACK < 0.0  # the clamp's branch is taken
-    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5)
     g = sg.build_graph(columns(nodes), init_count, cfg)
-    assert edge_set(g) == oracle_graph_edges(nodes, init_count, cfg)
+    assert edge_set(g) == brute_force_graph_edges(nodes, init_count, cfg)
     hard = np.bincount(g.origin, minlength=len(sg.ORIGINS))[sg.HARD]
     assert 0 < hard < n * (n - 1) // 4  # the proximity threshold filters
     coords = [(float(x), math.copysign(90.0 - float(d), pole))
@@ -671,14 +653,14 @@ def test_rows_within_1e_12_degrees_of_a_pole_reach_the_cos_clamp(pole, top_mode)
     assert_rows_match_oracle(nodes + queries, np.arange(g.n, g.n + len(queries)), cfg)
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 def test_rows_at_one_spot_stay_within_the_scratch_cap(top_mode):
     """2,000 rows at one spot, each with 50 older rows within t_res: every
     row falls in one cell, so the grid filters nothing. The call's traced
     peak is the edges' columns while they are sorted (under 80 bytes an
     edge) plus one span of _BLOCK_CELLS pairs' scratch; scoring all 100,000
     pairs at once would exceed it."""
-    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5)
     n = 2000
     lon, lat, t = np.full(n, 121.0), np.full(n, 31.0), np.arange(n) * (cfg.t_res_days / 50.5)
     tracemalloc.start()
@@ -691,12 +673,8 @@ def test_rows_at_one_spot_stay_within_the_scratch_cap(top_mode):
     child = np.repeat(np.arange(n), np.diff(offsets))
     ranked, hard = (np.bincount(child[origin == o], minlength=n) for o in (sg.TOP, sg.HARD))
     near = np.minimum(np.arange(n), 50)  # the older rows within t_res, all proximity
-    if top_mode == "merged":
-        assert (ranked == np.minimum(np.arange(n), cfg.top_k)).all()
-        assert (hard == near - ranked).all()
-    else:
-        assert (ranked == np.minimum(np.arange(n) - near, cfg.top_k)).all()
-        assert (hard == near).all()
+    assert (ranked == np.minimum(np.arange(n), cfg.top_k)).all()
+    assert (hard == near - ranked).all()
 
 
 def test_top_k_beyond_every_candidate_count_allocates_by_the_candidates():
@@ -782,7 +760,7 @@ def init_block(case):
     return rows, [(1, 2), (3, 4), (5, 6), (7, 8)]
 
 
-@pytest.mark.parametrize("top_mode", ["merged", "additional"])
+@RANKING
 @pytest.mark.parametrize("init", ["one", "two", "all"])
 @pytest.mark.parametrize("case", ["colocated", "equal_times", "t_res_apart", "l_res_apart"])
 def test_init_block_cases_match_brute_force(case, init, top_mode):
@@ -791,12 +769,12 @@ def test_init_block_cases_match_brute_force(case, init, top_mode):
     oracle; later rows see them as ordinary prefixes. Each block row's
     parents ascend by id, and every block edge reports the distance of its
     reverse bit for bit."""
-    cfg = sg.GraphConfig(l_res_m=_L_RES, t_res_days=T_RES, top_k=3, top_mode=top_mode)
+    cfg = sg.GraphConfig(l_res_m=_L_RES, t_res_days=T_RES, top_k=3)
     rows, pairs = init_block(case)
     init_count = {"one": 1, "two": 2, "all": len(rows)}[init]
     g = sg.build_graph(columns(rows), init_count, cfg)
     edges = edge_set(g)
-    assert edges == oracle_graph_edges(rows, init_count, cfg)
+    assert edges == brute_force_graph_edges(rows, init_count, cfg)
     assert all((a, b) in edges and (b, a) in edges for a, b in pairs if b < init_count)
     block = g.offsets[init_count]
     assert (g.origin[:block] == sg.INIT).all() and (g.origin[block:] != sg.INIT).all()
@@ -994,17 +972,6 @@ def test_incremental_equals_batch_on_200_nodes():
     nodes = rand_nodes(rng, 200, extent=0.01, span=150.0)
     g = sg.build_graph(columns(nodes), 20, cfg)
     assert edge_set(g) == brute_force_graph_edges(nodes, 20, cfg)
-
-
-def test_additional_mode_still_meets_top_guarantee():
-    rng = np.random.default_rng(55)
-    cfg = sg.GraphConfig(top_k=3, top_mode="additional", l_res_m=800.0, t_res_days=40.0)
-    nodes = rand_nodes(rng, 40, extent=0.004, span=60.0)
-    g = sg.build_graph(columns(nodes), 4, cfg)
-    merged = sg.build_graph(columns(nodes), 4, sg.GraphConfig(top_k=3))
-    ids = np.arange(4, g.n)
-    assert (in_degree(g)[ids] >= np.minimum(cfg.top_k, ids)).all()
-    assert edge_set(merged) <= edge_set(g) | edge_set(merged)
 
 
 # ---------------------------------------------------------------------------

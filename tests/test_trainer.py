@@ -108,6 +108,15 @@ def test_loss_trend_decreases_on_moving_average():
     assert np.mean(np.diff(smooth) <= 1e-9) > 0.9  # weakly decreasing trend
 
 
+def test_progress_lines_every_log_every_epochs():
+    inst = small_instance(0)
+    lines = []
+    cfg = tr.TrainConfig(epochs=5, seed=0, log_every=2)
+    result = tr.train_on_graph(inst["graph"], inst["nodes"], inst["config"], cfg,
+                               inst["graph_cfg"], log=lines.append)
+    assert lines == [f"epoch {e}: train mae {result.loss_trace[e]:.6f}" for e in (0, 2, 4)]
+
+
 def test_divergence_reports_epoch():
     inst = small_instance(4)
     # one step of this size pushes weights past overflow for the next forward
@@ -671,7 +680,7 @@ def test_checkpoint_stores_parameters_only(tmp_path):
     mlen = int(np.frombuffer(raw[12:20], dtype="<u8")[0])
     manifest = json.loads(raw[20:20 + mlen])
     assert [e["name"] for e in manifest["sections"]] == [f"param:{n}" for n in ckpt.params]
-    assert manifest["adam"]["t"] == ckpt.adam.t == 8
+    assert manifest["adam"] == {"lr": ckpt.adam.lr, "t": 8} and ckpt.adam.t == 8
     back = tr.load_checkpoint(path)
     assert back.adam.t == 8 and back.adam.m == {} and back.adam.v == {}
 
@@ -711,6 +720,65 @@ def test_version_2_checkpoint_is_a_version_error(tmp_path):
     path.write_bytes(raw[:8] + np.uint32(2).tobytes() + np.uint64(len(mbytes)).tobytes()
                      + mbytes + raw[20 + mlen:])
     with pytest.raises(tr.CheckpointVersionError, match="version 2"):
+        tr.load_checkpoint(path)
+
+
+def _write_manifest(path, manifest, version=tr.CHECKPOINT_VERSION):
+    """The checkpoint at path with its header version and manifest replaced;
+    the parameter sections stay as they are."""
+    raw = path.read_bytes()
+    mlen = int(np.frombuffer(raw[12:20], dtype="<u8")[0])
+    mbytes = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + np.uint32(version).tobytes() + np.uint64(len(mbytes)).tobytes()
+                     + mbytes + raw[20 + mlen:])
+
+
+def _saved_manifest(path):
+    raw = path.read_bytes()
+    return json.loads(raw[20:20 + int(np.frombuffer(raw[12:20], dtype="<u8")[0])])
+
+
+def test_version_3_checkpoint_is_a_version_error(tmp_path):
+    # a version-3 manifest names settings that are constants now
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, trained_checkpoint(small_instance(19)))
+    manifest = _saved_manifest(path)
+    manifest["format_version"] = 3
+    manifest["model_config"].update(hidden=8, leaky_slope=0.2)
+    manifest["graph_config"]["top_mode"] = "merged"
+    manifest["adam"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+    _write_manifest(path, manifest, version=3)
+    with pytest.raises(tr.CheckpointVersionError,
+                       match="^checkpoint version 3, this build reads 4$"):
+        tr.load_checkpoint(path)
+
+
+def test_manifest_version_must_match_the_header(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, trained_checkpoint(small_instance(19)))
+    manifest = _saved_manifest(path)
+    manifest["format_version"] = 3
+    _write_manifest(path, manifest)
+    with pytest.raises(tr.CheckpointVersionError,
+                       match="^manifest version 3, this build reads 4$"):
+        tr.load_checkpoint(path)
+
+
+def test_manifest_that_is_no_json_object_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, trained_checkpoint(small_instance(19)))
+    _write_manifest(path, [tr.CHECKPOINT_VERSION])
+    with pytest.raises(tr.CheckpointIntegrityError, match="^manifest is not a JSON object$"):
+        tr.load_checkpoint(path)
+
+
+def test_parameter_the_model_config_does_not_use_is_rejected(tmp_path):
+    ckpt = trained_checkpoint(small_instance(19))
+    ckpt.params["spare_w"] = np.zeros((2, 2))
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, ckpt)
+    with pytest.raises(tr.CheckpointIntegrityError,
+                       match="^parameter spare_w is not one the manifest's model_config uses$"):
         tr.load_checkpoint(path)
 
 
