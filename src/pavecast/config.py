@@ -27,14 +27,20 @@ def _field_types(cls) -> dict[str, tuple[object, str]]:
     return {f.name: (hints[f.name], f.type) for f in dataclasses.fields(cls)}
 
 
+@cache
+def _kind(tp) -> tuple[object, tuple, bool]:
+    """tp's generic origin, its type arguments and whether it is a dataclass."""
+    return typing.get_origin(tp), typing.get_args(tp), dataclasses.is_dataclass(tp)
+
+
 def _read(tp, value, section: str):
     """value as a field of type tp holds it, or _MISFIT; an object for a config
     dataclass is read as the section named section."""
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    origin, args, is_config = _kind(tp)
     if origin in (typing.Union, types.UnionType):
         return next((out for out in (_read(option, value, section) for option in args)
                      if out is not _MISFIT), _MISFIT)
-    if dataclasses.is_dataclass(tp):
+    if is_config:
         return read_config(tp, value, section) if isinstance(value, dict) else _MISFIT
     if origin in (tuple, list) and isinstance(value, (list, tuple)):
         items = [_read(args[0], v, section) for v in value]  # each fits the first type

@@ -515,10 +515,25 @@ class SyntheticConfig:
 
 def sample_latent_field(coords: np.ndarray, length_scale_deg: float,
                         rng: np.random.Generator, jitter: float = 1e-9) -> np.ndarray:
-    """Draw one zero-mean unit-variance field with squared-exponential covariance."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    sq = (diff ** 2).sum(axis=2)
-    cov = np.exp(-sq / (2.0 * length_scale_deg ** 2))
+    """Draw one zero-mean unit-variance field with squared-exponential covariance.
+
+    The covariance is built in place: at L points at most three L x L float64
+    matrices are alive at once (the covariance, then its Cholesky factor and
+    LAPACK's working copy), against five for the broadcast (L, L, 2)
+    difference. Each element takes the same operations in the same order, so
+    the field keeps its bits. The Cholesky factor still follows the BLAS
+    thread count from about 320 points up.
+    """
+    lons, lats = coords[:, 0], coords[:, 1]
+    cov = np.subtract.outer(lons, lons)
+    np.square(cov, out=cov)
+    lat_sq = np.subtract.outer(lats, lats)
+    np.square(lat_sq, out=lat_sq)
+    cov += lat_sq
+    del lat_sq
+    np.negative(cov, out=cov)
+    cov /= 2.0 * length_scale_deg ** 2
+    np.exp(cov, out=cov)
     cov[np.diag_indices_from(cov)] += jitter
     chol = np.linalg.cholesky(cov)
     return chol @ rng.standard_normal(len(coords))

@@ -14,8 +14,10 @@ prints per workload on how many seeds the second beat the first, per
 metric, each side's failed operations over its runs, the end-to-end
 metrics whose median in the second is worse than in the first by more
 than the metric's BENCHMARK.json bound (a share of the first's median),
-and those whose median in the second lies outside the first's
-interquartile range on the worse side.
+those whose median in the second lies outside the first's
+interquartile range on the worse side, and the gains that meet the rule a
+claim must meet: the second wins at least 9 of 10 seeds, and its median is
+better than the first's by more than the first's q3 - q1.
 The checkouts' resolved paths must have one length, since that
 length alone moves `peak_rss_mb` (it exits 2 otherwise).
 """
@@ -86,14 +88,31 @@ def end_to_end() -> list[dict]:
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def wins(before: list[dict], after: list[dict]) -> dict:
-    """Per metric, on how many seeds `after` beat `before`."""
-    better = {m["name"]: m["better"] for m in end_to_end()}
+def wins(before: list[dict], after: list[dict], metrics: list[dict]) -> dict:
+    """Per metric, on how many seeds the runs `after` beat the runs `before`."""
     count = {}
-    for name, sense in better.items():
-        pairs = [(b["metrics"][name], a["metrics"][name]) for b, a in zip(before, after)]
-        count[name] = sum(new > old if sense == "higher" else new < old for old, new in pairs)
+    for m in metrics:
+        pairs = [(b["metrics"][m["name"]], a["metrics"][m["name"]])
+                 for b, a in zip(before, after)]
+        count[m["name"]] = sum(new > old if m["better"] == "higher" else new < old
+                               for old, new in pairs)
     return count
+
+
+def gains(before: list[dict], after: list[dict], metrics: list[dict]) -> list[str]:
+    """The metrics on which the runs `after` meet the gain rule against the
+    runs `before`: they win at least nine tenths of the seeds, ties counting
+    for neither, and their median is better than before's by more than
+    before's interquartile range."""
+    won = wins(before, after, metrics)
+    old, new = summarize(before), summarize(after)
+    better = []
+    for m in metrics:
+        q, median = old[m["name"]], new[m["name"]]["median"]
+        ahead = q["median"] - median if m["better"] == "lower" else median - q["median"]
+        if 10 * won[m["name"]] >= 9 * len(before) and ahead > q["q3"] - q["q1"]:
+            better.append(m["name"])
+    return better
 
 
 def over_bound(before: dict, after: dict, metrics: list[dict]) -> list[str]:
@@ -158,7 +177,7 @@ def main(argv=None) -> int:
     if len(runs) == 2:
         for workload in WORKLOADS:
             before, after = runs[0][workload], runs[1][workload]
-            won = wins(before, after)
+            won = wins(before, after, end_to_end())
             print(f"{commits[1][:7]} beat {commits[0][:7]} on {workload}: "
                   + " ".join(f"{k} {v}/{len(SEEDS)}" for k, v in won.items()))
             print("  failed operations: " + ", ".join(
@@ -171,6 +190,8 @@ def main(argv=None) -> int:
                   f"{', '.join(worse) or 'none'}")
             worse = outside_quartiles(old, new, end_to_end())
             print(f"  worse than {commits[0][:7]}'s quartiles: {', '.join(worse) or 'none'}")
+            print(f"  gains that meet the rule: "
+                  f"{', '.join(gains(before, after, end_to_end())) or 'none'}")
     return 0
 
 
