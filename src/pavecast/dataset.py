@@ -517,12 +517,13 @@ def sample_latent_field(coords: np.ndarray, length_scale_deg: float,
                         rng: np.random.Generator, jitter: float = 1e-9) -> np.ndarray:
     """Draw one zero-mean unit-variance field with squared-exponential covariance.
 
-    The covariance is built in place: at L points at most three L x L float64
-    matrices are alive at once (the covariance, then its Cholesky factor and
-    LAPACK's working copy), against five for the broadcast (L, L, 2)
-    difference. Each element takes the same operations in the same order, so
-    the field keeps its bits. The Cholesky factor still follows the BLAS
-    thread count from about 320 points up.
+    The covariance is built in place, so at L points at most three L x L
+    float64 matrices are alive at once: the covariance and one buffer while it
+    is built, then the covariance, LAPACK's working copy and the factor.
+    Each element takes the operations of `exp(-(dlon**2 + dlat**2) / (2 l**2))`
+    in that order, so the field's bits equal the broadcast formula's. The
+    Cholesky factor, and so the field, follows the BLAS thread count from 320
+    points up.
     """
     lons, lats = coords[:, 0], coords[:, 1]
     cov = np.subtract.outer(lons, lons)

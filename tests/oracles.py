@@ -26,6 +26,15 @@ def oracle_mlp(x, params, prefix, depth, act_final=True):
     return out
 
 
+def broadcast_latent_field(coords, length_scale_deg, rng, jitter=1e-9):
+    """dataset.sample_latent_field through the (L, L, 2) broadcast difference."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    sq = (diff ** 2).sum(axis=2)
+    cov = np.exp(-sq / (2.0 * length_scale_deg ** 2))
+    cov[np.diag_indices_from(cov)] += jitter
+    return np.linalg.cholesky(cov) @ rng.standard_normal(len(coords))
+
+
 def dense_structures(graph, nodes, l_res_m=200.0):
     """Adjacency, time-difference, distance and ranked-edge masks as n x n arrays."""
     n = graph.n

@@ -9,6 +9,7 @@ from pavecast import cli
 from pavecast import dataset as ds
 from pavecast import stgraph as sg
 from pavecast import trainer as tr
+from pavecast.pipeline import reference_benchmark_config
 
 from conftest import small_instance, tiny_run_config
 
@@ -53,6 +54,21 @@ def test_gen_data_row_count_override(tmp_path, tiny_config_file):
                    "--out", str(out)) == 0
     with open(out / "data.csv", newline="") as fh:
         assert sum(1 for _ in fh) == 98
+
+
+def test_gen_data_benchmark_writes_the_reference_generators_records(tmp_path):
+    assert run_cli("gen-data", "--benchmark", "--out", str(tmp_path / "o")) == 0
+    want = tmp_path / "want.csv"
+    ds.write_records(want, ds.generate_synthetic(
+        reference_benchmark_config().dataset.synthetic))
+    assert (tmp_path / "o" / "data.csv").read_bytes() == want.read_bytes()
+
+
+def test_config_with_benchmark_exits_2(tmp_path, tiny_config_file, capsys):
+    assert run_cli("gen-data", "--config", tiny_config_file, "--benchmark",
+                   "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: --config and --benchmark are mutually exclusive"]
 
 
 # ---------------------------------------------------------------------------

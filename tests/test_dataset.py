@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from pavecast import dataset as ds
+
+from oracles import broadcast_latent_field
 
 
 FIXTURE_HEADER = ",".join(ds.CSV_COLUMNS)
@@ -636,6 +639,47 @@ def test_synthetic_latent_field_spatial_correlation():
     assert corr[0, 1] > corr[0, 2]
     assert corr[0, 1] > 0.99
     assert corr[0, 2] < 0.2
+
+
+def _field_coords(n):
+    """n points about the generator's centre, a few length scales apart."""
+    rng = np.random.default_rng(n)
+    return np.stack([ds.CENTER_LON + rng.normal(0.0, 0.05, n),
+                     ds.CENTER_LAT + rng.normal(0.0, 0.05, n)], axis=1)
+
+
+@pytest.mark.parametrize("n", [40, 320])
+def test_latent_field_equals_the_broadcast_formula_bit_for_bit(n):
+    coords = _field_coords(n)
+    for scale in (ds.SPACE_SCALE_DEG, 2.0 * ds.SPACE_SCALE_DEG):
+        got = ds.sample_latent_field(coords, scale, np.random.default_rng(7))
+        want = broadcast_latent_field(coords, scale, np.random.default_rng(7))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_latent_field_peak_stays_under_two_and_a_half_matrices():
+    """The traced peak is the covariance and one more L x L buffer (numpy's
+    LAPACK copy is not traced); the (L, L, 2) broadcast difference and its
+    square took about five matrices."""
+    n = 400
+    coords = _field_coords(n)
+    tracemalloc.start()
+    try:
+        ds.sample_latent_field(coords, ds.SPACE_SCALE_DEG, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
+
+
+def test_synthetic_unreachable_record_count_raises_naming_it():
+    """One location in one day holds at most four visits, as gaps are at
+    least a quarter day."""
+    cfg = ds.SyntheticConfig(n_locations=1, n_records=50, n_clusters=1, span_days=1.0)
+    with pytest.raises(ds.ConfigError) as exc:
+        ds.generate_synthetic(cfg)
+    assert str(exc.value) == ("cannot reach n_records=50 within span_days=1.0; "
+                              "raise mean_visits or span")
 
 
 def test_synthetic_pathologies(default_synthetic):

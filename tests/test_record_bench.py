@@ -76,3 +76,25 @@ def test_outside_quartiles_names_each_median_past_the_worse_quartile():
     assert record_bench.outside_quartiles(before, after, METRICS) == []
     after = medians(job_s=1.0, forecast_qps=90.0, peak_rss_mb=101.5)
     assert record_bench.outside_quartiles(before, after, METRICS) == ["peak_rss_mb"]
+
+
+def runs(metric, *values):
+    return [{"metrics": {metric: v}} for v in values]
+
+
+BEFORE = tuple(95.0 + k for k in range(10))  # q1 97.25, median 99.5, q3 101.75
+
+
+@pytest.mark.parametrize("metric,after,gain", [
+    ("peak_rss_mb", (101.0,) + (89.0,) * 9, True),         # 9 of 10 won
+    ("peak_rss_mb", (101.0,) * 2 + (89.0,) * 8, False),    # 8 of 10 won
+    ("peak_rss_mb", tuple(v - 0.5 for v in BEFORE), False),  # all won, within q3 - q1
+    ("peak_rss_mb", BEFORE, False),                         # ties count for neither
+    ("forecast_qps", (111.0,) * 10, True),                  # higher is better
+    ("forecast_qps", (89.0,) * 10, False),
+], ids=["nine-of-ten", "eight-of-ten", "within-spread", "ties", "higher", "worse"])
+def test_gains_need_nine_tenths_of_the_seeds_and_a_median_past_the_spread(metric, after,
+                                                                          gain):
+    metrics = [m for m in METRICS if m["name"] == metric]
+    got = record_bench.gains(runs(metric, *BEFORE), runs(metric, *after), metrics)
+    assert got == ([metric] if gain else [])

@@ -175,9 +175,10 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path}")
     if len(runs) == 2:
+        metrics = end_to_end()
         for workload in WORKLOADS:
             before, after = runs[0][workload], runs[1][workload]
-            won = wins(before, after, end_to_end())
+            won = wins(before, after, metrics)
             print(f"{commits[1][:7]} beat {commits[0][:7]} on {workload}: "
                   + " ".join(f"{k} {v}/{len(SEEDS)}" for k, v in won.items()))
             print("  failed operations: " + ", ".join(
@@ -185,13 +186,13 @@ def main(argv=None) -> int:
                 f"{sum(r['attempted'] for r in side)}"
                 for c, side in zip(commits, (before, after))))
             old, new = summarize(before), summarize(after)
-            worse = over_bound(old, new, end_to_end())
+            worse = over_bound(old, new, metrics)
             print(f"  worse than {commits[0][:7]} by more than the bound: "
                   f"{', '.join(worse) or 'none'}")
-            worse = outside_quartiles(old, new, end_to_end())
+            worse = outside_quartiles(old, new, metrics)
             print(f"  worse than {commits[0][:7]}'s quartiles: {', '.join(worse) or 'none'}")
             print(f"  gains that meet the rule: "
-                  f"{', '.join(gains(before, after, end_to_end())) or 'none'}")
+                  f"{', '.join(gains(before, after, metrics)) or 'none'}")
     return 0
 
 
