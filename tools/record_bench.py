@@ -90,12 +90,11 @@ def end_to_end() -> list[dict]:
 
 def wins(before: list[dict], after: list[dict], metrics: list[dict]) -> dict:
     """Per metric, on how many seeds the runs `after` beat the runs `before`."""
+    better = {m["name"]: m["better"] for m in metrics}
     count = {}
-    for m in metrics:
-        pairs = [(b["metrics"][m["name"]], a["metrics"][m["name"]])
-                 for b, a in zip(before, after)]
-        count[m["name"]] = sum(new > old if m["better"] == "higher" else new < old
-                               for old, new in pairs)
+    for name, sense in better.items():
+        pairs = [(b["metrics"][name], a["metrics"][name]) for b, a in zip(before, after)]
+        count[name] = sum(new > old if sense == "higher" else new < old for old, new in pairs)
     return count
 
 
