@@ -496,13 +496,15 @@ class SyntheticConfig:
 
     def __post_init__(self):
         spell = self.driver_spell_days
+        # the caps on n_clusters and span_days, each over 100 times any config in use,
+        # turn a mistyped size into an error instead of a run that never ends
         for name, rule, ok in (
                 ("n_locations", ">= 1", self.n_locations >= 1),
                 ("n_records", "None or >= 1", self.n_records is None or self.n_records >= 1),
-                ("n_clusters", ">= 1", self.n_clusters >= 1),
+                ("n_clusters", "in [1, 100000]", 1 <= self.n_clusters <= 100_000),
                 ("mean_visits", "finite and >= 1", 1.0 <= self.mean_visits < math.inf),
                 ("route_frac", "in [0, 1]", 0.0 <= self.route_frac <= 1.0),
-                ("span_days", "finite and > 0", 0.0 < self.span_days < math.inf),
+                ("span_days", "in (0, 36500]", 0.0 < self.span_days <= 36_500.0),
                 ("noise_level", "finite and >= 0", 0.0 <= self.noise_level < math.inf),
                 ("n_repair_events", "finite and >= 0", 0.0 <= self.n_repair_events < math.inf),
                 ("driver_obs_bias", "finite", math.isfinite(self.driver_obs_bias)),

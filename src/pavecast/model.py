@@ -12,11 +12,8 @@ gathers (n, H) projections per edge, so no (edges x hidden) matrix is
 formed on the tape. Attention is scored once per forward pass, from the
 first layer's representations; stacked layers reuse those coefficients.
 
-Baselines (pooled-neighbor MLP, fixed-weight graph convolution with and
-without an MLP head, and feature-based attention without the time-difference
-input) and ablations (no ranked edges, explicit exponential-decay attention,
-no time-difference slot) share the same machinery; every variant keeps the
-self channel spatial-temporal-only.
+VARIANTS gives each baseline and ablation as the Modules it keeps; every
+variant keeps the self channel spatial-temporal-only.
 """
 
 from __future__ import annotations
@@ -29,9 +26,31 @@ import numpy as np
 from . import ndgrad as ng
 from .stgraph import TOP, STGraph
 
-VARIANTS = ("stgan", "stgan_no_top", "stgan_eam", "stgan_no_td",
-            "top_mlp", "gcn", "gcn_mlp", "gat")
-ATTENTION_VARIANTS = ("stgan", "stgan_no_top", "stgan_eam", "stgan_no_td", "gat")
+
+@dataclass(frozen=True)
+class Modules:
+    """The modules a variant keeps; the model branches on these, never on names.
+    top_mlp (weights None) has no aggregation: an MLP on x_st and the ranked
+    parents' pooled features."""
+
+    weights: str | None  # edge weights: "attention", the fixed "gcn" gcn_w, or None (top_mlp)
+    sends_z: bool  # attention's source slot reads what an edge sends (z; z_st on a self loop)
+    time_slot: bool  # attention reads the edge's time difference
+    decay: bool  # attention scores scaled by exp(-eam_gamma * distance) * exp(-eam_gamma * dt)
+    ranked: bool  # the graph keeps its ranked parent edges, else it has top_k = 0
+    head_layers: int  # the prediction head's depth; 0: no head
+
+
+VARIANTS = {  # in matrix row order; weights, sends_z, time_slot, decay, ranked, head_layers
+    "stgan": Modules("attention", False, True, False, True, 2),
+    "stgan_no_top": Modules("attention", False, True, False, False, 2),
+    "stgan_eam": Modules("attention", True, False, True, True, 2),
+    "stgan_no_td": Modules("attention", False, False, False, True, 2),
+    "top_mlp": Modules(None, False, False, False, True, 0),
+    "gcn": Modules("gcn", False, False, False, True, 1),
+    "gcn_mlp": Modules("gcn", False, False, False, True, 2),
+    "gat": Modules("attention", True, False, False, True, 2),
+}
 
 
 class ModelConfigError(ValueError):
@@ -69,11 +88,8 @@ class ModelConfig:
         return self.extractor_hidden[-1]
 
     @property
-    def score_slot_width(self) -> int:
-        # [self-rep || source-rep] plus the time-difference slot where used
-        if self.variant in ("stgan", "stgan_no_top"):
-            return 2 * self.hidden + 1
-        return 2 * self.hidden
+    def modules(self) -> Modules:
+        return VARIANTS[self.variant]
 
 
 @dataclass
@@ -215,41 +231,36 @@ def _glorot_entry(params, rng, name, fan_in, fan_out, bias=True):
         params[name + "_b"] = np.zeros((1, fan_out))
 
 
+def _glorot_mlp(params, rng, prefix, widths):
+    """The layers of an _mlp from widths[0] to widths[-1], named prefix0, prefix1, ..."""
+    for k in range(len(widths) - 1):
+        _glorot_entry(params, rng, f"{prefix}{k}", widths[k], widths[k + 1])
+
+
 def init_params(config: ModelConfig, dim_full: int, dim_st: int,
                 seed: int) -> dict[str, np.ndarray]:
     """Named parameter arrays in a fixed creation order (seeded)."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    h = config.hidden
+    h, mod = config.hidden, config.modules
 
-    if config.variant == "top_mlp":
-        widths = [dim_st + dim_full + 1, *config.extractor_hidden, 1]
-        for k in range(len(widths) - 1):
-            _glorot_entry(params, rng, f"mlp{k}", widths[k], widths[k + 1])
+    if mod.weights is None:
+        _glorot_mlp(params, rng, "mlp", [dim_st + dim_full + 1, *config.extractor_hidden, 1])
         return params
 
     for prefix, d_in in (("ext_full", dim_full), ("ext_st", dim_st)):
-        widths = [d_in, *config.extractor_hidden]
-        for k in range(len(widths) - 1):
-            _glorot_entry(params, rng, f"{prefix}{k}", widths[k], widths[k + 1])
+        _glorot_mlp(params, rng, prefix, [d_in, *config.extractor_hidden])
 
-    if config.variant in ATTENTION_VARIANTS:
+    attention = mod.weights == "attention"
+    if attention:  # per head: [self slot || source slot (|| time slot)]
         for k in range(config.heads):
-            _glorot_entry(params, rng, f"attn_l1_h{k}",
-                          config.score_slot_width, 1, bias=False)
+            _glorot_entry(params, rng, f"attn_l1_h{k}", 2 * h + mod.time_slot, 1, bias=False)
 
-    conv_in = h * (config.heads if config.variant in ATTENTION_VARIANTS else 1)
+    conv_in = h * (config.heads if attention else 1)
     for layer in range(1, config.layers):
         _glorot_entry(params, rng, f"conv_l{layer}", conv_in, h)
 
-    if config.variant == "gcn":
-        _glorot_entry(params, rng, "head0", h, 1)
-    elif config.variant == "gcn_mlp":
-        _glorot_entry(params, rng, "head0", h, config.head_hidden)
-        _glorot_entry(params, rng, "head1", config.head_hidden, 1)
-    else:
-        _glorot_entry(params, rng, "head0", conv_in, config.head_hidden)
-        _glorot_entry(params, rng, "head1", config.head_hidden, 1)
+    _glorot_mlp(params, rng, "head", [conv_in, *[config.head_hidden] * (mod.head_layers - 1), 1])
     return params
 
 
@@ -275,27 +286,25 @@ def _attention_coefficients(tape, gt, pnodes, config, z, z_st, probes):
     are the columns of one matrix; scoring projects each slot's node-level
     representations to (n, H) and gathers the projections per edge, which
     equals the concatenated dot product without materializing per-edge
-    concatenations. The self slot reads z_st. So does the source slot, unless
-    the variant scores what an edge sends: z from a parent, z_st on the self
-    loop.
+    concatenations. The self slot reads z_st; see Modules for the others.
     """
-    h = z_st.value.shape[1]
+    h, mod = z_st.value.shape[1], config.modules
     w = ng.concat_cols([pnodes[f"attn_l1_h{k}_w"] for k in range(config.heads)])
     w_src = ng.slice_rows(w, h, 2 * h)
     layout = gt.layout
     s = ng.gather_rows(ng.matmul(z_st, ng.slice_rows(w, 0, h)), layout.dst)
-    if config.variant in ("gat", "stgan_eam"):
+    if mod.sends_z:
         sent = ng.concat_rows([ng.matmul(z, w_src), ng.matmul(z_st, w_src)])
         slot = layout.src.copy()
         slot[layout.starts] += gt.n  # a self loop sends its z_st row
         s = ng.add(s, ng.gather_rows(sent, slot))
     else:
         s = ng.add(s, ng.gather_rows(ng.matmul(z_st, w_src), layout.src))
-    if config.variant in ("stgan", "stgan_no_top"):
+    if mod.time_slot:
         t_col = tape.constant(gt.dt_norm.reshape(-1, 1))
         s = ng.add(s, ng.matmul(t_col, ng.slice_rows(w, 2 * h, 2 * h + 1)))
     s = ng.leaky_relu(s, alpha=config.leaky_slope)
-    if config.variant == "stgan_eam":
+    if mod.decay:
         g = config.eam_gamma
         decay = np.exp(-g * gt.dist_norm) * np.exp(-g * gt.dt_norm)
         s = ng.mul_array(s, np.repeat(decay[:, None], config.heads, axis=1))
@@ -309,7 +318,8 @@ def _attention_coefficients(tape, gt, pnodes, config, z, z_st, probes):
 def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
                   config: ModelConfig, probes: list | None = None) -> ng.Node:
     """Predictions for every node as an (n, 1) tape node."""
-    if config.variant == "top_mlp":
+    mod = config.modules
+    if mod.weights is None:
         feats = tape.constant(np.concatenate([gt.x_st, gt.top_pool], axis=1))
         return _mlp(tape, feats, pnodes, "mlp",
                     len(config.extractor_hidden) + 1, slope_final=False)
@@ -321,10 +331,8 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
     z_st = _mlp(tape, x_st, pnodes, "ext_st", depth)
     # (m, H) edge weights, shared by every layer: the heads' coefficients, or
     # the one fixed GCN column
-    if config.variant in ATTENTION_VARIANTS:
-        coefs = _attention_coefficients(tape, gt, pnodes, config, z, z_st, probes)
-    else:
-        coefs = tape.constant(gt.gcn_w.reshape(-1, 1))
+    coefs = (_attention_coefficients(tape, gt, pnodes, config, z, z_st, probes)
+             if mod.weights == "attention" else tape.constant(gt.gcn_w.reshape(-1, 1)))
     # parent edges carry the full representation, the self loop only the
     # spatial-temporal one: this is the leakage barrier
     agg = ng.csr_aggregate(z, z_st, coefs, gt.layout)
@@ -333,11 +341,7 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
                                    pnodes[f"conv_l{layer}_b"]))
         agg = ng.csr_aggregate(rep, rep, coefs, gt.layout)
 
-    if config.variant == "gcn":
-        return ng.add_rowvec(ng.matmul(agg, pnodes["head0_w"]), pnodes["head0_b"])
-    hidden = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes["head0_w"]),
-                                  pnodes["head0_b"]))
-    return ng.add_rowvec(ng.matmul(hidden, pnodes["head1_w"]), pnodes["head1_b"])
+    return _mlp(tape, agg, pnodes, "head", mod.head_layers, slope_final=False)
 
 
 def make_param_nodes(tape: ng.Tape, params: dict[str, np.ndarray]) -> dict[str, ng.Node]:

@@ -157,9 +157,6 @@ class Node:
             if fresh:
                 self.tape.release(grad)
 
-    def __repr__(self):
-        return f"Node({self.kind}, shape={self.value.shape})"
-
 
 class Tape:
     """Computation graph: nodes in insertion order (inputs always precede use).

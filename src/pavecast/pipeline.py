@@ -21,7 +21,7 @@ from . import evaluation as ev
 from . import stgraph as sg
 from . import trainer as tr
 from .config import RunConfigError, read_config
-from .model import ModelConfig
+from .model import VARIANTS, ModelConfig
 from .trainer import InferenceContext, TrainConfig
 
 
@@ -94,9 +94,7 @@ class RunConfig:
 
 def effective_graph_config(config: RunConfig) -> sg.GraphConfig:
     """The no-ranked-edges ablation is realized at graph build time."""
-    if config.model.variant == "stgan_no_top":
-        return replace(config.graph, top_k=0)
-    return config.graph
+    return config.graph if config.model.modules.ranked else replace(config.graph, top_k=0)
 
 
 def load_dataset(config: RunConfig, log=None) -> np.recarray:
@@ -246,7 +244,6 @@ class MatrixRow:
 def run_matrix(config: RunConfig, axes, log=None,
                gen_intervals=None) -> list[MatrixRow]:
     """One row per cell over the requested experiment axes, seeds held fixed."""
-    from .model import VARIANTS
     unknown = [a for a in axes if a not in MATRIX_AXES]
     if unknown:
         raise RunConfigError(f"unknown matrix axes {unknown}; choose from {MATRIX_AXES}")

@@ -36,7 +36,7 @@ def small_instance(seed, n=8, variant="stgan", layers=1, top_k=2, init_count=1,
     stats = ds.fit_standardizer(records)
     nodes = ds.preprocess_records(records, stats, schema)
     graph_cfg = sg.GraphConfig(l_res_m=500.0, t_res_days=20.0,
-                               top_k=0 if variant == "stgan_no_top" else top_k)
+                               top_k=top_k if md.VARIANTS[variant].ranked else 0)
     cols = sg.graph_nodes_from_processed(nodes)
     graph = sg.build_graph(cols, init_count, graph_cfg)
     gt = md.prepare_tensors(graph, nodes, l_res_m=graph_cfg.l_res_m)

@@ -64,6 +64,13 @@ def test_gen_data_benchmark_writes_the_reference_generators_records(tmp_path):
     assert (tmp_path / "o" / "data.csv").read_bytes() == want.read_bytes()
 
 
+def test_gen_data_without_config_writes_the_default_generators_records(tmp_path):
+    assert run_cli("gen-data", "--out", str(tmp_path / "o")) == 0
+    want = tmp_path / "want.csv"
+    ds.write_records(want, ds.generate_synthetic(ds.SyntheticConfig()))
+    assert (tmp_path / "o" / "data.csv").read_bytes() == want.read_bytes()
+
+
 def test_config_with_benchmark_exits_2(tmp_path, tiny_config_file, capsys):
     assert run_cli("gen-data", "--config", tiny_config_file, "--benchmark",
                    "--out", str(tmp_path / "o")) == 2
@@ -439,6 +446,8 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "dataset.synthetic.n_repair_events=-1",  # ConfigError
     "dataset.synthetic.driver_spell_days=[0,0]",  # ConfigError
     "dataset.synthetic.span_days=NaN",       # ConfigError
+    "dataset.synthetic.span_days=1e20",      # ConfigError: over the cap, never ended
+    "dataset.synthetic.n_clusters=4000000000",  # ConfigError: over the cap, was a MemoryError
     "model.reuse_attention=false",           # RunConfigError: removed key
     "features.include_conf=false",           # RunConfigError: removed key
     "dataset.synthetic.extent_deg=0.1",      # RunConfigError: removed key
@@ -601,6 +610,25 @@ def test_manifest_value_of_the_wrong_type_exits_2_naming_the_section(
     assert run_cli("evaluate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: manifest section {section} is malformed: {detail}"]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("gen-data", "--config", "{config}", "--set", "dataset.csv=data.csv", "--out", "{out}"),
+     "error: gen-data needs a synthetic dataset config"),
+    (("matrix", "--config", "{config}", "--axes", "", "--out", "{out}"),
+     "error: matrix needs at least one axis"),
+    (("evaluate", "--checkpoint", "{bare}", "--out", "{out}"),
+     "error: checkpoint carries no run config; cannot rebuild the graph"),
+], ids=["gen-data-on-csv", "matrix-no-axes", "checkpoint-without-run-config"])
+def test_usage_error_exits_2_naming_it(tmp_path, tiny_config_file, one_epoch_checkpoint,
+                                       capsys, argv, line):
+    bare = tmp_path / "model.ckpt"
+    bare.write_bytes(one_epoch_checkpoint.read_bytes())
+    rewrite_manifest(bare, lambda m: m.pop("run_config"))
+    names = dict(config=tiny_config_file, out=str(tmp_path / "x"), bare=str(bare))
+    capsys.readouterr()
+    assert run_cli(*(arg.format(**names) for arg in argv)) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [line]
 
 
 def test_version_3_checkpoint_exits_2_naming_its_version(tmp_path, one_epoch_checkpoint,

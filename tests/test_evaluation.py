@@ -31,6 +31,8 @@ def test_empty_metrics_rejected():
         ev.regression_metrics([], [])
     with pytest.raises(ev.MetricError):
         ev.regression_metrics([1.0], [1.0, 2.0])
+    with pytest.raises(ev.MetricError):
+        ev.roc_auc_ovr([], [])
 
 
 @settings(deadline=None, max_examples=30)

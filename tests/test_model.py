@@ -1,6 +1,6 @@
 import gc
 import json
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from operator import attrgetter
 
 import numpy as np
@@ -501,6 +501,56 @@ def test_config_rejects_bad_values():
         md.ModelConfig(variant="mystery")
     with pytest.raises(md.ModelConfigError):
         md.ModelConfig(heads=0)
+
+
+def test_variants_are_the_module_switch_table():
+    """ROADMAP's "variants as module switches" table, in matrix row order."""
+    # weights, sends_z, time_slot, decay, ranked, head_layers
+    assert [(name, astuple(mod)) for name, mod in md.VARIANTS.items()] == [
+        ("stgan", ("attention", False, True, False, True, 2)),
+        ("stgan_no_top", ("attention", False, True, False, False, 2)),
+        ("stgan_eam", ("attention", True, False, True, True, 2)),
+        ("stgan_no_td", ("attention", False, False, False, True, 2)),
+        ("top_mlp", (None, False, False, False, True, 0)),
+        ("gcn", ("gcn", False, False, False, True, 1)),
+        ("gcn_mlp", ("gcn", False, False, False, True, 2)),
+        ("gat", ("attention", True, False, False, True, 2)),
+    ]
+
+
+EXTRACTOR = ["ext_full0_w 18x6", "ext_full0_b 1x6", "ext_full1_w 6x8", "ext_full1_b 1x8",
+             "ext_st0_w 3x6", "ext_st0_b 1x6", "ext_st1_w 6x8", "ext_st1_b 1x8"]
+SCORES_TIME = ["attn_l1_h0_w 17x1", "attn_l1_h1_w 17x1"]
+SCORES = ["attn_l1_h0_w 16x1", "attn_l1_h1_w 16x1"]
+CONV_HEADS = ["conv_l1_w 16x8", "conv_l1_b 1x8"]
+CONV_ONE = ["conv_l1_w 8x8", "conv_l1_b 1x8"]
+HEAD_HEADS = ["head0_w 16x8", "head0_b 1x8", "head1_w 8x1", "head1_b 1x1"]
+# per variant: what comes before the convolution, the convolution a second
+# layer adds, and the head
+PARAM_LAYOUT = {
+    "stgan": (EXTRACTOR + SCORES_TIME, CONV_HEADS, HEAD_HEADS),
+    "stgan_no_top": (EXTRACTOR + SCORES_TIME, CONV_HEADS, HEAD_HEADS),
+    "stgan_eam": (EXTRACTOR + SCORES, CONV_HEADS, HEAD_HEADS),
+    "stgan_no_td": (EXTRACTOR + SCORES, CONV_HEADS, HEAD_HEADS),
+    "top_mlp": (["mlp0_w 22x6", "mlp0_b 1x6", "mlp1_w 6x8", "mlp1_b 1x8",
+                 "mlp2_w 8x1", "mlp2_b 1x1"], [], []),
+    "gcn": (EXTRACTOR, CONV_ONE, ["head0_w 8x1", "head0_b 1x1"]),
+    "gcn_mlp": (EXTRACTOR, CONV_ONE, ["head0_w 8x8", "head0_b 1x8", "head1_w 8x1",
+                                      "head1_b 1x1"]),
+    "gat": (EXTRACTOR + SCORES, CONV_HEADS, HEAD_HEADS),
+}
+
+
+def test_init_params_names_and_shapes_in_creation_order():
+    """Checkpoints and the seeded draws depend on this layout."""
+    schema = ds.FeatureSchema()
+    assert list(PARAM_LAYOUT) == list(md.VARIANTS)
+    for variant, (body, conv, head) in PARAM_LAYOUT.items():
+        for layers, want in ((1, body + head), (2, body + conv + head)):
+            cfg = md.ModelConfig(variant=variant, layers=layers, **SMALL_DIMS)
+            params = md.init_params(cfg, schema.dim_full, schema.dim_st, seed=0)
+            got = [f"{name} {'x'.join(map(str, v.shape))}" for name, v in params.items()]
+            assert got == want, (variant, layers)
 
 
 def test_config_roundtrips_through_dict():

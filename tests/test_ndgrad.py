@@ -250,6 +250,34 @@ def test_backward_rejects_non_scalar_loss():
         ng.backward(t, p)
 
 
+def test_backward_rejects_a_loss_from_another_tape():
+    other = ng.Tape()
+    loss = ng.sum_all(other.leaf(np.ones((2, 2))))
+    with pytest.raises(ng.GraphContractError, match="does not belong to this tape"):
+        ng.backward(ng.Tape(), loss)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: t.leaf(np.zeros((2, 2, 2))),
+    lambda t: ng.mul_array(t.leaf(np.zeros((2, 2))), np.zeros((2, 3))),
+    lambda t: ng.add_rowvec(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((1, 2)))),
+    lambda t: ng.concat_cols([]),
+    lambda t: ng.slice_rows(t.leaf(np.zeros((3, 2))), 2, 4),
+], ids=["3d-leaf", "mul_array", "add_rowvec-bias", "concat-no-parts", "slice-past-end"])
+def test_malformed_shapes_raise_shape_error(call):
+    with pytest.raises(ng.ShapeError):
+        call(ng.Tape())
+
+
+def test_first_nonfinite_kind_names_the_earliest_or_none():
+    t = ng.Tape()
+    a = t.leaf([[1.0, -1.0]])
+    ng.elu(a)
+    assert ng.first_nonfinite_kind(t) is None
+    ng.elu(ng.scale(a, np.inf))  # [inf, -inf], then elu's [inf, -1]
+    assert ng.first_nonfinite_kind(t) == "scale"
+
+
 def test_evaluation_is_deterministic():
     rng = np.random.default_rng(7)
     a_val = rng.uniform(-2, 2, (5, 3))

@@ -77,6 +77,12 @@ def test_dataset_csv_key_wins_and_no_key_reads_the_default_generator():
     assert RunConfig.from_dict(doc).dataset == DatasetSource(synthetic=ds.SyntheticConfig())
 
 
+def test_dataset_needs_exactly_one_of_csv_and_synthetic():
+    for both_or_neither in (dict(), dict(csv="data.csv", synthetic=ds.SyntheticConfig())):
+        with pytest.raises(RunConfigError, match="^dataset needs exactly one of csv or synthetic"):
+            DatasetSource(**both_or_neither)
+
+
 def test_time_format_other_than_days_needs_a_csv():
     with pytest.raises(RunConfigError, match="^dataset.time_format 'iso8601' needs a csv"):
         RunConfig.from_dict({"dataset": {"synthetic": {}, "time_format": "iso8601"}})

@@ -98,3 +98,25 @@ def test_gains_need_nine_tenths_of_the_seeds_and_a_median_past_the_spread(metric
     metrics = [m for m in METRICS if m["name"] == metric]
     got = record_bench.gains(runs(metric, *BEFORE), runs(metric, *after), metrics)
     assert got == ([metric] if gain else [])
+
+
+CHAIN = [_PATH.parent.parent / f"BENCH_{c}.json" for c in
+         ("b472c29", "4071c51", "1965764", "97618e7", "143777f", "5b2a70e")]
+
+
+def test_chain_multiplies_each_pairs_ratio_of_medians(capsys):
+    """The committed pairs of PRs 26-30, chained as ROADMAP's "Recent" gives them."""
+    assert record_bench.main(["--chain", *map(str, CHAIN)]) == 0
+    net = {" ".join(line.split()[:2]): line.rsplit(" x", 1)[1]
+           for line in capsys.readouterr().out.splitlines()[1:]}
+    assert len(net) == 12
+    assert (net["bulk-8k job_s"], net["bulk-8k forecast_qps"], net["bulk-8k peak_rss_mb"],
+            net["train-2k job_s"]) == ("0.922", "1.084", "0.914", "0.969")
+
+
+@pytest.mark.parametrize("files", [CHAIN[:1], [CHAIN[0], CHAIN[3]]],
+                         ids=["odd-count", "different-recordings"])
+def test_chain_exits_2_unless_each_pair_was_recorded_together(capsys, files):
+    assert record_bench.main(["--chain", *map(str, files)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

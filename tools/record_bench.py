@@ -1,6 +1,7 @@
 """Record benchmark points as BENCH_<commit>.json, one file per checkout.
 
     python3 tools/record_bench.py [CHECKOUT ...]
+    python3 tools/record_bench.py --chain BEFORE.json AFTER.json [BEFORE.json AFTER.json ...]
 
 Runs `python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0`
 for seeds 0..9 and every workload, in each CHECKOUT (default: this
@@ -20,12 +21,20 @@ claim must meet: the second wins at least 9 of 10 seeds, and its median is
 better than the first's by more than the first's q3 - q1.
 The checkouts' resolved paths must have one length, since that
 length alone moves `peak_rss_mb` (it exits 2 otherwise).
+
+With --chain it measures nothing: it reads committed BENCH files as
+(before, after) pairs, each pair recorded together (one `measured_with`;
+it exits 2 otherwise), and prints per workload and end-to-end metric each
+pair's ratio of medians, after over before, and the product of those
+ratios: the net change over the pairs' commits. Files of different
+recordings are never compared with each other.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -138,11 +147,40 @@ def outside_quartiles(before: dict, after: dict, metrics: list[dict]) -> list[st
     return worse
 
 
+def chain(paths: list[Path]) -> int:
+    """Print each (before, after) pair's ratio of medians and their product."""
+    docs = [json.loads(path.read_text()) for path in paths]
+    if len(docs) % 2:
+        print("error: --chain reads BENCH files in (before, after) pairs, "
+              f"got {len(docs)} files", file=sys.stderr)
+        return 2
+    pairs = list(zip(docs[::2], docs[1::2]))
+    for (before, after), (p, q) in zip(pairs, zip(paths[::2], paths[1::2])):
+        if before["measured_with"] != after["measured_with"]:
+            print(f"error: {p.name} and {q.name} come from different recordings "
+                  f"({before['measured_with']} and {after['measured_with']})", file=sys.stderr)
+            return 2
+    print("pairs: " + ", ".join(f"{b['commit'][:7]} -> {a['commit'][:7]}" for b, a in pairs))
+    for workload in WORKLOADS:
+        for metric in end_to_end():
+            ratios = [a["workloads"][workload]["summary"][metric["name"]]["median"]
+                      / b["workloads"][workload]["summary"][metric["name"]]["median"]
+                      for b, a in pairs]
+            print(f"{workload} {metric['name']} ({metric['better']} is better): "
+                  + " ".join(f"x{r:.3f}" for r in ratios) + f", net x{math.prod(ratios):.3f}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", type=Path, nargs="*", default=[ROOT],
                         help="checkouts to measure (default: this repository)")
-    repos = [path.resolve() for path in parser.parse_args(argv).checkouts]
+    parser.add_argument("--chain", type=Path, nargs="+", metavar="BENCH",
+                        help="committed BENCH files, as (before, after) pairs, to chain")
+    args = parser.parse_args(argv)
+    if args.chain:
+        return chain(args.chain)
+    repos = [path.resolve() for path in args.checkouts]
     if len({len(str(repo)) for repo in repos}) > 1:
         print("error: the checkouts' resolved paths differ in length: "
               + ", ".join(f"{repo} ({len(str(repo))})" for repo in repos), file=sys.stderr)
