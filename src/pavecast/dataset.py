@@ -497,7 +497,7 @@ class SyntheticConfig:
     def __post_init__(self):
         spell = self.driver_spell_days
         # the caps on n_clusters and span_days, each over 100 times any config in use,
-        # turn a mistyped size into an error instead of a run that never ends
+        # turn a mistyped size into this error, not a MemoryError or a run that never ends
         for name, rule, ok in (
                 ("n_locations", ">= 1", self.n_locations >= 1),
                 ("n_records", "None or >= 1", self.n_records is None or self.n_records >= 1),

@@ -154,12 +154,12 @@ def chain(paths: list[Path]) -> int:
         print("error: --chain reads BENCH files in (before, after) pairs, "
               f"got {len(docs)} files", file=sys.stderr)
         return 2
-    pairs = list(zip(docs[::2], docs[1::2]))
-    for (before, after), (p, q) in zip(pairs, zip(paths[::2], paths[1::2])):
-        if before["measured_with"] != after["measured_with"]:
-            print(f"error: {p.name} and {q.name} come from different recordings "
-                  f"({before['measured_with']} and {after['measured_with']})", file=sys.stderr)
+    for i in range(0, len(docs), 2):
+        if docs[i]["measured_with"] != docs[i + 1]["measured_with"]:
+            print(f"error: {paths[i].name} and {paths[i + 1].name} come from different "
+                  "recordings", file=sys.stderr)
             return 2
+    pairs = list(zip(docs[::2], docs[1::2]))
     print("pairs: " + ", ".join(f"{b['commit'][:7]} -> {a['commit'][:7]}" for b, a in pairs))
     for workload in WORKLOADS:
         for metric in end_to_end():
