@@ -24,7 +24,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import stgraph as sg
 from . import trainer as tr
-from .model import ModelConfigError, prepare_tensors, forward_values
+from .model import ModelConfigError
 from .pipeline import (DatasetSource, RunConfig, RunConfigError, build_history_graph,
                        effective_graph_config, evaluate_test, prepare_data,
                        run_experiment, run_matrix, reference_benchmark_config)
@@ -185,6 +185,11 @@ def _checkpoint_config(ckpt: tr.Checkpoint) -> RunConfig:
     return config
 
 
+def _inference_context(ckpt: tr.Checkpoint, graph_cfg: sg.GraphConfig) -> tr.InferenceContext:
+    return tr.InferenceContext(params=ckpt.params, model_config=ckpt.model_config,
+                               graph_config=graph_cfg, stats=ckpt.stats, schema=ckpt.schema)
+
+
 def cmd_evaluate(args) -> int:
     ckpt = tr.load_checkpoint(args.checkpoint)
     config = _checkpoint_config(ckpt)
@@ -199,11 +204,11 @@ def cmd_evaluate(args) -> int:
     t1 = time.perf_counter()
     graph, graph_cfg = build_history_graph(config, data)
     t2 = time.perf_counter()
-    if args.split == "train":
-        gt = prepare_tensors(graph, data.history_nodes, l_res_m=graph_cfg.l_res_m)
-        yhat = forward_values(gt, ckpt.params, ckpt.model_config)
+    if args.split == "train":  # the loss rows, forecast as training's final pass did
         ids = np.arange(data.init_count, graph.n)
-        report = ev.build_report(gt.y[ids], yhat[ids],
+        yhat = tr.predict_one(_inference_context(ckpt, graph_cfg), graph,
+                              data.history_nodes, ids)
+        report = ev.build_report(data.history_nodes.y[ids], yhat,
                                  {"kind": "train", "n_train": len(ids)},
                                  train_mae=ckpt.final_train_mae)
     else:
@@ -235,11 +240,9 @@ def cmd_predict(args) -> int:
     config = _checkpoint_config(ckpt)
     data = prepare_data(config, stats=ckpt.stats, log=_log)
     graph, graph_cfg = build_history_graph(config, data)
-    ctx = tr.InferenceContext(params=ckpt.params, model_config=ckpt.model_config,
-                              graph_config=graph_cfg, stats=ckpt.stats,
-                              schema=ckpt.schema)
     query = _location_query(data.history_nodes, args.location, args.time)
-    yhat = tr.predict_sequence(ctx, graph, data.history_nodes, query)[0]
+    yhat = tr.predict_sequence(_inference_context(ckpt, graph_cfg), graph,
+                               data.history_nodes, query)[0]
     print(f"{yhat:.6f}")
     return 0
 

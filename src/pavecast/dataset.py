@@ -497,9 +497,11 @@ class SyntheticConfig:
     def __post_init__(self):
         spell = self.driver_spell_days
         # the caps on n_clusters and span_days, each over 100 times any config in use,
-        # turn a mistyped size into this error, not a MemoryError or a run that never ends
+        # and on n_locations, twice the 5,120 of a 32,000-record run (sample_latent_field
+        # then peaks near 2.5 GB: three L x L float64 matrices), turn a mistyped size
+        # into this error, not a MemoryError or a run that never ends
         for name, rule, ok in (
-                ("n_locations", ">= 1", self.n_locations >= 1),
+                ("n_locations", "in [1, 10240]", 1 <= self.n_locations <= 10_240),
                 ("n_records", "None or >= 1", self.n_records is None or self.n_records >= 1),
                 ("n_clusters", "in [1, 100000]", 1 <= self.n_clusters <= 100_000),
                 ("mean_visits", "finite and >= 1", 1.0 <= self.mean_visits < math.inf),

@@ -104,8 +104,8 @@ class CoefficientProbe:
 
 @dataclass
 class GraphTensors:
-    """Edge-list arrays for one graph + node table (or for an ancestor cone of
-    it, see prepare_tensors), ready for the forward pass.
+    """Edge-list arrays for the ancestor cone of a pass's targets in one graph
+    + node table (see prepare_tensors), ready for the forward pass.
 
     Edges are ordered per target node: the self loop first, then parents in
     their stored order. layout holds that order, each edge's source and
@@ -114,7 +114,8 @@ class GraphTensors:
     threshold, so decay-based scoring sees a dimensionless quantity.
     top_src and top_dst are the source and target rows of the ranked parent
     edges, in edge order; top_pool is built from them on first read, since
-    only top_mlp reads it.
+    only top_mlp reads it. targets are the rows the pass predicts (and the
+    loss scores), in request order.
     """
 
     x_full: np.ndarray    # (n, d)
@@ -126,7 +127,7 @@ class GraphTensors:
     gcn_w: np.ndarray     # (m,) fixed symmetric-normalized weights
     top_src: np.ndarray   # (r,) source row of each ranked parent edge
     top_dst: np.ndarray   # (r,) its target row
-    targets: np.ndarray | None = None  # row of each requested target, in request order
+    targets: np.ndarray   # (t,) row of each requested target, in request order
 
     @property
     def n(self) -> int:
@@ -162,32 +163,28 @@ def _ancestor_cone(graph: STGraph, targets, hops: int) -> tuple[np.ndarray, np.n
 
 def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
                     targets=None, hops: int = 1) -> GraphTensors:
-    """Flatten a graph plus its dataset.NodeTable into forward-ready arrays.
+    """Flatten the ancestor cone of targets (node ids, by default every node)
+    in a graph plus its dataset.NodeTable into forward-ready arrays.
 
-    With targets (node ids), only the targets' ancestor cone is flattened
-    (trainer.train_on_graph's loss rows, trainer.predict_one's queries):
-    edges point from older to newer nodes, so a hops-layer model's
-    predictions for the targets read nothing else. Nodes within hops - 1 of
-    a target keep all their parent edges, the ones exactly hops out only
-    their self loop (their own outputs are then wrong and never read).
-    Rows are the cone's ids in increasing order, and the tensors' targets
-    field holds each target's row. Degrees, and so gcn_w, are the whole
-    graph's. Nothing is cached across calls: a query answered from its
+    Edges point from older to newer nodes, so a hops-layer model's
+    predictions for the targets read nothing outside the cone. Nodes within
+    hops - 1 of a target keep all their parent edges, the ones exactly hops
+    out only their self loop (their own outputs are then wrong and never
+    read). Rows are the cone's ids in increasing order, and the tensors'
+    targets field holds each target's row. Degrees, and so gcn_w, are the
+    whole graph's. Nothing is cached across calls: a query answered from its
     ancestor cone needs no state that a later append or overwrite could make
-    stale.
+    stale. An empty target set raises ModelConfigError.
     """
     n = graph.n
     if len(nodes) != n:
         raise ModelConfigError(f"{len(nodes)} nodes for a graph of {n}")
-    if targets is None:
-        ids, expanded = np.arange(n), np.ones(n, dtype=bool)
-    else:
-        ids, expanded = _ancestor_cone(graph, targets, hops)
+    targets = np.arange(n) if targets is None else targets
+    if len(targets) == 0:
+        raise ModelConfigError("targets need at least one node id")
+    ids, expanded = _ancestor_cone(graph, targets, hops)
     k = len(ids)
-    x_full = nodes.x_full[ids]
-    x_st = np.ascontiguousarray(x_full[:, -3:])  # NodeTable's x_st and t_norm
-    t_norm = x_full[:, -1]
-    y = nodes.y[ids]
+    x_full, x_st, t_norm, y = nodes.x_full[ids], nodes.x_st[ids], nodes.t_norm[ids], nodes.y[ids]
 
     # the kept parent edges, renumbered to rows; row r's self loop sits at
     # offsets[r] + r, its parents right after it
@@ -217,8 +214,7 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     return GraphTensors(
         x_full=x_full, x_st=x_st, y=y, layout=ng.EdgeLayout(src, counts),
         dt_norm=dt_norm, dist_norm=dist_norm, gcn_w=gcn_w,
-        top_src=parent[top], top_dst=child[top],
-        targets=None if targets is None else local[targets])
+        top_src=parent[top], top_dst=child[top], targets=local[targets])
 
 
 # ---------------------------------------------------------------------------
@@ -350,37 +346,34 @@ def make_param_nodes(tape: ng.Tape, params: dict[str, np.ndarray]) -> dict[str, 
 
 def forward_values(gt: GraphTensors, params: dict[str, np.ndarray],
                    config: ModelConfig, probes: list | None = None) -> np.ndarray:
-    """Plain predictions array (n,), no gradients."""
+    """Plain predictions for gt.targets, in their order, no gradients."""
     tape = ng.Tape()
     pnodes = make_param_nodes(tape, params)
     out = forward_nodes(tape, gt, pnodes, config, probes=probes)
     # nodes point back at the tape, so without this the arrays wait for the
     # cyclic GC; a prediction loop allocates too few objects to trigger it soon
     tape.nodes.clear()
-    return out.value[:, 0].copy()
+    return out.value[gt.targets, 0]
 
 
-def mae_loss_node(tape: ng.Tape, yhat: ng.Node, y: np.ndarray,
-                  loss_ids: np.ndarray) -> ng.Node:
-    """Mean absolute error of yhat over the given node ids."""
-    if len(loss_ids) == 0:
-        raise ModelConfigError("loss needs at least one node id")
-    sel = ng.gather_rows(yhat, loss_ids)
-    resid = ng.sub(sel, tape.constant(y[loss_ids].reshape(-1, 1)))
-    return ng.scale(ng.sum_all(ng.absolute(resid)), 1.0 / len(loss_ids))
+def mae_loss_node(tape: ng.Tape, yhat: ng.Node, gt: GraphTensors) -> ng.Node:
+    """Mean absolute error of yhat over gt.targets."""
+    sel = ng.gather_rows(yhat, gt.targets)
+    resid = ng.sub(sel, tape.constant(gt.y[gt.targets].reshape(-1, 1)))
+    return ng.scale(ng.sum_all(ng.absolute(resid)), 1.0 / len(gt.targets))
 
 
-def loss_and_grads(gt: GraphTensors, params: dict[str, np.ndarray],
-                   config: ModelConfig, loss_ids: np.ndarray,
+def loss_and_grads(gt: GraphTensors, params: dict[str, np.ndarray], config: ModelConfig,
                    probes: list | None = None, workspace: ng.Workspace | None = None):
-    """One forward/backward sweep: (loss value, gradient dict).
+    """One forward/backward sweep of the loss over gt.targets: (loss value,
+    gradient dict).
 
     With a workspace, the sweep's large arrays come from it, and the
     gradients stay valid until the next sweep on that workspace starts."""
     tape = ng.Tape(workspace)
     pnodes = make_param_nodes(tape, params)
     yhat = forward_nodes(tape, gt, pnodes, config, probes=probes)
-    loss = mae_loss_node(tape, yhat, gt.y, loss_ids)
+    loss = mae_loss_node(tape, yhat, gt)
     value = float(loss.value[0, 0])  # read before the backward sweep returns it to the workspace
     ng.backward(tape, loss)
     grads = {name: (node.grad if node.grad is not None else np.zeros_like(node.value))
@@ -390,12 +383,12 @@ def loss_and_grads(gt: GraphTensors, params: dict[str, np.ndarray],
 
 
 def first_nonfinite_primitive(gt: GraphTensors, params: dict[str, np.ndarray],
-                              config: ModelConfig, loss_ids: np.ndarray) -> str | None:
+                              config: ModelConfig) -> str | None:
     """Kind of the first primitive in the forward pass and loss whose value is
     non-finite, found by rerunning both on a fresh tape."""
     tape = ng.Tape()
     yhat = forward_nodes(tape, gt, make_param_nodes(tape, params), config)
-    mae_loss_node(tape, yhat, gt.y, loss_ids)
+    mae_loss_node(tape, yhat, gt)
     return ng.first_nonfinite_kind(tape)
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,28 +86,22 @@ Wiring = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # CSR (offsets, 
 _NO_EDGES = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))  # (row, parent, dist_m)
 
 
-def _column(dtype=float):
-    """A field defaulting to an empty column, as in a graph with no rows."""
-    return field(default_factory=lambda: np.empty(0, dtype))
-
-
 @dataclass(frozen=True, eq=False)
 class STGraph:
     """Node columns plus CSR parent lists; see the module docstring.
 
     A value: grow returns a new graph, and no method writes the arrays.
-    STGraph() is the graph with no rows.
     """
 
-    lon: np.ndarray = _column()
-    lat: np.ndarray = _column()
-    t_raw: np.ndarray = _column()
-    t_norm: np.ndarray = _column()
-    offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
-    parent: np.ndarray = _column(np.int64)
-    dist_m: np.ndarray = _column()
-    origin: np.ndarray = _column(_ORIGIN_DTYPE)
-    init_count: int = 0
+    lon: np.ndarray
+    lat: np.ndarray
+    t_raw: np.ndarray
+    t_norm: np.ndarray
+    offsets: np.ndarray
+    parent: np.ndarray
+    dist_m: np.ndarray
+    origin: np.ndarray
+    init_count: int
 
     @property
     def n(self) -> int:

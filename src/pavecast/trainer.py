@@ -60,9 +60,8 @@ from . import ndgrad as ng
 from .config import read_config, read_field
 from .dataset import (COORD_BOUNDS, FeatureSchema, NodeTable, PreprocessStats,
                       preprocess_records, query_nodes, write_readings)
-from .model import (ModelConfig, ModelConfigError, attention_sum_deviation,
-                    first_nonfinite_primitive, forward_values, init_params,
-                    loss_and_grads, prepare_tensors)
+from .model import (ModelConfig, attention_sum_deviation, first_nonfinite_primitive,
+                    forward_values, init_params, loss_and_grads, prepare_tensors)
 from .stgraph import GraphConfig, STGraph
 
 STRATEGIES = ("ignore", "true", "predicted")
@@ -106,8 +105,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or not 0 < self.lr < math.inf:
             raise TrainConfigError("epochs must be >= 0 and lr finite and > 0")
-        if self.seed < 0:
-            raise TrainConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("seed", "log_every"):
+            if getattr(self, name) < 0:
+                raise TrainConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -134,8 +134,8 @@ def train_on_graph(graph: STGraph, nodes: NodeTable,
 
     The loss covers exactly the non-initialization nodes; test nodes must
     not be in the graph at all. The tensors flatten only the loss rows'
-    ancestor cone within model_config.layers parent hops (prepare_tensors
-    with targets, as predict_one flattens its queries'), since the loss
+    ancestor cone within model_config.layers parent hops (the loss rows
+    are its targets, as predict_one's queries are its), since the loss
     reads nothing outside it; degrees, and so gcn_w, stay the whole
     graph's. The epochs, a divergence's diagnosis, the final forward pass
     behind final_train_mae and the attention probes all run on it. Every
@@ -144,12 +144,9 @@ def train_on_graph(graph: STGraph, nodes: NodeTable,
     epoch on; it is dropped before the final forward pass. A graph without
     loss rows raises ModelConfigError before any epoch, whatever the count.
     """
-    if graph.init_count >= graph.n:
-        raise ModelConfigError("loss needs at least one node id")
     gt = prepare_tensors(graph, nodes, l_res_m=graph_config.l_res_m,
                          targets=np.arange(graph.init_count, graph.n),
                          hops=model_config.layers)
-    loss_ids = gt.targets
     params = init_params(model_config, gt.x_full.shape[1], gt.x_st.shape[1],
                          train_config.seed)
     adam = ng.adam_init(params, lr=train_config.lr)
@@ -158,10 +155,10 @@ def train_on_graph(graph: STGraph, nodes: NodeTable,
     workspace = ng.Workspace()
     for epoch in range(train_config.epochs):
         probes = [] if train_config.track_attention else None
-        loss, grads = loss_and_grads(gt, params, model_config, loss_ids,
-                                     probes=probes, workspace=workspace)
+        loss, grads = loss_and_grads(gt, params, model_config, probes=probes,
+                                     workspace=workspace)
         if not math.isfinite(loss):
-            kind = first_nonfinite_primitive(gt, params, model_config, loss_ids)
+            kind = first_nonfinite_primitive(gt, params, model_config)
             raise DivergenceError(f"loss became non-finite at epoch {epoch}, "
                                   f"first in a {kind} primitive")
         if probes is not None:
@@ -175,7 +172,7 @@ def train_on_graph(graph: STGraph, nodes: NodeTable,
     yhat = forward_values(gt, params, model_config, probes=final_probes)
     if final_probes is not None:
         max_dev = max(max_dev, attention_sum_deviation(final_probes))
-    final_mae = float(np.mean(np.abs(yhat[loss_ids] - gt.y[loss_ids])))
+    final_mae = float(np.mean(np.abs(yhat - gt.y[gt.targets])))
     return TrainResult(params=params, adam=adam, loss_trace=trace,
                        final_train_mae=final_mae, attention_max_dev=max_dev)
 
@@ -220,19 +217,19 @@ def query_levels(graph: STGraph, base_n: int) -> np.ndarray:
 
 def predict_one(ctx: InferenceContext, graph: STGraph, nodes: NodeTable,
                 rows) -> np.ndarray:
-    """One autoregressive step: the forecasts for graph rows `rows`, wired queries.
+    """One autoregressive step: the forecasts for graph rows `rows`, in order.
 
-    Runs one forward pass over the rows' joint ancestor cone only, and reads
-    each row's output where prepare_tensors placed it. Edges point from
-    older rows to newer ones, so rows after the newest target never enter
-    that cone. A target may lie in another's cone only if its row already
-    holds what the other's forecast should read of it: its observed record
-    under "true", never a forecast still to be made. Its own forecast does
-    not read its own row's features, which the leakage barrier keeps out.
+    Runs one forward pass over the rows' joint ancestor cone only. Edges
+    point from older rows to newer ones, so rows after the newest target
+    never enter that cone. A target may lie in another's cone only if its
+    row already holds what the other's forecast should read of it: its
+    observed record (a history row, or a query under "true"), never a
+    forecast still to be made. Its own forecast does not read its own row's
+    features, which the leakage barrier keeps out.
     """
     gt = prepare_tensors(graph, nodes, l_res_m=ctx.graph_config.l_res_m,
                          targets=rows, hops=ctx.model_config.layers)
-    return forward_values(gt, ctx.params, ctx.model_config)[gt.targets]
+    return forward_values(gt, ctx.params, ctx.model_config)
 
 
 def predict_sequence(ctx: InferenceContext, graph: STGraph, nodes: NodeTable,

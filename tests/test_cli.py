@@ -164,6 +164,28 @@ def test_evaluate_train_split_reproduces_final_mae(tmp_path, trained):
     assert abs(report["mae"] - ckpt.final_train_mae) < 1e-9
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+def test_evaluate_train_split_reports_the_forecasts_of_trainings_final_pass(
+        tmp_path, tiny_config_file, monkeypatch, layers):
+    passes = []
+    real = tr.forward_values
+
+    def spy(*args, **kwargs):
+        passes.append(real(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(tr, "forward_values", spy)
+    out = tmp_path / "t"
+    assert run_cli("train", "--config", tiny_config_file, "--set", f"model.layers={layers}",
+                   "--out", str(out)) == 0
+    final = passes[0]  # train_on_graph's last pass comes before any forecast
+    assert run_cli("evaluate", "--checkpoint", str(out / "model.ckpt"), "--split", "train",
+                   "--out", str(tmp_path / "ev")) == 0
+    report = json.loads((tmp_path / "ev" / "report_train.json").read_text())
+    assert [yhat for _, yhat in report["pairs"]] == final.tolist()
+    assert report["mae"] == report["train_mae"]
+
+
 def test_evaluate_test_split_report_consistent(tmp_path, trained):
     out = tmp_path / "ev2"
     assert run_cli("evaluate", "--checkpoint", str(trained), "--out", str(out)) == 0
@@ -436,6 +458,7 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "train.lr=NaN",                          # TrainConfigError
     "seed=-1",                               # RunConfigError: removed key
     "train.seed=-1",                         # TrainConfigError
+    "train.log_every=-1",                    # TrainConfigError
     "model.eam_gamma=-1",                    # ModelConfigError
     "model.eam_gamma=NaN",                   # ModelConfigError
     "model.eam_gamma=Infinity",              # ModelConfigError
@@ -448,6 +471,7 @@ def test_matrix_unknown_axis_usage_error(tmp_path, tiny_config_file):
     "dataset.synthetic.span_days=NaN",       # ConfigError
     "dataset.synthetic.span_days=1e20",      # ConfigError: over the cap
     "dataset.synthetic.n_clusters=4000000000",  # ConfigError: over the cap
+    "dataset.synthetic.n_locations=10241",   # ConfigError: over the cap
     "model.reuse_attention=false",           # RunConfigError: removed key
     "features.include_conf=false",           # RunConfigError: removed key
     "dataset.synthetic.extent_deg=0.1",      # RunConfigError: removed key

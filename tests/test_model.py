@@ -1,6 +1,6 @@
 import gc
 import json
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 from operator import attrgetter
 
 import numpy as np
@@ -241,7 +241,8 @@ def test_node_relabeling_equivariance():
         x_full=gt.x_full[inv], x_st=gt.x_st[inv], y=gt.y[inv],
         layout=ng.EdgeLayout(perm[gt.layout.src][order], gt.layout.counts[inv]),
         dt_norm=gt.dt_norm[order], dist_norm=gt.dist_norm[order],
-        gcn_w=gt.gcn_w[order], top_src=perm[gt.top_src], top_dst=perm[gt.top_dst])
+        gcn_w=gt.gcn_w[order], top_src=perm[gt.top_src], top_dst=perm[gt.top_dst],
+        targets=np.arange(gt.n))
     out = md.forward_values(permuted, params, cfg)
     assert np.allclose(out[perm], base, rtol=1e-12, atol=1e-12)
 
@@ -422,10 +423,10 @@ def test_leakage_invariance_bit_exact(variant):
 def test_full_gradient_matches_finite_differences(variant):
     inst = small_instance(60, n=6, variant=variant)
     gt, cfg = inst["gt"], inst["config"]
-    loss_ids = np.arange(inst["init_count"], gt.n)
+    gt = replace(gt, targets=np.arange(inst["init_count"], gt.n))
 
     def loss_and_grads_fn(params):
-        loss, grads = md.loss_and_grads(gt, params, cfg, loss_ids)
+        loss, grads = md.loss_and_grads(gt, params, cfg)
         return loss, grads
 
     report = grad_check(loss_and_grads_fn, inst["params"], h=1e-5)
@@ -436,7 +437,8 @@ def test_full_gradient_matches_finite_differences(variant):
 def test_gradient_loss_value_matches_dense_oracle():
     inst = small_instance(61, n=6)
     loss_ids = np.arange(1, inst["gt"].n)
-    loss, _ = md.loss_and_grads(inst["gt"], inst["params"], inst["config"], loss_ids)
+    gt = replace(inst["gt"], targets=loss_ids)
+    loss, _ = md.loss_and_grads(gt, inst["params"], inst["config"])
     want = dense_mae_loss(inst["graph"], inst["nodes"], inst["params"],
                           inst["config"], loss_ids, l_res_m=inst["graph_cfg"].l_res_m)
     assert loss == pytest.approx(want, abs=1e-12)
@@ -445,10 +447,10 @@ def test_gradient_loss_value_matches_dense_oracle():
 def test_two_layer_gradient_matches_finite_differences():
     inst = small_instance(62, n=6, layers=2)
     gt, cfg = inst["gt"], inst["config"]
-    loss_ids = np.arange(1, gt.n)
+    gt = replace(gt, targets=np.arange(1, gt.n))
 
     def fn(params):
-        loss, grads = md.loss_and_grads(gt, params, cfg, loss_ids)
+        loss, grads = md.loss_and_grads(gt, params, cfg)
         return loss, grads
 
     assert max(grad_check(fn, inst["params"], h=1e-5).values()) < 1e-4
@@ -457,7 +459,7 @@ def test_two_layer_gradient_matches_finite_differences():
 def test_loss_over_no_rows_is_rejected():
     inst = small_instance(66, n=6)
     with pytest.raises(md.ModelConfigError, match="at least one node id"):
-        md.loss_and_grads(inst["gt"], inst["params"], inst["config"], np.empty(0, np.intp))
+        md.prepare_tensors(inst["graph"], inst["nodes"], targets=np.empty(0, np.intp))
 
 
 @pytest.mark.parametrize("variant", ["stgan", "gat", "gcn"])
@@ -470,7 +472,7 @@ def test_no_tape_node_copies_representations_per_edge(variant):
     assert m > gt.n
     tape = ng.Tape()
     yhat = md.forward_nodes(tape, gt, md.make_param_nodes(tape, inst["params"]), cfg)
-    ng.backward(tape, md.mae_loss_node(tape, yhat, gt.y, np.arange(1, gt.n)))
+    ng.backward(tape, md.mae_loss_node(tape, yhat, replace(gt, targets=np.arange(1, gt.n))))
     wide = [node for node in tape.nodes
             if node.value.shape[0] == m and node.value.shape[1] > cfg.heads]
     assert not wide
@@ -486,7 +488,7 @@ def test_loss_and_grads_leaves_no_tape_to_the_cyclic_gc():
     gc.disable()
     try:
         before = live_tapes()
-        md.loss_and_grads(inst["gt"], inst["params"], inst["config"], np.arange(1, 6))
+        md.loss_and_grads(inst["gt"], inst["params"], inst["config"])
         assert live_tapes() == before
     finally:
         gc.enable()

@@ -152,16 +152,15 @@ def plain_training(inst, epochs, seed=0, whole_graph=False):
     graph = inst["graph"]
     loss_rows = np.arange(graph.init_count, graph.n)
     if whole_graph:
-        gt, loss_ids = inst["gt"], loss_rows
+        gt = replace(inst["gt"], targets=loss_rows)
     else:
         gt = md.prepare_tensors(graph, inst["nodes"], l_res_m=inst["graph_cfg"].l_res_m,
                                 targets=loss_rows, hops=inst["config"].layers)
-        loss_ids = gt.targets
     params = md.init_params(inst["config"], gt.x_full.shape[1], gt.x_st.shape[1], seed)
     adam = ng.adam_init(params, lr=tr.TrainConfig().lr)
     trace = []
     for _ in range(epochs):
-        loss, grads = md.loss_and_grads(gt, params, inst["config"], loss_ids)
+        loss, grads = md.loss_and_grads(gt, params, inst["config"])
         trace.append(loss)
         ng.adam_step(params, grads, adam)
     return trace, params
@@ -228,12 +227,12 @@ def test_training_on_the_loss_rows_cone_equals_whole_graph_epochs(monkeypatch, v
 
 
 def test_training_without_loss_rows_is_rejected(monkeypatch):
-    # rejected before the tensors are built, so before any epoch: with no
+    # rejected where the tensors are built, so before any epoch: with no
     # epochs it would otherwise return a NaN final_train_mae
     inst = small_instance(0, n=6, init_count=6)
-    monkeypatch.setattr(tr, "prepare_tensors", None)
+    monkeypatch.setattr(tr, "loss_and_grads", None)
     for epochs in (0, 1, 3):
-        with pytest.raises(md.ModelConfigError, match="^loss needs at least one node id$"):
+        with pytest.raises(md.ModelConfigError, match="^targets need at least one node id$"):
             run_training(inst, epochs)
 
 
@@ -247,7 +246,7 @@ def benchmark_sweep():
     graph, graph_cfg = pipeline.build_history_graph(config, data)
     gt = md.prepare_tensors(graph, data.history_nodes, l_res_m=graph_cfg.l_res_m)
     params = md.init_params(config.model, gt.x_full.shape[1], gt.x_st.shape[1], 0)
-    return gt, params, config.model, np.arange(graph.init_count, graph.n)
+    return replace(gt, targets=np.arange(graph.init_count, graph.n)), params, config.model
 
 
 @pytest.mark.parametrize("pool_all", [False, True], ids=["large-arrays", "every-array"])
@@ -281,7 +280,7 @@ def test_workspace_gradients_keep_their_values_until_the_next_sweep(monkeypatch,
     _, grads = md.loss_and_grads(*benchmark_sweep, workspace=ws)
     assert any(not g.flags.owndata for g in grads.values())
     kept = {name: g.copy() for name, g in grads.items()}
-    gt, params, config, _ = benchmark_sweep
+    gt, params, config = benchmark_sweep
     md.forward_values(gt, params, config)
     md.loss_and_grads(*benchmark_sweep)
     assert all(np.array_equal(grads[name], kept[name]) for name in grads)
