@@ -107,10 +107,11 @@ class GraphTensors:
     """Edge-list arrays for the ancestor cone of a pass's targets in one graph
     + node table (see prepare_tensors), ready for the forward pass.
 
-    Edges are ordered per target node: the self loop first, then parents in
-    their stored order. layout holds that order, each edge's source and
-    target row, validated once where it is built and reused by every
-    scoring, softmax and aggregation. dist_norm is meters over the proximity
+    Rows come by kept parent count, then by node id, so each count's rows
+    are one run of the layout. Edges are ordered per row: the self loop
+    first, then parents in their stored order. layout holds that order, each
+    edge's source and target row, validated once where it is built and
+    reused by every scoring, softmax and aggregation. dist_norm is meters over the proximity
     threshold, so decay-based scoring sees a dimensionless quantity.
     top_src and top_dst are the source and target rows of the ranked parent
     edges, in edge order; top_pool is built from them on first read, since
@@ -155,6 +156,8 @@ def _ancestor_cone(graph: STGraph, targets, hops: int) -> tuple[np.ndarray, np.n
     hop[targets] = 0
     for h in range(1, hops + 1):
         frontier = np.flatnonzero(hop == h - 1)
+        if not len(frontier):  # no ancestors further out
+            break
         reached = graph.parent[graph.edge_positions(frontier)]
         hop[reached] = np.minimum(hop[reached], h)
     cone = np.flatnonzero(hop <= hops)
@@ -170,8 +173,11 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     predictions for the targets read nothing outside the cone. Nodes within
     hops - 1 of a target keep all their parent edges, the ones exactly hops
     out only their self loop (their own outputs are then wrong and never
-    read). Rows are the cone's ids in increasing order, and the tensors'
-    targets field holds each target's row. Degrees, and so gcn_w, are the
+    read). Rows are the cone's ids ordered by kept parent count, then by id
+    (one lexsort), so the rows of each count, and their edges, form one
+    contiguous block that ndgrad.csr_aggregate computes in place; the rows
+    without kept parents come first. The tensors' targets field holds each
+    target's row, in request order. Degrees, and so gcn_w, are the
     whole graph's. Nothing is cached across calls: a query answered from its
     ancestor cone needs no state that a later append or overwrite could make
     stale. An empty target set raises ModelConfigError.
@@ -183,6 +189,9 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     if len(targets) == 0:
         raise ModelConfigError("targets need at least one node id")
     ids, expanded = _ancestor_cone(graph, targets, hops)
+    counts = np.where(expanded, graph.parent_counts(ids), 0)
+    order = np.lexsort((ids, counts))  # by kept parent count, then by id
+    ids, expanded, counts = ids[order], expanded[order], counts[order]
     k = len(ids)
     x_full, x_st, t_norm, y = nodes.x_full[ids], nodes.x_st[ids], nodes.t_norm[ids], nodes.y[ids]
 
@@ -193,7 +202,6 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
     local[ids] = np.arange(k)
     parent = local[graph.parent[pos]]
     n_parents = graph.parent_counts(ids)
-    counts = np.where(expanded, n_parents, 0)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     child = np.repeat(np.arange(k), counts)
     degree = n_parents + 1.0  # all parents + self
@@ -233,9 +241,35 @@ def _glorot_mlp(params, rng, prefix, widths):
         _glorot_entry(params, rng, f"{prefix}{k}", widths[k], widths[k + 1])
 
 
+MAX_PARAMS = 1 << 27  # 1 GiB of float64
+
+
+def _mlp_size(widths) -> int:
+    return sum(a * b + b for a, b in zip(widths, widths[1:]))
+
+
+def param_count(config: ModelConfig, dim_full: int, dim_st: int) -> int:
+    """The number of entries init_params makes, counted without making them."""
+    h, mod = config.hidden, config.modules
+    if mod.weights is None:
+        return _mlp_size([dim_st + dim_full + 1, *config.extractor_hidden, 1])
+    attention = mod.weights == "attention"
+    conv_in = h * (config.heads if attention else 1)
+    return (_mlp_size([dim_full, *config.extractor_hidden])
+            + _mlp_size([dim_st, *config.extractor_hidden])
+            + attention * config.heads * (2 * h + mod.time_slot)
+            + (config.layers - 1) * (conv_in * h + h)
+            + _mlp_size([conv_in, *[config.head_hidden] * (mod.head_layers - 1), 1]))
+
+
 def init_params(config: ModelConfig, dim_full: int, dim_st: int,
                 seed: int) -> dict[str, np.ndarray]:
-    """Named parameter arrays in a fixed creation order (seeded)."""
+    """Named parameter arrays in a fixed creation order (seeded). A model of
+    more than MAX_PARAMS entries raises ModelConfigError before any is made."""
+    count = param_count(config, dim_full, dim_st)
+    if count > MAX_PARAMS:
+        raise ModelConfigError(f"the model would hold {count:,} parameters, "
+                               f"above the cap of {MAX_PARAMS:,}")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     h, mod = config.hidden, config.modules

@@ -6,11 +6,12 @@ tape. Only the primitives the forecasting models need are provided: matmul,
 a handful of elementwise ops, row and column concatenation, row gather, and
 for edge attention a per-target softmax and a fused aggregation, both over an
 EdgeLayout built and validated once per edge set. The aggregation is one
-sparse product for every head at once, over a CSR structure binned by row
-length so each bin takes one batched matmul for all its rows and heads; its
-backward pass is the transposed product plus, for the coefficients, one dot
-product per edge and head. No per-edge copy of a representation is kept on
-the tape.
+sparse product for every head at once, over a CSR structure cut into runs
+of consecutive rows with one parent count, so each run takes one batched
+matmul for all its rows and heads, in place; rows ordered by parent count
+make each count one run. Its backward pass is the transposed product plus,
+for the coefficients, one dot product per edge and head. No per-edge copy
+of a representation is kept on the tape.
 
 Workspace. Full-batch training repeats one sweep, with the same array shapes
 in the same order, every epoch. Freed large arrays go back to the kernel, so
@@ -308,17 +309,20 @@ def elu(a: Node) -> Node:
 
 
 def leaky_relu(a: Node, alpha: float = 0.2) -> Node:
+    """x where x > 0, else alpha * x. For 0 < alpha <= 1, alpha * x lies
+    between 0 and x, so max(x, alpha * x) picks it with the same bits on
+    every input, +-0.0, +-inf and NaN included; at alpha = 0, 0 * inf is NaN."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"leaky_relu: alpha must be in (0, 1], got {alpha}")
     x, tape = a.value, a.tape
-    neg = x <= 0.0
-    val = tape.empty(x.shape)
-    np.copyto(val, x)
-    np.multiply(x, alpha, out=val, where=neg)
+    val = np.multiply(x, alpha, out=tape.out(x.shape))
+    np.maximum(x, val, out=val)
     out = Node(tape, "leaky_relu", val)
 
     def backward(g):
         d = tape.empty(g.shape)
         np.copyto(d, g)
-        a.accumulate(np.multiply(g, alpha, out=d, where=neg), fresh=True)
+        a.accumulate(np.multiply(g, alpha, out=d, where=x <= 0.0), fresh=True)
 
     out._backward = backward
     return out
@@ -439,10 +443,12 @@ class EdgeLayout:
     loop's source must be its own target. Scoring and aggregation both find
     the self loops at starts.
 
-    The parent edges are a CSR matrix stored row-binned: targets with the
-    same parent count c form one bin, whose edge positions are a (targets, c)
-    block, so a bin aggregates with one batched matmul. source_bins bins
-    the same edges by source row, for the transposed product.
+    The parent edges are a CSR matrix. Consecutive rows with the same parent
+    count c form a run, whose edges are one contiguous (rows, 1 + c) block,
+    self loops first, so a run aggregates with one batched matmul that reads
+    and writes its rows in place. Any row order is valid; rows sorted by
+    parent count give the fewest runs. source_bins groups the same edges by
+    source row, for the transposed product.
     """
 
     def __init__(self, src, counts):
@@ -467,10 +473,18 @@ class EdgeLayout:
         self.dst = np.repeat(np.arange(n), sizes)  # (m,) each edge's target
 
     @cached_property
-    def bins(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(targets, (targets, c) positions of their parent edges), one entry
-        per parent count c > 0."""
-        return _bins(self.starts + 1, self.counts)
+    def runs(self) -> list[tuple[int, int, int]]:
+        """(first row, end row, c) for each maximal run of rows first..end-1
+        with the same parent count c > 0, in row order."""
+        firsts = np.flatnonzero(np.diff(self.counts, prepend=-1))
+        ends = np.append(firsts[1:], self.n)
+        return [(first, end, c) for first, end, c in
+                zip(firsts.tolist(), ends.tolist(), self.counts[firsts].tolist()) if c]
+
+    def run_edges(self, first: int, end: int, c: int) -> slice:
+        """The edges of a run's rows, a (end - first, 1 + c) block once reshaped."""
+        lo = int(self.starts[first])
+        return slice(lo, lo + (end - first) * (1 + c))
 
     @cached_property
     def source_bins(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -479,17 +493,12 @@ class EdgeLayout:
         pos = np.delete(np.arange(len(self.src)), self.starts)
         pos = pos[np.argsort(self.src[pos], kind="stable")]
         degree = np.bincount(self.src[pos], minlength=self.n)
-        return [(sources, pos[k]) for sources, k in _bins(np.cumsum(degree) - degree, degree)]
-
-
-def _bins(first, lengths) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each length l > 0: the ids of that length, and the (ids, l) block
-    of first[id] + 0..l-1."""
-    out = []
-    for length in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
-        ids = np.flatnonzero(lengths == length)
-        out.append((ids, first[ids, None] + np.arange(length)))
-    return out
+        first = np.cumsum(degree) - degree
+        bins = []
+        for d in np.flatnonzero(np.bincount(degree)[1:]) + 1:
+            sources = np.flatnonzero(degree == d)
+            bins.append((sources, pos[first[sources, None] + np.arange(d)]))
+        return bins
 
 
 def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout) -> Node:
@@ -500,10 +509,13 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
     parents and self_rep are (n, h), coefs (m, H) in layout's edge order; the
     result is (n, H*h) with column k's sums in columns k*h:(k+1)*h, so one
     call aggregates every attention head. The self term never reads parents,
-    so a row's own parents-side input cannot reach its own output. The
-    backward pass sends each parent edge's gradient to its source by the
-    transposed product, and gives each coefficient the dot product of its
-    target's gradient with what the edge carried.
+    so a row's own parents-side input cannot reach its own output. Each run
+    of layout.runs is computed in place: its batched product writes straight
+    into its output rows, and the self term is added there; a row without
+    parents gets the self term alone. The backward pass sends each parent
+    edge's gradient to its source by the transposed product, and gives each
+    coefficient the dot product of its target's gradient with what the edge
+    carried; both write through views of the run's edge block.
     """
     x, s, w = parents.value, self_rep.value, coefs.value
     if s.shape != x.shape or len(x) != layout.n or len(w) != len(layout.src):
@@ -515,29 +527,32 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
     w_self = w[layout.starts]
     value = tape.empty((n, heads * h))  # the node's value is this very array
     acc = value.reshape(n, heads, h)
-    np.multiply(w_self[:, :, None], s[:, None, :], out=acc)
-    # one batched matmul per bin for every head, each (row, head) its own
-    # 1 x c by c x h product: a head's sums then do not depend on how many
-    # heads share the call. The coefficients are copied into a contiguous
-    # (rows, heads, c) block first; read through a transposed view with
-    # stride heads, BLAS would sum them in another order.
-    for rows, pos in layout.bins:
-        x_src = _take_rows(tape, x, layout.src[pos])
-        w_pos = _take_rows(tape, w, pos)
-        block = tape.empty((len(rows), heads, pos.shape[1]))
-        np.copyto(block, w_pos.transpose(0, 2, 1))
-        prod = np.matmul(block[:, :, None, :], x_src[:, None],
-                         out=tape.out((len(rows), heads, 1, h)))
-        # returned before cur is taken, so the workspace can lend it one of them
-        for temp in (block, w_pos, x_src):
-            tape.release(temp)
-        del temp, block, w_pos, x_src  # without a workspace, this frees them
-        cur = _take_rows(tape, acc, rows)
-        np.add(cur, prod[:, :, 0], out=cur)
-        acc[rows] = cur
-        tape.release(cur)
-        tape.release(prod)
-        del cur, prod
+
+    def self_term(lo, hi, out):
+        return np.multiply(w_self[lo:hi, :, None], s[lo:hi, None, :], out=out)
+
+    done = 0  # rows before this one hold their sums
+    for first, end, c in layout.runs:
+        self_term(done, first, acc[done:first])  # rows without parents
+        edges = layout.run_edges(first, end, c)
+        x_src = _take_rows(tape, x, layout.src[edges].reshape(-1, 1 + c)[:, 1:])
+        # one batched matmul for every head, each (row, head) its own 1 x c by
+        # c x h product: a head's sums then do not depend on how many heads
+        # share the call. The coefficients are copied into a contiguous
+        # (rows, heads, c) block first; read through a transposed view with
+        # stride heads, BLAS would sum them in another order.
+        block = tape.empty((end - first, heads, c))
+        np.copyto(block, w[edges].reshape(-1, 1 + c, heads)[:, 1:].transpose(0, 2, 1))
+        np.matmul(block[:, :, None, :], x_src[:, None],
+                  out=acc[first:end].reshape(-1, heads, 1, h))
+        tape.release(block)
+        tape.release(x_src)
+        term = self_term(first, end, tape.out((end - first, heads, h)))
+        acc[first:end] += term
+        tape.release(term)
+        del block, x_src, term  # without a workspace, this frees them
+        done = end
+    self_term(done, n, acc[done:])
     out = Node(tape, "csr_aggregate", value)
 
     def backward(g):
@@ -547,19 +562,15 @@ def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout
         gw = tape.empty(w.shape)
         gw[layout.starts] = np.einsum("nkh,nh->nk", g3, s)
         sent = tape.empty((len(w), h))  # per parent edge, the gradient of what it carried
-        for rows, pos in layout.bins:
-            g_rows = _take_rows(tape, g3, rows)
-            x_src = _take_rows(tape, x, layout.src[pos])
-            prod = np.matmul(x_src, g_rows.transpose(0, 2, 1),
-                             out=tape.out(pos.shape + (heads,)))
-            gw[pos] = prod
-            tape.release(prod)
+        for first, end, c in layout.runs:
+            edges = layout.run_edges(first, end, c)
+            g_rows = g3[first:end]
+            x_src = _take_rows(tape, x, layout.src[edges].reshape(-1, 1 + c)[:, 1:])
+            np.matmul(x_src, g_rows.transpose(0, 2, 1),
+                      out=gw[edges].reshape(-1, 1 + c, heads)[:, 1:])
             tape.release(x_src)
-            w_pos = _take_rows(tape, w, pos)
-            prod = np.matmul(w_pos, g_rows, out=tape.out(pos.shape + (h,)))
-            sent[pos] = prod
-            for temp in (prod, w_pos, g_rows):
-                tape.release(temp)
+            np.matmul(w[edges].reshape(-1, 1 + c, heads)[:, 1:], g_rows,
+                      out=sent[edges].reshape(-1, 1 + c, h)[:, 1:])
         gx = tape.empty(x.shape)
         gx.fill(0.0)
         for sources, pos in layout.source_bins:

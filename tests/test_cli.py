@@ -643,7 +643,14 @@ def test_manifest_value_of_the_wrong_type_exits_2_naming_the_section(
      "error: matrix needs at least one axis"),
     (("evaluate", "--checkpoint", "{bare}", "--out", "{out}"),
      "error: checkpoint carries no run config; cannot rebuild the graph"),
-], ids=["gen-data-on-csv", "matrix-no-axes", "checkpoint-without-run-config"])
+    (("train", "--config", "{config}", "--set", "model.head_hidden=1000000000000",
+      "--set", "train.epochs=1", "--out", "{out}"),
+     "error: the model would hold 18,000,000,000,285 parameters, above the cap of 134,217,728"),
+    (("train", "--config", "{config}", "--set", "model.layers=1000000000000",
+      "--set", "train.epochs=1", "--out", "{out}"),  # the cone walk stops at its last hop
+     "error: the model would hold 136,000,000,000,293 parameters, above the cap of 134,217,728"),
+], ids=["gen-data-on-csv", "matrix-no-axes", "checkpoint-without-run-config",
+        "oversized-head", "too-many-layers"])
 def test_usage_error_exits_2_naming_it(tmp_path, tiny_config_file, one_epoch_checkpoint,
                                        capsys, argv, line):
     bare = tmp_path / "model.ckpt"
@@ -671,7 +678,8 @@ def test_version_3_checkpoint_exits_2_naming_its_version(tmp_path, one_epoch_che
     (lambda m: m["model_config"].update(extractor_hidden=[6, 6]), "ext_full1_w"),
     (lambda m: m.__setitem__("sections", [e for e in m["sections"]
                                           if e["name"] != "param:head1_b"]), "head1_b"),
-], ids=["heads-2-to-1", "hidden-8-to-6", "section-dropped"])
+    (lambda m: m["model_config"].update(heads=10**12), "parameters"),
+], ids=["heads-2-to-1", "hidden-8-to-6", "section-dropped", "heads-2-to-1e12"])
 def test_checkpoint_whose_config_does_not_fit_its_parameters_exits_2(tmp_path, tiny_config_file,
                                                                       capsys, edit, param):
     """The checksums cover the parameters' bytes, not the config that reads

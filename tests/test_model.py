@@ -232,7 +232,7 @@ def test_node_relabeling_equivariance():
     gt, cfg, params = inst["gt"], inst["config"], inst["params"]
     base = md.forward_values(gt, params, cfg)
 
-    perm = np.array([3, 0, 5, 1, 4, 2])  # new id of each old node
+    perm = np.array([3, 0, 5, 1, 4, 2])  # new row of each old row
     inv = np.argsort(perm)
     # segment ops need edges sorted by target; a stable sort keeps each
     # target's self loop first
@@ -242,9 +242,9 @@ def test_node_relabeling_equivariance():
         layout=ng.EdgeLayout(perm[gt.layout.src][order], gt.layout.counts[inv]),
         dt_norm=gt.dt_norm[order], dist_norm=gt.dist_norm[order],
         gcn_w=gt.gcn_w[order], top_src=perm[gt.top_src], top_dst=perm[gt.top_dst],
-        targets=np.arange(gt.n))
-    out = md.forward_values(permuted, params, cfg)
-    assert np.allclose(out[perm], base, rtol=1e-12, atol=1e-12)
+        targets=perm[gt.targets])
+    out = md.forward_values(permuted, params, cfg)  # both in node id order
+    assert np.allclose(out, base, rtol=1e-12, atol=1e-12)
 
 
 def test_heads_with_identical_weights_tile_the_aggregate():
@@ -437,7 +437,7 @@ def test_full_gradient_matches_finite_differences(variant):
 def test_gradient_loss_value_matches_dense_oracle():
     inst = small_instance(61, n=6)
     loss_ids = np.arange(1, inst["gt"].n)
-    gt = replace(inst["gt"], targets=loss_ids)
+    gt = replace(inst["gt"], targets=inst["gt"].targets[loss_ids])
     loss, _ = md.loss_and_grads(gt, inst["params"], inst["config"])
     want = dense_mae_loss(inst["graph"], inst["nodes"], inst["params"],
                           inst["config"], loss_ids, l_res_m=inst["graph_cfg"].l_res_m)
@@ -553,6 +553,23 @@ def test_init_params_names_and_shapes_in_creation_order():
             params = md.init_params(cfg, schema.dim_full, schema.dim_st, seed=0)
             got = [f"{name} {'x'.join(map(str, v.shape))}" for name, v in params.items()]
             assert got == want, (variant, layers)
+
+
+@pytest.mark.parametrize("variant", md.VARIANTS)
+def test_param_count_is_what_init_params_makes_and_every_sweep_value_fits(variant):
+    schema = ds.FeatureSchema()
+    for heads, layers in ((1, 1), (10, 3)):  # default widths, the sweeps' extremes
+        cfg = md.ModelConfig(variant=variant, heads=heads, layers=layers)
+        params = md.init_params(cfg, schema.dim_full, schema.dim_st, seed=0)
+        count = md.param_count(cfg, schema.dim_full, schema.dim_st)
+        assert sum(p.size for p in params.values()) == count <= md.MAX_PARAMS
+
+
+@pytest.mark.parametrize("field", ["heads", "layers", "head_hidden"])
+def test_a_model_over_the_parameter_cap_is_rejected_before_any_allocation(field):
+    cfg = md.ModelConfig(**{field: 10**12})
+    with pytest.raises(md.ModelConfigError, match=r"parameters, above the cap of 134,217,728$"):
+        md.init_params(cfg, 18, 3, seed=0)
 
 
 def test_config_roundtrips_through_dict():

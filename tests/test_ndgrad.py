@@ -116,6 +116,25 @@ def test_leaky_relu_negative_slope():
     assert out.value[0, 0] == pytest.approx(-0.4, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 0.2, 0.5, 1.0])
+def test_leaky_relu_has_the_bits_of_the_masked_form(alpha):
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 2.2e-308, -2.2e-308]
+    rng = np.random.default_rng(3)
+    x = np.concatenate([special, rng.standard_normal(500) * 10.0 ** rng.integers(-320, 308, 500)])
+    masked = x.copy()
+    with np.errstate(all="ignore"):
+        np.multiply(x, alpha, out=masked, where=x <= 0.0)
+        out = ng.leaky_relu(ng.Tape().leaf(x), alpha=alpha).value[:, 0]
+    assert np.array_equal(out.view(np.int64), masked.view(np.int64))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, np.nan])
+def test_leaky_relu_rejects_a_slope_outside_zero_to_one(alpha):
+    with pytest.raises(ValueError, match="alpha must be in"):
+        ng.leaky_relu(ng.Tape().leaf([[1.0]]), alpha=alpha)
+
+
 def test_binary_shape_mismatch():
     t = ng.Tape()
     a = t.leaf(np.zeros((2, 2)))
@@ -375,26 +394,35 @@ def test_csr_aggregate_matches_per_edge_loop():
 
 
 def test_csr_aggregate_forward_equals_per_head_matmuls_bit_for_bit():
-    """All heads of a bin in one batched product give every head the bits of
-    one matmul per bin and head, with and without a workspace; the bins are
-    large enough that the workspace lends the kernel's temporaries."""
+    """All heads of a run in one batched product give every head the bits of
+    one matmul per run and head, with and without a workspace. Sorted by
+    parent count, the runs are large enough that the workspace lends the
+    kernel's temporaries; unsorted, most runs hold a single row."""
     rng = np.random.default_rng(12)
     n, heads, h = 400, 3, 64
-    counts = rng.integers(0, 5, n)
-    src = np.concatenate([[i, *rng.integers(0, n, c)] for i, c in enumerate(counts)])
-    layout = ng.EdgeLayout(src, counts)
-    assert len(layout.bins) >= 3
     x, s = rng.uniform(-2, 2, (n, h)), rng.uniform(-2, 2, (n, h))
-    w = rng.uniform(0, 1, (len(src), heads))
-    want = w[layout.starts][:, :, None] * s[:, None, :]
-    for rows, pos in layout.bins:
-        for k in range(heads):
-            want[rows, k] += np.matmul(w[pos, k][:, None, :], x[layout.src[pos]])[:, 0]
-    for workspace in (None, WatchedWorkspace()):
-        t = ng.Tape(workspace)
-        out = ng.csr_aggregate(t.leaf(x), t.leaf(s), t.leaf(w), layout)
-        assert np.array_equal(out.value, want.reshape(n, heads * h))
-    assert workspace.lends > 1 and workspace.overlaps == 0
+    unsorted = rng.integers(0, 5, n)
+    for sort in (True, False):
+        counts = np.sort(unsorted) if sort else unsorted
+        src = np.concatenate([[i, *rng.integers(0, n, c)] for i, c in enumerate(counts)])
+        layout = ng.EdgeLayout(src, counts)
+        lengths = [end - first for first, end, _ in layout.runs]
+        if sort:
+            assert lengths == [np.count_nonzero(counts == c) for c in (1, 2, 3, 4)]
+        else:
+            assert lengths.count(1) > 100
+        w = rng.uniform(0, 1, (len(src), heads))
+        want = w[layout.starts][:, :, None] * s[:, None, :]
+        for first, end, c in layout.runs:
+            pos = layout.starts[first:end, None] + 1 + np.arange(c)
+            for k in range(heads):
+                want[first:end, k] += np.matmul(w[pos, k][:, None, :], x[src[pos]])[:, 0]
+        for workspace in (None, WatchedWorkspace()):
+            t = ng.Tape(workspace)
+            out = ng.csr_aggregate(t.leaf(x), t.leaf(s), t.leaf(w), layout)
+            assert np.array_equal(out.value, want.reshape(n, heads * h))
+        assert workspace.lends > (1 if sort else 0)
+        assert workspace.overlaps == 0
 
 
 def test_segment_ops_columns_equal_single_column_calls():
@@ -468,14 +496,23 @@ def test_edge_layout_rejects_self_loop_not_first():
         ng.EdgeLayout([0, 0, 1, 2, 2, 1], [0, 2, 1])
 
 
-def test_edge_layout_bins_rows_by_parent_count_and_source():
-    # bins: (targets, their parent edge positions)
-    assert [(r.tolist(), p.tolist()) for r, p in LAYOUT3.bins] == [
-        ([2], [[5]]), ([1], [[2, 3]])]
+def test_edge_layout_runs_rows_by_parent_count_and_bins_sources():
+    # runs: (first row, end row, parent count) of rows with parents
+    assert LAYOUT3.runs == [(1, 2, 2), (2, 3, 1)]
     assert LAYOUT3.starts.tolist() == [0, 1, 4]
     assert LAYOUT3.dst.tolist() == SEG3.tolist()
     assert [(s.tolist(), p.tolist()) for s, p in LAYOUT3.source_bins] == [
         ([0, 1, 2], [[2], [5], [3]])]
+
+
+def test_edge_layout_sorted_by_parent_count_has_one_run_per_count():
+    counts = [0, 0, 1, 1, 1, 3, 3, 4]
+    src = np.concatenate([[i, *[max(i - 1, 0)] * c] for i, c in enumerate(counts)])
+    layout = ng.EdgeLayout(src, counts)
+    assert layout.runs == [(2, 5, 1), (5, 7, 3), (7, 8, 4)]
+    assert [src[layout.run_edges(*run)].tolist() for run in layout.runs[1:]] == [
+        [5, 4, 4, 4, 6, 5, 5, 5], [7, 6, 6, 6, 6]]
+    assert ng.EdgeLayout([0], [0]).runs == []
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def plain_training(inst, epochs, seed=0, whole_graph=False):
     graph = inst["graph"]
     loss_rows = np.arange(graph.init_count, graph.n)
     if whole_graph:
-        gt = replace(inst["gt"], targets=loss_rows)
+        gt = replace(inst["gt"], targets=inst["gt"].targets[loss_rows])
     else:
         gt = md.prepare_tensors(graph, inst["nodes"], l_res_m=inst["graph_cfg"].l_res_m,
                                 targets=loss_rows, hops=inst["config"].layers)
@@ -193,6 +193,33 @@ def ancestors_within(graph, rows, hops):
     return sorted(reached)
 
 
+def tensor_rows(graph, targets, hops):
+    """The ids of targets' hops-hop cone in prepare_tensors' row order: by kept
+    parent count (all of a row's parents within hops - 1 hops of a target,
+    none further out), then by id."""
+    inner = set(ancestors_within(graph, targets, hops - 1))
+    kept = {i: int(graph.offsets[i + 1] - graph.offsets[i]) if i in inner else 0
+            for i in ancestors_within(graph, targets, hops)}
+    return sorted(kept, key=lambda i: (kept[i], i))
+
+
+@pytest.mark.parametrize("targets", [[17, 9, 12], [11], None], ids=["three", "one", "all"])
+@pytest.mark.parametrize("hops", [1, 2])
+def test_tensor_rows_come_by_kept_parent_count_then_id(targets, hops):
+    """Counts never decrease down the rows, and targets maps the requested ids,
+    in request order, to their rows."""
+    inst = small_instance(23, n=20, init_count=6)
+    graph, nodes = inst["graph"], inst["nodes"]
+    gt = md.prepare_tensors(graph, nodes, l_res_m=inst["graph_cfg"].l_res_m,
+                            targets=targets, hops=hops)
+    requested = np.arange(graph.n) if targets is None else np.array(targets)
+    rows = np.array(tensor_rows(graph, requested.tolist(), hops))
+    assert np.all(np.diff(gt.layout.counts) >= 0)
+    assert np.array_equal(gt.x_full, nodes.x_full[rows]) and np.array_equal(gt.y, nodes.y[rows])
+    assert np.array_equal(rows[gt.targets], requested)
+    assert len(gt.layout.runs) == len(np.unique(gt.layout.counts[gt.layout.counts > 0]))
+
+
 @pytest.mark.parametrize("variant,layers", MODEL_GRID,
                          ids=[f"{v}-{layers}" for v, layers in MODEL_GRID])
 def test_training_on_the_loss_rows_cone_equals_whole_graph_epochs(monkeypatch, variant,
@@ -216,13 +243,15 @@ def test_training_on_the_loss_rows_cone_equals_whole_graph_epochs(monkeypatch, v
     result = run_training(inst, 10)
     gt = seen[0]
     assert all(g is gt for g in seen) and len(seen) == 10
-    assert gt.n == len(cone) and np.array_equal(gt.x_full, nodes.x_full[cone])
-    assert np.array_equal(gt.targets, [cone.index(r) for r in loss_rows])
+    rows = tensor_rows(graph, loss_rows, layers)
+    assert sorted(rows) == cone
+    assert gt.n == len(cone) and np.array_equal(gt.x_full, nodes.x_full[rows])
+    assert np.array_equal(gt.targets, [rows.index(r) for r in loss_rows])
 
     trace, params = plain_training(inst, 10, whole_graph=True)
     np.testing.assert_allclose(result.loss_trace, trace, rtol=1e-12, atol=0)
     yhat = md.forward_values(inst["gt"], params, inst["config"])
-    whole_mae = float(np.mean(np.abs(yhat[loss_rows] - inst["gt"].y[loss_rows])))
+    whole_mae = float(np.mean(np.abs(yhat[loss_rows] - nodes.y[loss_rows])))
     assert result.final_train_mae == pytest.approx(whole_mae, rel=1e-12, abs=0)
 
 
@@ -246,7 +275,7 @@ def benchmark_sweep():
     graph, graph_cfg = pipeline.build_history_graph(config, data)
     gt = md.prepare_tensors(graph, data.history_nodes, l_res_m=graph_cfg.l_res_m)
     params = md.init_params(config.model, gt.x_full.shape[1], gt.x_st.shape[1], 0)
-    return replace(gt, targets=np.arange(graph.init_count, graph.n)), params, config.model
+    return replace(gt, targets=gt.targets[graph.init_count:]), params, config.model
 
 
 @pytest.mark.parametrize("pool_all", [False, True], ids=["large-arrays", "every-array"])
@@ -578,7 +607,8 @@ def test_query_step_reads_only_its_ancestor_cone(monkeypatch, layers):
     parents, cone = brute_force_ancestors(graph, graph.n - 1, layers)
     if layers == 1:
         assert gt.n == 1 + len(parents[graph.n - 1])
-    ids = sorted(cone)
+    ids = tensor_rows(graph, [graph.n - 1], layers)
+    assert sorted(ids) == sorted(cone)
     assert gt.n == len(ids) < graph.n
     assert np.array_equal(gt.x_full, np.stack([nodes[i].x_full for i in ids]))
     # nodes exactly `layers` hops out bring their features, not their parents

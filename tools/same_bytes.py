@@ -19,7 +19,10 @@ status, stdout and stderr to that directory's `console.txt`. Both sides
 write to one path, WORK/out, moved to WORK/parent or WORK/change afterwards,
 since the commands print the paths they write. It prints
 every file that differs or is on one side only, other than `timings.csv`,
-and exits 1 if there is one, 0 if not. The config must describe a
+and exits 1 if there is one, 0 if not. A differing `.csv` or `.json` file
+whose text is the same once its numbers are masked is reported with how
+many of its numbers moved and the largest relative change, relative to the
+larger magnitude; a hex digest, such as a manifest's, counts as text. The config must describe a
 synthetic dataset, since predict's query is read from gen-data's data.csv.
 Without --work, the work directory is a temporary one, deleted at the end.
 Uses the standard library only.
@@ -31,6 +34,7 @@ import argparse
 import csv
 import filecmp
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,6 +42,10 @@ from pathlib import Path
 
 STRATEGIES = ("ignore", "true", "predicted")
 UNCOMPARED = {"timings.csv"}  # wall-clock times
+NUMERIC_SUFFIXES = (".csv", ".json")
+# a decimal number not joined to a letter, digit, "_" or "." on either side,
+# so the digit runs inside a hex digest or a name like "stgan-L1" stay text
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
@@ -110,6 +118,28 @@ def run_side(checkout: Path, config, variants, layers, epochs: int, out: Path,
     return query
 
 
+def numeric_move(a: Path, b: Path) -> tuple[int, int, float] | None:
+    """(numbers whose values differ, numbers, largest relative change) of two
+    files whose texts agree once their numbers are masked; None if they do
+    not, or if either is not UTF-8."""
+    try:
+        text_a, text_b = (p.read_text(encoding="utf-8") for p in (a, b))
+    except UnicodeDecodeError:
+        return None
+    if NUMBER.sub("#", text_a) != NUMBER.sub("#", text_b):
+        return None
+    pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(text_a), NUMBER.findall(text_b))]
+    moved = [abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y]
+    return len(moved), len(pairs), max(moved, default=0.0)
+
+
+def differs(a: Path, b: Path, name: str) -> str:
+    move = numeric_move(a / name, b / name) if name.endswith(NUMERIC_SUFFIXES) else None
+    if move is None:
+        return f"differs: {name}"
+    return f"differs: {name} ({move[0]} of {move[1]} numbers moved, at most {move[2]:.2g} relative)"
+
+
 def differences(a: Path, b: Path) -> list[str]:
     """One line per file under a or b, other than UNCOMPARED ones, whose
     bytes differ or that only one of them holds."""
@@ -118,7 +148,7 @@ def differences(a: Path, b: Path) -> list[str]:
              for side, root in (("a", a), ("b", b))}
     lines = [f"only in {a.name}: {f}" for f in sorted(files["a"] - files["b"])]
     lines += [f"only in {b.name}: {f}" for f in sorted(files["b"] - files["a"])]
-    lines += [f"differs: {f}" for f in sorted(files["a"] & files["b"])
+    lines += [differs(a, b, f) for f in sorted(files["a"] & files["b"])
               if not filecmp.cmp(a / f, b / f, shallow=False)]
     return lines
 
