@@ -30,7 +30,8 @@ def test_a_csv_or_json_that_moved_only_in_its_numbers_says_how_far(tmp_path):
     a, b = tmp_path / "parent", tmp_path / "change"
     digest = "0123456789abcdef" * 4
     files = {
-        "loss.csv": ("epoch,loss\n0,2.5\n1,-1.25e-3\n2,7\n", "epoch,loss\n0,2.5\n1,-1.5e-3\n2,7.0\n"),
+        "loss.csv": ("epoch,loss\n0,2.5\n1,-1.25e-3\n2,7\n",
+                     "epoch,loss\n0,2.5\n1,-1.5e-3\n2,7.0\n"),
         "report.json": ('{"mae": 0.5, "run": "stgan-L1"}', '{"mae": 0.4, "run": "stgan-L1"}'),
         "renamed.json": ('{"mae": 0.5, "run": "stgan-L1"}', '{"mae": 0.5, "run": "stgan-L2"}'),
         "manifest.json": (f'{{"loss.csv": "{digest}"}}',

@@ -22,8 +22,9 @@ every file that differs or is on one side only, other than `timings.csv`,
 and exits 1 if there is one, 0 if not. A differing `.csv` or `.json` file
 whose text is the same once its numbers are masked is reported with how
 many of its numbers moved and the largest relative change, relative to the
-larger magnitude; a hex digest, such as a manifest's, counts as text. The config must describe a
-synthetic dataset, since predict's query is read from gen-data's data.csv.
+larger magnitude; a hex digest, such as a manifest's, counts as text. The
+config must describe a synthetic dataset, since predict's query is read
+from gen-data's data.csv.
 Without --work, the work directory is a temporary one, deleted at the end.
 Uses the standard library only.
 """
