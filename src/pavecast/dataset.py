@@ -597,7 +597,9 @@ def _env_value(name: str, t: float, loc_offset: float, rng: np.random.Generator,
 
 def generate_synthetic(config: SyntheticConfig) -> np.recarray:
     """Generate seeded records realizing the target data pathologies, sorted
-    by time (ties: location_id, visit order)."""
+    by time (ties: location_id, visit order). With n_records set, the table
+    holds exactly that many; one that the span cannot hold raises ConfigError
+    naming it, never a shorter table."""
     rng = np.random.default_rng(config.seed)
 
     # locations cluster along road segments: pick cluster centers in the
@@ -688,9 +690,11 @@ def generate_synthetic(config: SyntheticConfig) -> np.recarray:
                     chain_t[j] = t
                     added += 1
             if added == 0:
-                raise ConfigError(
-                    f"cannot reach n_records={config.n_records} within span_days="
-                    f"{config.span_days}; raise mean_visits or span")
+                break
+        if len(visits) < config.n_records:
+            raise ConfigError(
+                f"cannot reach n_records={config.n_records} within span_days="
+                f"{config.span_days}; raise mean_visits or span")
         visits.sort()
         if len(visits) > config.n_records:
             # thin uniformly at random: keeps the temporal density shape

@@ -61,7 +61,12 @@ class ModelConfigError(ValueError):
 class ModelConfig:
     """Variant, widths and depth. Stacked layers (layers > 1) reuse the first
     layer's attention coefficients and add only a convolution each. hidden,
-    the extractor's last width, and leaky_slope are not fields."""
+    the extractor's last width, and leaky_slope are not fields.
+
+    heads lies in [1, 1000], layers in [1, 300] and len(extractor_hidden) in
+    [1, 200], 100 times what any run uses: each adds arrays to param_shapes,
+    which MAX_PARAMS, counting entries, would let grow to millions at width 1.
+    """
 
     variant: str = "stgan"
     heads: int = 5
@@ -75,11 +80,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ModelConfigError(f"unknown variant {self.variant!r}")
-        if self.heads < 1 or self.layers < 1:
-            raise ModelConfigError("heads and layers must be >= 1")
-        if not self.extractor_hidden or min(*self.extractor_hidden, self.head_hidden) < 1:
-            raise ModelConfigError("extractor_hidden needs at least one width, "
-                                   "and every width must be >= 1")
+        for name, size, top in (("heads", self.heads, 1000), ("layers", self.layers, 300),
+                                ("len(extractor_hidden)", len(self.extractor_hidden), 200)):
+            if not 1 <= size <= top:
+                raise ModelConfigError(f"{name} must be in [1, {top}], got {size}")
+        if min(*self.extractor_hidden, self.head_hidden) < 1:
+            raise ModelConfigError("every width must be >= 1")
         if not 0 <= self.eam_gamma < np.inf:  # a negative decay would grow with distance
             raise ModelConfigError(f"eam_gamma must be finite and >= 0, got {self.eam_gamma}")
 
@@ -229,69 +235,51 @@ def prepare_tensors(graph: STGraph, nodes, l_res_m: float = 200.0,
 # Parameters
 
 
-def _glorot_entry(params, rng, name, fan_in, fan_out, bias=True):
-    params[name + "_w"] = ng.glorot_uniform(rng, fan_in, fan_out)
-    if bias:
-        params[name + "_b"] = np.zeros((1, fan_out))
-
-
-def _glorot_mlp(params, rng, prefix, widths):
-    """The layers of an _mlp from widths[0] to widths[-1], named prefix0, prefix1, ..."""
-    for k in range(len(widths) - 1):
-        _glorot_entry(params, rng, f"{prefix}{k}", widths[k], widths[k + 1])
-
-
 MAX_PARAMS = 1 << 27  # 1 GiB of float64
 
 
-def _mlp_size(widths) -> int:
-    return sum(a * b + b for a, b in zip(widths, widths[1:]))
+def _mlp_shapes(prefix, widths) -> dict[str, tuple[int, int]]:
+    """The layers of an _mlp from widths[0] to widths[-1], named prefix0, prefix1, ..."""
+    shapes = {}
+    for k, (a, b) in enumerate(zip(widths, widths[1:])):
+        shapes[f"{prefix}{k}_w"], shapes[f"{prefix}{k}_b"] = (a, b), (1, b)
+    return shapes
 
 
-def param_count(config: ModelConfig, dim_full: int, dim_st: int) -> int:
-    """The number of entries init_params makes, counted without making them."""
+def param_shapes(config: ModelConfig, dim_full: int, dim_st: int) -> dict[str, tuple[int, int]]:
+    """Each parameter's name and shape, in creation order: the one statement of
+    a model's layout, which init_params draws and load_checkpoint checks.
+    ModelConfig bounds heads, layers and depth, so the list stays short
+    however wide the layers are."""
     h, mod = config.hidden, config.modules
     if mod.weights is None:
-        return _mlp_size([dim_st + dim_full + 1, *config.extractor_hidden, 1])
+        return _mlp_shapes("mlp", [dim_st + dim_full + 1, *config.extractor_hidden, 1])
+    shapes = {**_mlp_shapes("ext_full", [dim_full, *config.extractor_hidden]),
+              **_mlp_shapes("ext_st", [dim_st, *config.extractor_hidden])}
     attention = mod.weights == "attention"
+    if attention:  # per head: [self slot || source slot (|| time slot)]
+        for k in range(config.heads):
+            shapes[f"attn_l1_h{k}_w"] = (2 * h + mod.time_slot, 1)
     conv_in = h * (config.heads if attention else 1)
-    return (_mlp_size([dim_full, *config.extractor_hidden])
-            + _mlp_size([dim_st, *config.extractor_hidden])
-            + attention * config.heads * (2 * h + mod.time_slot)
-            + (config.layers - 1) * (conv_in * h + h)
-            + _mlp_size([conv_in, *[config.head_hidden] * (mod.head_layers - 1), 1]))
+    for layer in range(1, config.layers):
+        shapes[f"conv_l{layer}_w"], shapes[f"conv_l{layer}_b"] = (conv_in, h), (1, h)
+    shapes.update(_mlp_shapes("head", [conv_in, *[config.head_hidden] * (mod.head_layers - 1), 1]))
+    return shapes
 
 
 def init_params(config: ModelConfig, dim_full: int, dim_st: int,
                 seed: int) -> dict[str, np.ndarray]:
-    """Named parameter arrays in a fixed creation order (seeded). A model of
-    more than MAX_PARAMS entries raises ModelConfigError before any is made."""
-    count = param_count(config, dim_full, dim_st)
+    """The param_shapes arrays in their order (seeded): Glorot-uniform weights
+    (_w), zero biases (_b). A model of more than MAX_PARAMS entries raises
+    ModelConfigError before any is made."""
+    shapes = param_shapes(config, dim_full, dim_st)
+    count = sum(a * b for a, b in shapes.values())
     if count > MAX_PARAMS:
         raise ModelConfigError(f"the model would hold {count:,} parameters, "
                                f"above the cap of {MAX_PARAMS:,}")
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    h, mod = config.hidden, config.modules
-
-    if mod.weights is None:
-        _glorot_mlp(params, rng, "mlp", [dim_st + dim_full + 1, *config.extractor_hidden, 1])
-        return params
-
-    for prefix, d_in in (("ext_full", dim_full), ("ext_st", dim_st)):
-        _glorot_mlp(params, rng, prefix, [d_in, *config.extractor_hidden])
-
-    attention = mod.weights == "attention"
-    if attention:  # per head: [self slot || source slot (|| time slot)]
-        for k in range(config.heads):
-            _glorot_entry(params, rng, f"attn_l1_h{k}", 2 * h + mod.time_slot, 1, bias=False)
-
-    conv_in = h * (config.heads if attention else 1)
-    for layer in range(1, config.layers):
-        _glorot_entry(params, rng, f"conv_l{layer}", conv_in, h)
-
-    _glorot_mlp(params, rng, "head", [conv_in, *[config.head_hidden] * (mod.head_layers - 1), 1])
-    return params
+    return {name: ng.glorot_uniform(rng, *shape) if name.endswith("_w") else np.zeros(shape)
+            for name, shape in shapes.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,10 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
 
     A row's gap g is dt / t_res to its newest candidate, rounded down far
     past a score's rounding error: every candidate's time term is at least
-    g. A round scores a row against the candidates within its reach s: in
+    g. g is clamped at 2^52, where g + 1 is still exact: a smaller lower
+    bound is still a bound, so the edges stay those of a scan. From 2^53 on
+    g + 1 would round to g, and a row's reach would never grow.
+    A round scores a row against the candidates within its reach s: in
     the cells within (s - g) * l_res and the times within s * t_res,
     widened by _window_start's slack. R * |dphi| and R *
     cos(max |lat|) * |dlam| bound the distance from below, so a candidate
@@ -383,7 +386,7 @@ def combined_parents(lon: np.ndarray, lat: np.ndarray, t_raw: np.ndarray, limits
                                  f"at t={t_raw[limits[late][0] - 1]}")
     # dt / t_res to the newest candidate, rounded down far past a score's
     # rounding error: it bounds every candidate's time term from below
-    gap = (t - newest) * ((1 - _SLACK) / config.t_res_days)
+    gap = np.minimum((t - newest) * ((1 - _SLACK) / config.t_res_days), 2.0**52)
     pos, parent, dist, key = (np.concatenate(col) for col in zip(
         (*_NO_EDGES, _NO_EDGES[0]), *_grid_edges(lon, lat, t_raw, limits, config, k, gap)))
     origin = np.full(len(pos), HARD, _ORIGIN_DTYPE)

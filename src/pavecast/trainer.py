@@ -43,8 +43,8 @@ moments are not: nothing resumes training from a checkpoint. The checksums
 do not cover the manifest, so load_checkpoint raises
 CheckpointIntegrityError naming any manifest section it cannot build or
 whose values have the wrong type, and the first parameter whose name or
-shape differs from what init_params makes for the manifest's model config
-and feature widths.
+shape differs from what model.param_shapes lists for the manifest's model
+config and feature widths.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ from .config import read_config, read_field
 from .dataset import (COORD_BOUNDS, FeatureSchema, NodeTable, PreprocessStats,
                       preprocess_records, query_nodes, write_readings)
 from .model import (ModelConfig, attention_sum_deviation, first_nonfinite_primitive,
-                    forward_values, init_params, loss_and_grads, prepare_tensors)
+                    forward_values, init_params, loss_and_grads, param_shapes,
+                    prepare_tensors)
 from .stgraph import GraphConfig, STGraph
 
 STRATEGIES = ("ignore", "true", "predicted")
@@ -363,18 +364,19 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def _check_param_shapes(params: dict[str, np.ndarray], model_config: ModelConfig,
                         schema: FeatureSchema) -> None:
-    """The parameters must be those init_params makes for the manifest's
+    """The parameters must be those param_shapes lists for the manifest's
     model_config and feature widths, name for name and shape for shape: the
-    checksums cover their bytes, not the config that reads them."""
-    want = init_params(model_config, schema.dim_full, schema.dim_st, seed=0)
-    for name, arr in want.items():
+    checksums cover their bytes, not the config that reads them. Compares
+    shapes only; nothing is drawn or allocated."""
+    want = param_shapes(model_config, schema.dim_full, schema.dim_st)
+    for name, shape in want.items():
         if name not in params:
             raise CheckpointIntegrityError(
                 f"checkpoint has no parameter {name}, which its model_config needs")
-        if params[name].shape != arr.shape:
+        if params[name].shape != shape:
             raise CheckpointIntegrityError(
                 f"parameter {name} has shape {params[name].shape}, but the manifest's "
-                f"model_config and feature_schema give {arr.shape}")
+                f"model_config and feature_schema give {shape}")
     extra = [name for name in params if name not in want]
     if extra:
         raise CheckpointIntegrityError(

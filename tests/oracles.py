@@ -13,10 +13,6 @@ def oracle_elu(x):
     return np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
 
 
-def oracle_leaky(x, alpha):
-    return np.where(x > 0, x, alpha * x)
-
-
 def oracle_mlp(x, params, prefix, depth, act_final=True):
     out = x
     for k in range(depth):

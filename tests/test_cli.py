@@ -490,6 +490,16 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, tiny_config_file, capsy
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("override", [
+    "graph.t_res_days=1e-300", "graph.t_res_days=1e-16", "graph.t_res_days=1e300",
+    "graph.l_res_m=1e-300", "graph.l_res_m=1e300", f"graph.top_k={10**18}"])
+def test_extreme_graph_settings_build(tmp_path, tiny_config_file, override):
+    """Every valid setting finishes: at t_res 1e-16 days and below, time gaps
+    of 2^53 t_res once kept a row's reach from growing."""
+    assert run_cli("build-graph", "--config", tiny_config_file, "--set", override,
+                   "--out", str(tmp_path / "x")) == 0
+
+
 @pytest.mark.parametrize("key,value,line", [
     ("graph.top_mode", "merged", "error: unknown graph key 'top_mode'"),
     ("model.hidden", 8, "error: unknown model key 'hidden'"),
@@ -639,6 +649,11 @@ def test_manifest_value_of_the_wrong_type_exits_2_naming_the_section(
 @pytest.mark.parametrize("argv,line", [
     (("gen-data", "--config", "{config}", "--set", "dataset.csv=data.csv", "--out", "{out}"),
      "error: gen-data needs a synthetic dataset config"),
+    (("gen-data", "--config", "{config}", "--set", "dataset.synthetic.n_locations=4",
+      "--set", "dataset.synthetic.n_clusters=1", "--set", "dataset.synthetic.route_frac=0.0",
+      "--set", "dataset.synthetic.span_days=36500.0",
+      "--set", "dataset.synthetic.n_records=1000", "--out", "{out}"),
+     "error: cannot reach n_records=1000 within span_days=36500.0; raise mean_visits or span"),
     (("matrix", "--config", "{config}", "--axes", "", "--out", "{out}"),
      "error: matrix needs at least one axis"),
     (("evaluate", "--checkpoint", "{bare}", "--out", "{out}"),
@@ -647,10 +662,10 @@ def test_manifest_value_of_the_wrong_type_exits_2_naming_the_section(
       "--set", "train.epochs=1", "--out", "{out}"),
      "error: the model would hold 18,000,000,000,285 parameters, above the cap of 134,217,728"),
     (("train", "--config", "{config}", "--set", "model.layers=1000000000000",
-      "--set", "train.epochs=1", "--out", "{out}"),  # the cone walk stops at its last hop
-     "error: the model would hold 136,000,000,000,293 parameters, above the cap of 134,217,728"),
-], ids=["gen-data-on-csv", "matrix-no-axes", "checkpoint-without-run-config",
-        "oversized-head", "too-many-layers"])
+      "--set", "train.epochs=1", "--out", "{out}"),
+     "error: layers must be in [1, 300], got 1000000000000"),
+], ids=["gen-data-on-csv", "gen-data-short-table", "matrix-no-axes",
+        "checkpoint-without-run-config", "oversized-head", "too-many-layers"])
 def test_usage_error_exits_2_naming_it(tmp_path, tiny_config_file, one_epoch_checkpoint,
                                        capsys, argv, line):
     bare = tmp_path / "model.ckpt"
@@ -660,6 +675,24 @@ def test_usage_error_exits_2_naming_it(tmp_path, tiny_config_file, one_epoch_che
     capsys.readouterr()
     assert run_cli(*(arg.format(**names) for arg in argv)) == 2
     assert capsys.readouterr().err.strip().splitlines() == [line]
+
+
+@pytest.mark.parametrize("value,line", [
+    ("model.heads=1001", "error: heads must be in [1, 1000], got 1001"),
+    ("model.layers=301", "error: layers must be in [1, 300], got 301"),
+    (f"model.extractor_hidden={[1] * 201}",
+     "error: len(extractor_hidden) must be in [1, 200], got 201"),
+], ids=["heads-1001", "layers-301", "depth-201"])
+def test_model_size_past_its_range_exits_2_before_any_data(tmp_path, tiny_config_file, capsys,
+                                                           value, line):
+    """At width 1 each value fits the parameter cap: only its range stops it,
+    where the config is read, before any output or data."""
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert run_cli("train", "--config", tiny_config_file, "--set", "model.extractor_hidden=[1]",
+                   "--set", "model.head_hidden=1", "--set", value, "--out", str(out)) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+    assert not out.exists()
 
 
 def test_version_3_checkpoint_exits_2_naming_its_version(tmp_path, one_epoch_checkpoint,
@@ -678,7 +711,7 @@ def test_version_3_checkpoint_exits_2_naming_its_version(tmp_path, one_epoch_che
     (lambda m: m["model_config"].update(extractor_hidden=[6, 6]), "ext_full1_w"),
     (lambda m: m.__setitem__("sections", [e for e in m["sections"]
                                           if e["name"] != "param:head1_b"]), "head1_b"),
-    (lambda m: m["model_config"].update(heads=10**12), "parameters"),
+    (lambda m: m["model_config"].update(heads=10**12), "heads"),
 ], ids=["heads-2-to-1", "hidden-8-to-6", "section-dropped", "heads-2-to-1e12"])
 def test_checkpoint_whose_config_does_not_fit_its_parameters_exits_2(tmp_path, tiny_config_file,
                                                                       capsys, edit, param):

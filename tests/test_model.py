@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 from dataclasses import asdict, astuple, replace
 from operator import attrgetter
 
@@ -551,8 +552,10 @@ def test_init_params_names_and_shapes_in_creation_order():
         for layers, want in ((1, body + head), (2, body + conv + head)):
             cfg = md.ModelConfig(variant=variant, layers=layers, **SMALL_DIMS)
             params = md.init_params(cfg, schema.dim_full, schema.dim_st, seed=0)
-            got = [f"{name} {'x'.join(map(str, v.shape))}" for name, v in params.items()]
-            assert got == want, (variant, layers)
+            shapes = md.param_shapes(cfg, schema.dim_full, schema.dim_st)
+            for got in ({name: v.shape for name, v in params.items()}, shapes):
+                assert [f"{name} {'x'.join(map(str, shape))}"
+                        for name, shape in got.items()] == want, (variant, layers)
 
 
 @pytest.mark.parametrize("variant", md.VARIANTS)
@@ -561,15 +564,37 @@ def test_param_count_is_what_init_params_makes_and_every_sweep_value_fits(varian
     for heads, layers in ((1, 1), (10, 3)):  # default widths, the sweeps' extremes
         cfg = md.ModelConfig(variant=variant, heads=heads, layers=layers)
         params = md.init_params(cfg, schema.dim_full, schema.dim_st, seed=0)
-        count = md.param_count(cfg, schema.dim_full, schema.dim_st)
+        shapes = md.param_shapes(cfg, schema.dim_full, schema.dim_st)
+        assert [(name, p.shape) for name, p in params.items()] == list(shapes.items())
+        count = sum(a * b for a, b in shapes.values())
         assert sum(p.size for p in params.values()) == count <= md.MAX_PARAMS
 
 
 @pytest.mark.parametrize("field", ["heads", "layers", "head_hidden"])
 def test_a_model_over_the_parameter_cap_is_rejected_before_any_allocation(field):
-    cfg = md.ModelConfig(**{field: 10**12})
+    """heads and layers at their largest take a model of these widths, which
+    fits at 1 of each, over the cap."""
+    sizes = {"heads": dict(heads=1000, extractor_hidden=(8, 10**5)),
+             "layers": dict(heads=10, layers=300, extractor_hidden=(8, 10**3)),
+             "head_hidden": dict(head_hidden=10**12)}
+    cfg = md.ModelConfig(**sizes[field])
     with pytest.raises(md.ModelConfigError, match=r"parameters, above the cap of 134,217,728$"):
         md.init_params(cfg, 18, 3, seed=0)
+
+
+@pytest.mark.parametrize("name,top,config", [
+    ("heads", 1000, lambda n: md.ModelConfig(heads=n)),
+    ("layers", 300, lambda n: md.ModelConfig(layers=n)),
+    ("len(extractor_hidden)", 200, lambda n: md.ModelConfig(extractor_hidden=(1,) * n)),
+], ids=["heads", "layers", "depth"])
+def test_heads_layers_and_depth_are_bounded_where_the_config_is_built(name, top, config):
+    """Each adds arrays to the layout; the cap counts entries, so at width 1
+    millions of arrays would pass it."""
+    for bad in (0, top + 1):
+        with pytest.raises(md.ModelConfigError,
+                           match=rf"^{re.escape(name)} must be in \[1, {top}\], got {bad}$"):
+            config(bad)
+    assert len(md.param_shapes(config(top), 18, 3)) < 2_000
 
 
 def test_config_roundtrips_through_dict():

@@ -623,6 +623,32 @@ def test_rows_with_fewer_than_k_candidates_match_brute_force(top_mode):
                              np.searchsorted(g.t_raw, [q.t_raw for q in queries], "right"), cfg)
 
 
+@pytest.mark.parametrize("top_k", [5, 1])
+def test_time_gaps_of_2_to_the_53_t_res_and_more_match_brute_force(top_k):
+    """At t_res 1e-16 days every gap is past 2^53 t_res, where gap + 1 rounds
+    to gap: unclamped, a row short of K candidates in its first box never
+    widened it, and the build never ended."""
+    rng = np.random.default_rng(21)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=1e-16, top_k=top_k)
+    nodes = rand_nodes(rng, 60, extent=0.01, span=90.0)
+    g = sg.build_graph(columns(nodes), 5, cfg)
+    assert edge_set(g) == brute_force_graph_edges(nodes, 5, cfg)
+
+
+@pytest.mark.parametrize("t_raw", [1e18, 1e300])
+def test_a_query_far_in_the_future_grows_like_brute_force(t_raw):
+    """One isolated query 1e18 or 1e300 days out, on a 400-row history."""
+    rng = np.random.default_rng(22)
+    cfg = sg.GraphConfig(l_res_m=200.0, t_res_days=14.0, top_k=5)
+    nodes = rand_nodes(rng, 400, extent=0.01, span=100.0)
+    g = sg.build_graph(columns(nodes), 1, cfg)
+    query = Row(g.n, 121.5, 31.5, t_raw, 1.0)
+    grown = g.grow(columns([query]), [g.n], cfg)
+    want, _ = brute_force_parents(query, nodes, cfg)
+    assert edge_set(grown) - edge_set(g) == {(p, query.node_id) for p in want}
+    assert_rows_match_oracle(nodes + [query], [g.n], cfg)
+
+
 @RANKING
 @pytest.mark.parametrize("pole", [90.0, -90.0])
 def test_rows_within_1e_12_degrees_of_a_pole_reach_the_cos_clamp(pole, top_mode):
@@ -841,7 +867,7 @@ def test_graph_nodes_from_processed_reads_each_node_bit_for_bit():
 # growth past the initialization block
 
 
-def test_expand_no_parents_when_k_zero_and_far():
+def test_grow_no_parents_when_k_zero_and_far():
     cfg = sg.GraphConfig(top_k=0)
     base = Row(0, 121.0, 31.0, 0.0, 0.0)
     far = Row(1, 122.0, 32.0, 90.0, 0.9)
@@ -849,7 +875,7 @@ def test_expand_no_parents_when_k_zero_and_far():
     assert in_degree(g)[1] == 0
 
 
-def test_expand_in_degree_min_k_prior():
+def test_grow_in_degree_min_k_prior():
     cfg = sg.GraphConfig(top_k=5)
     rng = np.random.default_rng(8)
     nodes = rand_nodes(rng, 4, extent=0.5, span=400.0)
@@ -857,7 +883,7 @@ def test_expand_in_degree_min_k_prior():
     assert in_degree(g)[3] == 3  # min(K=5, 3 prior)
 
 
-def test_expand_sequence_matches_batch_oracle():
+def test_grow_sequence_matches_batch_oracle():
     rng = np.random.default_rng(13)
     cfg = sg.GraphConfig(l_res_m=300.0, t_res_days=12.0, top_k=4)
     nodes = rand_nodes(rng, 50, extent=0.004, span=90.0)
@@ -865,7 +891,7 @@ def test_expand_sequence_matches_batch_oracle():
     assert edge_set(g) == brute_force_graph_edges(nodes, 5, cfg)
 
 
-def test_expand_rejects_out_of_order():
+def test_grow_rejects_out_of_order():
     cfg = sg.GraphConfig()
     nodes = rand_nodes(np.random.default_rng(2), 5)
     stale = Row(5, 121.0, 31.0, nodes[2].t_raw - 1.0, 0.0)
@@ -881,7 +907,7 @@ def test_expand_rejects_out_of_order():
     assert g.n == 5
 
 
-def test_expand_rejects_node_older_than_init_block():
+def test_grow_rejects_node_older_than_init_block():
     cfg = sg.GraphConfig()
     init = [Row(0, 121.0, 31.0, 0.0, 0.0),
             Row(1, 121.0, 31.0, 10.0, 0.1)]

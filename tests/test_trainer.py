@@ -374,7 +374,7 @@ def test_query_contract_errors():
                 tr.predict_sequence(ctx, graph, nodes, queries, strategy)
 
 
-def test_uncommitted_query_leaves_graph_untouched():
+def test_one_query_leaves_graph_untouched():
     inst = small_instance(10)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
@@ -417,7 +417,7 @@ def test_three_query_chain_matches_dense_hand_step():
     queries = chain_queries(inst, 3)  # at nodes 0-2's locations, 1-3 days on
     got = tr.predict_sequence(ctx, graph, nodes, queries, strategy="predicted")
 
-    # dense oracle stepped by hand with explicit commits
+    # dense oracle stepped by hand, each forecast written before the next query
     work_graph, work_nodes = graph, nodes
     want = []
     for k in range(len(queries)):
@@ -523,7 +523,7 @@ def test_ignore_strategy_is_order_free_per_query():
     assert np.allclose(tail, out[2:], atol=1e-12)
 
 
-def test_batch_ignore_equals_sequential():
+def test_ignore_forecast_equals_sequential():
     inst = small_instance(16, n=9, init_count=1)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
@@ -533,7 +533,7 @@ def test_batch_ignore_equals_sequential():
     assert np.allclose(batched, singles, atol=1e-12)
 
 
-def test_batch_ignore_allow_past_wires_against_no_later_history():
+def test_ignore_forecast_allow_past_wires_against_no_later_history():
     inst = small_instance(17, n=10, init_count=2)
     ctx = make_context(inst)
     graph, nodes = inst["graph"], inst["nodes"]
