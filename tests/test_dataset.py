@@ -672,20 +672,25 @@ def test_latent_field_peak_stays_under_two_and_a_half_matrices():
     assert peak < 2.5 * n * n * 8
 
 
-@pytest.mark.parametrize("cfg", [
-    ds.SyntheticConfig(n_locations=1, n_records=50, n_clusters=1, span_days=1.0),
-    ds.SyntheticConfig(n_locations=4, n_records=1000, n_clusters=1, route_frac=0.0,
-                       span_days=36500.0),
-], ids=["one-day", "rounds-run-out"])
-def test_synthetic_unreachable_record_count_raises_naming_it(cfg):
+def test_synthetic_unreachable_record_count_raises_naming_it():
     """One location in one day holds at most four visits, as gaps are at
-    least a quarter day; four locations over a century still hold visits
-    after the extension rounds run out, and the table must not come back
-    short."""
+    least a quarter day."""
+    cfg = ds.SyntheticConfig(n_locations=1, n_records=50, n_clusters=1, span_days=1.0)
     with pytest.raises(ds.ConfigError) as exc:
         ds.generate_synthetic(cfg)
-    assert str(exc.value) == (f"cannot reach n_records={cfg.n_records} within span_days="
-                              f"{cfg.span_days}; raise mean_visits or span")
+    assert str(exc.value) == ("cannot reach n_records=50 within span_days=1.0; "
+                              "raise mean_visits or span")
+
+
+def test_synthetic_raises_when_extension_rounds_run_out():
+    """Four locations over a century still hold visits after the extension
+    rounds run out, and the table must not come back short."""
+    cfg = ds.SyntheticConfig(n_locations=4, n_records=1000, n_clusters=1, route_frac=0.0,
+                             span_days=36500.0)
+    with pytest.raises(ds.ConfigError) as exc:
+        ds.generate_synthetic(cfg)
+    assert str(exc.value) == ("cannot reach n_records=1000 within span_days=36500.0; "
+                              "raise mean_visits or span")
 
 
 def test_synthetic_pathologies(default_synthetic):
