@@ -12,6 +12,9 @@ gathers (n, H) projections per edge, so no (edges x hidden) matrix is
 formed on the tape. Attention is scored once per forward pass, from the
 first layer's representations; stacked layers reuse those coefficients.
 
+Every dense layer (extractors, head, top_mlp, stacked convolutions) is one
+ndgrad.dense node: x @ W + b and its ELU in one buffer.
+
 VARIANTS gives each baseline and ablation as the Modules it keeps; every
 variant keeps the self channel spatial-temporal-only.
 """
@@ -248,22 +251,29 @@ def _mlp_shapes(prefix, widths) -> dict[str, tuple[int, int]]:
 
 def param_shapes(config: ModelConfig, dim_full: int, dim_st: int) -> dict[str, tuple[int, int]]:
     """Each parameter's name and shape, in creation order: the one statement of
-    a model's layout, which init_params draws and load_checkpoint checks.
-    ModelConfig bounds heads, layers and depth, so the list stays short
-    however wide the layers are."""
+    a model's layout, which init_params draws, load_checkpoint checks and
+    RunConfig checks as it is built. A model of more than MAX_PARAMS entries
+    raises ModelConfigError. ModelConfig bounds heads, layers and depth, so
+    the list stays short however wide the layers are."""
     h, mod = config.hidden, config.modules
     if mod.weights is None:
-        return _mlp_shapes("mlp", [dim_st + dim_full + 1, *config.extractor_hidden, 1])
-    shapes = {**_mlp_shapes("ext_full", [dim_full, *config.extractor_hidden]),
-              **_mlp_shapes("ext_st", [dim_st, *config.extractor_hidden])}
-    attention = mod.weights == "attention"
-    if attention:  # per head: [self slot || source slot (|| time slot)]
-        for k in range(config.heads):
-            shapes[f"attn_l1_h{k}_w"] = (2 * h + mod.time_slot, 1)
-    conv_in = h * (config.heads if attention else 1)
-    for layer in range(1, config.layers):
-        shapes[f"conv_l{layer}_w"], shapes[f"conv_l{layer}_b"] = (conv_in, h), (1, h)
-    shapes.update(_mlp_shapes("head", [conv_in, *[config.head_hidden] * (mod.head_layers - 1), 1]))
+        shapes = _mlp_shapes("mlp", [dim_st + dim_full + 1, *config.extractor_hidden, 1])
+    else:
+        shapes = {**_mlp_shapes("ext_full", [dim_full, *config.extractor_hidden]),
+                  **_mlp_shapes("ext_st", [dim_st, *config.extractor_hidden])}
+        attention = mod.weights == "attention"
+        if attention:  # per head: [self slot || source slot (|| time slot)]
+            for k in range(config.heads):
+                shapes[f"attn_l1_h{k}_w"] = (2 * h + mod.time_slot, 1)
+        conv_in = h * (config.heads if attention else 1)
+        for layer in range(1, config.layers):
+            shapes[f"conv_l{layer}_w"], shapes[f"conv_l{layer}_b"] = (conv_in, h), (1, h)
+        head = [conv_in, *[config.head_hidden] * (mod.head_layers - 1), 1]
+        shapes.update(_mlp_shapes("head", head))
+    count = sum(a * b for a, b in shapes.values())
+    if count > MAX_PARAMS:
+        raise ModelConfigError(f"the model would hold {count:,} parameters, "
+                               f"above the cap of {MAX_PARAMS:,}")
     return shapes
 
 
@@ -273,10 +283,6 @@ def init_params(config: ModelConfig, dim_full: int, dim_st: int,
     (_w), zero biases (_b). A model of more than MAX_PARAMS entries raises
     ModelConfigError before any is made."""
     shapes = param_shapes(config, dim_full, dim_st)
-    count = sum(a * b for a, b in shapes.values())
-    if count > MAX_PARAMS:
-        raise ModelConfigError(f"the model would hold {count:,} parameters, "
-                               f"above the cap of {MAX_PARAMS:,}")
     rng = np.random.default_rng(seed)
     return {name: ng.glorot_uniform(rng, *shape) if name.endswith("_w") else np.zeros(shape)
             for name, shape in shapes.items()}
@@ -287,13 +293,11 @@ def init_params(config: ModelConfig, dim_full: int, dim_st: int,
 
 
 def _mlp(tape, x, pnodes, prefix, n_layers, slope_final=True):
-    """Stacked x @ W + b with ELU after every layer (or all but the last)."""
+    """One ng.dense node per layer: x @ W + b, ELU after every layer (or all but the last)."""
     out = x
     for k in range(n_layers):
-        out = ng.add_rowvec(ng.matmul(out, pnodes[f"{prefix}{k}_w"]),
-                            pnodes[f"{prefix}{k}_b"])
-        if slope_final or k < n_layers - 1:
-            out = ng.elu(out)
+        out = ng.dense(out, pnodes[f"{prefix}{k}_w"], pnodes[f"{prefix}{k}_b"],
+                       act=slope_final or k < n_layers - 1)
     return out
 
 
@@ -355,8 +359,7 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
     # spatial-temporal one: this is the leakage barrier
     agg = ng.csr_aggregate(z, z_st, coefs, gt.layout)
     for layer in range(1, config.layers):
-        rep = ng.elu(ng.add_rowvec(ng.matmul(agg, pnodes[f"conv_l{layer}_w"]),
-                                   pnodes[f"conv_l{layer}_b"]))
+        rep = ng.dense(agg, pnodes[f"conv_l{layer}_w"], pnodes[f"conv_l{layer}_b"])
         agg = ng.csr_aggregate(rep, rep, coefs, gt.layout)
 
     return _mlp(tape, agg, pnodes, "head", mod.head_layers, slope_final=False)

@@ -3,6 +3,7 @@
 Values are computed eagerly; a tape records every primitive application in
 insertion order, so the reverse sweep is a single walk backwards over the
 tape. Only the primitives the forecasting models need are provided: matmul,
+dense (a layer's matmul, bias and ELU as one node that writes one buffer),
 a handful of elementwise ops, row and column concatenation, row gather, and
 for edge attention a per-target softmax and a fused aggregation, both over an
 EdgeLayout built and validated once per edge set. The aggregation is one
@@ -258,22 +259,6 @@ def mul_array(a: Node, const) -> Node:
     return out
 
 
-def add_rowvec(a: Node, b: Node) -> Node:
-    """Add a 1 x cols row vector to every row of a (the bias pattern)."""
-    if b.value.shape != (1, a.value.shape[1]):
-        raise ShapeError(
-            f"add_rowvec: bias shape {b.value.shape} does not match (1, {a.value.shape[1]})")
-    tape = a.tape
-    out = Node(tape, "add_rowvec", np.add(a.value, b.value, out=tape.out(a.shape)))
-
-    def backward(g):
-        a.accumulate(g)
-        b.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
-
-    out._backward = backward
-    return out
-
-
 def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(
@@ -290,19 +275,33 @@ def matmul(a: Node, b: Node) -> Node:
     return out
 
 
-def elu(a: Node) -> Node:
-    x, tape = a.value, a.tape
-    val = np.minimum(x, 0.0, out=tape.out(x.shape))
-    np.expm1(val, out=val)
-    np.maximum(x, val, out=val)
-    out = Node(tape, "elu", val)
+def dense(x: Node, w: Node, b: Node, act: bool = True) -> Node:
+    """One dense layer, x @ w + b, then ELU if act, as one node whose value
+    is the one buffer all three steps write. ELU(v) is v where v > 0, else
+    expm1(v): -inf gives -1, and NaN stays NaN."""
+    if x.value.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
+        raise ShapeError(f"dense: x {x.value.shape}, w {w.value.shape} and bias "
+                         f"{b.value.shape} do not fit")
+    tape = x.tape
+    shape = (x.value.shape[0], w.value.shape[1])
+    val = np.matmul(x.value, w.value, out=tape.out(shape))
+    np.add(val, b.value, out=val)
+    if act:
+        neg = np.minimum(val, 0.0, out=tape.out(shape))
+        np.maximum(val, np.expm1(neg, out=neg), out=val)
+        tape.release(neg)
+    out = Node(tape, "dense", val)
 
     def backward(g):
-        # d/dx ELU = 1 for x>0, exp(x) = ELU(x)+1 for x<=0; ELU(x)+1 > 1 just
-        # where x > 0, so the minimum with 1 picks the same factor everywhere
-        d = np.add(val, 1.0, out=tape.out(x.shape))
-        np.minimum(d, 1.0, out=d)
-        a.accumulate(np.multiply(g, d, out=d), fresh=True)
+        if act:  # ELU' is 1 where v > 0, else exp(v) = ELU(v) + 1, which
+            # exceeds 1 just where v > 0: min(ELU(v) + 1, 1) is ELU' everywhere
+            d = np.add(val, 1.0, out=tape.out(shape))
+            g = np.multiply(g, np.minimum(d, 1.0, out=d), out=d)
+        b.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
+        x.accumulate(np.matmul(g, w.value.T, out=tape.out(x.shape)), fresh=True)
+        w.accumulate(np.matmul(x.value.T, g, out=tape.out(w.shape)), fresh=True)
+        if act:
+            tape.release(g)
 
     out._backward = backward
     return out

@@ -21,7 +21,7 @@ from . import evaluation as ev
 from . import stgraph as sg
 from . import trainer as tr
 from .config import RunConfigError, read_config
-from .model import VARIANTS, ModelConfig
+from .model import VARIANTS, ModelConfig, param_shapes
 from .trainer import InferenceContext, TrainConfig
 
 
@@ -71,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.strategy not in tr.STRATEGIES:
             raise RunConfigError(f"unknown strategy {self.strategy!r}")
+        # the parameter cap, checked before any data exists
+        param_shapes(self.model, self.features.dim_full, self.features.dim_st)
 
     def to_dict(self) -> dict:
         d = asdict(self)

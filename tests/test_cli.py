@@ -695,6 +695,24 @@ def test_model_size_past_its_range_exits_2_before_any_data(tmp_path, tiny_config
     assert not out.exists()
 
 
+def test_a_model_over_the_parameter_cap_exits_2_before_any_data(tmp_path, capsys,
+                                                                 monkeypatch):
+    """The cap is checked where the config is read: no records are made and
+    --out is not created."""
+    def no_data(*args, **kwargs):
+        raise AssertionError("records were generated")
+
+    monkeypatch.setattr(ds, "generate_synthetic", no_data)
+    out = tmp_path / "D"
+    capsys.readouterr()
+    assert run_cli("train", "--benchmark", "--set", "model.head_hidden=1000000000000",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: the model would hold 242,000,000,003,438 parameters, "
+        "above the cap of 134,217,728"]
+    assert not out.exists()
+
+
 def test_version_3_checkpoint_exits_2_naming_its_version(tmp_path, one_epoch_checkpoint,
                                                         capsys):
     ckpt = tmp_path / "model.ckpt"

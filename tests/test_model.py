@@ -272,6 +272,22 @@ def test_one_softmax_and_one_segment_sum_per_layer():
     assert kinds.count("csr_aggregate") == 2
 
 
+@pytest.mark.parametrize("variant", md.VARIANTS)
+def test_each_dense_weight_is_one_dense_node(variant):
+    """Extractors, head, top_mlp and stacked convolutions: one tape node per
+    layer, and no other weight reaches a dense node."""
+    inst = small_instance(10, variant=variant)
+    dims = inst["schema"].dim_full, inst["schema"].dim_st
+    for layers in (1, 2, 3):
+        cfg = md.ModelConfig(variant=variant, layers=layers, **SMALL_DIMS)
+        params = md.init_params(cfg, *dims, seed=0)
+        tape = ng.Tape()
+        md.forward_nodes(tape, inst["gt"], md.make_param_nodes(tape, params), cfg)
+        weights = [name for name in md.param_shapes(cfg, *dims)
+                   if name.endswith("_w") and not name.startswith("attn_")]
+        assert [node.kind for node in tape.nodes].count("dense") == len(weights)
+
+
 # ---------------------------------------------------------------------------
 # baselines
 

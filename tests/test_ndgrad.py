@@ -8,6 +8,7 @@ from pavecast import ndgrad as ng
 
 from conftest import WatchedWorkspace
 from gradcheck import NumericError, grad_check
+from oracles import dense_chain
 
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -97,17 +98,45 @@ def test_matmul_gradient_matches_finite_differences():
 # elementwise
 
 
+def unit_dense(t, x):
+    """dense's ELU alone: x @ [[1]] + [[0]] for a one-column x."""
+    return ng.dense(t.leaf(x), t.leaf([[1.0]]), t.leaf([[0.0]]))
+
+
 def test_activation_fixed_points():
     t = ng.Tape()
     z = t.leaf([[0.0]])
-    assert ng.elu(z).value[0, 0] == 0.0
+    assert unit_dense(t, [[0.0]]).value[0, 0] == 0.0
     assert ng.leaky_relu(z).value[0, 0] == 0.0
 
 
 def test_elu_negative_value():
-    t = ng.Tape()
-    out = ng.elu(t.leaf([[-1.0]]))
+    out = unit_dense(ng.Tape(), [[-1.0]])
     assert out.value[0, 0] == pytest.approx(math.exp(-1) - 1, abs=1e-12)
+
+
+def test_elu_edge_values():
+    out = unit_dense(ng.Tape(), [[-np.inf], [np.nan], [np.inf], [-0.0]])
+    assert np.array_equal(out.value, [[-1.0], [np.nan], [np.inf], [0.0]], equal_nan=True)
+
+
+@pytest.mark.parametrize("act", [True, False], ids=["elu", "linear"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "workspace"])
+def test_dense_equals_the_three_step_chain_bit_for_bit(rng, act, pooled):
+    """Value and every gradient, with and without a workspace, on arrays of
+    pooled size."""
+    _, inputs = big_inputs(rng)
+    x, w, b = inputs["x"], inputs["w"], inputs["b"]
+    g = rng.standard_normal((len(x), w.shape[1]))  # what reaches dense's output
+    ws = WatchedWorkspace() if pooled else None
+    tape = ng.Tape(ws)
+    leaves = [tape.leaf(v) for v in (x, w, b)]
+    out = ng.dense(*leaves, act=act)
+    got = [out.value.tobytes()]
+    ng.backward(tape, ng.sum_all(ng.mul_array(out, g)))
+    got += [leaf.grad.tobytes() for leaf in leaves]
+    assert got == [a.tobytes() for a in dense_chain(x, w, b, act, g)]
+    assert ws is None or (ws.lends > 0 and ws.overlaps == 0)
 
 
 def test_leaky_relu_negative_slope():
@@ -279,10 +308,14 @@ def test_backward_rejects_a_loss_from_another_tape():
 @pytest.mark.parametrize("call", [
     lambda t: t.leaf(np.zeros((2, 2, 2))),
     lambda t: ng.mul_array(t.leaf(np.zeros((2, 2))), np.zeros((2, 3))),
-    lambda t: ng.add_rowvec(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((1, 2)))),
+    lambda t: ng.dense(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((3, 3))),
+                       t.leaf(np.zeros((1, 2)))),
+    lambda t: ng.dense(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 3))),
+                       t.leaf(np.zeros((1, 3)))),
     lambda t: ng.concat_cols([]),
     lambda t: ng.slice_rows(t.leaf(np.zeros((3, 2))), 2, 4),
-], ids=["3d-leaf", "mul_array", "add_rowvec-bias", "concat-no-parts", "slice-past-end"])
+], ids=["3d-leaf", "mul_array", "dense-bias", "dense-inner-dims", "concat-no-parts",
+        "slice-past-end"])
 def test_malformed_shapes_raise_shape_error(call):
     with pytest.raises(ng.ShapeError):
         call(ng.Tape())
@@ -291,9 +324,11 @@ def test_malformed_shapes_raise_shape_error(call):
 def test_first_nonfinite_kind_names_the_earliest_or_none():
     t = ng.Tape()
     a = t.leaf([[1.0, -1.0]])
-    ng.elu(a)
+    eye, zero = t.leaf(np.eye(2)), t.leaf(np.zeros((1, 2)))
+    ng.dense(a, eye, zero)
     assert ng.first_nonfinite_kind(t) is None
-    ng.elu(ng.scale(a, np.inf))  # [inf, -inf], then elu's [inf, -1]
+    with np.errstate(invalid="ignore"):
+        ng.dense(ng.scale(a, np.inf), eye, zero)  # [inf, -inf], then NaN from inf * 0
     assert ng.first_nonfinite_kind(t) == "scale"
 
 
@@ -301,10 +336,11 @@ def test_evaluation_is_deterministic():
     rng = np.random.default_rng(7)
     a_val = rng.uniform(-2, 2, (5, 3))
     w_val = rng.uniform(-2, 2, (3, 4))
+    b_val = rng.uniform(-2, 2, (1, 4))
 
     def run():
         t = ng.Tape()
-        out = ng.elu(ng.matmul(t.leaf(a_val), t.leaf(w_val)))
+        out = ng.dense(t.leaf(a_val), t.leaf(w_val), t.leaf(b_val))
         return ng.sum_all(out).value.copy()
 
     assert np.array_equal(run(), run())
@@ -516,10 +552,11 @@ def test_edge_layout_sorted_by_parent_count_has_one_run_per_count():
 
 
 # ---------------------------------------------------------------------------
-# property: every differentiable primitive vs central differences
+# property: every differentiable primitive vs central differences; "elu" is
+# dense with its ELU, "dense" the layer without it
 
 PRIMS = ["add", "sub", "scale", "elu", "leaky_relu", "abs",
-         "add_rowvec", "matmul", "concat", "gather", "segment_softmax"]
+         "dense", "matmul", "concat", "gather", "segment_softmax"]
 
 
 def _build_prim(kind, t, xs):
@@ -530,13 +567,13 @@ def _build_prim(kind, t, xs):
     if kind == "scale":
         return ng.scale(xs[0], 1.7)
     if kind == "elu":
-        return ng.elu(xs[0])
+        return ng.dense(xs[0], xs[3], xs[5])
     if kind == "leaky_relu":
         return ng.leaky_relu(xs[0], alpha=0.2)
     if kind == "abs":
         return ng.absolute(xs[0])
-    if kind == "add_rowvec":
-        return ng.add_rowvec(xs[0], xs[2])
+    if kind == "dense":
+        return ng.dense(xs[0], xs[3], xs[5], act=False)
     if kind == "matmul":
         return ng.matmul(xs[0], xs[3])
     if kind == "concat":
@@ -554,7 +591,7 @@ def test_primitive_gradients_match_finite_differences(kind, seed):
     rng = np.random.default_rng(seed)
     vals = [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4)),
             rng.uniform(-2, 2, (1, 4)), rng.uniform(-2, 2, (4, 2)),
-            rng.uniform(-2, 2, (5, 1))]
+            rng.uniform(-2, 2, (5, 1)), rng.uniform(-2, 2, (1, 2))]
     if kind == "abs":
         # keep entries away from the |x| kink where FD is meaningless
         vals[0] = np.where(np.abs(vals[0]) < 0.05, 0.5, vals[0])
@@ -651,17 +688,18 @@ def _mlp_model(params):
     w1 = t.leaf(params["w1"])
     b1 = t.leaf(params["b1"])
     w2 = t.leaf(params["w2"])
+    b2 = t.leaf(params["b2"])
     x = t.leaf(np.sin(np.arange(8.0)).reshape(2, 4))
-    h = ng.elu(ng.add_rowvec(ng.matmul(x, w1), b1))
-    loss = ng.sum_all(ng.elu(ng.matmul(h, w2)))
+    h = ng.dense(x, w1, b1)
+    loss = ng.sum_all(ng.dense(h, w2, b2))
     ng.backward(t, loss)
-    return loss.value[0, 0], {"w1": w1.grad, "b1": b1.grad, "w2": w2.grad}
+    return loss.value[0, 0], {"w1": w1.grad, "b1": b1.grad, "w2": w2.grad, "b2": b2.grad}
 
 
 def test_grad_check_two_layer_elu_mlp():
     rng = np.random.default_rng(5)
     params = {"w1": rng.uniform(-1, 1, (4, 3)), "b1": rng.uniform(-1, 1, (1, 3)),
-              "w2": rng.uniform(-1, 1, (3, 1))}
+              "w2": rng.uniform(-1, 1, (3, 1)), "b2": rng.uniform(-1, 1, (1, 1))}
     report = grad_check(_mlp_model, params)
     assert max(report.values()) < 1e-5
 
@@ -694,7 +732,7 @@ def big_sweep(tape, layout, inputs):
     the loss."""
     leaves = {name: tape.leaf(inputs[name]) for name in ("x", "w", "b", "att")}
     x = leaves["x"]
-    h = ng.elu(ng.add_rowvec(ng.matmul(x, leaves["w"]), leaves["b"]))
+    h = ng.dense(x, leaves["w"], leaves["b"])
     g = ng.leaky_relu(ng.sub(ng.scale(h, 0.5), x))
     scores = ng.matmul(ng.gather_rows(ng.concat_cols([h, g]), layout.src), leaves["att"])
     coefs = ng.segment_softmax(ng.mul_array(scores, inputs["decay"]), layout)

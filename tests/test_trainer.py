@@ -122,7 +122,7 @@ def test_divergence_reports_epoch():
     # one step of this size pushes weights past overflow for the next forward
     bad_params_cfg = tr.TrainConfig(epochs=3, lr=1e200, seed=0)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(tr.DivergenceError, match="epoch 1, first in a matmul primitive"):
+            pytest.raises(tr.DivergenceError, match="epoch 1, first in a dense primitive"):
         tr.train_on_graph(inst["graph"], inst["nodes"], inst["config"],
                           bad_params_cfg, inst["graph_cfg"])
 
