@@ -592,6 +592,7 @@ def test_primitive_gradients_match_finite_differences(kind, seed):
     vals = [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4)),
             rng.uniform(-2, 2, (1, 4)), rng.uniform(-2, 2, (4, 2)),
             rng.uniform(-2, 2, (5, 1)), rng.uniform(-2, 2, (1, 2))]
+    # no row reads vals[2] any more; it is still drawn so the later ones stay put
     if kind == "abs":
         # keep entries away from the |x| kink where FD is meaningless
         vals[0] = np.where(np.abs(vals[0]) < 0.05, 0.5, vals[0])
