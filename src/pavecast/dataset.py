@@ -499,7 +499,12 @@ class SyntheticConfig:
         # the caps on n_clusters and span_days, each over 100 times any config in use,
         # and on n_locations, twice the 5,120 of a 32,000-record run (sample_latent_field
         # then peaks near 2.5 GB: three L x L float64 matrices), turn a mistyped size
-        # into this error, not a MemoryError or a run that never ends
+        # into this error, not a MemoryError or a run that never ends. So does the
+        # cap on n_repair_events, over 100 times the 60 in use: each event is a
+        # Python loop over the locations (1e5 events take seconds), and rng.poisson
+        # raises past about 1e18. Before its noise a reading is at most LEVEL_CAP
+        # times 1 + |driver_obs_bias|, so the bias's bound, 400 times the 0.25 in
+        # use, keeps that product finite
         for name, rule, ok in (
                 ("n_locations", "in [1, 10240]", 1 <= self.n_locations <= 10_240),
                 ("n_records", "None or >= 1", self.n_records is None or self.n_records >= 1),
@@ -508,8 +513,8 @@ class SyntheticConfig:
                 ("route_frac", "in [0, 1]", 0.0 <= self.route_frac <= 1.0),
                 ("span_days", "in (0, 36500]", 0.0 < self.span_days <= 36_500.0),
                 ("noise_level", "finite and >= 0", 0.0 <= self.noise_level < math.inf),
-                ("n_repair_events", "finite and >= 0", 0.0 <= self.n_repair_events < math.inf),
-                ("driver_obs_bias", "finite", math.isfinite(self.driver_obs_bias)),
+                ("n_repair_events", "in [0, 10000]", 0.0 <= self.n_repair_events <= 10_000.0),
+                ("driver_obs_bias", "in [-100, 100]", abs(self.driver_obs_bias) <= 100.0),
                 ("driver_spell_days", "two finite periods 0 < low <= high",
                  len(spell) == 2 and 0.0 < spell[0] <= spell[-1] < math.inf),
                 ("seed", ">= 0", self.seed >= 0)):

@@ -7,10 +7,11 @@ the edge's time difference, and aggregates: parents contribute their full
 representation, the self loop contributes only the spatial-temporal one,
 so a node's own deterioration reading can never reach its own prediction.
 Aggregation is one sparse product per layer for all heads
-(ndgrad.csr_aggregate over the GraphTensors' edge layout), and scoring
-gathers (n, H) projections per edge, so no (edges x hidden) matrix is
-formed on the tape. Attention is scored once per forward pass, from the
-first layer's representations; stacked layers reuse those coefficients.
+(ndgrad.csr_aggregate over the GraphTensors' edge layout), and scoring is
+one ndgrad.edge_scores node, which gathers (n, H) projections per edge, so
+no (edges x hidden) matrix is formed on the tape. Attention is scored once
+per forward pass, from the first layer's representations, and normalized
+by one segment softmax; stacked layers reuse those coefficients.
 
 Every dense layer (extractors, head, top_mlp, stacked convolutions) is one
 ndgrad.dense node: x @ W + b and its ELU in one buffer.
@@ -301,35 +302,22 @@ def _mlp(tape, x, pnodes, prefix, n_layers, slope_final=True):
     return out
 
 
-def _attention_coefficients(tape, gt, pnodes, config, z, z_st, probes):
-    """Normalized coefficients for the edge set, one column per head.
-
-    The heads' weights, each spanning [self-slot || source-slot (|| time-slot)],
-    are the columns of one matrix; scoring projects each slot's node-level
-    representations to (n, H) and gathers the projections per edge, which
-    equals the concatenated dot product without materializing per-edge
-    concatenations. The self slot reads z_st; see Modules for the others.
+def _attention_coefficients(gt, pnodes, config, z, z_st, probes):
+    """Normalized coefficients for the edge set, one column per head: one
+    ng.edge_scores node reads the heads' [self-slot || source-slot
+    (|| time-slot)] weights as they are, and one segment softmax normalizes
+    each target's scores. The self slot reads z_st; the Modules switches
+    select the rest: z for the source slot, the time slot and the decay.
     """
-    h, mod = z_st.value.shape[1], config.modules
-    w = ng.concat_cols([pnodes[f"attn_l1_h{k}_w"] for k in range(config.heads)])
-    w_src = ng.slice_rows(w, h, 2 * h)
-    layout = gt.layout
-    s = ng.gather_rows(ng.matmul(z_st, ng.slice_rows(w, 0, h)), layout.dst)
-    if mod.sends_z:
-        sent = ng.concat_rows([ng.matmul(z, w_src), ng.matmul(z_st, w_src)])
-        slot = layout.src.copy()
-        slot[layout.starts] += gt.n  # a self loop sends its z_st row
-        s = ng.add(s, ng.gather_rows(sent, slot))
-    else:
-        s = ng.add(s, ng.gather_rows(ng.matmul(z_st, w_src), layout.src))
-    if mod.time_slot:
-        t_col = tape.constant(gt.dt_norm.reshape(-1, 1))
-        s = ng.add(s, ng.matmul(t_col, ng.slice_rows(w, 2 * h, 2 * h + 1)))
-    s = ng.leaky_relu(s, alpha=config.leaky_slope)
+    mod, layout = config.modules, gt.layout
+    decay = None
     if mod.decay:
         g = config.eam_gamma
         decay = np.exp(-g * gt.dist_norm) * np.exp(-g * gt.dt_norm)
-        s = ng.mul_array(s, np.repeat(decay[:, None], config.heads, axis=1))
+    s = ng.edge_scores(z_st, [pnodes[f"attn_l1_h{k}_w"] for k in range(config.heads)], layout,
+                       z=z if mod.sends_z else None,
+                       dt=gt.dt_norm if mod.time_slot else None,
+                       decay=decay, alpha=config.leaky_slope)
     coefs = ng.segment_softmax(s, layout)
     if probes is not None:
         probes.extend(CoefficientProbe(k, coefs.value[:, k].copy(), layout.dst, gt.n)
@@ -353,7 +341,7 @@ def forward_nodes(tape: ng.Tape, gt: GraphTensors, pnodes: dict[str, ng.Node],
     z_st = _mlp(tape, x_st, pnodes, "ext_st", depth)
     # (m, H) edge weights, shared by every layer: the heads' coefficients, or
     # the one fixed GCN column
-    coefs = (_attention_coefficients(tape, gt, pnodes, config, z, z_st, probes)
+    coefs = (_attention_coefficients(gt, pnodes, config, z, z_st, probes)
              if mod.weights == "attention" else tape.constant(gt.gcn_w.reshape(-1, 1)))
     # parent edges carry the full representation, the self loop only the
     # spatial-temporal one: this is the leakage barrier

@@ -2,11 +2,13 @@
 
 Values are computed eagerly; a tape records every primitive application in
 insertion order, so the reverse sweep is a single walk backwards over the
-tape. Only the primitives the forecasting models need are provided: matmul,
-dense (a layer's matmul, bias and ELU as one node that writes one buffer),
-a handful of elementwise ops, row and column concatenation, row gather, and
-for edge attention a per-target softmax and a fused aggregation, both over an
-EdgeLayout built and validated once per edge set. The aggregation is one
+tape. Only the primitives the forecasting models call are provided: dense
+(a layer's matmul, bias and ELU as one node that writes one buffer); for the
+loss, row gather, sub, abs, sum_all and scale; and for edge attention three
+nodes over an EdgeLayout built and validated once per edge set:
+edge_scores (every head's scores, from per-row projections gathered per
+edge, through the leaky ReLU and an optional decay), a per-target softmax,
+and a fused aggregation. The aggregation is one
 sparse product for every head at once, over a CSR structure cut into runs
 of consecutive rows with one parent count, so each run takes one batched
 matmul for all its rows and heads, in place; rows ordered by parent count
@@ -42,7 +44,7 @@ Gathers into pooled buffers use np.take with mode="clip", since with
 mode="raise" numpy copies through a buffer of its own. Clip would map an
 index past the last row to the last row, so every index is bounds-checked
 first: gather_rows checks its caller's, and EdgeLayout validates the source
-rows its aggregation gathers.
+and target rows that scoring and aggregation gather.
 """
 
 from __future__ import annotations
@@ -202,26 +204,9 @@ class Tape:
         return self.leaf(value, kind="const")
 
 
-def _binary_shape_check(a: Node, b: Node, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
-
-
-def add(a: Node, b: Node) -> Node:
-    _binary_shape_check(a, b, "add")
-    tape = a.tape
-    out = Node(tape, "add", np.add(a.value, b.value, out=tape.out(a.shape)))
-
-    def backward(g):
-        a.accumulate(g)
-        b.accumulate(g)
-
-    out._backward = backward
-    return out
-
-
 def sub(a: Node, b: Node) -> Node:
-    _binary_shape_check(a, b, "sub")
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"sub: shapes {a.value.shape} and {b.value.shape} differ")
     tape = a.tape
     out = Node(tape, "sub", np.subtract(a.value, b.value, out=tape.out(a.shape)))
 
@@ -239,37 +224,6 @@ def scale(a: Node, c: float) -> Node:
 
     def backward(g):
         a.accumulate(np.multiply(g, c, out=tape.out(g.shape)), fresh=True)
-
-    out._backward = backward
-    return out
-
-
-def mul_array(a: Node, const) -> Node:
-    """Elementwise product with a fixed (non-differentiated) array."""
-    carr = _as_matrix(const)
-    if carr.shape != a.value.shape:
-        raise ShapeError(f"mul_array: shapes {a.value.shape} and {carr.shape} differ")
-    tape = a.tape
-    out = Node(tape, "mul_array", np.multiply(a.value, carr, out=tape.out(a.shape)))
-
-    def backward(g):
-        a.accumulate(np.multiply(g, carr, out=tape.out(g.shape)), fresh=True)
-
-    out._backward = backward
-    return out
-
-
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dims of {a.value.shape} and {b.value.shape} do not match")
-    tape = a.tape
-    out = Node(tape, "matmul", np.matmul(a.value, b.value, out=tape.out(
-        (a.value.shape[0], b.value.shape[1]))))
-
-    def backward(g):
-        a.accumulate(np.matmul(g, b.value.T, out=tape.out(a.shape)), fresh=True)
-        b.accumulate(np.matmul(a.value.T, g, out=tape.out(b.shape)), fresh=True)
 
     out._backward = backward
     return out
@@ -307,26 +261,6 @@ def dense(x: Node, w: Node, b: Node, act: bool = True) -> Node:
     return out
 
 
-def leaky_relu(a: Node, alpha: float = 0.2) -> Node:
-    """x where x > 0, else alpha * x. For 0 < alpha <= 1, alpha * x lies
-    between 0 and x, so max(x, alpha * x) picks it with the same bits on
-    every input, +-0.0, +-inf and NaN included; at alpha = 0, 0 * inf is NaN."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"leaky_relu: alpha must be in (0, 1], got {alpha}")
-    x, tape = a.value, a.tape
-    val = np.multiply(x, alpha, out=tape.out(x.shape))
-    np.maximum(x, val, out=val)
-    out = Node(tape, "leaky_relu", val)
-
-    def backward(g):
-        d = tape.empty(g.shape)
-        np.copyto(d, g)
-        a.accumulate(np.multiply(g, alpha, out=d, where=x <= 0.0), fresh=True)
-
-    out._backward = backward
-    return out
-
-
 def absolute(a: Node) -> Node:
     tape = a.tape
     out = Node(tape, "abs", np.abs(a.value, out=tape.out(a.shape)))
@@ -352,39 +286,18 @@ def sum_all(a: Node) -> Node:
     return out
 
 
-def _concat(parts: list[Node], axis: int, kind: str) -> Node:
-    if not parts:
-        raise ShapeError(f"{kind}: no parts")
-    other = parts[0].value.shape[1 - axis]
-    for p in parts:
-        if p.value.shape[1 - axis] != other:
-            raise ShapeError(f"{kind}: {('row', 'column')[1 - axis]} counts differ "
-                             f"({other} vs {p.value.shape[1 - axis]})")
-    tape = parts[0].tape
-    offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
-    shape = (offsets[-1], other) if axis == 0 else (other, offsets[-1])
-    out = Node(tape, kind, np.concatenate([p.value for p in parts], axis=axis,
-                                          out=tape.out(shape)))
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p.accumulate(g[:, lo:hi] if axis else g[lo:hi])
-
-    out._backward = backward
-    return out
-
-
-def concat_cols(parts: list[Node]) -> Node:
-    return _concat(parts, 1, "concat_cols")
-
-
-def concat_rows(parts: list[Node]) -> Node:
-    return _concat(parts, 0, "concat_rows")
-
-
 def _take_rows(tape: Tape, arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """arr[idx] along the first axis, idx already known to be in range."""
     return arr.take(idx, axis=0, mode="clip", out=tape.out(idx.shape + arr.shape[1:]))
+
+
+def _scatter_rows(tape: Tape, g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """The (n, width) sums of g's rows by target row idx, each row's sum in
+    idx order: one bincount per column, the transpose of a gather."""
+    acc = tape.empty((n, g.shape[1]))
+    for j in range(g.shape[1]):
+        acc[:, j] = np.bincount(idx, weights=g[:, j], minlength=n)
+    return acc
 
 
 def gather_rows(a: Node, idx) -> Node:
@@ -400,32 +313,7 @@ def gather_rows(a: Node, idx) -> Node:
     out = Node(tape, "gather_rows", _take_rows(tape, a.value, idx))
 
     def backward(g):
-        width = math.prod(a.value.shape[1:])
-        g = g.reshape(len(idx), width)
-        acc = tape.empty(a.shape)
-        flat = acc.reshape(n, width)
-        for j in range(width):
-            flat[:, j] = np.bincount(idx, weights=g[:, j], minlength=n)
-        a.accumulate(acc, fresh=True)
-
-    out._backward = backward
-    return out
-
-
-def slice_rows(a: Node, lo: int, hi: int) -> Node:
-    """Rows lo:hi of a; the gradient scatters back into that band."""
-    if not 0 <= lo < hi <= a.value.shape[0]:
-        raise ShapeError(f"slice_rows: [{lo}, {hi}) outside {a.value.shape}")
-    tape = a.tape
-    val = tape.empty((hi - lo,) + a.value.shape[1:])
-    np.copyto(val, a.value[lo:hi])
-    out = Node(tape, "slice_rows", val)
-
-    def backward(g):
-        acc = tape.empty(a.shape)
-        acc.fill(0.0)
-        acc[lo:hi] = g
-        a.accumulate(acc, fresh=True)
+        a.accumulate(_scatter_rows(tape, g, idx, n), fresh=True)
 
     out._backward = backward
     return out
@@ -498,6 +386,106 @@ class EdgeLayout:
             sources = np.flatnonzero(degree == d)
             bins.append((sources, pos[first[sources, None] + np.arange(d)]))
         return bins
+
+
+def edge_scores(z_st: Node, heads: list[Node], layout: EdgeLayout, z: Node | None = None,
+                dt=None, decay=None, alpha: float = 0.2) -> Node:
+    """Attention scores of every edge, one column per head, as one (m, H) node.
+
+    z_st (and z, if given) are (n, h) representations of layout's rows.
+    Head k's weight heads[k] is one (2h, 1) column, or (2h + 1, 1) with dt,
+    of three slots: [self || source || time]. An edge's score for head k is
+    - the self slot's dot product with its target's z_st row: a target's
+      own score reads its spatial-temporal representation only, so its own
+      reading cannot reach its own coefficients;
+    - plus the source slot's with its source's row: z_st's, or, with z
+      given, z's for a parent edge and z_st's for a self loop;
+    - plus, with the (m,) dt given, the time slot times the edge's dt;
+    - through the leaky ReLU max(s, alpha * s);
+    - times the edge's entry of the (m,) decay, if given.
+
+    Each slot is projected once per row, all heads together, (n, h) @ (h, H),
+    and the projections are gathered per edge, so no per-edge copy of a
+    representation is made. For 0 < alpha <= 1, alpha * s lies between 0 and
+    s, so max(s, alpha * s) has the bits of s where s > 0 and of alpha * s
+    elsewhere on every input: -0.0 stays -0.0, +-inf and NaN pass through;
+    at alpha = 0, 0 * inf would be NaN. The node keeps its value and the
+    mask s <= 0, nothing else; the backward pass reads the inputs.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"edge_scores: alpha must be in (0, 1], got {alpha}")
+    (n, h), k, m = z_st.value.shape, len(heads), len(layout.src)
+    rows = 2 * h + (dt is not None)
+    dt_col, decay_col = (None if a is None else np.asarray(a, dtype=np.float64).reshape(-1, 1)
+                         for a in (dt, decay))
+    if (not heads or any(w.value.shape != (rows, 1) for w in heads) or n != layout.n
+            or (z is not None and z.value.shape != (n, h))
+            or any(c is not None and len(c) != m for c in (dt_col, decay_col))):
+        raise ShapeError(f"edge_scores: z_st {z_st.value.shape}, {k} head weights of "
+                         f"{rows} rows, z, dt and decay do not fit a layout of "
+                         f"{layout.n} rows and {m} edges")
+    tape = z_st.tape
+    w = np.concatenate([head.value for head in heads], axis=1)  # (rows, k)
+    w_self, w_src = w[:h], w[h:2 * h]
+    proj = np.matmul(z_st.value, w_self, out=tape.out((n, k)))
+    s = _take_rows(tape, proj, layout.dst)
+    tape.release(proj)
+    if z is None:
+        idx, senders = layout.src, n
+        proj = np.matmul(z_st.value, w_src, out=tape.out((n, k)))
+    else:  # rows n.. project z_st: a self loop sends its z_st row
+        idx, senders = layout.src.copy(), 2 * n
+        idx[layout.starts] += n
+        proj = tape.empty((senders, k))
+        np.matmul(z.value, w_src, out=proj[:n])
+        np.matmul(z_st.value, w_src, out=proj[n:])
+    term = _take_rows(tape, proj, idx)
+    tape.release(proj)
+    s += term
+    tape.release(term)
+    if dt_col is not None:
+        term = np.matmul(dt_col, w[2 * h:], out=tape.out((m, k)))
+        s += term
+        tape.release(term)
+    neg = s <= 0.0
+    val = np.multiply(s, alpha, out=tape.out((m, k)))
+    np.maximum(s, val, out=val)
+    tape.release(s)
+    if decay_col is not None:
+        val *= decay_col
+    out = Node(tape, "edge_scores", val)
+
+    def backward(g):
+        gs = tape.empty(g.shape)
+        if decay_col is None:
+            np.copyto(gs, g)
+        else:
+            np.multiply(g, decay_col, out=gs)
+        np.multiply(gs, alpha, out=gs, where=neg)
+        # each slot's band is added once onto 0.0, as the separate nodes'
+        # zero-padded band gradients were: -0.0 becomes 0.0
+        gw = np.zeros(w.shape)
+        if dt_col is not None:
+            gw[2 * h:] += np.matmul(dt_col.T, gs)
+        g_src = _scatter_rows(tape, gs, idx, senders)
+        g_st = g_src if z is None else g_src[n:]
+        z_st.accumulate(np.matmul(g_st, w_src.T, out=tape.out((n, h))), fresh=True)
+        gw_src = np.matmul(z_st.value.T, g_st)
+        if z is not None:
+            z.accumulate(np.matmul(g_src[:n], w_src.T, out=tape.out((n, h))), fresh=True)
+            gw_src += np.matmul(z.value.T, g_src[:n])
+        gw[h:2 * h] += gw_src
+        tape.release(g_src)
+        g_self = _scatter_rows(tape, gs, layout.dst, n)
+        tape.release(gs)
+        z_st.accumulate(np.matmul(g_self, w_self.T, out=tape.out((n, h))), fresh=True)
+        gw[:h] += np.matmul(z_st.value.T, g_self)
+        tape.release(g_self)
+        for j, head in enumerate(heads):
+            head.accumulate(gw[:, j:j + 1])
+
+    out._backward = backward
+    return out
 
 
 def csr_aggregate(parents: Node, self_rep: Node, coefs: Node, layout: EdgeLayout) -> Node:

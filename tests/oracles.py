@@ -27,6 +27,63 @@ def dense_chain(x, w, b, act, g):
     return val, g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)
 
 
+def edge_scores_chain(z_st, z, heads, layout, dt, decay, alpha, g):
+    """Attention scoring as the separate steps that ndgrad.edge_scores
+    replaced, and their backward for the upstream gradient g, in that tape's
+    order: (value, z_st gradient, z gradient if z is given, each head's
+    gradient). This is the arithmetic of the concat_cols, slice_rows, matmul,
+    gather_rows, concat_rows, add, leaky_relu and mul_array primitives,
+    kept on purpose, so equal bits show that the fusion changed no result.
+
+    z (a parent edge's source slot reads z, a self loop's z_st), dt and
+    decay may each be None; heads are (2h [+ 1], 1) weight columns."""
+    n, h = z_st.shape
+    src, dst = layout.src, layout.dst
+    w = np.concatenate(heads, axis=1)
+    w_self, w_src = w[:h].copy(), w[h:2 * h].copy()
+    s = (z_st @ w_self)[dst]
+    if z is None:
+        slot, sent = src, z_st @ w_src
+    else:
+        slot = src.copy()
+        slot[layout.starts] += n
+        sent = np.concatenate([z @ w_src, z_st @ w_src])
+    s = s + sent[slot]
+    if dt is not None:
+        t_col, w_t = dt.reshape(-1, 1), w[2 * h:].copy()
+        s = s + t_col @ w_t
+    val = np.maximum(s, s * alpha)
+    if decay is not None:
+        decay = np.repeat(decay[:, None], w.shape[1], axis=1)
+        val = val * decay
+        g = g * decay
+    g = np.where(s <= 0.0, g * alpha, g)
+
+    def scatter(idx, rows):  # gather_rows' backward: a bincount per column
+        return np.stack([np.bincount(idx, weights=col, minlength=rows) for col in g.T], axis=1)
+
+    def band(lo, grad):  # slice_rows' backward: the band in a zero matrix
+        acc = np.zeros(w.shape)
+        acc[lo:lo + len(grad)] = grad
+        return acc
+
+    bands = [band(2 * h, t_col.T @ g)] if dt is not None else []
+    g_sent = scatter(slot, len(sent))
+    g_st = g_sent if z is None else g_sent[n:]
+    grads = [g_st @ w_src.T]
+    g_w_src = z_st.T @ g_st
+    if z is not None:
+        grads.append(g_sent[:n] @ w_src.T)
+        g_w_src = g_w_src + z.T @ g_sent[:n]
+    g_self = scatter(dst, n)
+    grads[0] = grads[0] + g_self @ w_self.T
+    bands += [band(0, z_st.T @ g_self), band(h, g_w_src)]
+    g_w = bands[0]
+    for acc in bands[1:]:
+        g_w = g_w + acc
+    return [val, *grads, *(g_w[:, k:k + 1] for k in range(w.shape[1]))]
+
+
 def oracle_mlp(x, params, prefix, depth, act_final=True):
     out = x
     for k in range(depth):

@@ -71,6 +71,20 @@ def test_gen_data_without_config_writes_the_default_generators_records(tmp_path)
     assert (tmp_path / "o" / "data.csv").read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("override", [
+    "dataset.synthetic.n_repair_events=1e19",  # rng.poisson raised "lam value too large"
+    "dataset.synthetic.n_repair_events=1e5",   # ran a Python loop per event for seconds
+    "dataset.synthetic.driver_obs_bias=1e308",  # wrote inf readings
+    "dataset.synthetic.driver_obs_bias=-1e308",
+])
+def test_gen_data_setting_past_its_cap_exits_2_before_writing(tmp_path, capsys, override):
+    out = tmp_path / "o"
+    assert run_cli("gen-data", "--benchmark", "--set", override, "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "must be in" in err[0]
+    assert not (out / "data.csv").exists()
+
+
 def test_config_with_benchmark_exits_2(tmp_path, tiny_config_file, capsys):
     assert run_cli("gen-data", "--config", tiny_config_file, "--benchmark",
                    "--out", str(tmp_path / "o")) == 2

@@ -362,27 +362,18 @@ def test_eam_gamma_zero_equals_feature_attention():
 
 def test_no_td_scores_differ_by_constant_when_dt_constant():
     inst = small_instance(15, n=5)
-    gt = inst["gt"]
+    gt, params, cfg = inst["gt"], inst["params"], inst["config"]
     gt.dt_norm = np.full_like(gt.dt_norm, 0.37)  # force a constant time slot
-    params = inst["params"]
-
-    def raw_scores(cfg, w_key_width):
-        tape = ng.Tape()
-        pn = md.make_param_nodes(tape, params)
-        z_st = md._mlp(tape, tape.constant(gt.x_st), pn, "ext_st",
-                       len(cfg.extractor_hidden))
-        rep_dst = ng.gather_rows(z_st, gt.layout.dst)
-        rep_src = ng.gather_rows(z_st, gt.layout.src)
-        parts = [rep_dst, rep_src]
-        if w_key_width == cfg.hidden * 2 + 1:
-            parts.append(tape.constant(gt.dt_norm.reshape(-1, 1)))
-        w = pn["attn_l1_h0_w"] if w_key_width == cfg.hidden * 2 + 1 else \
-            tape.leaf(params["attn_l1_h0_w"][:w_key_width])
-        return ng.matmul(ng.concat_cols(parts), w).value[:, 0]
-
-    cfg = inst["config"]
-    with_td = raw_scores(cfg, cfg.hidden * 2 + 1)
-    without = raw_scores(cfg, cfg.hidden * 2)
+    tape = ng.Tape()
+    pn = md.make_param_nodes(tape, params)
+    z_st = md._mlp(tape, tape.constant(gt.x_st), pn, "ext_st",
+                   len(cfg.extractor_hidden)).value
+    # raw scores, before the leaky ReLU, of head 0's weight with and without
+    # its time slot
+    parts = np.concatenate([z_st[gt.layout.dst], z_st[gt.layout.src]], axis=1)
+    w = params["attn_l1_h0_w"][:, 0]
+    with_td = np.concatenate([parts, gt.dt_norm[:, None]], axis=1) @ w
+    without = parts @ w[:cfg.hidden * 2]
     diff = with_td - without
     assert np.max(diff) - np.min(diff) < 1e-12
 

@@ -1,4 +1,8 @@
+import ast
+import inspect
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from pavecast import ndgrad as ng
 
 from conftest import WatchedWorkspace
 from gradcheck import NumericError, grad_check
-from oracles import dense_chain
+from oracles import dense_chain, edge_scores_chain
 
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -31,6 +35,49 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
+def weighted_sum(node: ng.Node, weights) -> ng.Node:
+    """sum(node * weights) as a 1x1 node whose backward hands node the
+    upstream gradient times weights: a loss that seeds node's gradient with
+    exactly weights."""
+    weights = np.asarray(weights, dtype=np.float64).reshape(node.shape)
+    out = ng.Node(node.tape, "weighted_sum", np.array([[np.sum(node.value * weights)]]))
+    out._backward = lambda g: node.accumulate(weights * g[0, 0], fresh=True)
+    return out
+
+
+def zero_scores(t, x, alpha=0.2):
+    """edge_scores over one target whose len(x) edges read a zero
+    representation with zero self and source weights and a unit time
+    weight, so each edge's score before the leaky ReLU is its x + 0.0."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    layout = ng.EdgeLayout(np.zeros(len(x), dtype=np.intp), [len(x) - 1])
+    head = t.leaf([[0.0], [0.0], [1.0]])
+    return ng.edge_scores(t.leaf([[0.0]]), [head], layout, dt=x, alpha=alpha)
+
+
+# ---------------------------------------------------------------------------
+# what ndgrad offers
+
+
+def test_every_public_primitive_has_a_caller_in_src():
+    """ndgrad keeps only what the package calls: each public function and
+    class it defines is read as ng.<name> or ndgrad.<name> somewhere in
+    src/pavecast outside ndgrad.py. Its exceptions are raised, not called,
+    so they are not counted."""
+    public = {name for name, obj in vars(ng).items()
+              if not name.startswith("_") and getattr(obj, "__module__", None) == ng.__name__
+              and (inspect.isfunction(obj)
+                   or inspect.isclass(obj) and not issubclass(obj, Exception))}
+    called = set()
+    for path in Path(ng.__file__).parent.glob("*.py"):
+        if path.name != "ndgrad.py":
+            called.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                          if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                          and node.value.id in ("ng", "ndgrad"))
+    assert "edge_scores" in public and "dense" in public
+    assert sorted(public - called) == []
+
+
 # ---------------------------------------------------------------------------
 # leaves
 
@@ -48,14 +95,19 @@ def test_leaf_is_a_read_only_view_of_its_input(value):
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# matmul: dense without its ELU, and with a zero bias
+
+
+def linear(t, a, b):
+    """a @ b as dense(a, b, 0, act=False)."""
+    return ng.dense(a, b, t.leaf(np.zeros((1, b.shape[1]))), act=False)
 
 
 def test_matmul_identity():
     t = ng.Tape()
     m = t.leaf([[1.0, 2.0], [3.0, 4.0]])
     eye = t.leaf(np.eye(2))
-    out = ng.matmul(eye, m)
+    out = linear(t, eye, m)
     assert np.array_equal(out.value, m.value)
 
 
@@ -63,7 +115,7 @@ def test_matmul_hand_product():
     t = ng.Tape()
     a = t.leaf([[1.0, 2.0], [3.0, 4.0]])
     b = t.leaf([[0.0], [1.0]])
-    out = ng.matmul(a, b)
+    out = linear(t, a, b)
     assert np.array_equal(out.value, [[2.0], [4.0]])
 
 
@@ -72,7 +124,7 @@ def test_matmul_shape_mismatch_names_both_shapes():
     a = t.leaf(np.zeros((2, 3)))
     b = t.leaf(np.zeros((2, 3)))
     with pytest.raises(ng.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        ng.matmul(a, b)
+        linear(t, a, b)
 
 
 def test_matmul_gradient_matches_finite_differences():
@@ -83,12 +135,12 @@ def test_matmul_gradient_matches_finite_differences():
     t = ng.Tape()
     a = t.leaf(a_val)
     b = t.leaf(b_val)
-    loss = ng.sum_all(ng.matmul(a, b))
+    loss = ng.sum_all(linear(t, a, b))
     ng.backward(t, loss)
 
     def loss_of_a():
         t2 = ng.Tape()
-        return ng.sum_all(ng.matmul(t2.leaf(a_val), t2.leaf(b_val))).value[0, 0]
+        return ng.sum_all(linear(t2, t2.leaf(a_val), t2.leaf(b_val))).value[0, 0]
 
     fd = finite_diff(loss_of_a, a_val)
     assert rel_err(a.grad, fd) < 1e-6
@@ -105,9 +157,8 @@ def unit_dense(t, x):
 
 def test_activation_fixed_points():
     t = ng.Tape()
-    z = t.leaf([[0.0]])
     assert unit_dense(t, [[0.0]]).value[0, 0] == 0.0
-    assert ng.leaky_relu(z).value[0, 0] == 0.0
+    assert zero_scores(t, [0.0]).value[0, 0] == 0.0
 
 
 def test_elu_negative_value():
@@ -133,15 +184,17 @@ def test_dense_equals_the_three_step_chain_bit_for_bit(rng, act, pooled):
     leaves = [tape.leaf(v) for v in (x, w, b)]
     out = ng.dense(*leaves, act=act)
     got = [out.value.tobytes()]
-    ng.backward(tape, ng.sum_all(ng.mul_array(out, g)))
+    ng.backward(tape, weighted_sum(out, g))
     got += [leaf.grad.tobytes() for leaf in leaves]
     assert got == [a.tobytes() for a in dense_chain(x, w, b, act, g)]
     assert ws is None or (ws.lends > 0 and ws.overlaps == 0)
 
 
+# edge_scores' leaky ReLU, reached through the time slot of zero_scores
+
+
 def test_leaky_relu_negative_slope():
-    t = ng.Tape()
-    out = ng.leaky_relu(t.leaf([[-2.0]]), alpha=0.2)
+    out = zero_scores(ng.Tape(), [-2.0], alpha=0.2)
     assert out.value[0, 0] == pytest.approx(-0.4, abs=1e-12)
 
 
@@ -150,18 +203,21 @@ def test_leaky_relu_has_the_bits_of_the_masked_form(alpha):
     tiny = np.nextafter(0.0, 1.0)
     special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 2.2e-308, -2.2e-308]
     rng = np.random.default_rng(3)
-    x = np.concatenate([special, rng.standard_normal(500) * 10.0 ** rng.integers(-320, 308, 500)])
+    dt = np.concatenate([special, rng.standard_normal(500) * 10.0 ** rng.integers(-320, 308, 500)])
+    # the zero projections add 0.0 to each dt: a score is never -0.0, and
+    # every other special value reaches the activation as it is
+    x = dt + 0.0
     masked = x.copy()
     with np.errstate(all="ignore"):
         np.multiply(x, alpha, out=masked, where=x <= 0.0)
-        out = ng.leaky_relu(ng.Tape().leaf(x), alpha=alpha).value[:, 0]
+        out = zero_scores(ng.Tape(), dt, alpha=alpha).value[:, 0]
     assert np.array_equal(out.view(np.int64), masked.view(np.int64))
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, np.nan])
 def test_leaky_relu_rejects_a_slope_outside_zero_to_one(alpha):
     with pytest.raises(ValueError, match="alpha must be in"):
-        ng.leaky_relu(ng.Tape().leaf([[1.0]]), alpha=alpha)
+        zero_scores(ng.Tape(), [1.0], alpha=alpha)
 
 
 def test_binary_shape_mismatch():
@@ -169,39 +225,107 @@ def test_binary_shape_mismatch():
     a = t.leaf(np.zeros((2, 2)))
     b = t.leaf(np.zeros((2, 3)))
     with pytest.raises(ng.ShapeError):
-        ng.add(a, b)
+        ng.sub(a, b)
 
 
 # ---------------------------------------------------------------------------
-# concat_cols
+# concat_cols: edge_scores concatenates its heads' weight columns
+
+# integer inputs, so every score before the activation is exact; the
+# layout is LAYOUT3 (below): 0 <- self; 1 <- self, 0, 2; 2 <- self, 1
+SCORE_Z = np.array([[1.0, -2.0], [3.0, 0.0], [-1.0, 2.0]])
+SCORE_HEADS = [np.array([[1.0], [2.0], [-1.0], [1.0]]), np.array([[0.0], [-1.0], [3.0], [2.0]])]
 
 
 def test_concat_single_part_is_identity():
     t = ng.Tape()
-    a = t.leaf([[1.0, 2.0]])
-    assert np.array_equal(ng.concat_cols([a]).value, a.value)
+    out = ng.edge_scores(t.leaf(SCORE_Z), [t.leaf(SCORE_HEADS[0])], LAYOUT3)
+    raw = np.concatenate([SCORE_Z[SEG3], SCORE_Z[SRC3]], axis=1) @ SCORE_HEADS[0]
+    assert np.array_equal(out.value, np.where(raw > 0, raw, 0.2 * raw))
 
 
 def test_concat_orders_entries():
     t = ng.Tape()
-    out = ng.concat_cols([t.leaf([[1.0, 2.0]]), t.leaf([[3.0]])])
-    assert np.array_equal(out.value, [[1.0, 2.0, 3.0]])
+    both = ng.edge_scores(t.leaf(SCORE_Z), [t.leaf(w) for w in SCORE_HEADS], LAYOUT3)
+    assert both.shape == (6, 2)
+    for k, w in enumerate(SCORE_HEADS):
+        one = ng.edge_scores(t.leaf(SCORE_Z), [t.leaf(w)], LAYOUT3)
+        assert np.array_equal(both.value[:, k:k + 1], one.value)
 
 
 def test_concat_row_mismatch():
     t = ng.Tape()
     with pytest.raises(ng.ShapeError):
-        ng.concat_cols([t.leaf(np.zeros((2, 1))), t.leaf(np.zeros((3, 1)))])
+        ng.edge_scores(t.leaf(SCORE_Z), [t.leaf(SCORE_HEADS[0]), t.leaf(np.zeros((5, 1)))],
+                       LAYOUT3)
 
 
 def test_concat_backward_splits_all_ones():
+    """Each head's weight gradient is its own column's."""
     t = ng.Tape()
-    a = t.leaf(np.arange(4.0).reshape(2, 2))
-    b = t.leaf(np.arange(2.0).reshape(2, 1))
-    loss = ng.sum_all(ng.concat_cols([a, b]))
-    ng.backward(t, loss)
-    assert np.array_equal(a.grad, np.ones((2, 2)))
-    assert np.array_equal(b.grad, np.ones((2, 1)))
+    heads = [t.leaf(w) for w in SCORE_HEADS]
+    ng.backward(t, ng.sum_all(ng.edge_scores(t.leaf(SCORE_Z), heads, LAYOUT3)))
+    for head, w in zip(heads, SCORE_HEADS):
+        t1 = ng.Tape()
+        one = t1.leaf(w)
+        ng.backward(t1, ng.sum_all(ng.edge_scores(t1.leaf(SCORE_Z), [one], LAYOUT3)))
+        assert np.array_equal(head.grad, one.grad)
+
+
+# ---------------------------------------------------------------------------
+# edge_scores
+
+
+def test_edge_scores_time_slot_and_decay_hand_value_and_gradient():
+    """A negative score takes the slope, then the decay scales it, and the
+    gradient goes back through both."""
+    layout = ng.EdgeLayout([0, 1, 0], [0, 1])
+    t = ng.Tape()
+    z_st, head = t.leaf([[1.0], [-2.0]]), t.leaf([[1.0], [1.0], [2.0]])
+    out = ng.edge_scores(z_st, [head], layout, dt=[0.0, 0.0, 1.5], decay=[1.0, 0.5, 0.25],
+                         alpha=0.5)
+    # raw scores 2, -4 and -2 + 1 + 3 = 2
+    assert np.array_equal(out.value, [[2.0], [-1.0], [0.5]])
+    ng.backward(t, ng.sum_all(out))
+    # d/ds: 1, 0.5 * 0.5, 0.25
+    assert np.array_equal(z_st.grad, [[2.0 + 0.25], [0.25 + 0.25 + 0.25]])
+    assert np.array_equal(head.grad, [[1.0 - 0.5 - 0.5], [1.0 - 0.5 + 0.25], [0.375]])
+
+
+SCORE_MODULES = list(itertools.product([False, True], repeat=3))  # sends_z, time_slot, decay
+
+
+@pytest.mark.parametrize("sends_z,time_slot,decay", SCORE_MODULES,
+                         ids=["-".join(name for name, on in zip(("z", "dt", "decay"), mods) if on)
+                              or "plain" for mods in SCORE_MODULES])
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "workspace"])
+def test_edge_scores_equal_the_separate_chain_bit_for_bit(rng, sends_z, time_slot, decay,
+                                                          pooled):
+    """Value and the z_st, z and per-head gradients, for every combination
+    of the Modules switches sends_z, time_slot and decay, with and without a
+    workspace, on arrays of pooled size. Some rows of z_st and z are zero,
+    so without the time slot some scores are exactly 0."""
+    layout, inputs = big_inputs(rng)
+    n, d = inputs["x"].shape
+    z_st, z = inputs["x"].copy(), rng.standard_normal((n, d))
+    z_st[::7] = 0.0
+    z[::5] = 0.0
+    heads = [w[:2 * d + time_slot] for w in inputs["att"]]
+    dt = inputs["dt"] if time_slot else None
+    dec = inputs["decay"] if decay else None
+    g = rng.standard_normal((len(layout.src), len(heads)))  # what reaches the scores
+    ws = WatchedWorkspace() if pooled else None
+    tape = ng.Tape(ws)
+    leaves = [tape.leaf(z_st), *([tape.leaf(z)] if sends_z else []),
+              *(tape.leaf(w) for w in heads)]
+    out = ng.edge_scores(leaves[0], leaves[1 + sends_z:], layout,
+                         z=leaves[1] if sends_z else None, dt=dt, decay=dec)
+    got = [out.value.tobytes()]
+    ng.backward(tape, weighted_sum(out, g))
+    got += [leaf.grad.tobytes() for leaf in leaves]
+    want = edge_scores_chain(z_st, z if sends_z else None, heads, layout, dt, dec, 0.2, g)
+    assert got == [a.tobytes() for a in want]
+    assert ws is None or (ws.lends > 0 and ws.overlaps == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +385,7 @@ def test_segment_softmax_gradient_matches_finite_differences():
         t = ng.Tape()
         s = t.leaf(s_val)
         p = ng.segment_softmax(s, layout)
-        loss = ng.sum_all(ng.mul_array(p, w))
+        loss = weighted_sum(p, w)
         return t, s, loss
 
     t, s, loss = run()
@@ -285,7 +409,7 @@ def test_backward_quadratic_hand_gradient():
     # p feeds both matmul operands: sum(P @ P) has gradient 1 P^T + P^T 1
     t = ng.Tape()
     p = t.leaf([[1.0, -2.0], [0.5, 3.0]])
-    loss = ng.sum_all(ng.matmul(p, p))
+    loss = ng.sum_all(linear(t, p, p))
     ng.backward(t, loss)
     ones = np.ones((2, 2))
     assert np.allclose(p.grad, ones @ p.value.T + p.value.T @ ones, atol=1e-12)
@@ -305,17 +429,26 @@ def test_backward_rejects_a_loss_from_another_tape():
         ng.backward(ng.Tape(), loss)
 
 
+def scores_of(t, heads=((4, 1),), z=(3, 2), **kw):
+    """edge_scores on LAYOUT3 with zero inputs of the given shapes."""
+    return ng.edge_scores(t.leaf(np.zeros((3, 2))), [t.leaf(np.zeros(s)) for s in heads],
+                          LAYOUT3, z=t.leaf(np.zeros(z)), **kw)
+
+
 @pytest.mark.parametrize("call", [
     lambda t: t.leaf(np.zeros((2, 2, 2))),
-    lambda t: ng.mul_array(t.leaf(np.zeros((2, 2))), np.zeros((2, 3))),
+    lambda t: scores_of(t, decay=np.ones(5)),  # the decay multiply: one entry per edge
     lambda t: ng.dense(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((3, 3))),
                        t.leaf(np.zeros((1, 2)))),
     lambda t: ng.dense(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 3))),
                        t.leaf(np.zeros((1, 3)))),
-    lambda t: ng.concat_cols([]),
-    lambda t: ng.slice_rows(t.leaf(np.zeros((3, 2))), 2, 4),
+    lambda t: scores_of(t, heads=()),  # no head weights to concatenate
+    lambda t: scores_of(t, dt=np.ones(6)),  # the time slot's row past the weights' end
+    lambda t: scores_of(t, dt=np.ones(7), heads=((5, 1),)),
+    lambda t: scores_of(t, z=(3, 3)),
+    lambda t: ng.edge_scores(t.leaf(np.zeros((4, 2))), [t.leaf(np.zeros((4, 1)))], LAYOUT3),
 ], ids=["3d-leaf", "mul_array", "dense-bias", "dense-inner-dims", "concat-no-parts",
-        "slice-past-end"])
+        "slice-past-end", "scores-dt-length", "scores-z-width", "scores-rows"])
 def test_malformed_shapes_raise_shape_error(call):
     with pytest.raises(ng.ShapeError):
         call(ng.Tape())
@@ -364,7 +497,7 @@ def test_gather_rows_gradient_sums_repeated_rows_like_a_one_hot_product(rng):
     t = ng.Tape()
     a = t.leaf(rng.standard_normal((7, 5)))
     weights = rng.standard_normal((len(idx), 5))
-    ng.backward(t, ng.sum_all(ng.mul_array(ng.gather_rows(a, idx), weights)))
+    ng.backward(t, weighted_sum(ng.gather_rows(a, idx), weights))
     one_hot = np.zeros((len(idx), 7))
     one_hot[np.arange(len(idx)), idx] = 1.0
     assert np.allclose(a.grad, one_hot.T @ weights, rtol=0.0, atol=1e-12)
@@ -380,16 +513,19 @@ def test_gather_rows_gradient_sums_repeated_rows_like_a_one_hot_product(rng):
 
 
 def test_concat_rows_values_and_gradient():
+    """edge_scores with z stacks the source slot's projections of z and
+    z_st: a parent edge reads z's, a self loop z_st's, and each gets the
+    gradient of what it sent. [self || source] weights of ones on one-wide
+    representations."""
+    layout = ng.EdgeLayout([0, 1, 0], [0, 1])  # 0 <- self; 1 <- self, 0
     t = ng.Tape()
-    a = t.leaf([[1.0, 2.0]])
-    b = t.leaf([[3.0, 4.0], [5.0, 6.0]])
-    out = ng.concat_rows([a, b])
-    assert np.array_equal(out.value, [[1, 2], [3, 4], [5, 6]])
-    ng.backward(t, ng.sum_all(ng.mul_array(out, [[1, 2], [3, 4], [5, 6]])))
-    assert np.array_equal(a.grad, [[1, 2]])
-    assert np.array_equal(b.grad, [[3, 4], [5, 6]])
-    with pytest.raises(ng.ShapeError):
-        ng.concat_rows([a, t.leaf(np.zeros((1, 3)))])
+    z_st, z, head = t.leaf([[1.0], [2.0]]), t.leaf([[10.0], [20.0]]), t.leaf([[1.0], [1.0]])
+    out = ng.edge_scores(z_st, [head], layout, z=z)
+    assert np.array_equal(out.value, [[2.0], [4.0], [12.0]])
+    ng.backward(t, ng.sum_all(out))
+    assert np.array_equal(z.grad, [[1.0], [0.0]])  # row 1 sends no parent edge
+    assert np.array_equal(z_st.grad, [[2.0], [3.0]])
+    assert np.array_equal(head.grad, [[5.0], [13.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +625,7 @@ def test_segment_ops_gradients_match_finite_differences_three_heads():
         xs = [t.leaf(v) for v in vals]
         coefs = ng.segment_softmax(xs[2], LAYOUT3) if softmax else xs[2]
         out = ng.csr_aggregate(xs[0], xs[1], coefs, LAYOUT3)
-        return t, xs, ng.sum_all(ng.mul_array(out, mix))
+        return t, xs, weighted_sum(out, mix)
 
     for softmax in (False, True):
         t, xs, loss = run(softmax)
@@ -553,31 +689,39 @@ def test_edge_layout_sorted_by_parent_count_has_one_run_per_count():
 
 # ---------------------------------------------------------------------------
 # property: every differentiable primitive vs central differences; "elu" is
-# dense with its ELU, "dense" the layer without it
+# dense with its ELU, "dense" the layer without it. edge_scores runs once per
+# combination of its source slot reading z, its time slot and its decay
+# (sends_z, time_slot, decay), on LAYOUT3. Four combinations keep the ids of
+# the primitives that did that part of scoring before edge_scores: "matmul"
+# the slots' projections alone, "add" the time slot added to them, "concat"
+# the stacked z and z_st projections, and "leaky_relu" the activation
+# followed by the decay multiply.
 
-PRIMS = ["add", "sub", "scale", "elu", "leaky_relu", "abs",
-         "dense", "matmul", "concat", "gather", "segment_softmax"]
+EDGE_SCORES = {"matmul": (False, False, False), "add": (False, True, False),
+               "concat": (True, False, False), "leaky_relu": (False, False, True),
+               "edge_scores-z-dt": (True, True, False), "edge_scores-z-decay": (True, False, True),
+               "edge_scores-dt-decay": (False, True, True),
+               "edge_scores-z-dt-decay": (True, True, True)}
+PRIMS = ["sub", "scale", "elu", "abs", "dense", "gather", "segment_softmax", *EDGE_SCORES]
 
 
 def _build_prim(kind, t, xs):
-    if kind == "add":
-        return ng.add(xs[0], xs[1])
+    if kind in EDGE_SCORES:
+        sends_z, time_slot, decay = EDGE_SCORES[kind]
+        return ng.edge_scores(xs[0], xs[6:8] if time_slot else xs[8:10], LAYOUT3,
+                              z=xs[1] if sends_z else None,
+                              dt=[0.0, 0.0, 0.7, 1.3, 0.0, 0.4] if time_slot else None,
+                              decay=[1.0, 1.0, 0.6, 0.8, 1.0, 0.9] if decay else None)
     if kind == "sub":
         return ng.sub(xs[0], xs[1])
     if kind == "scale":
         return ng.scale(xs[0], 1.7)
     if kind == "elu":
         return ng.dense(xs[0], xs[3], xs[5])
-    if kind == "leaky_relu":
-        return ng.leaky_relu(xs[0], alpha=0.2)
     if kind == "abs":
         return ng.absolute(xs[0])
     if kind == "dense":
         return ng.dense(xs[0], xs[3], xs[5], act=False)
-    if kind == "matmul":
-        return ng.matmul(xs[0], xs[3])
-    if kind == "concat":
-        return ng.concat_cols([xs[0], xs[1]])
     if kind == "gather":
         return ng.gather_rows(xs[0], [1, 0, 1, 2])
     if kind == "segment_softmax":
@@ -591,7 +735,9 @@ def test_primitive_gradients_match_finite_differences(kind, seed):
     rng = np.random.default_rng(seed)
     vals = [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4)),
             rng.uniform(-2, 2, (1, 4)), rng.uniform(-2, 2, (4, 2)),
-            rng.uniform(-2, 2, (5, 1)), rng.uniform(-2, 2, (1, 2))]
+            rng.uniform(-2, 2, (5, 1)), rng.uniform(-2, 2, (1, 2)),
+            rng.uniform(-2, 2, (9, 1)), rng.uniform(-2, 2, (9, 1)),  # heads with a time slot
+            rng.uniform(-2, 2, (8, 1)), rng.uniform(-2, 2, (8, 1))]  # and without
     # no row reads vals[2] any more; it is still drawn so the later ones stay put
     if kind == "abs":
         # keep entries away from the |x| kink where FD is meaningless
@@ -602,8 +748,7 @@ def test_primitive_gradients_match_finite_differences(kind, seed):
         t = ng.Tape()
         xs = [t.leaf(v) for v in vals]
         out = _build_prim(kind, t, xs)
-        w = mix[: out.value.size].reshape(out.value.shape)
-        return t, xs, ng.sum_all(ng.mul_array(out, w))
+        return t, xs, weighted_sum(out, mix[:out.value.size])
 
     t, xs, loss = run()
     ng.backward(t, loss)
@@ -674,7 +819,7 @@ def _linear_model(params):
     t = ng.Tape()
     w = t.leaf(params["w"])
     x = t.leaf(np.arange(6.0).reshape(2, 3) / 3.0)
-    loss = ng.sum_all(ng.matmul(x, w))
+    loss = ng.sum_all(linear(t, x, w))
     ng.backward(t, loss)
     return loss.value[0, 0], {"w": w.grad}
 
@@ -724,22 +869,25 @@ def big_inputs(rng, n=300, d=60, heads=3):
     src = np.concatenate([[i, *rng.integers(0, n, c)] for i, c in enumerate(counts)])
     layout = ng.EdgeLayout(src, counts)
     return layout, dict(x=rng.standard_normal((n, d)), w=rng.standard_normal((d, d)) / 8,
-                        b=rng.standard_normal((1, d)), att=rng.standard_normal((2 * d, heads)),
-                        decay=rng.uniform(0.5, 1.0, (len(src), heads)))
+                        b=rng.standard_normal((1, d)),
+                        att=list(rng.standard_normal((heads, 2 * d + 1, 1))),
+                        dt=rng.uniform(0.0, 2.0, len(src)),
+                        decay=rng.uniform(0.5, 1.0, len(src)))
 
 
 def big_sweep(tape, layout, inputs):
     """Every primitive once, on arrays of pooled size; returns the leaves and
     the loss."""
-    leaves = {name: tape.leaf(inputs[name]) for name in ("x", "w", "b", "att")}
+    leaves = {name: tape.leaf(inputs[name]) for name in ("x", "w", "b")}
+    leaves.update((f"att{k}", tape.leaf(w)) for k, w in enumerate(inputs["att"]))
     x = leaves["x"]
     h = ng.dense(x, leaves["w"], leaves["b"])
-    g = ng.leaky_relu(ng.sub(ng.scale(h, 0.5), x))
-    scores = ng.matmul(ng.gather_rows(ng.concat_cols([h, g]), layout.src), leaves["att"])
-    coefs = ng.segment_softmax(ng.mul_array(scores, inputs["decay"]), layout)
-    agg = ng.csr_aggregate(h, g, coefs, layout)
-    both = ng.concat_rows([ng.slice_rows(agg, 0, 10), agg])
-    return leaves, ng.sum_all(ng.absolute(ng.add(both, both)))
+    g = ng.sub(ng.scale(h, 0.5), x)
+    heads = [leaves[f"att{k}"] for k in range(len(inputs["att"]))]
+    scores = ng.edge_scores(g, heads, layout, z=h, dt=inputs["dt"], decay=inputs["decay"])
+    agg = ng.csr_aggregate(h, g, ng.segment_softmax(scores, layout), layout)
+    rows = np.concatenate([np.arange(10), np.arange(layout.n)])  # rows 0-9 twice
+    return leaves, ng.sum_all(ng.absolute(ng.gather_rows(agg, rows)))
 
 
 def test_workspace_sweeps_equal_plain_sweeps_bit_for_bit(rng):
